@@ -56,9 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sp)
         if name == "continue":
             sp.add_argument("--t-end", type=float, default=None)
-            sp.add_argument("--method", default="noise_seeded",
+            sp.add_argument("--method", default=None,
                             choices=["noise_seeded", "complex_path"])
-            sp.add_argument("--times", type=float, nargs="*", default=[])
+            sp.add_argument("--times", type=float, nargs="*", default=None)
         if name == "snapshots":
             sp.add_argument("--times", type=float, nargs="*", default=None)
     return p
@@ -66,15 +66,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {"alpha": 1.0, "epsilon": 0.01, "n_modes": 128,
              "rtol": 1e-12, "atol": 1e-12, "seed": 0, "jobs": 1}
+# keys only some commands take; the rest keep the common config (and so
+# their CSV headers and config hashes) unchanged
+_COMMAND_DEFAULTS = {
+    "continue": {"t_end": None, "method": "noise_seeded", "times": []},
+    "snapshots": {"times": None},
+}
 
 
 def _load_config(args) -> dict:
+    defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        unknown = sorted(set(file_cfg) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command}: "
+                             + ", ".join(unknown))
     cfg = {}
-    for key, default in _DEFAULTS.items():
+    for key, default in defaults.items():
         flag = getattr(args, key, None)
         cfg[key] = flag if flag is not None else file_cfg.get(key, default)
     cfg["command"] = args.command
@@ -201,7 +212,12 @@ def _cmd_profile(args, cfg, manifest) -> int:
 
 
 def _cmd_singularity(args, cfg, manifest) -> int:
-    data = experiments.run_singularity(_params(cfg))
+    params = _params(cfg)
+    t0 = time.perf_counter()
+    traj, rep = solve_to_blowup(params)
+    t1 = time.perf_counter()
+    data = experiments.singularity_from_solution(traj, rep.t_c, params)
+    t2 = time.perf_counter()
     tr = data.track
     path = os.path.join(args.out, "singularity_track.csv")
     cols = ["t", "y_fit", "y_root", "fit_residual", "usable_fit",
@@ -214,7 +230,15 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         rows.append(row)
     write_csv(path, cols, rows, manifest.csv_header(t_c=data.t_c))
     manifest.register("singularity_track", path)
+    manifest.timings.update(solve=t1 - t0, postprocess=t2 - t1,
+                            write=time.perf_counter() - t2)
     n_ok = int(np.sum(tr.usable_root()))
+    manifest.extra["tracker"] = {
+        "snapshots": int(tr.times.size),
+        "usable_root": n_ok,
+        "usable_fit": int(np.sum(tr.usable_fit())),
+        "no_root": tr.no_root,
+    }
     print(f"track with {tr.times.size} samples ({n_ok} usable roots), "
           f"t_c = {data.t_c:.6f}")
     return 0
@@ -222,10 +246,10 @@ def _cmd_singularity(args, cfg, manifest) -> int:
 
 def _cmd_continue(args, cfg, manifest) -> int:
     params = _params(cfg)
-    t_end = args.t_end if args.t_end is not None else _default_t_end(params)
+    t_end = cfg["t_end"] if cfg["t_end"] is not None else _default_t_end(params)
     data = experiments.run_continuation(
-        params, t_end, rng_seed=cfg["seed"], extra_times=args.times,
-        method=args.method)
+        params, t_end, rng_seed=cfg["seed"], extra_times=cfg["times"],
+        method=cfg["method"])
     n = params.n_modes
     for t, fld in zip(data.snapshot_times, data.snapshots):
         path = os.path.join(args.out, f"snapshot_t{t:.6f}.csv")
@@ -253,7 +277,7 @@ def _default_t_end(params: ModelParams) -> float:
 
 
 def _cmd_snapshots(args, cfg, manifest) -> int:
-    data = experiments.run_fourier_snapshots(_params(cfg), times=args.times,
+    data = experiments.run_fourier_snapshots(_params(cfg), times=cfg["times"],
                                              rng_seed=cfg["seed"])
     path = os.path.join(args.out, "coefficient_snapshots.csv")
     cols = ["k"] + [f"abs_c_k_t{t:.6f}" for t in data.times] + ["local_law"]

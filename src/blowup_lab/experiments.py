@@ -172,11 +172,6 @@ class SingularityData:
     overlays: dict
 
 
-def run_singularity(params: ModelParams, stride: int = 1) -> SingularityData:
-    traj, rep = solve_to_blowup(params)
-    return singularity_from_solution(traj, rep.t_c, params, stride)
-
-
 def singularity_from_solution(traj: Trajectory, t_c: float,
                               params: ModelParams,
                               stride: int = 1) -> SingularityData:

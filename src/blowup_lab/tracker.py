@@ -8,10 +8,12 @@ finding of v(iy) = 0 on the positive imaginary axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .integrator import Trajectory
 from .spectral import DivisorTooSmall, EvaluationOverflow, FourierField
@@ -31,6 +33,7 @@ class SingularityTrack:
     y_fit: np.ndarray          # NaN where unusable
     y_root: np.ndarray         # NaN where unusable
     fit_residual: np.ndarray
+    no_root: dict = field(default_factory=dict)   # TrackingError reason -> count
 
     def usable_fit(self) -> np.ndarray:
         return np.isfinite(self.y_fit)
@@ -148,108 +151,71 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
     return np.where(np.abs(out) > floor, out, 0.0)
 
 
-def _axis_values(coeffs: np.ndarray, n: int, ys: np.ndarray) -> np.ndarray:
-    """v(iy) = sum_k c_k e^{-ky} for an array of y > 0, overflow-safe.
+def _axis_real(coeffs: np.ndarray, n: int):
+    """Evaluator of Re v(iy) = Re c_0 + sum_k Re c_k e^{-ky}
+    + sum_k Re c_{-k} e^{ky} over the nonzero modes only, exact because
+    e^{+-ky} is real, plus the largest y before the growing part overflows.
 
-    Entries where the growing part e^{+ky} overflows are NaN.
+    The growing part is summed in log scale; rows whose largest
+    log-exponent exceeds _EXP_LIMIT are NaN.
     """
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    k = np.arange(1, n + 1)
-    c_pos = coeffs[n + 1:]
-    c_neg = coeffs[n - 1::-1]           # k = -1..-N
-    out = np.full(ys.shape, coeffs[n], dtype=complex)
-    # decaying part: c_k e^{-ky}, k >= 1 (underflow harmless)
-    out += np.exp(-np.outer(ys, k)) @ c_pos
-    # growing part in log scale
-    nz = np.nonzero(c_neg)[0]
-    if nz.size:
-        kk = k[nz]
-        logmag = np.log(np.abs(c_neg[nz]))
-        phase = c_neg[nz] / np.abs(c_neg[nz])
-        expo = np.outer(ys, kk) + logmag[None, :]
-        bad = np.max(expo, axis=1) > _EXP_LIMIT
-        with np.errstate(over="ignore"):
-            out += np.exp(expo) @ phase
-        out[bad] = np.nan
-    return out
+    k = np.arange(1, n + 1, dtype=float)
+    c_pos, c_neg = coeffs[n + 1:], coeffs[n - 1::-1]     # k = 1..N, -1..-N
+    dec, gro = np.nonzero(c_pos)[0], np.nonzero(c_neg)[0]
+    k_dec, re_dec = k[dec], c_pos[dec].real
+    k_gro, mag = k[gro], np.abs(c_neg[gro])
+    log_mag, cos_phase = np.log(mag), c_neg[gro].real / mag
+    c0 = coeffs[n].real
+    y_cap = float(np.min((_EXP_LIMIT - log_mag) / k_gro)) if gro.size else np.inf
+
+    def re_v(y):
+        yk = np.asarray(y, dtype=float)[..., None]
+        expo = yk * k_gro + log_mag
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = c0 + np.exp(-yk * k_dec) @ re_dec + np.exp(expo) @ cos_phase
+        return np.where(np.max(expo, axis=-1, initial=-np.inf) > _EXP_LIMIT,
+                        np.nan, val)
+
+    return re_v, y_cap
 
 
-def axis_value(fld: FourierField, y: float) -> complex:
-    """v(iy); raises EvaluationOverflow when coefficient growth overflows."""
-    val = _axis_values(fld.coeffs, fld.n_modes, np.array([y]))[0]
+def axis_value(fld: FourierField, y: float) -> float:
+    """Re v(iy); raises EvaluationOverflow when coefficient growth overflows."""
+    val = float(_axis_real(fld.coeffs, fld.n_modes)[0](y))
     if not np.isfinite(val):
         raise EvaluationOverflow(f"v(iy) overflows at y = {y}")
-    return complex(val)
-
-
-def _max_feasible_y(coeffs: np.ndarray, n: int) -> float:
-    k = np.arange(1, n + 1)
-    c_neg = coeffs[n - 1::-1]
-    nz = np.nonzero(np.abs(c_neg) > 0.0)[0]
-    if nz.size == 0:
-        return np.inf
-    return float(np.min((_EXP_LIMIT - np.log(np.abs(c_neg[nz]))) / k[nz]))
+    return val
 
 
 def root_on_axis(v_field: FourierField,
                  y_bracket: Optional[tuple[float, float]] = None,
                  root_tol: float = 1e-10, scan_points: int = 400) -> float:
-    """Smallest y > 0 with Re v(iy) = 0, by bracketing bisection plus a
-    secant polish.  Without a bracket, the axis is scanned up to the
-    largest y the coefficient amplification allows.
+    """Smallest y > 0 with Re v(iy) = 0, polished by brentq inside the first
+    sign change.  Without a bracket, the axis is scanned up to the largest
+    y the coefficient amplification allows.
     """
-    c = _denoised(v_field.coeffs)
-    n = v_field.n_modes
-
-    def g(y):
-        return _axis_values(c, n, np.array([y]))[0].real
-
+    g, y_cap = _axis_real(_denoised(v_field.coeffs), v_field.n_modes)
     if y_bracket is None:
-        y_max = min(_max_feasible_y(c, n), 50.0) * 0.999
+        y_max = min(y_cap, 50.0) * 0.999
         if not np.isfinite(y_max) or y_max <= 0:
             raise TrackingError("no feasible y range")
-        ys = np.linspace(y_max / scan_points, y_max, scan_points)
-        vals = _axis_values(c, n, ys).real
-        g0 = g(0.0)
-        prev_y, prev_g = 0.0, g0
-        lo = hi = None
-        for y, val in zip(ys, vals):
-            if not np.isfinite(val):
-                break
-            if (prev_g > 0.0) != (val > 0.0):
-                lo, hi = prev_y, y
-                break
-            prev_y, prev_g = y, val
-        if lo is None:
+        ys = np.concatenate(
+            ([0.0], np.linspace(y_max / scan_points, y_max, scan_points)))
+        vals = g(ys)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        positive = vals[:bad[0] if bad.size else vals.size] > 0.0
+        flips = np.flatnonzero(positive[1:] != positive[:-1])
+        if not flips.size:
             raise TrackingError("no sign change of Re v(iy) on the axis")
+        lo, hi = ys[flips[0]], ys[flips[0] + 1]
     else:
         lo, hi = y_bracket
-        if (g(lo) > 0.0) == (g(hi) > 0.0):
+        g_lo, g_hi = g(lo), g(hi)
+        if not (np.isfinite(g_lo) and np.isfinite(g_hi)):
+            raise TrackingError("v(iy) overflows in supplied bracket")
+        if (g_lo > 0.0) == (g_hi > 0.0):
             raise TrackingError("no sign change in supplied bracket")
-
-    g_lo, g_hi = g(lo), g(hi)
-    while hi - lo > root_tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_lo > 0.0) == (g_mid > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    # secant polish
-    ya, yb, ga, gb = lo, hi, g_lo, g_hi
-    for _ in range(6):
-        if gb == ga:
-            break
-        yc = yb - gb * (yb - ya) / (gb - ga)
-        if not (lo - root_tol <= yc <= hi + root_tol):
-            break
-        ya, ga = yb, gb
-        yb, gb = yc, g(yc)
-        if abs(yb - ya) <= 0.01 * root_tol:
-            break
-    return float(yb)
+    return float(brentq(g, lo, hi, xtol=0.01 * root_tol))
 
 
 # report the fit only while the full spectrum at this strip width is
@@ -265,11 +231,13 @@ def build_track(trajectory: Trajectory, n_modes: int,
     """Apply the chosen estimator(s) at every stride-th snapshot.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
-    u-reconstruction failures) are marked NaN rather than extrapolated.
+    u-reconstruction failures) are marked NaN rather than extrapolated;
+    snapshots without a root are counted per TrackingError reason.
     """
     if method not in ("both", "fit", "root"):
         raise ValueError(f"unknown method {method!r}")
     times, yf, yr, res = [], [], [], []
+    no_root = Counter()
     for i in range(0, len(trajectory.times), stride):
         t = trajectory.times[i]
         fld = FourierField(n_modes, trajectory.states[i])
@@ -287,14 +255,14 @@ def build_track(trajectory: Trajectory, n_modes: int,
         if method in ("both", "root"):
             try:
                 y_root = root_on_axis(fld)
-            except TrackingError:
-                pass
+            except TrackingError as exc:
+                no_root[str(exc)] += 1
         times.append(t)
         yf.append(y_fit)
         yr.append(y_root)
         res.append(residual)
     return SingularityTrack(np.array(times), np.array(yf),
-                            np.array(yr), np.array(res))
+                            np.array(yr), np.array(res), dict(no_root))
 
 
 def impingement_regression(d: np.ndarray, y: np.ndarray) -> float:

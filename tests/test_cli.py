@@ -73,6 +73,58 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert manifest["config"]["n_modes"] == 32
 
 
+def config_of(*argv):
+    return cli._load_config(cli._build_parser().parse_args(list(argv)))
+
+
+def test_continue_and_snapshots_options_reach_config_hash():
+    a = config_of("continue", *FAST, "--t-end", "0.5")
+    b = config_of("continue", *FAST, "--t-end", "0.9", "--method",
+                  "complex_path")
+    assert (a["t_end"], a["method"], a["times"]) == (0.5, "noise_seeded", [])
+    assert b["method"] == "complex_path"
+    assert config_hash(a) != config_hash(b)
+    snap = config_of("snapshots", *FAST, "--times", "0.1", "0.2")
+    assert snap["times"] == [0.1, 0.2]
+    assert config_of("snapshots", *FAST)["times"] is None
+    # the other commands keep exactly the common keys, so their CSV
+    # headers and hashes are unchanged
+    common = set(cli._DEFAULTS) | {"command"}
+    for command in ("solve", "errors", "profile", "singularity", "flatness",
+                    "table1"):
+        assert set(config_of(command, *FAST)) == common
+
+
+def test_config_file_sets_continue_options(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": 0.25, "epsilon": 0.1,
+                                    "n_modes": 32, "rtol": 1e-10,
+                                    "atol": 1e-10, "t_end": 0.2,
+                                    "method": "noise_seeded",
+                                    "times": [0.17]}))
+    out = tmp_path / "run"
+    # the flag overrides the file's t_end; times and method come from the file
+    assert run_cli("continue", "--config", str(cfg_path), "--t-end", "0.3",
+                   "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["t_end"] == 0.3
+    assert manifest["config"]["times"] == [0.17]
+    assert manifest["continuation"]["method"] == "noise_seeded"
+    assert "snapshot_t0.170000" in manifest["outputs"]
+
+
+def test_config_file_unknown_keys_are_fatal(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"alpha": 0.25, "t_end": 0.5,
+                                    "bogus": 1}))
+    out = tmp_path / "run"
+    assert run_cli("solve", "--config", str(cfg_path),
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "t_end" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_fatal_errors_return_one(tmp_path):
     # epsilon >= alpha is rejected by ModelParams
     assert run_cli("solve", "--alpha", "0.1", "--epsilon", "0.2",
@@ -124,6 +176,15 @@ def test_singularity_command(tmp_path):
     assert run_cli("singularity", *FAST, "--out", str(out)) == 0
     lines = (out / "singularity_track.csv").read_text().splitlines()
     assert lines[1].startswith("t,y_fit,y_root,fit_residual")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {"solve", "postprocess", "write", "total"} <= set(
+        manifest["timings_sec"])
+    counts = manifest["tracker"]
+    usable = [int(line.split(",")[5]) for line in lines[2:]]
+    assert counts["snapshots"] == len(usable)
+    assert counts["usable_root"] == sum(usable)
+    assert counts["usable_root"] + sum(counts["no_root"].values()) \
+        == counts["snapshots"]
 
 
 def test_continue_command_with_snapshots(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from blowup_lab import experiments
 from blowup_lab.integrator import IntegratorConfig
-from blowup_lab.pde import ModelParams
+from blowup_lab.pde import ModelParams, solve_to_blowup
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=1e-4)
 
@@ -49,7 +49,10 @@ def test_error_curves_behaviour():
 
 
 def test_singularity_overlays_shapes():
-    data = experiments.run_singularity(small_params(), stride=10)
+    params = small_params()
+    traj, rep = solve_to_blowup(params)
+    data = experiments.singularity_from_solution(traj, rep.t_c, params,
+                                                 stride=10)
     tr = data.track
     assert set(data.overlays) == set(
         ("naive", "early", "late_first_scale", "second_scale",

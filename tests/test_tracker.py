@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup_lab import asymptotics
-from blowup_lab.pde import ModelParams, initial_field, u_from_v
-from blowup_lab.spectral import FourierField
+from blowup_lab.integrator import IntegratorConfig
+from blowup_lab.pde import ModelParams, initial_field, solve_to_blowup, u_from_v
+from blowup_lab.spectral import EvaluationOverflow, FourierField
 from blowup_lab.tracker import (TrackingError, _decaying_range, _denoised,
                                 axis_value, build_track, fit_strip_width,
                                 impingement_regression, impingement_slope,
@@ -122,6 +123,51 @@ def test_axis_value_and_root_on_exact_initial_data():
         root_on_axis(f, y_bracket=(0.1, 0.5))   # no sign change inside
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.05, 3000.0, exclude_min=True, exclude_max=True),
+       st.floats(0.01, 30.0))
+def test_root_on_exact_initial_data_property(ratio, alpha):
+    # v(iy) = alpha - eps cosh(y) has its only root at arccosh(alpha/eps)
+    eps = alpha / ratio
+    f = initial_field(ModelParams(alpha=alpha, epsilon=eps, n_modes=16))
+    assert abs(root_on_axis(f) - math.acosh(alpha / eps)) <= 1e-12
+
+
+def symmetric_field(n, coeffs):
+    """Real even field with c_{+-k} = coeffs[k] for each k in coeffs."""
+    c = np.zeros(2 * n + 1, dtype=complex)
+    for k, a in coeffs.items():
+        c[n + k] = c[n - k] = a
+    return FourierField(n, c)
+
+
+def test_root_on_axis_returns_the_smaller_of_two_roots():
+    # v(iy) = 1 - 1.2 cosh y + 0.21 cosh 2y = 0.42 C^2 - 1.2 C + 0.79 with
+    # C = cosh y: roots at C = (1.2 -+ sqrt(1.44 - 1.68 * 0.79)) / 0.84
+    f = symmetric_field(16, {0: 1.0, 1: -0.6, 2: 0.105})
+    d = math.sqrt(1.44 - 1.68 * 0.79)
+    y_small = math.acosh((1.2 - d) / 0.84)
+    assert y_small == pytest.approx(0.2392, abs=1e-4)
+    assert math.acosh((1.2 + d) / 0.84) == pytest.approx(1.2117, abs=1e-4)
+    assert root_on_axis(f) == pytest.approx(y_small, abs=1e-12)
+
+
+def test_root_on_axis_overflow_before_sign_change_raises():
+    # v(iy) = 1 + cosh(40 y) > 0: the growing mode overflows at
+    # y ~ 700/40 before Re v(iy) could change sign
+    f = symmetric_field(64, {0: 1.0, 40: 0.5})
+    with pytest.raises(TrackingError, match="no sign change"):
+        root_on_axis(f)
+    # a bracket reaching past the overflow is refused, not bisected on NaN
+    with pytest.raises(TrackingError, match="overflows"):
+        root_on_axis(f, y_bracket=(1.0, 30.0))
+    # past _EXP_LIMIT = 700 the value is refused even where e^{40 y}
+    # would still be finite in double precision (40 * 17.6 = 704 < 709)
+    for y in (17.6, 30.0):
+        with pytest.raises(EvaluationOverflow):
+            axis_value(f, y)
+
+
 def test_root_on_axis_no_root():
     # constant-dominated field with tiny symmetric perturbation: v(iy)
     # stays positive on the reachable axis
@@ -155,13 +201,17 @@ def test_impingement_slope_window_selection():
         impingement_slope(empty, t_c, eps)
 
 
-def test_build_track_on_small_solve():
-    from blowup_lab.integrator import IntegratorConfig
-    from blowup_lab.pde import solve_to_blowup
+@pytest.fixture(scope="module")
+def small_solve():
     p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32,
                     integrator=IntegratorConfig(rtol=1e-10, atol=1e-10,
                                                 h_init=1e-4))
-    traj, rep = solve_to_blowup(p, with_estimates=False)
+    traj, _ = solve_to_blowup(p, with_estimates=False)
+    return p, traj
+
+
+def test_build_track_on_small_solve(small_solve):
+    p, traj = small_solve
     track = build_track(traj, p.n_modes, method="root", stride=4)
     assert track.times[0] == 0.0
     y0 = track.y_root[0]
@@ -173,6 +223,35 @@ def test_build_track_on_small_solve():
     assert np.all(np.isnan(track.y_fit))
     with pytest.raises(ValueError):
         build_track(traj, p.n_modes, method="magic")
+    # every snapshot without a root is counted under its reason
+    missing = int(np.count_nonzero(~finite))
+    assert sum(track.no_root.values()) == missing
+
+
+def test_track_roots_against_direct_complex_sum(small_solve):
+    # oracle: v(iy) = sum_k c_k e^{-ky} summed directly in complex
+    # arithmetic over the same denoised coefficients the tracker uses
+    p, traj = small_solve
+    n = p.n_modes
+    k = np.arange(-n, n + 1)
+    track = build_track(traj, n, method="root")
+    usable = np.flatnonzero(track.usable_root())
+    assert usable.size > 30
+    for i in usable:
+        c = _denoised(traj.states[i])
+        y = track.y_root[i]
+
+        def re_v(ys):
+            return (np.exp(-np.outer(np.atleast_1d(ys), k)) @ c).real
+
+        # roundoff of the sum plus the slope times the brentq tolerance
+        weight = np.abs(c) * np.exp(np.abs(k) * y)
+        tol = (100.0 * np.finfo(float).eps * np.sum(weight)
+               + 1e-12 * np.sum(np.abs(k) * weight))
+        assert abs(re_v(y)[0]) <= tol
+        # and it is the smallest root: no sign change on (0, y_root)
+        inside = re_v(np.linspace(0.0, y, 4002)[1:-1])
+        assert np.all(inside > 0.0) or np.all(inside < 0.0)
 
 
 def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
