@@ -223,12 +223,3 @@ def u_initial_coeff(k: int, alpha: float, epsilon: float) -> float:
     root = math.sqrt(r ** 2 - 1.0)
     rho = r + root
     return rho ** (-abs(k)) / (epsilon * root)
-
-
-def taylor_case_estimates(alpha: float, epsilon: float):
-    """Blow-up time and matching constants for initial data V(x) = x^2:
-    t_c ~ alpha + 2*alpha*eps - 16*alpha*eps^2, (beta1, gamma1, beta2,
-    gamma2) = (2a, 1, -16a, -8 log a)."""
-    tc = alpha + 2.0 * alpha * epsilon - 16.0 * alpha * epsilon ** 2
-    consts = (2.0 * alpha, 1.0, -16.0 * alpha, -8.0 * math.log(alpha))
-    return tc, consts

@@ -238,6 +238,7 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         "usable_root": n_ok,
         "usable_fit": int(np.sum(tr.usable_fit())),
         "no_root": tr.no_root,
+        "no_fit": tr.no_fit,
     }
     print(f"track with {tr.times.size} samples ({n_ok} usable roots), "
           f"t_c = {data.t_c:.6f}")
@@ -246,9 +247,8 @@ def _cmd_singularity(args, cfg, manifest) -> int:
 
 def _cmd_continue(args, cfg, manifest) -> int:
     params = _params(cfg)
-    t_end = cfg["t_end"] if cfg["t_end"] is not None else _default_t_end(params)
     data = experiments.run_continuation(
-        params, t_end, rng_seed=cfg["seed"], extra_times=cfg["times"],
+        params, cfg["t_end"], rng_seed=cfg["seed"], extra_times=cfg["times"],
         method=cfg["method"])
     n = params.n_modes
     for t, fld in zip(data.snapshot_times, data.snapshots):
@@ -269,11 +269,6 @@ def _cmd_continue(args, cfg, manifest) -> int:
           f"{data.result.branch_sign:+d}, |u+1/t|*t at end = "
           f"{data.asymptote_deviation}")
     return 0
-
-
-def _default_t_end(params: ModelParams) -> float:
-    _, rep = solve_to_blowup(params, with_estimates=False)
-    return 3.0 * rep.t_c
 
 
 def _cmd_snapshots(args, cfg, manifest) -> int:

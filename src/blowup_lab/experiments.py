@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,8 @@ from .integrator import IntegratorConfig, Trajectory
 from .pde import (ContinuationResult, ModelParams, continue_complex_path,
                   continue_past_blowup, field_from_state, flatness,
                   solve_to_blowup, u_from_v)
-from .spectral import DivisorTooSmall, FourierField, padded_size, synthesize
+from .spectral import (DivisorTooSmall, FourierField, padded_size, series_at,
+                       synthesize)
 
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
@@ -86,6 +87,8 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
     x = -np.pi + 2.0 * np.pi * np.arange(m) / m
     times, idx, e13, e19 = [], [], [], []
     for k_step, (t, state) in enumerate(zip(traj.times, traj.states)):
+        if t >= t_c:     # v(0, t_c) = 0 up to roundoff: no relative error
+            continue
         fld = field_from_state(state, params.n_modes)
         v_ref = synthesize(fld, m).values.real
         denom = np.abs(v_ref)
@@ -93,13 +96,9 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
             continue
         v13 = asymptotics.perturbation_v(x, t, params.alpha, params.epsilon)
         err13 = float(np.max(np.abs(v13 - v_ref) / denom))
-        log_arg_min = (t_c - t) / params.epsilon
-        if log_arg_min > 0.0:
-            v19 = asymptotics.v_timescale2(x, t, params.alpha, params.epsilon,
-                                           t_c, consts)
-            err19 = float(np.max(np.abs(v19 - v_ref) / denom))
-        else:
-            err19 = math.nan
+        v19 = asymptotics.v_timescale2(x, t, params.alpha, params.epsilon,
+                                       t_c, consts)
+        err19 = float(np.max(np.abs(v19 - v_ref) / denom))
         times.append(t)
         idx.append(k_step)
         e13.append(err13)
@@ -125,12 +124,6 @@ class BlowupProfileData:
     eq_local_small: np.ndarray
 
 
-def _eval_cos_series(fld: FourierField, x: np.ndarray) -> np.ndarray:
-    """Direct evaluation of sum_k c_k e^{ikx} at arbitrary real x."""
-    k = fld.wavenumbers
-    return (np.exp(1j * np.outer(x, k)) @ fld.coeffs).real
-
-
 def run_blowup_profile(params: ModelParams, n_plot: int = 1024) -> BlowupProfileData:
     _, rep = solve_to_blowup(params)
     return profile_from_state(rep.state_at_tc, rep.t_c, params, n_plot)
@@ -142,7 +135,7 @@ def profile_from_state(fld: FourierField, t_c: float, params: ModelParams,
     consts = asymptotics.constants(params.alpha)
     x = np.linspace(-np.pi, np.pi, n_plot + 1)
     x = x[x != 0.0]
-    v_solver = _eval_cos_series(fld, x)
+    v_solver = series_at(fld, x).real
     eq20 = asymptotics.blowup_profile_global(x, params.alpha, params.epsilon, consts)
     eq22 = np.full_like(x, np.nan)
     inner = np.abs(x) < 1.0
@@ -156,7 +149,7 @@ def profile_from_state(fld: FourierField, t_c: float, params: ModelParams,
     # small-x panel on a logarithmic lattice (roundoff caveat: v is
     # evaluated from ~1e-16-level coefficient sums near x = 0)
     x_small = np.logspace(-7, -1, 61)
-    v_small = _eval_cos_series(fld, x_small)
+    v_small = series_at(fld, x_small).real
     eq20_s = asymptotics.blowup_profile_global(x_small, params.alpha,
                                                params.epsilon, consts)
     eq22_s = asymptotics.blowup_profile_local(x_small, params.alpha,
@@ -213,12 +206,15 @@ class ContinuationData:
     asymptote_deviation: Optional[float]   # max_x |u + 1/t| * t at t_end
 
 
-def run_continuation(params: ModelParams, t_end: float, rng_seed: int = 0,
-                     extra_times: Sequence[float] = (),
+def run_continuation(params: ModelParams, t_end: Optional[float] = None,
+                     rng_seed: int = 0, extra_times: Sequence[float] = (),
                      method: str = "noise_seeded",
                      negate: bool = False) -> ContinuationData:
+    """Continue past t_c to t_end (default 3 t_c) and sample snapshots."""
     _, rep = solve_to_blowup(params, with_estimates=False)
     t_c = rep.t_c
+    if t_end is None:
+        t_end = 3.0 * t_c
     if method == "noise_seeded":
         result = continue_past_blowup(params, t_end, rng_seed=rng_seed,
                                       negate=negate, t_c=t_c)
@@ -233,12 +229,12 @@ def run_continuation(params: ModelParams, t_end: float, rng_seed: int = 0,
         state = _continuation_state_at(result, t, t_end)
         fld = field_from_state(state, params.n_modes)
         snaps.append(fld)
-        edges[t] = abs(_u_at_pi(fld))
+        edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
     dev = None
     if t_end > t_c:
         fld_end = field_from_state(_continuation_state_at(result, t_end, t_end),
                                    params.n_modes)
-        u_vals = _u_grid(fld_end)
+        u_vals = u_from_v(fld_end)[0].values
         dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
     return ContinuationData(result, list(times), snaps, edges, dev)
 
@@ -253,16 +249,6 @@ def _continuation_state_at(result: ContinuationResult, t: float, t_end: float):
                    for pt in traj.path_times])
     i = int(np.nanargmin(np.abs(tt - t)))
     return traj.states[i]
-
-
-def _u_grid(fld: FourierField) -> np.ndarray:
-    vals = synthesize(fld, padded_size(fld.n_modes)).values
-    return 1.0 / vals
-
-
-def _u_at_pi(fld: FourierField) -> complex:
-    v_pi = complex(np.sum(fld.coeffs * (-1.0) ** fld.wavenumbers))
-    return 1.0 / v_pi
 
 
 @dataclass
@@ -315,6 +301,9 @@ def run_fourier_snapshots(params: ModelParams,
                           rng_seed: int = 0) -> CoeffSnapshotData:
     """Coefficient decay just before, at, and just after t_c (the
     post-t_c snapshot comes from the noise-seeded continuation)."""
+    if times is not None and not len(times):
+        raise ValueError("snapshots: times is empty; give at least one "
+                         "time or omit it for the defaults")
     _, rep = solve_to_blowup(params, with_estimates=False)
     t_c = rep.t_c
     if times is None:

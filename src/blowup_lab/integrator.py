@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -137,23 +138,6 @@ class Trajectory:
             return self.states[-1]
         raise IntegrationError(f"t = {t} outside integrated span")
 
-    def to_csv(self, path, header_lines: Sequence[str] = ()):
-        times = np.asarray(self.times)
-        states = np.asarray(self.states)
-        ncomp = states.shape[1]
-        cols = ["t"]
-        for i in range(ncomp):
-            cols += [f"re_y{i}", f"im_y{i}"]
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for t, y in zip(times, states):
-                row = [f"{t:.16e}"]
-                for c in y:
-                    row += [f"{c.real:.16e}", f"{c.imag:.16e}"]
-                fh.write(",".join(row) + "\n")
-
 
 def _error_norm(err, y0, y1, atol, rtol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
@@ -193,39 +177,6 @@ def _check_event(ev: EventSpec, g0: float, g1: float) -> bool:
     if ev.direction == "increasing":
         return g0 < 0.0
     return True
-
-
-def _refine_root(ev: EventSpec, seg: DenseSegment, t_lo, t_hi, g_lo, g_hi):
-    """Bisection bracket + secant polish on the dense interpolant."""
-
-    def g(t):
-        return ev.observable(seg.eval(t))
-
-    for _ in range(200):
-        if t_hi - t_lo <= ev.root_tol:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        g_mid = g(t_mid)
-        if g_mid == 0.0:
-            return t_mid
-        if (g_lo < 0) == (g_mid < 0):
-            t_lo, g_lo = t_mid, g_mid
-        else:
-            t_hi, g_hi = t_mid, g_mid
-    # secant polish from the bracket midpoint
-    ta, tb = t_lo, t_hi
-    ga, gb = g_lo, g_hi
-    for _ in range(8):
-        if gb == ga:
-            break
-        tc = tb - gb * (tb - ta) / (gb - ga)
-        if not (min(t_lo, t_hi) <= tc <= max(t_lo, t_hi)):
-            break
-        ta, ga = tb, gb
-        tb, gb = tc, g(tc)
-        if abs(tb - ta) <= ev.root_tol:
-            break
-    return tb
 
 
 def integrate(rhs: RHS, y0, t0: float, t1: float,
@@ -274,7 +225,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
             for idx, ev in enumerate(events):
                 g_new = ev.observable(y_new)
                 if _check_event(ev, g_prev[idx], g_new):
-                    t_star = _refine_root(ev, seg, t, t + h, g_prev[idx], g_new)
+                    t_star = brentq(lambda tt: ev.observable(seg.eval(tt)),
+                                    t, t + h, xtol=ev.root_tol)
                     hit = EventHit(t_star, seg.eval(t_star), idx)
                     break
                 g_prev[idx] = g_new

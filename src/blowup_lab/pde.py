@@ -11,14 +11,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asymptotics, reduced
-from .integrator import (EventHit, EventSpec, IntegratorConfig, PathSegment,
-                         StiffnessOrSingularity, Trajectory, integrate,
-                         integrate_path, line_segment, semicircle)
-from .spectral import (DIVISION_FLOOR, EVEN_REAL, GENERAL_COMPLEX,
-                       DivisorTooSmall, FourierField, GridValues, analyze,
-                       constant_field, divide, convolve, differentiate,
-                       grid_points, grid_to_coeffs, coeffs_to_grid,
-                       padded_size, synthesize)
+from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
+                         Trajectory, integrate, integrate_path, line_segment,
+                         semicircle)
+from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
+                       GridValues, analyze, grid_points, padded_size,
+                       series_at, synthesize)
 
 DEFAULT_EVENT_ROOT_TOL = 1e-13
 
@@ -80,24 +78,12 @@ def initial_field(params: ModelParams,
     c[n] = params.alpha
     c[n + 1] = -params.epsilon / 2.0
     c[n - 1] = -params.epsilon / 2.0
-    return FourierField(n, c, EVEN_REAL)
-
-
-def v_rhs(fld: FourierField, floor: float = DIVISION_FLOOR) -> FourierField:
-    """v_xx - 1 - 2*(v_x)^2/v as a field operation (reference path)."""
-    vx = differentiate(fld, 1)
-    vxx = differentiate(fld, 2)
-    nl = divide(convolve(vx, vx), fld, floor=floor)
-    out = vxx.coeffs - 2.0 * nl.coeffs
-    out[fld.n_modes] -= 1.0
-    hint = EVEN_REAL if fld.parity_hint == EVEN_REAL else GENERAL_COMPLEX
-    if hint == EVEN_REAL:
-        out = (0.5 * (out + out[::-1])).real.astype(complex)
-    return FourierField(fld.n_modes, out, hint)
+    return FourierField(n, c)
 
 
 def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR):
-    """Fast coefficient-space RHS for the integrator.
+    """Coefficient-space RHS v_xx - 1 - 2*(v_x)^2/v for the integrator,
+    with the quotient formed on the zero-padded (dealiased) grid.
 
     With guard_floor set, a state whose padded-grid values of v fall
     below the floor yields NaNs, which the stepper treats as a step
@@ -200,10 +186,7 @@ def u_from_v(fld: FourierField,
 
 def flatness(fld: FourierField, check_tol: float = 1e-10) -> float:
     """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k."""
-    c = fld.coeffs
-    k = fld.wavenumbers
-    v0 = complex(np.sum(c))
-    vpi = complex(np.sum(c * (-1.0) ** k))
+    v0, vpi = series_at(fld, [0.0, np.pi])
     f_point = (1.0 / v0 - 1.0 / vpi).real
     _, u_field = u_from_v(fld)
     a = u_field.coeffs
@@ -235,7 +218,7 @@ def seed_imaginary_noise(fld: FourierField, amplitude: float = 1e-16,
     if negate:
         u = -u
     pert = np.concatenate([u[:0:-1], u])  # u_N..u_1, u_0, u_1..u_N
-    return FourierField(n, fld.coeffs + 1j * pert, GENERAL_COMPLEX)
+    return FourierField(n, fld.coeffs + 1j * pert)
 
 
 def _branch_sign(traj: Trajectory, t_probe: float) -> int:

@@ -197,18 +197,3 @@ def near_blowup_forms(kind: str, trajectory: Trajectory, t_c: float,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return NearBlowupFit(kind=kind, t_c=t_c, fitted_constant=const, t_sample=t_s)
-
-
-def phase_plane_grid(a_range, b_range, n: int = 25) -> np.ndarray:
-    """Lattice of (a, b, da/dt, db/dt) rows over 0 < b < a for CSV export."""
-    rows = []
-    for a in np.linspace(*a_range, n):
-        for b in np.linspace(*b_range, n):
-            if not (0.0 < b < a):
-                continue
-            try:
-                da, db = fourier_two_mode_rhs(TwoModeState(a, b))
-            except ZeroDivisionError:
-                continue
-            rows.append((a, b, da, db))
-    return np.array(rows)

@@ -1,23 +1,17 @@
-"""Truncated Fourier-series algebra on [-pi, pi).
+"""Truncated Fourier series on [-pi, pi).
 
 A field is the coefficient vector c_k, k = -N..N, of
-v(x) = sum_k c_k exp(ikx).  Products and quotients are formed
-pseudospectrally on a zero-padded grid (3/2-rule) so that truncated
-products carry no aliased energy when the true result is band-limited.
+v(x) = sum_k c_k exp(ikx).  This module holds the transform pair between
+coefficients and equispaced grid samples, the zero-padded grid size that
+dealiases quadratic products (3/2-rule), and direct evaluation of the
+series at arbitrary real points.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-EVEN_REAL = "even_real"
-GENERAL_COMPLEX = "general_complex"
-
-# absolute tolerance for the even_real invariant
-_PARITY_TOL = 1e-13
 
 
 class SpectralError(Exception):
@@ -67,7 +61,6 @@ class FourierField:
 
     n_modes: int
     coeffs: np.ndarray
-    parity_hint: str = GENERAL_COMPLEX
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -78,10 +71,6 @@ class FourierField:
         if not np.all(np.isfinite(c)):
             raise SpectralError("non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
-        if self.parity_hint == EVEN_REAL:
-            if (np.max(np.abs(c.imag)) > _PARITY_TOL
-                    or np.max(np.abs(c - c[::-1])) > _PARITY_TOL):
-                raise SpectralError("coefficients violate even_real parity")
 
     def coeff(self, k: int) -> complex:
         return complex(self.coeffs[self.n_modes + k])
@@ -89,37 +78,6 @@ class FourierField:
     @property
     def wavenumbers(self) -> np.ndarray:
         return np.arange(-self.n_modes, self.n_modes + 1)
-
-    def __add__(self, other: "FourierField") -> "FourierField":
-        _check_same_size(self, other)
-        hint = self.parity_hint if self.parity_hint == other.parity_hint else GENERAL_COMPLEX
-        return FourierField(self.n_modes, self.coeffs + other.coeffs, hint)
-
-    def __sub__(self, other: "FourierField") -> "FourierField":
-        _check_same_size(self, other)
-        hint = self.parity_hint if self.parity_hint == other.parity_hint else GENERAL_COMPLEX
-        return FourierField(self.n_modes, self.coeffs - other.coeffs, hint)
-
-    def __mul__(self, scalar) -> "FourierField":
-        c = self.coeffs * scalar
-        hint = self.parity_hint
-        if hint == EVEN_REAL and np.imag(complex(scalar)) != 0.0:
-            hint = GENERAL_COMPLEX
-        return FourierField(self.n_modes, c, hint)
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_modes": self.n_modes,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "FourierField":
-        obj = json.loads(text)
-        c = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return FourierField(int(obj["n_modes"]), c)
 
 
 @dataclass(frozen=True)
@@ -140,18 +98,6 @@ class GridValues:
     @property
     def size(self) -> int:
         return self.points.size
-
-
-def _check_same_size(f: FourierField, g: FourierField) -> None:
-    if f.n_modes != g.n_modes:
-        raise SizeMismatch(f"n_modes mismatch: {f.n_modes} vs {g.n_modes}")
-
-
-def _classify_parity(coeffs: np.ndarray, default: str = GENERAL_COMPLEX) -> str:
-    if (np.max(np.abs(coeffs.imag)) <= _PARITY_TOL
-            and np.max(np.abs(coeffs - coeffs[::-1])) <= _PARITY_TOL):
-        return EVEN_REAL
-    return default
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +134,7 @@ def analyze(values: GridValues, n_modes: int) -> FourierField:
     m = values.size
     if m < 2 * n_modes + 1:
         raise SizeMismatch(f"M = {m} < 2N+1 = {2 * n_modes + 1}")
-    c = grid_to_coeffs(values.values, n_modes)
-    return FourierField(n_modes, c, _classify_parity(c))
+    return FourierField(n_modes, grid_to_coeffs(values.values, n_modes))
 
 
 def synthesize(f: FourierField, grid_size: int) -> GridValues:
@@ -202,97 +147,9 @@ def synthesize(f: FourierField, grid_size: int) -> GridValues:
     return GridValues(grid_points(grid_size), vals)
 
 
-def differentiate(f: FourierField, order: int) -> FourierField:
-    """Spectral derivative: c_k -> (ik)^order c_k, order in {1, 2}."""
-    if order not in (1, 2):
-        raise SpectralError(f"unsupported derivative order {order}")
-    k = f.wavenumbers
-    c = (1j * k) ** order * f.coeffs
-    hint = f.parity_hint if order == 2 else GENERAL_COMPLEX
-    return FourierField(f.n_modes, c, hint)
-
-
-def convolve(f: FourierField, g: FourierField) -> FourierField:
-    """Coefficients of the pointwise product fg, dealiased by zero padding."""
-    _check_same_size(f, g)
-    p = padded_size(f.n_modes)
-    fv = coeffs_to_grid(f.coeffs, f.n_modes, p)
-    gv = coeffs_to_grid(g.coeffs, g.n_modes, p)
-    c = grid_to_coeffs(fv * gv, f.n_modes)
-    hint = EVEN_REAL if (f.parity_hint == EVEN_REAL and g.parity_hint == EVEN_REAL) else GENERAL_COMPLEX
-    c = _snap_parity(c, hint)
-    return FourierField(f.n_modes, c, hint)
+def series_at(f: FourierField, x) -> np.ndarray:
+    """sum_k c_k e^{ikx} summed directly at arbitrary real points x."""
+    return np.exp(1j * np.outer(x, f.wavenumbers)) @ f.coeffs
 
 
 DIVISION_FLOOR = 1e-13
-
-
-def divide(f: FourierField, g: FourierField, floor: float = DIVISION_FLOOR) -> FourierField:
-    """Coefficients of f/g via pointwise division on the padded grid.
-
-    Raises DivisorTooSmall if min |g| on the padded grid drops below floor.
-    """
-    _check_same_size(f, g)
-    p = padded_size(f.n_modes)
-    x = grid_points(p)
-    fv = coeffs_to_grid(f.coeffs, f.n_modes, p)
-    gv = coeffs_to_grid(g.coeffs, g.n_modes, p)
-    mags = np.abs(gv)
-    j = int(np.argmin(mags))
-    if mags[j] < floor:
-        raise DivisorTooSmall(float(mags[j]), float(x[j]))
-    c = grid_to_coeffs(fv / gv, f.n_modes)
-    hint = EVEN_REAL if (f.parity_hint == EVEN_REAL and g.parity_hint == EVEN_REAL) else GENERAL_COMPLEX
-    c = _snap_parity(c, hint)
-    return FourierField(f.n_modes, c, hint)
-
-
-def _snap_parity(c: np.ndarray, hint: str) -> np.ndarray:
-    # even_real inputs produce even_real outputs up to roundoff; symmetrize
-    # so the invariant holds exactly and downstream parity checks stay cheap.
-    if hint == EVEN_REAL:
-        c = 0.5 * (c + c[::-1])
-        c = c.real.astype(complex)
-    return c
-
-
-def eval_at(f: FourierField, z: complex) -> complex:
-    """sum_k c_k e^{ikz} by Horner recursion in e^{iz} and e^{-iz}.
-
-    Coefficients are amplified by e^{|k Im z|}; overflow raises
-    EvaluationOverflow.
-    """
-    n = f.n_modes
-    if n * abs(np.imag(z)) > 690.0:
-        raise EvaluationOverflow(
-            f"e^(N |Im z|) overflows for N = {n}, Im z = {np.imag(z):.3g}"
-        )
-    q = np.exp(1j * z)
-    r = np.exp(-1j * z)
-    # positive-k part: c_0 ... c_N in Horner form
-    pos = 0.0 + 0.0j
-    for k in range(n, 0, -1):
-        pos = (pos + f.coeff(k)) * q
-    neg = 0.0 + 0.0j
-    for k in range(n, 0, -1):
-        neg = (neg + f.coeff(-k)) * r
-    val = f.coeff(0) + pos + neg
-    if not np.isfinite(val):
-        raise EvaluationOverflow("evaluation overflowed")
-    return complex(val)
-
-
-def zero_field(n_modes: int) -> FourierField:
-    return FourierField(n_modes, np.zeros(2 * n_modes + 1, dtype=complex), EVEN_REAL)
-
-
-def constant_field(n_modes: int, value: complex) -> FourierField:
-    c = np.zeros(2 * n_modes + 1, dtype=complex)
-    c[n_modes] = value
-    hint = EVEN_REAL if np.imag(value) == 0 else GENERAL_COMPLEX
-    return FourierField(n_modes, c, hint)
-
-
-def with_coeffs(f: FourierField, coeffs: np.ndarray, parity_hint: str | None = None) -> FourierField:
-    hint = parity_hint if parity_hint is not None else _classify_parity(np.asarray(coeffs, dtype=complex))
-    return replace(f, coeffs=np.asarray(coeffs, dtype=complex), parity_hint=hint)

@@ -34,6 +34,7 @@ class SingularityTrack:
     y_root: np.ndarray         # NaN where unusable
     fit_residual: np.ndarray
     no_root: dict = field(default_factory=dict)   # TrackingError reason -> count
+    no_fit: dict = field(default_factory=dict)    # dropped-fit reason -> count
 
     def usable_fit(self) -> np.ndarray:
         return np.isfinite(self.y_fit)
@@ -115,8 +116,8 @@ def strip_width_estimate(u_field: FourierField) -> tuple[float, float]:
     log_mag = np.log(np.where(a > 0.0, a, 1e-300))
     k_lo, k_hi = _decaying_range(log_mag, n)
     if k_hi - k_lo + 1 < 8:
-        raise TrackingError(
-            f"k-range [{k_lo}, {k_hi}] too short (< 8 usable modes)")
+        # one fixed message, so build_track counts these drops as one reason
+        raise TrackingError("decaying k-range too short (< 8 usable modes)")
     y, _, residual = fit_strip_width(u_field, k_range=(k_lo, k_hi))
     if k_hi >= n - 2 and k_hi - k_lo + 1 >= 16:
         mid = k_lo + (k_hi - k_lo) // 2
@@ -190,9 +191,10 @@ def axis_value(fld: FourierField, y: float) -> float:
 def root_on_axis(v_field: FourierField,
                  y_bracket: Optional[tuple[float, float]] = None,
                  root_tol: float = 1e-10, scan_points: int = 400) -> float:
-    """Smallest y > 0 with Re v(iy) = 0, polished by brentq inside the first
-    sign change.  Without a bracket, the axis is scanned up to the largest
-    y the coefficient amplification allows.
+    """Smallest y >= 0 with Re v(iy) = 0, polished by brentq inside the
+    first sign change.  Without a bracket, the axis is scanned up to the
+    largest y the coefficient amplification allows, and Re v(0) <= 0 means
+    the singularity has already reached the real axis: the root is 0.
     """
     g, y_cap = _axis_real(_denoised(v_field.coeffs), v_field.n_modes)
     if y_bracket is None:
@@ -202,6 +204,8 @@ def root_on_axis(v_field: FourierField,
         ys = np.concatenate(
             ([0.0], np.linspace(y_max / scan_points, y_max, scan_points)))
         vals = g(ys)
+        if vals[0] <= 0.0:
+            return 0.0
         bad = np.flatnonzero(~np.isfinite(vals))
         positive = vals[:bad[0] if bad.size else vals.size] > 0.0
         flips = np.flatnonzero(positive[1:] != positive[:-1])
@@ -226,18 +230,29 @@ _FIT_RESOLVABLE = 1e-14
 _FIT_MAX_RESIDUAL = 0.25
 
 
+def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
+    """Why a strip-width fit is not reported, or None when it is usable."""
+    if not y > 0.0:
+        return "y <= 0"
+    if residual > _FIT_MAX_RESIDUAL:
+        return f"residual > {_FIT_MAX_RESIDUAL}"
+    if np.exp(-n_modes * y) < _FIT_RESOLVABLE:
+        return f"unresolvable: exp(-N y) < {_FIT_RESOLVABLE}"
+    return None
+
+
 def build_track(trajectory: Trajectory, n_modes: int,
                 method: str = "both", stride: int = 1) -> SingularityTrack:
     """Apply the chosen estimator(s) at every stride-th snapshot.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
     u-reconstruction failures) are marked NaN rather than extrapolated;
-    snapshots without a root are counted per TrackingError reason.
+    snapshots without a root or a fit are counted per reason.
     """
     if method not in ("both", "fit", "root"):
         raise ValueError(f"unknown method {method!r}")
     times, yf, yr, res = [], [], [], []
-    no_root = Counter()
+    no_root, no_fit = Counter(), Counter()
     for i in range(0, len(trajectory.times), stride):
         t = trajectory.times[i]
         fld = FourierField(n_modes, trajectory.states[i])
@@ -247,11 +262,14 @@ def build_track(trajectory: Trajectory, n_modes: int,
                 clean = FourierField(n_modes, _denoised(fld.coeffs))
                 _, u_field = u_from_v(clean)
                 y_fit, residual = strip_width_estimate(u_field)
-                if (y_fit <= 0.0 or residual > _FIT_MAX_RESIDUAL
-                        or np.exp(-n_modes * y_fit) < _FIT_RESOLVABLE):
-                    y_fit, residual = np.nan, np.nan
-            except (TrackingError, DivisorTooSmall):
-                pass
+                drop = _fit_drop_reason(y_fit, residual, n_modes)
+            except TrackingError as exc:
+                drop = str(exc)
+            except DivisorTooSmall:
+                drop = "DivisorTooSmall in u_from_v"
+            if drop is not None:
+                y_fit, residual = np.nan, np.nan
+                no_fit[drop] += 1
         if method in ("both", "root"):
             try:
                 y_root = root_on_axis(fld)
@@ -262,7 +280,8 @@ def build_track(trajectory: Trajectory, n_modes: int,
         yr.append(y_root)
         res.append(residual)
     return SingularityTrack(np.array(times), np.array(yf),
-                            np.array(yr), np.array(res), dict(no_root))
+                            np.array(yr), np.array(res), dict(no_root),
+                            dict(no_fit))
 
 
 def impingement_regression(d: np.ndarray, y: np.ndarray) -> float:

@@ -143,9 +143,3 @@ def test_u_initial_coeff_against_fft():
             c_k, rel=1e-12)
     assert asy.u_initial_coeff(0, 0.5, 0.0) == pytest.approx(2.0)
     assert asy.u_initial_coeff(3, 0.5, 0.0) == 0.0
-
-
-def test_taylor_case_estimates():
-    tc, consts = asy.taylor_case_estimates(1.0, 0.01)
-    assert tc == pytest.approx(1.0 + 0.02 - 0.0016)
-    assert consts == (2.0, 1.0, -16.0, pytest.approx(0.0))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import cli, experiments
+from blowup_lab import cli, experiments, pde
 from blowup_lab.experiments import Table1Row
 from blowup_lab.io_utils import config_hash, file_sha256, verify_manifest
 
@@ -197,6 +197,47 @@ def test_continue_command_with_snapshots(tmp_path):
     assert cont["branch_sign"] in (-1, 1)
     snaps = [k for k in manifest["outputs"] if k.startswith("snapshot_t")]
     assert len(snaps) >= 3
+
+
+def count_solves(monkeypatch):
+    """Count solve_to_blowup calls through every module that looks it up."""
+    calls, solve = [], pde.solve_to_blowup
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    for module in (cli, experiments, pde):
+        monkeypatch.setattr(module, "solve_to_blowup", counted)
+    return calls
+
+
+def test_continue_without_t_end_solves_once(tmp_path, monkeypatch):
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("continue", *FAST, "--out", str(out)) == 0
+    assert len(calls) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["t_end"] is None
+    # the default end time is 3 t_c, so the 3 t_c snapshot is the last one
+    t_c = manifest["continuation"]["t_c"]
+    snaps = sorted(k for k in manifest["outputs"] if k.startswith("snapshot_t"))
+    assert snaps[-1] == f"snapshot_t{round(3.0 * t_c, 12):.6f}"
+
+
+def test_snapshots_empty_times_refused_before_solving(tmp_path, monkeypatch,
+                                                       capsys):
+    calls = count_solves(monkeypatch)
+    assert run_cli("snapshots", *FAST, "--times", "--out",
+                   str(tmp_path / "a")) == 1
+    assert "times" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"times": []}))
+    assert run_cli("snapshots", *FAST, "--config", str(cfg_path), "--out",
+                   str(tmp_path / "b")) == 1
+    assert "times" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "a" / "manifest.json").exists()
 
 
 def test_snapshots_command(tmp_path):

@@ -43,6 +43,9 @@ def test_run_table1_reports_per_cell_failures():
 def test_error_curves_behaviour():
     data = experiments.run_error_curves(small_params())
     assert data.times.size > 10
+    # v(0, t_c) = 0, so the relative errors stop before t_c
+    assert np.all(data.times < data.t_c)
+    assert np.all(np.isfinite(data.err_timescale2))
     # the perturbation approximation is excellent at early times
     early = data.times < 0.2 * data.t_c
     assert np.max(data.err_perturbation[early & (data.times > 0)]) < 5e-2

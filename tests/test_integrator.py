@@ -143,14 +143,3 @@ def test_path_semicircle_parameterization():
     h = 1e-7
     fd = (seg.t_of_s(0.3 + h) - seg.t_of_s(0.3 - h)) / (2 * h)
     assert seg.dt_ds(0.3) == pytest.approx(fd, rel=1e-6)
-
-
-def test_trajectory_to_csv(tmp_path):
-    traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 0.5,
-                        IntegratorConfig(rtol=1e-8, atol=1e-8))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, header_lines=["test run"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test run"
-    assert lines[1] == "t,re_y0,im_y0"
-    assert len(lines) == 2 + len(traj.times)

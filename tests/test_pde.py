@@ -9,10 +9,10 @@ import pytest
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_event, continue_past_blowup,
                             flatness, initial_field, make_rhs,
-                            seed_imaginary_noise, solve_to_blowup, u_from_v,
-                            v_rhs)
-from blowup_lab.spectral import (EVEN_REAL, FourierField, analyze, GridValues,
+                            seed_imaginary_noise, solve_to_blowup, u_from_v)
+from blowup_lab.spectral import (FourierField, analyze, GridValues,
                                  grid_points, padded_size, synthesize)
+from spectral_oracle import v_rhs
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=1e-4)
 
@@ -37,7 +37,9 @@ def test_initial_field_coefficients():
     assert f.coeff(1) == pytest.approx(-0.05)
     assert f.coeff(-1) == pytest.approx(-0.05)
     assert abs(f.coeff(2)) == 0.0
-    assert f.parity_hint == EVEN_REAL
+    # real and even: v(x, 0) is a real cosine series
+    assert np.all(f.coeffs.imag == 0.0)
+    assert np.array_equal(f.coeffs, f.coeffs[::-1])
 
 
 def test_initial_field_with_custom_profile():
@@ -56,7 +58,7 @@ def test_v_rhs_matches_pointwise_oracle():
     c[n] = 2.0
     c[n + 1] = c[n - 1] = 0.15
     c[n + 2] = c[n - 2] = 0.025
-    fld = FourierField(n, c, EVEN_REAL)
+    fld = FourierField(n, c)
     m = 4096
     x = grid_points(m)
     v = 2.0 + 0.3 * np.cos(x) + 0.05 * np.cos(2 * x)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from blowup_lab.reduced import (NearBlowupFit, TwoModeState,
                                 fourier_two_mode_rhs, near_blowup_forms,
-                                phase_plane_grid, solve_two_mode,
-                                solve_two_mode_run, taylor_conserved_quantity,
-                                taylor_two_mode_rhs)
+                                solve_two_mode, solve_two_mode_run,
+                                taylor_conserved_quantity, taylor_two_mode_rhs)
 
 
 def test_fourier_rhs_closed_form_values():
@@ -127,10 +126,3 @@ def test_near_blowup_forms_taylor():
     with pytest.raises(ValueError):
         near_blowup_forms("taylor", run.trajectory, run.t_c_prime,
                           window=(1e-20, 3e-20))
-
-
-def test_phase_plane_grid_respects_region():
-    rows = phase_plane_grid((0.1, 1.0), (0.05, 0.9), n=10)
-    assert rows.shape[1] == 4
-    assert np.all(rows[:, 1] < rows[:, 0])      # b < a
-    assert np.all(np.isfinite(rows))

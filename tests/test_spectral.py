@@ -1,17 +1,16 @@
-"""Truncated Fourier algebra: transforms, products, quotients, parity."""
+"""Truncated Fourier series: transforms, point evaluation, and the
+reference products and quotients of the test oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab.spectral import (EVEN_REAL, GENERAL_COMPLEX, DivisorTooSmall,
-                                 EvaluationOverflow, FourierField, GridValues,
+from blowup_lab.spectral import (DivisorTooSmall, FourierField, GridValues,
                                  SizeMismatch, SpectralError, analyze,
-                                 coeffs_to_grid, constant_field, convolve,
-                                 differentiate, divide, eval_at, grid_points,
-                                 grid_to_coeffs, padded_size, synthesize,
-                                 zero_field)
+                                 coeffs_to_grid, grid_points, grid_to_coeffs,
+                                 padded_size, series_at, synthesize)
+from spectral_oracle import convolve, differentiate, divide
 
 
 def _field(n, **modes):
@@ -78,14 +77,13 @@ def test_differentiate_cos_gives_minus_sin():
 
 
 def test_convolve_cos_squared():
-    # cos^2 x = 1/2 + cos(2x)/2; the even-real parity tag propagates
-    f = FourierField(16, cos_field(16).coeffs, EVEN_REAL)
+    # cos^2 x = 1/2 + cos(2x)/2
+    f = cos_field(16)
     g = convolve(f, f)
     expect = np.zeros(33, dtype=complex)
     expect[16] = 0.5
     expect[18] = expect[14] = 0.25
     assert np.max(np.abs(g.coeffs - expect)) < 1e-14
-    assert g.parity_hint == EVEN_REAL
 
 
 def test_convolve_is_dealiased_at_the_truncation_boundary():
@@ -116,52 +114,21 @@ def test_divide_raises_near_zero_divisor():
     n = 8
     g = _field(n, **{"0": 1.0, "1": 0.5, "-1": 0.5})   # 1 + cos x, zero at pi
     with pytest.raises(DivisorTooSmall):
-        divide(constant_field(n, 1.0), g)
+        divide(_field(n, **{"0": 1.0}), g)
 
 
-def test_eval_at_matches_synthesize_on_grid():
+def test_series_at_matches_synthesize_and_alternating_sum():
     n = 8
     rng = np.random.default_rng(1)
     f = FourierField(n, rng.normal(size=17) + 1j * rng.normal(size=17))
     m = 32
     vals = synthesize(f, m)
-    for j in (0, 5, 17):
-        assert eval_at(f, float(vals.points[j])) == pytest.approx(
-            complex(vals.values[j]), abs=1e-12)
-
-
-def test_eval_at_complex_argument_and_overflow():
-    n = 8
-    f = cos_field(n)
-    y = 0.3
-    # cos(iy) = cosh(y)
-    assert eval_at(f, 1j * y) == pytest.approx(np.cosh(y))
-    with pytest.raises(EvaluationOverflow):
-        eval_at(f, 1j * 100.0)
-
-
-def test_parity_enforcement():
-    n = 4
-    c = np.zeros(9, dtype=complex)
-    c[4] = 1.0
-    c[5] = 0.5   # asymmetric: c_1 != c_{-1}
-    with pytest.raises(SpectralError):
-        FourierField(n, c, EVEN_REAL)
-    FourierField(n, c, GENERAL_COMPLEX)   # fine without the hint
-
-
-def test_field_arithmetic_and_json_round_trip():
-    n = 4
-    f = cos_field(n)
-    g = constant_field(n, 2.0)
-    s = f + g
-    assert s.coeff(0) == pytest.approx(2.0)
-    assert (s - g).coeff(1) == pytest.approx(0.5)
-    assert (2.0 * f).coeff(1) == pytest.approx(1.0)
-    assert (1j * f).parity_hint == GENERAL_COMPLEX
-    back = FourierField.from_json(f.to_json())
-    assert np.array_equal(back.coeffs, f.coeffs)
-    assert zero_field(n).coeff(0) == 0.0
+    assert np.max(np.abs(series_at(f, vals.points) - vals.values)) < 1e-12
+    # x = 0 gives sum_k c_k and x = pi gives sum_k c_k (-1)^k
+    v0, vpi = series_at(f, [0.0, np.pi])
+    assert v0 == pytest.approx(np.sum(f.coeffs), abs=1e-13)
+    assert vpi == pytest.approx(np.sum(f.coeffs * (-1.0) ** f.wavenumbers),
+                                abs=1e-13)
 
 
 def test_raw_transforms_invert_each_other():

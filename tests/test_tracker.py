@@ -12,8 +12,9 @@ from blowup_lab import asymptotics
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import ModelParams, initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import EvaluationOverflow, FourierField
-from blowup_lab.tracker import (TrackingError, _decaying_range, _denoised,
-                                axis_value, build_track, fit_strip_width,
+from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
+                                _denoised, axis_value, build_track,
+                                fit_strip_width,
                                 impingement_regression, impingement_slope,
                                 root_on_axis, strip_width_estimate,
                                 SingularityTrack)
@@ -226,6 +227,33 @@ def test_build_track_on_small_solve(small_solve):
     # every snapshot without a root is counted under its reason
     missing = int(np.count_nonzero(~finite))
     assert sum(track.no_root.values()) == missing
+
+
+def test_root_is_zero_once_v_reaches_the_axis(small_solve):
+    # at the t = t_c row the scan sees Re v(0) <= 0 (roundoff around the
+    # event root): the singularity is on the real axis, so the root is 0,
+    # not the next sign change further up the axis (y ~ 0.2067)
+    p, traj = small_solve
+    track = build_track(traj, p.n_modes, method="root")
+    assert track.y_root[-1] <= 1e-6
+    assert track.y_root[-2] == pytest.approx(0.0578, abs=1e-4)
+    # every earlier row starts positive at y = 0, so its root is still the
+    # first sign change of the scan
+    for state in traj.states[:-1]:
+        g, _ = _axis_real(_denoised(state), p.n_modes)
+        assert g(np.array([0.0]))[0] > 0.0
+
+
+def test_build_track_counts_every_dropped_fit(small_solve):
+    p, traj = small_solve
+    track = build_track(traj, p.n_modes, method="both", stride=2)
+    usable = int(np.count_nonzero(track.usable_fit()))
+    assert 0 < usable < track.times.size
+    assert sum(track.no_fit.values()) == track.times.size - usable
+    # each threshold the fit is held to shows up as a reason on this solve
+    assert {"y <= 0", "residual > 0.25",
+            "unresolvable: exp(-N y) < 1e-14"} <= set(track.no_fit)
+    assert build_track(traj, p.n_modes, method="root").no_fit == {}
 
 
 def test_track_roots_against_direct_complex_sum(small_solve):
