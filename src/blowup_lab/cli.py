@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -100,6 +101,11 @@ def _params(cfg) -> ModelParams:
                                                    h_init=1e-4))
 
 
+def _integrator_block(integrations: dict) -> dict:
+    """Manifest record of each integration: steps, rejections, evaluations."""
+    return {name: asdict(stats) for name, stats in integrations.items()}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.verify:
@@ -168,6 +174,7 @@ def _cmd_solve(args, cfg, manifest) -> int:
         "t_c_prime": rep.t_c_prime,
         "deltas": rep.deltas,
     }
+    manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"t_c = {rep.t_c:.6f}  (t_hat - t_c = {rep.t_hat - rep.t_c:.2e}, "
           f"t_tilde - t_c = {rep.t_tilde - rep.t_c:.2e}, "
           f"t_c' - t_c = {rep.t_c_prime - rep.t_c:.2e})")
@@ -240,6 +247,7 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         "no_root": tr.no_root,
         "no_fit": tr.no_fit,
     }
+    manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"track with {tr.times.size} samples ({n_ok} usable roots), "
           f"t_c = {data.t_c:.6f}")
     return 0
@@ -264,7 +272,10 @@ def _cmd_continue(args, cfg, manifest) -> int:
         "method": data.result.method,
         "u_edge_moduli": {f"{t:.6f}": v for t, v in data.u_edge_moduli.items()},
         "asymptote_deviation_at_t_end": data.asymptote_deviation,
+        "skipped_times": {f"{t:.6f}": why
+                          for t, why in data.skipped_times.items()},
     }
+    manifest.extra["integrator"] = _integrator_block(data.integrations)
     print(f"continued past t_c = {data.result.t_c:.6f}, branch "
           f"{data.result.branch_sign:+d}, |u+1/t|*t at end = "
           f"{data.asymptote_deviation}")
@@ -281,6 +292,7 @@ def _cmd_snapshots(args, cfg, manifest) -> int:
         rows.append([int(k)] + [m[i] for m in data.moduli] + [data.local_law[i]])
     write_csv(path, cols, rows, manifest.csv_header(t_c=data.t_c))
     manifest.register("coefficient_snapshots", path)
+    manifest.extra["integrator"] = _integrator_block(data.integrations)
     print(f"snapshots at {[round(t, 6) for t in data.times]}")
     return 0
 

@@ -204,6 +204,8 @@ class ContinuationData:
     snapshots: list                  # FourierField per time
     u_edge_moduli: dict              # time -> |u(pi, t)|
     asymptote_deviation: Optional[float]   # max_x |u + 1/t| * t at t_end
+    skipped_times: dict              # time -> why it has no snapshot
+    integrations: dict               # name -> IntegratorStats
 
 
 def run_continuation(params: ModelParams, t_end: Optional[float] = None,
@@ -224,10 +226,15 @@ def run_continuation(params: ModelParams, t_end: Optional[float] = None,
         raise ValueError(f"unknown method {method!r}")
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
                     if f * t_c <= t_end} | set(extra_times))
-    snaps, edges = [], {}
+    kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
         state = _continuation_state_at(result, t, t_end)
+        if state is None:
+            skipped[t] = ("inside the complex-time detour (t_c - r, t_c + r), "
+                          "where the path leaves the real axis")
+            continue
         fld = field_from_state(state, params.n_modes)
+        kept.append(t)
         snaps.append(fld)
         edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
     dev = None
@@ -236,19 +243,27 @@ def run_continuation(params: ModelParams, t_end: Optional[float] = None,
                                    params.n_modes)
         u_vals = u_from_v(fld_end)[0].values
         dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
-    return ContinuationData(result, list(times), snaps, edges, dev)
+    return ContinuationData(result, kept, snaps, edges, dev, skipped,
+                            {**rep.integrations,
+                             method: result.trajectory.stats})
 
 
-def _continuation_state_at(result: ContinuationResult, t: float, t_end: float):
+def _continuation_state_at(result: ContinuationResult, t: float,
+                           t_end: float) -> Optional[np.ndarray]:
+    """State at real time t; None inside the complex-path detour."""
     traj = result.trajectory
     if result.method == "noise_seeded":
         return traj.state_at(t)
-    # complex-path trajectories are parameterized; use nearest stored
-    # real-axis sample
-    tt = np.array([pt.real if abs(pt.imag) < 1e-13 else np.nan
-                   for pt in traj.path_times])
-    i = int(np.nanargmin(np.abs(tt - t)))
-    return traj.states[i]
+    # the complex path is parameterized by s: leg 1 (s in [0, 1]) runs
+    # over [0, t_c - r], leg 3 (s in [2, 3]) over [t_c + r, t_end]
+    lo, hi = result.t_c - result.radius, result.t_c + result.radius
+    if t == t_end:
+        return traj.states[-1]          # stored exactly where the path ends
+    if t <= lo:
+        return traj.state_at(t / lo)
+    if t >= hi:
+        return traj.state_at(2.0 + (t - hi) / (t_end - hi))
+    return None
 
 
 @dataclass
@@ -294,6 +309,7 @@ class CoeffSnapshotData:
     moduli: list                     # |c_k| arrays, one per time
     local_law: np.ndarray
     t_c: float
+    integrations: dict               # name -> IntegratorStats
 
 
 def run_fourier_snapshots(params: ModelParams,
@@ -319,4 +335,6 @@ def run_fourier_snapshots(params: ModelParams,
         moduli.append(np.abs(np.asarray(state)[n + 1:]))
     local = np.full(k.shape, np.nan)
     local[k >= 3] = asymptotics.coeff_decay_local(k[k >= 3])
-    return CoeffSnapshotData(list(times), k, moduli, local, t_c)
+    return CoeffSnapshotData(list(times), k, moduli, local, t_c,
+                             {**rep.integrations,
+                              "noise_seeded": result.trajectory.stats})

@@ -8,7 +8,7 @@ complex time plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
+_A = [np.array(row) for row in (
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -24,7 +24,7 @@ _A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+)]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
@@ -34,6 +34,7 @@ _D = np.array([
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423,
 ])
+_E = _B5 - _B4   # weights of the embedded error estimate
 
 RHS = Callable[[np.ndarray, complex], np.ndarray]
 Observable = Callable[[np.ndarray], float]
@@ -111,16 +112,34 @@ class DenseSegment:
 
 
 @dataclass
+class IntegratorStats:
+    """What one integration did: steps, rejections and evaluations."""
+
+    accepted: int = 0
+    rejected_error: int = 0          # error norm above 1
+    rejected_nonfinite: int = 0      # a stage's rhs was NaN or infinite
+    rhs_calls: int = 0
+    event_evals: int = 0             # observable calls while locating a root
+
+    def __add__(self, other: "IntegratorStats") -> "IntegratorStats":
+        return IntegratorStats(**{k: getattr(self, k) + getattr(other, k)
+                                  for k in vars(self)})
+
+
+@dataclass
 class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     dense_segments: list = field(default_factory=list)
     # for path integration: complex time t(s) at each stored parameter value
     path_times: Optional[list] = None
+    stats: IntegratorStats = field(default_factory=IntegratorStats)
 
     def append(self, t, y, segment=None):
+        """Store y itself, read-only: dense segments share it as r1."""
+        y.flags.writeable = False
         self.times.append(t)
-        self.states.append(np.array(y))
+        self.states.append(y)
         if segment is not None:
             self.dense_segments.append(segment)
 
@@ -144,26 +163,32 @@ def _error_norm(err, y0, y1, atol, rtol):
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
 
 
+def _combine(w, k):
+    """sum_j w_j k_j, added in order j = 0, 1, ... from +0.0 (the order
+    of the builtin sum, so every bit matches it)."""
+    return np.add.reduce(w[:, None] * k, axis=0, initial=0.0)
+
+
 def _attempt_step(rhs, t, y, h, k1):
-    """One DOPRI5 step.  Returns (y5, err, k, ok); ok=False on non-finite rhs."""
-    k = [k1]
+    """One DOPRI5 step.  Returns (y5, err, k, ok), k the (7, n) stages;
+    ok=False on non-finite rhs."""
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = k1
     for i in range(1, 7):
-        yi = y + h * sum(a * kj for a, kj in zip(_A[i], k))
-        ki = rhs(yi, t + _C[i] * h)
+        ki = rhs(y + h * _combine(_A[i], k[:i]), t + _C[i] * h)
         if not np.all(np.isfinite(ki)):
             return None, None, None, False
-        k.append(ki)
-    y5 = y + h * sum(b * kj for b, kj in zip(_B5, k))
-    err = h * sum((b5 - b4) * kj for b5, b4, kj in zip(_B5, _B4, k))
+        k[i] = ki
+    y5 = y + h * _combine(_B5, k)
+    err = h * _combine(_E, k)
     return y5, err, k, True
 
 
 def _dense_segment(t, h, y, y_new, k):
     ydiff = y_new - y
     bspl = h * k[0] - ydiff
-    r5 = h * sum(d * kj for d, kj in zip(_D, k))
-    return DenseSegment(t, h, np.array(y), ydiff,
-                        bspl, ydiff - h * k[6] - bspl, r5)
+    r5 = h * _combine(_D, k)
+    return DenseSegment(t, h, y, ydiff, bspl, ydiff - h * k[6] - bspl, r5)
 
 
 def _check_event(ev: EventSpec, g0: float, g1: float) -> bool:
@@ -185,19 +210,25 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
     """Integrate y' = rhs(y, t) from t0 to t1 (t1 > t0).
 
     Stops early at the first located event root; every accepted step is
-    stored in the trajectory together with its dense-output segment.
+    stored in the trajectory together with its dense-output segment, and
+    the trajectory's stats count what the stepper did.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=complex))
+    y = np.array(y0, dtype=complex, ndmin=1)
     traj = Trajectory()
     traj.append(t0, y)
+    stats = traj.stats
 
     # degenerate: observable already at a root at t0
     for idx, ev in enumerate(events):
         if abs(ev.observable(y)) <= ev.root_tol:
-            return traj, EventHit(t0, np.array(y), idx)
+            return traj, EventHit(t0, y, idx)
+
+    def counted_rhs(yy, tt):
+        stats.rhs_calls += 1
+        return rhs(yy, tt)
 
     g_prev = [ev.observable(y) for ev in events]
-    k1 = rhs(y, t0)
+    k1 = counted_rhs(y, t0)
     if not np.all(np.isfinite(k1)):
         raise IntegrationError(f"rhs non-finite at t0 = {t0}")
 
@@ -210,8 +241,9 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
         if t >= t1:
             return traj, None
         h = min(h, t1 - t)
-        y_new, err_vec, k, ok = _attempt_step(rhs, t, y, h, k1)
+        y_new, err_vec, k, ok = _attempt_step(counted_rhs, t, y, h, k1)
         if not ok:
+            stats.rejected_nonfinite += 1
             h *= 0.5
             if h < cfg.h_min:
                 exc = StiffnessOrSingularity(t, y, "rhs non-finite, step underflow")
@@ -220,13 +252,16 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
             continue
         err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
         if err <= 1.0:
+            stats.accepted += 1
             seg = _dense_segment(t, h, y, y_new, k)
             hit = None
             for idx, ev in enumerate(events):
                 g_new = ev.observable(y_new)
                 if _check_event(ev, g_prev[idx], g_new):
-                    t_star = brentq(lambda tt: ev.observable(seg.eval(tt)),
-                                    t, t + h, xtol=ev.root_tol)
+                    t_star, root = brentq(
+                        lambda tt: ev.observable(seg.eval(tt)),
+                        t, t + h, xtol=ev.root_tol, full_output=True)
+                    stats.event_evals += root.function_calls
                     hit = EventHit(t_star, seg.eval(t_star), idx)
                     break
                 g_prev[idx] = g_new
@@ -242,6 +277,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
             h = min(h * min(max_fac, max(min_fac, fac)), cfg.h_max)
             err_prev = max(err, 1e-10)
         else:
+            stats.rejected_error += 1
             fac = safety * err ** -0.2
             h *= min(1.0, max(min_fac, fac))
         if h < cfg.h_min:
@@ -313,24 +349,25 @@ def semicircle(center: complex, radius: float, upper: bool = True) -> PathSegmen
 
 def integrate_path(rhs: RHS, y0, path: Sequence[PathSegment],
                    cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate dy/ds = rhs(y, t(s)) * dt/ds along the concatenated path."""
-    y = np.atleast_1d(np.asarray(y0, dtype=complex))
-    out = Trajectory()
-    out.path_times = []
-    s_offset = 0.0
-    first = True
-    for seg in path:
+    """Integrate dy/ds = rhs(y, t(s)) * dt/ds along the concatenated path.
+
+    Leg j runs over s in [j, j + 1]: times and dense segments are in this
+    global s, and path_times holds t(s) at each stored state.
+    """
+    out = Trajectory(path_times=[])
+    y = y0
+    for j, seg in enumerate(path):
         def rhs_s(ys, s, _seg=seg):
             return rhs(ys, _seg.t_of_s(s)) * _seg.dt_ds(s)
 
         traj, _ = integrate(rhs_s, y, 0.0, 1.0, cfg)
-        start = 0 if first else 1  # skip duplicated junction point
+        start = 0 if j == 0 else 1  # skip duplicated junction point
         for s, state in zip(traj.times[start:], traj.states[start:]):
-            out.times.append(s_offset + s)
+            out.times.append(j + s)
             out.states.append(state)
             out.path_times.append(complex(seg.t_of_s(s)))
-        out.dense_segments.extend(traj.dense_segments)
+        out.dense_segments.extend(replace(d, t0=j + d.t0)
+                                  for d in traj.dense_segments)
+        out.stats = out.stats + traj.stats
         y = traj.states[-1]
-        s_offset += 1.0
-        first = False
     return out

@@ -45,6 +45,8 @@ class BlowupReport:
     t_hat: float
     t_tilde: float
     t_c_prime: float
+    # what each integration behind the report did, by name
+    integrations: dict = field(default_factory=dict)
 
     @property
     def deltas(self) -> dict:
@@ -63,6 +65,7 @@ class ContinuationResult:
     rng_seed: Optional[int]
     t_c: float
     params: ModelParams
+    radius: Optional[float] = None   # of the complex-path detour about t_c
 
 
 def initial_field(params: ModelParams,
@@ -98,33 +101,35 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
     ksq = (k * k).astype(float)
     # grid starts at x = -pi, so the node shift e^{-i pi k} is (-1)^k
     sign = np.where(k % 2 == 0, 1.0, -1.0)
-    ik_sign = 1j * k * sign
+    # rows: spectra of v and of v_x on the padded grid
+    shift = np.stack([sign, 1j * k * sign])
     out_scale = sign / p
     nan_state = np.full(2 * n + 1, np.nan, dtype=complex)
-    spec = np.zeros(p, dtype=complex)
+    spec = np.zeros((2, p), dtype=complex)
+    grid = np.empty((2, p), dtype=complex)
+    v, w = grid                 # w = v_x, then 2 v_x^2 / v in place
+    wf = np.empty(p, dtype=complex)
+    kc = np.empty(2 * n + 1, dtype=complex)
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
 
     def rhs(c: np.ndarray, t) -> np.ndarray:
-        spec[hi] = c[n:] * sign[n:]
-        spec[lo] = c[:n] * sign[:n]
-        v = np.fft.ifft(spec)
-        v *= p
+        np.multiply(c[n:], shift[:, n:], out=spec[:, hi])
+        np.multiply(c[:n], shift[:, :n], out=spec[:, lo])
+        np.fft.ifft(spec, axis=-1, out=grid)
+        np.multiply(v, p, out=v)
         if guard_floor is not None and np.min(np.abs(v)) < guard_floor:
             return nan_state
-        spec[hi] = c[n:] * ik_sign[n:]
-        spec[lo] = c[:n] * ik_sign[:n]
-        vx = np.fft.ifft(spec)
-        w = vx * vx
-        w *= 2.0 * p * p
+        np.multiply(w, w, out=w)
+        np.multiply(w, 2.0 * p * p, out=w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w /= v
-        wf = np.fft.fft(w)
+            np.divide(w, v, out=w)
+        np.fft.fft(w, out=wf)
+        # a new array per call: the stepper keeps every stage
         out = np.empty(2 * n + 1, dtype=complex)
-        out[n:] = wf[hi]
-        out[:n] = wf[lo]
-        out *= out_scale
-        out += ksq * c
+        np.multiply(wf[hi], out_scale[n:], out=out[n:])
+        np.multiply(wf[lo], out_scale[:n], out=out[:n])
+        out += np.multiply(ksq, c, out=kc)
         np.negative(out, out)
         out[n] -= 1.0
         return out
@@ -156,18 +161,21 @@ def solve_to_blowup(params: ModelParams,
         raise StiffnessOrSingularity(traj.times[-1], traj.states[-1],
                                      "no blow-up event located")
     state = field_from_state(hit.state, params.n_modes)
+    integrations = {"solve": traj.stats}
     if with_estimates:
         t_hat = asymptotics.t_hat(params.alpha, params.epsilon)
         t_tilde = asymptotics.t_tilde(params.alpha, params.epsilon)
         if params.epsilon > 0.0:
-            _, t_c_prime = reduced.solve_two_mode(
+            two_mode, t_c_prime = reduced.solve_two_mode(
                 "fourier", params.alpha, params.epsilon, cfg=params.integrator)
+            integrations["two_mode"] = two_mode.stats
         else:
             t_c_prime = params.alpha
     else:
         t_hat = t_tilde = t_c_prime = float("nan")
     report = BlowupReport(t_c=hit.t, state_at_tc=state, t_hat=t_hat,
-                          t_tilde=t_tilde, t_c_prime=t_c_prime)
+                          t_tilde=t_tilde, t_c_prime=t_c_prime,
+                          integrations=integrations)
     return traj, report
 
 
@@ -282,4 +290,4 @@ def continue_complex_path(params: ModelParams, t_end: float,
     return ContinuationResult(trajectory=traj,
                               branch_sign=1 if im >= 0.0 else -1,
                               method="complex_path", rng_seed=None,
-                              t_c=t_c, params=params)
+                              t_c=t_c, params=params, radius=radius)

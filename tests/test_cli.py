@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import cli, experiments, pde
+from blowup_lab import cli, experiments, integrator, pde, reduced
 from blowup_lab.experiments import Table1Row
 from blowup_lab.io_utils import config_hash, file_sha256, verify_manifest
 
@@ -195,8 +195,77 @@ def test_continue_command_with_snapshots(tmp_path):
     cont = manifest["continuation"]
     assert cont["method"] == "noise_seeded"
     assert cont["branch_sign"] in (-1, 1)
+    assert cont["skipped_times"] == {}
     snaps = [k for k in manifest["outputs"] if k.startswith("snapshot_t")]
     assert len(snaps) >= 3
+
+
+@pytest.mark.parametrize("method", ["noise_seeded", "complex_path"])
+def test_continue_outputs_are_deterministic(tmp_path, method):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert run_cli("continue", *FAST, "--t-end", "0.5", "--seed", "2",
+                       "--method", method, "--out", str(out)) == 0
+    names = sorted(p.name for p in runs[0].glob("*.csv"))
+    assert len(names) >= 5
+    assert names == sorted(p.name for p in runs[1].glob("*.csv"))
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def counted_layers(monkeypatch):
+    """Count PDE right-hand-side calls and accepted steps from outside,
+    the way the traced benchmark run does."""
+    seen = {"rhs_calls": 0, "accepted": 0}
+    make_rhs, integrate = pde.make_rhs, integrator.integrate
+
+    def counted_make_rhs(*args, **kwargs):
+        rhs = make_rhs(*args, **kwargs)
+
+        def counted(y, t):
+            seen["rhs_calls"] += 1
+            return rhs(y, t)
+        return counted
+
+    def counted_integrate(*args, **kwargs):
+        try:
+            traj, hit = integrate(*args, **kwargs)
+        except integrator.StiffnessOrSingularity as exc:
+            seen["accepted"] += len(exc.trajectory.dense_segments)
+            raise
+        seen["accepted"] += len(traj.dense_segments)
+        return traj, hit
+
+    monkeypatch.setattr(pde, "make_rhs", counted_make_rhs)
+    for module in (pde, reduced, integrator):
+        monkeypatch.setattr(module, "integrate", counted_integrate)
+    return seen
+
+
+@pytest.mark.parametrize("argv, records", [
+    (["solve"], {"solve", "two_mode"}),
+    (["singularity"], {"solve", "two_mode"}),
+    (["continue", "--t-end", "0.5"], {"solve", "noise_seeded"}),
+    (["continue", "--t-end", "0.5", "--method", "complex_path"],
+     {"solve", "complex_path"}),
+    (["snapshots"], {"solve", "noise_seeded"}),
+])
+def test_manifest_records_every_integration(tmp_path, monkeypatch, argv,
+                                            records):
+    seen = counted_layers(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli(*argv, *FAST, "--out", str(out)) == 0
+    block = json.loads((out / "manifest.json").read_text())["integrator"]
+    assert set(block) == records
+    for rec in block.values():
+        assert set(rec) == {"accepted", "rejected_error",
+                            "rejected_nonfinite", "rhs_calls", "event_evals"}
+        assert rec["accepted"] > 0
+    pde_records = [rec for name, rec in block.items() if name != "two_mode"]
+    assert sum(rec["rhs_calls"] for rec in pde_records) == seen["rhs_calls"]
+    assert sum(rec["accepted"] for rec in block.values()) == seen["accepted"]
+    # the blow-up solve ends on its located event
+    assert block["solve"]["event_evals"] > 0
 
 
 def count_solves(monkeypatch):

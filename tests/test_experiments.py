@@ -76,6 +76,26 @@ def test_run_continuation_complex_path():
         experiments.run_continuation(p, t_end=0.5, method="teleport")
 
 
+def test_complex_path_snapshots_hold_their_labelled_time():
+    p = small_params()
+    path = experiments.run_continuation(p, t_end=0.5, method="complex_path")
+    seeded = experiments.run_continuation(p, t_end=0.5, rng_seed=0)
+    t_c = path.result.t_c
+    # t_c lies inside the detour (t_c - r, t_c + r): no real-axis state
+    assert list(path.skipped_times) == [round(t_c, 12)]
+    assert round(t_c, 12) not in path.snapshot_times
+    assert round(t_c, 12) not in path.u_edge_moduli
+    assert seeded.skipped_times == {}
+    # before t_c both methods integrate the same real solution
+    t = round(0.5 * t_c, 12)
+    got = path.snapshots[path.snapshot_times.index(t)].coeffs
+    want = seeded.result.trajectory.state_at(t)
+    assert np.max(np.abs(got - want)) < 1e-8
+    # and every snapshot time is read on the path's real-axis legs
+    assert set(path.snapshot_times) | set(path.skipped_times) \
+        == set(seeded.snapshot_times)
+
+
 def test_run_continuation_extra_times_and_edges():
     p = small_params()
     data = experiments.run_continuation(p, t_end=0.5, rng_seed=0,

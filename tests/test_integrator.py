@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab.integrator import (EventSpec, IntegratorConfig,
-                                   MaxStepsExceeded, StiffnessOrSingularity,
-                                   integrate, integrate_fixed, integrate_path,
+from blowup_lab import integrator
+from blowup_lab.integrator import (EventSpec, IntegrationError,
+                                   IntegratorConfig, MaxStepsExceeded,
+                                   StiffnessOrSingularity, integrate,
+                                   integrate_fixed, integrate_path,
                                    line_segment, order_check, semicircle)
 
 
@@ -143,3 +145,163 @@ def test_path_semicircle_parameterization():
     h = 1e-7
     fd = (seg.t_of_s(0.3 + h) - seg.t_of_s(0.3 - h)) / (2 * h)
     assert seg.dt_ds(0.3) == pytest.approx(fd, rel=1e-6)
+
+
+# ---- the stacked-stage stepper against its first form ------------------
+
+def reference_step(rhs, t, y, h, k1):
+    """DOPRI5 step and dense segment with builtin-sum stage combinations,
+    as first written: the stacked-stage stepper must match it bit for bit."""
+    k = [k1]
+    for i in range(1, 7):
+        yi = y + h * sum(a * kj for a, kj in zip(integrator._A[i], k))
+        ki = rhs(yi, t + integrator._C[i] * h)
+        if not np.all(np.isfinite(ki)):
+            return None
+        k.append(ki)
+    y5 = y + h * sum(b * kj for b, kj in zip(integrator._B5, k))
+    err = h * sum((b5 - b4) * kj for b5, b4, kj in
+                  zip(integrator._B5, integrator._B4, k))
+    ydiff = y5 - y
+    bspl = h * k[0] - ydiff
+    r5 = h * sum(d * kj for d, kj in zip(integrator._D, k))
+    return y5, err, k, (y, ydiff, bspl, ydiff - h * k[6] - bspl, r5)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def nonlinear(y, t):
+    return 1j * y * y - (1.0 + t) * y + np.roll(y, 1) * 0.3
+
+
+def test_stacked_step_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        y[trial % 9] = -0.0          # signed zeros must survive as well
+        t, h = rng.uniform(0, 1), 10.0 ** rng.uniform(-6, -1)
+        k1 = nonlinear(y, t)
+        y5, err, k, ok = integrator._attempt_step(nonlinear, t, y, h, k1)
+        ref = reference_step(nonlinear, t, y, h, k1)
+        assert ok and ref is not None
+        assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
+        assert all(same_bits(a, b) for a, b in zip(k, ref[2]))
+        seg = integrator._dense_segment(t, h, y, y5, k)
+        got = (seg.r1, seg.r2, seg.r3, seg.r4, seg.r5)
+        assert all(same_bits(a, b) for a, b in zip(got, ref[3]))
+
+
+def test_stacked_step_rejects_where_reference_does():
+    # finite for Re y < 2 only: the stage that crosses it returns NaN
+    def rhs(y, t):
+        return np.where(y.real < 2.0, y * y, np.nan)
+
+    y = np.array([1.5 + 0j, 0.1 + 0j])
+    k1 = rhs(y, 0.0)
+    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1)[3] is False
+    assert reference_step(rhs, 0.0, y, 0.5, k1) is None
+    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1)
+    assert same_bits(ok_step[0], reference_step(rhs, 0.0, y, 1e-3, k1)[0])
+
+
+def test_combine_adds_in_the_order_of_builtin_sum():
+    w = np.array([0.1, -0.0, 3.0, 1e16, -1e16, 0.0, 2.5])
+    rows = [np.array([1.0, -0.0, np.nan, np.inf, 1e-300, -0.0], dtype=complex),
+            np.array([-0.0, -0.0, 1.0, 1.0, 1.0, -0.0], dtype=complex),
+            np.array([1e-17, -0.0, 2.0, -np.inf, 1e-300, -0.0], dtype=complex),
+            np.array([1.0, -0.0, 0.5, 2.0, -1.0, -0.0], dtype=complex),
+            np.array([1.0, -0.0, 0.5, 2.0, 1.0, -0.0], dtype=complex),
+            np.array([3.0 - 1j, -0.0, 0.5, 2.0, 1.0, -0.0j], dtype=complex),
+            np.array([1j, -0.0, 0.5, 2.0, 1.0, -0.0 - 0.0j], dtype=complex)]
+    for i in range(1, len(w) + 1):
+        k = np.array(rows[:i])
+        with np.errstate(invalid="ignore"):
+            expected = sum(a * kj for a, kj in zip(w[:i], k))
+            got = integrator._combine(w[:i], k)
+        assert same_bits(got, expected)     # NaN payloads included
+    # all -0.0 terms: both start from +0.0, so the sum is +0.0
+    assert not np.signbit(integrator._combine(np.array([1.0]),
+                                              np.array([[-0.0 + 0j]])).real)
+
+
+# ---- stored states, statistics and paths ------------------------------
+
+def test_states_are_stored_once_and_read_only():
+    y0 = np.array([1.0 + 0j, 2.0 + 0j])
+    traj, _ = integrate(decay, y0, 0.0, 1.0, IntegratorConfig(h_init=0.05))
+    y0[0] = 99.0                   # the caller's array is not the stored one
+    assert traj.states[0][0] == 1.0
+    for state, seg in zip(traj.states, traj.dense_segments):
+        assert seg.r1 is state
+        assert not state.flags.writeable
+    with pytest.raises(ValueError):
+        traj.states[-1][0] = 0.0
+
+
+def test_stats_count_steps_rejections_and_evaluations():
+    calls = []
+
+    def rhs(y, t):
+        calls.append(t)
+        return -50.0 * y + np.sin(40.0 * t)
+
+    traj, _ = integrate(rhs, np.array([1.0 + 0j]), 0.0, 2.0,
+                        IntegratorConfig(rtol=1e-8, atol=1e-8, h_init=0.5))
+    st = traj.stats
+    assert st.accepted == len(traj.dense_segments) == len(traj.times) - 1
+    assert st.rhs_calls == len(calls)
+    assert st.rejected_error > 0 and st.rejected_nonfinite == 0
+    assert st.rhs_calls == 1 + 6 * (st.accepted + st.rejected_error)
+    assert st.event_evals == 0
+
+
+def test_stats_count_nonfinite_rejections_and_event_evaluations():
+    def rhs(y, t):
+        return np.array([np.nan + 0j]) if y[0].real > 2.0 else y
+
+    with pytest.raises(StiffnessOrSingularity) as exc_info:
+        integrate(rhs, np.array([1.0 + 0j]), 0.0, 5.0, IntegratorConfig())
+    st = exc_info.value.trajectory.stats
+    assert st.rejected_nonfinite > 0
+    assert st.accepted == len(exc_info.value.trajectory.dense_segments)
+
+    seen = []
+
+    def observable(y):
+        seen.append(1)
+        return float(y[0].real)
+
+    ev = EventSpec(observable, direction="decreasing")
+    traj, hit = integrate(lambda y, t: np.array([-1.0 + 0j]),
+                          np.array([1.0 + 0j]), 0.0, 2.0,
+                          IntegratorConfig(), events=[ev])
+    # one call at t0 for the degenerate check, one to initialise, one
+    # per accepted step; the rest locate the root
+    assert traj.stats.event_evals == len(seen) - 2 - traj.stats.accepted > 0
+
+
+def test_path_state_at_matches_each_leg():
+    rhs = lambda y, t: 1j * t * y
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_init=0.01)
+    legs = [line_segment(0.0, 0.5), line_segment(0.5, 2.0)]
+    path = integrate_path(rhs, np.array([1.0 + 0j]), legs, cfg)
+    own = []
+    y = np.array([1.0 + 0j])
+    for seg in legs:
+        traj, _ = integrate(lambda ys, s, _seg=seg:
+                            rhs(ys, _seg.t_of_s(s)) * _seg.dt_ds(s),
+                            y, 0.0, 1.0, cfg)
+        own.append(traj)
+        y = traj.states[-1]
+    for s in (0.0, 0.3, 0.99, 1.0, 1.2, 1.5, 1.97):
+        j = min(int(s), 1)
+        assert np.max(np.abs(path.state_at(s) - own[j].state_at(s - j))) \
+            < 1e-15
+        t = legs[j].t_of_s(s - j)
+        assert abs(path.state_at(s)[0] - np.exp(0.5j * t * t)) < 1e-10
+    with pytest.raises(IntegrationError):
+        path.state_at(2.5)
+    assert path.stats == own[0].stats + own[1].stats

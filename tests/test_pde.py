@@ -10,8 +10,9 @@ from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_event, continue_past_blowup,
                             flatness, initial_field, make_rhs,
                             seed_imaginary_noise, solve_to_blowup, u_from_v)
-from blowup_lab.spectral import (FourierField, analyze, GridValues,
-                                 grid_points, padded_size, synthesize)
+from blowup_lab.spectral import (DIVISION_FLOOR, FourierField, analyze,
+                                 GridValues, grid_points, padded_size,
+                                 synthesize)
 from spectral_oracle import v_rhs
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=1e-4)
@@ -85,6 +86,87 @@ def test_fast_rhs_guard_returns_nan_near_zero():
     out = make_rhs(p)(c, 0.0)
     assert np.all(np.isnan(out))
     make_rhs(p, guard_floor=None)(c, 0.0)   # unguarded path must not raise
+
+
+def reference_rhs(params, guard_floor=DIVISION_FLOOR):
+    """The right-hand side as first written (one transform per spectrum,
+    fresh temporaries): make_rhs must reproduce it bit for bit."""
+    n = params.n_modes
+    p = padded_size(n)
+    k = np.arange(-n, n + 1)
+    ksq = (k * k).astype(float)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    ik_sign = 1j * k * sign
+    out_scale = sign / p
+    spec = np.zeros(p, dtype=complex)
+    hi, lo = slice(0, n + 1), slice(p - n, p)
+
+    def rhs(c, t):
+        spec[hi] = c[n:] * sign[n:]
+        spec[lo] = c[:n] * sign[:n]
+        v = np.fft.ifft(spec)
+        v *= p
+        if guard_floor is not None and np.min(np.abs(v)) < guard_floor:
+            return np.full(2 * n + 1, np.nan, dtype=complex)
+        spec[hi] = c[n:] * ik_sign[n:]
+        spec[lo] = c[:n] * ik_sign[:n]
+        vx = np.fft.ifft(spec)
+        w = vx * vx
+        w *= 2.0 * p * p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w /= v
+        wf = np.fft.fft(w)
+        out = np.empty(2 * n + 1, dtype=complex)
+        out[n:] = wf[hi]
+        out[:n] = wf[lo]
+        out *= out_scale
+        out += ksq * c
+        np.negative(out, out)
+        out[n] -= 1.0
+        return out
+
+    return rhs
+
+
+def same_bits(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_modes", [8, 32, 128])
+@pytest.mark.parametrize("guard", [DIVISION_FLOOR, None])
+def test_rhs_matches_reference_bit_for_bit(n_modes, guard):
+    p = small_params(n_modes=n_modes, alpha=1.0, epsilon=0.5)
+    fast, ref = make_rhs(p, guard), reference_rhs(p, guard)
+    rng = np.random.default_rng(n_modes)
+    base = initial_field(p).coeffs
+    for scale in (0.0, 1e-16, 1e-8, 1e-3, 0.2):
+        noise = rng.standard_normal((2, 2 * n_modes + 1))
+        c = base + scale * (noise[0] + 1j * noise[1])
+        # bytes compare NaN payloads and the sign of zero as well
+        assert same_bits(fast(c, 0.0), ref(c, 0.0))
+
+
+def test_rhs_matches_reference_on_the_guard_branch():
+    p = small_params(alpha=0.25, epsilon=0.2499999)
+    c = initial_field(p).coeffs.copy()
+    c[p.n_modes] = p.epsilon      # v(0) ~ 0 on the grid
+    assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
+    assert np.all(np.isnan(make_rhs(p)(c, 0.0)))
+    # without the guard the quotient is formed, also where v = 0 exactly
+    c[p.n_modes] = 0.25
+    c[p.n_modes - 1] = c[p.n_modes + 1] = -0.125
+    assert same_bits(make_rhs(p, None)(c, 0.0), reference_rhs(p, None)(c, 0.0))
+
+
+def test_rhs_returns_a_new_array_per_call():
+    p = small_params()
+    rhs = make_rhs(p)
+    c = initial_field(p).coeffs
+    first = rhs(c, 0.0)
+    kept = first.copy()
+    second = rhs(c + 1e-3, 0.0)
+    assert first is not second and not np.shares_memory(first, second)
+    assert same_bits(first, kept)
 
 
 def test_blowup_event_observable_is_v_at_origin():
