@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -46,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("table1", "3x3 grid of blow-up times and estimate errors"),
         ("solve", "single solve to blow-up with report"),
-        ("errors", "per-step max relative errors of the two approximations"),
+        ("errors", "max relative errors of the two approximations over time"),
         ("profile", "blow-up profile and coefficient decay at t_c"),
         ("singularity", "singularity track plus asymptotic overlays"),
         ("continue", "post-blow-up continuation snapshots"),
@@ -102,8 +101,9 @@ def _params(cfg) -> ModelParams:
 
 
 def _integrator_block(integrations: dict) -> dict:
-    """Manifest record of each integration: steps, rejections, evaluations."""
-    return {name: asdict(stats) for name, stats in integrations.items()}
+    """Manifest record of each integration: steps, rejections,
+    evaluations and the range of accepted step sizes."""
+    return {name: stats.record() for name, stats in integrations.items()}
 
 
 def main(argv=None) -> int:
@@ -184,12 +184,11 @@ def _cmd_solve(args, cfg, manifest) -> int:
 def _cmd_errors(args, cfg, manifest) -> int:
     data = experiments.run_error_curves(_params(cfg))
     path = os.path.join(args.out, "error_curves.csv")
-    write_csv(path, ["t", "step_index", "err_perturbation", "err_timescale2"],
-              zip(data.times, data.step_index, data.err_perturbation,
-                  data.err_timescale2),
+    write_csv(path, ["t", "err_perturbation", "err_timescale2"],
+              zip(data.times, data.err_perturbation, data.err_timescale2),
               manifest.csv_header(t_c=data.t_c))
     manifest.register("error_curves", path)
-    print(f"{len(data.times)} steps, t_c = {data.t_c:.6f}")
+    print(f"{len(data.times)} samples, t_c = {data.t_c:.6f}")
     return 0
 
 

@@ -24,6 +24,23 @@ from .spectral import (DivisorTooSmall, FourierField, padded_size, series_at,
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
 
+# the sampled datasets (error curves, singularity track, flatness) read
+# the dense output on one grid in [0, t_c): GRID_UNIFORM points uniform
+# in t, plus GRID_APPROACH points log-spaced in t_c - t over
+# GRID_APPROACH_SPAN (fractions of t_c) to resolve the approach
+GRID_UNIFORM = 2000
+GRID_APPROACH = 500
+GRID_APPROACH_SPAN = (1e-1, 1e-8)
+
+
+def sample_times(t_c: float, n_uniform: int = GRID_UNIFORM,
+                 n_approach: int = GRID_APPROACH) -> np.ndarray:
+    """The sorted sample grid in [0, t_c)."""
+    lo, hi = np.log10(GRID_APPROACH_SPAN)
+    uniform = t_c * np.arange(n_uniform) / n_uniform
+    approach = t_c - t_c * np.logspace(lo, hi, n_approach)
+    return np.unique(np.concatenate([uniform, approach]))
+
 
 @dataclass
 class Table1Row:
@@ -66,30 +83,29 @@ def run_table1(alphas: Sequence[float] = TABLE1_ALPHAS,
 @dataclass
 class ErrorCurves:
     times: np.ndarray
-    step_index: np.ndarray
     err_perturbation: np.ndarray    # first-timescale approximation
     err_timescale2: np.ndarray      # second-timescale approximation
     t_c: float
 
 
 def run_error_curves(params: ModelParams) -> ErrorCurves:
-    """Per accepted step, the max relative error over the collocation
-    grid of the two analytic approximations against the solver."""
+    """At each time of the sample grid, the max relative error over the
+    collocation grid of the two analytic approximations against the
+    solver."""
     traj, rep = solve_to_blowup(params)
     return error_curves_from_solution(traj, rep.t_c, params)
 
 
 def error_curves_from_solution(traj: Trajectory, t_c: float,
                                params: ModelParams) -> ErrorCurves:
-    """Error curves from an already-computed blow-up solve."""
+    """Error curves from an already-computed blow-up solve, on the sample
+    grid."""
     consts = asymptotics.constants(params.alpha)
     m = padded_size(params.n_modes)
     x = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    times, idx, e13, e19 = [], [], [], []
-    for k_step, (t, state) in enumerate(zip(traj.times, traj.states)):
-        if t >= t_c:     # v(0, t_c) = 0 up to roundoff: no relative error
-            continue
-        fld = field_from_state(state, params.n_modes)
+    kept, e13, e19 = [], [], []
+    for t in sample_times(t_c):
+        fld = field_from_state(traj.state_at(t), params.n_modes)
         v_ref = synthesize(fld, m).values.real
         denom = np.abs(v_ref)
         if np.min(denom) <= 0.0:
@@ -99,12 +115,10 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
         v19 = asymptotics.v_timescale2(x, t, params.alpha, params.epsilon,
                                        t_c, consts)
         err19 = float(np.max(np.abs(v19 - v_ref) / denom))
-        times.append(t)
-        idx.append(k_step)
+        kept.append(t)
         e13.append(err13)
         e19.append(err19)
-    return ErrorCurves(np.array(times), np.array(idx), np.array(e13),
-                       np.array(e19), t_c)
+    return ErrorCurves(np.array(kept), np.array(e13), np.array(e19), t_c)
 
 
 @dataclass
@@ -167,10 +181,12 @@ class SingularityData:
 
 def singularity_from_solution(traj: Trajectory, t_c: float,
                               params: ModelParams,
-                              stride: int = 1) -> SingularityData:
-    """Singularity track and overlays from an already-computed solve."""
-    track = tracker.build_track(traj, params.n_modes, method="both",
-                                stride=stride)
+                              times: Optional[Sequence[float]] = None
+                              ) -> SingularityData:
+    """Singularity track and overlays from an already-computed solve, on
+    the given times (default: the sample grid)."""
+    track = tracker.build_track(
+        traj, params.n_modes, sample_times(t_c) if times is None else times)
     t = track.times
     a, e = params.alpha, params.epsilon
     overlays = {}
@@ -275,30 +291,31 @@ class FlatnessData:
     t_c: float
 
 
-def run_flatness(params: ModelParams, stride: int = 1) -> FlatnessData:
+def run_flatness(params: ModelParams) -> FlatnessData:
     traj, rep = solve_to_blowup(params)
-    return flatness_from_solution(traj, rep.t_c, params, stride)
+    return flatness_from_solution(traj, rep.t_c, params)
 
 
 def flatness_from_solution(traj: Trajectory, t_c: float, params: ModelParams,
-                           stride: int = 1) -> FlatnessData:
-    """Flatness curve from an already-computed solve."""
-    times, fs, fa, re = [], [], [], []
-    for i in range(0, len(traj.times), stride):
-        t = traj.times[i]
-        if t >= t_c or t >= params.alpha:
+                           times: Optional[Sequence[float]] = None
+                           ) -> FlatnessData:
+    """Flatness curve from an already-computed solve, on the given times
+    before t_c (default: the sample grid)."""
+    kept, fs, fa, re = [], [], [], []
+    for t in sample_times(t_c) if times is None else times:
+        if t >= params.alpha:
             continue
-        fld = field_from_state(traj.states[i], params.n_modes)
+        fld = field_from_state(traj.state_at(t), params.n_modes)
         try:
             f = flatness(fld)
         except (DivisorTooSmall, ValueError):
             continue
         approx = asymptotics.flatness_approx(t, params.alpha, params.epsilon)
-        times.append(t)
+        kept.append(t)
         fs.append(f)
         fa.append(approx)
         re.append(abs(approx - f) / abs(f) if f != 0.0 else math.nan)
-    return FlatnessData(np.array(times), np.array(fs), np.array(fa),
+    return FlatnessData(np.array(kept), np.array(fs), np.array(fa),
                         np.array(re), t_c)
 
 

@@ -1,22 +1,27 @@
 """Adaptive embedded Runge-Kutta 5(4) over complex state vectors.
 
-Dormand-Prince coefficients with a PI step-size controller, a
-4th-order dense-output interpolant, sign-change event location on the
-dense output, and integration along piecewise-smooth paths in the
-complex time plane.
+Dormand-Prince coefficients with a PI step-size controller, in
+integrating-factor (Lawson) form for y' = L y + N(y, t) with a diagonal
+linear part L that is stepped exactly; dense output by one sub-step of
+the same method from the start of the covering step; sign-change event
+location on the dense output; and integration along piecewise-smooth
+paths in the complex time plane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; row i of _A weighs the stages j < i.  The
+# last stage is taken at the fifth-order solution (first same as last),
+# so row 6 holds the fifth-order weights b_j.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [np.array(row) for row in (
+_A = np.array([row + [0.0] * (7 - len(row)) for row in (
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -24,17 +29,16 @@ _A = [np.array(row) for row in (
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-)]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+)])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
-# dense-output weights (Hairer, Norsett & Wanner)
-_D = np.array([
-    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423,
-])
-_E = _B5 - _B4   # weights of the embedded error estimate
+_E = _A[6] - _B4   # weights of the embedded error estimate
+# the stage pairs (i, j), j < i, row by row: stage i's weights are rows
+# _ROW[i] .. _ROW[i] + i - 1 of a packed (21, n) array
+_LOWER = np.tril_indices(7, -1)
+_ROW = [i * (i - 1) // 2 for i in range(8)]
+_GAPS = _C[_LOWER[0]] - _C[_LOWER[1]]       # c_i - c_j
+_A_PACKED = _A[_LOWER][:, None]
 
 RHS = Callable[[np.ndarray, complex], np.ndarray]
 Observable = Callable[[np.ndarray], float]
@@ -94,21 +98,24 @@ class EventHit:
 
 @dataclass
 class DenseSegment:
-    """Quartic interpolant over one accepted step [t0, t0 + h]."""
+    """One accepted step [t0, t0 + h] with what its dense output needs:
+    the start state r1, the right-hand side k1 there, and the sub-step
+    substep(t0, r1, tau, k1) of the method that took the step."""
 
     t0: float
     h: float
     r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    r4: np.ndarray
-    r5: np.ndarray
+    k1: np.ndarray
+    substep: Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
 
     def eval(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        return self.r1 + theta * (
-            self.r2 + (1.0 - theta) * (
-                self.r3 + theta * (self.r4 + (1.0 - theta) * self.r5)))
+        """The state at t: one step of length t - t0 from (t0, r1).  It is
+        as accurate as an accepted step, returns r1 itself at t0 and the
+        step's own end state at t0 + h."""
+        tau = t - self.t0
+        if tau == 0.0:
+            return self.r1
+        return self.substep(self.t0, self.r1, tau, self.k1)
 
 
 @dataclass
@@ -118,18 +125,25 @@ class IntegratorStats:
     accepted: int = 0
     rejected_error: int = 0          # error norm above 1
     rejected_nonfinite: int = 0      # a stage's rhs was NaN or infinite
-    rhs_calls: int = 0
+    rhs_calls: int = 0               # steps, dense output and event location
     event_evals: int = 0             # observable calls while locating a root
+    h_accepted: list = field(default_factory=list, repr=False)
 
-    def __add__(self, other: "IntegratorStats") -> "IntegratorStats":
-        return IntegratorStats(**{k: getattr(self, k) + getattr(other, k)
-                                  for k in vars(self)})
+    def record(self) -> dict:
+        """The counts plus the smallest, median and largest accepted step."""
+        out = {k: v for k, v in vars(self).items() if k != "h_accepted"}
+        h = self.h_accepted
+        for name, fn in (("h_min", np.min), ("h_median", np.median),
+                         ("h_max", np.max)):
+            out[name] = float(fn(h)) if h else None
+        return out
 
 
 @dataclass
 class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    # dense_segments[i] covers [times[i], times[i + 1]]
     dense_segments: list = field(default_factory=list)
     # for path integration: complex time t(s) at each stored parameter value
     path_times: Optional[list] = None
@@ -144,16 +158,21 @@ class Trajectory:
             self.dense_segments.append(segment)
 
     def state_at(self, t: float) -> np.ndarray:
-        """Dense-output evaluation at any time inside the covered span."""
+        """Dense-output evaluation at any time inside the covered span:
+        the stored state at a stored time, else the sub-step of the
+        segment that covers t."""
         if not self.dense_segments:
             raise IntegrationError("no dense segments stored")
-        for seg in self.dense_segments:
-            if seg.t0 <= t <= seg.t0 + seg.h or seg.t0 + seg.h <= t <= seg.t0:
-                return seg.eval(t)
+        times = self.times
+        i = bisect_left(times, t)       # first stored time >= t
+        if i < len(times) and times[i] == t:
+            return self.states[i]
+        if 0 < i < len(times):
+            return self.dense_segments[i - 1].eval(t)
         # clamp to endpoints
-        if abs(t - self.times[0]) <= 1e-12 * max(1.0, abs(t)):
+        if abs(t - times[0]) <= 1e-12 * max(1.0, abs(t)):
             return self.states[0]
-        if abs(t - self.times[-1]) <= 1e-12 * max(1.0, abs(t)):
+        if abs(t - times[-1]) <= 1e-12 * max(1.0, abs(t)):
             return self.states[-1]
         raise IntegrationError(f"t = {t} outside integrated span")
 
@@ -164,31 +183,60 @@ def _error_norm(err, y0, y1, atol, rtol):
 
 
 def _combine(w, k):
-    """sum_j w_j k_j, added in order j = 0, 1, ... from +0.0 (the order
-    of the builtin sum, so every bit matches it)."""
-    return np.add.reduce(w[:, None] * k, axis=0, initial=0.0)
+    """sum_j w_j k_j over the rows of w (weights broadcast along the
+    state), added in order j = 0, 1, ... from +0.0: the order of the
+    builtin sum, so every bit matches it."""
+    return np.add.reduce(w * k, axis=0, initial=0.0)
 
 
-def _attempt_step(rhs, t, y, h, k1):
-    """One DOPRI5 step.  Returns (y5, err, k, ok), k the (7, n) stages;
-    ok=False on non-finite rhs."""
+_PLAIN = (None, _A_PACKED, _E[:, None])
+
+
+def _stage_weights(lin, clock, t, h):
+    """Weights of one step from t to t + h: (decay, a, e), a packed.
+
+    Plain DOPRI5 (lin None): decay is None, a the tableau and e the error
+    weights.  Lawson form: with E_ij = exp(lin (T_i - T_j)), T_i the time
+    at node t + c_i h (clock(t + c_i h) on a path, else the node itself),
+    stage i starts from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij,
+    and the error weights are e_j E_6j.  The nodes never decrease, so
+    |E| <= 1 whenever Re lin <= 0 and the real part of T increases.
+    """
+    if lin is None:
+        return _PLAIN
+    if clock is None:
+        gaps = h * _GAPS
+    else:
+        nodes = np.array([clock(t + c * h) for c in _C])
+        gaps = nodes[_LOWER[0]] - nodes[_LOWER[1]]
+    ex = np.exp(np.multiply.outer(gaps, lin))      # E_ij, packed
+    e = np.empty((7, lin.size), dtype=ex.dtype)
+    e[:6] = _E[:6, None] * ex[_ROW[6]:]
+    e[6] = _E[6]                                   # E_66 = 1
+    return ex[_ROW[:7]], _A_PACKED * ex, e
+
+
+def _attempt_step(rhs, t, y, h, k1, lin=None, clock=None, dense=False):
+    """One DOPRI5 step, in Lawson form when lin is given.
+
+    Returns (y5, err, k, ok), k the (7, n) stages; ok=False on non-finite
+    rhs.  With dense=True the step stops at y5, skipping the last stage,
+    which only the error estimate and FSAL need: (y5, None, None, ok).
+    """
+    decay, a, e = _stage_weights(lin, clock, t, h)
     k = np.empty((7, y.size), dtype=complex)
     k[0] = k1
     for i in range(1, 7):
-        ki = rhs(y + h * _combine(_A[i], k[:i]), t + _C[i] * h)
+        yi = h * _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
+        yi = y + yi if decay is None else decay[i] * y + yi
+        if dense and i == 6:
+            return yi, None, None, True
+        ki = rhs(yi, t + _C[i] * h)
         if not np.all(np.isfinite(ki)):
             return None, None, None, False
         k[i] = ki
-    y5 = y + h * _combine(_B5, k)
-    err = h * _combine(_E, k)
-    return y5, err, k, True
-
-
-def _dense_segment(t, h, y, y_new, k):
-    ydiff = y_new - y
-    bspl = h * k[0] - ydiff
-    r5 = h * _combine(_D, k)
-    return DenseSegment(t, h, y, ydiff, bspl, ydiff - h * k[6] - bspl, r5)
+    # the last stage was taken at the fifth-order solution yi
+    return yi, h * _combine(e, k), k, True
 
 
 def _check_event(ev: EventSpec, g0: float, g1: float) -> bool:
@@ -206,15 +254,32 @@ def _check_event(ev: EventSpec, g0: float, g1: float) -> bool:
 
 def integrate(rhs: RHS, y0, t0: float, t1: float,
               cfg: IntegratorConfig = IntegratorConfig(),
-              events: Sequence[EventSpec] = ()) -> tuple[Trajectory, Optional[EventHit]]:
-    """Integrate y' = rhs(y, t) from t0 to t1 (t1 > t0).
+              events: Sequence[EventSpec] = (), *,
+              lin: Optional[np.ndarray] = None,
+              clock: Optional[Callable[[float], complex]] = None,
+              dense_rhs: Optional[RHS] = None,
+              stats: Optional[IntegratorStats] = None
+              ) -> tuple[Trajectory, Optional[EventHit]]:
+    """Integrate y' = lin * y + rhs(y, t) from t0 to t1 (t1 > t0).
 
-    Stops early at the first located event root; every accepted step is
-    stored in the trajectory together with its dense-output segment, and
-    the trajectory's stats count what the stepper did.
+    lin is the diagonal of a linear part that the stepper treats exactly
+    (Lawson form); None integrates y' = rhs(y, t) with plain DOPRI5.
+    clock(s) is the time that lin acts over when the variable s is a path
+    parameter (y' = (lin y + N) dt/ds); the default is s itself.
+    dense_rhs, when given, replaces rhs in dense output and in the step
+    that ends on an event root: states there may lie where a guarded rhs
+    refuses to evaluate (returns NaN to make the steps avoid them).
+
+    Stops at the first event root, reached by a step of its own that
+    must pass the error test; every accepted step is stored in the
+    trajectory together with its dense-output segment, and every rhs
+    call, later dense-output calls included, is counted in stats (a
+    fresh IntegratorStats unless one is passed to share).
     """
     y = np.array(y0, dtype=complex, ndmin=1)
-    traj = Trajectory()
+    if lin is not None:
+        lin = np.asarray(lin)
+    traj = Trajectory(stats=IntegratorStats() if stats is None else stats)
     traj.append(t0, y)
     stats = traj.stats
 
@@ -223,12 +288,25 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
         if abs(ev.observable(y)) <= ev.root_tol:
             return traj, EventHit(t0, y, idx)
 
-    def counted_rhs(yy, tt):
-        stats.rhs_calls += 1
-        return rhs(yy, tt)
+    def counted(f):
+        def counted_f(yy, tt):
+            stats.rhs_calls += 1
+            return f(yy, tt)
+        return counted_f
+
+    step_rhs = counted(rhs)
+    end_rhs = step_rhs if dense_rhs is None else counted(dense_rhs)
+
+    def substep(ts, ys, tau, k1s):
+        out, _, _, ok = _attempt_step(end_rhs, ts, ys, tau, k1s, lin, clock,
+                                      dense=True)
+        if not ok:
+            raise IntegrationError(f"rhs non-finite in dense output at "
+                                   f"t = {ts + tau}")
+        return out
 
     g_prev = [ev.observable(y) for ev in events]
-    k1 = counted_rhs(y, t0)
+    k1 = step_rhs(y, t0)
     if not np.all(np.isfinite(k1)):
         raise IntegrationError(f"rhs non-finite at t0 = {t0}")
 
@@ -241,7 +319,29 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
         if t >= t1:
             return traj, None
         h = min(h, t1 - t)
-        y_new, err_vec, k, ok = _attempt_step(counted_rhs, t, y, h, k1)
+        y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h, k1, lin,
+                                              clock)
+        hit = None
+        if ok:
+            err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
+        if ok and err <= 1.0:
+            g_new = [ev.observable(y_new) for ev in events]
+            fired = [i for i, ev in enumerate(events)
+                     if _check_event(ev, g_prev[i], g_new[i])]
+            if fired:
+                ev = events[fired[0]]
+                seg = DenseSegment(t, h, y, k1, substep)
+                t_star, root = brentq(
+                    lambda tt: ev.observable(seg.eval(tt)),
+                    t, t + h, xtol=ev.root_tol, full_output=True)
+                stats.event_evals += root.function_calls
+                # the step onto the root must pass the error test itself
+                h = t_star - t
+                y_new, err_vec, k, ok = _attempt_step(end_rhs, t, y, h, k1,
+                                                      lin, clock)
+                if ok:
+                    err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
+                    hit = EventHit(t_star, y_new, fired[0])
         if not ok:
             stats.rejected_nonfinite += 1
             h *= 0.5
@@ -250,27 +350,17 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
                 exc.trajectory = traj
                 raise exc
             continue
-        err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
         if err <= 1.0:
             stats.accepted += 1
-            seg = _dense_segment(t, h, y, y_new, k)
-            hit = None
-            for idx, ev in enumerate(events):
-                g_new = ev.observable(y_new)
-                if _check_event(ev, g_prev[idx], g_new):
-                    t_star, root = brentq(
-                        lambda tt: ev.observable(seg.eval(tt)),
-                        t, t + h, xtol=ev.root_tol, full_output=True)
-                    stats.event_evals += root.function_calls
-                    hit = EventHit(t_star, seg.eval(t_star), idx)
-                    break
-                g_prev[idx] = g_new
+            stats.h_accepted.append(h)
+            seg = DenseSegment(t, h, y, k1, substep)
             if hit is not None:
                 traj.append(hit.t, hit.state, seg)
                 return traj, hit
+            g_prev = g_new
             t = t + h
             y = y_new
-            k1 = k[6]  # FSAL
+            k1 = k[6].copy()  # FSAL; a copy, so a segment keeps no stages
             traj.append(t, y, seg)
             # PI controller
             fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else max_fac
@@ -287,33 +377,6 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
     exc = MaxStepsExceeded(t, y)
     exc.trajectory = traj
     raise exc
-
-
-def integrate_fixed(rhs: RHS, y0, t0: float, t1: float, h: float) -> np.ndarray:
-    """Fixed-step DOPRI5 propagation (validation harness)."""
-    y = np.atleast_1d(np.asarray(y0, dtype=complex))
-    n = int(round((t1 - t0) / h))
-    t = t0
-    for _ in range(n):
-        k1 = rhs(y, t)
-        y, _, _, ok = _attempt_step(rhs, t, y, h, k1)
-        if not ok:
-            raise IntegrationError(f"rhs non-finite at t = {t}")
-        t += h
-    return y
-
-
-def order_check(rhs: RHS, y0, t0: float, t1: float,
-                exact: Callable[[float], np.ndarray],
-                h_values: Sequence[float]) -> float:
-    """Observed convergence order: least-squares slope of log err vs log h."""
-    errs = []
-    for h in h_values:
-        yh = integrate_fixed(rhs, y0, t0, t1, h)
-        errs.append(np.max(np.abs(yh - np.atleast_1d(exact(t1)))))
-    slope = np.polyfit(np.log(np.asarray(h_values, dtype=float)),
-                       np.log(np.asarray(errs)), 1)[0]
-    return float(slope)
 
 
 @dataclass(frozen=True)
@@ -348,26 +411,30 @@ def semicircle(center: complex, radius: float, upper: bool = True) -> PathSegmen
 
 
 def integrate_path(rhs: RHS, y0, path: Sequence[PathSegment],
-                   cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
-    """Integrate dy/ds = rhs(y, t(s)) * dt/ds along the concatenated path.
+                   cfg: IntegratorConfig = IntegratorConfig(),
+                   lin: Optional[np.ndarray] = None) -> Trajectory:
+    """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds along the
+    concatenated path; lin is stepped exactly over t(s) as in integrate.
 
     Leg j runs over s in [j, j + 1]: times and dense segments are in this
-    global s, and path_times holds t(s) at each stored state.
+    global s, path_times holds t(s) at each stored state, and all legs
+    count into the one stats of the returned trajectory.
     """
     out = Trajectory(path_times=[])
     y = y0
     for j, seg in enumerate(path):
-        def rhs_s(ys, s, _seg=seg):
-            return rhs(ys, _seg.t_of_s(s)) * _seg.dt_ds(s)
+        def t_of(s, _seg=seg, _j=j):
+            return _seg.t_of_s(s - _j)
 
-        traj, _ = integrate(rhs_s, y, 0.0, 1.0, cfg)
+        def rhs_s(ys, s, _seg=seg, _j=j):
+            return rhs(ys, _seg.t_of_s(s - _j)) * _seg.dt_ds(s - _j)
+
+        traj, _ = integrate(rhs_s, y, float(j), float(j + 1), cfg, lin=lin,
+                            clock=t_of, stats=out.stats)
         start = 0 if j == 0 else 1  # skip duplicated junction point
-        for s, state in zip(traj.times[start:], traj.states[start:]):
-            out.times.append(j + s)
-            out.states.append(state)
-            out.path_times.append(complex(seg.t_of_s(s)))
-        out.dense_segments.extend(replace(d, t0=j + d.t0)
-                                  for d in traj.dense_segments)
-        out.stats = out.stats + traj.stats
+        out.times.extend(traj.times[start:])
+        out.states.extend(traj.states[start:])
+        out.path_times.extend(complex(t_of(s)) for s in traj.times[start:])
+        out.dense_segments.extend(traj.dense_segments)
         y = traj.states[-1]
     return out

@@ -84,9 +84,17 @@ def initial_field(params: ModelParams,
     return FourierField(n, c)
 
 
+def diffusion(n_modes: int) -> np.ndarray:
+    """Diagonal of the diffusion term v_xx in coefficient space, -k^2:
+    the linear part the integrator steps exactly (its `lin`)."""
+    k = np.arange(-n_modes, n_modes + 1)
+    return -(k * k).astype(float)
+
+
 def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR):
-    """Coefficient-space RHS v_xx - 1 - 2*(v_x)^2/v for the integrator,
-    with the quotient formed on the zero-padded (dealiased) grid.
+    """Coefficient-space nonlinear part -1 - 2*(v_x)^2/v of the
+    v-equation, with the quotient formed on the zero-padded (dealiased)
+    grid; the integrator adds the diffusion term as lin = diffusion(N).
 
     With guard_floor set, a state whose padded-grid values of v fall
     below the floor yields NaNs, which the stepper treats as a step
@@ -98,7 +106,6 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
     n = params.n_modes
     p = padded_size(n)
     k = np.arange(-n, n + 1)
-    ksq = (k * k).astype(float)
     # grid starts at x = -pi, so the node shift e^{-i pi k} is (-1)^k
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     # rows: spectra of v and of v_x on the padded grid
@@ -109,7 +116,6 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
     grid = np.empty((2, p), dtype=complex)
     v, w = grid                 # w = v_x, then 2 v_x^2 / v in place
     wf = np.empty(p, dtype=complex)
-    kc = np.empty(2 * n + 1, dtype=complex)
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
 
@@ -122,14 +128,16 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
             return nan_state
         np.multiply(w, w, out=w)
         np.multiply(w, 2.0 * p * p, out=w)
+        # 0/0 (v = v_x = 0: at x = 0 in the step onto t_c, everywhere
+        # when eps = 0) counts as 0, the quotient's value on nearby states
+        # with v_x = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(w, v, out=w)
+            np.divide(w, v, out=w, where=w != 0)
         np.fft.fft(w, out=wf)
         # a new array per call: the stepper keeps every stage
         out = np.empty(2 * n + 1, dtype=complex)
         np.multiply(wf[hi], out_scale[n:], out=out[n:])
         np.multiply(wf[lo], out_scale[:n], out=out[:n])
-        out += np.multiply(ksq, c, out=kc)
         np.negative(out, out)
         out[n] -= 1.0
         return out
@@ -155,8 +163,12 @@ def solve_to_blowup(params: ModelParams,
     y0 = initial_field(params).coeffs
     # v(0,.) decreases by ~alpha over [0, t_c]; generous horizon
     t_hi = 2.0 * params.alpha + 1.0
+    # dense output and the step onto t_c evaluate states with v(0) ~ 0,
+    # which the guard refuses: they use the unguarded quotient
     traj, hit = integrate(rhs, y0, 0.0, t_hi, params.integrator,
-                          events=[blowup_event(root_tol)])
+                          events=[blowup_event(root_tol)],
+                          lin=diffusion(params.n_modes),
+                          dense_rhs=make_rhs(params, guard_floor=None))
     if hit is None:
         raise StiffnessOrSingularity(traj.times[-1], traj.states[-1],
                                      "no blow-up event located")
@@ -254,7 +266,8 @@ def continue_past_blowup(params: ModelParams, t_end: float,
     y0 = seed_imaginary_noise(initial_field(params), amplitude,
                               rng_seed, negate).coeffs
     rhs = make_rhs(params, guard_floor=None)
-    traj, _ = integrate(rhs, y0, 0.0, t_end, params.integrator)
+    traj, _ = integrate(rhs, y0, 0.0, t_end, params.integrator,
+                        lin=diffusion(params.n_modes))
     t_probe = min(1.25 * t_c, 0.5 * (t_c + t_end))
     return ContinuationResult(trajectory=traj,
                               branch_sign=_branch_sign(traj, t_probe),
@@ -282,7 +295,8 @@ def continue_complex_path(params: ModelParams, t_end: float,
     path = [line_segment(0.0, t_c - radius),
             semicircle(t_c, radius, upper=upper),
             line_segment(t_c + radius, t_end)]
-    traj = integrate_path(rhs, y0, path, params.integrator)
+    traj = integrate_path(rhs, y0, path, params.integrator,
+                          lin=diffusion(params.n_modes))
     # branch sign from the junction after the semicircle
     post = [i for i, tt in enumerate(traj.path_times)
             if abs(tt.imag) < 1e-14 and tt.real > t_c]

@@ -117,14 +117,13 @@ def solve_two_mode_run(kind: str, alpha: float, epsilon: float,
     # continue past v(0) = a - b = 0 until the system's own finite-time
     # singularity; the step size collapses there, pinning its location
     try:
-        integrate(rhs, hit.state, hit.t, t_hi, cfg)
+        integrate(rhs, hit.state, hit.t, t_hi, cfg, stats=traj.stats)
     except StiffnessOrSingularity as exc:
         tail = exc.trajectory
         if tail is not None:
             traj.times.extend(tail.times[1:])
             traj.states.extend(tail.states[1:])
             traj.dense_segments.extend(tail.dense_segments)
-            traj.stats = traj.stats + tail.stats
         return TwoModeRun(traj, hit.t, float(exc.t))
     raise RuntimeError("fourier two-mode system did not break down past b = a")
 

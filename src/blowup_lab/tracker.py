@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from .integrator import Trajectory
 from .spectral import DivisorTooSmall, EvaluationOverflow, FourierField
@@ -133,11 +133,11 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
 
     Two artifacts would otherwise dominate the analytic continuation
     e^{+ky}: (i) roundoff-level coefficients anywhere in the tail, and
-    (ii) a geometric noise ramp in the last few modes, which sit at the
-    stability boundary of the explicit stepper and therefore carry
-    tolerance-level error that never decays.  The ramp is detected as a
-    spectrum that *increases* strongly towards the truncation boundary,
-    which a genuine (decaying-tail) spectrum cannot do.
+    (ii) a noise ramp in the last few modes, a tail that *increases*
+    strongly towards the truncation boundary, which a genuine
+    (decaying-tail) spectrum cannot do.  The stepper treats the
+    diffusion term exactly, so it no longer leaves tolerance-level error
+    there; the ramp test still fires on roundoff-level tails.
     """
     c = np.asarray(coeffs)
     n = (len(c) - 1) // 2
@@ -193,8 +193,10 @@ def root_on_axis(v_field: FourierField,
                  root_tol: float = 1e-10, scan_points: int = 400) -> float:
     """Smallest y >= 0 with Re v(iy) = 0, polished by brentq inside the
     first sign change.  Without a bracket, the axis is scanned up to the
-    largest y the coefficient amplification allows, and Re v(0) <= 0 means
-    the singularity has already reached the real axis: the root is 0.
+    largest y the coefficient amplification allows, a local minimum of
+    the scan before its first sign change is searched for a dip below
+    zero, and Re v(0) <= 0 means the singularity has already reached the
+    real axis: the root is 0.
     """
     g, y_cap = _axis_real(_denoised(v_field.coeffs), v_field.n_modes)
     if y_bracket is None:
@@ -209,6 +211,16 @@ def root_on_axis(v_field: FourierField,
         bad = np.flatnonzero(~np.isfinite(vals))
         positive = vals[:bad[0] if bad.size else vals.size] > 0.0
         flips = np.flatnonzero(positive[1:] != positive[:-1])
+        # a dip narrower than the scan spacing shows only as a local
+        # minimum of the (positive) samples before the first sign change
+        v = vals[:flips[0] + 1 if flips.size else positive.size]
+        for i in 1 + np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])):
+            dip = minimize_scalar(g, bounds=(ys[i - 1], ys[i + 1]),
+                                  method="bounded",
+                                  options={"xatol": 0.01 * root_tol})
+            if dip.fun <= 0.0:
+                return float(brentq(g, ys[i - 1], dip.x,
+                                    xtol=0.01 * root_tol))
         if not flips.size:
             raise TrackingError("no sign change of Re v(iy) on the axis")
         lo, hi = ys[flips[0]], ys[flips[0] + 1]
@@ -223,8 +235,12 @@ def root_on_axis(v_field: FourierField,
 
 
 # report the fit only while the full spectrum at this strip width is
-# resolvable in double precision
+# resolvable in double precision, and only while the strip is wider than
+# two grid spacings, 2 pi / N (Sulem, Sulem & Frisch 1983): narrower, the
+# decay e^{-ky} over the N modes is too weak to separate from the pole's
+# algebraic prefactor, and the fit drifts below the axis root
 _FIT_RESOLVABLE = 1e-14
+_FIT_MIN_GRIDS = 2
 # a least-squares residual above this means the window caught the
 # integrator noise plateau rather than genuine coefficient decay
 _FIT_MAX_RESIDUAL = 0.25
@@ -238,12 +254,15 @@ def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
         return f"residual > {_FIT_MAX_RESIDUAL}"
     if np.exp(-n_modes * y) < _FIT_RESOLVABLE:
         return f"unresolvable: exp(-N y) < {_FIT_RESOLVABLE}"
+    if y * n_modes < _FIT_MIN_GRIDS * np.pi:
+        return f"under-resolved: y < {_FIT_MIN_GRIDS} grid spacings (pi / N)"
     return None
 
 
-def build_track(trajectory: Trajectory, n_modes: int,
-                method: str = "both", stride: int = 1) -> SingularityTrack:
-    """Apply the chosen estimator(s) at every stride-th snapshot.
+def build_track(trajectory: Trajectory, n_modes: int, times: Sequence[float],
+                method: str = "both") -> SingularityTrack:
+    """Apply the chosen estimator(s) to the dense-output state at each
+    of the given times.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
     u-reconstruction failures) are marked NaN rather than extrapolated;
@@ -251,11 +270,10 @@ def build_track(trajectory: Trajectory, n_modes: int,
     """
     if method not in ("both", "fit", "root"):
         raise ValueError(f"unknown method {method!r}")
-    times, yf, yr, res = [], [], [], []
+    yf, yr, res = [], [], []
     no_root, no_fit = Counter(), Counter()
-    for i in range(0, len(trajectory.times), stride):
-        t = trajectory.times[i]
-        fld = FourierField(n_modes, trajectory.states[i])
+    for t in times:
+        fld = FourierField(n_modes, trajectory.state_at(t))
         y_fit = y_root = residual = np.nan
         if method in ("both", "fit"):
             try:
@@ -275,11 +293,10 @@ def build_track(trajectory: Trajectory, n_modes: int,
                 y_root = root_on_axis(fld)
             except TrackingError as exc:
                 no_root[str(exc)] += 1
-        times.append(t)
         yf.append(y_fit)
         yr.append(y_root)
         res.append(residual)
-    return SingularityTrack(np.array(times), np.array(yf),
+    return SingularityTrack(np.array(times, dtype=float), np.array(yf),
                             np.array(yr), np.array(res), dict(no_root),
                             dict(no_fit))
 

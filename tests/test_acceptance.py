@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from blowup_lab import asymptotics, experiments, reduced, tracker
-from blowup_lab.integrator import order_check
 from blowup_lab.pde import (ModelParams, continue_complex_path,
                             continue_past_blowup, field_from_state,
                             solve_to_blowup)
 from blowup_lab.spectral import FourierField, padded_size, synthesize
+from fixed_step import order_check
 from spectral_oracle import convolve, v_rhs
 
 # Reference blow-up times and estimate deltas (t_c' - t_c, t_hat - t_c,
@@ -186,7 +186,9 @@ def test_criterion_5_error_curve_crossing(solve_fine, solve_mid):
 def test_criterion_6_singularity_track(solve_fine):
     params, traj, rep = solve_fine
     alpha, eps, t_c = params.alpha, params.epsilon, rep.t_c
-    track = tracker.build_track(traj, params.n_modes, method="both", stride=5)
+    # about 1,000 samples, uniform in t plus log-spaced towards t_c
+    track = tracker.build_track(traj, params.n_modes,
+                                experiments.sample_times(t_c, 800, 200))
     checks = []
     # y at t = 0 equals arccosh(alpha/eps)
     y0_ref = math.acosh(alpha / eps)
@@ -339,13 +341,17 @@ def test_criterion_8_conservation_and_order():
 
 def test_criterion_9_flatness(solve_fine):
     params, traj, rep = solve_fine
-    data = experiments.flatness_from_solution(traj, rep.t_c, params, stride=5)
+    # about 1,000 samples, uniform in t plus log-spaced towards t_c
+    data = experiments.flatness_from_solution(
+        traj, rep.t_c, params, experiments.sample_times(rep.t_c, 800, 200))
     m = data.times <= 0.9 * data.t_c
     max_rel = float(np.max(data.rel_err[m]))
     checks = [(max_rel <= 0.01, f"alpha=1 max rel err {max_rel:.4f}")]
 
-    d4 = experiments.run_flatness(ModelParams(alpha=4.0, epsilon=0.01),
-                                  stride=5)
+    p4 = ModelParams(alpha=4.0, epsilon=0.01)
+    traj4, rep4 = solve_to_blowup(p4, with_estimates=False)
+    d4 = experiments.flatness_from_solution(
+        traj4, rep4.t_c, p4, experiments.sample_times(rep4.t_c, 800, 200))
     i = int(np.argmin(d4.f_solver))
     t_min = d4.times[i]
     f_min = d4.f_solver[i]

@@ -259,7 +259,8 @@ def test_manifest_records_every_integration(tmp_path, monkeypatch, argv,
     assert set(block) == records
     for rec in block.values():
         assert set(rec) == {"accepted", "rejected_error",
-                            "rejected_nonfinite", "rhs_calls", "event_evals"}
+                            "rejected_nonfinite", "rhs_calls", "event_evals",
+                            "h_min", "h_median", "h_max"}
         assert rec["accepted"] > 0
     pde_records = [rec for name, rec in block.items() if name != "two_mode"]
     assert sum(rec["rhs_calls"] for rec in pde_records) == seen["rhs_calls"]

@@ -11,8 +11,8 @@ from blowup_lab import integrator
 from blowup_lab.integrator import (EventSpec, IntegrationError,
                                    IntegratorConfig, MaxStepsExceeded,
                                    StiffnessOrSingularity, integrate,
-                                   integrate_fixed, integrate_path,
-                                   line_segment, order_check, semicircle)
+                                   integrate_path, line_segment, semicircle)
+from fixed_step import integrate_fixed, order_check
 
 
 def decay(y, t):
@@ -147,25 +147,29 @@ def test_path_semicircle_parameterization():
     assert seg.dt_ds(0.3) == pytest.approx(fd, rel=1e-6)
 
 
-# ---- the stacked-stage stepper against its first form ------------------
+# ---- the stepper without a linear part against its first form ----------
+
+# the fifth-order weights as first written, with the zero weight of the
+# last stage
+B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
+               0.0])
+
 
 def reference_step(rhs, t, y, h, k1):
-    """DOPRI5 step and dense segment with builtin-sum stage combinations,
-    as first written: the stacked-stage stepper must match it bit for bit."""
+    """DOPRI5 step with builtin-sum stage combinations, as first written:
+    the stepper without a linear part (lin=None) must match it bit for
+    bit."""
     k = [k1]
     for i in range(1, 7):
-        yi = y + h * sum(a * kj for a, kj in zip(integrator._A[i], k))
+        yi = y + h * sum(a * kj for a, kj in zip(integrator._A[i, :i], k))
         ki = rhs(yi, t + integrator._C[i] * h)
         if not np.all(np.isfinite(ki)):
             return None
         k.append(ki)
-    y5 = y + h * sum(b * kj for b, kj in zip(integrator._B5, k))
+    y5 = y + h * sum(b * kj for b, kj in zip(B5, k))
     err = h * sum((b5 - b4) * kj for b5, b4, kj in
-                  zip(integrator._B5, integrator._B4, k))
-    ydiff = y5 - y
-    bspl = h * k[0] - ydiff
-    r5 = h * sum(d * kj for d, kj in zip(integrator._D, k))
-    return y5, err, k, (y, ydiff, bspl, ydiff - h * k[6] - bspl, r5)
+                  zip(B5, integrator._B4, k))
+    return y5, err, k
 
 
 def same_bits(a, b):
@@ -189,9 +193,10 @@ def test_stacked_step_matches_reference_bit_for_bit():
         assert ok and ref is not None
         assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
         assert all(same_bits(a, b) for a, b in zip(k, ref[2]))
-        seg = integrator._dense_segment(t, h, y, y5, k)
-        got = (seg.r1, seg.r2, seg.r3, seg.r4, seg.r5)
-        assert all(same_bits(a, b) for a, b in zip(got, ref[3]))
+        # the dense sub-step over the whole step is the step's own y5
+        y_dense = integrator._attempt_step(nonlinear, t, y, h, k1,
+                                           dense=True)[0]
+        assert same_bits(y_dense, y5)
 
 
 def test_stacked_step_rejects_where_reference_does():
@@ -220,10 +225,10 @@ def test_combine_adds_in_the_order_of_builtin_sum():
         k = np.array(rows[:i])
         with np.errstate(invalid="ignore"):
             expected = sum(a * kj for a, kj in zip(w[:i], k))
-            got = integrator._combine(w[:i], k)
+            got = integrator._combine(w[:i, None], k)
         assert same_bits(got, expected)     # NaN payloads included
     # all -0.0 terms: both start from +0.0, so the sum is +0.0
-    assert not np.signbit(integrator._combine(np.array([1.0]),
+    assert not np.signbit(integrator._combine(np.array([[1.0]]),
                                               np.array([[-0.0 + 0j]])).real)
 
 
@@ -288,20 +293,158 @@ def test_path_state_at_matches_each_leg():
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_init=0.01)
     legs = [line_segment(0.0, 0.5), line_segment(0.5, 2.0)]
     path = integrate_path(rhs, np.array([1.0 + 0j]), legs, cfg)
+    # each leg on its own, over the same global s in [j, j + 1]
     own = []
     y = np.array([1.0 + 0j])
-    for seg in legs:
-        traj, _ = integrate(lambda ys, s, _seg=seg:
-                            rhs(ys, _seg.t_of_s(s)) * _seg.dt_ds(s),
-                            y, 0.0, 1.0, cfg)
+    for j, seg in enumerate(legs):
+        traj, _ = integrate(lambda ys, s, _seg=seg, _j=j:
+                            rhs(ys, _seg.t_of_s(s - _j)) * _seg.dt_ds(s - _j),
+                            y, float(j), float(j + 1), cfg)
         own.append(traj)
         y = traj.states[-1]
+    # all legs count into one record
+    a, b = vars(own[0].stats), vars(own[1].stats)
+    assert vars(path.stats) == {key: a[key] + b[key] for key in a}
     for s in (0.0, 0.3, 0.99, 1.0, 1.2, 1.5, 1.97):
         j = min(int(s), 1)
-        assert np.max(np.abs(path.state_at(s) - own[j].state_at(s - j))) \
-            < 1e-15
+        assert np.max(np.abs(path.state_at(s) - own[j].state_at(s))) < 1e-15
         t = legs[j].t_of_s(s - j)
         assert abs(path.state_at(s)[0] - np.exp(0.5j * t * t)) < 1e-10
     with pytest.raises(IntegrationError):
         path.state_at(2.5)
-    assert path.stats == own[0].stats + own[1].stats
+
+
+# ---- dense output lookup ------------------------------------------------
+
+def linear_scan(traj, t):
+    """Trajectory.state_at as first written: the first segment that
+    covers t, else the endpoint clamps."""
+    for seg in traj.dense_segments:
+        if seg.t0 <= t <= seg.t0 + seg.h:
+            return seg.eval(t)
+    if abs(t - traj.times[0]) <= 1e-12 * max(1.0, abs(t)):
+        return traj.states[0]
+    if abs(t - traj.times[-1]) <= 1e-12 * max(1.0, abs(t)):
+        return traj.states[-1]
+    raise IntegrationError(f"t = {t} outside integrated span")
+
+
+@pytest.mark.parametrize("kind", ["real", "path"])
+def test_bisect_lookup_matches_linear_scan(kind):
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=0.01)
+    lin = np.array([-3.0, -40.0])
+    rhs = lambda y, t: np.array([np.cos(t), 0.5 * y[0] * y[1]])
+    y0 = np.array([1.0 + 0j, 0.5 + 0j])
+    if kind == "real":
+        traj, _ = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
+    else:
+        traj = integrate_path(rhs, y0, [line_segment(0.0, 1.0),
+                                        line_segment(1.0, 2.0)], cfg, lin=lin)
+        assert traj.times[-1] == pytest.approx(2.0)
+        assert sum(1 < t < 2 for t in traj.times) > 5   # both legs stepped
+    times = traj.times
+    for i, seg in enumerate(traj.dense_segments):
+        # inside a segment: the same segment, the same bits
+        mid = seg.t0 + 0.37 * seg.h
+        assert traj.state_at(mid).tobytes() == linear_scan(traj, mid).tobytes()
+        # at its end: the stored state, which the scan's sub-step over the
+        # whole segment reproduces to roundoff
+        end = times[i + 1]
+        assert traj.state_at(end) is traj.states[i + 1]
+        assert np.max(np.abs(linear_scan(traj, end) - traj.states[i + 1])) \
+            <= 1e-14
+    # the endpoint clamps
+    for t, state in ((times[0] - 1e-13, traj.states[0]),
+                     (times[-1] + 1e-13, traj.states[-1])):
+        assert traj.state_at(t) is state and linear_scan(traj, t) is state
+    # outside the span both raise
+    for t in (times[0] - 1e-3, times[-1] + 1e-3):
+        with pytest.raises(IntegrationError):
+            traj.state_at(t)
+        with pytest.raises(IntegrationError):
+            linear_scan(traj, t)
+
+
+def test_dense_lookups_are_counted():
+    traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
+                        IntegratorConfig(h_init=0.05), lin=np.array([-2.0]))
+    calls = traj.stats.rhs_calls
+    traj.state_at(traj.times[3])                 # stored: no evaluation
+    assert traj.stats.rhs_calls == calls
+    traj.state_at(0.5 * (traj.times[3] + traj.times[4]))
+    assert traj.stats.rhs_calls == calls + 5     # one sub-step, 5 stages
+
+
+# ---- Lawson form: the linear part is stepped exactly ---------------------
+
+def test_linear_part_alone_is_exact_without_overflow():
+    k = np.arange(-128, 129)
+    lin = -(k * k).astype(float)
+    rng = np.random.default_rng(1)
+    y = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    zero = lambda yy, t: np.zeros_like(yy)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        y5, err, _, ok = integrator._attempt_step(zero, 0.0, y, 0.1,
+                                                  np.zeros_like(y), lin)
+    assert ok and np.all(np.isfinite(y5)) and not np.any(err)
+    exact = np.exp(lin * 0.1) * y
+    assert np.all(np.abs(y5 - exact) <= 4 * np.finfo(float).eps * np.abs(y))
+    assert y5[0] == 0.0 and y5[128] == y[128]    # k = -128 gone, k = 0 kept
+
+
+STIFF = 1e4                     # lambda of y' = -lambda y + cos t
+
+
+def stiff_exact(t):
+    """The solution on the slow manifold,
+    (lambda cos t + sin t) / (lambda^2 + 1)."""
+    return np.array([(STIFF * math.cos(t) + math.sin(t)) / (STIFF ** 2 + 1)])
+
+
+def forcing(y, t):
+    return np.cos(t) + 0.0 * y
+
+
+def test_stiff_forced_problem_order():
+    lin = np.array([-STIFF])
+    y0 = stiff_exact(0.0)
+    # lambda h <= 0.4: the nonstiff order 5 of DOPRI5
+    slope = order_check(forcing, y0, 0.0, 0.01, stiff_exact,
+                        [4e-5, 2e-5, 1e-5, 5e-6], lin)
+    assert abs(slope - 5.0) <= 0.3
+    # lambda h >= 250: Lawson's stiff order reduction to 1 (the weights
+    # E((1 - c_j) h) leave only the c = 1 stages), which the adaptive
+    # controller has to see through the error estimate
+    slope = order_check(forcing, y0, 0.0, 1.0, stiff_exact,
+                        [0.2, 0.1, 0.05, 0.025], lin)
+    assert abs(slope - 1.0) <= 0.3
+
+
+def test_stiff_forced_problem_adaptive_and_dense():
+    lin = np.array([-STIFF])
+    traj, _ = integrate(forcing, stiff_exact(0.0), 0.0, 1.0,
+                        IntegratorConfig(rtol=1e-10, atol=1e-10), lin=lin)
+    assert abs(traj.states[-1][0] - stiff_exact(1.0)[0]) < 1e-11
+    # between steps the dense sub-step is as accurate as a step
+    for t in np.linspace(0.013, 0.987, 41):
+        assert abs(traj.state_at(t)[0] - stiff_exact(t)[0]) < 1e-11
+
+
+def test_lawson_weights_bounded_on_complex_path_legs():
+    # the legs of a continuation detour about t_c = 0.16, r = 0.016, with
+    # either half circle
+    k = np.arange(-128, 129)
+    lin = -(k * k).astype(float)
+    t_c, r = 0.16, 0.016
+    legs = [line_segment(0.0, t_c - r), semicircle(t_c, r, upper=True),
+            semicircle(t_c, r, upper=False), line_segment(t_c + r, 0.5)]
+    scale = (1 + 1e-14)
+    for seg in legs:
+        for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
+            decay, a, e = integrator._stage_weights(lin, seg.t_of_s, s0, h)
+            assert np.all(np.abs(decay) <= scale)
+            assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
+            assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)
+    # on the real axis without a clock the factors are real
+    decay, a, _ = integrator._stage_weights(lin, None, 0.0, 0.1)
+    assert decay.dtype == float and np.all((0 <= decay) & (decay <= 1))

@@ -8,7 +8,7 @@ import pytest
 
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_event, continue_past_blowup,
-                            flatness, initial_field, make_rhs,
+                            diffusion, flatness, initial_field, make_rhs,
                             seed_imaginary_noise, solve_to_blowup, u_from_v)
 from blowup_lab.spectral import (DIVISION_FLOOR, FourierField, analyze,
                                  GridValues, grid_points, padded_size,
@@ -72,11 +72,15 @@ def test_v_rhs_matches_pointwise_oracle():
 
 
 def test_fast_rhs_matches_field_rhs_on_smooth_state():
+    # make_rhs is the nonlinear part; with the diffusion term the
+    # integrator adds, it is the whole v-equation right-hand side
     p = small_params()
     fld = initial_field(p)
-    fast = make_rhs(p)(fld.coeffs, 0.0)
+    fast = make_rhs(p)(fld.coeffs, 0.0) + diffusion(p.n_modes) * fld.coeffs
     ref = v_rhs(fld).coeffs
     assert np.max(np.abs(fast - ref)) < 1e-13
+    k = np.arange(-p.n_modes, p.n_modes + 1)
+    assert np.array_equal(diffusion(p.n_modes), -(k * k).astype(float))
 
 
 def test_fast_rhs_guard_returns_nan_near_zero():
@@ -89,12 +93,13 @@ def test_fast_rhs_guard_returns_nan_near_zero():
 
 
 def reference_rhs(params, guard_floor=DIVISION_FLOOR):
-    """The right-hand side as first written (one transform per spectrum,
-    fresh temporaries): make_rhs must reproduce it bit for bit."""
+    """The nonlinear part of the right-hand side as first written (one
+    transform per spectrum, fresh temporaries), without the diffusion
+    term, which the integrator now steps exactly, and with 0/0 = 0 in the
+    quotient: make_rhs must reproduce it bit for bit."""
     n = params.n_modes
     p = padded_size(n)
     k = np.arange(-n, n + 1)
-    ksq = (k * k).astype(float)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     ik_sign = 1j * k * sign
     out_scale = sign / p
@@ -114,13 +119,12 @@ def reference_rhs(params, guard_floor=DIVISION_FLOOR):
         w = vx * vx
         w *= 2.0 * p * p
         with np.errstate(divide="ignore", invalid="ignore"):
-            w /= v
+            np.divide(w, v, out=w, where=w != 0)     # 0/0 is 0
         wf = np.fft.fft(w)
         out = np.empty(2 * n + 1, dtype=complex)
         out[n:] = wf[hi]
         out[:n] = wf[lo]
         out *= out_scale
-        out += ksq * c
         np.negative(out, out)
         out[n] -= 1.0
         return out
@@ -152,10 +156,12 @@ def test_rhs_matches_reference_on_the_guard_branch():
     c[p.n_modes] = p.epsilon      # v(0) ~ 0 on the grid
     assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
     assert np.all(np.isnan(make_rhs(p)(c, 0.0)))
-    # without the guard the quotient is formed, also where v = 0 exactly
+    # without the guard the quotient is formed, also where v = 0 exactly;
+    # there v_x = 0 as well, and 0/0 counts as 0
     c[p.n_modes] = 0.25
     c[p.n_modes - 1] = c[p.n_modes + 1] = -0.125
     assert same_bits(make_rhs(p, None)(c, 0.0), reference_rhs(p, None)(c, 0.0))
+    assert np.all(np.isfinite(make_rhs(p, None)(c, 0.0)))
 
 
 def test_rhs_returns_a_new_array_per_call():

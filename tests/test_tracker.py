@@ -13,7 +13,8 @@ from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import ModelParams, initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import EvaluationOverflow, FourierField
 from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
-                                _denoised, axis_value, build_track,
+                                _denoised, _fit_drop_reason, axis_value,
+                                build_track,
                                 fit_strip_width,
                                 impingement_regression, impingement_slope,
                                 root_on_axis, strip_width_estimate,
@@ -153,6 +154,17 @@ def test_root_on_axis_returns_the_smaller_of_two_roots():
     assert root_on_axis(f) == pytest.approx(y_small, abs=1e-12)
 
 
+def test_root_on_axis_finds_a_dip_narrower_than_the_scan():
+    # v(iy) = (cosh y - C)^2 - d^2 = cosh(2y)/2 - 2 C cosh y + C^2 - d^2 + 1/2
+    # dips below zero only for cosh y in (C - d, C + d), here y within
+    # 1.6965..1.7036: far narrower than the scan spacing of 50/400, and
+    # every scan sample is positive
+    big_c, d = math.cosh(1.7), 0.01
+    f = symmetric_field(16, {0: big_c ** 2 - d * d + 0.5, 1: -big_c,
+                             2: 0.25})
+    assert root_on_axis(f) == pytest.approx(math.acosh(big_c - d), abs=1e-12)
+
+
 def test_root_on_axis_overflow_before_sign_change_raises():
     # v(iy) = 1 + cosh(40 y) > 0: the growing mode overflows at
     # y ~ 700/40 before Re v(iy) could change sign
@@ -211,9 +223,18 @@ def small_solve():
     return p, traj
 
 
+def test_fit_dropped_once_the_strip_is_under_two_grid_spacings():
+    # at N = 128 two grid spacings are 2 pi / 128 = 0.049: near t_c at
+    # alpha = 1, eps = 0.001 fits below that drift from the axis root by
+    # up to 40 % (y_fit 0.0044 against y_root 0.0075)
+    assert _fit_drop_reason(0.048, 0.02, 128).startswith("under-resolved")
+    assert _fit_drop_reason(0.05, 0.02, 128) is None
+    assert _fit_drop_reason(0.048, 0.02, 256) is None
+
+
 def test_build_track_on_small_solve(small_solve):
     p, traj = small_solve
-    track = build_track(traj, p.n_modes, method="root", stride=4)
+    track = build_track(traj, p.n_modes, traj.times[::4], method="root")
     assert track.times[0] == 0.0
     y0 = track.y_root[0]
     assert y0 == pytest.approx(math.acosh(2.5), rel=1e-3)
@@ -223,7 +244,7 @@ def test_build_track_on_small_solve(small_solve):
     # fit arrays untouched in root-only mode
     assert np.all(np.isnan(track.y_fit))
     with pytest.raises(ValueError):
-        build_track(traj, p.n_modes, method="magic")
+        build_track(traj, p.n_modes, traj.times, method="magic")
     # every snapshot without a root is counted under its reason
     missing = int(np.count_nonzero(~finite))
     assert sum(track.no_root.values()) == missing
@@ -234,9 +255,11 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
     # event root): the singularity is on the real axis, so the root is 0,
     # not the next sign change further up the axis (y ~ 0.2067)
     p, traj = small_solve
-    track = build_track(traj, p.n_modes, method="root")
+    track = build_track(traj, p.n_modes, traj.times, method="root")
     assert track.y_root[-1] <= 1e-6
-    assert track.y_root[-2] == pytest.approx(0.0578, abs=1e-4)
+    # 4.3e-5 before t_c the root is still the first sign change up the axis
+    near = build_track(traj, p.n_modes, [0.161917625418158], method="root")
+    assert near.y_root[0] == pytest.approx(0.0578, abs=1e-4)
     # every earlier row starts positive at y = 0, so its root is still the
     # first sign change of the scan
     for state in traj.states[:-1]:
@@ -246,14 +269,15 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
 
 def test_build_track_counts_every_dropped_fit(small_solve):
     p, traj = small_solve
-    track = build_track(traj, p.n_modes, method="both", stride=2)
+    track = build_track(traj, p.n_modes, traj.times[::2], method="both")
     usable = int(np.count_nonzero(track.usable_fit()))
     assert 0 < usable < track.times.size
     assert sum(track.no_fit.values()) == track.times.size - usable
     # each threshold the fit is held to shows up as a reason on this solve
     assert {"y <= 0", "residual > 0.25",
             "unresolvable: exp(-N y) < 1e-14"} <= set(track.no_fit)
-    assert build_track(traj, p.n_modes, method="root").no_fit == {}
+    assert build_track(traj, p.n_modes, traj.times,
+                       method="root").no_fit == {}
 
 
 def test_track_roots_against_direct_complex_sum(small_solve):
@@ -262,11 +286,15 @@ def test_track_roots_against_direct_complex_sum(small_solve):
     p, traj = small_solve
     n = p.n_modes
     k = np.arange(-n, n + 1)
-    track = build_track(traj, n, method="root")
+    # before t_c: at t_c itself Re v(iy) is roundoff on all of (0, y_root),
+    # so "smallest root" has no meaning there (the t_c row is checked by
+    # test_root_is_zero_once_v_reaches_the_axis)
+    times = np.linspace(0.0, traj.times[-1], 55, endpoint=False)
+    track = build_track(traj, n, times, method="root")
     usable = np.flatnonzero(track.usable_root())
     assert usable.size > 30
     for i in usable:
-        c = _denoised(traj.states[i])
+        c = _denoised(traj.state_at(times[i]))
         y = track.y_root[i]
 
         def re_v(ys):
@@ -294,3 +322,17 @@ def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
     y_root = root_on_axis(f)
     # exact reciprocal coefficients decay as rho^{-k} with no k-prefactor
     assert y_fit == pytest.approx(y_root, rel=1e-6)
+
+
+def test_early_roots_sit_at_the_initial_singularity(solve_fine):
+    # until t = 0.01 the nearest singularity stays within 1 % of its start,
+    # arccosh(alpha / eps) = 7.60; an explicit stepper's 2.2e-12 noise in
+    # the k = 128 mode once put usable roots at y ~ 0.22 for t ~ 0.005
+    params, traj, _ = solve_fine
+    y_ref = math.acosh(params.alpha / params.epsilon)
+    times = sorted([t for t in traj.times if t <= 0.01]
+                   + list(np.linspace(0.0, 0.01, 41)))
+    track = build_track(traj, params.n_modes, times, method="root")
+    usable = track.usable_root()
+    assert np.count_nonzero(usable) >= 40
+    assert np.all(np.abs(track.y_root[usable] - y_ref) <= 0.01 * y_ref)
