@@ -33,12 +33,11 @@ GRID_APPROACH = 500
 GRID_APPROACH_SPAN = (1e-1, 1e-8)
 
 
-def sample_times(t_c: float, n_uniform: int = GRID_UNIFORM,
-                 n_approach: int = GRID_APPROACH) -> np.ndarray:
+def sample_times(t_c: float) -> np.ndarray:
     """The sorted sample grid in [0, t_c)."""
     lo, hi = np.log10(GRID_APPROACH_SPAN)
-    uniform = t_c * np.arange(n_uniform) / n_uniform
-    approach = t_c - t_c * np.logspace(lo, hi, n_approach)
+    uniform = t_c * np.arange(GRID_UNIFORM) / GRID_UNIFORM
+    approach = t_c - t_c * np.logspace(lo, hi, GRID_APPROACH)
     return np.unique(np.concatenate([uniform, approach]))
 
 
@@ -180,13 +179,10 @@ class SingularityData:
 
 
 def singularity_from_solution(traj: Trajectory, t_c: float,
-                              params: ModelParams,
-                              times: Optional[Sequence[float]] = None
-                              ) -> SingularityData:
+                              params: ModelParams) -> SingularityData:
     """Singularity track and overlays from an already-computed solve, on
-    the given times (default: the sample grid)."""
-    track = tracker.build_track(
-        traj, params.n_modes, sample_times(t_c) if times is None else times)
+    the sample grid."""
+    track = tracker.build_track(traj, params.n_modes, sample_times(t_c))
     t = track.times
     a, e = params.alpha, params.epsilon
     overlays = {}
@@ -296,13 +292,12 @@ def run_flatness(params: ModelParams) -> FlatnessData:
     return flatness_from_solution(traj, rep.t_c, params)
 
 
-def flatness_from_solution(traj: Trajectory, t_c: float, params: ModelParams,
-                           times: Optional[Sequence[float]] = None
-                           ) -> FlatnessData:
-    """Flatness curve from an already-computed solve, on the given times
-    before t_c (default: the sample grid)."""
+def flatness_from_solution(traj: Trajectory, t_c: float,
+                           params: ModelParams) -> FlatnessData:
+    """Flatness curve from an already-computed solve, on the sample
+    grid."""
     kept, fs, fa, re = [], [], [], []
-    for t in sample_times(t_c) if times is None else times:
+    for t in sample_times(t_c):
         if t >= params.alpha:
             continue
         fld = field_from_state(traj.state_at(t), params.n_modes)

@@ -21,6 +21,8 @@ from .pde import u_from_v
 
 _EXP_LIMIT = 700.0
 _ROUNDOFF = np.finfo(float).eps
+# Re v(0) at or below _ON_AXIS * sum |c_k| is zero to roundoff
+_ON_AXIS = 100.0 * _ROUNDOFF
 
 
 class TrackingError(Exception):
@@ -43,6 +45,11 @@ class SingularityTrack:
         return np.isfinite(self.y_root)
 
 
+def _roundoff_floor(coeffs: np.ndarray) -> float:
+    """Magnitude below which a coefficient is roundoff of the largest."""
+    return 100.0 * _ROUNDOFF * max(1.0, float(np.max(np.abs(coeffs))))
+
+
 def fit_strip_width(u_field: FourierField,
                     k_range: Optional[tuple[int, int]] = None,
                     pole_exponent: float = 1.0) -> tuple[float, float, float]:
@@ -54,8 +61,7 @@ def fit_strip_width(u_field: FourierField,
     n = u_field.n_modes
     a = np.abs(u_field.coeffs[n + 1:])          # k = 1..N
     if k_range is None:
-        floor = 100.0 * _ROUNDOFF * max(
-            1.0, float(np.max(np.abs(u_field.coeffs))))
+        floor = _roundoff_floor(u_field.coeffs)
         above = np.nonzero(a > floor)[0]
         k_floor = int(above[-1]) + 1 if above.size else 0
         k_lo = max(8, n // 8)
@@ -105,7 +111,9 @@ def strip_width_estimate(u_field: FourierField) -> tuple[float, float]:
     """Strip width from coefficient decay with an adaptive k-window.
 
     The window ends where the decaying spectrum meets the integrator noise
-    plateau and starts at half that, avoiding low-k profile contamination.
+    plateau or the roundoff floor of its largest coefficient, whichever
+    comes first, and starts at half that, avoiding low-k profile
+    contamination.
     The fixed-p fit carries an O(1/k) bias from logarithmic corrections to
     the pole model; when the spectrum is resolved all the way to
     truncation, two half-window fits are extrapolated in 1/k to remove it.
@@ -115,6 +123,9 @@ def strip_width_estimate(u_field: FourierField) -> tuple[float, float]:
     a = np.abs(u_field.coeffs[n + 1:])
     log_mag = np.log(np.where(a > 0.0, a, 1e-300))
     k_lo, k_hi = _decaying_range(log_mag, n)
+    # coefficients at roundoff bend the fitted decay and bias y low
+    above = np.flatnonzero(a[:k_hi] > _roundoff_floor(u_field.coeffs))
+    k_hi = int(above[-1]) + 1 if above.size else 0
     if k_hi - k_lo + 1 < 8:
         # one fixed message, so build_track counts these drops as one reason
         raise TrackingError("decaying k-range too short (< 8 usable modes)")
@@ -148,8 +159,7 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
         out[n + k] = 0.0
         out[n - k] = 0.0
         k -= 1
-    floor = 100.0 * _ROUNDOFF * max(1.0, float(np.max(np.abs(out))))
-    return np.where(np.abs(out) > floor, out, 0.0)
+    return np.where(np.abs(out) > _roundoff_floor(out), out, 0.0)
 
 
 def _axis_real(coeffs: np.ndarray, n: int):
@@ -195,10 +205,12 @@ def root_on_axis(v_field: FourierField,
     first sign change.  Without a bracket, the axis is scanned up to the
     largest y the coefficient amplification allows, a local minimum of
     the scan before its first sign change is searched for a dip below
-    zero, and Re v(0) <= 0 means the singularity has already reached the
-    real axis: the root is 0.
+    zero, and Re v(0) at or below the roundoff of the coefficient sum
+    means the singularity has already reached the real axis: the root
+    is 0 (a root inside that roundoff would only mark the noise).
     """
-    g, y_cap = _axis_real(_denoised(v_field.coeffs), v_field.n_modes)
+    coeffs = _denoised(v_field.coeffs)
+    g, y_cap = _axis_real(coeffs, v_field.n_modes)
     if y_bracket is None:
         y_max = min(y_cap, 50.0) * 0.999
         if not np.isfinite(y_max) or y_max <= 0:
@@ -206,7 +218,7 @@ def root_on_axis(v_field: FourierField,
         ys = np.concatenate(
             ([0.0], np.linspace(y_max / scan_points, y_max, scan_points)))
         vals = g(ys)
-        if vals[0] <= 0.0:
+        if vals[0] <= _ON_AXIS * np.sum(np.abs(coeffs)):
             return 0.0
         bad = np.flatnonzero(~np.isfinite(vals))
         positive = vals[:bad[0] if bad.size else vals.size] > 0.0

@@ -186,9 +186,10 @@ def test_criterion_5_error_curve_crossing(solve_fine, solve_mid):
 def test_criterion_6_singularity_track(solve_fine):
     params, traj, rep = solve_fine
     alpha, eps, t_c = params.alpha, params.epsilon, rep.t_c
-    # about 1,000 samples, uniform in t plus log-spaced towards t_c
+    # every other point of the sample grid: 1,250 samples, uniform in t
+    # plus log-spaced towards t_c
     track = tracker.build_track(traj, params.n_modes,
-                                experiments.sample_times(t_c, 800, 200))
+                                experiments.sample_times(t_c)[::2])
     checks = []
     # y at t = 0 equals arccosh(alpha/eps)
     y0_ref = math.acosh(alpha / eps)
@@ -202,14 +203,19 @@ def test_criterion_6_singularity_track(solve_fine):
                    f"interior max at t = {t_max:.4f}"))
     checks.append((0 < i_max < track.times.size - 1,
                    "maximum not interior"))
-    # fit/root agreement on the common validity window
+    # fit/root agreement on the common validity window, over enough pairs
+    # that the agreement is not carried by a handful of samples
     common = track.usable_fit() & track.usable_root()
-    checks.append((np.count_nonzero(common) >= 1, "empty common window"))
+    n_common = int(np.count_nonzero(common))
+    print(f"[criterion 6] fit/root pairs in the common window: {n_common}")
+    checks.append((n_common >= 20,
+                   f"only {n_common} fit/root pairs in the common window"))
     if np.any(common):
         rel = np.abs(track.y_fit[common] - track.y_root[common]) \
             / track.y_root[common]
         checks.append((float(np.max(rel)) <= 0.05,
-                       f"fit/root disagreement {np.max(rel):.3f}"))
+                       f"fit/root disagreement {np.max(rel):.3f} over "
+                       f"{n_common} pairs"))
     # terminal regression slope 8: the double-log law y^2 ~ 8 d log(1/d)
     # needs log(1/d) >> e^alpha/(4 eps); the implemented third-scale
     # formula is regressed inside that regime
@@ -341,17 +347,12 @@ def test_criterion_8_conservation_and_order():
 
 def test_criterion_9_flatness(solve_fine):
     params, traj, rep = solve_fine
-    # about 1,000 samples, uniform in t plus log-spaced towards t_c
-    data = experiments.flatness_from_solution(
-        traj, rep.t_c, params, experiments.sample_times(rep.t_c, 800, 200))
+    data = experiments.flatness_from_solution(traj, rep.t_c, params)
     m = data.times <= 0.9 * data.t_c
     max_rel = float(np.max(data.rel_err[m]))
     checks = [(max_rel <= 0.01, f"alpha=1 max rel err {max_rel:.4f}")]
 
-    p4 = ModelParams(alpha=4.0, epsilon=0.01)
-    traj4, rep4 = solve_to_blowup(p4, with_estimates=False)
-    d4 = experiments.flatness_from_solution(
-        traj4, rep4.t_c, p4, experiments.sample_times(rep4.t_c, 800, 200))
+    d4 = experiments.run_flatness(ModelParams(alpha=4.0, epsilon=0.01))
     i = int(np.argmin(d4.f_solver))
     t_min = d4.times[i]
     f_min = d4.f_solver[i]

@@ -54,8 +54,7 @@ def test_error_curves_behaviour():
 def test_singularity_overlays_shapes():
     params = small_params()
     traj, rep = solve_to_blowup(params)
-    data = experiments.singularity_from_solution(
-        traj, rep.t_c, params, experiments.sample_times(rep.t_c, 40, 10))
+    data = experiments.singularity_from_solution(traj, rep.t_c, params)
     tr = data.track
     assert set(data.overlays) == set(
         ("naive", "early", "late_first_scale", "second_scale",

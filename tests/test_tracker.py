@@ -223,7 +223,10 @@ def small_solve():
     return p, traj
 
 
-def test_fit_dropped_once_the_strip_is_under_two_grid_spacings():
+def test_fit_drop_reasons():
+    assert _fit_drop_reason(0.0, 0.02, 128) == "y <= 0"
+    assert _fit_drop_reason(0.1, 0.3, 128) == "residual > 0.25"
+    assert _fit_drop_reason(0.3, 0.02, 128).startswith("unresolvable")
     # at N = 128 two grid spacings are 2 pi / 128 = 0.049: near t_c at
     # alpha = 1, eps = 0.001 fits below that drift from the axis root by
     # up to 40 % (y_fit 0.0044 against y_root 0.0075)
@@ -251,12 +254,13 @@ def test_build_track_on_small_solve(small_solve):
 
 
 def test_root_is_zero_once_v_reaches_the_axis(small_solve):
-    # at the t = t_c row the scan sees Re v(0) <= 0 (roundoff around the
-    # event root): the singularity is on the real axis, so the root is 0,
-    # not the next sign change further up the axis (y ~ 0.2067)
+    # at the t = t_c row Re v(0) is roundoff around the event root (1e-16
+    # here): the singularity is on the real axis, so the root is exactly
+    # 0, not the root the roundoff puts at y ~ 1e-7 nor the next sign
+    # change further up the axis (y ~ 0.2067)
     p, traj = small_solve
     track = build_track(traj, p.n_modes, traj.times, method="root")
-    assert track.y_root[-1] <= 1e-6
+    assert track.y_root[-1] == 0.0
     # 4.3e-5 before t_c the root is still the first sign change up the axis
     near = build_track(traj, p.n_modes, [0.161917625418158], method="root")
     assert near.y_root[0] == pytest.approx(0.0578, abs=1e-4)
@@ -273,9 +277,15 @@ def test_build_track_counts_every_dropped_fit(small_solve):
     usable = int(np.count_nonzero(track.usable_fit()))
     assert 0 < usable < track.times.size
     assert sum(track.no_fit.values()) == track.times.size - usable
-    # each threshold the fit is held to shows up as a reason on this solve
-    assert {"y <= 0", "residual > 0.25",
-            "unresolvable: exp(-N y) < 1e-14"} <= set(track.no_fit)
+    # the windows that reach the roundoff floor are too short to fit, and
+    # fits past either resolution limit are dropped, each under its reason
+    # (the y <= 0 and residual thresholds are held in
+    # test_fit_drop_reasons: with the window stopped at the roundoff floor
+    # no fit on this solve reaches them)
+    assert {"decaying k-range too short (< 8 usable modes)",
+            "unresolvable: exp(-N y) < 1e-14",
+            "under-resolved: y < 2 grid spacings (pi / N)"} <= set(
+                track.no_fit)
     assert build_track(traj, p.n_modes, traj.times,
                        method="root").no_fit == {}
 
@@ -286,10 +296,9 @@ def test_track_roots_against_direct_complex_sum(small_solve):
     p, traj = small_solve
     n = p.n_modes
     k = np.arange(-n, n + 1)
-    # before t_c: at t_c itself Re v(iy) is roundoff on all of (0, y_root),
-    # so "smallest root" has no meaning there (the t_c row is checked by
-    # test_root_is_zero_once_v_reaches_the_axis)
-    times = np.linspace(0.0, traj.times[-1], 55, endpoint=False)
+    # every stored state, t_c included, plus a uniform grid before t_c
+    times = np.union1d(traj.times,
+                       np.linspace(0.0, traj.times[-1], 55, endpoint=False))
     track = build_track(traj, n, times, method="root")
     usable = np.flatnonzero(track.usable_root())
     assert usable.size > 30
@@ -305,9 +314,12 @@ def test_track_roots_against_direct_complex_sum(small_solve):
         tol = (100.0 * np.finfo(float).eps * np.sum(weight)
                + 1e-12 * np.sum(np.abs(k) * weight))
         assert abs(re_v(y)[0]) <= tol
-        # and it is the smallest root: no sign change on (0, y_root)
-        inside = re_v(np.linspace(0.0, y, 4002)[1:-1])
-        assert np.all(inside > 0.0) or np.all(inside < 0.0)
+        # and it is the smallest root: no sign change on (0, y_root), an
+        # empty interval at t_c, where the root is 0
+        if y > 0.0:
+            inside = re_v(np.linspace(0.0, y, 4002)[1:-1])
+            assert np.all(inside > 0.0) or np.all(inside < 0.0)
+    assert track.y_root[-1] == 0.0
 
 
 def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
