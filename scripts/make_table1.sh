@@ -3,5 +3,5 @@
 # two-mode and asymptotic estimate errors per cell.
 set -euo pipefail
 OUT="${1:-results/table1}"
-blowup-lab table1 --jobs "${JOBS:-1}" --out "$OUT"
+blowup-lab table1 --out "$OUT"
 blowup-lab table1 --out "$OUT" --verify

@@ -20,10 +20,6 @@ class AsymptoticConstants:
     C1: float
     C2: float
     C3: float
-    beta1: float
-    gamma1: float
-    beta2: float
-    gamma2: float
     quadrature_error_bound: float
 
 
@@ -52,14 +48,8 @@ def constants(alpha: float, quad_tol: float = 1e-12) -> AsymptoticConstants:
     err = math.exp(-2.0 * alpha) * (e2 + e3)
     if err > 10.0 * quad_tol:
         raise RuntimeError(f"quadrature did not converge: error {err:.3e}")
-    return AsymptoticConstants(
-        C1=c1, C2=c2, C3=c3,
-        beta1=-math.exp(-alpha),
-        gamma1=0.5 * math.exp(-alpha),
-        beta2=-(2.0 * c1 + c2 + c3),
-        gamma2=2.0 * (c1 + c3),
-        quadrature_error_bound=err,
-    )
+    return AsymptoticConstants(C1=c1, C2=c2, C3=c3,
+                               quadrature_error_bound=err)
 
 
 def perturbation_v(x, t, alpha: float, epsilon: float):
@@ -79,10 +69,8 @@ def t_tilde(alpha: float, epsilon: float, quad_tol: float = 1e-12) -> float:
 
 
 def v_timescale2(x, t, alpha: float, epsilon: float, t_c: float,
-                 consts: Optional[AsymptoticConstants] = None):
+                 consts: AsymptoticConstants):
     """Second-timescale approximation of v for x = O(1), t <= t_c."""
-    if consts is None:
-        consts = constants(alpha)
     x = np.asarray(x, dtype=float)
     ea = math.exp(-alpha)
     s_half = np.sin(0.5 * x) ** 2
@@ -100,10 +88,8 @@ def v_timescale2(x, t, alpha: float, epsilon: float, t_c: float,
 
 
 def blowup_profile_global(x, alpha: float, epsilon: float,
-                          consts: Optional[AsymptoticConstants] = None):
+                          consts: AsymptoticConstants):
     """Blow-up profile for x = O(1) (the second-timescale form at t = t_c)."""
-    if consts is None:
-        consts = constants(alpha)
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         raise ValueError("x = 0 hits the log singularity")
@@ -201,25 +187,3 @@ def flatness_approx(t, alpha: float, epsilon: float):
     out = 2.0 * epsilon * np.exp(-t) / (alpha - t) ** 2
     return out if out.shape else float(out)
 
-
-def turning_time(alpha: float) -> Optional[float]:
-    """Flattening-to-steepening switch at t ~ alpha - 2 (only if alpha > 2)."""
-    return alpha - 2.0 if alpha > 2.0 else None
-
-
-def minimal_flatness(alpha: float, epsilon: float) -> Optional[float]:
-    """f(alpha - 2) ~ eps*e^{2-alpha}/2, defined when alpha > 2."""
-    if alpha <= 2.0:
-        return None
-    return 0.5 * epsilon * math.exp(2.0 - alpha)
-
-
-def u_initial_coeff(k: int, alpha: float, epsilon: float) -> float:
-    """Exact initial Fourier coefficient of u = 1/(alpha - eps*cos x)
-    (residue-theorem closed form)."""
-    if epsilon == 0.0:
-        return 1.0 / alpha if k == 0 else 0.0
-    r = alpha / epsilon
-    root = math.sqrt(r ** 2 - 1.0)
-    rho = r + root
-    return rho ** (-abs(k)) / (epsilon * root)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, experiments, reduced
+from . import __version__, experiments
 from .integrator import IntegratorConfig
 from .io_utils import RunManifest, verify_manifest, write_csv
 from .pde import ModelParams, solve_to_blowup
@@ -36,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rtol", type=float, default=None)
         sp.add_argument("--atol", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--config", help="JSON config file; flags win")
         sp.add_argument("--verify", action="store_true",
@@ -57,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "continue":
             sp.add_argument("--t-end", type=float, default=None)
             sp.add_argument("--method", default=None,
-                            choices=["noise_seeded", "complex_path"])
+                            choices=experiments.CONTINUATION_METHODS)
             sp.add_argument("--times", type=float, nargs="*", default=None)
         if name == "snapshots":
             sp.add_argument("--times", type=float, nargs="*", default=None)
@@ -65,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DEFAULTS = {"alpha": 1.0, "epsilon": 0.01, "n_modes": 128,
-             "rtol": 1e-12, "atol": 1e-12, "seed": 0, "jobs": 1}
+             "rtol": 1e-12, "atol": 1e-12, "seed": 0}
 # keys only some commands take; the rest keep the common config (and so
 # their CSV headers and config hashes) unchanged
 _COMMAND_DEFAULTS = {
@@ -96,14 +94,28 @@ def _params(cfg) -> ModelParams:
     return ModelParams(alpha=cfg["alpha"], epsilon=cfg["epsilon"],
                        n_modes=cfg["n_modes"],
                        integrator=IntegratorConfig(rtol=cfg["rtol"],
-                                                   atol=cfg["atol"],
-                                                   h_init=1e-4))
+                                                   atol=cfg["atol"]))
 
 
 def _integrator_block(integrations: dict) -> dict:
     """Manifest record of each integration: steps, rejections,
     evaluations and the range of accepted step sizes."""
     return {name: stats.record() for name, stats in integrations.items()}
+
+
+class _Phases:
+    """Wall time of a command's consecutive phases: lap(name) records, in
+    the manifest's timings, the time since the previous lap (or since
+    the phases began)."""
+
+    def __init__(self, manifest):
+        self.timings = manifest.timings
+        self.last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.timings[name] = now - self.last
+        self.last = now
 
 
 def main(argv=None) -> int:
@@ -135,7 +147,7 @@ def main(argv=None) -> int:
 
 def _cmd_table1(args, cfg, manifest) -> int:
     rows = experiments.run_table1(n_modes=cfg["n_modes"], rtol=cfg["rtol"],
-                                  atol=cfg["atol"], jobs=cfg["jobs"])
+                                  atol=cfg["atol"])
     path = os.path.join(args.out, "table1.csv")
     write_csv(path,
               ["alpha", "epsilon", "t_c", "tc_prime_minus_tc",
@@ -181,19 +193,37 @@ def _cmd_solve(args, cfg, manifest) -> int:
     return 0
 
 
+def _sample_counts(data) -> dict:
+    """Manifest record of a dataset read on the sample grid: how many
+    grid times it has a row for, and why the others have none."""
+    return {"grid_times": int(experiments.sample_times(data.t_c).size),
+            "kept": int(data.times.size), "dropped": data.dropped}
+
+
 def _cmd_errors(args, cfg, manifest) -> int:
-    data = experiments.run_error_curves(_params(cfg))
+    params, phases = _params(cfg), _Phases(manifest)
+    traj, rep = solve_to_blowup(params)
+    phases.lap("solve")
+    data = experiments.error_curves_from_solution(traj, rep.t_c, params)
+    phases.lap("postprocess")
     path = os.path.join(args.out, "error_curves.csv")
     write_csv(path, ["t", "err_perturbation", "err_timescale2"],
               zip(data.times, data.err_perturbation, data.err_timescale2),
               manifest.csv_header(t_c=data.t_c))
     manifest.register("error_curves", path)
+    phases.lap("write")
+    manifest.extra["samples"] = _sample_counts(data)
+    manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"{len(data.times)} samples, t_c = {data.t_c:.6f}")
     return 0
 
 
 def _cmd_profile(args, cfg, manifest) -> int:
-    data = experiments.run_blowup_profile(_params(cfg))
+    params, phases = _params(cfg), _Phases(manifest)
+    _, rep = solve_to_blowup(params)
+    phases.lap("solve")
+    data = experiments.profile_from_state(rep.state_at_tc, rep.t_c, params)
+    phases.lap("postprocess")
     path = os.path.join(args.out, "blowup_profile.csv")
     write_csv(path, ["x", "v_solver", "profile_global", "profile_local"],
               zip(data.x, data.v_solver, data.eq_global, data.eq_local),
@@ -213,17 +243,18 @@ def _cmd_profile(args, cfg, manifest) -> int:
                   data.coeff_local_law),
               manifest.csv_header(t_c=data.t_c))
     manifest.register("coefficients_at_tc", cpath)
+    phases.lap("write")
+    manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"profile written, t_c = {data.t_c:.6f}")
     return 0
 
 
 def _cmd_singularity(args, cfg, manifest) -> int:
-    params = _params(cfg)
-    t0 = time.perf_counter()
+    params, phases = _params(cfg), _Phases(manifest)
     traj, rep = solve_to_blowup(params)
-    t1 = time.perf_counter()
+    phases.lap("solve")
     data = experiments.singularity_from_solution(traj, rep.t_c, params)
-    t2 = time.perf_counter()
+    phases.lap("postprocess")
     tr = data.track
     path = os.path.join(args.out, "singularity_track.csv")
     cols = ["t", "y_fit", "y_root", "fit_residual", "usable_fit",
@@ -236,8 +267,7 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         rows.append(row)
     write_csv(path, cols, rows, manifest.csv_header(t_c=data.t_c))
     manifest.register("singularity_track", path)
-    manifest.timings.update(solve=t1 - t0, postprocess=t2 - t1,
-                            write=time.perf_counter() - t2)
+    phases.lap("write")
     n_ok = int(np.sum(tr.usable_root()))
     manifest.extra["tracker"] = {
         "snapshots": int(tr.times.size),
@@ -297,12 +327,19 @@ def _cmd_snapshots(args, cfg, manifest) -> int:
 
 
 def _cmd_flatness(args, cfg, manifest) -> int:
-    data = experiments.run_flatness(_params(cfg))
+    params, phases = _params(cfg), _Phases(manifest)
+    traj, rep = solve_to_blowup(params)
+    phases.lap("solve")
+    data = experiments.flatness_from_solution(traj, rep.t_c, params)
+    phases.lap("postprocess")
     path = os.path.join(args.out, "flatness.csv")
     write_csv(path, ["t", "f_solver", "f_approx", "rel_err"],
               zip(data.times, data.f_solver, data.f_approx, data.rel_err),
               manifest.csv_header(t_c=data.t_c))
     manifest.register("flatness", path)
+    phases.lap("write")
+    manifest.extra["samples"] = _sample_counts(data)
+    manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"{data.times.size} samples, t_c = {data.t_c:.6f}")
     return 0
 

@@ -1,19 +1,20 @@
 """Dataset assembly behind the CLI subcommands.
 
-Each builder runs the required solves and returns plain data
-structures; the CLI layer handles argument parsing and persistence.
+Each builder returns plain data structures, from a blow-up solve the
+caller passes or from the solves it runs itself; the CLI layer handles
+argument parsing, timing and persistence.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import asymptotics, reduced, tracker
+from . import asymptotics, tracker
 from .integrator import IntegratorConfig, Trajectory
 from .pde import (ContinuationResult, ModelParams, continue_complex_path,
                   continue_past_blowup, field_from_state, flatness,
@@ -23,6 +24,9 @@ from .spectral import (DivisorTooSmall, FourierField, padded_size, series_at,
 
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
+CONTINUATION_METHODS = ("noise_seeded", "complex_path")
+# intervals of the profile's uniform x grid on [-pi, pi]
+PROFILE_POINTS = 1024
 
 # the sampled datasets (error curves, singularity track, flatness) read
 # the dense output on one grid in [0, t_c): GRID_UNIFORM points uniform
@@ -52,12 +56,11 @@ class Table1Row:
     error: Optional[str] = None
 
 
-def _table1_cell(args) -> Table1Row:
-    alpha, epsilon, n_modes, rtol, atol = args
+def _table1_cell(alpha: float, epsilon: float, n_modes: int, rtol: float,
+                 atol: float) -> Table1Row:
     try:
         params = ModelParams(alpha=alpha, epsilon=epsilon, n_modes=n_modes,
-                             integrator=IntegratorConfig(rtol=rtol, atol=atol,
-                                                         h_init=1e-4))
+                             integrator=IntegratorConfig(rtol=rtol, atol=atol))
         _, rep = solve_to_blowup(params)
         return Table1Row(alpha, epsilon, rep.t_c,
                          rep.t_c_prime - rep.t_c,
@@ -70,13 +73,10 @@ def _table1_cell(args) -> Table1Row:
 
 def run_table1(alphas: Sequence[float] = TABLE1_ALPHAS,
                epsilons: Sequence[float] = TABLE1_EPSILONS,
-               n_modes: int = 128, rtol: float = 1e-12, atol: float = 1e-12,
-               jobs: int = 1) -> list[Table1Row]:
-    cells = [(a, e, n_modes, rtol, atol) for a in alphas for e in epsilons]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_table1_cell, cells))
-    return [_table1_cell(c) for c in cells]
+               n_modes: int = 128, rtol: float = 1e-12,
+               atol: float = 1e-12) -> list[Table1Row]:
+    return [_table1_cell(a, e, n_modes, rtol, atol)
+            for a in alphas for e in epsilons]
 
 
 @dataclass
@@ -85,29 +85,25 @@ class ErrorCurves:
     err_perturbation: np.ndarray    # first-timescale approximation
     err_timescale2: np.ndarray      # second-timescale approximation
     t_c: float
-
-
-def run_error_curves(params: ModelParams) -> ErrorCurves:
-    """At each time of the sample grid, the max relative error over the
-    collocation grid of the two analytic approximations against the
-    solver."""
-    traj, rep = solve_to_blowup(params)
-    return error_curves_from_solution(traj, rep.t_c, params)
+    dropped: dict                   # reason -> grid times without a row
 
 
 def error_curves_from_solution(traj: Trajectory, t_c: float,
                                params: ModelParams) -> ErrorCurves:
-    """Error curves from an already-computed blow-up solve, on the sample
-    grid."""
+    """At each time of the sample grid, the max relative error over the
+    collocation grid of the two analytic approximations against the
+    solver of an already-computed blow-up solve."""
     consts = asymptotics.constants(params.alpha)
     m = padded_size(params.n_modes)
     x = -np.pi + 2.0 * np.pi * np.arange(m) / m
     kept, e13, e19 = [], [], []
+    dropped = Counter()
     for t in sample_times(t_c):
         fld = field_from_state(traj.state_at(t), params.n_modes)
         v_ref = synthesize(fld, m).values.real
         denom = np.abs(v_ref)
         if np.min(denom) <= 0.0:
+            dropped["v = 0 on the grid"] += 1
             continue
         v13 = asymptotics.perturbation_v(x, t, params.alpha, params.epsilon)
         err13 = float(np.max(np.abs(v13 - v_ref) / denom))
@@ -117,7 +113,8 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
         kept.append(t)
         e13.append(err13)
         e19.append(err19)
-    return ErrorCurves(np.array(kept), np.array(e13), np.array(e19), t_c)
+    return ErrorCurves(np.array(kept), np.array(e13), np.array(e19), t_c,
+                       dict(dropped))
 
 
 @dataclass
@@ -137,16 +134,11 @@ class BlowupProfileData:
     eq_local_small: np.ndarray
 
 
-def run_blowup_profile(params: ModelParams, n_plot: int = 1024) -> BlowupProfileData:
-    _, rep = solve_to_blowup(params)
-    return profile_from_state(rep.state_at_tc, rep.t_c, params, n_plot)
-
-
-def profile_from_state(fld: FourierField, t_c: float, params: ModelParams,
-                       n_plot: int = 1024) -> BlowupProfileData:
+def profile_from_state(fld: FourierField, t_c: float,
+                       params: ModelParams) -> BlowupProfileData:
     """Profile data from an already-computed state at t_c."""
     consts = asymptotics.constants(params.alpha)
-    x = np.linspace(-np.pi, np.pi, n_plot + 1)
+    x = np.linspace(-np.pi, np.pi, PROFILE_POINTS + 1)
     x = x[x != 0.0]
     v_solver = series_at(fld, x).real
     eq20 = asymptotics.blowup_profile_global(x, params.alpha, params.epsilon, consts)
@@ -222,20 +214,19 @@ class ContinuationData:
 
 def run_continuation(params: ModelParams, t_end: Optional[float] = None,
                      rng_seed: int = 0, extra_times: Sequence[float] = (),
-                     method: str = "noise_seeded",
-                     negate: bool = False) -> ContinuationData:
+                     method: str = "noise_seeded") -> ContinuationData:
     """Continue past t_c to t_end (default 3 t_c) and sample snapshots."""
+    if method not in CONTINUATION_METHODS:
+        raise ValueError(f"unknown method {method!r}; one of "
+                         + ", ".join(CONTINUATION_METHODS))
     _, rep = solve_to_blowup(params, with_estimates=False)
     t_c = rep.t_c
     if t_end is None:
         t_end = 3.0 * t_c
     if method == "noise_seeded":
-        result = continue_past_blowup(params, t_end, rng_seed=rng_seed,
-                                      negate=negate, t_c=t_c)
-    elif method == "complex_path":
-        result = continue_complex_path(params, t_end, t_c=t_c)
+        result = continue_past_blowup(params, t_end, t_c, rng_seed=rng_seed)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        result = continue_complex_path(params, t_end, t_c)
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
                     if f * t_c <= t_end} | set(extra_times))
     kept, snaps, edges, skipped = [], [], {}, {}
@@ -285,11 +276,7 @@ class FlatnessData:
     f_approx: np.ndarray
     rel_err: np.ndarray
     t_c: float
-
-
-def run_flatness(params: ModelParams) -> FlatnessData:
-    traj, rep = solve_to_blowup(params)
-    return flatness_from_solution(traj, rep.t_c, params)
+    dropped: dict                   # reason -> grid times without a row
 
 
 def flatness_from_solution(traj: Trajectory, t_c: float,
@@ -297,13 +284,20 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
     """Flatness curve from an already-computed solve, on the sample
     grid."""
     kept, fs, fa, re = [], [], [], []
+    dropped = Counter()
     for t in sample_times(t_c):
         if t >= params.alpha:
+            dropped["t >= alpha"] += 1
             continue
         fld = field_from_state(traj.state_at(t), params.n_modes)
         try:
             f = flatness(fld)
-        except (DivisorTooSmall, ValueError):
+        except DivisorTooSmall:
+            dropped["DivisorTooSmall in u_from_v"] += 1
+            continue
+        except ValueError as exc:
+            # the message's numbers vary; its lead names the reason
+            dropped[str(exc).split(":")[0]] += 1
             continue
         approx = asymptotics.flatness_approx(t, params.alpha, params.epsilon)
         kept.append(t)
@@ -311,7 +305,7 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
         fa.append(approx)
         re.append(abs(approx - f) / abs(f) if f != 0.0 else math.nan)
     return FlatnessData(np.array(kept), np.array(fs), np.array(fa),
-                        np.array(re), t_c)
+                        np.array(re), t_c, dict(dropped))
 
 
 @dataclass
@@ -337,8 +331,8 @@ def run_fourier_snapshots(params: ModelParams,
     if times is None:
         times = [0.9 * t_c, t_c, 1.1 * t_c]
     t_end = max(times) * 1.01 if max(times) > t_c else 1.5 * t_c
-    result = continue_past_blowup(params, max(t_end, 1.2 * t_c),
-                                  rng_seed=rng_seed, t_c=t_c)
+    result = continue_past_blowup(params, max(t_end, 1.2 * t_c), t_c,
+                                  rng_seed=rng_seed)
     n = params.n_modes
     k = np.arange(1, n + 1)
     moduli = []

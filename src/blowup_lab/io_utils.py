@@ -67,8 +67,8 @@ class RunManifest:
             "sha256": file_sha256(path),
         }
 
-    def write(self, name: str = "manifest.json") -> str:
-        path = os.path.join(self.out_dir, name)
+    def write(self) -> str:
+        path = os.path.join(self.out_dir, "manifest.json")
         payload = {
             "config": self.config,
             "config_hash": self.hash,

@@ -6,7 +6,7 @@ flatness, and post-blow-up continuation (noise-seeded or complex-time path).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -15,10 +15,14 @@ from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
                          Trajectory, integrate, integrate_path, line_segment,
                          semicircle)
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
-                       GridValues, analyze, grid_points, padded_size,
-                       series_at, synthesize)
+                       GridValues, analyze, padded_size, series_at,
+                       synthesize)
 
-DEFAULT_EVENT_ROOT_TOL = 1e-13
+_EVENT_ROOT_TOL = 1e-13
+# relative tolerance of the cross-check between the two flatness routes
+_FLATNESS_CHECK_TOL = 1e-10
+# amplitude of the imaginary seed that lets a continuation pass t_c
+_NOISE_AMPLITUDE = 1e-16
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,7 @@ class ModelParams:
     alpha: float
     epsilon: float
     n_modes: int = 128
-    integrator: IntegratorConfig = field(
-        default_factory=lambda: IntegratorConfig(rtol=1e-12, atol=1e-12, h_init=1e-4))
+    integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < self.alpha):
@@ -62,21 +65,13 @@ class ContinuationResult:
     trajectory: Trajectory
     branch_sign: int
     method: str                      # noise_seeded | complex_path
-    rng_seed: Optional[int]
     t_c: float
-    params: ModelParams
     radius: Optional[float] = None   # of the complex-path detour about t_c
 
 
-def initial_field(params: ModelParams,
-                  profile: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> FourierField:
-    """v(x,0) = alpha - epsilon*cos(x), or alpha + epsilon*profile(x)."""
+def initial_field(params: ModelParams) -> FourierField:
+    """v(x,0) = alpha - epsilon*cos(x)."""
     n = params.n_modes
-    if profile is not None:
-        m = padded_size(n)
-        x = grid_points(m)
-        vals = params.alpha + params.epsilon * profile(x)
-        return analyze(GridValues(x, vals), n)
     c = np.zeros(2 * n + 1, dtype=complex)
     c[n] = params.alpha
     c[n + 1] = -params.epsilon / 2.0
@@ -149,14 +144,13 @@ def field_from_state(state: np.ndarray, n_modes: int) -> FourierField:
     return FourierField(n_modes, np.asarray(state, dtype=complex))
 
 
-def blowup_event(root_tol: float = DEFAULT_EVENT_ROOT_TOL) -> EventSpec:
+def blowup_event() -> EventSpec:
     """v(0, t) = Re(sum_k c_k) crossing zero from above."""
     return EventSpec(observable=lambda c: float(np.sum(c).real),
-                     direction="decreasing", root_tol=root_tol)
+                     direction="decreasing", root_tol=_EVENT_ROOT_TOL)
 
 
 def solve_to_blowup(params: ModelParams,
-                    root_tol: float = DEFAULT_EVENT_ROOT_TOL,
                     with_estimates: bool = True) -> tuple[Trajectory, BlowupReport]:
     """Integrate until v(0,t) = 0 and assemble the blow-up report."""
     rhs = make_rhs(params)
@@ -166,7 +160,7 @@ def solve_to_blowup(params: ModelParams,
     # dense output and the step onto t_c evaluate states with v(0) ~ 0,
     # which the guard refuses: they use the unguarded quotient
     traj, hit = integrate(rhs, y0, 0.0, t_hi, params.integrator,
-                          events=[blowup_event(root_tol)],
+                          events=[blowup_event()],
                           lin=diffusion(params.n_modes),
                           dense_rhs=make_rhs(params, guard_floor=None))
     if hit is None:
@@ -178,9 +172,10 @@ def solve_to_blowup(params: ModelParams,
         t_hat = asymptotics.t_hat(params.alpha, params.epsilon)
         t_tilde = asymptotics.t_tilde(params.alpha, params.epsilon)
         if params.epsilon > 0.0:
-            two_mode, t_c_prime = reduced.solve_two_mode(
+            two_mode = reduced.solve_two_mode(
                 "fourier", params.alpha, params.epsilon, cfg=params.integrator)
-            integrations["two_mode"] = two_mode.stats
+            integrations["two_mode"] = two_mode.trajectory.stats
+            t_c_prime = two_mode.t_c_prime
         else:
             t_c_prime = params.alpha
     else:
@@ -191,20 +186,19 @@ def solve_to_blowup(params: ModelParams,
     return traj, report
 
 
-def u_from_v(fld: FourierField,
-             floor: float = DIVISION_FLOOR) -> tuple[GridValues, FourierField]:
+def u_from_v(fld: FourierField) -> tuple[GridValues, FourierField]:
     """u = 1/v: pointwise reciprocal on the padded grid plus its coefficients."""
     p = padded_size(fld.n_modes)
     vals = synthesize(fld, p)
     mags = np.abs(vals.values)
     j = int(np.argmin(mags))
-    if mags[j] < floor:
+    if mags[j] < DIVISION_FLOOR:
         raise DivisorTooSmall(float(mags[j]), float(vals.points[j]))
     u_vals = GridValues(vals.points, 1.0 / vals.values)
     return u_vals, analyze(u_vals, fld.n_modes)
 
 
-def flatness(fld: FourierField, check_tol: float = 1e-10) -> float:
+def flatness(fld: FourierField) -> float:
     """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k."""
     v0, vpi = series_at(fld, [0.0, np.pi])
     f_point = (1.0 / v0 - 1.0 / vpi).real
@@ -212,7 +206,7 @@ def flatness(fld: FourierField, check_tol: float = 1e-10) -> float:
     a = u_field.coeffs
     n = fld.n_modes
     f_coeff = 4.0 * float(np.sum(a[n + 1::2]).real)
-    if abs(f_point - f_coeff) > check_tol * max(1.0, abs(f_point)):
+    if abs(f_point - f_coeff) > _FLATNESS_CHECK_TOL * max(1.0, abs(f_point)):
         raise ValueError(
             f"flatness routes disagree: pointwise {f_point:.3e} vs "
             f"coefficient sum {f_coeff:.3e}")
@@ -247,23 +241,18 @@ def _branch_sign(traj: Trajectory, t_probe: float) -> int:
     return 1 if im >= 0.0 else -1
 
 
-def continue_past_blowup(params: ModelParams, t_end: float,
-                         rng_seed: int = 0, amplitude: float = 1e-16,
-                         negate: bool = False,
-                         t_c: Optional[float] = None) -> ContinuationResult:
+def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
+                         rng_seed: int = 0,
+                         negate: bool = False) -> ContinuationResult:
     """Noise-seeded integration from t = 0 through t_c to t_end.
 
     The event is disarmed and the division guard is off; the roundoff
     imaginary seed lets the solution pass through v = 0 and turn
-    complex.  With amplitude = 0 the integrator raises
-    StiffnessOrSingularity at t_c instead.
+    complex.
     """
-    if t_c is None:
-        _, report = solve_to_blowup(params, with_estimates=False)
-        t_c = report.t_c
     if t_end <= t_c:
         raise ValueError("t_end must exceed t_c")
-    y0 = seed_imaginary_noise(initial_field(params), amplitude,
+    y0 = seed_imaginary_noise(initial_field(params), _NOISE_AMPLITUDE,
                               rng_seed, negate).coeffs
     rhs = make_rhs(params, guard_floor=None)
     traj, _ = integrate(rhs, y0, 0.0, t_end, params.integrator,
@@ -271,29 +260,23 @@ def continue_past_blowup(params: ModelParams, t_end: float,
     t_probe = min(1.25 * t_c, 0.5 * (t_c + t_end))
     return ContinuationResult(trajectory=traj,
                               branch_sign=_branch_sign(traj, t_probe),
-                              method="noise_seeded", rng_seed=rng_seed,
-                              t_c=t_c, params=params)
+                              method="noise_seeded", t_c=t_c)
 
 
 def continue_complex_path(params: ModelParams, t_end: float,
-                          radius: Optional[float] = None, upper: bool = True,
-                          t_c: Optional[float] = None) -> ContinuationResult:
+                          t_c: float) -> ContinuationResult:
     """Integrate around t_c on a semicircle in the complex t-plane.
 
-    Real axis to t_c - radius, half circle of the given radius about
-    t_c (upper half-plane by default), then real axis to t_end.
+    Real axis to t_c - radius, half circle of radius 0.1 t_c about t_c
+    through the upper half-plane, then real axis to t_end.
     """
-    if t_c is None:
-        _, report = solve_to_blowup(params, with_estimates=False)
-        t_c = report.t_c
-    if radius is None:
-        radius = 0.1 * t_c
+    radius = 0.1 * t_c
     if t_end <= t_c + radius:
         raise ValueError("t_end must exceed t_c + radius")
     y0 = initial_field(params).coeffs
     rhs = make_rhs(params, guard_floor=None)
     path = [line_segment(0.0, t_c - radius),
-            semicircle(t_c, radius, upper=upper),
+            semicircle(t_c, radius),
             line_segment(t_c + radius, t_end)]
     traj = integrate_path(rhs, y0, path, params.integrator,
                           lin=diffusion(params.n_modes))
@@ -303,5 +286,4 @@ def continue_complex_path(params: ModelParams, t_end: float,
     im = float(np.sum(traj.states[post[0]]).imag) if post else 0.0
     return ContinuationResult(trajectory=traj,
                               branch_sign=1 if im >= 0.0 else -1,
-                              method="complex_path", rng_seed=None,
-                              t_c=t_c, params=params, radius=radius)
+                              method="complex_path", t_c=t_c, radius=radius)

@@ -38,10 +38,6 @@ class DivisorTooSmall(SpectralError):
         )
 
 
-class EvaluationOverflow(SpectralError):
-    pass
-
-
 def padded_size(n_modes: int) -> int:
     """Smallest power of two >= 3*N + 1 (dealiasing grid)."""
     p = 1
@@ -71,9 +67,6 @@ class FourierField:
         if not np.all(np.isfinite(c)):
             raise SpectralError("non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
-
-    def coeff(self, k: int) -> complex:
-        return complex(self.coeffs[self.n_modes + k])
 
     @property
     def wavenumbers(self) -> np.ndarray:

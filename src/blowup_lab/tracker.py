@@ -16,13 +16,16 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .integrator import Trajectory
-from .spectral import DivisorTooSmall, EvaluationOverflow, FourierField
+from .spectral import DivisorTooSmall, FourierField
 from .pde import u_from_v
 
 _EXP_LIMIT = 700.0
 _ROUNDOFF = np.finfo(float).eps
 # Re v(0) at or below _ON_AXIS * sum |c_k| is zero to roundoff
 _ON_AXIS = 100.0 * _ROUNDOFF
+# the axis scan: samples on (0, y_max], and the root tolerance in y
+_SCAN_POINTS = 400
+_ROOT_TOL = 1e-10
 
 
 class TrackingError(Exception):
@@ -51,35 +54,25 @@ def _roundoff_floor(coeffs: np.ndarray) -> float:
 
 
 def fit_strip_width(u_field: FourierField,
-                    k_range: Optional[tuple[int, int]] = None,
-                    pole_exponent: float = 1.0) -> tuple[float, float, float]:
-    """Least-squares fit log|a_k| = log C + p log k - k y over k_range.
+                    k_range: tuple[int, int]) -> tuple[float, float, float]:
+    """Least-squares fit log|a_k| = log C + log k - k y over k_range.
 
-    p is fixed (default 1, the second-order-pole prefactor); returns
-    (y, C, rms residual).
+    The prefactor k^p is fixed at p = 1, the second-order pole's; the
+    range is honoured as given, the caller having stopped it above the
+    roundoff floor.  Returns (y, C, rms residual).
     """
     n = u_field.n_modes
     a = np.abs(u_field.coeffs[n + 1:])          # k = 1..N
-    if k_range is None:
-        floor = _roundoff_floor(u_field.coeffs)
-        above = np.nonzero(a > floor)[0]
-        k_floor = int(above[-1]) + 1 if above.size else 0
-        k_lo = max(8, n // 8)
-        k_hi = min(n - 8, k_floor)
-    else:
-        # an explicit range is honoured as given (closed-form coefficient
-        # sets are meaningful well below the relative floor of FFT data)
-        k_lo, k_hi = k_range
-        floor = 0.0
-        k_hi = min(k_hi, n)
+    k_lo, k_hi = k_range
+    k_hi = min(k_hi, n)
     if k_hi - k_lo + 1 < 8:
         raise TrackingError(
             f"k-range [{k_lo}, {k_hi}] too short (< 8 usable modes)")
     k = np.arange(k_lo, k_hi + 1, dtype=float)
     ak = a[k_lo - 1:k_hi]
-    if np.any(ak <= floor):
-        raise TrackingError("coefficients at roundoff floor inside k-range")
-    rhs = np.log(ak) - pole_exponent * np.log(k)
+    if np.any(ak <= 0.0):
+        raise TrackingError("zero coefficient inside k-range")
+    rhs = np.log(ak) - np.log(k)
     design = np.column_stack([np.ones_like(k), -k])
     (log_c, y), res, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     fitted = design @ np.array([log_c, y])
@@ -190,60 +183,41 @@ def _axis_real(coeffs: np.ndarray, n: int):
     return re_v, y_cap
 
 
-def axis_value(fld: FourierField, y: float) -> float:
-    """Re v(iy); raises EvaluationOverflow when coefficient growth overflows."""
-    val = float(_axis_real(fld.coeffs, fld.n_modes)[0](y))
-    if not np.isfinite(val):
-        raise EvaluationOverflow(f"v(iy) overflows at y = {y}")
-    return val
-
-
-def root_on_axis(v_field: FourierField,
-                 y_bracket: Optional[tuple[float, float]] = None,
-                 root_tol: float = 1e-10, scan_points: int = 400) -> float:
+def root_on_axis(v_field: FourierField) -> float:
     """Smallest y >= 0 with Re v(iy) = 0, polished by brentq inside the
-    first sign change.  Without a bracket, the axis is scanned up to the
-    largest y the coefficient amplification allows, a local minimum of
-    the scan before its first sign change is searched for a dip below
-    zero, and Re v(0) at or below the roundoff of the coefficient sum
-    means the singularity has already reached the real axis: the root
-    is 0 (a root inside that roundoff would only mark the noise).
+    first sign change.  The axis is scanned up to the largest y the
+    coefficient amplification allows, a local minimum of the scan before
+    its first sign change is searched for a dip below zero, and Re v(0)
+    at or below the roundoff of the coefficient sum means the
+    singularity has already reached the real axis: the root is 0 (a root
+    inside that roundoff would only mark the noise).
     """
     coeffs = _denoised(v_field.coeffs)
     g, y_cap = _axis_real(coeffs, v_field.n_modes)
-    if y_bracket is None:
-        y_max = min(y_cap, 50.0) * 0.999
-        if not np.isfinite(y_max) or y_max <= 0:
-            raise TrackingError("no feasible y range")
-        ys = np.concatenate(
-            ([0.0], np.linspace(y_max / scan_points, y_max, scan_points)))
-        vals = g(ys)
-        if vals[0] <= _ON_AXIS * np.sum(np.abs(coeffs)):
-            return 0.0
-        bad = np.flatnonzero(~np.isfinite(vals))
-        positive = vals[:bad[0] if bad.size else vals.size] > 0.0
-        flips = np.flatnonzero(positive[1:] != positive[:-1])
-        # a dip narrower than the scan spacing shows only as a local
-        # minimum of the (positive) samples before the first sign change
-        v = vals[:flips[0] + 1 if flips.size else positive.size]
-        for i in 1 + np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])):
-            dip = minimize_scalar(g, bounds=(ys[i - 1], ys[i + 1]),
-                                  method="bounded",
-                                  options={"xatol": 0.01 * root_tol})
-            if dip.fun <= 0.0:
-                return float(brentq(g, ys[i - 1], dip.x,
-                                    xtol=0.01 * root_tol))
-        if not flips.size:
-            raise TrackingError("no sign change of Re v(iy) on the axis")
-        lo, hi = ys[flips[0]], ys[flips[0] + 1]
-    else:
-        lo, hi = y_bracket
-        g_lo, g_hi = g(lo), g(hi)
-        if not (np.isfinite(g_lo) and np.isfinite(g_hi)):
-            raise TrackingError("v(iy) overflows in supplied bracket")
-        if (g_lo > 0.0) == (g_hi > 0.0):
-            raise TrackingError("no sign change in supplied bracket")
-    return float(brentq(g, lo, hi, xtol=0.01 * root_tol))
+    y_max = min(y_cap, 50.0) * 0.999
+    if not np.isfinite(y_max) or y_max <= 0:
+        raise TrackingError("no feasible y range")
+    ys = np.concatenate(
+        ([0.0], np.linspace(y_max / _SCAN_POINTS, y_max, _SCAN_POINTS)))
+    vals = g(ys)
+    if vals[0] <= _ON_AXIS * np.sum(np.abs(coeffs)):
+        return 0.0
+    bad = np.flatnonzero(~np.isfinite(vals))
+    positive = vals[:bad[0] if bad.size else vals.size] > 0.0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
+    # a dip narrower than the scan spacing shows only as a local
+    # minimum of the (positive) samples before the first sign change
+    v = vals[:flips[0] + 1 if flips.size else positive.size]
+    for i in 1 + np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])):
+        dip = minimize_scalar(g, bounds=(ys[i - 1], ys[i + 1]),
+                              method="bounded",
+                              options={"xatol": 0.01 * _ROOT_TOL})
+        if dip.fun <= 0.0:
+            return float(brentq(g, ys[i - 1], dip.x, xtol=0.01 * _ROOT_TOL))
+    if not flips.size:
+        raise TrackingError("no sign change of Re v(iy) on the axis")
+    return float(brentq(g, ys[flips[0]], ys[flips[0] + 1],
+                        xtol=0.01 * _ROOT_TOL))
 
 
 # report the fit only while the full spectrum at this strip width is
@@ -271,40 +245,36 @@ def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
     return None
 
 
-def build_track(trajectory: Trajectory, n_modes: int, times: Sequence[float],
-                method: str = "both") -> SingularityTrack:
-    """Apply the chosen estimator(s) to the dense-output state at each
-    of the given times.
+def build_track(trajectory: Trajectory, n_modes: int,
+                times: Sequence[float]) -> SingularityTrack:
+    """Apply both estimators to the dense-output state at each of the
+    given times.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
     u-reconstruction failures) are marked NaN rather than extrapolated;
     snapshots without a root or a fit are counted per reason.
     """
-    if method not in ("both", "fit", "root"):
-        raise ValueError(f"unknown method {method!r}")
     yf, yr, res = [], [], []
     no_root, no_fit = Counter(), Counter()
     for t in times:
         fld = FourierField(n_modes, trajectory.state_at(t))
-        y_fit = y_root = residual = np.nan
-        if method in ("both", "fit"):
-            try:
-                clean = FourierField(n_modes, _denoised(fld.coeffs))
-                _, u_field = u_from_v(clean)
-                y_fit, residual = strip_width_estimate(u_field)
-                drop = _fit_drop_reason(y_fit, residual, n_modes)
-            except TrackingError as exc:
-                drop = str(exc)
-            except DivisorTooSmall:
-                drop = "DivisorTooSmall in u_from_v"
-            if drop is not None:
-                y_fit, residual = np.nan, np.nan
-                no_fit[drop] += 1
-        if method in ("both", "root"):
-            try:
-                y_root = root_on_axis(fld)
-            except TrackingError as exc:
-                no_root[str(exc)] += 1
+        y_root = np.nan
+        try:
+            clean = FourierField(n_modes, _denoised(fld.coeffs))
+            _, u_field = u_from_v(clean)
+            y_fit, residual = strip_width_estimate(u_field)
+            drop = _fit_drop_reason(y_fit, residual, n_modes)
+        except TrackingError as exc:
+            drop = str(exc)
+        except DivisorTooSmall:
+            drop = "DivisorTooSmall in u_from_v"
+        if drop is not None:
+            y_fit, residual = np.nan, np.nan
+            no_fit[drop] += 1
+        try:
+            y_root = root_on_axis(fld)
+        except TrackingError as exc:
+            no_root[str(exc)] += 1
         yf.append(y_fit)
         yr.append(y_root)
         res.append(residual)
@@ -312,37 +282,3 @@ def build_track(trajectory: Trajectory, n_modes: int, times: Sequence[float],
                             np.array(yr), np.array(res), dict(no_root),
                             dict(no_fit))
 
-
-def impingement_regression(d: np.ndarray, y: np.ndarray) -> float:
-    """Slope of y^2 against d log(1/d), d = t_c - t.
-
-    The strip width closes like y^2 ~ 8 d log(1/d), but only once
-    log(1/d) dominates the linear term (2 e^alpha / epsilon) d of the
-    preceding regime, i.e. for log(1/d) >> e^alpha / (4 epsilon).  The
-    regression recovers 8 only when evaluated in that regime.
-    """
-    d = np.asarray(d, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if d.size < 4:
-        raise TrackingError("too few samples for the impingement regression")
-    xvar = d * np.log(1.0 / d)
-    slope = np.polyfit(xvar, y ** 2, 1)[0]
-    return float(slope)
-
-
-def impingement_slope(track: SingularityTrack, t_c: float,
-                      epsilon: float) -> float:
-    """Impingement regression of the root-method track on the terminal
-    window t in [t_c - 10 eps, t_c - eps/10].
-
-    On this window the linear (in d) regime still dominates unless
-    epsilon is large, so the returned slope reflects whichever regime the
-    window actually samples; see impingement_regression.
-    """
-    t = track.times
-    y = track.y_root
-    mask = ((t >= t_c - 10.0 * epsilon) & (t <= t_c - 0.1 * epsilon)
-            & np.isfinite(y))
-    if np.count_nonzero(mask) < 4:
-        raise TrackingError("too few usable samples in the impingement window")
-    return impingement_regression(t_c - t[mask], y[mask])

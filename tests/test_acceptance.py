@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from blowup_lab import asymptotics, experiments, reduced, tracker
+from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, continue_complex_path,
                             continue_past_blowup, field_from_state,
                             solve_to_blowup)
 from blowup_lab.spectral import FourierField, padded_size, synthesize
 from fixed_step import order_check
+from paper_oracle import (impingement_regression, minimal_flatness,
+                          near_blowup_forms, taylor_conserved_quantity)
 from spectral_oracle import convolve, v_rhs
 
 # Reference blow-up times and estimate deltas (t_c' - t_c, t_hat - t_c,
@@ -42,7 +45,7 @@ def _report(num: int, name: str, checks: list):
 
 
 def test_criterion_1_blowup_time_table():
-    rows = experiments.run_table1(jobs=1)
+    rows = experiments.run_table1()
     checks = []
     for r in rows:
         ref_tc, d1, d2, d3 = TABLE1[(r.alpha, r.epsilon)]
@@ -222,7 +225,7 @@ def test_criterion_6_singularity_track(solve_fine):
     eps_s = 0.05
     d = np.logspace(-80, -50, 40)
     y_syn = asymptotics.singularity_y("third_scale", -d / eps_s, 1.0, eps_s)
-    slope = tracker.impingement_regression(d, y_syn)
+    slope = impingement_regression(d, y_syn)
     checks.append((abs(slope - 8.0) <= 1.5, f"regression slope {slope:.2f}"))
     # and the solver's root track matches the second-timescale overlay on
     # the terminal window it can actually reach
@@ -245,7 +248,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     t_c = rep.t_c
     n = params.n_modes
     checks = []
-    r1 = continue_past_blowup(params, 3.1 * t_c, rng_seed=0, t_c=t_c)
+    r1 = continue_past_blowup(params, 3.1 * t_c, t_c, rng_seed=0)
     traj = r1.trajectory
     # real before t_c, complex after
     im_before = max(np.max(np.abs(np.imag(s)))
@@ -271,14 +274,14 @@ def test_criterion_7_postblowup_continuation(solve_small):
                    f"peak at {ts[i_pk] / t_c:.2f} t_c"))
 
     # opposite noise seeds give complex-conjugate states at 2 t_c
-    r2 = continue_past_blowup(params, 2.2 * t_c, rng_seed=0, negate=True,
-                              t_c=t_c)
+    r2 = continue_past_blowup(params, 2.2 * t_c, t_c, rng_seed=0,
+                              negate=True)
     dconj = float(np.max(np.abs(r1.trajectory.state_at(2.0 * t_c)
                                 - np.conj(r2.trajectory.state_at(2.0 * t_c)))))
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
-    r3 = continue_complex_path(params, 3.05 * t_c, t_c=t_c)
+    r3 = continue_complex_path(params, 3.05 * t_c, t_c)
     real_t = np.array([pt.real if abs(pt.imag) < 1e-13 else np.nan
                        for pt in r3.trajectory.path_times])
     i3 = int(np.nanargmin(np.abs(real_t - 3.0 * t_c)))
@@ -293,7 +296,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # nearly constant in x and the explicit step is stability-limited)
     p48 = ModelParams(alpha=params.alpha, epsilon=params.epsilon, n_modes=48,
                       integrator=params.integrator)
-    r4 = continue_past_blowup(p48, 20.0, rng_seed=0)
+    _, rep48 = solve_to_blowup(p48, with_estimates=False)
+    r4 = continue_past_blowup(p48, 20.0, rep48.t_c, rng_seed=0)
     fld = field_from_state(r4.trajectory.state_at(20.0), 48)
     u_vals = 1.0 / synthesize(fld, padded_size(48)).values
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
@@ -308,15 +312,13 @@ def test_criterion_8_conservation_and_order():
     # accuracy beyond rtol 1e-12; the drift run is integrated at 1e-14
     # and excludes the terminal stretch (a < 1e-6) where the vector
     # field itself is singular
-    from blowup_lab.integrator import IntegratorConfig
-    tight = IntegratorConfig(rtol=1e-14, atol=1e-14, h_init=1e-4)
-    run = reduced.solve_two_mode_run("taylor", 1.0, 0.01, cfg=tight)
+    tight = IntegratorConfig(rtol=1e-14, atol=1e-14)
+    run = reduced.solve_two_mode("taylor", 1.0, 0.01, tight)
     q = []
     for tt, y in zip(run.trajectory.times, run.trajectory.states):
         a, b = y[0].real, y[1].real
         if a > 1e-6 and b > 0.0:
-            q.append((tt, reduced.taylor_conserved_quantity(
-                reduced.TwoModeState(a, b))))
+            q.append((tt, taylor_conserved_quantity(a, b)))
     t_arr = np.array([x[0] for x in q])
     q_arr = np.array([x[1] for x in q])
     span = t_arr[-1] - t_arr[0]
@@ -331,15 +333,13 @@ def test_criterion_8_conservation_and_order():
 
     # near-blow-up matching constants
     eps, alpha = 0.01, 1.0
-    run_f = reduced.solve_two_mode_run("fourier", alpha, eps)
-    fit_f = reduced.near_blowup_forms("fourier", run_f.trajectory,
-                                      run_f.t_event)
-    ratio_a = fit_f.fitted_constant / (eps * math.exp(-alpha))
+    run_f = reduced.solve_two_mode("fourier", alpha, eps, IntegratorConfig())
+    a_c, _ = near_blowup_forms("fourier", run_f.trajectory, run_f.t_event)
+    ratio_a = a_c / (eps * math.exp(-alpha))
     checks.append((abs(ratio_a - 1.0) <= 0.1,
                    f"a_c/(eps e^-alpha) = {ratio_a:.3f}"))
-    fit_t = reduced.near_blowup_forms("taylor", run.trajectory,
-                                      run.t_c_prime)
-    ratio_b = 8.0 * eps * fit_t.fitted_constant
+    b_c, _ = near_blowup_forms("taylor", run.trajectory, run.t_c_prime)
+    ratio_b = 8.0 * eps * b_c
     checks.append((abs(ratio_b - 1.0) <= 0.15,
                    f"8 eps b_c = {ratio_b:.3f}"))
     _report(8, "conservation and order", checks)
@@ -352,11 +352,13 @@ def test_criterion_9_flatness(solve_fine):
     max_rel = float(np.max(data.rel_err[m]))
     checks = [(max_rel <= 0.01, f"alpha=1 max rel err {max_rel:.4f}")]
 
-    d4 = experiments.run_flatness(ModelParams(alpha=4.0, epsilon=0.01))
+    p4 = ModelParams(alpha=4.0, epsilon=0.01)
+    traj4, rep4 = solve_to_blowup(p4)
+    d4 = experiments.flatness_from_solution(traj4, rep4.t_c, p4)
     i = int(np.argmin(d4.f_solver))
     t_min = d4.times[i]
     f_min = d4.f_solver[i]
-    f_ref = asymptotics.minimal_flatness(4.0, 0.01)
+    f_ref = minimal_flatness(4.0, 0.01)
     checks.append((abs(t_min - 2.0) <= 0.1, f"minimum at t = {t_min:.3f}"))
     checks.append((abs(f_min - f_ref) <= 0.1 * f_ref,
                    f"minimum value {f_min:.3e} vs {f_ref:.3e}"))

@@ -149,18 +149,43 @@ def test_table1_exit_codes(tmp_path, monkeypatch):
         assert (out / "table1.csv").exists()
 
 
+def figure_manifest(out):
+    """The manifest of a command that post-processes one blow-up solve:
+    it times the solve, post-process and write phases and records the
+    solve and the two-mode run behind the report."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["timings_sec"]) == {"solve", "postprocess", "write",
+                                            "total"}
+    assert set(manifest["integrator"]) == {"solve", "two_mode"}
+    return manifest
+
+
+def assert_sample_counts(manifest, csv_lines):
+    """Every time of the sample grid has a CSV row or a dropped reason."""
+    samples = manifest["samples"]
+    assert samples["kept"] == len(csv_lines) - 2
+    assert samples["kept"] + sum(samples["dropped"].values()) \
+        == samples["grid_times"]
+
+
 def test_flatness_command(tmp_path):
     out = tmp_path / "run"
     assert run_cli("flatness", *FAST, "--out", str(out)) == 0
     lines = (out / "flatness.csv").read_text().splitlines()
     assert lines[1] == "t,f_solver,f_approx,rel_err"
     assert len(lines) > 10
+    manifest = figure_manifest(out)
+    assert_sample_counts(manifest, lines)
+    # close to t_c the two flatness routes part; those times are counted
+    # under that reason rather than vanishing
+    assert set(manifest["samples"]["dropped"]) == {"flatness routes disagree"}
 
 
 def test_errors_command(tmp_path):
     out = tmp_path / "run"
     assert run_cli("errors", *FAST, "--out", str(out)) == 0
-    assert (out / "error_curves.csv").exists()
+    lines = (out / "error_curves.csv").read_text().splitlines()
+    assert_sample_counts(figure_manifest(out), lines)
 
 
 def test_profile_command(tmp_path):
@@ -169,6 +194,7 @@ def test_profile_command(tmp_path):
     for name in ("blowup_profile.csv", "blowup_profile_smallx.csv",
                  "coefficients_at_tc.csv"):
         assert (out / name).exists()
+    figure_manifest(out)
 
 
 def test_singularity_command(tmp_path):
@@ -176,9 +202,7 @@ def test_singularity_command(tmp_path):
     assert run_cli("singularity", *FAST, "--out", str(out)) == 0
     lines = (out / "singularity_track.csv").read_text().splitlines()
     assert lines[1].startswith("t,y_fit,y_root,fit_residual")
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert {"solve", "postprocess", "write", "total"} <= set(
-        manifest["timings_sec"])
+    manifest = figure_manifest(out)
     counts = manifest["tracker"]
     usable = [int(line.split(",")[5]) for line in lines[2:]]
     assert counts["snapshots"] == len(usable)
@@ -308,6 +332,21 @@ def test_snapshots_empty_times_refused_before_solving(tmp_path, monkeypatch,
     assert "times" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "a" / "manifest.json").exists()
+
+
+def test_continue_refuses_unknown_method_before_solving(tmp_path,
+                                                        monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the method was checked")
+
+    for module in (cli, experiments, pde):
+        monkeypatch.setattr(module, "solve_to_blowup", no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"method": "teleport"}))
+    assert run_cli("continue", *FAST, "--config", str(cfg_path), "--out",
+                   str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "teleport" in err and "solved before" not in err
 
 
 def test_snapshots_command(tmp_path):

@@ -7,7 +7,7 @@ from blowup_lab import experiments
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import ModelParams, solve_to_blowup
 
-FAST = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=1e-4)
+FAST = IntegratorConfig(rtol=1e-10, atol=1e-10)
 
 
 def small_params():
@@ -16,22 +16,12 @@ def small_params():
 
 def test_run_table1_single_cell():
     rows = experiments.run_table1(alphas=[0.25], epsilons=[0.1], n_modes=32,
-                                  rtol=1e-10, atol=1e-10, jobs=1)
+                                  rtol=1e-10, atol=1e-10)
     assert len(rows) == 1
     r = rows[0]
     assert r.error is None
     assert r.t_c == pytest.approx(0.161963, abs=1e-5)
     assert r.d_t_hat == pytest.approx(1.0e-2, rel=0.3)
-
-
-def test_run_table1_worker_pool_matches_serial():
-    kw = dict(alphas=[0.25], epsilons=[0.1, 0.05], n_modes=32,
-              rtol=1e-10, atol=1e-10)
-    serial = experiments.run_table1(jobs=1, **kw)
-    pooled = experiments.run_table1(jobs=2, **kw)
-    for a, b in zip(serial, pooled):
-        assert a.t_c == b.t_c
-        assert a.d_two_mode == b.d_two_mode
 
 
 def test_run_table1_reports_per_cell_failures():
@@ -40,8 +30,16 @@ def test_run_table1_reports_per_cell_failures():
     assert np.isnan(rows[0].t_c)
 
 
-def test_error_curves_behaviour():
-    data = experiments.run_error_curves(small_params())
+@pytest.fixture(scope="module")
+def small_solve():
+    params = small_params()
+    traj, rep = solve_to_blowup(params)
+    return params, traj, rep
+
+
+def test_error_curves_behaviour(small_solve):
+    params, traj, rep = small_solve
+    data = experiments.error_curves_from_solution(traj, rep.t_c, params)
     assert data.times.size > 10
     # v(0, t_c) = 0, so the relative errors stop before t_c
     assert np.all(data.times < data.t_c)
@@ -49,11 +47,13 @@ def test_error_curves_behaviour():
     # the perturbation approximation is excellent at early times
     early = data.times < 0.2 * data.t_c
     assert np.max(data.err_perturbation[early & (data.times > 0)]) < 5e-2
+    # every grid time has a row or is counted under a reason
+    assert data.times.size + sum(data.dropped.values()) \
+        == experiments.sample_times(rep.t_c).size
 
 
-def test_singularity_overlays_shapes():
-    params = small_params()
-    traj, rep = solve_to_blowup(params)
+def test_singularity_overlays_shapes(small_solve):
+    params, traj, rep = small_solve
     data = experiments.singularity_from_solution(traj, rep.t_c, params)
     tr = data.track
     assert set(data.overlays) == set(

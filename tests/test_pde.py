@@ -13,6 +13,7 @@ from blowup_lab.pde import (ModelParams, blowup_event, continue_past_blowup,
 from blowup_lab.spectral import (DIVISION_FLOOR, FourierField, analyze,
                                  GridValues, grid_points, padded_size,
                                  synthesize)
+from paper_oracle import u_initial_coeff
 from spectral_oracle import v_rhs
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=1e-4)
@@ -34,20 +35,14 @@ def test_model_params_validation():
 
 def test_initial_field_coefficients():
     f = initial_field(small_params())
-    assert f.coeff(0) == pytest.approx(0.25)
-    assert f.coeff(1) == pytest.approx(-0.05)
-    assert f.coeff(-1) == pytest.approx(-0.05)
-    assert abs(f.coeff(2)) == 0.0
+    n = f.n_modes
+    assert f.coeffs[n] == pytest.approx(0.25)
+    assert f.coeffs[n + 1] == pytest.approx(-0.05)
+    assert f.coeffs[n - 1] == pytest.approx(-0.05)
+    assert abs(f.coeffs[n + 2]) == 0.0
     # real and even: v(x, 0) is a real cosine series
     assert np.all(f.coeffs.imag == 0.0)
     assert np.array_equal(f.coeffs, f.coeffs[::-1])
-
-
-def test_initial_field_with_custom_profile():
-    p = small_params()
-    f = initial_field(p, profile=lambda x: -np.cos(2 * x))
-    assert f.coeff(2) == pytest.approx(-0.05)
-    assert abs(f.coeff(1)) < 1e-14
 
 
 def test_v_rhs_matches_pointwise_oracle():
@@ -225,9 +220,8 @@ def test_u_from_v_is_pointwise_reciprocal():
     v_vals = synthesize(f, padded_size(f.n_modes))
     assert np.max(np.abs(u_vals.values * v_vals.values - 1.0)) < 1e-13
     # reconstruction matches the closed-form reciprocal coefficients
-    from blowup_lab.asymptotics import u_initial_coeff
     for k in (0, 1, 5):
-        assert u_field.coeff(k).real == pytest.approx(
+        assert u_field.coeffs[u_field.n_modes + k].real == pytest.approx(
             u_initial_coeff(k, 0.25, 0.1), rel=1e-10)
 
 
@@ -256,14 +250,14 @@ def test_seed_imaginary_noise_properties():
 def test_continue_past_blowup_requires_t_end_beyond_tc():
     p = small_params()
     with pytest.raises(ValueError):
-        continue_past_blowup(p, t_end=0.05, t_c=0.16)
+        continue_past_blowup(p, 0.05, 0.16)
 
 
 def test_continuation_turns_complex_and_is_seed_deterministic():
     p = small_params()
     _, rep = solve_to_blowup(p, with_estimates=False)
-    r1 = continue_past_blowup(p, 1.5 * rep.t_c, rng_seed=3, t_c=rep.t_c)
-    r2 = continue_past_blowup(p, 1.5 * rep.t_c, rng_seed=3, t_c=rep.t_c)
+    r1 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, rng_seed=3)
+    r2 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, rng_seed=3)
     s1 = r1.trajectory.state_at(1.4 * rep.t_c)
     s2 = r2.trajectory.state_at(1.4 * rep.t_c)
     assert np.max(np.abs(s1 - s2)) == 0.0

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import asymptotics
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import ModelParams, initial_field, solve_to_blowup, u_from_v
-from blowup_lab.spectral import EvaluationOverflow, FourierField
+from blowup_lab.spectral import FourierField
 from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
-                                _denoised, _fit_drop_reason, axis_value,
-                                build_track,
-                                fit_strip_width,
-                                impingement_regression, impingement_slope,
-                                root_on_axis, strip_width_estimate,
-                                SingularityTrack)
+                                _denoised, _fit_drop_reason, build_track,
+                                fit_strip_width, root_on_axis,
+                                strip_width_estimate, SingularityTrack)
+from paper_oracle import (impingement_regression, impingement_slope,
+                          u_initial_coeff)
 
 
 def pole_model_field(n, y, c0=1.0, p=1.0):
@@ -34,7 +32,7 @@ def pole_model_field(n, y, c0=1.0, p=1.0):
 
 def test_fit_recovers_synthetic_pole_decay():
     f = pole_model_field(64, 0.7, c0=3.0)
-    y, c0, res = fit_strip_width(f)
+    y, c0, res = fit_strip_width(f, k_range=(8, 40))
     assert y == pytest.approx(0.7, abs=1e-10)
     assert c0 == pytest.approx(3.0, rel=1e-8)
     assert res < 1e-10
@@ -50,15 +48,15 @@ def test_fit_recovery_property(y_true, c0):
 
 
 def test_fit_explicit_range_honoured_below_roundoff_floor():
-    # exact reciprocal-field coefficients decay below the relative
-    # roundoff floor well inside k <= 40, yet carry no FFT noise; an
-    # explicit window must use them as given
+    # exact reciprocal-field coefficients, times |k| to give them the
+    # fit's k^1 prefactor, decay below the relative roundoff floor well
+    # inside k <= 40, yet carry no FFT noise; the window is used as given
     alpha, eps, n = 1.0, 0.1, 64
     c = np.zeros(2 * n + 1, dtype=complex)
     for k in range(-n, n + 1):
-        c[n + k] = asymptotics.u_initial_coeff(k, alpha, eps)
+        c[n + k] = abs(k) * u_initial_coeff(k, alpha, eps)
     f = FourierField(n, c)
-    y, _, res = fit_strip_width(f, k_range=(10, 40), pole_exponent=0.0)
+    y, _, res = fit_strip_width(f, k_range=(10, 40))
     assert y == pytest.approx(math.acosh(alpha / eps), rel=1e-12)
     assert res < 1e-10
 
@@ -117,12 +115,9 @@ def test_axis_value_and_root_on_exact_initial_data():
     p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32)
     f = initial_field(p)
     y_ref = math.acosh(0.25 / 0.1)
-    assert axis_value(f, 1.0) == pytest.approx(0.25 - 0.1 * math.cosh(1.0))
+    re_v, _ = _axis_real(f.coeffs, f.n_modes)
+    assert re_v(1.0) == pytest.approx(0.25 - 0.1 * math.cosh(1.0))
     assert root_on_axis(f) == pytest.approx(y_ref, abs=1e-9)
-    assert root_on_axis(f, y_bracket=(1.0, 2.0)) == pytest.approx(
-        y_ref, abs=1e-9)
-    with pytest.raises(TrackingError):
-        root_on_axis(f, y_bracket=(0.1, 0.5))   # no sign change inside
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,14 +166,11 @@ def test_root_on_axis_overflow_before_sign_change_raises():
     f = symmetric_field(64, {0: 1.0, 40: 0.5})
     with pytest.raises(TrackingError, match="no sign change"):
         root_on_axis(f)
-    # a bracket reaching past the overflow is refused, not bisected on NaN
-    with pytest.raises(TrackingError, match="overflows"):
-        root_on_axis(f, y_bracket=(1.0, 30.0))
-    # past _EXP_LIMIT = 700 the value is refused even where e^{40 y}
-    # would still be finite in double precision (40 * 17.6 = 704 < 709)
-    for y in (17.6, 30.0):
-        with pytest.raises(EvaluationOverflow):
-            axis_value(f, y)
+    # past _EXP_LIMIT = 700 the value is NaN even where e^{40 y} would
+    # still be finite in double precision (40 * 17.6 = 704 < 709)
+    re_v, y_cap = _axis_real(f.coeffs, f.n_modes)
+    assert y_cap == pytest.approx(17.5 - math.log(0.5) / 40.0)
+    assert np.all(np.isnan(re_v(np.array([17.6, 30.0]))))
 
 
 def test_root_on_axis_no_root():
@@ -237,17 +229,13 @@ def test_fit_drop_reasons():
 
 def test_build_track_on_small_solve(small_solve):
     p, traj = small_solve
-    track = build_track(traj, p.n_modes, traj.times[::4], method="root")
+    track = build_track(traj, p.n_modes, traj.times[::4])
     assert track.times[0] == 0.0
     y0 = track.y_root[0]
     assert y0 == pytest.approx(math.acosh(2.5), rel=1e-3)
     # the root track decreases towards impingement near t_c
     finite = np.isfinite(track.y_root)
     assert track.y_root[finite][-1] < y0
-    # fit arrays untouched in root-only mode
-    assert np.all(np.isnan(track.y_fit))
-    with pytest.raises(ValueError):
-        build_track(traj, p.n_modes, traj.times, method="magic")
     # every snapshot without a root is counted under its reason
     missing = int(np.count_nonzero(~finite))
     assert sum(track.no_root.values()) == missing
@@ -259,10 +247,10 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
     # 0, not the root the roundoff puts at y ~ 1e-7 nor the next sign
     # change further up the axis (y ~ 0.2067)
     p, traj = small_solve
-    track = build_track(traj, p.n_modes, traj.times, method="root")
+    track = build_track(traj, p.n_modes, traj.times)
     assert track.y_root[-1] == 0.0
     # 4.3e-5 before t_c the root is still the first sign change up the axis
-    near = build_track(traj, p.n_modes, [0.161917625418158], method="root")
+    near = build_track(traj, p.n_modes, [0.161917625418158])
     assert near.y_root[0] == pytest.approx(0.0578, abs=1e-4)
     # every earlier row starts positive at y = 0, so its root is still the
     # first sign change of the scan
@@ -273,7 +261,7 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
 
 def test_build_track_counts_every_dropped_fit(small_solve):
     p, traj = small_solve
-    track = build_track(traj, p.n_modes, traj.times[::2], method="both")
+    track = build_track(traj, p.n_modes, traj.times[::2])
     usable = int(np.count_nonzero(track.usable_fit()))
     assert 0 < usable < track.times.size
     assert sum(track.no_fit.values()) == track.times.size - usable
@@ -286,8 +274,6 @@ def test_build_track_counts_every_dropped_fit(small_solve):
             "unresolvable: exp(-N y) < 1e-14",
             "under-resolved: y < 2 grid spacings (pi / N)"} <= set(
                 track.no_fit)
-    assert build_track(traj, p.n_modes, traj.times,
-                       method="root").no_fit == {}
 
 
 def test_track_roots_against_direct_complex_sum(small_solve):
@@ -299,7 +285,7 @@ def test_track_roots_against_direct_complex_sum(small_solve):
     # every stored state, t_c included, plus a uniform grid before t_c
     times = np.union1d(traj.times,
                        np.linspace(0.0, traj.times[-1], 55, endpoint=False))
-    track = build_track(traj, n, times, method="root")
+    track = build_track(traj, n, times)
     usable = np.flatnonzero(track.usable_root())
     assert usable.size > 30
     for i in usable:
@@ -328,11 +314,14 @@ def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
     p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=64)
     f = initial_field(p)
     _, u_field = u_from_v(f)
+    # exact reciprocal coefficients decay as rho^{-k} with no k-prefactor:
+    # times |k| they take the fit's k^1 one
+    k = np.abs(u_field.wavenumbers)
+    u_k = FourierField(u_field.n_modes, k * u_field.coeffs)
     # the reconstructed coefficients fall below the FFT noise floor past
     # k ~ 21, so the fit window stays inside the clean band
-    y_fit, _, _ = fit_strip_width(u_field, k_range=(8, 18), pole_exponent=0.0)
+    y_fit, _, _ = fit_strip_width(u_k, k_range=(8, 18))
     y_root = root_on_axis(f)
-    # exact reciprocal coefficients decay as rho^{-k} with no k-prefactor
     assert y_fit == pytest.approx(y_root, rel=1e-6)
 
 
@@ -344,7 +333,7 @@ def test_early_roots_sit_at_the_initial_singularity(solve_fine):
     y_ref = math.acosh(params.alpha / params.epsilon)
     times = sorted([t for t in traj.times if t <= 0.01]
                    + list(np.linspace(0.0, 0.01, 41)))
-    track = build_track(traj, params.n_modes, times, method="root")
+    track = build_track(traj, params.n_modes, times)
     usable = track.usable_root()
     assert np.count_nonzero(usable) >= 40
     assert np.all(np.abs(track.y_root[usable] - y_ref) <= 0.01 * y_ref)
