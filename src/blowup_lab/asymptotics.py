@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+
+# absolute and relative tolerance of the quadratures for C2 and C3
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -20,10 +22,9 @@ class AsymptoticConstants:
     C1: float
     C2: float
     C3: float
-    quadrature_error_bound: float
 
 
-def constants(alpha: float, quad_tol: float = 1e-12) -> AsymptoticConstants:
+def constants(alpha: float) -> AsymptoticConstants:
     """Quadrature constants of the second-order blow-up time estimate.
 
     C1 = e^{-2a} log a is closed form; C2 and C3 are integrals with a
@@ -41,15 +42,14 @@ def constants(alpha: float, quad_tol: float = 1e-12) -> AsymptoticConstants:
     def f3(s):
         return -2.0 if s == 0.0 else np.expm1(-2.0 * s) / s
 
-    i2, e2 = quad(f2, 0.0, alpha, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    i3, e3 = quad(f3, 0.0, alpha, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+    i2, e2 = quad(f2, 0.0, alpha, epsabs=_TOL, epsrel=_TOL, limit=200)
+    i3, e3 = quad(f3, 0.0, alpha, epsabs=_TOL, epsrel=_TOL, limit=200)
     c2 = math.exp(-2.0 * alpha) * i2
     c3 = math.exp(-2.0 * alpha) * i3
     err = math.exp(-2.0 * alpha) * (e2 + e3)
-    if err > 10.0 * quad_tol:
+    if err > 10.0 * _TOL:
         raise RuntimeError(f"quadrature did not converge: error {err:.3e}")
-    return AsymptoticConstants(C1=c1, C2=c2, C3=c3,
-                               quadrature_error_bound=err)
+    return AsymptoticConstants(C1=c1, C2=c2, C3=c3)
 
 
 def perturbation_v(x, t, alpha: float, epsilon: float):
@@ -62,9 +62,9 @@ def t_hat(alpha: float, epsilon: float) -> float:
     return alpha - epsilon * math.exp(-alpha)
 
 
-def t_tilde(alpha: float, epsilon: float, quad_tol: float = 1e-12) -> float:
+def t_tilde(alpha: float, epsilon: float) -> float:
     """Second-order estimate alpha - eps*e^{-alpha} - (2C1+C2+C3)*eps^2."""
-    c = constants(alpha, quad_tol)
+    c = constants(alpha)
     return t_hat(alpha, epsilon) - (2.0 * c.C1 + c.C2 + c.C3) * epsilon ** 2
 
 
@@ -133,7 +133,7 @@ SINGULARITY_REGIMES = ("naive", "early", "late_first_scale",
 
 
 def singularity_y(regime: str, value, alpha: float, epsilon: float,
-                  t_c: Optional[float] = None):
+                  t_c: float):
     """Imaginary-axis singularity position y in the named regime.
 
     `value` is t for regimes {naive, early, late_first_scale,
@@ -168,8 +168,6 @@ def singularity_y(regime: str, value, alpha: float, epsilon: float,
         out = np.sqrt(2.0 * math.exp(alpha) * mt) \
             * np.sqrt(1.0 - 4.0 * epsilon * math.exp(-alpha) * np.log(mt))
     elif regime == "impingement":
-        if t_c is None:
-            raise ValueError("impingement regime needs t_c")
         d = t_c - v
         if np.any(d <= 0.0) or np.any(d >= 1.0):
             raise ValueError("requires 0 < t_c - t < 1")

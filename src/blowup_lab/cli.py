@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, experiments
 from .integrator import IntegratorConfig
 from .io_utils import RunManifest, verify_manifest, write_csv
-from .pde import ModelParams, solve_to_blowup
+from .pde import ModelParams, blowup_estimates, solve_to_blowup
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,6 +166,7 @@ def _cmd_table1(args, cfg, manifest) -> int:
 def _cmd_solve(args, cfg, manifest) -> int:
     params = _params(cfg)
     traj, rep = solve_to_blowup(params)
+    est, two_mode = blowup_estimates(params)
     summary_path = os.path.join(args.out, "solution_summary.csv")
     rows = []
     for t, state in zip(traj.times, traj.states):
@@ -181,15 +182,13 @@ def _cmd_solve(args, cfg, manifest) -> int:
                zip(range(-n, n + 1), rep.state_at_tc.coeffs)],
               manifest.csv_header(t=rep.t_c))
     manifest.register("state_at_tc", snap_path)
-    manifest.extra["blowup_report"] = {
-        "t_c": rep.t_c, "t_hat": rep.t_hat, "t_tilde": rep.t_tilde,
-        "t_c_prime": rep.t_c_prime,
-        "deltas": rep.deltas,
-    }
-    manifest.extra["integrator"] = _integrator_block(rep.integrations)
-    print(f"t_c = {rep.t_c:.6f}  (t_hat - t_c = {rep.t_hat - rep.t_c:.2e}, "
-          f"t_tilde - t_c = {rep.t_tilde - rep.t_c:.2e}, "
-          f"t_c' - t_c = {rep.t_c_prime - rep.t_c:.2e})")
+    deltas = {f"{name} - t_c": t - rep.t_c for name, t in est.items()}
+    manifest.extra["blowup_report"] = {"t_c": rep.t_c, **est, "deltas": deltas}
+    manifest.extra["integrator"] = _integrator_block(
+        {**rep.integrations, **two_mode})
+    print(f"t_c = {rep.t_c:.6f}  (t_hat - t_c = {deltas['t_hat - t_c']:.2e}, "
+          f"t_tilde - t_c = {deltas['t_tilde - t_c']:.2e}, "
+          f"t_c' - t_c = {deltas['t_c_prime - t_c']:.2e})")
     return 0
 
 
@@ -269,6 +268,10 @@ def _cmd_singularity(args, cfg, manifest) -> int:
     manifest.register("singularity_track", path)
     phases.lap("write")
     n_ok = int(np.sum(tr.usable_root()))
+    manifest.extra["overlays"] = {
+        regime: {"kept": int(np.sum(np.isfinite(data.overlays[regime]))),
+                 "dropped": reasons}
+        for regime, reasons in data.dropped.items()}
     manifest.extra["tracker"] = {
         "snapshots": int(tr.times.size),
         "usable_root": n_ok,

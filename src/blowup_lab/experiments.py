@@ -16,9 +16,9 @@ import numpy as np
 
 from . import asymptotics, tracker
 from .integrator import IntegratorConfig, Trajectory
-from .pde import (ContinuationResult, ModelParams, continue_complex_path,
-                  continue_past_blowup, field_from_state, flatness,
-                  solve_to_blowup, u_from_v)
+from .pde import (ContinuationResult, ModelParams, blowup_estimates,
+                  continue_complex_path, continue_past_blowup,
+                  field_from_state, flatness, solve_to_blowup, u_from_v)
 from .spectral import (DivisorTooSmall, FourierField, padded_size, series_at,
                        synthesize)
 
@@ -62,21 +62,20 @@ def _table1_cell(alpha: float, epsilon: float, n_modes: int, rtol: float,
         params = ModelParams(alpha=alpha, epsilon=epsilon, n_modes=n_modes,
                              integrator=IntegratorConfig(rtol=rtol, atol=atol))
         _, rep = solve_to_blowup(params)
+        est, _ = blowup_estimates(params)
         return Table1Row(alpha, epsilon, rep.t_c,
-                         rep.t_c_prime - rep.t_c,
-                         rep.t_hat - rep.t_c,
-                         rep.t_tilde - rep.t_c)
+                         est["t_c_prime"] - rep.t_c,
+                         est["t_hat"] - rep.t_c,
+                         est["t_tilde"] - rep.t_c)
     except Exception as exc:  # per-cell failures reported per-row
         return Table1Row(alpha, epsilon, math.nan, math.nan, math.nan,
                          math.nan, error=str(exc))
 
 
-def run_table1(alphas: Sequence[float] = TABLE1_ALPHAS,
-               epsilons: Sequence[float] = TABLE1_EPSILONS,
-               n_modes: int = 128, rtol: float = 1e-12,
+def run_table1(n_modes: int = 128, rtol: float = 1e-12,
                atol: float = 1e-12) -> list[Table1Row]:
     return [_table1_cell(a, e, n_modes, rtol, atol)
-            for a in alphas for e in epsilons]
+            for a in TABLE1_ALPHAS for e in TABLE1_EPSILONS]
 
 
 @dataclass
@@ -168,6 +167,7 @@ class SingularityData:
     track: tracker.SingularityTrack
     t_c: float
     overlays: dict
+    dropped: dict                   # regime -> reason -> times without a value
 
 
 def singularity_from_solution(traj: Trajectory, t_c: float,
@@ -177,25 +177,19 @@ def singularity_from_solution(traj: Trajectory, t_c: float,
     track = tracker.build_track(traj, params.n_modes, sample_times(t_c))
     t = track.times
     a, e = params.alpha, params.epsilon
-    overlays = {}
-
-    def safe(regime, values):
-        out = np.full(t.shape, np.nan)
+    big_t = (t - t_c) / e
+    overlays, dropped = {}, {}
+    for regime in asymptotics.SINGULARITY_REGIMES:
+        values = big_t if regime in ("second_scale", "third_scale") else t
+        out, reasons = np.full(t.shape, np.nan), Counter()
         for i, v in enumerate(values):
             try:
-                out[i] = asymptotics.singularity_y(regime, v, a, e, t_c=t_c)
-            except ValueError:
-                pass
-        return out
-
-    overlays["naive"] = safe("naive", t)
-    overlays["early"] = safe("early", t)
-    overlays["late_first_scale"] = safe("late_first_scale", t)
-    big_t = (t - t_c) / e
-    overlays["second_scale"] = safe("second_scale", big_t)
-    overlays["third_scale"] = safe("third_scale", big_t)
-    overlays["impingement"] = safe("impingement", t)
-    return SingularityData(track, t_c, overlays)
+                out[i] = asymptotics.singularity_y(regime, v, a, e, t_c)
+            except ValueError as exc:
+                # the message's numbers vary; its lead names the reason
+                reasons[str(exc).split(":")[0]] += 1
+        overlays[regime], dropped[regime] = out, dict(reasons)
+    return SingularityData(track, t_c, overlays, dropped)
 
 
 FIG6_FACTORS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0)
@@ -219,7 +213,7 @@ def run_continuation(params: ModelParams, t_end: Optional[float] = None,
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
-    _, rep = solve_to_blowup(params, with_estimates=False)
+    _, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if t_end is None:
         t_end = 3.0 * t_c
@@ -326,7 +320,7 @@ def run_fourier_snapshots(params: ModelParams,
     if times is not None and not len(times):
         raise ValueError("snapshots: times is empty; give at least one "
                          "time or omit it for the defaults")
-    _, rep = solve_to_blowup(params, with_estimates=False)
+    _, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if times is None:
         times = [0.9 * t_c, t_c, 1.1 * t_c]

@@ -49,20 +49,17 @@ class IntegrationError(Exception):
 
 
 class StiffnessOrSingularity(IntegrationError):
-    """Step size underflow; carries the last accepted time and state."""
+    """Step size underflow; carries the last accepted time and the
+    trajectory up to it."""
 
-    def __init__(self, t, y, message="step size underflow"):
-        self.t = t
-        self.y = np.array(y)
-        self.trajectory = None  # filled by integrate() with the partial path
+    def __init__(self, t, trajectory, message="step size underflow"):
+        self.t, self.trajectory = t, trajectory
         super().__init__(f"{message} at t = {t}")
 
 
 class MaxStepsExceeded(IntegrationError):
-    def __init__(self, t, y):
-        self.t = t
-        self.y = np.array(y)
-        self.trajectory = None  # filled by integrate() with the partial path
+    def __init__(self, t, trajectory):
+        self.t, self.trajectory = t, trajectory
         super().__init__(f"max_steps exceeded at t = {t}")
 
 
@@ -93,7 +90,6 @@ class EventSpec:
 class EventHit:
     t: float
     state: np.ndarray
-    event_index: int
 
 
 @dataclass
@@ -284,9 +280,9 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
     stats = traj.stats
 
     # degenerate: observable already at a root at t0
-    for idx, ev in enumerate(events):
+    for ev in events:
         if abs(ev.observable(y)) <= ev.root_tol:
-            return traj, EventHit(t0, y, idx)
+            return traj, EventHit(t0, y)
 
     def counted(f):
         def counted_f(yy, tt):
@@ -341,14 +337,13 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
                                                       lin, clock)
                 if ok:
                     err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
-                    hit = EventHit(t_star, y_new, fired[0])
+                    hit = EventHit(t_star, y_new)
         if not ok:
             stats.rejected_nonfinite += 1
             h *= 0.5
             if h < cfg.h_min:
-                exc = StiffnessOrSingularity(t, y, "rhs non-finite, step underflow")
-                exc.trajectory = traj
-                raise exc
+                raise StiffnessOrSingularity(
+                    t, traj, "rhs non-finite, step underflow")
             continue
         if err <= 1.0:
             stats.accepted += 1
@@ -371,12 +366,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
             fac = safety * err ** -0.2
             h *= min(1.0, max(min_fac, fac))
         if h < cfg.h_min:
-            exc = StiffnessOrSingularity(t, y)
-            exc.trajectory = traj
-            raise exc
-    exc = MaxStepsExceeded(t, y)
-    exc.trajectory = traj
-    raise exc
+            raise StiffnessOrSingularity(t, traj)
+    raise MaxStepsExceeded(t, traj)
 
 
 @dataclass(frozen=True)
@@ -392,20 +383,15 @@ def line_segment(t_start: complex, t_end: complex) -> PathSegment:
                        lambda s: t_end - t_start)
 
 
-def semicircle(center: complex, radius: float, upper: bool = True) -> PathSegment:
-    """Half circle from center - radius to center + radius.
-
-    upper=True detours through Im t > 0.
-    """
-    sgn = 1.0 if upper else -1.0
+def semicircle(center: complex, radius: float) -> PathSegment:
+    """Half circle from center - radius to center + radius through
+    Im t > 0."""
 
     def t_of_s(s):
-        ang = np.pi * (1.0 - s)
-        return center + radius * np.exp(sgn * 1j * ang)
+        return center + radius * np.exp(1j * (np.pi * (1.0 - s)))
 
     def dt_ds(s):
-        ang = np.pi * (1.0 - s)
-        return -sgn * 1j * np.pi * radius * np.exp(sgn * 1j * ang)
+        return -1j * np.pi * radius * np.exp(1j * (np.pi * (1.0 - s)))
 
     return PathSegment(t_of_s, dt_ds)
 

@@ -45,19 +45,8 @@ class ModelParams:
 class BlowupReport:
     t_c: float
     state_at_tc: FourierField
-    t_hat: float
-    t_tilde: float
-    t_c_prime: float
     # what each integration behind the report did, by name
     integrations: dict = field(default_factory=dict)
-
-    @property
-    def deltas(self) -> dict:
-        return {
-            "t_c_prime - t_c": self.t_c_prime - self.t_c,
-            "t_hat - t_c": self.t_hat - self.t_c,
-            "t_tilde - t_c": self.t_tilde - self.t_c,
-        }
 
 
 @dataclass
@@ -150,8 +139,7 @@ def blowup_event() -> EventSpec:
                      direction="decreasing", root_tol=_EVENT_ROOT_TOL)
 
 
-def solve_to_blowup(params: ModelParams,
-                    with_estimates: bool = True) -> tuple[Trajectory, BlowupReport]:
+def solve_to_blowup(params: ModelParams) -> tuple[Trajectory, BlowupReport]:
     """Integrate until v(0,t) = 0 and assemble the blow-up report."""
     rhs = make_rhs(params)
     y0 = initial_field(params).coeffs
@@ -164,26 +152,25 @@ def solve_to_blowup(params: ModelParams,
                           lin=diffusion(params.n_modes),
                           dense_rhs=make_rhs(params, guard_floor=None))
     if hit is None:
-        raise StiffnessOrSingularity(traj.times[-1], traj.states[-1],
+        raise StiffnessOrSingularity(traj.times[-1], traj,
                                      "no blow-up event located")
     state = field_from_state(hit.state, params.n_modes)
-    integrations = {"solve": traj.stats}
-    if with_estimates:
-        t_hat = asymptotics.t_hat(params.alpha, params.epsilon)
-        t_tilde = asymptotics.t_tilde(params.alpha, params.epsilon)
-        if params.epsilon > 0.0:
-            two_mode = reduced.solve_two_mode(
-                "fourier", params.alpha, params.epsilon, cfg=params.integrator)
-            integrations["two_mode"] = two_mode.trajectory.stats
-            t_c_prime = two_mode.t_c_prime
-        else:
-            t_c_prime = params.alpha
-    else:
-        t_hat = t_tilde = t_c_prime = float("nan")
-    report = BlowupReport(t_c=hit.t, state_at_tc=state, t_hat=t_hat,
-                          t_tilde=t_tilde, t_c_prime=t_c_prime,
-                          integrations=integrations)
-    return traj, report
+    return traj, BlowupReport(t_c=hit.t, state_at_tc=state,
+                              integrations={"solve": traj.stats})
+
+
+def blowup_estimates(params: ModelParams) -> tuple[dict, dict]:
+    """The paper's estimates of t_c by name (t_c', t_hat, t_tilde) and the
+    integrations behind them: t_c' is the two-mode blow-up time, or alpha
+    when epsilon = 0, where v = alpha - t exactly."""
+    alpha, eps = params.alpha, params.epsilon
+    t_c_prime, integrations = alpha, {}
+    if eps > 0.0:
+        two_mode, t_c_prime = reduced.solve_two_mode(alpha, eps,
+                                                     params.integrator)
+        integrations = {"two_mode": two_mode.stats}
+    return {"t_c_prime": t_c_prime, "t_hat": asymptotics.t_hat(alpha, eps),
+            "t_tilde": asymptotics.t_tilde(alpha, eps)}, integrations
 
 
 def u_from_v(fld: FourierField) -> tuple[GridValues, FourierField]:
@@ -213,24 +200,17 @@ def flatness(fld: FourierField) -> float:
     return f_point
 
 
-def seed_imaginary_noise(fld: FourierField, amplitude: float = 1e-16,
-                         rng_seed: int = 0, negate: bool = False) -> FourierField:
+def seed_imaginary_noise(fld: FourierField, rng_seed: int) -> FourierField:
     """Add a real-x-valued imaginary perturbation i*eta(x), eta even.
 
-    Coefficients of the perturbation are i*u_k with u_k ~ U(-amp, amp)
-    iid for k = 0..N and u_{-k} = u_k, which preserves the Hermitian
-    pairing of a purely imaginary-valued function.  Deterministic for a
-    fixed rng_seed.
+    Coefficients of the perturbation are i*u_k with u_k ~ U(-amp, amp),
+    amp = _NOISE_AMPLITUDE, iid for k = 0..N and u_{-k} = u_k, which
+    preserves the Hermitian pairing of a purely imaginary-valued
+    function.  Deterministic for a fixed rng_seed.
     """
-    if amplitude == 0.0:
-        return fld
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be >= 0")
     n = fld.n_modes
     rng = np.random.default_rng(rng_seed)
-    u = rng.uniform(-amplitude, amplitude, size=n + 1)
-    if negate:
-        u = -u
+    u = rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE, size=n + 1)
     pert = np.concatenate([u[:0:-1], u])  # u_N..u_1, u_0, u_1..u_N
     return FourierField(n, fld.coeffs + 1j * pert)
 
@@ -242,8 +222,7 @@ def _branch_sign(traj: Trajectory, t_probe: float) -> int:
 
 
 def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
-                         rng_seed: int = 0,
-                         negate: bool = False) -> ContinuationResult:
+                         rng_seed: int = 0) -> ContinuationResult:
     """Noise-seeded integration from t = 0 through t_c to t_end.
 
     The event is disarmed and the division guard is off; the roundoff
@@ -252,8 +231,7 @@ def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
     """
     if t_end <= t_c:
         raise ValueError("t_end must exceed t_c")
-    y0 = seed_imaginary_noise(initial_field(params), _NOISE_AMPLITUDE,
-                              rng_seed, negate).coeffs
+    y0 = seed_imaginary_noise(initial_field(params), rng_seed).coeffs
     rhs = make_rhs(params, guard_floor=None)
     traj, _ = integrate(rhs, y0, 0.0, t_end, params.integrator,
                         lin=diffusion(params.n_modes))

@@ -30,5 +30,5 @@ def solve_small():
     """Reference solve at alpha=0.25, epsilon=0.1 (the continuation
     parameter point)."""
     params = ModelParams(alpha=0.25, epsilon=0.1)
-    traj, rep = solve_to_blowup(params, with_estimates=False)
+    traj, rep = solve_to_blowup(params)
     return params, traj, rep

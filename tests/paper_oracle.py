@@ -1,14 +1,17 @@
 """Closed forms and fits from the paper that the tests check the solver
 against: the initial coefficients of u = 1/v, the flatness minimum, the
-impingement regression, and the first integral and near-blow-up forms
-of the two-mode systems.  No command writes these; they serve as
-oracles only.
+impingement regression, the Taylor two-mode system and its first integral,
+the Fourier two-mode run to b = a, and the near-blow-up forms of both.
+No command writes these; they serve as oracles only.
 """
 
 import math
 
 import numpy as np
 
+from blowup_lab import reduced
+from blowup_lab.integrator import (EventSpec, StiffnessOrSingularity,
+                                   Trajectory, integrate)
 from blowup_lab.tracker import TrackingError
 
 
@@ -59,6 +62,43 @@ def impingement_slope(track, t_c, epsilon):
     if np.count_nonzero(mask) < 4:
         raise TrackingError("too few usable samples in the impingement window")
     return impingement_regression(t_c - t[mask], y[mask])
+
+
+def taylor_two_mode_rhs(y, t):
+    """Taylor truncation v ~ a + b x^2: da/dt = 2b - 1, db/dt = -8 b^2/a."""
+    a, b = y[0].real, y[1].real
+    # allow a < 0 so the stepper can straddle the a = 0 event;
+    # only the genuine division singularity is floored
+    if abs(a) < 1e-14:
+        return np.array([np.nan, np.nan], dtype=complex)
+    return np.array([2.0 * b - 1.0, -8.0 * b * b / a], dtype=complex)
+
+
+def solve_taylor_two_mode(alpha, epsilon, cfg):
+    """The Taylor system from (alpha, epsilon) to its blow-up a = 0: the
+    trajectory and the time, pinned by step-size collapse (b' -> -inf)."""
+    y0 = np.array([alpha, epsilon], dtype=complex)
+    event = EventSpec(lambda y: float(y[0].real), direction="decreasing",
+                      root_tol=1e-13)
+    try:
+        traj, hit = integrate(taylor_two_mode_rhs, y0, 0.0, 3.0 * alpha + 1.0,
+                              cfg, events=[event])
+    except StiffnessOrSingularity as exc:
+        return exc.trajectory, float(exc.t)
+    return traj, hit.t
+
+
+def fourier_ansatz_blowup(alpha, epsilon, cfg):
+    """The Fourier two-mode run to the ansatz blow-up b = a (r = 1), read
+    in t with states (a, b), and the crossing time."""
+    y0 = np.array([math.log(alpha), epsilon / alpha, 0.0], dtype=complex)
+    event = EventSpec(lambda y: float(1.0 - y[1].real),
+                      direction="decreasing", root_tol=1e-13)
+    traj, hit = integrate(reduced._field, y0, 0.0, 100.0, cfg,
+                          events=[event])
+    return Trajectory(times=[y[2].real for y in traj.states],
+                      states=[math.exp(y[0].real) * np.array([1.0, y[1].real])
+                              for y in traj.states]), hit.state[2].real
 
 
 def taylor_conserved_quantity(a, b):

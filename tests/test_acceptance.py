@@ -9,15 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import asymptotics, experiments, reduced, tracker
-from blowup_lab.integrator import IntegratorConfig
+from blowup_lab import asymptotics, experiments, tracker
+from blowup_lab.integrator import IntegratorConfig, integrate
 from blowup_lab.pde import (ModelParams, continue_complex_path,
-                            continue_past_blowup, field_from_state,
+                            continue_past_blowup, diffusion, field_from_state,
+                            initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup)
 from blowup_lab.spectral import FourierField, padded_size, synthesize
 from fixed_step import order_check
-from paper_oracle import (impingement_regression, minimal_flatness,
-                          near_blowup_forms, taylor_conserved_quantity)
+from paper_oracle import (fourier_ansatz_blowup, impingement_regression,
+                          minimal_flatness, near_blowup_forms,
+                          solve_taylor_two_mode, taylor_conserved_quantity)
 from spectral_oracle import convolve, v_rhs
 
 # Reference blow-up times and estimate deltas (t_c' - t_c, t_hat - t_c,
@@ -103,8 +105,7 @@ def test_criterion_2_exact_identities():
     checks.append((err_taylor <= 1e-11, f"Taylor remainder {err_taylor:.2e}"))
 
     # eps = 0: v = alpha - t exactly, so t_c = alpha
-    _, rep = solve_to_blowup(ModelParams(alpha=0.25, epsilon=0.0),
-                             with_estimates=False)
+    _, rep = solve_to_blowup(ModelParams(alpha=0.25, epsilon=0.0))
     err_tc = abs(rep.t_c - 0.25)
     checks.append((err_tc <= 1e-12, f"eps=0 t_c error {err_tc:.2e}"))
     _report(2, "exact identities", checks)
@@ -224,7 +225,8 @@ def test_criterion_6_singularity_track(solve_fine):
     # formula is regressed inside that regime
     eps_s = 0.05
     d = np.logspace(-80, -50, 40)
-    y_syn = asymptotics.singularity_y("third_scale", -d / eps_s, 1.0, eps_s)
+    y_syn = asymptotics.singularity_y("third_scale", -d / eps_s, 1.0, eps_s,
+                                      t_c)
     slope = impingement_regression(d, y_syn)
     checks.append((abs(slope - 8.0) <= 1.5, f"regression slope {slope:.2f}"))
     # and the solver's root track matches the second-timescale overlay on
@@ -236,7 +238,8 @@ def test_criterion_6_singularity_track(solve_fine):
                    "too few terminal-window samples"))
     if np.any(mask):
         pred = asymptotics.singularity_y("second_scale",
-                                         (t[mask] - t_c) / eps, alpha, eps)
+                                         (t[mask] - t_c) / eps, alpha, eps,
+                                         t_c)
         relr = np.abs(track.y_root[mask] - pred) / pred
         checks.append((float(np.max(relr)) <= 0.05,
                        f"terminal overlay mismatch {np.max(relr):.3f}"))
@@ -273,11 +276,13 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks.append((1.5 <= ts[i_pk] / t_c <= 3.0,
                    f"peak at {ts[i_pk] / t_c:.2f} t_c"))
 
-    # opposite noise seeds give complex-conjugate states at 2 t_c
-    r2 = continue_past_blowup(params, 2.2 * t_c, t_c, rng_seed=0,
-                              negate=True)
+    # the conjugated seed gives the complex-conjugate state at 2 t_c
+    y0 = np.conj(seed_imaginary_noise(initial_field(params), 0).coeffs)
+    conj, _ = integrate(make_rhs(params, guard_floor=None), y0, 0.0,
+                        2.2 * t_c, params.integrator,
+                        lin=diffusion(params.n_modes))
     dconj = float(np.max(np.abs(r1.trajectory.state_at(2.0 * t_c)
-                                - np.conj(r2.trajectory.state_at(2.0 * t_c)))))
+                                - np.conj(conj.state_at(2.0 * t_c)))))
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
@@ -296,7 +301,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # nearly constant in x and the explicit step is stability-limited)
     p48 = ModelParams(alpha=params.alpha, epsilon=params.epsilon, n_modes=48,
                       integrator=params.integrator)
-    _, rep48 = solve_to_blowup(p48, with_estimates=False)
+    _, rep48 = solve_to_blowup(p48)
     r4 = continue_past_blowup(p48, 20.0, rep48.t_c, rng_seed=0)
     fld = field_from_state(r4.trajectory.state_at(20.0), 48)
     u_vals = 1.0 / synthesize(fld, padded_size(48)).values
@@ -313,9 +318,9 @@ def test_criterion_8_conservation_and_order():
     # and excludes the terminal stretch (a < 1e-6) where the vector
     # field itself is singular
     tight = IntegratorConfig(rtol=1e-14, atol=1e-14)
-    run = reduced.solve_two_mode("taylor", 1.0, 0.01, tight)
+    taylor, t_c_taylor = solve_taylor_two_mode(1.0, 0.01, tight)
     q = []
-    for tt, y in zip(run.trajectory.times, run.trajectory.states):
+    for tt, y in zip(taylor.times, taylor.states):
         a, b = y[0].real, y[1].real
         if a > 1e-6 and b > 0.0:
             q.append((tt, taylor_conserved_quantity(a, b)))
@@ -333,12 +338,12 @@ def test_criterion_8_conservation_and_order():
 
     # near-blow-up matching constants
     eps, alpha = 0.01, 1.0
-    run_f = reduced.solve_two_mode("fourier", alpha, eps, IntegratorConfig())
-    a_c, _ = near_blowup_forms("fourier", run_f.trajectory, run_f.t_event)
+    fourier, t_event = fourier_ansatz_blowup(alpha, eps, IntegratorConfig())
+    a_c, _ = near_blowup_forms("fourier", fourier, t_event)
     ratio_a = a_c / (eps * math.exp(-alpha))
     checks.append((abs(ratio_a - 1.0) <= 0.1,
                    f"a_c/(eps e^-alpha) = {ratio_a:.3f}"))
-    b_c, _ = near_blowup_forms("taylor", run.trajectory, run.t_c_prime)
+    b_c, _ = near_blowup_forms("taylor", taylor, t_c_taylor)
     ratio_b = 8.0 * eps * b_c
     checks.append((abs(ratio_b - 1.0) <= 0.15,
                    f"8 eps b_c = {ratio_b:.3f}"))

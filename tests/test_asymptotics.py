@@ -24,7 +24,6 @@ def test_constants_against_exponential_integrals():
         assert c.C2 == pytest.approx(math.exp(-2 * alpha) * i2, rel=1e-10)
         assert c.C3 == pytest.approx(math.exp(-2 * alpha) * i3, rel=1e-10)
         assert c.C1 == pytest.approx(math.exp(-2 * alpha) * math.log(alpha))
-        assert c.quadrature_error_bound < 1e-10
     with pytest.raises(ValueError):
         asy.constants(-1.0)
 
@@ -84,30 +83,30 @@ def test_coeff_decay_laws():
 
 
 def test_singularity_y_regimes():
-    alpha, eps = 1.0, 0.001
+    alpha, eps, t_c = 1.0, 0.001, 1.0
     # naive regime at t = 0: arccosh(alpha/eps)
-    assert asy.singularity_y("naive", 0.0, alpha, eps) == pytest.approx(
+    assert asy.singularity_y("naive", 0.0, alpha, eps, t_c) == pytest.approx(
         math.acosh(alpha / eps))
     # early regime matches its formula
-    assert asy.singularity_y("early", 0.25, alpha, eps) == pytest.approx(
+    assert asy.singularity_y("early", 0.25, alpha, eps, t_c) == pytest.approx(
         math.log(2 * alpha / eps) + math.sqrt(2 * 0.25 * math.log(4.0)))
     # second scale at T -> 0^- goes to 0
-    assert asy.singularity_y("second_scale", -1e-12, alpha, eps) < 1e-5
+    assert asy.singularity_y("second_scale", -1e-12, alpha, eps, t_c) < 1e-5
     # third scale reduces to sqrt(2 e^alpha (-T)) when the log correction
     # is switched off by eps -> 0
     t_small = -1e-4
-    y3 = asy.singularity_y("third_scale", t_small, alpha, 1e-12)
+    y3 = asy.singularity_y("third_scale", t_small, alpha, 1e-12, t_c)
     assert y3 == pytest.approx(math.sqrt(2 * math.e * 1e-4), rel=1e-6)
     # impingement law
     d = 1e-6
-    assert asy.singularity_y("impingement", 1.0 - d, alpha, eps, t_c=1.0) \
+    assert asy.singularity_y("impingement", t_c - d, alpha, eps, t_c) \
         == pytest.approx(math.sqrt(8 * d * math.log(1 / d)))
     with pytest.raises(ValueError):
-        asy.singularity_y("impingement", 0.5, alpha, eps)      # needs t_c
+        asy.singularity_y("impingement", 0.5, alpha, eps, 0.4)  # t > t_c
     with pytest.raises(ValueError):
-        asy.singularity_y("naive", 10.0, alpha, eps)           # arg < 1
+        asy.singularity_y("naive", 10.0, alpha, eps, t_c)       # arg < 1
     with pytest.raises(ValueError):
-        asy.singularity_y("warp", 0.1, alpha, eps)
+        asy.singularity_y("warp", 0.1, alpha, eps, t_c)
 
 
 def test_flatness_laws():

@@ -149,14 +149,20 @@ def test_table1_exit_codes(tmp_path, monkeypatch):
         assert (out / "table1.csv").exists()
 
 
+@pytest.fixture
+def no_two_mode(monkeypatch):
+    """A command that does not report t_c' fails if it runs two-mode."""
+    monkeypatch.setattr(reduced, "solve_two_mode", None)
+
+
 def figure_manifest(out):
     """The manifest of a command that post-processes one blow-up solve:
     it times the solve, post-process and write phases and records the
-    solve and the two-mode run behind the report."""
+    solve, its one integration."""
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["timings_sec"]) == {"solve", "postprocess", "write",
                                             "total"}
-    assert set(manifest["integrator"]) == {"solve", "two_mode"}
+    assert set(manifest["integrator"]) == {"solve"}
     return manifest
 
 
@@ -168,7 +174,7 @@ def assert_sample_counts(manifest, csv_lines):
         == samples["grid_times"]
 
 
-def test_flatness_command(tmp_path):
+def test_flatness_command(tmp_path, no_two_mode):
     out = tmp_path / "run"
     assert run_cli("flatness", *FAST, "--out", str(out)) == 0
     lines = (out / "flatness.csv").read_text().splitlines()
@@ -181,14 +187,14 @@ def test_flatness_command(tmp_path):
     assert set(manifest["samples"]["dropped"]) == {"flatness routes disagree"}
 
 
-def test_errors_command(tmp_path):
+def test_errors_command(tmp_path, no_two_mode):
     out = tmp_path / "run"
     assert run_cli("errors", *FAST, "--out", str(out)) == 0
     lines = (out / "error_curves.csv").read_text().splitlines()
     assert_sample_counts(figure_manifest(out), lines)
 
 
-def test_profile_command(tmp_path):
+def test_profile_command(tmp_path, no_two_mode):
     out = tmp_path / "run"
     assert run_cli("profile", *FAST, "--out", str(out)) == 0
     for name in ("blowup_profile.csv", "blowup_profile_smallx.csv",
@@ -197,7 +203,7 @@ def test_profile_command(tmp_path):
     figure_manifest(out)
 
 
-def test_singularity_command(tmp_path):
+def test_singularity_command(tmp_path, no_two_mode):
     out = tmp_path / "run"
     assert run_cli("singularity", *FAST, "--out", str(out)) == 0
     lines = (out / "singularity_track.csv").read_text().splitlines()
@@ -209,6 +215,9 @@ def test_singularity_command(tmp_path):
     assert counts["usable_root"] == sum(usable)
     assert counts["usable_root"] + sum(counts["no_root"].values()) \
         == counts["snapshots"]
+    # every grid time has each overlay's value or a reason for none
+    for rec in manifest["overlays"].values():
+        assert rec["kept"] + sum(rec["dropped"].values()) == len(usable)
 
 
 def test_continue_command_with_snapshots(tmp_path):
@@ -252,11 +261,7 @@ def counted_layers(monkeypatch):
         return counted
 
     def counted_integrate(*args, **kwargs):
-        try:
-            traj, hit = integrate(*args, **kwargs)
-        except integrator.StiffnessOrSingularity as exc:
-            seen["accepted"] += len(exc.trajectory.dense_segments)
-            raise
+        traj, hit = integrate(*args, **kwargs)
         seen["accepted"] += len(traj.dense_segments)
         return traj, hit
 
@@ -268,7 +273,7 @@ def counted_layers(monkeypatch):
 
 @pytest.mark.parametrize("argv, records", [
     (["solve"], {"solve", "two_mode"}),
-    (["singularity"], {"solve", "two_mode"}),
+    (["singularity"], {"solve"}),
     (["continue", "--t-end", "0.5"], {"solve", "noise_seeded"}),
     (["continue", "--t-end", "0.5", "--method", "complex_path"],
      {"solve", "complex_path"}),

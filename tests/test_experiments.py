@@ -15,19 +15,16 @@ def small_params():
 
 
 def test_run_table1_single_cell():
-    rows = experiments.run_table1(alphas=[0.25], epsilons=[0.1], n_modes=32,
-                                  rtol=1e-10, atol=1e-10)
-    assert len(rows) == 1
-    r = rows[0]
+    r = experiments._table1_cell(0.25, 0.1, 32, 1e-10, 1e-10)
     assert r.error is None
     assert r.t_c == pytest.approx(0.161963, abs=1e-5)
     assert r.d_t_hat == pytest.approx(1.0e-2, rel=0.3)
 
 
 def test_run_table1_reports_per_cell_failures():
-    rows = experiments.run_table1(alphas=[-1.0], epsilons=[0.1], n_modes=32)
-    assert rows[0].error is not None
-    assert np.isnan(rows[0].t_c)
+    row = experiments._table1_cell(-1.0, 0.1, 32, 1e-12, 1e-12)
+    assert row.error is not None
+    assert np.isnan(row.t_c)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +60,11 @@ def test_singularity_overlays_shapes(small_solve):
         assert arr.shape == tr.times.shape
     # naive overlay at t = 0 equals the root estimate at t = 0
     assert data.overlays["naive"][0] == pytest.approx(tr.y_root[0], rel=1e-3)
+    # every grid time has an overlay value or is counted under a reason
+    for regime, values in data.overlays.items():
+        assert np.sum(np.isfinite(values)) \
+            + sum(data.dropped[regime].values()) == tr.times.size
+    assert data.dropped["early"] == {"requires 0 < t < 1": 1}
 
 
 def test_run_continuation_complex_path():

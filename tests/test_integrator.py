@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from blowup_lab import integrator
 from blowup_lab.integrator import (EventSpec, IntegrationError,
                                    IntegratorConfig, MaxStepsExceeded,
-                                   StiffnessOrSingularity, integrate,
-                                   integrate_path, line_segment, semicircle)
+                                   PathSegment, StiffnessOrSingularity,
+                                   integrate, integrate_path, line_segment,
+                                   semicircle)
 from fixed_step import integrate_fixed, order_check
 
 
@@ -129,7 +130,7 @@ def test_path_integration_matches_real_axis_for_entire_function():
                               [line_segment(0.0, 2.0)], cfg)
     detour = integrate_path(rhs, np.array([1.0 + 0j]),
                             [line_segment(0.0, 0.5),
-                             semicircle(1.0, 0.5, upper=True),
+                             semicircle(1.0, 0.5),
                              line_segment(1.5, 2.0)], cfg)
     assert abs(straight.states[-1][0] - math.exp(2.0)) < 1e-9
     assert abs(detour.states[-1][0] - straight.states[-1][0]) < 1e-9
@@ -137,7 +138,7 @@ def test_path_integration_matches_real_axis_for_entire_function():
 
 
 def test_path_semicircle_parameterization():
-    seg = semicircle(1.0, 0.5, upper=True)
+    seg = semicircle(1.0, 0.5)
     assert seg.t_of_s(0.0) == pytest.approx(0.5)
     assert seg.t_of_s(1.0) == pytest.approx(1.5)
     assert seg.t_of_s(0.5).imag == pytest.approx(0.5)
@@ -436,8 +437,11 @@ def test_lawson_weights_bounded_on_complex_path_legs():
     k = np.arange(-128, 129)
     lin = -(k * k).astype(float)
     t_c, r = 0.16, 0.016
-    legs = [line_segment(0.0, t_c - r), semicircle(t_c, r, upper=True),
-            semicircle(t_c, r, upper=False), line_segment(t_c + r, 0.5)]
+    upper = semicircle(t_c, r)
+    lower = PathSegment(lambda s: np.conj(upper.t_of_s(s)),
+                        lambda s: np.conj(upper.dt_ds(s)))
+    legs = [line_segment(0.0, t_c - r), upper, lower,
+            line_segment(t_c + r, 0.5)]
     scale = (1 + 1e-14)
     for seg in legs:
         for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):

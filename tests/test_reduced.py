@@ -1,5 +1,5 @@
-"""Planar two-mode truncations: vector fields, events, and the first
-integral and near-blow-up forms of the paper against the trajectories."""
+"""Two-mode truncations: the rescaled Fourier field and its breakdown
+event, the Taylor field, and the paper's forms against trajectories."""
 
 import math
 
@@ -8,49 +8,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_lab.experiments import TABLE1_ALPHAS, TABLE1_EPSILONS
 from blowup_lab.integrator import IntegratorConfig
-from blowup_lab.reduced import _rhs_vec, solve_two_mode
-from paper_oracle import near_blowup_forms, taylor_conserved_quantity
+from blowup_lab.reduced import _field, solve_two_mode
+from paper_oracle import (fourier_ansatz_blowup, near_blowup_forms,
+                          solve_taylor_two_mode, taylor_conserved_quantity,
+                          taylor_two_mode_rhs)
 
 DEFAULT = IntegratorConfig()
+CELLS = [(a, e) for a in TABLE1_ALPHAS for e in TABLE1_EPSILONS]
 
 
-def field(kind, a, b):
-    """The two-mode vector field at (a, b) as two floats."""
-    return _rhs_vec(kind)(np.array([a, b], dtype=complex), 0.0).real
+def fourier_dt(a, b):
+    """d(log a, r, t)/dt at (a, b): the field over dt/dtau = a(2 - r^2)."""
+    r = b / a
+    return _field(np.array([math.log(a), r, 0.0]), 0).real / (a * (2 - r * r))
+
+
+def taylor_field(a, b):
+    return taylor_two_mode_rhs(np.array([a, b], dtype=complex), 0.0).real
 
 
 def test_fourier_rhs_closed_form_values():
-    # generic interior point, checked against the defining expressions
-    a, b = 1.0, 0.25
-    da, db = field("fourier", a, b)
-    den = b * b - 2 * a * a
-    assert da == pytest.approx((2 * a * b * b + 2 * a * a - b * b) / den)
-    assert db == pytest.approx(b * (2 * a * a - 3 * b * b) / den)
+    # off the breakdown the rescaled field gives the paper's da/dt, db/dt
+    for a, b in ((1.0, 0.25), (0.3, 0.4), (2.0, 3.5)):
+        dloga, dr, dt = fourier_dt(a, b)
+        den = b * b - 2 * a * a
+        da = (2 * a * b * b + 2 * a * a - b * b) / den
+        db = b * (2 * a * a - 3 * b * b) / den
+        assert dloga == pytest.approx(da / a, rel=1e-12)
+        assert dr == pytest.approx((db - (b / a) * da) / a, rel=1e-12)
+        assert dt == pytest.approx(1.0, rel=1e-12)
+    # on r^2 = 2 t stops, and dr/dtau = 8 sqrt(2) a makes a simple root
+    _, dr, dt = _field(np.array([math.log(4.0), math.sqrt(2.0), 0.0]), 0).real
+    assert dr == pytest.approx(32.0 * math.sqrt(2.0)) and abs(dt) < 1e-14
 
 
 def test_fourier_rhs_on_the_blowup_diagonal():
-    # on b = a the denominator is -a^2 and the slopes reduce to
-    # da/dt = -(1 + 2a), db/dt = a: finite and unequal, so the
-    # trajectory crosses the diagonal transversally
+    # on b = a the slopes reduce to da/dt = -(1 + 2a), db/dt = a: finite
+    # and unequal, so the trajectory crosses the diagonal transversally
     for a in (0.1, 0.5, 2.0):
-        da, db = field("fourier", a, a)
-        assert da == pytest.approx(-(1.0 + 2.0 * a))
-        assert db == pytest.approx(a)
-
-
-def test_fourier_rhs_denominator_singularity():
-    # NaN on b^2 = 2a^2 makes the stepper reject the step
-    assert np.all(np.isnan(field("fourier", 1.0, math.sqrt(2.0))))
+        dloga, dr, _ = fourier_dt(a, a)
+        assert dloga * a == pytest.approx(-(1.0 + 2.0 * a))
+        assert dr * a + dloga * a == pytest.approx(a)
 
 
 def test_taylor_rhs_values_and_domain():
-    da, db = field("taylor", 2.0, 0.25)
+    da, db = taylor_field(2.0, 0.25)
     assert da == pytest.approx(-0.5)
     assert db == pytest.approx(-8.0 * 0.0625 / 2.0)
-    assert np.all(np.isnan(field("taylor", 0.0, 0.1)))
-    with pytest.raises(ValueError):
-        _rhs_vec("cubic")
+    assert np.all(np.isnan(taylor_field(0.0, 0.1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -58,7 +65,7 @@ def test_taylor_rhs_values_and_domain():
 def test_conserved_quantity_is_stationary(a, b):
     # dQ/dt = (2/b - 1/b^2) b' + (8/a) a' must vanish identically on the
     # Taylor vector field
-    da, db = field("taylor", a, b)
+    da, db = taylor_field(a, b)
     dq = (2.0 / b - 1.0 / b ** 2) * db + (8.0 / a) * da
     scale = abs(8.0 / a * da) + abs((2.0 / b - 1.0 / b ** 2) * db) + 1.0
     assert abs(dq) <= 1e-9 * scale
@@ -70,60 +77,64 @@ def test_conserved_quantity_domain():
 
 
 def test_fourier_run_event_before_breakdown():
-    run = solve_two_mode("fourier", 1.0, 0.01, DEFAULT)
-    assert 0.0 < run.t_event < run.t_c_prime
+    traj, t_c_prime = solve_two_mode(1.0, 0.01, DEFAULT)
+    ansatz, t_event = fourier_ansatz_blowup(1.0, 0.01, DEFAULT)
+    assert 0.0 < t_event < t_c_prime
     # paper-grade values: t_c' - t_c ~ 9.5e-4 with t_c ~ 0.996241
-    assert run.t_c_prime == pytest.approx(0.996241 + 9.5e-4, abs=3e-4)
+    assert t_c_prime == pytest.approx(0.996241 + 9.5e-4, abs=3e-4)
     # at the event, a = b to the root tolerance
-    i = np.argmin(np.abs(np.array(run.trajectory.times) - run.t_event))
-    a, b = run.trajectory.states[i].real
-    assert abs(a - b) < 1e-9
+    a, b = ansatz.states[-1]
+    assert ansatz.times[-1] == t_event and abs(a - b) < 1e-9
+    # the run ends on the breakdown r^2 = 2, where t is at its maximum
+    _, r, t = np.array(traj.states).real.T
+    assert r[-1] ** 2 == pytest.approx(2.0, rel=1e-12)
+    assert np.all(np.diff(t) > 0.0) and t[-1] == t_c_prime
 
 
 def test_taylor_run_blowup_time_scaling():
     # t_c' ~ alpha(1 + 2 eps) + O(eps^2) for initial data (alpha, eps)
     eps = 0.01
-    run = solve_two_mode("taylor", 1.0, eps, DEFAULT)
-    assert run.t_event == run.t_c_prime
-    assert run.t_c_prime == pytest.approx(1.0 + 2.0 * eps, abs=5e-3)
+    _, t_c_prime = solve_taylor_two_mode(1.0, eps, DEFAULT)
+    assert t_c_prime == pytest.approx(1.0 + 2.0 * eps, abs=5e-3)
 
 
 def test_solve_two_mode_small_cell():
-    run = solve_two_mode("fourier", 0.25, 0.1, DEFAULT)
-    assert run.t_c_prime == pytest.approx(0.161963 - 3.6e-4, abs=2e-4)
-    assert len(run.trajectory.times) > 10
-    with pytest.raises(ValueError):
-        solve_two_mode("cubic", 1.0, 0.1, DEFAULT)
+    traj, t_c_prime = solve_two_mode(0.25, 0.1, DEFAULT)
+    assert t_c_prime == pytest.approx(0.161963 - 3.6e-4, abs=2e-4)
+    assert len(traj.times) > 10
 
 
-def test_conserved_quantity_drift_along_trajectory():
-    # Q amplifies state error by ~1/b^2, so the drift check integrates
-    # tighter than the default tolerance and stops short of the terminal
-    # stretch where the vector field is singular
-    cfg = IntegratorConfig(rtol=1e-14, atol=1e-14)
-    run = solve_two_mode("taylor", 1.0, 0.01, cfg)
-    qs = [taylor_conserved_quantity(y[0].real, y[1].real)
-          for y in run.trajectory.states
-          if y[0].real > 1e-6 and y[1].real > 0]
-    drift = max(abs(q - qs[0]) for q in qs)
-    span = run.trajectory.times[-1] - run.trajectory.times[0]
-    assert drift / span <= 1e-9
+def test_solve_two_mode_at_loose_tolerance():
+    # a tolerance where pinning t_c' by step-size collapse fails
+    _, t_c_prime = solve_two_mode(1.0, 0.001,
+                                  IntegratorConfig(rtol=1e-8, atol=1e-8))
+    assert abs(t_c_prime - solve_two_mode(1.0, 0.001, DEFAULT)[1]) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def tight_t_c_prime():
+    tight = IntegratorConfig(rtol=1e-14, atol=1e-14)
+    return {cell: solve_two_mode(*cell, tight)[1] for cell in CELLS}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_t_c_prime_converges_with_tolerance(tol, tight_t_c_prime):
+    # every Table-1 cell: t_c' within tol of its 1e-14 value, no crawl
+    for cell in CELLS:
+        traj, t_c_prime = solve_two_mode(*cell,
+                                         IntegratorConfig(rtol=tol, atol=tol))
+        assert abs(t_c_prime - tight_t_c_prime[cell]) <= tol, cell
+        assert traj.stats.accepted <= 2000, cell
 
 
 def test_near_blowup_forms_fourier():
-    run = solve_two_mode("fourier", 1.0, 0.01, DEFAULT)
-    a_c, t_s = near_blowup_forms("fourier", run.trajectory, run.t_event)
+    ansatz, t_event = fourier_ansatz_blowup(1.0, 0.01, DEFAULT)
+    a_c, t_s = near_blowup_forms("fourier", ansatz, t_event)
     # a_c ~ eps e^{-alpha}
     assert a_c == pytest.approx(0.01 * math.exp(-1.0), rel=0.1)
     # the fitted forms reproduce the trajectory near the event
-    i = run.trajectory.times.index(t_s)
-    a, b = run.trajectory.states[i].real
-    d = run.t_event - t_s
+    a, b = ansatz.states[ansatz.times.index(t_s)]
+    d = t_event - t_s
     assert a_c + (1.0 + 2.0 * a_c) * d == pytest.approx(a, rel=0.05)
     assert a_c * (1.0 - d) == pytest.approx(b, rel=1e-6)
 
-
-def test_near_blowup_forms_taylor():
-    run = solve_two_mode("taylor", 1.0, 0.01, DEFAULT)
-    b_c, _ = near_blowup_forms("taylor", run.trajectory, run.t_c_prime)
-    assert 8.0 * 0.01 * b_c == pytest.approx(1.0, abs=0.15)

@@ -211,7 +211,7 @@ def small_solve():
     p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32,
                     integrator=IntegratorConfig(rtol=1e-10, atol=1e-10,
                                                 h_init=1e-4))
-    traj, _ = solve_to_blowup(p, with_estimates=False)
+    traj, _ = solve_to_blowup(p)
     return p, traj
 
 
