@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup_lab.experiments import TABLE1_ALPHAS, TABLE1_EPSILONS
-from blowup_lab.integrator import IntegratorConfig
+from blowup_lab.integrator import IntegratorConfig, Trajectory
 from blowup_lab.reduced import _field, solve_two_mode
 from paper_oracle import (fourier_ansatz_blowup, near_blowup_forms,
                           solve_taylor_two_mode, taylor_conserved_quantity,
@@ -138,3 +138,26 @@ def test_near_blowup_forms_fourier():
     assert a_c + (1.0 + 2.0 * a_c) * d == pytest.approx(a, rel=0.05)
     assert a_c * (1.0 - d) == pytest.approx(b, rel=1e-6)
 
+
+def test_conserved_quantity_drift_along_trajectory():
+    # Q amplifies state error by ~1/b^2, so the drift check integrates
+    # tighter than the default tolerance and stops short of the terminal
+    # stretch where the vector field is singular
+    tight = IntegratorConfig(rtol=1e-14, atol=1e-14)
+    traj, _ = solve_taylor_two_mode(1.0, 0.01, tight)
+    qs = [taylor_conserved_quantity(y[0].real, y[1].real)
+          for y in traj.states if y[0].real > 1e-6 and y[1].real > 0]
+    drift = max(abs(q - qs[0]) for q in qs)
+    span = traj.times[-1] - traj.times[0]
+    assert drift / span <= 1e-9
+
+
+def test_near_blowup_forms_taylor():
+    traj, t_c_prime = solve_taylor_two_mode(1.0, 0.01, DEFAULT)
+    b_c, _ = near_blowup_forms("taylor", traj, t_c_prime)
+    assert 8.0 * 0.01 * b_c == pytest.approx(1.0, abs=0.15)
+    # a trajectory with no sample in the matching window cannot be fitted
+    with pytest.raises(ValueError):
+        near_blowup_forms("taylor", Trajectory(times=traj.times[:1],
+                                               states=traj.states[:1]),
+                          t_c_prime)
