@@ -139,9 +139,12 @@ def singularity_y(regime: str, value, alpha: float, epsilon: float,
     `value` is t for regimes {naive, early, late_first_scale,
     impingement} and T = (t - t_c)/epsilon (negative pre-blow-up) for
     {second_scale, third_scale}.  Regime selection is explicit; the
-    formulas are overlays, not a composite.
+    formulas are overlays, not a composite.  Every regime but impingement
+    scales with epsilon and refuses epsilon = 0.
     """
     v = np.asarray(value, dtype=float)
+    if epsilon <= 0.0 and regime != "impingement":
+        raise ValueError("requires epsilon > 0")
     if regime == "naive":
         arg = (alpha - v) * np.exp(v) / epsilon
         if np.any(arg < 1.0):

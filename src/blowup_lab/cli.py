@@ -146,8 +146,10 @@ def main(argv=None) -> int:
 
 
 def _cmd_table1(args, cfg, manifest) -> int:
+    phases = _Phases(manifest)
     rows = experiments.run_table1(n_modes=cfg["n_modes"], rtol=cfg["rtol"],
                                   atol=cfg["atol"])
+    phases.lap("cells")
     path = os.path.join(args.out, "table1.csv")
     write_csv(path,
               ["alpha", "epsilon", "t_c", "tc_prime_minus_tc",
@@ -156,6 +158,11 @@ def _cmd_table1(args, cfg, manifest) -> int:
                 r.d_t_tilde, r.error or "") for r in rows],
               manifest.csv_header())
     manifest.register("table1", path)
+    phases.lap("write")
+    # a failed cell's entry is empty: its integrations are lost with it
+    manifest.extra["integrator"] = {
+        f"alpha={r.alpha:g},epsilon={r.epsilon:g}":
+            _integrator_block(r.integrations) for r in rows}
     failed = sum(1 for r in rows if r.error)
     for r in rows:
         status = f"FAILED ({r.error})" if r.error else f"t_c = {r.t_c:.6f}"
@@ -164,9 +171,11 @@ def _cmd_table1(args, cfg, manifest) -> int:
 
 
 def _cmd_solve(args, cfg, manifest) -> int:
-    params = _params(cfg)
+    params, phases = _params(cfg), _Phases(manifest)
     traj, rep = solve_to_blowup(params)
+    phases.lap("solve")
     est, two_mode = blowup_estimates(params)
+    phases.lap("estimates")
     summary_path = os.path.join(args.out, "solution_summary.csv")
     rows = []
     for t, state in zip(traj.times, traj.states):
@@ -182,6 +191,7 @@ def _cmd_solve(args, cfg, manifest) -> int:
                zip(range(-n, n + 1), rep.state_at_tc.coeffs)],
               manifest.csv_header(t=rep.t_c))
     manifest.register("state_at_tc", snap_path)
+    phases.lap("write")
     deltas = {f"{name} - t_c": t - rep.t_c for name, t in est.items()}
     manifest.extra["blowup_report"] = {"t_c": rep.t_c, **est, "deltas": deltas}
     manifest.extra["integrator"] = _integrator_block(
@@ -201,6 +211,9 @@ def _sample_counts(data) -> dict:
 
 def _cmd_errors(args, cfg, manifest) -> int:
     params, phases = _params(cfg), _Phases(manifest)
+    if params.epsilon == 0.0:
+        raise ValueError("errors needs epsilon > 0: the second-timescale "
+                         "approximation takes log(epsilon)")
     traj, rep = solve_to_blowup(params)
     phases.lap("solve")
     data = experiments.error_curves_from_solution(traj, rep.t_c, params)
@@ -286,10 +299,11 @@ def _cmd_singularity(args, cfg, manifest) -> int:
 
 
 def _cmd_continue(args, cfg, manifest) -> int:
-    params = _params(cfg)
+    params, phases = _params(cfg), _Phases(manifest)
     data = experiments.run_continuation(
         params, cfg["t_end"], rng_seed=cfg["seed"], extra_times=cfg["times"],
         method=cfg["method"])
+    phases.lap("compute")
     n = params.n_modes
     for t, fld in zip(data.snapshot_times, data.snapshots):
         path = os.path.join(args.out, f"snapshot_t{t:.6f}.csv")
@@ -298,6 +312,7 @@ def _cmd_continue(args, cfg, manifest) -> int:
                    zip(range(-n, n + 1), fld.coeffs)],
                   manifest.csv_header(t=t))
         manifest.register(f"snapshot_t{t:.6f}", path)
+    phases.lap("write")
     manifest.extra["continuation"] = {
         "t_c": data.result.t_c,
         "branch_sign": data.result.branch_sign,
@@ -315,8 +330,10 @@ def _cmd_continue(args, cfg, manifest) -> int:
 
 
 def _cmd_snapshots(args, cfg, manifest) -> int:
+    phases = _Phases(manifest)
     data = experiments.run_fourier_snapshots(_params(cfg), times=cfg["times"],
                                              rng_seed=cfg["seed"])
+    phases.lap("compute")
     path = os.path.join(args.out, "coefficient_snapshots.csv")
     cols = ["k"] + [f"abs_c_k_t{t:.6f}" for t in data.times] + ["local_law"]
     rows = []
@@ -324,6 +341,7 @@ def _cmd_snapshots(args, cfg, manifest) -> int:
         rows.append([int(k)] + [m[i] for m in data.moduli] + [data.local_law[i]])
     write_csv(path, cols, rows, manifest.csv_header(t_c=data.t_c))
     manifest.register("coefficient_snapshots", path)
+    phases.lap("write")
     manifest.extra["integrator"] = _integrator_block(data.integrations)
     print(f"snapshots at {[round(t, 6) for t in data.times]}")
     return 0
@@ -341,7 +359,8 @@ def _cmd_flatness(args, cfg, manifest) -> int:
               manifest.csv_header(t_c=data.t_c))
     manifest.register("flatness", path)
     phases.lap("write")
-    manifest.extra["samples"] = _sample_counts(data)
+    manifest.extra["samples"] = {**_sample_counts(data),
+                                 "nan_rel_err": data.nan_rel_err}
     manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"{data.times.size} samples, t_c = {data.t_c:.6f}")
     return 0

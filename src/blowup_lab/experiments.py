@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,6 +54,8 @@ class Table1Row:
     d_t_hat: float
     d_t_tilde: float
     error: Optional[str] = None
+    # name -> IntegratorStats of each integration behind the row
+    integrations: dict = field(default_factory=dict)
 
 
 def _table1_cell(alpha: float, epsilon: float, n_modes: int, rtol: float,
@@ -62,11 +64,12 @@ def _table1_cell(alpha: float, epsilon: float, n_modes: int, rtol: float,
         params = ModelParams(alpha=alpha, epsilon=epsilon, n_modes=n_modes,
                              integrator=IntegratorConfig(rtol=rtol, atol=atol))
         _, rep = solve_to_blowup(params)
-        est, _ = blowup_estimates(params)
+        est, two_mode = blowup_estimates(params)
         return Table1Row(alpha, epsilon, rep.t_c,
                          est["t_c_prime"] - rep.t_c,
                          est["t_hat"] - rep.t_c,
-                         est["t_tilde"] - rep.t_c)
+                         est["t_tilde"] - rep.t_c,
+                         integrations={**rep.integrations, **two_mode})
     except Exception as exc:  # per-cell failures reported per-row
         return Table1Row(alpha, epsilon, math.nan, math.nan, math.nan,
                          math.nan, error=str(exc))
@@ -97,8 +100,9 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
     x = -np.pi + 2.0 * np.pi * np.arange(m) / m
     kept, e13, e19 = [], [], []
     dropped = Counter()
-    for t in sample_times(t_c):
-        fld = field_from_state(traj.state_at(t), params.n_modes)
+    times = sample_times(t_c)
+    for t, state in zip(times, traj.states_at(times)):
+        fld = field_from_state(state, params.n_modes)
         v_ref = synthesize(fld, m).values.real
         denom = np.abs(v_ref)
         if np.min(denom) <= 0.0:
@@ -177,7 +181,8 @@ def singularity_from_solution(traj: Trajectory, t_c: float,
     track = tracker.build_track(traj, params.n_modes, sample_times(t_c))
     t = track.times
     a, e = params.alpha, params.epsilon
-    big_t = (t - t_c) / e
+    with np.errstate(divide="ignore"):   # eps = 0, which the regimes refuse
+        big_t = (t - t_c) / e
     overlays, dropped = {}, {}
     for regime in asymptotics.SINGULARITY_REGIMES:
         values = big_t if regime in ("second_scale", "third_scale") else t
@@ -271,6 +276,7 @@ class FlatnessData:
     rel_err: np.ndarray
     t_c: float
     dropped: dict                   # reason -> grid times without a row
+    nan_rel_err: dict               # reason -> rows whose rel_err is NaN
 
 
 def flatness_from_solution(traj: Trajectory, t_c: float,
@@ -278,12 +284,11 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
     """Flatness curve from an already-computed solve, on the sample
     grid."""
     kept, fs, fa, re = [], [], [], []
-    dropped = Counter()
-    for t in sample_times(t_c):
-        if t >= params.alpha:
-            dropped["t >= alpha"] += 1
-            continue
-        fld = field_from_state(traj.state_at(t), params.n_modes)
+    dropped, nan_rel_err = Counter(), Counter()
+    grid = sample_times(t_c)
+    times = grid[grid < params.alpha]
+    for t, state in zip(times, traj.states_at(times)):
+        fld = field_from_state(state, params.n_modes)
         try:
             f = flatness(fld)
         except DivisorTooSmall:
@@ -297,9 +302,15 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
         kept.append(t)
         fs.append(f)
         fa.append(approx)
-        re.append(abs(approx - f) / abs(f) if f != 0.0 else math.nan)
+        if f != 0.0:
+            re.append(abs(approx - f) / abs(f))
+        else:
+            re.append(math.nan)
+            nan_rel_err["f_solver = 0"] += 1
+    if times.size < grid.size:
+        dropped["t >= alpha"] = grid.size - times.size
     return FlatnessData(np.array(kept), np.array(fs), np.array(fa),
-                        np.array(re), t_c, dict(dropped))
+                        np.array(re), t_c, dict(dropped), dict(nan_rel_err))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,6 +39,13 @@ _LOWER = np.tril_indices(7, -1)
 _ROW = [i * (i - 1) // 2 for i in range(8)]
 _GAPS = _C[_LOWER[0]] - _C[_LOWER[1]]       # c_i - c_j
 _A_PACKED = _A[_LOWER][:, None]
+# c_i - c_j, the packed tableau and the error weights as columns against
+# the state axis: [False] for a step length h that is a number, [True]
+# with one more axis for an (m, 1) column of step lengths
+_COLUMNS = [tuple(w.reshape((-1,) + (1,) * axes)
+                  for w in (_GAPS, _A_PACKED, _E)) for axes in (1, 2)]
+# most times one batched dense sub-step reads (Trajectory.states_at)
+_BLOCK = 16
 
 RHS = Callable[[np.ndarray, complex], np.ndarray]
 Observable = Callable[[np.ndarray], float]
@@ -113,6 +120,14 @@ class DenseSegment:
             return self.r1
         return self.substep(self.t0, self.r1, tau, self.k1)
 
+    def eval_block(self, ts: Sequence[float]) -> np.ndarray:
+        """The states at the times ts in (t0, t0 + h], one row each: the
+        sub-steps of eval taken together, as one step of the method on an
+        (m, n) block with an (m, 1) column of step lengths."""
+        tau = np.reshape(ts, (-1, 1)) - self.t0
+        block = np.broadcast_to(self.r1, (tau.shape[0], self.r1.size))
+        return self.substep(self.t0, block, tau, self.k1)
+
 
 @dataclass
 class IntegratorStats:
@@ -172,6 +187,24 @@ class Trajectory:
             return self.states[-1]
         raise IntegrationError(f"t = {t} outside integrated span")
 
+    def states_at(self, times: Sequence[float]) -> Iterator[np.ndarray]:
+        """The states state_at returns at each of the times, in order.
+        Consecutive times inside one dense segment are read _BLOCK at a
+        time through one batched sub-step, so the times should be sorted
+        for the batching to pay; stored times, the clamps at either end
+        and times outside the span go through state_at."""
+        stored, j = self.times, 0
+        while j < len(times):
+            i, end = bisect_left(stored, times[j]), j + 1
+            if 0 < i < len(stored) and stored[i] != times[j]:
+                while (end < len(times) and end - j < _BLOCK
+                       and stored[i - 1] < times[end] < stored[i]):
+                    end += 1
+                yield from self.dense_segments[i - 1].eval_block(times[j:end])
+            else:
+                yield self.state_at(times[j])
+            j = end
+
 
 def _error_norm(err, y0, y1, atol, rtol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
@@ -185,9 +218,6 @@ def _combine(w, k):
     return np.add.reduce(w * k, axis=0, initial=0.0)
 
 
-_PLAIN = (None, _A_PACKED, _E[:, None])
-
-
 def _stage_weights(lin, clock, t, h):
     """Weights of one step from t to t + h: (decay, a, e), a packed.
 
@@ -197,19 +227,25 @@ def _stage_weights(lin, clock, t, h):
     stage i starts from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij,
     and the error weights are e_j E_6j.  The nodes never decrease, so
     |E| <= 1 whenever Re lin <= 0 and the real part of T increases.
+    h is a number, or an (m, 1) column of step lengths from the same t,
+    which gives each weight a row per step.
     """
+    block = isinstance(h, np.ndarray)
+    gaps_c, a_c, e_c = _COLUMNS[block]
     if lin is None:
-        return _PLAIN
+        return None, a_c, e_c
     if clock is None:
-        gaps = h * _GAPS
+        gaps = gaps_c * h
     else:
         nodes = np.array([clock(t + c * h) for c in _C])
         gaps = nodes[_LOWER[0]] - nodes[_LOWER[1]]
-    ex = np.exp(np.multiply.outer(gaps, lin))      # E_ij, packed
-    e = np.empty((7, lin.size), dtype=ex.dtype)
-    e[:6] = _E[:6, None] * ex[_ROW[6]:]
+        if not block:
+            gaps = gaps[:, None]
+    ex = np.exp(gaps * lin)                        # E_ij, packed
+    e = np.empty((7,) + ex.shape[1:], dtype=ex.dtype)
+    e[:6] = e_c[:6] * ex[_ROW[6]:]
     e[6] = _E[6]                                   # E_66 = 1
-    return ex[_ROW[:7]], _A_PACKED * ex, e
+    return ex[_ROW[:7]], a_c * ex, e
 
 
 def _attempt_step(rhs, t, y, h, k1, lin=None, clock=None, dense=False):
@@ -218,9 +254,11 @@ def _attempt_step(rhs, t, y, h, k1, lin=None, clock=None, dense=False):
     Returns (y5, err, k, ok), k the (7, n) stages; ok=False on non-finite
     rhs.  With dense=True the step stops at y5, skipping the last stage,
     which only the error estimate and FSAL need: (y5, None, None, ok).
+    An (m, n) block y with an (m, 1) column h takes m steps from t at
+    once, each row as its own step would, with rhs called on the block.
     """
     decay, a, e = _stage_weights(lin, clock, t, h)
-    k = np.empty((7, y.size), dtype=complex)
+    k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = k1
     for i in range(1, 7):
         yi = h * _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
@@ -228,7 +266,7 @@ def _attempt_step(rhs, t, y, h, k1, lin=None, clock=None, dense=False):
         if dense and i == 6:
             return yi, None, None, True
         ki = rhs(yi, t + _C[i] * h)
-        if not np.all(np.isfinite(ki)):
+        if not np.isfinite(ki).all():
             return None, None, None, False
         k[i] = ki
     # the last stage was taken at the fifth-order solution yi
@@ -265,6 +303,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
     dense_rhs, when given, replaces rhs in dense output and in the step
     that ends on an event root: states there may lie where a guarded rhs
     refuses to evaluate (returns NaN to make the steps avoid them).
+    Trajectory.states_at calls it on (m, n) blocks of states, with an
+    (m, 1) column of times.
 
     Stops at the first event root, reached by a step of its own that
     must pass the error test; every accepted step is stored in the

@@ -86,6 +86,10 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
     guard_floor=None the quotient is formed unconditionally, as needed
     for post-blow-up continuation where min |v| stays positive but the
     event is disarmed.
+
+    The right-hand side takes one state or a (..., 2N+1) block of states
+    along the last axis; each row comes out as its own call would give it,
+    a NaN row where the guard refuses that state.
     """
     n = params.n_modes
     p = padded_size(n)
@@ -96,20 +100,30 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
     shift = np.stack([sign, 1j * k * sign])
     out_scale = sign / p
     nan_state = np.full(2 * n + 1, np.nan, dtype=complex)
-    spec = np.zeros((2, p), dtype=complex)
-    grid = np.empty((2, p), dtype=complex)
-    v, w = grid                 # w = v_x, then 2 v_x^2 / v in place
-    wf = np.empty(p, dtype=complex)
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
 
+    def work(lead):
+        """Padded spectra (and their 0..n, -n..-1 parts), grid values v
+        and w = v_x (then 2 v_x^2 / v in place) and the spectrum of w."""
+        spec = np.zeros(lead + (2, p), dtype=complex)
+        grid = np.empty_like(spec)
+        return (spec[..., hi], spec[..., lo], spec, grid, grid[..., 0, :],
+                grid[..., 1, :], np.empty(lead + (p,), dtype=complex))
+
+    one = work(())              # a single state's, reused from call to call
+
     def rhs(c: np.ndarray, t) -> np.ndarray:
-        np.multiply(c[n:], shift[:, n:], out=spec[:, hi])
-        np.multiply(c[:n], shift[:, :n], out=spec[:, lo])
+        lead = c.shape[:-1]
+        spec_hi, spec_lo, spec, grid, v, w, wf = work(lead) if lead else one
+        np.multiply(c[..., None, n:], shift[:, n:], out=spec_hi)
+        np.multiply(c[..., None, :n], shift[:, :n], out=spec_lo)
         np.fft.ifft(spec, axis=-1, out=grid)
         np.multiply(v, p, out=v)
-        if guard_floor is not None and np.min(np.abs(v)) < guard_floor:
-            return nan_state
+        if guard_floor is not None:
+            refused = np.min(np.abs(v), axis=-1) < guard_floor
+            if not lead and refused:
+                return nan_state
         np.multiply(w, w, out=w)
         np.multiply(w, 2.0 * p * p, out=w)
         # 0/0 (v = v_x = 0: at x = 0 in the step onto t_c, everywhere
@@ -119,11 +133,13 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
             np.divide(w, v, out=w, where=w != 0)
         np.fft.fft(w, out=wf)
         # a new array per call: the stepper keeps every stage
-        out = np.empty(2 * n + 1, dtype=complex)
-        np.multiply(wf[hi], out_scale[n:], out=out[n:])
-        np.multiply(wf[lo], out_scale[:n], out=out[:n])
+        out = np.empty(lead + (2 * n + 1,), dtype=complex)
+        np.multiply(wf[..., hi], out_scale[n:], out=out[..., n:])
+        np.multiply(wf[..., lo], out_scale[:n], out=out[..., :n])
         np.negative(out, out)
-        out[n] -= 1.0
+        out.T[n] -= 1.0             # k = 0 of each state (a number for one)
+        if lead and guard_floor is not None:
+            out[refused] = np.nan
         return out
 
     return rhs

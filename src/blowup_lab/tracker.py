@@ -208,7 +208,8 @@ def root_on_axis(v_field: FourierField) -> float:
     # a dip narrower than the scan spacing shows only as a local
     # minimum of the (positive) samples before the first sign change
     v = vals[:flips[0] + 1 if flips.size else positive.size]
-    for i in 1 + np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])):
+    # (strictly below its left neighbour, so a plateau gets one search)
+    for i in 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])):
         dip = minimize_scalar(g, bounds=(ys[i - 1], ys[i + 1]),
                               method="bounded",
                               options={"xatol": 0.01 * _ROOT_TOL})
@@ -256,8 +257,8 @@ def build_track(trajectory: Trajectory, n_modes: int,
     """
     yf, yr, res = [], [], []
     no_root, no_fit = Counter(), Counter()
-    for t in times:
-        fld = FourierField(n_modes, trajectory.state_at(t))
+    for state in trajectory.states_at(times):
+        fld = FourierField(n_modes, state)
         y_root = np.nan
         try:
             clean = FourierField(n_modes, _denoised(fld.coeffs))

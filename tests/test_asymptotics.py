@@ -109,6 +109,16 @@ def test_singularity_y_regimes():
         asy.singularity_y("warp", 0.1, alpha, eps, t_c)
 
 
+def test_singularity_y_refuses_epsilon_zero_where_it_scales_with_it():
+    for regime in asy.SINGULARITY_REGIMES:
+        if regime == "impingement":
+            assert asy.singularity_y(regime, 0.9, 1.0, 0.0, 1.0) \
+                == pytest.approx(math.sqrt(0.8 * math.log(10.0)))
+        else:
+            with pytest.raises(ValueError, match="requires epsilon > 0"):
+                asy.singularity_y(regime, -0.1, 1.0, 0.0, 1.0)
+
+
 def test_flatness_laws():
     alpha, eps = 4.0, 0.01
     assert asy.flatness_approx(0.0, alpha, eps) == pytest.approx(

@@ -298,6 +298,75 @@ def test_manifest_records_every_integration(tmp_path, monkeypatch, argv,
     assert block["solve"]["event_evals"] > 0
 
 
+def test_table1_manifest_records_every_cell(tmp_path, monkeypatch):
+    seen = counted_layers(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("table1", "--n-modes", "32", "--rtol", "1e-10",
+                   "--atol", "1e-10", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["timings_sec"]) == {"cells", "write", "total"}
+    cells = manifest["integrator"]
+    assert set(cells) == {f"alpha={a:g},epsilon={e:g}"
+                          for a in experiments.TABLE1_ALPHAS
+                          for e in experiments.TABLE1_EPSILONS}
+    assert all(set(block) == {"solve", "two_mode"} for block in cells.values())
+    assert sum(block["solve"]["rhs_calls"] for block in cells.values()) \
+        == seen["rhs_calls"]
+    assert sum(rec["accepted"] for block in cells.values()
+               for rec in block.values()) == seen["accepted"]
+
+
+@pytest.mark.parametrize("argv, phases", [
+    (["solve"], {"solve", "estimates", "write"}),
+    (["continue", "--t-end", "0.5"], {"compute", "write"}),
+    (["snapshots"], {"compute", "write"}),
+])
+def test_manifest_times_each_phase(tmp_path, argv, phases):
+    out = tmp_path / "run"
+    assert run_cli(*argv, *FAST, "--out", str(out)) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings_sec"]
+    assert set(timings) == phases | {"total"}
+    assert sum(timings[name] for name in phases) <= timings["total"]
+
+
+EPS0 = ["--alpha", "1", "--epsilon", "0", "--n-modes", "16", "--rtol", "1e-8",
+        "--atol", "1e-8"]
+
+
+def test_singularity_at_epsilon_zero_finishes(tmp_path):
+    # v = 1 - t is constant in x, so Re v(iy) is flat along the whole scan
+    out = tmp_path / "run"
+    assert run_cli("singularity", *EPS0, "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    tracker = manifest["tracker"]
+    assert tracker["no_root"] == {
+        "no sign change of Re v(iy) on the axis": tracker["snapshots"]}
+    # the overlays that scale with epsilon record why they have no value
+    for regime, rec in manifest["overlays"].items():
+        if regime != "impingement":
+            assert rec == {"kept": 0, "dropped": {
+                "requires epsilon > 0": tracker["snapshots"]}}
+
+
+def test_flatness_at_epsilon_zero_counts_nan_rows(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("flatness", *EPS0, "--out", str(out)) == 0
+    lines = (out / "flatness.csv").read_text().splitlines()
+    samples = json.loads((out / "manifest.json").read_text())["samples"]
+    assert_sample_counts({"samples": samples}, lines)
+    # f = u(0) - u(pi) = 0 on a flat profile, so every rel_err is NaN
+    assert samples["nan_rel_err"] == {"f_solver = 0": samples["kept"]}
+    assert all(line.endswith(",nan") for line in lines[2:])
+
+
+def test_errors_refuses_epsilon_zero_before_solving(tmp_path, monkeypatch,
+                                                    capsys):
+    calls = count_solves(monkeypatch)
+    assert run_cli("errors", *EPS0, "--out", str(tmp_path / "run")) == 1
+    assert "epsilon > 0" in capsys.readouterr().err
+    assert calls == []
+
+
 def count_solves(monkeypatch):
     """Count solve_to_blowup calls through every module that looks it up."""
     calls, solve = [], pde.solve_to_blowup

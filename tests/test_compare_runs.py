@@ -1,0 +1,34 @@
+"""scripts/compare_runs.py: CSV bodies compared below their headers."""
+
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_runs.py"
+spec = importlib.util.spec_from_file_location("compare_runs", SCRIPT)
+compare_runs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_runs)
+
+
+def write_tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_compare_runs_ignores_headers_and_lists_what_differs(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_tree(a, {"x/one.csv": '# {"hash": "1"}\nt,v\n0,1\n',
+                   "two.csv": "t\n1\n", "notes.txt": "a"})
+    write_tree(b, {"x/one.csv": '# {"hash": "2"}\nt,v\n0,1\n',
+                   "two.csv": "t\n1\n"})
+    assert compare_runs.main([str(a), str(b)]) == 0
+    write_tree(b, {"two.csv": "t\n2\n", "three.csv": "t\n"})
+    assert compare_runs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "body differs: two.csv" in out
+    assert f"only in {b}: three.csv" in out
+    assert "one.csv" not in out
+    empty = [str(tmp_path / "none"), str(tmp_path / "nil")]
+    assert compare_runs.main(empty) == 1

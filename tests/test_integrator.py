@@ -366,6 +366,50 @@ def test_bisect_lookup_matches_linear_scan(kind):
             linear_scan(traj, t)
 
 
+def block_rhs(y, t):
+    """A nonlinear right-hand side that takes (m, 2) blocks with an (m, 1)
+    column of times as well as single states."""
+    return 0.5j * y * y[..., ::-1] + np.cos(t)
+
+
+@pytest.mark.parametrize("kind", ["real", "path"])
+def test_block_lookups_match_single_lookups_bit_for_bit(kind):
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=0.01)
+    lin = np.array([-3.0, -40.0])
+    y0 = np.array([1.0 + 0j, 0.5 + 0j])
+    if kind == "real":
+        traj, _ = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
+    else:
+        traj = integrate_path(block_rhs, y0, [line_segment(0.0, 1.0),
+                                              semicircle(1.5, 0.5)], cfg,
+                              lin=lin)
+    times, seg = traj.times, traj.dense_segments[3]
+    rng = np.random.default_rng(7)
+    # 40 times inside one segment (three blocks), random times over the
+    # span, every stored time and both clamps
+    inside = seg.t0 + seg.h * rng.uniform(1e-6, 1.0, 40)
+    spread = rng.uniform(times[0], times[-1], 200)
+    clamps = [times[0] - 1e-13, times[-1] + 1e-13]
+    ts = np.sort(np.concatenate([inside, spread, times, clamps]))
+    calls = traj.stats.rhs_calls
+    got = list(traj.states_at(ts))
+    assert len(got) == ts.size
+    for t, state in zip(ts, got):
+        assert state.tobytes() == traj.state_at(t).tobytes()
+    # a block sub-step is five rhs calls whatever its size, and a segment
+    # takes one per _BLOCK times it covers
+    assert (traj.stats.rhs_calls - calls) % 5 == 0
+    assert traj.stats.rhs_calls - calls \
+        < 5 * (len(traj.dense_segments) + ts.size // integrator._BLOCK + 1)
+    # outside the span it raises, after yielding what lies before
+    lookups = traj.states_at([times[1], times[-1] + 1e-3])
+    assert next(lookups) is traj.states[1]
+    with pytest.raises(IntegrationError):
+        next(lookups)
+    with pytest.raises(IntegrationError):
+        list(traj.states_at([times[0] - 1e-3]))
+
+
 def test_dense_lookups_are_counted():
     traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
                         IntegratorConfig(h_init=0.05), lin=np.array([-2.0]))

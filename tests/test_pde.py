@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blowup_lab.experiments import sample_times
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             continue_past_blowup, diffusion, flatness,
@@ -158,6 +159,41 @@ def test_rhs_matches_reference_on_the_guard_branch():
     c[p.n_modes - 1] = c[p.n_modes + 1] = -0.125
     assert same_bits(make_rhs(p, None)(c, 0.0), reference_rhs(p, None)(c, 0.0))
     assert np.all(np.isfinite(make_rhs(p, None)(c, 0.0)))
+
+
+@pytest.mark.parametrize("guard", [DIVISION_FLOOR, None])
+def test_rhs_on_a_block_matches_row_by_row_calls(guard):
+    p = small_params(alpha=0.25, epsilon=0.2499999)
+    rng = np.random.default_rng(3)
+    base = initial_field(p).coeffs
+    noise = rng.standard_normal((2, 6, base.size))
+    block = base + 1e-3 * (noise[0] + 1j * noise[1])
+    block[2] = base
+    block[2, p.n_modes] = p.epsilon     # v(0) ~ 0: the guard refuses row 2
+    block[4, :] = -0.0                  # v = v_x = 0 everywhere: 0/0 is 0
+    rhs = make_rhs(p, guard)
+    rows = np.array([rhs(c, 0.0) for c in block])
+    assert same_bits(rhs(block, 0.0), rows)
+    assert same_bits(rhs(block.reshape(2, 3, -1), 0.0), rows.reshape(2, 3, -1))
+    refused = np.isnan(rows).all(axis=1)
+    assert list(refused) == [False, False, guard is not None, False,
+                             guard is not None, False]
+    # a single state still comes out as the reference computes it
+    reference = reference_rhs(p, guard)
+    assert same_bits(rhs(block[1], 0.0), reference(block[1], 0.0))
+
+
+def test_block_lookups_match_single_lookups_on_a_solve():
+    p = small_params()
+    traj, rep = solve_to_blowup(p)
+    times = sample_times(rep.t_c)
+    calls = traj.stats.rhs_calls
+    got = list(traj.states_at(times))
+    blocks = (traj.stats.rhs_calls - calls) // 5
+    assert len(got) == times.size
+    assert all(same_bits(a, traj.state_at(t)) for a, t in zip(got, times))
+    # fewer than one sub-step per 16 times plus one per segment
+    assert blocks <= times.size // 16 + len(traj.dense_segments)
 
 
 def test_rhs_returns_a_new_array_per_call():

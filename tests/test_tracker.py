@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowup_lab import tracker
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import ModelParams, initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import FourierField
@@ -181,6 +182,27 @@ def test_root_on_axis_no_root():
     c[n] = 1.0
     with pytest.raises(TrackingError):
         root_on_axis(FourierField(n, c))
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1.0}, {0: 1.0, 40: 1.0}],
+                         ids=["constant", "decay-to-plateau"])
+def test_root_on_axis_searches_a_flat_scan_at_most_once(monkeypatch, coeffs):
+    # Re v(iy) = 1, and 1 + e^{-40 y}, which reaches exactly 1.0 after a
+    # few scan samples: tied samples are not one local minimum each
+    n = 64
+    c = np.zeros(2 * n + 1, dtype=complex)
+    for k, a in coeffs.items():
+        c[n + k] = a
+    searches, search = [], tracker.minimize_scalar
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tracker, "minimize_scalar", counted)
+    with pytest.raises(TrackingError, match="no sign change"):
+        root_on_axis(FourierField(n, c))
+    assert len(searches) <= 1
 
 
 def test_impingement_regression_recovers_synthetic_slope():
