@@ -291,7 +291,6 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
               events: Sequence[EventSpec] = (), *,
               lin: Optional[np.ndarray] = None,
               clock: Optional[Callable[[float], complex]] = None,
-              dense_rhs: Optional[RHS] = None,
               stats: Optional[IntegratorStats] = None
               ) -> tuple[Trajectory, Optional[EventHit]]:
     """Integrate y' = lin * y + rhs(y, t) from t0 to t1 (t1 > t0).
@@ -300,11 +299,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
     (Lawson form); None integrates y' = rhs(y, t) with plain DOPRI5.
     clock(s) is the time that lin acts over when the variable s is a path
     parameter (y' = (lin y + N) dt/ds); the default is s itself.
-    dense_rhs, when given, replaces rhs in dense output and in the step
-    that ends on an event root: states there may lie where a guarded rhs
-    refuses to evaluate (returns NaN to make the steps avoid them).
-    Trajectory.states_at calls it on (m, n) blocks of states, with an
-    (m, 1) column of times.
+    Dense output calls rhs as well, Trajectory.states_at on (m, n) blocks
+    of states with an (m, 1) column of times.
 
     Stops at the first event root, reached by a step of its own that
     must pass the error test; every accepted step is stored in the
@@ -324,17 +320,12 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
         if abs(ev.observable(y)) <= ev.root_tol:
             return traj, EventHit(t0, y)
 
-    def counted(f):
-        def counted_f(yy, tt):
-            stats.rhs_calls += 1
-            return f(yy, tt)
-        return counted_f
-
-    step_rhs = counted(rhs)
-    end_rhs = step_rhs if dense_rhs is None else counted(dense_rhs)
+    def step_rhs(yy, tt):
+        stats.rhs_calls += 1
+        return rhs(yy, tt)
 
     def substep(ts, ys, tau, k1s):
-        out, _, _, ok = _attempt_step(end_rhs, ts, ys, tau, k1s, lin, clock,
+        out, _, _, ok = _attempt_step(step_rhs, ts, ys, tau, k1s, lin, clock,
                                       dense=True)
         if not ok:
             raise IntegrationError(f"rhs non-finite in dense output at "
@@ -373,8 +364,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
                 stats.event_evals += root.function_calls
                 # the step onto the root must pass the error test itself
                 h = t_star - t
-                y_new, err_vec, k, ok = _attempt_step(end_rhs, t, y, h, k1,
-                                                      lin, clock)
+                y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h,
+                                                      k1, lin, clock)
                 if ok:
                     err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
                     hit = EventHit(t_star, y_new)

@@ -75,21 +75,18 @@ def diffusion(n_modes: int) -> np.ndarray:
     return -(k * k).astype(float)
 
 
-def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR):
+def make_rhs(params: ModelParams):
     """Coefficient-space nonlinear part -1 - 2*(v_x)^2/v of the
     v-equation, with the quotient formed on the zero-padded (dealiased)
     grid; the integrator adds the diffusion term as lin = diffusion(N).
 
-    With guard_floor set, a state whose padded-grid values of v fall
-    below the floor yields NaNs, which the stepper treats as a step
-    rejection (the event machinery then resolves t_c).  With
-    guard_floor=None the quotient is formed unconditionally, as needed
-    for post-blow-up continuation where min |v| stays positive but the
-    event is disarmed.
+    The quotient is formed on every state: the blow-up event, not the
+    right-hand side, stops a solve where v reaches zero.  A stage with
+    v = 0 and v_x != 0 on the grid comes out non-finite, which the
+    stepper counts as a rejection.
 
     The right-hand side takes one state or a (..., 2N+1) block of states
-    along the last axis; each row comes out as its own call would give it,
-    a NaN row where the guard refuses that state.
+    along the last axis; each row comes out as its own call would give it.
     """
     n = params.n_modes
     p = padded_size(n)
@@ -99,7 +96,6 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
     # rows: spectra of v and of v_x on the padded grid
     shift = np.stack([sign, 1j * k * sign])
     out_scale = sign / p
-    nan_state = np.full(2 * n + 1, np.nan, dtype=complex)
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
 
@@ -120,10 +116,6 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
         np.multiply(c[..., None, :n], shift[:, :n], out=spec_lo)
         np.fft.ifft(spec, axis=-1, out=grid)
         np.multiply(v, p, out=v)
-        if guard_floor is not None:
-            refused = np.min(np.abs(v), axis=-1) < guard_floor
-            if not lead and refused:
-                return nan_state
         np.multiply(w, w, out=w)
         np.multiply(w, 2.0 * p * p, out=w)
         # 0/0 (v = v_x = 0: at x = 0 in the step onto t_c, everywhere
@@ -138,8 +130,6 @@ def make_rhs(params: ModelParams, guard_floor: Optional[float] = DIVISION_FLOOR)
         np.multiply(wf[..., lo], out_scale[:n], out=out[..., :n])
         np.negative(out, out)
         out.T[n] -= 1.0             # k = 0 of each state (a number for one)
-        if lead and guard_floor is not None:
-            out[refused] = np.nan
         return out
 
     return rhs
@@ -161,12 +151,9 @@ def solve_to_blowup(params: ModelParams) -> tuple[Trajectory, BlowupReport]:
     y0 = initial_field(params).coeffs
     # v(0,.) decreases by ~alpha over [0, t_c]; generous horizon
     t_hi = 2.0 * params.alpha + 1.0
-    # dense output and the step onto t_c evaluate states with v(0) ~ 0,
-    # which the guard refuses: they use the unguarded quotient
     traj, hit = integrate(rhs, y0, 0.0, t_hi, params.integrator,
                           events=[blowup_event()],
-                          lin=diffusion(params.n_modes),
-                          dense_rhs=make_rhs(params, guard_floor=None))
+                          lin=diffusion(params.n_modes))
     if hit is None:
         raise StiffnessOrSingularity(traj.times[-1], traj,
                                      "no blow-up event located")
@@ -241,14 +228,13 @@ def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
                          rng_seed: int = 0) -> ContinuationResult:
     """Noise-seeded integration from t = 0 through t_c to t_end.
 
-    The event is disarmed and the division guard is off; the roundoff
-    imaginary seed lets the solution pass through v = 0 and turn
-    complex.
+    The event is disarmed; the roundoff imaginary seed lets the solution
+    pass through v = 0 and turn complex.
     """
     if t_end <= t_c:
         raise ValueError("t_end must exceed t_c")
     y0 = seed_imaginary_noise(initial_field(params), rng_seed).coeffs
-    rhs = make_rhs(params, guard_floor=None)
+    rhs = make_rhs(params)
     traj, _ = integrate(rhs, y0, 0.0, t_end, params.integrator,
                         lin=diffusion(params.n_modes))
     t_probe = min(1.25 * t_c, 0.5 * (t_c + t_end))
@@ -268,7 +254,7 @@ def continue_complex_path(params: ModelParams, t_end: float,
     if t_end <= t_c + radius:
         raise ValueError("t_end must exceed t_c + radius")
     y0 = initial_field(params).coeffs
-    rhs = make_rhs(params, guard_floor=None)
+    rhs = make_rhs(params)
     path = [line_segment(0.0, t_c - radius),
             semicircle(t_c, radius),
             line_segment(t_c + radius, t_end)]

@@ -278,7 +278,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
 
     # the conjugated seed gives the complex-conjugate state at 2 t_c
     y0 = np.conj(seed_imaginary_noise(initial_field(params), 0).coeffs)
-    conj, _ = integrate(make_rhs(params, guard_floor=None), y0, 0.0,
+    conj, _ = integrate(make_rhs(params), y0, 0.0,
                         2.2 * t_c, params.integrator,
                         lin=diffusion(params.n_modes))
     dconj = float(np.max(np.abs(r1.trajectory.state_at(2.0 * t_c)

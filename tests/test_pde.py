@@ -12,7 +12,7 @@ from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             continue_past_blowup, diffusion, flatness,
                             initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup, u_from_v)
-from blowup_lab.spectral import (DIVISION_FLOOR, FourierField, analyze,
+from blowup_lab.spectral import (FourierField, analyze,
                                  GridValues, grid_points, padded_size,
                                  synthesize)
 from paper_oracle import u_initial_coeff
@@ -80,16 +80,7 @@ def test_fast_rhs_matches_field_rhs_on_smooth_state():
     assert np.array_equal(diffusion(p.n_modes), -(k * k).astype(float))
 
 
-def test_fast_rhs_guard_returns_nan_near_zero():
-    p = small_params(alpha=0.25, epsilon=0.2499999)
-    c = initial_field(p).coeffs.copy()
-    c[p.n_modes] = p.epsilon      # v(0) ~ 0 on the grid
-    out = make_rhs(p)(c, 0.0)
-    assert np.all(np.isnan(out))
-    make_rhs(p, guard_floor=None)(c, 0.0)   # unguarded path must not raise
-
-
-def reference_rhs(params, guard_floor=DIVISION_FLOOR):
+def reference_rhs(params):
     """The nonlinear part of the right-hand side as first written (one
     transform per spectrum, fresh temporaries), without the diffusion
     term, which the integrator now steps exactly, and with 0/0 = 0 in the
@@ -108,8 +99,6 @@ def reference_rhs(params, guard_floor=DIVISION_FLOOR):
         spec[lo] = c[:n] * sign[:n]
         v = np.fft.ifft(spec)
         v *= p
-        if guard_floor is not None and np.min(np.abs(v)) < guard_floor:
-            return np.full(2 * n + 1, np.nan, dtype=complex)
         spec[hi] = c[n:] * ik_sign[n:]
         spec[lo] = c[:n] * ik_sign[:n]
         vx = np.fft.ifft(spec)
@@ -134,10 +123,9 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("n_modes", [8, 32, 128])
-@pytest.mark.parametrize("guard", [DIVISION_FLOOR, None])
-def test_rhs_matches_reference_bit_for_bit(n_modes, guard):
+def test_rhs_matches_reference_bit_for_bit(n_modes):
     p = small_params(n_modes=n_modes, alpha=1.0, epsilon=0.5)
-    fast, ref = make_rhs(p, guard), reference_rhs(p, guard)
+    fast, ref = make_rhs(p), reference_rhs(p)
     rng = np.random.default_rng(n_modes)
     base = initial_field(p).coeffs
     for scale in (0.0, 1e-16, 1e-8, 1e-3, 0.2):
@@ -147,39 +135,35 @@ def test_rhs_matches_reference_bit_for_bit(n_modes, guard):
         assert same_bits(fast(c, 0.0), ref(c, 0.0))
 
 
-def test_rhs_matches_reference_on_the_guard_branch():
+def test_rhs_matches_reference_where_v_reaches_zero():
     p = small_params(alpha=0.25, epsilon=0.2499999)
     c = initial_field(p).coeffs.copy()
     c[p.n_modes] = p.epsilon      # v(0) ~ 0 on the grid
     assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
-    assert np.all(np.isnan(make_rhs(p)(c, 0.0)))
-    # without the guard the quotient is formed, also where v = 0 exactly;
-    # there v_x = 0 as well, and 0/0 counts as 0
+    # the quotient is formed also where v = 0 exactly; there v_x = 0 as
+    # well, and 0/0 counts as 0
     c[p.n_modes] = 0.25
     c[p.n_modes - 1] = c[p.n_modes + 1] = -0.125
-    assert same_bits(make_rhs(p, None)(c, 0.0), reference_rhs(p, None)(c, 0.0))
-    assert np.all(np.isfinite(make_rhs(p, None)(c, 0.0)))
+    assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
+    assert np.all(np.isfinite(make_rhs(p)(c, 0.0)))
 
 
-@pytest.mark.parametrize("guard", [DIVISION_FLOOR, None])
-def test_rhs_on_a_block_matches_row_by_row_calls(guard):
+def test_rhs_on_a_block_matches_row_by_row_calls():
     p = small_params(alpha=0.25, epsilon=0.2499999)
     rng = np.random.default_rng(3)
     base = initial_field(p).coeffs
     noise = rng.standard_normal((2, 6, base.size))
     block = base + 1e-3 * (noise[0] + 1j * noise[1])
     block[2] = base
-    block[2, p.n_modes] = p.epsilon     # v(0) ~ 0: the guard refuses row 2
+    block[2, p.n_modes] = p.epsilon     # v(0) ~ 0 on the grid
     block[4, :] = -0.0                  # v = v_x = 0 everywhere: 0/0 is 0
-    rhs = make_rhs(p, guard)
+    rhs = make_rhs(p)
     rows = np.array([rhs(c, 0.0) for c in block])
     assert same_bits(rhs(block, 0.0), rows)
     assert same_bits(rhs(block.reshape(2, 3, -1), 0.0), rows.reshape(2, 3, -1))
-    refused = np.isnan(rows).all(axis=1)
-    assert list(refused) == [False, False, guard is not None, False,
-                             guard is not None, False]
+    assert np.isfinite(rows).all()
     # a single state still comes out as the reference computes it
-    reference = reference_rhs(p, guard)
+    reference = reference_rhs(p)
     assert same_bits(rhs(block[1], 0.0), reference(block[1], 0.0))
 
 
