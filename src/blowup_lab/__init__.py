@@ -5,11 +5,11 @@ __version__ = "0.1.0"
 
 from .integrator import IntegratorConfig, EventSpec, Trajectory
 from .pde import BlowupReport, ContinuationResult, ModelParams
-from .spectral import FourierField, GridValues
+from .spectral import FourierField
 
 __all__ = [
     "IntegratorConfig", "EventSpec", "Trajectory",
     "BlowupReport", "ContinuationResult", "ModelParams",
-    "FourierField", "GridValues",
+    "FourierField",
     "__version__",
 ]

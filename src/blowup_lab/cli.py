@@ -232,6 +232,9 @@ def _cmd_errors(args, cfg, manifest) -> int:
 
 def _cmd_profile(args, cfg, manifest) -> int:
     params, phases = _params(cfg), _Phases(manifest)
+    if params.epsilon == 0.0:
+        raise ValueError("profile needs epsilon > 0: the global blow-up "
+                         "profile takes log(epsilon)")
     _, rep = solve_to_blowup(params)
     phases.lap("solve")
     data = experiments.profile_from_state(rep.state_at_tc, rep.t_c, params)

@@ -17,10 +17,10 @@ import numpy as np
 from . import asymptotics, tracker
 from .integrator import IntegratorConfig, Trajectory
 from .pde import (ContinuationResult, ModelParams, blowup_estimates,
-                  continue_complex_path, continue_past_blowup,
-                  field_from_state, flatness, solve_to_blowup, u_from_v)
-from .spectral import (DivisorTooSmall, FourierField, padded_size, series_at,
-                       synthesize)
+                  continue_complex_path, continue_past_blowup, flatness,
+                  solve_to_blowup, u_from_v)
+from .spectral import (DivisorTooSmall, FourierField, grid_points,
+                       padded_size, series_at, synthesize)
 
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
@@ -75,8 +75,7 @@ def _table1_cell(alpha: float, epsilon: float, n_modes: int, rtol: float,
                          math.nan, error=str(exc))
 
 
-def run_table1(n_modes: int = 128, rtol: float = 1e-12,
-               atol: float = 1e-12) -> list[Table1Row]:
+def run_table1(n_modes: int, rtol: float, atol: float) -> list[Table1Row]:
     return [_table1_cell(a, e, n_modes, rtol, atol)
             for a in TABLE1_ALPHAS for e in TABLE1_EPSILONS]
 
@@ -97,13 +96,13 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
     solver of an already-computed blow-up solve."""
     consts = asymptotics.constants(params.alpha)
     m = padded_size(params.n_modes)
-    x = -np.pi + 2.0 * np.pi * np.arange(m) / m
+    x = grid_points(m)
     kept, e13, e19 = [], [], []
     dropped = Counter()
     times = sample_times(t_c)
     for t, state in zip(times, traj.states_at(times)):
-        fld = field_from_state(state, params.n_modes)
-        v_ref = synthesize(fld, m).values.real
+        fld = FourierField(params.n_modes, state)
+        v_ref = synthesize(fld, m).real
         denom = np.abs(v_ref)
         if np.min(denom) <= 0.0:
             dropped["v = 0 on the grid"] += 1
@@ -235,15 +234,15 @@ def run_continuation(params: ModelParams, t_end: Optional[float] = None,
             skipped[t] = ("inside the complex-time detour (t_c - r, t_c + r), "
                           "where the path leaves the real axis")
             continue
-        fld = field_from_state(state, params.n_modes)
+        fld = FourierField(params.n_modes, state)
         kept.append(t)
         snaps.append(fld)
         edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
     dev = None
     if t_end > t_c:
-        fld_end = field_from_state(_continuation_state_at(result, t_end, t_end),
-                                   params.n_modes)
-        u_vals = u_from_v(fld_end)[0].values
+        fld_end = FourierField(params.n_modes,
+                               _continuation_state_at(result, t_end, t_end))
+        u_vals = u_from_v(fld_end)[0]
         dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
     return ContinuationData(result, kept, snaps, edges, dev, skipped,
                             {**rep.integrations,
@@ -288,7 +287,7 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
     grid = sample_times(t_c)
     times = grid[grid < params.alpha]
     for t, state in zip(times, traj.states_at(times)):
-        fld = field_from_state(state, params.n_modes)
+        fld = FourierField(params.n_modes, state)
         try:
             f = flatness(fld)
         except DivisorTooSmall:

@@ -15,8 +15,8 @@ from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
                          Trajectory, integrate, integrate_path, line_segment,
                          semicircle)
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
-                       GridValues, analyze, padded_size, series_at,
-                       synthesize)
+                       analyze, grid_points, node_shift, padded_size,
+                       series_at, synthesize)
 
 _EVENT_ROOT_TOL = 1e-13
 # relative tolerance of the cross-check between the two flatness routes
@@ -91,8 +91,7 @@ def make_rhs(params: ModelParams):
     n = params.n_modes
     p = padded_size(n)
     k = np.arange(-n, n + 1)
-    # grid starts at x = -pi, so the node shift e^{-i pi k} is (-1)^k
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    sign = node_shift(n)        # the grid starts at x = -pi
     # rows: spectra of v and of v_x on the padded grid
     shift = np.stack([sign, 1j * k * sign])
     out_scale = sign / p
@@ -135,10 +134,6 @@ def make_rhs(params: ModelParams):
     return rhs
 
 
-def field_from_state(state: np.ndarray, n_modes: int) -> FourierField:
-    return FourierField(n_modes, np.asarray(state, dtype=complex))
-
-
 def blowup_event() -> EventSpec:
     """v(0, t) = Re(sum_k c_k) crossing zero from above."""
     return EventSpec(observable=lambda c: float(np.sum(c).real),
@@ -157,7 +152,7 @@ def solve_to_blowup(params: ModelParams) -> tuple[Trajectory, BlowupReport]:
     if hit is None:
         raise StiffnessOrSingularity(traj.times[-1], traj,
                                      "no blow-up event located")
-    state = field_from_state(hit.state, params.n_modes)
+    state = FourierField(params.n_modes, hit.state)
     return traj, BlowupReport(t_c=hit.t, state_at_tc=state,
                               integrations={"solve": traj.stats})
 
@@ -176,15 +171,16 @@ def blowup_estimates(params: ModelParams) -> tuple[dict, dict]:
             "t_tilde": asymptotics.t_tilde(alpha, eps)}, integrations
 
 
-def u_from_v(fld: FourierField) -> tuple[GridValues, FourierField]:
-    """u = 1/v: pointwise reciprocal on the padded grid plus its coefficients."""
+def u_from_v(fld: FourierField) -> tuple[np.ndarray, FourierField]:
+    """u = 1/v: its values on the padded grid (grid_points(M)) and its
+    coefficients."""
     p = padded_size(fld.n_modes)
     vals = synthesize(fld, p)
-    mags = np.abs(vals.values)
+    mags = np.abs(vals)
     j = int(np.argmin(mags))
     if mags[j] < DIVISION_FLOOR:
-        raise DivisorTooSmall(float(mags[j]), float(vals.points[j]))
-    u_vals = GridValues(vals.points, 1.0 / vals.values)
+        raise DivisorTooSmall(float(mags[j]), float(grid_points(p)[j]))
+    u_vals = 1.0 / vals
     return u_vals, analyze(u_vals, fld.n_modes)
 
 

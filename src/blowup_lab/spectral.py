@@ -73,71 +73,50 @@ class FourierField:
         return np.arange(-self.n_modes, self.n_modes + 1)
 
 
-@dataclass(frozen=True)
-class GridValues:
-    """Samples on the M equispaced nodes of [-pi, pi)."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if p.shape != v.shape:
-            raise SizeMismatch("points and values length mismatch")
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.points.size
-
-
 # ---------------------------------------------------------------------------
-# raw coefficient <-> grid helpers (used throughout; nodes start at -pi)
+# the transform pair, along the last axis (nodes start at -pi)
 
 
-def coeffs_to_grid(coeffs: np.ndarray, n_modes: int, m: int) -> np.ndarray:
-    """Evaluate sum_k c_k e^{ikx_j} on the M nodes x_j = -pi + 2*pi*j/M."""
+def node_shift(n_modes: int) -> np.ndarray:
+    """(-1)^k for k = -N..N: e^{-i pi k} = e^{i pi k} exactly, the factor
+    that moves the DFT's nodes from x = 0 to x = -pi."""
     k = np.arange(-n_modes, n_modes + 1)
-    # shift to nodes starting at -pi: c_k e^{ik(-pi)} then standard ifft
-    shifted = coeffs * np.exp(-1j * np.pi * k)
-    spec = np.zeros(m, dtype=complex)
-    np.add.at(spec, k % m, shifted)
-    return np.fft.ifft(spec) * m
+    return np.where(k % 2 == 0, 1.0, -1.0)
+
+
+def coeffs_to_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """sum_k c_k e^{ikx_j} on the M nodes x_j = -pi + 2*pi*j/M: a
+    (..., 2N+1) array of coefficients to (..., M) grid values."""
+    n = coeffs.shape[-1] // 2
+    if m < 2 * n + 1:
+        raise SizeMismatch(f"M = {m} < 2N+1 = {2 * n + 1}")
+    shifted = coeffs * node_shift(n)
+    spec = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
+    spec[..., :n + 1] = shifted[..., n:]        # wavenumbers 0..N
+    spec[..., m - n:] = shifted[..., :n]        # wavenumbers -N..-1
+    return np.fft.ifft(spec, norm="forward")
 
 
 def grid_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Trapezoidal/DFT coefficients c_k = (1/M) sum_j values_j e^{-ik x_j}."""
-    m = values.size
-    spec = np.fft.fft(values) / m
-    k = np.arange(-n_modes, n_modes + 1)
-    return spec[k % m] * np.exp(1j * np.pi * k)
+    """DFT coefficients c_k = (1/M) sum_j values_j e^{-ikx_j}, k = -N..N:
+    (..., M) grid values to a (..., 2N+1) array.  Exact for inputs
+    band-limited to |k| <= N."""
+    m, n = values.shape[-1], n_modes
+    if m < 2 * n + 1:
+        raise SizeMismatch(f"M = {m} < 2N+1 = {2 * n + 1}")
+    spec = np.fft.fft(values, norm="forward")
+    return np.concatenate([spec[..., m - n:], spec[..., :n + 1]],
+                          axis=-1) * node_shift(n)
 
 
-# ---------------------------------------------------------------------------
-# operations
+def analyze(values: np.ndarray, n_modes: int) -> FourierField:
+    """Forward transform: values on grid_points(M) -> coefficients."""
+    return FourierField(n_modes, grid_to_coeffs(values, n_modes))
 
 
-def analyze(values: GridValues, n_modes: int) -> FourierField:
-    """Forward transform: grid samples -> coefficients c_{-N..N}.
-
-    Exact for inputs band-limited to |k| <= N when M >= 2N+1.
-    """
-    m = values.size
-    if m < 2 * n_modes + 1:
-        raise SizeMismatch(f"M = {m} < 2N+1 = {2 * n_modes + 1}")
-    return FourierField(n_modes, grid_to_coeffs(values.values, n_modes))
-
-
-def synthesize(f: FourierField, grid_size: int) -> GridValues:
-    """Series evaluation on grid_size equispaced nodes."""
-    if grid_size < 2 * f.n_modes + 1:
-        raise SizeMismatch(
-            f"grid_size = {grid_size} < 2N+1 = {2 * f.n_modes + 1}"
-        )
-    vals = coeffs_to_grid(f.coeffs, f.n_modes, grid_size)
-    return GridValues(grid_points(grid_size), vals)
+def synthesize(f: FourierField, grid_size: int) -> np.ndarray:
+    """The series' values on grid_points(grid_size)."""
+    return coeffs_to_grid(f.coeffs, grid_size)
 
 
 def series_at(f: FourierField, x) -> np.ndarray:

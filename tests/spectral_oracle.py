@@ -28,8 +28,8 @@ def convolve(f: FourierField, g: FourierField) -> FourierField:
     """Coefficients of the pointwise product fg, dealiased by zero padding."""
     _check_same_size(f, g)
     p = padded_size(f.n_modes)
-    fv = coeffs_to_grid(f.coeffs, f.n_modes, p)
-    gv = coeffs_to_grid(g.coeffs, g.n_modes, p)
+    fv = coeffs_to_grid(f.coeffs, p)
+    gv = coeffs_to_grid(g.coeffs, p)
     return FourierField(f.n_modes, grid_to_coeffs(fv * gv, f.n_modes))
 
 
@@ -41,8 +41,8 @@ def divide(f: FourierField, g: FourierField,
     """
     _check_same_size(f, g)
     p = padded_size(f.n_modes)
-    fv = coeffs_to_grid(f.coeffs, f.n_modes, p)
-    gv = coeffs_to_grid(g.coeffs, g.n_modes, p)
+    fv = coeffs_to_grid(f.coeffs, p)
+    gv = coeffs_to_grid(g.coeffs, p)
     mags = np.abs(gv)
     j = int(np.argmin(mags))
     if mags[j] < floor:

@@ -12,9 +12,8 @@ import pytest
 from blowup_lab import asymptotics, experiments, tracker
 from blowup_lab.integrator import IntegratorConfig, integrate
 from blowup_lab.pde import (ModelParams, continue_complex_path,
-                            continue_past_blowup, diffusion, field_from_state,
-                            initial_field, make_rhs, seed_imaginary_noise,
-                            solve_to_blowup)
+                            continue_past_blowup, diffusion, initial_field,
+                            make_rhs, seed_imaginary_noise, solve_to_blowup)
 from blowup_lab.spectral import FourierField, padded_size, synthesize
 from fixed_step import order_check
 from paper_oracle import (fourier_ansatz_blowup, impingement_regression,
@@ -47,7 +46,7 @@ def _report(num: int, name: str, checks: list):
 
 
 def test_criterion_1_blowup_time_table():
-    rows = experiments.run_table1()
+    rows = experiments.run_table1(n_modes=128, rtol=1e-12, atol=1e-12)
     checks = []
     for r in rows:
         ref_tc, d1, d2, d3 = TABLE1[(r.alpha, r.epsilon)]
@@ -303,8 +302,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
                       integrator=params.integrator)
     _, rep48 = solve_to_blowup(p48)
     r4 = continue_past_blowup(p48, 20.0, rep48.t_c, rng_seed=0)
-    fld = field_from_state(r4.trajectory.state_at(20.0), 48)
-    u_vals = 1.0 / synthesize(fld, padded_size(48)).values
+    fld = FourierField(48, r4.trajectory.state_at(20.0))
+    u_vals = 1.0 / synthesize(fld, padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
     checks.append((dev <= 0.05, f"asymptote deviation {dev:.3f}"))
     _report(7, "post-blow-up continuation", checks)

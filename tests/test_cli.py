@@ -367,6 +367,15 @@ def test_errors_refuses_epsilon_zero_before_solving(tmp_path, monkeypatch,
     assert calls == []
 
 
+def test_profile_refuses_epsilon_zero_before_solving(tmp_path, monkeypatch,
+                                                     capsys):
+    calls = count_solves(monkeypatch)
+    assert run_cli("profile", *EPS0, "--out", str(tmp_path / "run")) == 1
+    assert "epsilon > 0" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "run" / "blowup_profile.csv").exists()
+
+
 def count_solves(monkeypatch):
     """Count solve_to_blowup calls through every module that looks it up."""
     calls, solve = [], pde.solve_to_blowup

@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab.experiments import sample_times
+from blowup_lab.experiments import (TABLE1_ALPHAS, TABLE1_EPSILONS,
+                                    sample_times)
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             continue_past_blowup, diffusion, flatness,
                             initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup, u_from_v)
-from blowup_lab.spectral import (FourierField, analyze,
-                                 GridValues, grid_points, padded_size,
-                                 synthesize)
+from blowup_lab.spectral import (FourierField, analyze, grid_points,
+                                 padded_size, synthesize)
 from paper_oracle import u_initial_coeff
 from spectral_oracle import v_rhs
 
@@ -63,7 +63,7 @@ def test_v_rhs_matches_pointwise_oracle():
     v_x = -0.3 * np.sin(x) - 0.1 * np.sin(2 * x)
     v_xx = -0.3 * np.cos(x) - 0.2 * np.cos(2 * x)
     oracle_vals = v_xx - 1.0 - 2.0 * v_x ** 2 / v
-    oracle = analyze(GridValues(x, oracle_vals), n).coeffs
+    oracle = analyze(oracle_vals, n).coeffs
     got = v_rhs(fld).coeffs
     assert np.max(np.abs(got - oracle)) < 1e-11
 
@@ -219,6 +219,18 @@ def test_blowup_time_converges_in_n_modes():
     assert d2 < 1e-6
 
 
+def test_table1_cells_solve_without_nonfinite_stages():
+    # the right-hand side forms the quotient on every state; no stage of
+    # a Table-1 solve comes out non-finite
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-8)
+    for alpha in TABLE1_ALPHAS:
+        for epsilon in TABLE1_EPSILONS:
+            p = ModelParams(alpha=alpha, epsilon=epsilon, n_modes=32,
+                            integrator=cfg)
+            stats = solve_to_blowup(p)[1].integrations["solve"]
+            assert stats.accepted > 0 and stats.rejected_nonfinite == 0
+
+
 def test_blowup_report_estimates_and_deltas():
     p = small_params(n_modes=32, alpha=0.25, epsilon=0.1)
     _, rep = solve_to_blowup(p)
@@ -239,7 +251,7 @@ def test_u_from_v_is_pointwise_reciprocal():
     f = initial_field(small_params())
     u_vals, u_field = u_from_v(f)
     v_vals = synthesize(f, padded_size(f.n_modes))
-    assert np.max(np.abs(u_vals.values * v_vals.values - 1.0)) < 1e-13
+    assert np.max(np.abs(u_vals * v_vals - 1.0)) < 1e-13
     # reconstruction matches the closed-form reciprocal coefficients
     for k in (0, 1, 5):
         assert u_field.coeffs[u_field.n_modes + k].real == pytest.approx(

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab.spectral import (DivisorTooSmall, FourierField, GridValues,
-                                 SizeMismatch, SpectralError, analyze,
-                                 coeffs_to_grid, grid_points, grid_to_coeffs,
-                                 padded_size, series_at, synthesize)
+from blowup_lab.spectral import (DivisorTooSmall, FourierField, SizeMismatch,
+                                 SpectralError, analyze, coeffs_to_grid,
+                                 grid_points, grid_to_coeffs, padded_size,
+                                 series_at, synthesize)
 from spectral_oracle import convolve, differentiate, divide
 
 
@@ -62,7 +62,7 @@ def test_round_trip_rejects_undersampled_grid():
     with pytest.raises(SizeMismatch):
         synthesize(f, 10)
     with pytest.raises(SizeMismatch):
-        analyze(GridValues(grid_points(10), np.zeros(10)), 8)
+        analyze(np.zeros(10), 8)
 
 
 def test_differentiate_cos_gives_minus_sin():
@@ -123,7 +123,7 @@ def test_series_at_matches_synthesize_and_alternating_sum():
     f = FourierField(n, rng.normal(size=17) + 1j * rng.normal(size=17))
     m = 32
     vals = synthesize(f, m)
-    assert np.max(np.abs(series_at(f, vals.points) - vals.values)) < 1e-12
+    assert np.max(np.abs(series_at(f, grid_points(m)) - vals)) < 1e-12
     # x = 0 gives sum_k c_k and x = pi gives sum_k c_k (-1)^k
     v0, vpi = series_at(f, [0.0, np.pi])
     assert v0 == pytest.approx(np.sum(f.coeffs), abs=1e-13)
@@ -134,8 +134,36 @@ def test_series_at_matches_synthesize_and_alternating_sum():
 def test_raw_transforms_invert_each_other():
     rng = np.random.default_rng(2)
     c = rng.normal(size=17) + 1j * rng.normal(size=17)
-    vals = coeffs_to_grid(c, 8, 64)
+    vals = coeffs_to_grid(c, 64)
     assert np.max(np.abs(grid_to_coeffs(vals, 8) - c)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_single_mode_is_exactly_alternating_at_minus_pi(n):
+    # e^{ikx} at x_0 = -pi is (-1)^k, with no roundoff from the node shift
+    # (FFT sizes with a large prime factor add their own, so none here)
+    for m in (2 * n + 1, padded_size(n)):
+        for k in range(-n, n + 1):
+            c = np.zeros(2 * n + 1, dtype=complex)
+            c[n + k] = 1.0
+            assert coeffs_to_grid(c, m)[0] == (-1.0) ** k, (m, k)
+
+
+def test_transform_pair_on_a_block_matches_rows_and_series_at():
+    n, m = 16, padded_size(16)
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(3, 2 * n + 1)) + 1j * rng.normal(size=(3, 2 * n + 1))
+    vals = coeffs_to_grid(block, m)
+    assert vals.shape == (3, m)
+    for c, row in zip(block, vals):
+        assert np.max(np.abs(row - coeffs_to_grid(c, m))) < 1e-13
+        assert np.max(np.abs(row - series_at(FourierField(n, c),
+                                             grid_points(m)))) < 1e-13
+    back = grid_to_coeffs(vals, n)
+    assert back.shape == block.shape
+    for c, row, vrow in zip(block, back, vals):
+        assert np.max(np.abs(row - grid_to_coeffs(vrow, n))) < 1e-13
+        assert np.max(np.abs(row - c)) < 1e-13
 
 
 def test_non_finite_coefficients_rejected():
