@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import __version__, experiments
+from . import experiments
 from .integrator import IntegratorConfig
 from .io_utils import RunManifest, verify_manifest, write_csv
 from .pde import ModelParams, blowup_estimates, solve_to_blowup
@@ -133,8 +133,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         os.makedirs(args.out, exist_ok=True)
-        manifest = RunManifest(args.out, cfg, rng_seed=cfg.get("seed"),
-                               tool_version=__version__)
+        manifest = RunManifest(args.out, cfg)
         t0 = time.perf_counter()
         code = _DISPATCH[args.command](args, cfg, manifest)
         manifest.timings["total"] = time.perf_counter() - t0

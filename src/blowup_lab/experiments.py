@@ -205,15 +205,17 @@ class ContinuationData:
     snapshot_times: list
     snapshots: list                  # FourierField per time
     u_edge_moduli: dict              # time -> |u(pi, t)|
-    asymptote_deviation: Optional[float]   # max_x |u + 1/t| * t at t_end
+    asymptote_deviation: float       # max_x |u + 1/t| * t at t_end
     skipped_times: dict              # time -> why it has no snapshot
     integrations: dict               # name -> IntegratorStats
 
 
-def run_continuation(params: ModelParams, t_end: Optional[float] = None,
-                     rng_seed: int = 0, extra_times: Sequence[float] = (),
-                     method: str = "noise_seeded") -> ContinuationData:
-    """Continue past t_c to t_end (default 3 t_c) and sample snapshots."""
+def run_continuation(params: ModelParams, t_end: Optional[float],
+                     rng_seed: int, extra_times: Sequence[float],
+                     method: str) -> ContinuationData:
+    """Continue past t_c to t_end (3 t_c when None) and sample snapshots
+    at the Figure-6 multiples of t_c and at extra_times, which must lie
+    in [0, t_end]."""
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
@@ -221,8 +223,12 @@ def run_continuation(params: ModelParams, t_end: Optional[float] = None,
     t_c = rep.t_c
     if t_end is None:
         t_end = 3.0 * t_c
+    for t in extra_times:
+        if not 0.0 <= t <= t_end:
+            raise ValueError(f"continue: --times {t} outside "
+                             f"[0, t_end = {t_end}]")
     if method == "noise_seeded":
-        result = continue_past_blowup(params, t_end, t_c, rng_seed=rng_seed)
+        result = continue_past_blowup(params, t_end, t_c, rng_seed)
     else:
         result = continue_complex_path(params, t_end, t_c)
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
@@ -238,12 +244,10 @@ def run_continuation(params: ModelParams, t_end: Optional[float] = None,
         kept.append(t)
         snaps.append(fld)
         edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
-    dev = None
-    if t_end > t_c:
-        fld_end = FourierField(params.n_modes,
-                               _continuation_state_at(result, t_end, t_end))
-        u_vals = u_from_v(fld_end)[0]
-        dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
+    fld_end = FourierField(params.n_modes,
+                           _continuation_state_at(result, t_end, t_end))
+    u_vals = u_from_v(fld_end)[0]
+    dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
     return ContinuationData(result, kept, snaps, edges, dev, skipped,
                             {**rep.integrations,
                              method: result.trajectory.stats})
@@ -323,10 +327,11 @@ class CoeffSnapshotData:
 
 
 def run_fourier_snapshots(params: ModelParams,
-                          times: Optional[Sequence[float]] = None,
-                          rng_seed: int = 0) -> CoeffSnapshotData:
-    """Coefficient decay just before, at, and just after t_c (the
-    post-t_c snapshot comes from the noise-seeded continuation)."""
+                          times: Optional[Sequence[float]],
+                          rng_seed: int) -> CoeffSnapshotData:
+    """Coefficient decay at the times, by default just before, at, and
+    just after t_c (times None; the post-t_c snapshot comes from the
+    noise-seeded continuation)."""
     if times is not None and not len(times):
         raise ValueError("snapshots: times is empty; give at least one "
                          "time or omit it for the defaults")
@@ -336,7 +341,7 @@ def run_fourier_snapshots(params: ModelParams,
         times = [0.9 * t_c, t_c, 1.1 * t_c]
     t_end = max(times) * 1.01 if max(times) > t_c else 1.5 * t_c
     result = continue_past_blowup(params, max(t_end, 1.2 * t_c), t_c,
-                                  rng_seed=rng_seed)
+                                  rng_seed)
     n = params.n_modes
     k = np.arange(1, n + 1)
     moduli = []

@@ -46,6 +46,12 @@ _COLUMNS = [tuple(w.reshape((-1,) + (1,) * axes)
                   for w in (_GAPS, _A_PACKED, _E)) for axes in (1, 2)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
+# the step controller's first step, the step below which a solve stops
+# (StiffnessOrSingularity) and the step count at which it stops
+# (MaxStepsExceeded)
+_H_INIT = 1e-4
+_H_MIN = 1e-14
+_MAX_STEPS = 1_000_000
 
 RHS = Callable[[np.ndarray, complex], np.ndarray]
 Observable = Callable[[np.ndarray], float]
@@ -67,30 +73,34 @@ class StiffnessOrSingularity(IntegrationError):
 class MaxStepsExceeded(IntegrationError):
     def __init__(self, t, trajectory):
         self.t, self.trajectory = t, trajectory
-        super().__init__(f"max_steps exceeded at t = {t}")
+        super().__init__(f"more than {_MAX_STEPS} steps by t = {t}")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rtol: float = 1e-12
-    atol: float = 1e-12
-    h_init: float = 1e-4
-    h_min: float = 1e-14
-    h_max: float = np.inf
-    max_steps: int = 1_000_000
+    """The error tolerances of a solve; the rest of the step controller
+    is fixed (_H_INIT, _H_MIN, _MAX_STEPS)."""
+
+    rtol: float
+    atol: float
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if not (self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("require h_min <= h_init <= h_max")
 
 
 @dataclass(frozen=True)
 class EventSpec:
+    """A root of observable where it crosses zero from above."""
+
     observable: Observable
-    direction: str = "any"          # any | decreasing | increasing
-    root_tol: float = 1e-13
+    direction: str                  # "decreasing", the one direction
+    root_tol: float
+
+    def __post_init__(self):
+        if self.direction != "decreasing":
+            raise ValueError(f"unknown event direction {self.direction!r}; "
+                             "events fire on a decreasing crossing only")
 
 
 @dataclass(frozen=True)
@@ -248,8 +258,8 @@ def _stage_weights(lin, clock, t, h):
     return ex[_ROW[:7]], a_c * ex, e
 
 
-def _attempt_step(rhs, t, y, h, k1, lin=None, clock=None, dense=False):
-    """One DOPRI5 step, in Lawson form when lin is given.
+def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
+    """One DOPRI5 step, in Lawson form unless lin is None.
 
     Returns (y5, err, k, ok), k the (7, n) stages; ok=False on non-finite
     rhs.  With dense=True the step stops at y5, skipping the last stage,
@@ -273,21 +283,7 @@ def _attempt_step(rhs, t, y, h, k1, lin=None, clock=None, dense=False):
     return yi, h * _combine(e, k), k, True
 
 
-def _check_event(ev: EventSpec, g0: float, g1: float) -> bool:
-    if g0 == 0.0:
-        return False  # already at a root; fire only on genuine crossing
-    crossed = (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
-    if not crossed:
-        return False
-    if ev.direction == "decreasing":
-        return g0 > 0.0
-    if ev.direction == "increasing":
-        return g0 < 0.0
-    return True
-
-
-def integrate(rhs: RHS, y0, t0: float, t1: float,
-              cfg: IntegratorConfig = IntegratorConfig(),
+def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
               events: Sequence[EventSpec] = (), *,
               lin: Optional[np.ndarray] = None,
               clock: Optional[Callable[[float], complex]] = None,
@@ -302,7 +298,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
     Dense output calls rhs as well, Trajectory.states_at on (m, n) blocks
     of states with an (m, 1) column of times.
 
-    Stops at the first event root, reached by a step of its own that
+    Stops at the first event root, where an observable goes from > 0 to
+    <= 0 over an accepted step, reached by a step of its own that
     must pass the error test; every accepted step is stored in the
     trajectory together with its dense-output segment, and every rhs
     call, later dense-output calls included, is counted in stats (a
@@ -338,11 +335,11 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
         raise IntegrationError(f"rhs non-finite at t0 = {t0}")
 
     t = t0
-    h = min(cfg.h_init, cfg.h_max, t1 - t0)
+    h = min(_H_INIT, t1 - t0)
     err_prev = 1.0
     safety, min_fac, max_fac = 0.9, 0.2, 5.0
 
-    for _ in range(cfg.max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t1:
             return traj, None
         h = min(h, t1 - t)
@@ -353,8 +350,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
             err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
         if ok and err <= 1.0:
             g_new = [ev.observable(y_new) for ev in events]
-            fired = [i for i, ev in enumerate(events)
-                     if _check_event(ev, g_prev[i], g_new[i])]
+            fired = [i for i in range(len(events))
+                     if g_prev[i] > 0.0 >= g_new[i]]
             if fired:
                 ev = events[fired[0]]
                 seg = DenseSegment(t, h, y, k1, substep)
@@ -372,7 +369,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
         if not ok:
             stats.rejected_nonfinite += 1
             h *= 0.5
-            if h < cfg.h_min:
+            if h < _H_MIN:
                 raise StiffnessOrSingularity(
                     t, traj, "rhs non-finite, step underflow")
             continue
@@ -390,13 +387,13 @@ def integrate(rhs: RHS, y0, t0: float, t1: float,
             traj.append(t, y, seg)
             # PI controller
             fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else max_fac
-            h = min(h * min(max_fac, max(min_fac, fac)), cfg.h_max)
+            h *= min(max_fac, max(min_fac, fac))
             err_prev = max(err, 1e-10)
         else:
             stats.rejected_error += 1
             fac = safety * err ** -0.2
             h *= min(1.0, max(min_fac, fac))
-        if h < cfg.h_min:
+        if h < _H_MIN:
             raise StiffnessOrSingularity(t, traj)
     raise MaxStepsExceeded(t, traj)
 
@@ -428,8 +425,8 @@ def semicircle(center: complex, radius: float) -> PathSegment:
 
 
 def integrate_path(rhs: RHS, y0, path: Sequence[PathSegment],
-                   cfg: IntegratorConfig = IntegratorConfig(),
-                   lin: Optional[np.ndarray] = None) -> Trajectory:
+                   cfg: IntegratorConfig,
+                   lin: Optional[np.ndarray]) -> Trajectory:
     """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds along the
     concatenated path; lin is stepped exactly over t(s) as in integrate.
 

@@ -12,6 +12,8 @@ import json
 import os
 from typing import Iterable, Mapping, Sequence
 
+from . import __version__
+
 
 def config_hash(config: Mapping) -> str:
     """Content hash of a config mapping (canonical JSON, sha256)."""
@@ -45,15 +47,13 @@ def _fmt(v) -> str:
 
 
 class RunManifest:
-    """Registry of the files one command run produced."""
+    """Registry of the files one command run produced, with the run's
+    config (its "seed" included) and the package version."""
 
-    def __init__(self, out_dir: str, config: Mapping, rng_seed=None,
-                 tool_version: str = "unknown"):
+    def __init__(self, out_dir: str, config: Mapping):
         self.out_dir = out_dir
         self.config = dict(config)
         self.hash = config_hash(self.config)
-        self.rng_seed = rng_seed
-        self.tool_version = tool_version
         self.outputs: dict[str, dict] = {}
         self.timings: dict[str, float] = {}
         self.extra: dict = {}
@@ -72,8 +72,8 @@ class RunManifest:
         payload = {
             "config": self.config,
             "config_hash": self.hash,
-            "rng_seed": self.rng_seed,
-            "tool_version": self.tool_version,
+            "rng_seed": self.config["seed"],
+            "tool_version": __version__,
             "outputs": self.outputs,
             "timings_sec": self.timings,
             **self.extra,

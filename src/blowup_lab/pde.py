@@ -31,8 +31,8 @@ class ModelParams:
 
     alpha: float
     epsilon: float
-    n_modes: int = 128
-    integrator: IntegratorConfig = IntegratorConfig()
+    n_modes: int
+    integrator: IntegratorConfig
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < self.alpha):
@@ -221,7 +221,7 @@ def _branch_sign(traj: Trajectory, t_probe: float) -> int:
 
 
 def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
-                         rng_seed: int = 0) -> ContinuationResult:
+                         rng_seed: int) -> ContinuationResult:
     """Noise-seeded integration from t = 0 through t_c to t_end.
 
     The event is disarmed; the roundoff imaginary seed lets the solution

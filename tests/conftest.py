@@ -4,14 +4,15 @@ unit tests and acceptance criteria reuse them instead of re-integrating."""
 import numpy as np
 import pytest
 
-from blowup_lab.pde import ModelParams, solve_to_blowup
+from blowup_lab.pde import solve_to_blowup
+from run_defaults import model_params
 
 
 @pytest.fixture(scope="session")
 def solve_fine():
     """Reference solve at alpha=1, epsilon=0.001 (the singularity-track and
     profile parameter point)."""
-    params = ModelParams(alpha=1.0, epsilon=0.001)
+    params = model_params(1.0, 0.001)
     traj, rep = solve_to_blowup(params)
     return params, traj, rep
 
@@ -20,7 +21,7 @@ def solve_fine():
 def solve_mid():
     """Reference solve at alpha=1, epsilon=0.01 (the coefficient-decay
     parameter point)."""
-    params = ModelParams(alpha=1.0, epsilon=0.01)
+    params = model_params(1.0, 0.01)
     traj, rep = solve_to_blowup(params)
     return params, traj, rep
 
@@ -29,6 +30,6 @@ def solve_mid():
 def solve_small():
     """Reference solve at alpha=0.25, epsilon=0.1 (the continuation
     parameter point)."""
-    params = ModelParams(alpha=0.25, epsilon=0.1)
+    params = model_params(0.25, 0.1)
     traj, rep = solve_to_blowup(params)
     return params, traj, rep

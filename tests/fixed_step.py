@@ -17,7 +17,7 @@ def integrate_fixed(rhs, y0, t0: float, t1: float, h: float,
     t = t0
     for _ in range(n):
         k1 = rhs(y, t)
-        y, _, _, ok = _attempt_step(rhs, t, y, h, k1, lin)
+        y, _, _, ok = _attempt_step(rhs, t, y, h, k1, lin, None)
         if not ok:
             raise IntegrationError(f"rhs non-finite at t = {t}")
         t += h

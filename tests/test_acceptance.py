@@ -11,7 +11,7 @@ import pytest
 
 from blowup_lab import asymptotics, experiments, tracker
 from blowup_lab.integrator import IntegratorConfig, integrate
-from blowup_lab.pde import (ModelParams, continue_complex_path,
+from blowup_lab.pde import (continue_complex_path,
                             continue_past_blowup, diffusion, initial_field,
                             make_rhs, seed_imaginary_noise, solve_to_blowup)
 from blowup_lab.spectral import FourierField, padded_size, synthesize
@@ -19,6 +19,7 @@ from fixed_step import order_check
 from paper_oracle import (fourier_ansatz_blowup, impingement_regression,
                           minimal_flatness, near_blowup_forms,
                           solve_taylor_two_mode, taylor_conserved_quantity)
+from run_defaults import TOLERANCES, model_params
 from spectral_oracle import convolve, v_rhs
 
 # Reference blow-up times and estimate deltas (t_c' - t_c, t_hat - t_c,
@@ -104,7 +105,7 @@ def test_criterion_2_exact_identities():
     checks.append((err_taylor <= 1e-11, f"Taylor remainder {err_taylor:.2e}"))
 
     # eps = 0: v = alpha - t exactly, so t_c = alpha
-    _, rep = solve_to_blowup(ModelParams(alpha=0.25, epsilon=0.0))
+    _, rep = solve_to_blowup(model_params(0.25, 0.0))
     err_tc = abs(rep.t_c - 0.25)
     checks.append((err_tc <= 1e-12, f"eps=0 t_c error {err_tc:.2e}"))
     _report(2, "exact identities", checks)
@@ -250,7 +251,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     t_c = rep.t_c
     n = params.n_modes
     checks = []
-    r1 = continue_past_blowup(params, 3.1 * t_c, t_c, rng_seed=0)
+    r1 = continue_past_blowup(params, 3.1 * t_c, t_c, 0)
     traj = r1.trajectory
     # real before t_c, complex after
     im_before = max(np.max(np.abs(np.imag(s)))
@@ -298,10 +299,9 @@ def test_criterion_7_postblowup_continuation(solve_small):
 
     # u -> -1/t for large t (lower resolution suffices: the state is
     # nearly constant in x and the explicit step is stability-limited)
-    p48 = ModelParams(alpha=params.alpha, epsilon=params.epsilon, n_modes=48,
-                      integrator=params.integrator)
+    p48 = model_params(params.alpha, params.epsilon, n_modes=48)
     _, rep48 = solve_to_blowup(p48)
-    r4 = continue_past_blowup(p48, 20.0, rep48.t_c, rng_seed=0)
+    r4 = continue_past_blowup(p48, 20.0, rep48.t_c, 0)
     fld = FourierField(48, r4.trajectory.state_at(20.0))
     u_vals = 1.0 / synthesize(fld, padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
@@ -337,7 +337,7 @@ def test_criterion_8_conservation_and_order():
 
     # near-blow-up matching constants
     eps, alpha = 0.01, 1.0
-    fourier, t_event = fourier_ansatz_blowup(alpha, eps, IntegratorConfig())
+    fourier, t_event = fourier_ansatz_blowup(alpha, eps, TOLERANCES)
     a_c, _ = near_blowup_forms("fourier", fourier, t_event)
     ratio_a = a_c / (eps * math.exp(-alpha))
     checks.append((abs(ratio_a - 1.0) <= 0.1,
@@ -356,7 +356,7 @@ def test_criterion_9_flatness(solve_fine):
     max_rel = float(np.max(data.rel_err[m]))
     checks = [(max_rel <= 0.01, f"alpha=1 max rel err {max_rel:.4f}")]
 
-    p4 = ModelParams(alpha=4.0, epsilon=0.01)
+    p4 = model_params(4.0, 0.01)
     traj4, rep4 = solve_to_blowup(p4)
     d4 = experiments.flatness_from_solution(traj4, rep4.t_c, p4)
     i = int(np.argmin(d4.f_solver))

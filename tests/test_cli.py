@@ -432,6 +432,25 @@ def test_continue_refuses_unknown_method_before_solving(tmp_path,
     assert "teleport" in err and "solved before" not in err
 
 
+@pytest.mark.parametrize("method", experiments.CONTINUATION_METHODS)
+def test_continue_refuses_times_past_t_end_before_continuing(tmp_path,
+                                                             monkeypatch,
+                                                             capsys, method):
+    continued = []
+
+    def no_continuation(*args, **kwargs):
+        continued.append(args)
+        raise AssertionError("continued before the times were checked")
+
+    for name in ("continue_past_blowup", "continue_complex_path"):
+        monkeypatch.setattr(experiments, name, no_continuation)
+    assert run_cli("continue", *FAST, "--t-end", "0.5", "--times", "0.7",
+                   "--method", method, "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "--times 0.7 outside [0, t_end = 0.5]" in err
+    assert continued == []
+
+
 def test_snapshots_command(tmp_path):
     out = tmp_path / "run"
     assert run_cli("snapshots", *FAST, "--out", str(out)) == 0

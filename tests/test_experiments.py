@@ -69,18 +69,18 @@ def test_singularity_overlays_shapes(small_solve):
 
 def test_run_continuation_complex_path():
     p = small_params()
-    data = experiments.run_continuation(p, t_end=0.5, method="complex_path")
+    data = experiments.run_continuation(p, 0.5, 0, (), "complex_path")
     assert data.result.method == "complex_path"
-    assert data.asymptote_deviation is not None
+    assert np.isfinite(data.asymptote_deviation)
     assert sorted(data.snapshot_times) == data.snapshot_times
     with pytest.raises(ValueError):
-        experiments.run_continuation(p, t_end=0.5, method="teleport")
+        experiments.run_continuation(p, 0.5, 0, (), "teleport")
 
 
 def test_complex_path_snapshots_hold_their_labelled_time():
     p = small_params()
-    path = experiments.run_continuation(p, t_end=0.5, method="complex_path")
-    seeded = experiments.run_continuation(p, t_end=0.5, rng_seed=0)
+    path = experiments.run_continuation(p, 0.5, 0, (), "complex_path")
+    seeded = experiments.run_continuation(p, 0.5, 0, (), "noise_seeded")
     t_c = path.result.t_c
     # t_c lies inside the detour (t_c - r, t_c + r): no real-axis state
     assert list(path.skipped_times) == [round(t_c, 12)]
@@ -99,8 +99,7 @@ def test_complex_path_snapshots_hold_their_labelled_time():
 
 def test_run_continuation_extra_times_and_edges():
     p = small_params()
-    data = experiments.run_continuation(p, t_end=0.5, rng_seed=0,
-                                        extra_times=[0.123])
+    data = experiments.run_continuation(p, 0.5, 0, [0.123], "noise_seeded")
     assert any(abs(t - 0.123) < 1e-12 for t in data.snapshot_times)
     t_c = data.result.t_c
     # |u(pi)| near 2 t_c exceeds its pre-blow-up value
@@ -110,7 +109,7 @@ def test_run_continuation_extra_times_and_edges():
 
 
 def test_run_fourier_snapshots_default_times():
-    data = experiments.run_fourier_snapshots(small_params(), rng_seed=0)
+    data = experiments.run_fourier_snapshots(small_params(), None, 0)
     assert len(data.times) == 3
     assert len(data.moduli) == 3
     assert data.k[0] == 1

@@ -14,6 +14,7 @@ from blowup_lab.integrator import (EventSpec, IntegrationError,
                                    integrate, integrate_path, line_segment,
                                    semicircle)
 from fixed_step import integrate_fixed, order_check
+from run_defaults import TOLERANCES
 
 
 def decay(y, t):
@@ -47,8 +48,9 @@ def test_tighter_tolerance_never_much_worse(rtol):
     assert abs(y_tight[0] - exact) <= 10.0 * max(abs(y_loose[0] - exact), rtol)
 
 
-def test_dense_output_matches_exact_solution_between_steps():
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=0.05, h_max=0.1)
+def test_dense_output_matches_exact_solution_between_steps(monkeypatch):
+    monkeypatch.setattr(integrator, "_H_INIT", 0.05)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
     traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0, cfg)
     for t in np.linspace(0.03, 0.97, 17):
         assert abs(traj.state_at(t)[0] - math.exp(-t)) < 1e-9
@@ -60,23 +62,26 @@ def test_event_located_to_root_tolerance():
                    root_tol=1e-13)
     traj, hit = integrate(lambda y, t: np.array([-1.0 + 0j]),
                           np.array([1.0 + 0j]), 0.0, 2.0,
-                          IntegratorConfig(), events=[ev])
+                          TOLERANCES, events=[ev])
     assert hit is not None
     assert abs(hit.t - 1.0) < 1e-12
     assert traj.times[-1] == pytest.approx(hit.t)
 
 
 def test_event_direction_filter():
-    # y = sin t crosses zero upward at 0 (skipped: starts at the root) and
-    # downward at pi; an increasing-only event must skip the pi crossing
+    # y = sin t - 1/2 crosses zero upward at pi/6 and downward at 5 pi/6:
+    # the upward crossing does not fire
     rhs = lambda y, t: np.array([math.cos(t) + 0j])
-    ev_up = EventSpec(lambda y: float(y[0].real), direction="increasing")
-    traj, hit = integrate(rhs, np.array([0.5 + 0j]), 1.0, 7.0,
-                          IntegratorConfig(), events=[ev_up])
-    # sin-like solution y = sin(t) + c; with y(1) = 0.5 the observable is
-    # 0.5 - sin(1) + sin(t): first increasing crossing after the minimum
+    ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
+                   root_tol=1e-13)
+    traj, hit = integrate(rhs, np.array([-0.5 + 0j]), 0.0, 4.0,
+                          TOLERANCES, events=[ev])
     assert hit is not None
-    assert hit.t > 4.0
+    assert abs(hit.t - 5.0 * math.pi / 6.0) < 1e-9
+    # a direction the integrator would not honour is refused
+    for direction in ("increasing", "any"):
+        with pytest.raises(ValueError):
+            EventSpec(ev.observable, direction=direction, root_tol=1e-13)
 
 
 def test_blowup_raises_stiffness_with_partial_trajectory():
@@ -90,11 +95,12 @@ def test_blowup_raises_stiffness_with_partial_trajectory():
     assert len(exc.trajectory.times) > 10
 
 
-def test_max_steps_exceeded_carries_trajectory():
+def test_max_steps_exceeded_carries_trajectory(monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 50)
     with pytest.raises(MaxStepsExceeded) as exc_info:
-        integrate(decay, np.array([1.0 + 0j]), 0.0, 100.0,
-                  IntegratorConfig(h_max=1e-3, max_steps=50))
+        integrate(decay, np.array([1.0 + 0j]), 0.0, 100.0, TOLERANCES)
     assert exc_info.value.trajectory is not None
+    assert exc_info.value.trajectory.stats.accepted <= 50
 
 
 def test_nan_rhs_is_treated_as_step_rejection():
@@ -106,14 +112,12 @@ def test_nan_rhs_is_treated_as_step_rejection():
         return y
 
     with pytest.raises(StiffnessOrSingularity):
-        integrate(rhs, np.array([1.0 + 0j]), 0.0, 5.0, IntegratorConfig())
+        integrate(rhs, np.array([1.0 + 0j]), 0.0, 5.0, TOLERANCES)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(h_init=1e-20, h_min=1e-10)
+        IntegratorConfig(rtol=0.0, atol=1e-12)
 
 
 def test_fixed_step_propagation():
@@ -127,11 +131,11 @@ def test_path_integration_matches_real_axis_for_entire_function():
     rhs = lambda y, t: y
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     straight = integrate_path(rhs, np.array([1.0 + 0j]),
-                              [line_segment(0.0, 2.0)], cfg)
+                              [line_segment(0.0, 2.0)], cfg, None)
     detour = integrate_path(rhs, np.array([1.0 + 0j]),
                             [line_segment(0.0, 0.5),
                              semicircle(1.0, 0.5),
-                             line_segment(1.5, 2.0)], cfg)
+                             line_segment(1.5, 2.0)], cfg, None)
     assert abs(straight.states[-1][0] - math.exp(2.0)) < 1e-9
     assert abs(detour.states[-1][0] - straight.states[-1][0]) < 1e-9
     assert detour.path_times[-1] == pytest.approx(2.0)
@@ -189,14 +193,15 @@ def test_stacked_step_matches_reference_bit_for_bit():
         y[trial % 9] = -0.0          # signed zeros must survive as well
         t, h = rng.uniform(0, 1), 10.0 ** rng.uniform(-6, -1)
         k1 = nonlinear(y, t)
-        y5, err, k, ok = integrator._attempt_step(nonlinear, t, y, h, k1)
+        y5, err, k, ok = integrator._attempt_step(nonlinear, t, y, h, k1,
+                                                  None, None)
         ref = reference_step(nonlinear, t, y, h, k1)
         assert ok and ref is not None
         assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
         assert all(same_bits(a, b) for a, b in zip(k, ref[2]))
         # the dense sub-step over the whole step is the step's own y5
-        y_dense = integrator._attempt_step(nonlinear, t, y, h, k1,
-                                           dense=True)[0]
+        y_dense = integrator._attempt_step(nonlinear, t, y, h, k1, None,
+                                           None, dense=True)[0]
         assert same_bits(y_dense, y5)
 
 
@@ -207,9 +212,10 @@ def test_stacked_step_rejects_where_reference_does():
 
     y = np.array([1.5 + 0j, 0.1 + 0j])
     k1 = rhs(y, 0.0)
-    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1)[3] is False
+    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1, None,
+                                    None)[3] is False
     assert reference_step(rhs, 0.0, y, 0.5, k1) is None
-    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1)
+    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1, None, None)
     assert same_bits(ok_step[0], reference_step(rhs, 0.0, y, 1e-3, k1)[0])
 
 
@@ -237,7 +243,7 @@ def test_combine_adds_in_the_order_of_builtin_sum():
 
 def test_states_are_stored_once_and_read_only():
     y0 = np.array([1.0 + 0j, 2.0 + 0j])
-    traj, _ = integrate(decay, y0, 0.0, 1.0, IntegratorConfig(h_init=0.05))
+    traj, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES)
     y0[0] = 99.0                   # the caller's array is not the stored one
     assert traj.states[0][0] == 1.0
     for state, seg in zip(traj.states, traj.dense_segments):
@@ -247,7 +253,8 @@ def test_states_are_stored_once_and_read_only():
         traj.states[-1][0] = 0.0
 
 
-def test_stats_count_steps_rejections_and_evaluations():
+def test_stats_count_steps_rejections_and_evaluations(monkeypatch):
+    monkeypatch.setattr(integrator, "_H_INIT", 0.5)    # rejected at first
     calls = []
 
     def rhs(y, t):
@@ -255,7 +262,7 @@ def test_stats_count_steps_rejections_and_evaluations():
         return -50.0 * y + np.sin(40.0 * t)
 
     traj, _ = integrate(rhs, np.array([1.0 + 0j]), 0.0, 2.0,
-                        IntegratorConfig(rtol=1e-8, atol=1e-8, h_init=0.5))
+                        IntegratorConfig(rtol=1e-8, atol=1e-8))
     st = traj.stats
     assert st.accepted == len(traj.dense_segments) == len(traj.times) - 1
     assert st.rhs_calls == len(calls)
@@ -269,7 +276,7 @@ def test_stats_count_nonfinite_rejections_and_event_evaluations():
         return np.array([np.nan + 0j]) if y[0].real > 2.0 else y
 
     with pytest.raises(StiffnessOrSingularity) as exc_info:
-        integrate(rhs, np.array([1.0 + 0j]), 0.0, 5.0, IntegratorConfig())
+        integrate(rhs, np.array([1.0 + 0j]), 0.0, 5.0, TOLERANCES)
     st = exc_info.value.trajectory.stats
     assert st.rejected_nonfinite > 0
     assert st.accepted == len(exc_info.value.trajectory.dense_segments)
@@ -280,10 +287,10 @@ def test_stats_count_nonfinite_rejections_and_event_evaluations():
         seen.append(1)
         return float(y[0].real)
 
-    ev = EventSpec(observable, direction="decreasing")
+    ev = EventSpec(observable, direction="decreasing", root_tol=1e-13)
     traj, hit = integrate(lambda y, t: np.array([-1.0 + 0j]),
                           np.array([1.0 + 0j]), 0.0, 2.0,
-                          IntegratorConfig(), events=[ev])
+                          TOLERANCES, events=[ev])
     # one call at t0 for the degenerate check, one to initialise, one
     # per accepted step; the rest locate the root
     assert traj.stats.event_evals == len(seen) - 2 - traj.stats.accepted > 0
@@ -291,9 +298,9 @@ def test_stats_count_nonfinite_rejections_and_event_evaluations():
 
 def test_path_state_at_matches_each_leg():
     rhs = lambda y, t: 1j * t * y
-    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12, h_init=0.01)
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     legs = [line_segment(0.0, 0.5), line_segment(0.5, 2.0)]
-    path = integrate_path(rhs, np.array([1.0 + 0j]), legs, cfg)
+    path = integrate_path(rhs, np.array([1.0 + 0j]), legs, cfg, None)
     # each leg on its own, over the same global s in [j, j + 1]
     own = []
     y = np.array([1.0 + 0j])
@@ -332,7 +339,7 @@ def linear_scan(traj, t):
 
 @pytest.mark.parametrize("kind", ["real", "path"])
 def test_bisect_lookup_matches_linear_scan(kind):
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=0.01)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
     lin = np.array([-3.0, -40.0])
     rhs = lambda y, t: np.array([np.cos(t), 0.5 * y[0] * y[1]])
     y0 = np.array([1.0 + 0j, 0.5 + 0j])
@@ -374,7 +381,7 @@ def block_rhs(y, t):
 
 @pytest.mark.parametrize("kind", ["real", "path"])
 def test_block_lookups_match_single_lookups_bit_for_bit(kind):
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=0.01)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
     lin = np.array([-3.0, -40.0])
     y0 = np.array([1.0 + 0j, 0.5 + 0j])
     if kind == "real":
@@ -412,7 +419,7 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
 
 def test_dense_lookups_are_counted():
     traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
-                        IntegratorConfig(h_init=0.05), lin=np.array([-2.0]))
+                        TOLERANCES, lin=np.array([-2.0]))
     calls = traj.stats.rhs_calls
     traj.state_at(traj.times[3])                 # stored: no evaluation
     assert traj.stats.rhs_calls == calls
@@ -430,7 +437,7 @@ def test_linear_part_alone_is_exact_without_overflow():
     zero = lambda yy, t: np.zeros_like(yy)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         y5, err, _, ok = integrator._attempt_step(zero, 0.0, y, 0.1,
-                                                  np.zeros_like(y), lin)
+                                                  np.zeros_like(y), lin, None)
     assert ok and np.all(np.isfinite(y5)) and not np.any(err)
     exact = np.exp(lin * 0.1) * y
     assert np.all(np.abs(y5 - exact) <= 4 * np.finfo(float).eps * np.abs(y))

@@ -18,7 +18,7 @@ from blowup_lab.spectral import (FourierField, analyze, grid_points,
 from paper_oracle import u_initial_coeff
 from spectral_oracle import v_rhs
 
-FAST = IntegratorConfig(rtol=1e-10, atol=1e-10, h_init=1e-4)
+FAST = IntegratorConfig(rtol=1e-10, atol=1e-10)
 
 
 def small_params(n_modes=32, alpha=0.25, epsilon=0.1):
@@ -28,11 +28,11 @@ def small_params(n_modes=32, alpha=0.25, epsilon=0.1):
 
 def test_model_params_validation():
     with pytest.raises(ValueError):
-        ModelParams(alpha=0.1, epsilon=0.2)       # epsilon >= alpha
+        small_params(alpha=0.1, epsilon=0.2)      # epsilon >= alpha
     with pytest.raises(ValueError):
-        ModelParams(alpha=1.0, epsilon=-0.1)
+        small_params(alpha=1.0, epsilon=-0.1)
     with pytest.raises(ValueError):
-        ModelParams(alpha=1.0, epsilon=0.1, n_modes=4)
+        small_params(n_modes=4)
 
 
 def test_initial_field_coefficients():
@@ -279,14 +279,14 @@ def test_seed_imaginary_noise_properties():
 def test_continue_past_blowup_requires_t_end_beyond_tc():
     p = small_params()
     with pytest.raises(ValueError):
-        continue_past_blowup(p, 0.05, 0.16)
+        continue_past_blowup(p, 0.05, 0.16, 0)
 
 
 def test_continuation_turns_complex_and_is_seed_deterministic():
     p = small_params()
     _, rep = solve_to_blowup(p)
-    r1 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, rng_seed=3)
-    r2 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, rng_seed=3)
+    r1 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, 3)
+    r2 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, 3)
     s1 = r1.trajectory.state_at(1.4 * rep.t_c)
     s2 = r2.trajectory.state_at(1.4 * rep.t_c)
     assert np.max(np.abs(s1 - s2)) == 0.0

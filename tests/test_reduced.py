@@ -14,8 +14,8 @@ from blowup_lab.reduced import _field, solve_two_mode
 from paper_oracle import (fourier_ansatz_blowup, near_blowup_forms,
                           solve_taylor_two_mode, taylor_conserved_quantity,
                           taylor_two_mode_rhs)
+from run_defaults import TOLERANCES as DEFAULT
 
-DEFAULT = IntegratorConfig()
 CELLS = [(a, e) for a in TABLE1_ALPHAS for e in TABLE1_EPSILONS]
 
 

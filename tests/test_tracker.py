@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup_lab import tracker
-from blowup_lab.integrator import IntegratorConfig
-from blowup_lab.pde import ModelParams, initial_field, solve_to_blowup, u_from_v
+from blowup_lab.pde import initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import FourierField
 from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
                                 _denoised, _fit_drop_reason, build_track,
@@ -18,6 +17,7 @@ from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
                                 strip_width_estimate, SingularityTrack)
 from paper_oracle import (impingement_regression, impingement_slope,
                           u_initial_coeff)
+from run_defaults import model_params
 
 
 def pole_model_field(n, y, c0=1.0, p=1.0):
@@ -113,7 +113,7 @@ def test_denoised_trims_boundary_ramp_and_floor():
 def test_axis_value_and_root_on_exact_initial_data():
     # v = alpha - eps cos x gives v(iy) = alpha - eps cosh(y), with root
     # at y = arccosh(alpha/eps)
-    p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32)
+    p = model_params(0.25, 0.1, n_modes=32)
     f = initial_field(p)
     y_ref = math.acosh(0.25 / 0.1)
     re_v, _ = _axis_real(f.coeffs, f.n_modes)
@@ -127,7 +127,7 @@ def test_axis_value_and_root_on_exact_initial_data():
 def test_root_on_exact_initial_data_property(ratio, alpha):
     # v(iy) = alpha - eps cosh(y) has its only root at arccosh(alpha/eps)
     eps = alpha / ratio
-    f = initial_field(ModelParams(alpha=alpha, epsilon=eps, n_modes=16))
+    f = initial_field(model_params(alpha, eps, n_modes=16))
     assert abs(root_on_axis(f) - math.acosh(alpha / eps)) <= 1e-12
 
 
@@ -230,9 +230,7 @@ def test_impingement_slope_window_selection():
 
 @pytest.fixture(scope="module")
 def small_solve():
-    p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32,
-                    integrator=IntegratorConfig(rtol=1e-10, atol=1e-10,
-                                                h_init=1e-4))
+    p = model_params(0.25, 0.1, n_modes=32, rtol=1e-10, atol=1e-10)
     traj, _ = solve_to_blowup(p)
     return p, traj
 
@@ -333,7 +331,7 @@ def test_track_roots_against_direct_complex_sum(small_solve):
 def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
     # closed-loop check at t = 0: the strip width of u = 1/v equals the
     # axis-root position of v
-    p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=64)
+    p = model_params(0.25, 0.1, n_modes=64)
     f = initial_field(p)
     _, u_field = u_from_v(f)
     # exact reciprocal coefficients decay as rho^{-k} with no k-prefactor:
