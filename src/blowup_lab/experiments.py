@@ -219,7 +219,7 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
-    _, rep = solve_to_blowup(params)
+    solve, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if t_end is None:
         t_end = 3.0 * t_c
@@ -230,12 +230,12 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if method == "noise_seeded":
         result = continue_past_blowup(params, t_end, t_c, rng_seed)
     else:
-        result = continue_complex_path(params, t_end, t_c)
+        result = continue_complex_path(params, solve, t_end, t_c)
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
                     if f * t_c <= t_end} | set(extra_times))
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
-        state = _continuation_state_at(result, t, t_end)
+        state = result.state_at(t)
         if state is None:
             skipped[t] = ("inside the complex-time detour (t_c - r, t_c + r), "
                           "where the path leaves the real axis")
@@ -244,31 +244,12 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
         kept.append(t)
         snaps.append(fld)
         edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
-    fld_end = FourierField(params.n_modes,
-                           _continuation_state_at(result, t_end, t_end))
+    fld_end = FourierField(params.n_modes, result.state_at(t_end))
     u_vals = u_from_v(fld_end)[0]
     dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
     return ContinuationData(result, kept, snaps, edges, dev, skipped,
                             {**rep.integrations,
                              method: result.trajectory.stats})
-
-
-def _continuation_state_at(result: ContinuationResult, t: float,
-                           t_end: float) -> Optional[np.ndarray]:
-    """State at real time t; None inside the complex-path detour."""
-    traj = result.trajectory
-    if result.method == "noise_seeded":
-        return traj.state_at(t)
-    # the complex path is parameterized by s: leg 1 (s in [0, 1]) runs
-    # over [0, t_c - r], leg 3 (s in [2, 3]) over [t_c + r, t_end]
-    lo, hi = result.t_c - result.radius, result.t_c + result.radius
-    if t == t_end:
-        return traj.states[-1]          # stored exactly where the path ends
-    if t <= lo:
-        return traj.state_at(t / lo)
-    if t >= hi:
-        return traj.state_at(2.0 + (t - hi) / (t_end - hi))
-    return None
 
 
 @dataclass
@@ -335,6 +316,9 @@ def run_fourier_snapshots(params: ModelParams,
     if times is not None and not len(times):
         raise ValueError("snapshots: times is empty; give at least one "
                          "time or omit it for the defaults")
+    for t in times or ():
+        if t < 0.0:
+            raise ValueError(f"snapshots: --times {t} is before t = 0")
     _, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if times is None:

@@ -4,12 +4,13 @@ Dormand-Prince coefficients with a PI step-size controller, in
 integrating-factor (Lawson) form for y' = L y + N(y, t) with a diagonal
 linear part L that is stepped exactly; dense output by one sub-step of
 the same method from the start of the covering step; sign-change event
-location on the dense output; and integration along piecewise-smooth
-paths in the complex time plane.
+location on the dense output; and integration along a smooth path in
+the complex time plane.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -85,8 +86,11 @@ class IntegratorConfig:
     atol: float
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value}: tolerances must be "
+                                 "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,6 @@ class Trajectory:
     states: list = field(default_factory=list)
     # dense_segments[i] covers [times[i], times[i + 1]]
     dense_segments: list = field(default_factory=list)
-    # for path integration: complex time t(s) at each stored parameter value
-    path_times: Optional[list] = None
     stats: IntegratorStats = field(default_factory=IntegratorStats)
 
     def append(self, t, y, segment=None):
@@ -400,15 +402,10 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
 
 @dataclass(frozen=True)
 class PathSegment:
-    """Smooth piece of a complex-t path, parameterized by s in [0, 1]."""
+    """A smooth path in the complex t-plane, parameterized by s in [0, 1]."""
 
     t_of_s: Callable[[float], complex]
     dt_ds: Callable[[float], complex]
-
-
-def line_segment(t_start: complex, t_end: complex) -> PathSegment:
-    return PathSegment(lambda s: t_start + s * (t_end - t_start),
-                       lambda s: t_end - t_start)
 
 
 def semicircle(center: complex, radius: float) -> PathSegment:
@@ -424,31 +421,14 @@ def semicircle(center: complex, radius: float) -> PathSegment:
     return PathSegment(t_of_s, dt_ds)
 
 
-def integrate_path(rhs: RHS, y0, path: Sequence[PathSegment],
-                   cfg: IntegratorConfig,
+def integrate_path(rhs: RHS, y0, path: PathSegment, cfg: IntegratorConfig,
                    lin: Optional[np.ndarray]) -> Trajectory:
-    """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds along the
-    concatenated path; lin is stepped exactly over t(s) as in integrate.
+    """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds over s in [0, 1]
+    along the path; lin is stepped exactly over t(s) as in integrate, and
+    the trajectory's times are the path parameter s."""
 
-    Leg j runs over s in [j, j + 1]: times and dense segments are in this
-    global s, path_times holds t(s) at each stored state, and all legs
-    count into the one stats of the returned trajectory.
-    """
-    out = Trajectory(path_times=[])
-    y = y0
-    for j, seg in enumerate(path):
-        def t_of(s, _seg=seg, _j=j):
-            return _seg.t_of_s(s - _j)
+    def rhs_s(ys, s):
+        return rhs(ys, path.t_of_s(s)) * path.dt_ds(s)
 
-        def rhs_s(ys, s, _seg=seg, _j=j):
-            return rhs(ys, _seg.t_of_s(s - _j)) * _seg.dt_ds(s - _j)
-
-        traj, _ = integrate(rhs_s, y, float(j), float(j + 1), cfg, lin=lin,
-                            clock=t_of, stats=out.stats)
-        start = 0 if j == 0 else 1  # skip duplicated junction point
-        out.times.extend(traj.times[start:])
-        out.states.extend(traj.states[start:])
-        out.path_times.extend(complex(t_of(s)) for s in traj.times[start:])
-        out.dense_segments.extend(traj.dense_segments)
-        y = traj.states[-1]
-    return out
+    traj, _ = integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=path.t_of_s)
+    return traj

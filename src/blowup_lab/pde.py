@@ -5,6 +5,7 @@ flatness, and post-blow-up continuation (noise-seeded or complex-time path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -12,8 +13,7 @@ import numpy as np
 
 from . import asymptotics, reduced
 from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
-                         Trajectory, integrate, integrate_path, line_segment,
-                         semicircle)
+                         Trajectory, integrate, integrate_path, semicircle)
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
                        analyze, grid_points, node_shift, padded_size,
                        series_at, synthesize)
@@ -35,6 +35,10 @@ class ModelParams:
     integrator: IntegratorConfig
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
         if not (0.0 <= self.epsilon < self.alpha):
             raise ValueError("require 0 <= epsilon < alpha")
         if self.n_modes < 8:
@@ -51,11 +55,26 @@ class BlowupReport:
 
 @dataclass
 class ContinuationResult:
+    # in real time: from 0 (noise_seeded) or from t_c + radius
+    # (complex_path) to the end time
     trajectory: Trajectory
     branch_sign: int
     method: str                      # noise_seeded | complex_path
     t_c: float
     radius: Optional[float] = None   # of the complex-path detour about t_c
+    solve: Optional[Trajectory] = None  # the blow-up solve the detour leaves
+
+    def state_at(self, t: float) -> Optional[np.ndarray]:
+        """The state at real time t.  On the complex path it comes from
+        the blow-up solve up to t_c - radius and from the real-time leg
+        from t_c + radius; in between the path leaves the real axis and
+        the state is None."""
+        if self.method == "complex_path":
+            if t <= self.t_c - self.radius:
+                return self.solve.state_at(t)
+            if t < self.t_c + self.radius:
+                return None
+        return self.trajectory.state_at(t)
 
 
 def initial_field(params: ModelParams) -> FourierField:
@@ -239,27 +258,23 @@ def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
                               method="noise_seeded", t_c=t_c)
 
 
-def continue_complex_path(params: ModelParams, t_end: float,
-                          t_c: float) -> ContinuationResult:
-    """Integrate around t_c on a semicircle in the complex t-plane.
+def continue_complex_path(params: ModelParams, solve: Trajectory,
+                          t_end: float, t_c: float) -> ContinuationResult:
+    """Step around t_c through the complex t-plane.
 
-    Real axis to t_c - radius, half circle of radius 0.1 t_c about t_c
-    through the upper half-plane, then real axis to t_end.
+    From the blow-up solve's state at t_c - radius, a half circle of
+    radius 0.1 t_c about t_c through the upper half-plane, then real time
+    from t_c + radius to t_end; both integrations count into one stats.
     """
     radius = 0.1 * t_c
     if t_end <= t_c + radius:
         raise ValueError("t_end must exceed t_c + radius")
-    y0 = initial_field(params).coeffs
-    rhs = make_rhs(params)
-    path = [line_segment(0.0, t_c - radius),
-            semicircle(t_c, radius),
-            line_segment(t_c + radius, t_end)]
-    traj = integrate_path(rhs, y0, path, params.integrator,
-                          lin=diffusion(params.n_modes))
-    # branch sign from the junction after the semicircle
-    post = [i for i, tt in enumerate(traj.path_times)
-            if abs(tt.imag) < 1e-14 and tt.real > t_c]
-    im = float(np.sum(traj.states[post[0]]).imag) if post else 0.0
-    return ContinuationResult(trajectory=traj,
-                              branch_sign=1 if im >= 0.0 else -1,
-                              method="complex_path", t_c=t_c, radius=radius)
+    rhs, lin = make_rhs(params), diffusion(params.n_modes)
+    arc = integrate_path(rhs, solve.state_at(t_c - radius),
+                         semicircle(t_c, radius), params.integrator, lin)
+    leg, _ = integrate(rhs, arc.states[-1], t_c + radius, t_end,
+                       params.integrator, lin=lin, stats=arc.stats)
+    return ContinuationResult(trajectory=leg,
+                              branch_sign=_branch_sign(leg, leg.times[0]),
+                              method="complex_path", t_c=t_c, radius=radius,
+                              solve=solve)

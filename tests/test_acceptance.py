@@ -247,7 +247,7 @@ def test_criterion_6_singularity_track(solve_fine):
 
 
 def test_criterion_7_postblowup_continuation(solve_small):
-    params, _, rep = solve_small
+    params, solve, rep = solve_small
     t_c = rep.t_c
     n = params.n_modes
     checks = []
@@ -286,12 +286,9 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
-    r3 = continue_complex_path(params, 3.05 * t_c, t_c)
-    real_t = np.array([pt.real if abs(pt.imag) < 1e-13 else np.nan
-                       for pt in r3.trajectory.path_times])
-    i3 = int(np.nanargmin(np.abs(real_t - 3.0 * t_c)))
-    s_path = r3.trajectory.states[i3]
-    s_noise = r1.trajectory.state_at(real_t[i3])
+    r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c)
+    s_path = r3.state_at(3.0 * t_c)
+    s_noise = r1.trajectory.state_at(3.0 * t_c)
     d_same = float(np.max(np.abs(s_path - s_noise)))
     d_conj = float(np.max(np.abs(s_path - np.conj(s_noise))))
     checks.append((min(d_same, d_conj) <= 1e-6,

@@ -417,6 +417,16 @@ def test_snapshots_empty_times_refused_before_solving(tmp_path, monkeypatch,
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 
+def test_snapshots_negative_time_refused_before_solving(tmp_path,
+                                                       monkeypatch, capsys):
+    calls = count_solves(monkeypatch)
+    assert run_cli("snapshots", *FAST, "--times", "0.1", "-0.1", "--out",
+                   str(tmp_path / "run")) == 1
+    assert "--times -0.1 is before t = 0" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_continue_refuses_unknown_method_before_solving(tmp_path,
                                                         monkeypatch, capsys):
     def no_solve(*args, **kwargs):

@@ -32,3 +32,18 @@ def test_compare_runs_ignores_headers_and_lists_what_differs(tmp_path, capsys):
     assert "one.csv" not in out
     empty = [str(tmp_path / "none"), str(tmp_path / "nil")]
     assert compare_runs.main(empty) == 1
+
+
+def test_compare_runs_measures_numeric_differences(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_tree(a, {"v.csv": "# h\nk,v\n1,2.0\n2,-4.0\n",
+                   "rows.csv": "k\n1\n", "name.csv": "k,v\n"})
+    write_tree(b, {"v.csv": "# g\nk,v\n1,2.0\n2,-4.5\n",
+                   "rows.csv": "k\n1\n2\n", "name.csv": "k,w\n"})
+    assert compare_runs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    # |-4.0 - -4.5| = 0.5, relative to the larger magnitude 4.5
+    assert "body differs: v.csv (max abs diff 0.5, max rel diff 0.111)" in out
+    # another shape, or a differing cell that is no number: no gap
+    assert "body differs: rows.csv\n" in out
+    assert "body differs: name.csv\n" in out

@@ -92,9 +92,20 @@ def test_complex_path_snapshots_hold_their_labelled_time():
     got = path.snapshots[path.snapshot_times.index(t)].coeffs
     want = seeded.result.trajectory.state_at(t)
     assert np.max(np.abs(got - want)) < 1e-8
-    # and every snapshot time is read on the path's real-axis legs
+    # and every snapshot time outside the detour is read on the real axis
     assert set(path.snapshot_times) | set(path.skipped_times) \
         == set(seeded.snapshot_times)
+
+
+def test_complex_path_starts_from_the_blowup_solve():
+    # before the detour the snapshots are the blow-up solve's own states,
+    # to the bit: no interval is integrated twice
+    p = small_params()
+    path = experiments.run_continuation(p, 0.5, 0, (), "complex_path")
+    solve, _ = solve_to_blowup(p)
+    t = round(0.5 * path.result.t_c, 12)
+    got = path.snapshots[path.snapshot_times.index(t)].coeffs
+    assert got.tobytes() == solve.state_at(t).tobytes()
 
 
 def test_run_continuation_extra_times_and_edges():

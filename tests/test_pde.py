@@ -33,6 +33,11 @@ def test_model_params_validation():
         small_params(alpha=1.0, epsilon=-0.1)
     with pytest.raises(ValueError):
         small_params(n_modes=4)
+    # non-finite values are refused by name, before any other check
+    for name in ("alpha", "epsilon"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} = {value}"):
+                small_params(**{name: value})
 
 
 def test_initial_field_coefficients():
