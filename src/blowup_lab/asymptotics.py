@@ -1,6 +1,7 @@
 """Closed-form approximations: perturbation profile, blow-up time
-estimates, quadrature constants, blow-up profiles and coefficient-decay
-laws, singularity-trajectory formulas, and flatness laws.
+estimates and their constants C1-C3 (C2 and C3 from power series of
+the exponential integral), blow-up profiles and coefficient-decay laws,
+singularity-trajectory formulas, and flatness laws.
 
 All functions are pure and stateless.
 """
@@ -11,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-# absolute and relative tolerance of the quadratures for C2 and C3
-_TOL = 1e-12
+# the series for C2 and C3 give up (RuntimeError) after this many terms
+_SERIES_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -24,32 +24,40 @@ class AsymptoticConstants:
     C3: float
 
 
-def constants(alpha: float) -> AsymptoticConstants:
-    """Quadrature constants of the second-order blow-up time estimate.
+def _ein_series(z: float) -> tuple[float, float]:
+    """sum_{n>=1} z^n / (n n!) and sum_{n>=1} H_n z^n / n! for z > 0, H_n
+    the n-th harmonic number: all terms positive, summed until neither
+    sum changes."""
+    s2 = s3 = harmonic = 0.0
+    term = 1.0
+    for n in range(1, _SERIES_TERMS + 1):
+        term *= z / n
+        harmonic += 1.0 / n
+        n2, n3 = s2 + term / n, s3 + harmonic * term
+        if n2 == s2 and n3 == s3 and math.isfinite(s3):
+            return s2, s3
+        s2, s3 = n2, n3
+    raise RuntimeError(f"series for C2 and C3 at z = {z} did not converge "
+                       f"in {_SERIES_TERMS} terms")
 
-    C1 = e^{-2a} log a is closed form; C2 and C3 are integrals with a
-    removable endpoint singularity, handled by the substitution
-    s = alpha - t so the integrands become (e^{±2s} - 1)/s with finite
-    limits 2 and -2 at s = 0.
+
+def constants(alpha: float) -> AsymptoticConstants:
+    """Constants of the second-order blow-up time estimate.
+
+    C1 = e^{-2a} log a.  C2 = e^{-2a} I2 and C3 = e^{-2a} I3, with
+    I2 = int_0^a (e^{2s} - 1)/s ds = sum_{n>=1} (2a)^n / (n n!) and
+    I3 = int_0^a (e^{-2s} - 1)/s ds = -Ein(2a)
+       = -e^{-2a} sum_{n>=1} H_n (2a)^n / n!  (DLMF 6.2.3, 6.6).
+    Both series have positive terms; the alternating series
+    Ein(z) = sum_{n>=1} (-1)^{n+1} z^n / (n n!) cancels, 2.7e-12
+    relative off at a = 8 and 1e-5 at a = 16.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    c1 = math.exp(-2.0 * alpha) * math.log(alpha)
-
-    def f2(s):
-        return 2.0 if s == 0.0 else np.expm1(2.0 * s) / s
-
-    def f3(s):
-        return -2.0 if s == 0.0 else np.expm1(-2.0 * s) / s
-
-    i2, e2 = quad(f2, 0.0, alpha, epsabs=_TOL, epsrel=_TOL, limit=200)
-    i3, e3 = quad(f3, 0.0, alpha, epsabs=_TOL, epsrel=_TOL, limit=200)
-    c2 = math.exp(-2.0 * alpha) * i2
-    c3 = math.exp(-2.0 * alpha) * i3
-    err = math.exp(-2.0 * alpha) * (e2 + e3)
-    if err > 10.0 * _TOL:
-        raise RuntimeError(f"quadrature did not converge: error {err:.3e}")
-    return AsymptoticConstants(C1=c1, C2=c2, C3=c3)
+    decay = math.exp(-2.0 * alpha)
+    i2, ein_sum = _ein_series(2.0 * alpha)
+    return AsymptoticConstants(C1=decay * math.log(alpha), C2=decay * i2,
+                               C3=-decay * (decay * ein_sum))
 
 
 def perturbation_v(x, t, alpha: float, epsilon: float):

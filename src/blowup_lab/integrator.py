@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 # Dormand-Prince 5(4) tableau; row i of _A weighs the stages j < i.  The
 # last stage is taken at the fifth-order solution (first same as last),
@@ -53,6 +52,10 @@ _BLOCK = 16
 _H_INIT = 1e-4
 _H_MIN = 1e-14
 _MAX_STEPS = 1_000_000
+# Brent's root finder: the relative part of its tolerance and its
+# iteration cap
+_BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_ITER = 100
 
 RHS = Callable[[np.ndarray, complex], np.ndarray]
 Observable = Callable[[np.ndarray], float]
@@ -285,6 +288,63 @@ def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
     return yi, h * _combine(e, k), k, True
 
 
+def brentq(f: Callable[[float], float], a: float, b: float,
+           xtol: float) -> tuple[float, int]:
+    """A root of f between a and b, where f changes sign, to within
+    xtol + _BRENT_RTOL |root|; returns (root, calls of f).
+
+    Brent's method (Brent 1973, ch. 4), step for step as the classic C
+    routine brentq.c, so it reaches the same root bits after the same
+    calls.  A NaN value of f or a bracket without a sign change raises
+    ValueError, and no convergence in _BRENT_ITER iterations raises
+    RuntimeError.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x = {x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 2
+    if fcur == 0.0:
+        return xcur, 2
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for calls in range(2, _BRENT_ITER + 2):     # calls of f so far
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {_BRENT_ITER} iterations")
+
+
 def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
               events: Sequence[EventSpec] = (), *,
               lin: Optional[np.ndarray] = None,
@@ -357,10 +417,10 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             if fired:
                 ev = events[fired[0]]
                 seg = DenseSegment(t, h, y, k1, substep)
-                t_star, root = brentq(
+                t_star, calls = brentq(
                     lambda tt: ev.observable(seg.eval(tt)),
-                    t, t + h, xtol=ev.root_tol, full_output=True)
-                stats.event_evals += root.function_calls
+                    t, t + h, ev.root_tol)
+                stats.event_evals += calls
                 # the step onto the root must pass the error test itself
                 h = t_star - t
                 y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h,

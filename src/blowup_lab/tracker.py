@@ -8,14 +8,14 @@ finding of v(iy) = 0 on the positive imaginary axis.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .integrator import Trajectory
+from .integrator import Trajectory, brentq
 from .spectral import DivisorTooSmall, FourierField
 from .pde import u_from_v
 
@@ -26,6 +26,8 @@ _ON_AXIS = 100.0 * _ROUNDOFF
 # the axis scan: samples on (0, y_max], and the root tolerance in y
 _SCAN_POINTS = 400
 _ROOT_TOL = 1e-10
+# the dip search's cap on calls of the function it minimises
+_DIP_CALLS = 500
 
 
 class TrackingError(Exception):
@@ -183,14 +185,85 @@ def _axis_real(coeffs: np.ndarray, n: int):
     return re_v, y_cap
 
 
+def _minimize_bounded(f, a: float, b: float,
+                      xatol: float) -> tuple[float, float]:
+    """(x, f(x)) at a local minimum of f on [a, b], to within xatol.
+
+    Brent's minimiser, golden-section search with parabolic steps
+    (Brent 1973, ch. 5), step for step as the classic bounded routine
+    fminbound, so it returns the same x and f(x); it stops after
+    _DIP_CALLS calls of f.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = float(f(xf))
+    calls = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:           # try a parabola through three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = float(f(x))
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= _DIP_CALLS:
+            break
+    return xf, fx
+
+
 def root_on_axis(v_field: FourierField) -> float:
-    """Smallest y >= 0 with Re v(iy) = 0, polished by brentq inside the
-    first sign change.  The axis is scanned up to the largest y the
-    coefficient amplification allows, a local minimum of the scan before
-    its first sign change is searched for a dip below zero, and Re v(0)
-    at or below the roundoff of the coefficient sum means the
-    singularity has already reached the real axis: the root is 0 (a root
-    inside that roundoff would only mark the noise).
+    """Smallest y >= 0 with Re v(iy) = 0, polished by Brent's root
+    finder (integrator.brentq) inside the first sign change.  The axis is
+    scanned up to the largest y the coefficient amplification allows, a
+    local minimum of the scan before its first sign change is searched
+    for a dip below zero, and Re v(0) at or below the roundoff of the
+    coefficient sum means the singularity has already reached the real
+    axis: the root is 0 (a root inside that roundoff would only mark the
+    noise).
     """
     coeffs = _denoised(v_field.coeffs)
     g, y_cap = _axis_real(coeffs, v_field.n_modes)
@@ -210,15 +283,14 @@ def root_on_axis(v_field: FourierField) -> float:
     v = vals[:flips[0] + 1 if flips.size else positive.size]
     # (strictly below its left neighbour, so a plateau gets one search)
     for i in 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])):
-        dip = minimize_scalar(g, bounds=(ys[i - 1], ys[i + 1]),
-                              method="bounded",
-                              options={"xatol": 0.01 * _ROOT_TOL})
-        if dip.fun <= 0.0:
-            return float(brentq(g, ys[i - 1], dip.x, xtol=0.01 * _ROOT_TOL))
+        y_dip, g_dip = _minimize_bounded(g, ys[i - 1], ys[i + 1],
+                                         0.01 * _ROOT_TOL)
+        if g_dip <= 0.0:
+            return float(brentq(g, ys[i - 1], y_dip, 0.01 * _ROOT_TOL)[0])
     if not flips.size:
         raise TrackingError("no sign change of Re v(iy) on the axis")
     return float(brentq(g, ys[flips[0]], ys[flips[0] + 1],
-                        xtol=0.01 * _ROOT_TOL))
+                        0.01 * _ROOT_TOL)[0])
 
 
 # report the fit only while the full spectrum at this strip width is

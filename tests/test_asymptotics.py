@@ -16,16 +16,19 @@ def test_constants_against_exponential_integrals():
     #    = e^{-2a} * (Ei(2a) - gamma - log(2a))
     # C3 = e^{-2a} * int_0^a (e^{-2s}-1)/s ds
     #    = -e^{-2a} * (gamma + log(2a) + E1(2a))
-    for alpha in (0.25, 1.0, 4.0):
+    for alpha in (0.05, 0.25, 1.0, 4.0, 8.0, 16.0):
         c = asy.constants(alpha)
         g = np.euler_gamma
         i2 = expi(2.0 * alpha) - g - math.log(2.0 * alpha)
         i3 = -(g + math.log(2.0 * alpha) + exp1(2.0 * alpha))
-        assert c.C2 == pytest.approx(math.exp(-2 * alpha) * i2, rel=1e-10)
-        assert c.C3 == pytest.approx(math.exp(-2 * alpha) * i3, rel=1e-10)
+        assert c.C2 == pytest.approx(math.exp(-2 * alpha) * i2, rel=1e-14)
+        assert c.C3 == pytest.approx(math.exp(-2 * alpha) * i3, rel=1e-14)
         assert c.C1 == pytest.approx(math.exp(-2 * alpha) * math.log(alpha))
     with pytest.raises(ValueError):
         asy.constants(-1.0)
+    # past alpha ~ 355 the sum of the series overflows
+    with pytest.raises(RuntimeError, match="did not converge"):
+        asy.constants(400.0)
 
 
 def test_blowup_time_estimates_consistent():

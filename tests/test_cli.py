@@ -3,6 +3,10 @@ config precedence, exit codes."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,20 @@ FAST = ["--alpha", "0.25", "--epsilon", "0.1", "--n-modes", "32",
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only: its optimize module alone took
+    # about 0.5 s of every command's start-up
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, path) if p))
+    code = ("import blowup_lab.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_solve_writes_outputs_and_manifest(tmp_path):

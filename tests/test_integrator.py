@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from blowup_lab import integrator
 from blowup_lab.integrator import (EventSpec, IntegrationError,
                                    IntegratorConfig, MaxStepsExceeded,
                                    PathSegment, StiffnessOrSingularity,
-                                   integrate, integrate_path, semicircle)
+                                   brentq, integrate, integrate_path,
+                                   semicircle)
 from fixed_step import integrate_fixed, order_check
 from run_defaults import TOLERANCES
 
@@ -65,6 +67,53 @@ def test_event_located_to_root_tolerance():
     assert hit is not None
     assert abs(hit.t - 1.0) < 1e-12
     assert traj.times[-1] == pytest.approx(hit.t)
+
+
+# functions with one sign change, at r, and a steepness c > 0
+BRACKETED = (
+    lambda r, c: lambda x: (x - r) * (1.0 + c * x * x),
+    lambda r, c: lambda x: math.atan(c * (x - r)),
+    lambda r, c: lambda x: math.expm1(c * (x - r)),
+    lambda r, c: lambda x: math.tanh(c * (x - r)) ** 3,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(BRACKETED))), st.floats(-2.0, 2.0),
+       st.floats(1e-3, 3.0), st.floats(1e-3, 3.0), st.floats(0.1, 30.0),
+       st.floats(-15.0, -1.0))
+def test_brentq_matches_scipy_step_for_step(family, r, left, right, c,
+                                            log_xtol):
+    # the same root bits after the same number of calls, or the same
+    # failure to converge
+    f = BRACKETED[family](r, c)
+    a, b, xtol = r - left, r + right, 10.0 ** log_xtol
+    try:
+        expected, info = scipy_brentq(f, a, b, xtol=xtol, full_output=True)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            brentq(f, a, b, xtol)
+        return
+    root, calls = brentq(f, a, b, xtol)
+    assert root == expected
+    assert calls == info.function_calls
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0, ValueError),
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+    (lambda x: (x - 0.3) ** 3, -1.0, 1.0, RuntimeError),
+], ids=["nan", "same-sign", "no-convergence"])
+def test_brentq_raises_as_scipy_does(f, a, b, error):
+    with pytest.raises(error):
+        scipy_brentq(f, a, b, xtol=1e-12)
+    with pytest.raises(error):
+        brentq(f, a, b, 1e-12)
+
+
+def test_brentq_returns_an_endpoint_root():
+    assert brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == (1.0, 2)
+    assert brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == (2.0, 2)
 
 
 def test_event_direction_filter():

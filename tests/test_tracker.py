@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from blowup_lab import tracker
 from blowup_lab.pde import initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import FourierField
 from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
-                                _denoised, _fit_drop_reason, build_track,
+                                _denoised, _fit_drop_reason,
+                                _minimize_bounded, build_track,
                                 fit_strip_width, root_on_axis,
                                 strip_width_estimate, SingularityTrack)
 from paper_oracle import (impingement_regression, impingement_slope,
@@ -193,16 +195,37 @@ def test_root_on_axis_searches_a_flat_scan_at_most_once(monkeypatch, coeffs):
     c = np.zeros(2 * n + 1, dtype=complex)
     for k, a in coeffs.items():
         c[n + k] = a
-    searches, search = [], tracker.minimize_scalar
+    searches, search = [], tracker._minimize_bounded
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         searches.append(args)
-        return search(*args, **kwargs)
+        return search(*args)
 
-    monkeypatch.setattr(tracker, "minimize_scalar", counted)
+    monkeypatch.setattr(tracker, "_minimize_bounded", counted)
     with pytest.raises(TrackingError, match="no sign change"):
         root_on_axis(FourierField(n, c))
     assert len(searches) <= 1
+
+
+# functions with local minima, flat stretches and kinks on [-4, 4]
+MINIMISED = (
+    lambda c: lambda x: (x - c) ** 2 * (x + c) + 0.1 * x,
+    lambda c: lambda x: math.sin(3.0 * c * x) + 0.1 * c * x,
+    lambda c: lambda x: math.sqrt(abs(x - c)),
+    lambda c: lambda x: max(1.0, 1.0 + math.exp(-40.0 * x) - c),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(MINIMISED))), st.floats(-3.0, 3.0),
+       st.floats(-4.0, 4.0), st.floats(1e-3, 4.0), st.floats(-14.0, -1.0))
+def test_bounded_minimiser_matches_scipy(family, c, a, width, log_xatol):
+    f = MINIMISED[family](c)
+    xatol = 10.0 ** log_xatol
+    expected = minimize_scalar(f, bounds=(a, a + width), method="bounded",
+                               options={"xatol": xatol})
+    assert _minimize_bounded(f, a, a + width, xatol) == (expected.x,
+                                                         expected.fun)
 
 
 def test_impingement_regression_recovers_synthetic_slope():
