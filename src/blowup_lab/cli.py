@@ -306,22 +306,22 @@ def _cmd_continue(args, cfg, manifest) -> int:
         params, cfg["t_end"], rng_seed=cfg["seed"], extra_times=cfg["times"],
         method=cfg["method"])
     phases.lap("compute")
-    n = params.n_modes
+    n, label = params.n_modes, experiments.time_label
     for t, fld in zip(data.snapshot_times, data.snapshots):
-        path = os.path.join(args.out, f"snapshot_t{t:.6f}.csv")
+        path = os.path.join(args.out, f"snapshot_t{label(t)}.csv")
         write_csv(path, ["k", "re_c_k", "im_c_k"],
                   [(int(k), c.real, c.imag) for k, c in
                    zip(range(-n, n + 1), fld.coeffs)],
                   manifest.csv_header(t=t))
-        manifest.register(f"snapshot_t{t:.6f}", path)
+        manifest.register(f"snapshot_t{label(t)}", path)
     phases.lap("write")
     manifest.extra["continuation"] = {
         "t_c": data.result.t_c,
         "branch_sign": data.result.branch_sign,
         "method": data.result.method,
-        "u_edge_moduli": {f"{t:.6f}": v for t, v in data.u_edge_moduli.items()},
+        "u_edge_moduli": {label(t): v for t, v in data.u_edge_moduli.items()},
         "asymptote_deviation_at_t_end": data.asymptote_deviation,
-        "skipped_times": {f"{t:.6f}": why
+        "skipped_times": {label(t): why
                           for t, why in data.skipped_times.items()},
     }
     manifest.extra["integrator"] = _integrator_block(data.integrations)
@@ -337,7 +337,8 @@ def _cmd_snapshots(args, cfg, manifest) -> int:
                                              rng_seed=cfg["seed"])
     phases.lap("compute")
     path = os.path.join(args.out, "coefficient_snapshots.csv")
-    cols = ["k"] + [f"abs_c_k_t{t:.6f}" for t in data.times] + ["local_law"]
+    cols = ["k"] + [f"abs_c_k_t{experiments.time_label(t)}"
+                    for t in data.times] + ["local_law"]
     rows = []
     for i, k in enumerate(data.k):
         rows.append([int(k)] + [m[i] for m in data.moduli] + [data.local_law[i]])

@@ -199,6 +199,23 @@ def singularity_from_solution(traj: Trajectory, t_c: float,
 FIG6_FACTORS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0)
 
 
+def time_label(t: float) -> str:
+    """A snapshot time as file names, CSV columns and manifest keys
+    print it."""
+    return f"{t:.6f}"
+
+
+def _refuse_shared_labels(command: str, times: Sequence[float]) -> None:
+    """Refuse two times with the same label: one snapshot would
+    overwrite the other."""
+    ordered = sorted(times)
+    for a, b in zip(ordered, ordered[1:]):
+        if time_label(a) == time_label(b):
+            raise ValueError(f"{command}: times {a!r} and {b!r} both print "
+                             f"as {time_label(a)}; give times that differ "
+                             "in their first 6 decimals")
+
+
 @dataclass
 class ContinuationData:
     result: ContinuationResult
@@ -227,12 +244,13 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
         if not 0.0 <= t <= t_end:
             raise ValueError(f"continue: --times {t} outside "
                              f"[0, t_end = {t_end}]")
+    times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
+                    if f * t_c <= t_end} | set(extra_times))
+    _refuse_shared_labels("continue", times)
     if method == "noise_seeded":
         result = continue_past_blowup(params, t_end, t_c, rng_seed)
     else:
         result = continue_complex_path(params, solve, t_end, t_c)
-    times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
-                    if f * t_c <= t_end} | set(extra_times))
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
         state = result.state_at(t)
@@ -319,6 +337,7 @@ def run_fourier_snapshots(params: ModelParams,
     for t in times or ():
         if t < 0.0:
             raise ValueError(f"snapshots: --times {t} is before t = 0")
+    _refuse_shared_labels("snapshots", times or ())
     _, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if times is None:

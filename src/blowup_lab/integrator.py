@@ -11,6 +11,7 @@ the complex time plane.
 from __future__ import annotations
 
 import math
+import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -161,8 +162,8 @@ class IntegratorStats:
         """The counts plus the smallest, median and largest accepted step."""
         out = {k: v for k, v in vars(self).items() if k != "h_accepted"}
         h = self.h_accepted
-        for name, fn in (("h_min", np.min), ("h_median", np.median),
-                         ("h_max", np.max)):
+        for name, fn in (("h_min", min), ("h_median", statistics.median),
+                         ("h_max", max)):
             out[name] = float(fn(h)) if h else None
         return out
 

@@ -8,7 +8,6 @@ finding of v(iy) = 0 on the positive imaginary axis.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -26,8 +25,6 @@ _ON_AXIS = 100.0 * _ROUNDOFF
 # the axis scan: samples on (0, y_max], and the root tolerance in y
 _SCAN_POINTS = 400
 _ROOT_TOL = 1e-10
-# the dip search's cap on calls of the function it minimises
-_DIP_CALLS = 500
 
 
 class TrackingError(Exception):
@@ -158,12 +155,14 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _axis_real(coeffs: np.ndarray, n: int):
-    """Evaluator of Re v(iy) = Re c_0 + sum_k Re c_k e^{-ky}
-    + sum_k Re c_{-k} e^{ky} over the nonzero modes only, exact because
-    e^{+-ky} is real, plus the largest y before the growing part overflows.
+    """Evaluators of Re v(iy) = Re c_0 + sum_k Re c_k e^{-ky}
+    + sum_k Re c_{-k} e^{ky} and of its slope d/dy Re v(iy)
+    = sum_k k Re c_{-k} e^{ky} - sum_k k Re c_k e^{-ky}, over the nonzero
+    modes only, exact because e^{+-ky} is real, plus the largest y before
+    the growing part overflows.
 
     The growing part is summed in log scale; rows whose largest
-    log-exponent exceeds _EXP_LIMIT are NaN.
+    log-exponent exceeds _EXP_LIMIT are NaN in both.
     """
     k = np.arange(1, n + 1, dtype=float)
     c_pos, c_neg = coeffs[n + 1:], coeffs[n - 1::-1]     # k = 1..N, -1..-N
@@ -174,99 +173,37 @@ def _axis_real(coeffs: np.ndarray, n: int):
     c0 = coeffs[n].real
     y_cap = float(np.min((_EXP_LIMIT - log_mag) / k_gro)) if gro.size else np.inf
 
-    def re_v(y):
-        yk = np.asarray(y, dtype=float)[..., None]
-        expo = yk * k_gro + log_mag
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = c0 + np.exp(-yk * k_dec) @ re_dec + np.exp(expo) @ cos_phase
-        return np.where(np.max(expo, axis=-1, initial=-np.inf) > _EXP_LIMIT,
-                        np.nan, val)
+    def evaluator(c, w_dec, w_gro):
+        def f(y):
+            yk = np.asarray(y, dtype=float)[..., None]
+            expo = yk * k_gro + log_mag
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = c + np.exp(-yk * k_dec) @ w_dec + np.exp(expo) @ w_gro
+            return np.where(
+                np.max(expo, axis=-1, initial=-np.inf) > _EXP_LIMIT,
+                np.nan, val)
+        return f
 
-    return re_v, y_cap
-
-
-def _minimize_bounded(f, a: float, b: float,
-                      xatol: float) -> tuple[float, float]:
-    """(x, f(x)) at a local minimum of f on [a, b], to within xatol.
-
-    Brent's minimiser, golden-section search with parabolic steps
-    (Brent 1973, ch. 5), step for step as the classic bounded routine
-    fminbound, so it returns the same x and f(x); it stops after
-    _DIP_CALLS calls of f.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = float(f(xf))
-    calls = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:           # try a parabola through three points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm - xf < 0 else tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0 else xf + step
-        fu = float(f(x))
-        calls += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if calls >= _DIP_CALLS:
-            break
-    return xf, fx
+    return (evaluator(c0, re_dec, cos_phase),
+            evaluator(0.0, -k_dec * re_dec, k_gro * cos_phase), y_cap)
 
 
 def root_on_axis(v_field: FourierField) -> float:
     """Smallest y >= 0 with Re v(iy) = 0, polished by Brent's root
-    finder (integrator.brentq) inside the first sign change.  The axis is
-    scanned up to the largest y the coefficient amplification allows, a
-    local minimum of the scan before its first sign change is searched
-    for a dip below zero, and Re v(0) at or below the roundoff of the
-    coefficient sum means the singularity has already reached the real
-    axis: the root is 0 (a root inside that roundoff would only mark the
-    noise).
+    finder (integrator.brentq) inside the first sign change of a scan up
+    to the largest y the coefficient amplification allows.  Re v(0) at or
+    below the roundoff of the coefficient sum means the singularity has
+    already reached the real axis: the root is 0 (a root inside that
+    roundoff would only mark the noise).
+
+    A dip below zero narrower than the scan spacing shows only as a local
+    minimum of the scan before its first sign change.  Where the slope
+    goes from < 0 to >= 0 next to it, brentq finds the dip's bottom as the
+    slope's root and, if that is at or below zero, the root before it; a
+    minimum without such a change is finer than the scan, and unsearched.
     """
     coeffs = _denoised(v_field.coeffs)
-    g, y_cap = _axis_real(coeffs, v_field.n_modes)
+    g, slope, y_cap = _axis_real(coeffs, v_field.n_modes)
     y_max = min(y_cap, 50.0) * 0.999
     if not np.isfinite(y_max) or y_max <= 0:
         raise TrackingError("no feasible y range")
@@ -278,15 +215,17 @@ def root_on_axis(v_field: FourierField) -> float:
     bad = np.flatnonzero(~np.isfinite(vals))
     positive = vals[:bad[0] if bad.size else vals.size] > 0.0
     flips = np.flatnonzero(positive[1:] != positive[:-1])
-    # a dip narrower than the scan spacing shows only as a local
-    # minimum of the (positive) samples before the first sign change
     v = vals[:flips[0] + 1 if flips.size else positive.size]
     # (strictly below its left neighbour, so a plateau gets one search)
     for i in 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])):
-        y_dip, g_dip = _minimize_bounded(g, ys[i - 1], ys[i + 1],
-                                         0.01 * _ROOT_TOL)
-        if g_dip <= 0.0:
-            return float(brentq(g, ys[i - 1], y_dip, 0.01 * _ROOT_TOL)[0])
+        s = slope(ys[i - 1:i + 2])
+        up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
+        if not up.size:
+            continue
+        lo = ys[i - 1 + up[0]]
+        y_dip = brentq(slope, lo, ys[i + up[0]], 0.01 * _ROOT_TOL)[0]
+        if g(y_dip) <= 0.0:
+            return float(brentq(g, lo, y_dip, 0.01 * _ROOT_TOL)[0])
     if not flips.size:
         raise TrackingError("no sign change of Re v(iy) on the axis")
     return float(brentq(g, ys[flips[0]], ys[flips[0] + 1],

@@ -479,6 +479,25 @@ def test_continue_refuses_times_past_t_end_before_continuing(tmp_path,
     assert continued == []
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("continue", ["--t-end", "0.5"]), ("snapshots", [])],
+    ids=["continue", "snapshots"])
+def test_times_with_the_same_label_are_refused(tmp_path, monkeypatch, capsys,
+                                               command, extra):
+    # both times print as 0.300000, the label of a snapshot file, column
+    # and manifest key, so one snapshot would overwrite the other
+    def no_continuation(*args, **kwargs):
+        raise AssertionError("continued before the labels were checked")
+
+    monkeypatch.setattr(experiments, "continue_past_blowup", no_continuation)
+    out = tmp_path / "run"
+    assert run_cli(command, *FAST, *extra, "--times", "0.3000001",
+                   "0.3000002", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "times 0.3000001 and 0.3000002 both print as 0.300000" in err
+    assert not list(out.rglob("*.csv"))
+
+
 def test_snapshots_command(tmp_path):
     out = tmp_path / "run"
     assert run_cli("snapshots", *FAST, "--out", str(out)) == 0

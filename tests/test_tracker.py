@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from blowup_lab import tracker
 from blowup_lab.pde import initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import FourierField
 from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
-                                _denoised, _fit_drop_reason,
-                                _minimize_bounded, build_track,
+                                _denoised, _fit_drop_reason, build_track,
                                 fit_strip_width, root_on_axis,
                                 strip_width_estimate, SingularityTrack)
 from paper_oracle import (impingement_regression, impingement_slope,
@@ -118,8 +116,9 @@ def test_axis_value_and_root_on_exact_initial_data():
     p = model_params(0.25, 0.1, n_modes=32)
     f = initial_field(p)
     y_ref = math.acosh(0.25 / 0.1)
-    re_v, _ = _axis_real(f.coeffs, f.n_modes)
+    re_v, slope, _ = _axis_real(f.coeffs, f.n_modes)
     assert re_v(1.0) == pytest.approx(0.25 - 0.1 * math.cosh(1.0))
+    assert slope(1.0) == pytest.approx(-0.1 * math.sinh(1.0))
     assert root_on_axis(f) == pytest.approx(y_ref, abs=1e-9)
 
 
@@ -152,15 +151,25 @@ def test_root_on_axis_returns_the_smaller_of_two_roots():
     assert root_on_axis(f) == pytest.approx(y_small, abs=1e-12)
 
 
-def test_root_on_axis_finds_a_dip_narrower_than_the_scan():
+# (bottom y0 of the dip, its half-width relative to y0): ys[14] = 1.74825
+# is a scan sample, and 1.7 with 2.2e-3 is about d = 0.01 in cosh y
+@pytest.mark.parametrize("y0, rel_width", [
+    (0.3, 1e-4), (0.3, 1e-2), (1.7, 2.2e-3), (1.74825, 1e-3), (2.5, 3e-4),
+    (3.3, 5e-3), (5.0, 1e-4), (5.0, 1e-2)])
+def test_root_on_axis_finds_a_dip_narrower_than_the_scan(y0, rel_width):
     # v(iy) = (cosh y - C)^2 - d^2 = cosh(2y)/2 - 2 C cosh y + C^2 - d^2 + 1/2
-    # dips below zero only for cosh y in (C - d, C + d), here y within
-    # 1.6965..1.7036: far narrower than the scan spacing of 50/400, and
-    # every scan sample is positive
-    big_c, d = math.cosh(1.7), 0.01
+    # with C = cosh y0 dips below zero only for cosh y in (C - d, C + d),
+    # y within about y0 (1 -+ rel_width): narrower than the scan spacing
+    # of 50/400, so at most one scan sample falls inside the dip
+    big_c, d = math.cosh(y0), rel_width * y0 * math.sinh(y0)
     f = symmetric_field(16, {0: big_c ** 2 - d * d + 0.5, 1: -big_c,
                              2: 0.25})
-    assert root_on_axis(f) == pytest.approx(math.acosh(big_c - d), abs=1e-12)
+    y_root = math.acosh(big_c - d)
+    # brentq's 1e-12 plus the roundoff of terms of size C^2 over the slope
+    # 2 d sinh y at the root, which a thin dip makes small; at most 1e-10
+    tol = min(1e-10, 1e-12 + 8.0 * np.finfo(float).eps * big_c ** 2
+              / (d * math.sinh(y_root)))
+    assert abs(root_on_axis(f) - y_root) <= tol
 
 
 def test_root_on_axis_overflow_before_sign_change_raises():
@@ -171,9 +180,10 @@ def test_root_on_axis_overflow_before_sign_change_raises():
         root_on_axis(f)
     # past _EXP_LIMIT = 700 the value is NaN even where e^{40 y} would
     # still be finite in double precision (40 * 17.6 = 704 < 709)
-    re_v, y_cap = _axis_real(f.coeffs, f.n_modes)
+    re_v, slope, y_cap = _axis_real(f.coeffs, f.n_modes)
     assert y_cap == pytest.approx(17.5 - math.log(0.5) / 40.0)
     assert np.all(np.isnan(re_v(np.array([17.6, 30.0]))))
+    assert np.all(np.isnan(slope(np.array([17.6, 30.0]))))
 
 
 def test_root_on_axis_no_root():
@@ -195,37 +205,17 @@ def test_root_on_axis_searches_a_flat_scan_at_most_once(monkeypatch, coeffs):
     c = np.zeros(2 * n + 1, dtype=complex)
     for k, a in coeffs.items():
         c[n + k] = a
-    searches, search = [], tracker._minimize_bounded
+    # with no sign change on the axis, every brentq call is a dip search
+    searches, search = [], tracker.brentq
 
     def counted(*args):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(tracker, "_minimize_bounded", counted)
+    monkeypatch.setattr(tracker, "brentq", counted)
     with pytest.raises(TrackingError, match="no sign change"):
         root_on_axis(FourierField(n, c))
     assert len(searches) <= 1
-
-
-# functions with local minima, flat stretches and kinks on [-4, 4]
-MINIMISED = (
-    lambda c: lambda x: (x - c) ** 2 * (x + c) + 0.1 * x,
-    lambda c: lambda x: math.sin(3.0 * c * x) + 0.1 * c * x,
-    lambda c: lambda x: math.sqrt(abs(x - c)),
-    lambda c: lambda x: max(1.0, 1.0 + math.exp(-40.0 * x) - c),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(range(len(MINIMISED))), st.floats(-3.0, 3.0),
-       st.floats(-4.0, 4.0), st.floats(1e-3, 4.0), st.floats(-14.0, -1.0))
-def test_bounded_minimiser_matches_scipy(family, c, a, width, log_xatol):
-    f = MINIMISED[family](c)
-    xatol = 10.0 ** log_xatol
-    expected = minimize_scalar(f, bounds=(a, a + width), method="bounded",
-                               options={"xatol": xatol})
-    assert _minimize_bounded(f, a, a + width, xatol) == (expected.x,
-                                                         expected.fun)
 
 
 def test_impingement_regression_recovers_synthetic_slope():
@@ -298,7 +288,7 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
     # every earlier row starts positive at y = 0, so its root is still the
     # first sign change of the scan
     for state in traj.states[:-1]:
-        g, _ = _axis_real(_denoised(state), p.n_modes)
+        g, _, _ = _axis_real(_denoised(state), p.n_modes)
         assert g(np.array([0.0]))[0] > 0.0
 
 
@@ -331,12 +321,21 @@ def test_track_roots_against_direct_complex_sum(small_solve):
     track = build_track(traj, n, times)
     usable = np.flatnonzero(track.usable_root())
     assert usable.size > 30
+    dips = 0
     for i in usable:
         c = _denoised(traj.state_at(times[i]))
         y = track.y_root[i]
 
         def re_v(ys):
             return (np.exp(-np.outer(np.atleast_1d(ys), k)) @ c).real
+
+        # a root that no sign change of the axis scan brackets, the scan
+        # sample after it still positive, comes from the dip search
+        y_max = min(_axis_real(c, n)[2], 50.0) * 0.999
+        scan = np.linspace(y_max / tracker._SCAN_POINTS, y_max,
+                           tracker._SCAN_POINTS)
+        after = scan[scan > y]
+        dips += bool(after.size) and re_v(after[0])[0] > 0.0
 
         # roundoff of the sum plus the slope times the brentq tolerance
         weight = np.abs(c) * np.exp(np.abs(k) * y)
@@ -348,6 +347,7 @@ def test_track_roots_against_direct_complex_sum(small_solve):
         if y > 0.0:
             inside = re_v(np.linspace(0.0, y, 4002)[1:-1])
             assert np.all(inside > 0.0) or np.all(inside < 0.0)
+    assert dips >= 1
     assert track.y_root[-1] == 0.0
 
 
