@@ -4,13 +4,13 @@ figure datasets as self-describing CSV files plus a JSON run manifest.
     blowup-lab <table1|solve|errors|profile|singularity|continue|
                 snapshots|flatness> [options]
 
-Exit codes: 0 success, 2 partial (some cells failed), 1 fatal.
+Exit codes: 0 success, 1 fatal, 2 partial (some cells failed) or a
+usage error that argparse refuses (an unknown option or choice).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,23 +23,19 @@ from .io_utils import RunManifest, verify_manifest, write_csv
 from .pde import ModelParams, blowup_estimates, solve_to_blowup
 
 
+_DEFAULTS = {"alpha": 1.0, "epsilon": 0.01, "n_modes": 128,
+             "rtol": 1e-12, "atol": 1e-12, "seed": 0}
+# keys only some commands take; the rest keep the common config (and so
+# their CSV headers and config hashes) unchanged
+_COMMAND_DEFAULTS = {
+    "continue": {"t_end": None, "method": "noise_seeded", "times": []},
+    "snapshots": {"times": None},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="blowup-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        # None defaults so a config file can fill in unset flags
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--epsilon", type=float, default=None)
-        sp.add_argument("--n-modes", type=int, default=None)
-        sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--atol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--config", help="JSON config file; flags win")
-        sp.add_argument("--verify", action="store_true",
-                        help="verify the manifest in --out instead of running")
-
     for name, help_text in [
         ("table1", "3x3 grid of blow-up times and estimate errors"),
         ("solve", "single solve to blow-up with report"),
@@ -51,43 +47,24 @@ def _build_parser() -> argparse.ArgumentParser:
         ("flatness", "flatness f(t) against its approximation"),
     ]:
         sp = sub.add_parser(name, help=help_text)
-        common(sp)
+        for key, value in _DEFAULTS.items():   # --alpha, --n-modes, ...
+            sp.add_argument("--" + key.replace("_", "-"), type=type(value))
+        sp.add_argument("--out", default=".", help="output directory")
+        sp.add_argument("--verify", action="store_true",
+                        help="verify the manifest in --out instead of running")
         if name == "continue":
-            sp.add_argument("--t-end", type=float, default=None)
-            sp.add_argument("--method", default=None,
+            sp.add_argument("--t-end", type=float)
+            sp.add_argument("--method",
                             choices=experiments.CONTINUATION_METHODS)
-            sp.add_argument("--times", type=float, nargs="*", default=None)
-        if name == "snapshots":
-            sp.add_argument("--times", type=float, nargs="*", default=None)
+        if name in ("continue", "snapshots"):
+            sp.add_argument("--times", type=float, nargs="*")
+        sp.set_defaults(**_DEFAULTS, **_COMMAND_DEFAULTS.get(name, {}))
     return p
 
 
-_DEFAULTS = {"alpha": 1.0, "epsilon": 0.01, "n_modes": 128,
-             "rtol": 1e-12, "atol": 1e-12, "seed": 0}
-# keys only some commands take; the rest keep the common config (and so
-# their CSV headers and config hashes) unchanged
-_COMMAND_DEFAULTS = {
-    "continue": {"t_end": None, "method": "noise_seeded", "times": []},
-    "snapshots": {"times": None},
-}
-
-
-def _load_config(args) -> dict:
-    defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = sorted(set(file_cfg) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys for {args.command}: "
-                             + ", ".join(unknown))
-    cfg = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        cfg[key] = flag if flag is not None else file_cfg.get(key, default)
-    cfg["command"] = args.command
-    return cfg
+def _config(args) -> dict:
+    """The run's config: every parsed option but where the run writes."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", "verify")}
 
 
 def _params(cfg) -> ModelParams:
@@ -101,6 +78,20 @@ def _integrator_block(integrations: dict) -> dict:
     """Manifest record of each integration: steps, rejections,
     evaluations and the range of accepted step sizes."""
     return {name: stats.record() for name, stats in integrations.items()}
+
+
+def _table(args, manifest, name, columns, rows, **header) -> None:
+    """Write <out>/<name>.csv under the run's header, with the header
+    keys given, and register it in the manifest as name."""
+    path = os.path.join(args.out, f"{name}.csv")
+    write_csv(path, columns, rows, manifest.csv_header(**header))
+    manifest.register(name, path)
+
+
+def _coefficient_rows(fld):
+    """(k, Re c_k, Im c_k) for k = -N..N."""
+    n = fld.n_modes
+    return zip(range(-n, n + 1), fld.coeffs.real, fld.coeffs.imag)
 
 
 class _Phases:
@@ -131,7 +122,7 @@ def main(argv=None) -> int:
         print("verify: OK" if not problems else "verify: FAILED")
         return 0 if not problems else 1
     try:
-        cfg = _load_config(args)
+        cfg = _config(args)
         os.makedirs(args.out, exist_ok=True)
         manifest = RunManifest(args.out, cfg)
         t0 = time.perf_counter()
@@ -149,14 +140,11 @@ def _cmd_table1(args, cfg, manifest) -> int:
     rows = experiments.run_table1(n_modes=cfg["n_modes"], rtol=cfg["rtol"],
                                   atol=cfg["atol"])
     phases.lap("cells")
-    path = os.path.join(args.out, "table1.csv")
-    write_csv(path,
-              ["alpha", "epsilon", "t_c", "tc_prime_minus_tc",
-               "t_hat_minus_tc", "t_tilde_minus_tc", "error"],
-              [(r.alpha, r.epsilon, r.t_c, r.d_two_mode, r.d_t_hat,
-                r.d_t_tilde, r.error or "") for r in rows],
-              manifest.csv_header())
-    manifest.register("table1", path)
+    _table(args, manifest, "table1",
+           ["alpha", "epsilon", "t_c", "tc_prime_minus_tc", "t_hat_minus_tc",
+            "t_tilde_minus_tc", "error"],
+           [(r.alpha, r.epsilon, r.t_c, r.d_two_mode, r.d_t_hat, r.d_t_tilde,
+             r.error or "") for r in rows])
     phases.lap("write")
     # a failed cell's entry is empty: its integrations are lost with it
     manifest.extra["integrator"] = {
@@ -175,21 +163,13 @@ def _cmd_solve(args, cfg, manifest) -> int:
     phases.lap("solve")
     est, two_mode = blowup_estimates(params)
     phases.lap("estimates")
-    summary_path = os.path.join(args.out, "solution_summary.csv")
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        rows.append((t, float(np.sum(state).real),
-                     float(np.max(np.abs(np.imag(state))))))
-    write_csv(summary_path, ["t", "v_at_0", "max_abs_im_coeff"], rows,
-              manifest.csv_header())
-    manifest.register("solution_summary", summary_path)
-    snap_path = os.path.join(args.out, "state_at_tc.csv")
-    n = params.n_modes
-    write_csv(snap_path, ["k", "re_c_k", "im_c_k"],
-              [(int(k), c.real, c.imag) for k, c in
-               zip(range(-n, n + 1), rep.state_at_tc.coeffs)],
-              manifest.csv_header(t=rep.t_c))
-    manifest.register("state_at_tc", snap_path)
+    _table(args, manifest, "solution_summary",
+           ["t", "v_at_0", "max_abs_im_coeff"],
+           [(t, float(np.sum(state).real),
+             float(np.max(np.abs(np.imag(state)))))
+            for t, state in zip(traj.times, traj.states)])
+    _table(args, manifest, "state_at_tc", ["k", "re_c_k", "im_c_k"],
+           _coefficient_rows(rep.state_at_tc), t=rep.t_c)
     phases.lap("write")
     deltas = {f"{name} - t_c": t - rep.t_c for name, t in est.items()}
     manifest.extra["blowup_report"] = {"t_c": rep.t_c, **est, "deltas": deltas}
@@ -217,11 +197,10 @@ def _cmd_errors(args, cfg, manifest) -> int:
     phases.lap("solve")
     data = experiments.error_curves_from_solution(traj, rep.t_c, params)
     phases.lap("postprocess")
-    path = os.path.join(args.out, "error_curves.csv")
-    write_csv(path, ["t", "err_perturbation", "err_timescale2"],
-              zip(data.times, data.err_perturbation, data.err_timescale2),
-              manifest.csv_header(t_c=data.t_c))
-    manifest.register("error_curves", path)
+    _table(args, manifest, "error_curves",
+           ["t", "err_perturbation", "err_timescale2"],
+           zip(data.times, data.err_perturbation, data.err_timescale2),
+           t_c=data.t_c)
     phases.lap("write")
     manifest.extra["samples"] = _sample_counts(data)
     manifest.extra["integrator"] = _integrator_block(rep.integrations)
@@ -238,25 +217,20 @@ def _cmd_profile(args, cfg, manifest) -> int:
     phases.lap("solve")
     data = experiments.profile_from_state(rep.state_at_tc, rep.t_c, params)
     phases.lap("postprocess")
-    path = os.path.join(args.out, "blowup_profile.csv")
-    write_csv(path, ["x", "v_solver", "profile_global", "profile_local"],
-              zip(data.x, data.v_solver, data.eq_global, data.eq_local),
-              manifest.csv_header(t_c=data.t_c))
-    manifest.register("blowup_profile", path)
-    small = os.path.join(args.out, "blowup_profile_smallx.csv")
-    write_csv(small, ["x", "v_solver", "profile_global", "profile_local"],
-              zip(data.x_small, data.v_small, data.eq_global_small,
-                  data.eq_local_small),
-              manifest.csv_header(t_c=data.t_c,
-                                  note="v from coefficient sums; roundoff "
-                                       "limits accuracy for small x"))
-    manifest.register("blowup_profile_smallx", small)
-    cpath = os.path.join(args.out, "coefficients_at_tc.csv")
-    write_csv(cpath, ["k", "abs_c_k", "global_law", "local_law"],
-              zip(data.k, data.coeff_solver, data.coeff_global_law,
-                  data.coeff_local_law),
-              manifest.csv_header(t_c=data.t_c))
-    manifest.register("coefficients_at_tc", cpath)
+    columns = ["x", "v_solver", "profile_global", "profile_local"]
+    _table(args, manifest, "blowup_profile", columns,
+           zip(data.x, data.v_solver, data.eq_global, data.eq_local),
+           t_c=data.t_c)
+    _table(args, manifest, "blowup_profile_smallx", columns,
+           zip(data.x_small, data.v_small, data.eq_global_small,
+               data.eq_local_small),
+           t_c=data.t_c, note="v from coefficient sums; roundoff limits "
+                              "accuracy for small x")
+    _table(args, manifest, "coefficients_at_tc",
+           ["k", "abs_c_k", "global_law", "local_law"],
+           zip(data.k, data.coeff_solver, data.coeff_global_law,
+               data.coeff_local_law),
+           t_c=data.t_c)
     phases.lap("write")
     manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"profile written, t_c = {data.t_c:.6f}")
@@ -270,17 +244,13 @@ def _cmd_singularity(args, cfg, manifest) -> int:
     data = experiments.singularity_from_solution(traj, rep.t_c, params)
     phases.lap("postprocess")
     tr = data.track
-    path = os.path.join(args.out, "singularity_track.csv")
-    cols = ["t", "y_fit", "y_root", "fit_residual", "usable_fit",
-            "usable_root"] + [f"overlay_{k}" for k in data.overlays]
-    rows = []
-    for i in range(tr.times.size):
-        row = [tr.times[i], tr.y_fit[i], tr.y_root[i], tr.fit_residual[i],
-               int(np.isfinite(tr.y_fit[i])), int(np.isfinite(tr.y_root[i]))]
-        row += [data.overlays[k][i] for k in data.overlays]
-        rows.append(row)
-    write_csv(path, cols, rows, manifest.csv_header(t_c=data.t_c))
-    manifest.register("singularity_track", path)
+    _table(args, manifest, "singularity_track",
+           ["t", "y_fit", "y_root", "fit_residual", "usable_fit",
+            "usable_root"] + [f"overlay_{k}" for k in data.overlays],
+           zip(tr.times, tr.y_fit, tr.y_root, tr.fit_residual,
+               tr.usable_fit().astype(int), tr.usable_root().astype(int),
+               *data.overlays.values()),
+           t_c=data.t_c)
     phases.lap("write")
     n_ok = int(np.sum(tr.usable_root()))
     manifest.extra["overlays"] = {
@@ -306,14 +276,10 @@ def _cmd_continue(args, cfg, manifest) -> int:
         params, cfg["t_end"], rng_seed=cfg["seed"], extra_times=cfg["times"],
         method=cfg["method"])
     phases.lap("compute")
-    n, label = params.n_modes, experiments.time_label
+    label = experiments.time_label
     for t, fld in zip(data.snapshot_times, data.snapshots):
-        path = os.path.join(args.out, f"snapshot_t{label(t)}.csv")
-        write_csv(path, ["k", "re_c_k", "im_c_k"],
-                  [(int(k), c.real, c.imag) for k, c in
-                   zip(range(-n, n + 1), fld.coeffs)],
-                  manifest.csv_header(t=t))
-        manifest.register(f"snapshot_t{label(t)}", path)
+        _table(args, manifest, f"snapshot_t{label(t)}",
+               ["k", "re_c_k", "im_c_k"], _coefficient_rows(fld), t=t)
     phases.lap("write")
     manifest.extra["continuation"] = {
         "t_c": data.result.t_c,
@@ -336,14 +302,10 @@ def _cmd_snapshots(args, cfg, manifest) -> int:
     data = experiments.run_fourier_snapshots(_params(cfg), times=cfg["times"],
                                              rng_seed=cfg["seed"])
     phases.lap("compute")
-    path = os.path.join(args.out, "coefficient_snapshots.csv")
-    cols = ["k"] + [f"abs_c_k_t{experiments.time_label(t)}"
-                    for t in data.times] + ["local_law"]
-    rows = []
-    for i, k in enumerate(data.k):
-        rows.append([int(k)] + [m[i] for m in data.moduli] + [data.local_law[i]])
-    write_csv(path, cols, rows, manifest.csv_header(t_c=data.t_c))
-    manifest.register("coefficient_snapshots", path)
+    _table(args, manifest, "coefficient_snapshots",
+           ["k"] + [f"abs_c_k_t{experiments.time_label(t)}"
+                    for t in data.times] + ["local_law"],
+           zip(data.k, *data.moduli, data.local_law), t_c=data.t_c)
     phases.lap("write")
     manifest.extra["integrator"] = _integrator_block(data.integrations)
     print(f"snapshots at {[round(t, 6) for t in data.times]}")
@@ -356,11 +318,10 @@ def _cmd_flatness(args, cfg, manifest) -> int:
     phases.lap("solve")
     data = experiments.flatness_from_solution(traj, rep.t_c, params)
     phases.lap("postprocess")
-    path = os.path.join(args.out, "flatness.csv")
-    write_csv(path, ["t", "f_solver", "f_approx", "rel_err"],
-              zip(data.times, data.f_solver, data.f_approx, data.rel_err),
-              manifest.csv_header(t_c=data.t_c))
-    manifest.register("flatness", path)
+    _table(args, manifest, "flatness",
+           ["t", "f_solver", "f_approx", "rel_err"],
+           zip(data.times, data.f_solver, data.f_approx, data.rel_err),
+           t_c=data.t_c)
     phases.lap("write")
     manifest.extra["samples"] = {**_sample_counts(data),
                                  "nan_rel_err": data.nan_rel_err}

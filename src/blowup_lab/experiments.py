@@ -205,9 +205,16 @@ def time_label(t: float) -> str:
     return f"{t:.6f}"
 
 
-def _refuse_shared_labels(command: str, times: Sequence[float]) -> None:
-    """Refuse two times with the same label: one snapshot would
-    overwrite the other."""
+def _refuse_times(command: str, times: Sequence[float],
+                  t_end: Optional[float] = None) -> None:
+    """Refuse a time below 0 or, when t_end is given, past it, and two
+    times with the same label: one snapshot would overwrite the other."""
+    for t in times:
+        if t < 0.0:
+            raise ValueError(f"{command}: --times {t} is before t = 0")
+        if t_end is not None and not t <= t_end:     # NaN as well
+            raise ValueError(f"{command}: --times {t} outside "
+                             f"[0, t_end = {t_end}]")
     ordered = sorted(times)
     for a, b in zip(ordered, ordered[1:]):
         if time_label(a) == time_label(b):
@@ -236,17 +243,15 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
+    _refuse_times("continue", extra_times, t_end)
     solve, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if t_end is None:
         t_end = 3.0 * t_c
-    for t in extra_times:
-        if not 0.0 <= t <= t_end:
-            raise ValueError(f"continue: --times {t} outside "
-                             f"[0, t_end = {t_end}]")
+        _refuse_times("continue", extra_times, t_end)
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
                     if f * t_c <= t_end} | set(extra_times))
-    _refuse_shared_labels("continue", times)
+    _refuse_times("continue", times)     # clashes with the Figure-6 times
     if method == "noise_seeded":
         result = continue_past_blowup(params, t_end, t_c, rng_seed)
     else:
@@ -334,10 +339,7 @@ def run_fourier_snapshots(params: ModelParams,
     if times is not None and not len(times):
         raise ValueError("snapshots: times is empty; give at least one "
                          "time or omit it for the defaults")
-    for t in times or ():
-        if t < 0.0:
-            raise ValueError(f"snapshots: --times {t} is before t = 0")
-    _refuse_shared_labels("snapshots", times or ())
+    _refuse_times("snapshots", times or ())
     _, rep = solve_to_blowup(params)
     t_c = rep.t_c
     if times is None:

@@ -11,7 +11,6 @@ the complex time plane.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -161,11 +160,14 @@ class IntegratorStats:
     def record(self) -> dict:
         """The counts plus the smallest, median and largest accepted step."""
         out = {k: v for k, v in vars(self).items() if k != "h_accepted"}
-        h = self.h_accepted
-        for name, fn in (("h_min", min), ("h_median", statistics.median),
-                         ("h_max", max)):
-            out[name] = float(fn(h)) if h else None
-        return out
+        h, i = sorted(self.h_accepted), len(self.h_accepted) // 2
+        if not h:
+            return {**out, "h_min": None, "h_median": None, "h_max": None}
+        # the middle step, or the mean of the two middle ones, as
+        # statistics.median takes it (that module loads fractions and decimal)
+        median = h[i] if len(h) % 2 else (h[i - 1] + h[i]) / 2
+        return {**out, "h_min": float(h[0]), "h_median": float(median),
+                "h_max": float(h[-1])}
 
 
 @dataclass

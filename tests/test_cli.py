@@ -1,5 +1,5 @@
 """Command-line harness: outputs, manifest integrity, determinism,
-config precedence, exit codes."""
+config hashes, exit codes."""
 
 import json
 import math
@@ -26,13 +26,15 @@ def run_cli(*argv):
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy is a test dependency only: its optimize module alone took
-    # about 0.5 s of every command's start-up
+    # about 0.5 s of every command's start-up; statistics loads fractions
+    # and decimal, a few ms more
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(p for p in (src, path) if p))
     code = ("import blowup_lab.cli, sys; print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'))")
+            "if m.partition('.')[0] in "
+            "('scipy', 'statistics', 'fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -76,26 +78,31 @@ def test_outputs_are_deterministic(tmp_path):
         file_sha256(str(b / "state_at_tc.csv"))
 
 
-def test_config_file_with_flag_precedence(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha": 0.25, "epsilon": 0.1,
-                                    "n_modes": 32, "rtol": 1e-10,
-                                    "atol": 1e-10}))
-    out = tmp_path / "run"
-    # flag overrides the file's epsilon
-    assert run_cli("solve", "--config", str(cfg_path), "--epsilon", "0.05",
-                   "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["epsilon"] == 0.05
-    assert manifest["config"]["alpha"] == 0.25          # from the file
-    assert manifest["config"]["n_modes"] == 32
-
-
 def config_of(*argv):
-    return cli._load_config(cli._build_parser().parse_args(list(argv)))
+    return cli._config(cli._build_parser().parse_args(list(argv)))
+
+
+# config hashes of runs of scripts/run_all.sh (solve: at its defaults);
+# the config is in every CSV header, so a change to it changes every file
+PINNED_HASHES = {
+    ("table1",): "9c23c29c0978cbcb",
+    ("solve",): "90b468f93d185996",
+    ("errors", "--alpha", "1", "--epsilon", "0.001"): "b7c537f4dfc1e67d",
+    ("profile", "--alpha", "1", "--epsilon", "0.01"): "f93b47937d56c6ef",
+    ("singularity", "--alpha", "1", "--epsilon", "0.001"):
+        "94eb219226b990a7",
+    ("continue", "--alpha", "0.25", "--epsilon", "0.1", "--t-end", "0.5",
+     "--method", "complex_path"): "75cf83cb8a17030e",
+    ("snapshots", "--alpha", "0.25", "--epsilon", "0.1", "--seed", "0"):
+        "c71a84f4c5b2388e",
+    ("flatness", "--alpha", "4", "--epsilon", "0.01"): "7cd00cecf124cbd5",
+}
 
 
 def test_continue_and_snapshots_options_reach_config_hash():
+    assert {argv[0] for argv in PINNED_HASHES} == set(cli._DISPATCH)
+    for argv, digest in PINNED_HASHES.items():
+        assert config_hash(config_of(*argv)) == digest, argv
     a = config_of("continue", *FAST, "--t-end", "0.5")
     b = config_of("continue", *FAST, "--t-end", "0.9", "--method",
                   "complex_path")
@@ -111,36 +118,8 @@ def test_continue_and_snapshots_options_reach_config_hash():
     for command in ("solve", "errors", "profile", "singularity", "flatness",
                     "table1"):
         assert set(config_of(command, *FAST)) == common
-
-
-def test_config_file_sets_continue_options(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha": 0.25, "epsilon": 0.1,
-                                    "n_modes": 32, "rtol": 1e-10,
-                                    "atol": 1e-10, "t_end": 0.2,
-                                    "method": "noise_seeded",
-                                    "times": [0.17]}))
-    out = tmp_path / "run"
-    # the flag overrides the file's t_end; times and method come from the file
-    assert run_cli("continue", "--config", str(cfg_path), "--t-end", "0.3",
-                   "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["t_end"] == 0.3
-    assert manifest["config"]["times"] == [0.17]
-    assert manifest["continuation"]["method"] == "noise_seeded"
-    assert "snapshot_t0.170000" in manifest["outputs"]
-
-
-def test_config_file_unknown_keys_are_fatal(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"alpha": 0.25, "t_end": 0.5,
-                                    "bogus": 1}))
-    out = tmp_path / "run"
-    assert run_cli("solve", "--config", str(cfg_path),
-                   "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "bogus" in err and "t_end" in err
-    assert not (out / "manifest.json").exists()
+    assert set(config_of("continue")) == common | {"t_end", "method", "times"}
+    assert set(config_of("snapshots")) == common | {"times"}
 
 
 def test_fatal_errors_return_one(tmp_path):
@@ -426,11 +405,6 @@ def test_snapshots_empty_times_refused_before_solving(tmp_path, monkeypatch,
     assert run_cli("snapshots", *FAST, "--times", "--out",
                    str(tmp_path / "a")) == 1
     assert "times" in capsys.readouterr().err
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"times": []}))
-    assert run_cli("snapshots", *FAST, "--config", str(cfg_path), "--out",
-                   str(tmp_path / "b")) == 1
-    assert "times" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "a" / "manifest.json").exists()
 
@@ -445,26 +419,37 @@ def test_snapshots_negative_time_refused_before_solving(tmp_path,
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 
-def test_continue_refuses_unknown_method_before_solving(tmp_path,
-                                                        monkeypatch, capsys):
+def test_continue_negative_time_refused_before_solving(tmp_path, monkeypatch,
+                                                       capsys):
+    calls = count_solves(monkeypatch)
+    assert run_cli("continue", *FAST, "--times", "-0.1", "--out",
+                   str(tmp_path / "run")) == 1
+    assert "continue: --times -0.1 is before t = 0" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_continue_refuses_unknown_method_before_solving(monkeypatch):
+    # the command line refuses it as a usage error (exit 2); the library
+    # call refuses it too, before the solve
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the method was checked")
 
-    for module in (cli, experiments, pde):
-        monkeypatch.setattr(module, "solve_to_blowup", no_solve)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"method": "teleport"}))
-    assert run_cli("continue", *FAST, "--config", str(cfg_path), "--out",
-                   str(tmp_path / "run")) == 1
-    err = capsys.readouterr().err
-    assert "teleport" in err and "solved before" not in err
+    monkeypatch.setattr(experiments, "solve_to_blowup", no_solve)
+    params = cli._params(config_of("continue", *FAST))
+    with pytest.raises(ValueError, match="teleport"):
+        experiments.run_continuation(params, 0.5, rng_seed=0, extra_times=[],
+                                     method="teleport")
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("continue", *FAST, "--method", "teleport")
+    assert exit_.value.code == 2
 
 
 @pytest.mark.parametrize("method", experiments.CONTINUATION_METHODS)
 def test_continue_refuses_times_past_t_end_before_continuing(tmp_path,
                                                              monkeypatch,
                                                              capsys, method):
-    continued = []
+    # a given t_end is known before the solve, so the solve is skipped too
+    calls, continued = count_solves(monkeypatch), []
 
     def no_continuation(*args, **kwargs):
         continued.append(args)
@@ -476,25 +461,21 @@ def test_continue_refuses_times_past_t_end_before_continuing(tmp_path,
                    "--method", method, "--out", str(tmp_path / "run")) == 1
     err = capsys.readouterr().err
     assert "--times 0.7 outside [0, t_end = 0.5]" in err
-    assert continued == []
+    assert continued == [] and calls == []
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("continue", ["--t-end", "0.5"]), ("snapshots", [])],
-    ids=["continue", "snapshots"])
+@pytest.mark.parametrize("command", ["continue", "snapshots"])
 def test_times_with_the_same_label_are_refused(tmp_path, monkeypatch, capsys,
-                                               command, extra):
+                                               command):
     # both times print as 0.300000, the label of a snapshot file, column
     # and manifest key, so one snapshot would overwrite the other
-    def no_continuation(*args, **kwargs):
-        raise AssertionError("continued before the labels were checked")
-
-    monkeypatch.setattr(experiments, "continue_past_blowup", no_continuation)
+    calls = count_solves(monkeypatch)
     out = tmp_path / "run"
-    assert run_cli(command, *FAST, *extra, "--times", "0.3000001",
+    assert run_cli(command, *FAST, "--times", "0.3000001",
                    "0.3000002", "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "times 0.3000001 and 0.3000002 both print as 0.300000" in err
+    assert calls == []
     assert not list(out.rglob("*.csv"))
 
 
