@@ -299,8 +299,7 @@ def _cmd_continue(args, cfg, manifest) -> int:
 
 def _cmd_snapshots(args, cfg, manifest) -> int:
     phases = _Phases(manifest)
-    data = experiments.run_fourier_snapshots(_params(cfg), times=cfg["times"],
-                                             rng_seed=cfg["seed"])
+    data = experiments.run_fourier_snapshots(_params(cfg), times=cfg["times"])
     phases.lap("compute")
     _table(args, manifest, "coefficient_snapshots",
            ["k"] + [f"abs_c_k_t{experiments.time_label(t)}"

@@ -25,6 +25,7 @@ from .spectral import (DivisorTooSmall, FourierField, grid_points,
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
 CONTINUATION_METHODS = ("noise_seeded", "complex_path")
+DETOUR_RADIUS = 0.1    # of the complex-time detour about t_c, over t_c
 # intervals of the profile's uniform x grid on [-pi, pi]
 PROFILE_POINTS = 1024
 
@@ -207,12 +208,15 @@ def time_label(t: float) -> str:
 
 def _refuse_times(command: str, times: Sequence[float],
                   t_end: Optional[float] = None) -> None:
-    """Refuse a time below 0 or, when t_end is given, past it, and two
-    times with the same label: one snapshot would overwrite the other."""
+    """Refuse a time that is not finite, below 0 or, when t_end is given,
+    past it, and two times with the same label: one snapshot would
+    overwrite the other."""
     for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"{command}: --times {t} is not finite")
         if t < 0.0:
             raise ValueError(f"{command}: --times {t} is before t = 0")
-        if t_end is not None and not t <= t_end:     # NaN as well
+        if t_end is not None and not t <= t_end:
             raise ValueError(f"{command}: --times {t} outside "
                              f"[0, t_end = {t_end}]")
     ordered = sorted(times)
@@ -243,6 +247,8 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"continue: --t-end {t_end} is not finite")
     _refuse_times("continue", extra_times, t_end)
     solve, rep = solve_to_blowup(params)
     t_c = rep.t_c
@@ -255,7 +261,8 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if method == "noise_seeded":
         result = continue_past_blowup(params, t_end, t_c, rng_seed)
     else:
-        result = continue_complex_path(params, solve, t_end, t_c)
+        result = continue_complex_path(params, solve, t_end, t_c,
+                                       DETOUR_RADIUS * t_c)
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
         state = result.state_at(t)
@@ -330,31 +337,30 @@ class CoeffSnapshotData:
     integrations: dict               # name -> IntegratorStats
 
 
-def run_fourier_snapshots(params: ModelParams,
-                          times: Optional[Sequence[float]],
-                          rng_seed: int) -> CoeffSnapshotData:
+def run_fourier_snapshots(params: ModelParams, times: Optional[Sequence[float]]
+                          ) -> CoeffSnapshotData:
     """Coefficient decay at the times, by default just before, at, and
-    just after t_c (times None; the post-t_c snapshot comes from the
-    noise-seeded continuation)."""
+    just after t_c (times None): up to t_c from the blow-up solve, past
+    it from the complex path that leaves it, whose detour about t_c ends
+    at or before the first time past t_c."""
     if times is not None and not len(times):
         raise ValueError("snapshots: times is empty; give at least one "
                          "time or omit it for the defaults")
     _refuse_times("snapshots", times or ())
-    _, rep = solve_to_blowup(params)
-    t_c = rep.t_c
+    solve, rep = solve_to_blowup(params)
+    t_c, integrations = rep.t_c, dict(rep.integrations)
     if times is None:
         times = [0.9 * t_c, t_c, 1.1 * t_c]
-    t_end = max(times) * 1.01 if max(times) > t_c else 1.5 * t_c
-    result = continue_past_blowup(params, max(t_end, 1.2 * t_c), t_c,
-                                  rng_seed)
+    later = [t for t in times if t > t_c]
+    if later:
+        radius = min(DETOUR_RADIUS * t_c, min(later) - t_c)
+        path = continue_complex_path(params, solve, max(later), t_c, radius)
+        integrations["complex_path"] = path.trajectory.stats
     n = params.n_modes
     k = np.arange(1, n + 1)
-    moduli = []
-    for t in times:
-        state = result.trajectory.state_at(t)
-        moduli.append(np.abs(np.asarray(state)[n + 1:]))
+    moduli = [np.abs((solve if t <= t_c else path).state_at(t)[n + 1:])
+              for t in times]
     local = np.full(k.shape, np.nan)
     local[k >= 3] = asymptotics.coeff_decay_local(k[k >= 3])
     return CoeffSnapshotData(list(times), k, moduli, local, t_c,
-                             {**rep.integrations,
-                              "noise_seeded": result.trajectory.stats})
+                             integrations)

@@ -188,10 +188,8 @@ class Trajectory:
 
     def state_at(self, t: float) -> np.ndarray:
         """Dense-output evaluation at any time inside the covered span:
-        the stored state at a stored time, else the sub-step of the
-        segment that covers t."""
-        if not self.dense_segments:
-            raise IntegrationError("no dense segments stored")
+        the stored state at a stored time (a trajectory of one state has
+        no segment), else the sub-step of the segment that covers t."""
         times = self.times
         i = bisect_left(times, t)       # first stored time >= t
         if i < len(times) and times[i] == t:
@@ -354,7 +352,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
               clock: Optional[Callable[[float], complex]] = None,
               stats: Optional[IntegratorStats] = None
               ) -> tuple[Trajectory, Optional[EventHit]]:
-    """Integrate y' = lin * y + rhs(y, t) from t0 to t1 (t1 > t0).
+    """Integrate y' = lin * y + rhs(y, t) from t0 to a finite t1 >= t0
+    (t1 = t0 stores y0 alone).
 
     lin is the diagonal of a linear part that the stepper treats exactly
     (Lawson form); None integrates y' = rhs(y, t) with plain DOPRI5.
@@ -370,6 +369,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     call, later dense-output calls included, is counted in stats (a
     fresh IntegratorStats unless one is passed to share).
     """
+    if not math.isfinite(t1):
+        raise ValueError(f"t1 = {t1} is not finite")
     y = np.array(y0, dtype=complex, ndmin=1)
     if lin is not None:
         lin = np.asarray(lin)
@@ -458,7 +459,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             stats.rejected_error += 1
             fac = safety * err ** -0.2
             h *= min(1.0, max(min_fac, fac))
-        if h < _H_MIN:
+        if h < _H_MIN and t < t1:
             raise StiffnessOrSingularity(t, traj)
     raise MaxStepsExceeded(t, traj)
 

@@ -85,12 +85,16 @@ class RunManifest:
 
 
 def verify_manifest(manifest_path: str) -> list[str]:
-    """Recompute output hashes; returns a list of problems (empty = ok)."""
+    """Recompute output hashes and look for CSVs beside the manifest that
+    it does not list; returns a list of problems (empty = ok)."""
     with open(manifest_path) as fh:
-        payload = json.load(fh)
+        outputs = json.load(fh).get("outputs", {})
     base = os.path.dirname(os.path.abspath(manifest_path))
-    problems = []
-    for name, entry in payload.get("outputs", {}).items():
+    listed = {entry["path"] for entry in outputs.values()}
+    problems = [f"{path}: CSV not listed in the manifest's outputs"
+                for path in sorted(os.listdir(base))
+                if path.endswith(".csv") and path not in listed]
+    for name, entry in outputs.items():
         path = os.path.join(base, entry["path"])
         if not os.path.exists(path):
             problems.append(f"{name}: missing file {entry['path']}")

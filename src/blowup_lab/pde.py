@@ -258,17 +258,16 @@ def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
                               method="noise_seeded", t_c=t_c)
 
 
-def continue_complex_path(params: ModelParams, solve: Trajectory,
-                          t_end: float, t_c: float) -> ContinuationResult:
+def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
+                          t_c: float, radius: float) -> ContinuationResult:
     """Step around t_c through the complex t-plane.
 
-    From the blow-up solve's state at t_c - radius, a half circle of
-    radius 0.1 t_c about t_c through the upper half-plane, then real time
-    from t_c + radius to t_end; both integrations count into one stats.
+    From the blow-up solve's state at t_c - radius, a half circle about
+    t_c through the upper half-plane, then real time from t_c + radius to
+    t_end (no step when equal); both integrations count into one stats.
     """
-    radius = 0.1 * t_c
-    if t_end <= t_c + radius:
-        raise ValueError("t_end must exceed t_c + radius")
+    if t_end < t_c + radius:
+        raise ValueError("t_end must be at least t_c + radius")
     rhs, lin = make_rhs(params), diffusion(params.n_modes)
     arc = integrate_path(rhs, solve.state_at(t_c - radius),
                          semicircle(t_c, radius), params.integrator, lin)

@@ -286,7 +286,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
-    r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c)
+    r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c, 0.1 * t_c)
     s_path = r3.state_at(3.0 * t_c)
     s_noise = r1.trajectory.state_at(3.0 * t_c)
     d_same = float(np.max(np.abs(s_path - s_noise)))

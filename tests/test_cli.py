@@ -68,6 +68,17 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     assert run_cli("solve", "--out", str(tmp_path / "nope"), "--verify") == 1
 
 
+def test_verify_reports_an_unlisted_csv(tmp_path):
+    # a CSV that a command wrote without registering it has no hash to check
+    out = tmp_path / "run"
+    assert run_cli("solve", *FAST, "--out", str(out)) == 0
+    summary = (out / "solution_summary.csv").read_text()
+    (out / "stray.csv").write_text(summary)
+    assert verify_manifest(str(out / "manifest.json")) \
+        == ["stray.csv: CSV not listed in the manifest's outputs"]
+    assert run_cli("solve", "--out", str(out), "--verify") == 1
+
+
 def test_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("solve", *FAST, "--out", str(a)) == 0
@@ -274,7 +285,7 @@ def counted_layers(monkeypatch):
     (["continue", "--t-end", "0.5"], {"solve", "noise_seeded"}),
     (["continue", "--t-end", "0.5", "--method", "complex_path"],
      {"solve", "complex_path"}),
-    (["snapshots"], {"solve", "noise_seeded"}),
+    (["snapshots"], {"solve", "complex_path"}),
 ])
 def test_manifest_records_every_integration(tmp_path, monkeypatch, argv,
                                             records):
@@ -484,6 +495,68 @@ def test_snapshots_command(tmp_path):
     assert run_cli("snapshots", *FAST, "--out", str(out)) == 0
     lines = (out / "coefficient_snapshots.csv").read_text().splitlines()
     assert lines[1].startswith("k,abs_c_k_t")
+
+
+def csv_columns(path):
+    """A CSV's header and its columns by name, read back to the bit
+    (write_csv prints 17 significant digits)."""
+    lines = path.read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    return json.loads(lines[0][2:]), dict(zip(lines[1].split(","), zip(*rows)))
+
+
+def test_snapshots_leave_from_their_one_solve(tmp_path, monkeypatch):
+    calls = count_solves(monkeypatch)
+
+    def no_second_run(*args, **kwargs):
+        raise AssertionError("integrated again from t = 0")
+
+    monkeypatch.setattr(experiments, "continue_past_blowup", no_second_run)
+    assert run_cli("snapshots", *FAST, "--out", str(tmp_path / "run")) == 0
+    assert len(calls) == 1
+
+
+def test_snapshots_t_c_column_is_the_solve_event_state(tmp_path):
+    solve, snap = tmp_path / "solve", tmp_path / "snap"
+    assert run_cli("solve", *FAST, "--out", str(solve)) == 0
+    assert run_cli("snapshots", *FAST, "--out", str(snap)) == 0
+    header, state = csv_columns(solve / "state_at_tc.csv")
+    snap_header, moduli = csv_columns(snap / "coefficient_snapshots.csv")
+    assert snap_header["t_c"] == header["t"]
+    column = moduli[f"abs_c_k_t{experiments.time_label(header['t'])}"]
+    c = np.array([complex(re, im) for k, re, im
+                  in zip(state["k"], state["re_c_k"], state["im_c_k"])
+                  if k >= 1])
+    assert list(column) == list(np.abs(c))
+
+
+def test_snapshots_do_not_depend_on_the_seed(tmp_path):
+    bodies = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert run_cli("snapshots", *FAST, "--seed", seed,
+                       "--out", str(out)) == 0
+        path = out / "coefficient_snapshots.csv"
+        bodies.append(path.read_text().splitlines()[1:])
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, option", [
+    ("snapshots", "--times"), ("continue", "--times"), ("continue", "--t-end")])
+def test_non_finite_times_are_refused_before_solving(tmp_path, monkeypatch,
+                                                     capsys, command, option,
+                                                     value):
+    # a NaN end time never reaches t >= t1 and an infinite one runs on
+    # until the step cap, so neither may reach a solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the times were checked")
+
+    monkeypatch.setattr(experiments, "solve_to_blowup", no_solve)
+    assert run_cli(command, *FAST, option, value,
+                   "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert f"{command}: {option} {value} is not finite" in err
 
 
 def test_config_hash_stability():

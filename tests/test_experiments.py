@@ -5,7 +5,8 @@ import pytest
 
 from blowup_lab import experiments
 from blowup_lab.integrator import IntegratorConfig
-from blowup_lab.pde import ModelParams, solve_to_blowup
+from blowup_lab.pde import (ModelParams, continue_past_blowup,
+                            solve_to_blowup)
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10)
 
@@ -120,9 +121,28 @@ def test_run_continuation_extra_times_and_edges():
 
 
 def test_run_fourier_snapshots_default_times():
-    data = experiments.run_fourier_snapshots(small_params(), None, 0)
+    data = experiments.run_fourier_snapshots(small_params(), None)
+    assert set(data.integrations) == {"solve", "complex_path"}
     assert len(data.times) == 3
     assert len(data.moduli) == 3
     assert data.k[0] == 1
     # the post-blow-up snapshot is the widest spectrum of the three
     assert np.isnan(data.local_law[0]) and np.isfinite(data.local_law[5])
+
+
+def test_snapshot_closer_to_t_c_than_the_detour_matches_the_noise_run():
+    # a time past t_c but before t_c + 0.1 t_c narrows the detour to end
+    # on it; the column agrees with the noise-seeded run from t = 0
+    p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32,
+                    integrator=IntegratorConfig(rtol=1e-12, atol=1e-12))
+    _, rep = solve_to_blowup(p)
+    t = 1.05 * rep.t_c
+    data = experiments.run_fourier_snapshots(p, [t])
+    noise = continue_past_blowup(p, 1.2 * rep.t_c, rep.t_c, 0)
+    want = np.abs(noise.trajectory.state_at(t)[p.n_modes + 1:])
+    assert np.max(np.abs(data.moduli[0] - want)) <= 1e-9
+
+
+def test_snapshots_before_t_c_need_no_detour():
+    data = experiments.run_fourier_snapshots(small_params(), [0.05, 0.1])
+    assert set(data.integrations) == {"solve"}

@@ -163,6 +163,32 @@ def test_nan_rhs_is_treated_as_step_rejection():
         integrate(rhs, np.array([1.0 + 0j]), 0.0, 5.0, TOLERANCES)
 
 
+def test_no_underflow_is_raised_once_t1_is_reached():
+    # the one step onto t1 is accepted; the controller's next proposal
+    # lies below _H_MIN, but no step is left to take
+    traj, _ = integrate(decay, [1.0], 0.5, 0.5 + 1e-15,
+                        IntegratorConfig(1e-10, 1e-10))
+    assert traj.times == [0.5, 0.5 + 1e-15]
+    assert traj.stats.accepted == 1
+
+
+@pytest.mark.parametrize("t1", [math.nan, math.inf])
+def test_non_finite_end_time_is_refused(t1):
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(decay, [1.0], 0.0, t1, TOLERANCES)
+
+
+def test_zero_length_integration_reads_its_one_state():
+    # t1 = t0 stores y0 alone, with no dense segment; its time (and the
+    # clamp about it) still reads that state
+    traj, _ = integrate(decay, [1.0], 0.5, 0.5, TOLERANCES)
+    assert traj.times == [0.5] and traj.dense_segments == []
+    assert traj.state_at(0.5) is traj.states[0]
+    assert traj.state_at(0.5 + 1e-13) is traj.states[0]
+    with pytest.raises(IntegrationError, match="outside integrated span"):
+        traj.state_at(0.6)
+
+
 def test_config_validation():
     for rtol, atol in ((0.0, 1e-12), (math.inf, math.inf), (math.nan, 1e-12),
                        (1e-12, math.inf)):
