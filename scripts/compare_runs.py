@@ -9,7 +9,8 @@ hash and so differ between runs of different code. Exits 0 when every
 body is identical, else 1 with the files that differ or exist on one
 side only. A body that differs only in numbers, with the same rows and
 columns on both sides, is listed with the largest absolute and relative
-difference over its cells.
+difference over its cells and the names of the columns whose cells
+differ.
 """
 
 import math
@@ -29,21 +30,24 @@ def csv_bodies(root: pathlib.Path) -> dict:
 
 def numeric_gap(body_a: bytes, body_b: bytes):
     """(largest absolute, largest relative) difference between the cells
-    of two CSV bodies of the same shape; None when the shapes differ or a
-    cell that is not a number differs."""
+    of two CSV bodies of the same shape, and the names, from the first
+    line, of the columns whose cells differ; None when the shapes differ
+    or a cell that is not a number differs."""
     rows_a, rows_b = ([line.split(b",") for line in body.splitlines()]
                       for body in (body_a, body_b))
     if [len(row) for row in rows_a] != [len(row) for row in rows_b]:
         return None
     gap_abs = gap_rel = 0.0
+    columns = set()
     for row_a, row_b in zip(rows_a, rows_b):
-        for x, y in zip(row_a, row_b):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
             if x == y:
                 continue
             try:
                 x, y = float(x), float(y)
             except ValueError:
                 return None
+            columns.add(j)
             d = abs(x - y)
             if not math.isfinite(d):        # a NaN or an infinity
                 d = rel = math.inf
@@ -52,7 +56,8 @@ def numeric_gap(body_a: bytes, body_b: bytes):
             else:
                 rel = d / max(abs(x), abs(y))
             gap_abs, gap_rel = max(gap_abs, d), max(gap_rel, rel)
-    return gap_abs, gap_rel
+    names = [rows_a[0][j].decode() for j in sorted(columns)]
+    return gap_abs, gap_rel, names
 
 
 def describe(name: str, body_a: bytes, body_b: bytes) -> str:
@@ -60,7 +65,7 @@ def describe(name: str, body_a: bytes, body_b: bytes) -> str:
     if gap is None:
         return f"body differs: {name}"
     return (f"body differs: {name} (max abs diff {gap[0]:.3g}, "
-            f"max rel diff {gap[1]:.3g})")
+            f"max rel diff {gap[1]:.3g}) in columns {', '.join(gap[2])}")
 
 
 def main(argv) -> int:

@@ -140,6 +140,35 @@ SINGULARITY_REGIMES = ("naive", "early", "late_first_scale",
                        "second_scale", "third_scale", "impingement")
 
 
+def singularity_domain(regime: str, value, alpha: float, epsilon: float,
+                       t_c: float):
+    """Where singularity_y takes the values: a mask of the values inside
+    the named regime's domain, and the reason, as singularity_y refuses
+    them, that the others are not.  Every regime but impingement scales
+    with epsilon and takes no value at epsilon = 0."""
+    v = np.asarray(value, dtype=float)
+    if epsilon <= 0.0 and regime != "impingement":
+        return np.zeros(v.shape, dtype=bool), "requires epsilon > 0"
+    if regime == "naive":
+        outside = (alpha - v) * np.exp(v) / epsilon < 1.0
+        reason = "arccosh argument < 1"
+    elif regime == "early":
+        outside, reason = (v <= 0.0) | (v >= 1.0), "requires 0 < t < 1"
+    elif regime == "late_first_scale":
+        outside, reason = v >= alpha, "requires t < alpha"
+    elif regime == "second_scale":
+        outside, reason = v > 0.0, "requires T <= 0"
+    elif regime == "third_scale":
+        outside, reason = v >= 0.0, "requires T < 0"
+    elif regime == "impingement":
+        d = t_c - v
+        outside, reason = (d <= 0.0) | (d >= 1.0), "requires 0 < t_c - t < 1"
+    else:
+        raise ValueError(f"unknown regime {regime!r}; one of "
+                         f"{SINGULARITY_REGIMES}")
+    return ~outside, reason
+
+
 def singularity_y(regime: str, value, alpha: float, epsilon: float,
                   t_c: float):
     """Imaginary-axis singularity position y in the named regime.
@@ -147,44 +176,30 @@ def singularity_y(regime: str, value, alpha: float, epsilon: float,
     `value` is t for regimes {naive, early, late_first_scale,
     impingement} and T = (t - t_c)/epsilon (negative pre-blow-up) for
     {second_scale, third_scale}.  Regime selection is explicit; the
-    formulas are overlays, not a composite.  Every regime but impingement
-    scales with epsilon and refuses epsilon = 0.
+    formulas are overlays, not a composite.  A value outside the
+    regime's domain (singularity_domain) raises ValueError.
     """
     v = np.asarray(value, dtype=float)
-    if epsilon <= 0.0 and regime != "impingement":
-        raise ValueError("requires epsilon > 0")
+    inside, reason = singularity_domain(regime, v, alpha, epsilon, t_c)
+    if not np.all(inside):
+        raise ValueError(reason)
     if regime == "naive":
-        arg = (alpha - v) * np.exp(v) / epsilon
-        if np.any(arg < 1.0):
-            raise ValueError("arccosh argument < 1")
-        out = np.arccosh(arg)
+        out = np.arccosh((alpha - v) * np.exp(v) / epsilon)
     elif regime == "early":
-        if np.any(v <= 0.0) or np.any(v >= 1.0):
-            raise ValueError("requires 0 < t < 1")
         out = math.log(2.0 * alpha / epsilon) + np.sqrt(2.0 * v * np.log(1.0 / v))
     elif regime == "late_first_scale":
-        if np.any(v >= alpha):
-            raise ValueError("requires t < alpha")
         out = math.log(2.0 / epsilon) + alpha + np.log(alpha - v)
     elif regime == "second_scale":
-        if np.any(v > 0.0):
-            raise ValueError("requires T <= 0")
         mt = -v
         ea = math.exp(alpha)
         out = np.log(1.0 + ea * mt + np.sqrt(2.0 * ea * mt + ea ** 2 * mt ** 2))
     elif regime == "third_scale":
-        if np.any(v >= 0.0):
-            raise ValueError("requires T < 0")
         mt = -v
         out = np.sqrt(2.0 * math.exp(alpha) * mt) \
             * np.sqrt(1.0 - 4.0 * epsilon * math.exp(-alpha) * np.log(mt))
-    elif regime == "impingement":
-        d = t_c - v
-        if np.any(d <= 0.0) or np.any(d >= 1.0):
-            raise ValueError("requires 0 < t_c - t < 1")
-        out = np.sqrt(8.0 * d * np.log(1.0 / d))
     else:
-        raise ValueError(f"unknown regime {regime!r}; one of {SINGULARITY_REGIMES}")
+        d = t_c - v
+        out = np.sqrt(8.0 * d * np.log(1.0 / d))
     return out if out.shape else float(out)
 
 

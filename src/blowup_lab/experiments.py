@@ -186,14 +186,15 @@ def singularity_from_solution(traj: Trajectory, t_c: float,
     overlays, dropped = {}, {}
     for regime in asymptotics.SINGULARITY_REGIMES:
         values = big_t if regime in ("second_scale", "third_scale") else t
-        out, reasons = np.full(t.shape, np.nan), Counter()
-        for i, v in enumerate(values):
-            try:
-                out[i] = asymptotics.singularity_y(regime, v, a, e, t_c)
-            except ValueError as exc:
-                # the message's numbers vary; its lead names the reason
-                reasons[str(exc).split(":")[0]] += 1
-        overlays[regime], dropped[regime] = out, dict(reasons)
+        inside, reason = asymptotics.singularity_domain(regime, values, a, e,
+                                                        t_c)
+        out = np.full(t.shape, np.nan)
+        if inside.any():
+            out[inside] = asymptotics.singularity_y(regime, values[inside],
+                                                    a, e, t_c)
+        outside = int(np.count_nonzero(~inside))
+        overlays[regime] = out
+        dropped[regime] = {reason: outside} if outside else {}
     return SingularityData(track, t_c, overlays, dropped)
 
 
@@ -243,7 +244,8 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
                      method: str) -> ContinuationData:
     """Continue past t_c to t_end (3 t_c when None) and sample snapshots
     at the Figure-6 multiples of t_c and at extra_times, which must lie
-    in [0, t_end]."""
+    in [0, t_end].  The complex path's detour about t_c has radius
+    0.1 t_c, or t_end - t_c where that is less."""
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
@@ -255,14 +257,18 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if t_end is None:
         t_end = 3.0 * t_c
         _refuse_times("continue", extra_times, t_end)
+    elif not t_end > t_c:
+        raise ValueError(f"continue: --t-end {t_end} is not past "
+                         f"t_c = {t_c}")
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
                     if f * t_c <= t_end} | set(extra_times))
     _refuse_times("continue", times)     # clashes with the Figure-6 times
     if method == "noise_seeded":
         result = continue_past_blowup(params, t_end, t_c, rng_seed)
     else:
-        result = continue_complex_path(params, solve, t_end, t_c,
-                                       DETOUR_RADIUS * t_c)
+        # a detour that ends at or before t_end (t_end - t_c is exact)
+        result = continue_complex_path(
+            params, solve, t_end, t_c, min(DETOUR_RADIUS * t_c, t_end - t_c))
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
         state = result.state_at(t)
@@ -275,7 +281,9 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
         snaps.append(fld)
         edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
     fld_end = FourierField(params.n_modes, result.state_at(t_end))
-    u_vals = u_from_v(fld_end)[0]
+    u_vals, _, (failed,) = u_from_v(fld_end)
+    if failed:
+        raise failed
     dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
     return ContinuationData(result, kept, snaps, edges, dev, skipped,
                             {**rep.integrations,

@@ -37,13 +37,20 @@ _E = _A[6] - _B4   # weights of the embedded error estimate
 # _ROW[i] .. _ROW[i] + i - 1 of a packed (21, n) array
 _LOWER = np.tril_indices(7, -1)
 _ROW = [i * (i - 1) // 2 for i in range(8)]
-_GAPS = _C[_LOWER[0]] - _C[_LOWER[1]]       # c_i - c_j
+# the 15 distinct values of the gaps c_i - c_j, and the index of each
+# gap among them (found in Python: np.unique would page numpy's sort code
+# in at import, about 0.6 MB of resident memory)
+_GAPS = (_C[_LOWER[0]] - _C[_LOWER[1]]).tolist()
+_DISTINCT_GAPS = sorted(set(_GAPS))
+_GAP_VALUES = np.array(_DISTINCT_GAPS)
+_GAP_INDEX = np.array([_DISTINCT_GAPS.index(g) for g in _GAPS])
+_PAIRS = np.arange(len(_GAPS))
 _A_PACKED = _A[_LOWER][:, None]
-# c_i - c_j, the packed tableau and the error weights as columns against
-# the state axis: [False] for a step length h that is a number, [True]
-# with one more axis for an (m, 1) column of step lengths
+# the distinct gaps, the packed tableau and the error weights as columns
+# against the state axis: [False] for a step length h that is a number,
+# [True] with one more axis for an (m, 1) column of step lengths
 _COLUMNS = [tuple(w.reshape((-1,) + (1,) * axes)
-                  for w in (_GAPS, _A_PACKED, _E)) for axes in (1, 2)]
+                  for w in (_GAP_VALUES, _A_PACKED, _E)) for axes in (1, 2)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
 # the step controller's first step, the step below which a solve stops
@@ -251,17 +258,21 @@ def _stage_weights(lin, clock, t, h):
     if lin is None:
         return None, a_c, e_c
     if clock is None:
-        gaps = gaps_c * h
+        # the exponential of each distinct gap once; pair[p] is the row
+        # of ex that holds E_ij of the packed pair p
+        ex, pair = np.exp(gaps_c * h * lin), _GAP_INDEX
     else:
         nodes = np.array([clock(t + c * h) for c in _C])
         gaps = nodes[_LOWER[0]] - nodes[_LOWER[1]]
         if not block:
             gaps = gaps[:, None]
-    ex = np.exp(gaps * lin)                        # E_ij, packed
+        ex, pair = np.exp(gaps * lin), _PAIRS
+    a = np.take(ex, pair, axis=0)
+    a *= a_c
     e = np.empty((7,) + ex.shape[1:], dtype=ex.dtype)
-    e[:6] = e_c[:6] * ex[_ROW[6]:]
+    e[:6] = e_c[:6] * ex[pair[_ROW[6]:]]
     e[6] = _E[6]                                   # E_66 = 1
-    return ex[_ROW[:7]], a_c * ex, e
+    return ex[pair[_ROW[:7]]], a, e
 
 
 def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
@@ -289,60 +300,73 @@ def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
     return yi, h * _combine(e, k), k, True
 
 
-def brentq(f: Callable[[float], float], a: float, b: float,
-           xtol: float) -> tuple[float, int]:
-    """A root of f between a and b, where f changes sign, to within
-    xtol + _BRENT_RTOL |root|; returns (root, calls of f).
+def brentq(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
+           xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """A root of f in each lane of brackets a[i], b[i] where f changes
+    sign, to within xtol + _BRENT_RTOL |root|; returns the roots and the
+    calls of f that each lane took, as (m,) arrays.
 
-    Brent's method (Brent 1973, ch. 4), step for step as the classic C
-    routine brentq.c, so it reaches the same root bits after the same
-    calls.  A NaN value of f or a bracket without a sign change raises
-    ValueError, and no convergence in _BRENT_ITER iterations raises
-    RuntimeError.
+    f(x, lanes) gives the value of lane lanes[i] at x[i], for the lanes
+    still iterating.  Each lane runs Brent's method (Brent 1973, ch. 4)
+    step for step as the classic C routine brentq.c, so it reaches the
+    same root bits after the same calls.  A NaN value of f or a bracket
+    without a sign change raises ValueError, and a lane without
+    convergence in _BRENT_ITER iterations raises RuntimeError.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x = {x} is NaN")
+    def value(x, lanes):
+        fx = np.asarray(f(x, lanes), dtype=float)
+        if np.isnan(fx).any():
+            raise ValueError(f"the function value at x = "
+                             f"{x[np.isnan(fx)][0]} is NaN")
         return fx
 
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre, 2
-    if fcur == 0.0:
-        return xcur, 2
-    if (fpre < 0.0) == (fcur < 0.0):
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    lanes = np.arange(xcur.size)
+    fpre, fcur = value(xpre, lanes), value(xcur, lanes)
+    roots = np.where(fpre == 0.0, xpre, xcur)
+    calls = np.full(xcur.size, 2)
+    go = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(go & ((fpre < 0.0) == (fcur < 0.0))):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for calls in range(2, _BRENT_ITER + 2):     # calls of f so far
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+    lanes, xpre, xcur, fpre, fcur = (v[go] for v in
+                                     (lanes, xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros(lanes.size)
+    for n in range(2, _BRENT_ITER + 2):     # calls of f so far
+        new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+        spre, scur = (np.where(new, xcur - xpre, spre),
+                      np.where(new, xcur - xpre, scur))
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                            np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                            np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, calls
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        roots[lanes[done]], calls[lanes[done]] = xcur[done], n
+        if done.all():
+            return roots, calls
+        lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, \
+            sbis = (v[~done] for v in (lanes, xpre, xcur, xblk, fpre, fcur,
+                                       fblk, spre, scur, delta, sbis))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = (-fcur * (fblk * dblk - fpre * dpre)
+                         / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, secant, quadratic)
+        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry)
+                    < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = value(xcur, lanes)
     raise RuntimeError(f"no convergence after {_BRENT_ITER} iterations")
 
 
@@ -421,10 +445,11 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             if fired:
                 ev = events[fired[0]]
                 seg = DenseSegment(t, h, y, k1, substep)
-                t_star, calls = brentq(
-                    lambda tt: ev.observable(seg.eval(tt)),
-                    t, t + h, ev.root_tol)
-                stats.event_evals += calls
+                root, calls = brentq(
+                    lambda tt, _: [ev.observable(seg.eval(float(tt[0])))],
+                    [t], [t + h], ev.root_tol)
+                t_star = float(root[0])
+                stats.event_evals += int(calls[0])
                 # the step onto the root must pass the error test itself
                 h = t_star - t
                 y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h,
@@ -441,7 +466,9 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             continue
         if err <= 1.0:
             stats.accepted += 1
-            stats.h_accepted.append(h)
+            # a step along a path is recorded as the time it spans
+            stats.h_accepted.append(
+                h if clock is None else abs(clock(t + h) - clock(t)))
             seg = DenseSegment(t, h, y, k1, substep)
             if hit is not None:
                 traj.append(hit.t, hit.state, seg)

@@ -190,24 +190,34 @@ def blowup_estimates(params: ModelParams) -> tuple[dict, dict]:
             "t_tilde": asymptotics.t_tilde(alpha, eps)}, integrations
 
 
-def u_from_v(fld: FourierField) -> tuple[np.ndarray, FourierField]:
-    """u = 1/v: its values on the padded grid (grid_points(M)) and its
-    coefficients."""
+def u_from_v(fld: FourierField) -> tuple[np.ndarray, FourierField, list]:
+    """u = 1/v of one state or of an (m, 2N+1) block of them: its values
+    on the padded grid (grid_points(M)), its coefficients, and for each
+    state (one for a single state) None or the DivisorTooSmall that its
+    |v| on the grid comes below DIVISION_FLOOR with; such a state's u is
+    zero."""
     p = padded_size(fld.n_modes)
     vals = synthesize(fld, p)
-    mags = np.abs(vals)
-    j = int(np.argmin(mags))
-    if mags[j] < DIVISION_FLOOR:
-        raise DivisorTooSmall(float(mags[j]), float(grid_points(p)[j]))
-    u_vals = 1.0 / vals
-    return u_vals, analyze(u_vals, fld.n_modes)
+    mags = np.abs(vals).reshape(-1, p)
+    j = np.argmin(mags, axis=-1)
+    low = mags[np.arange(j.size), j]
+    x = grid_points(p)
+    failed = [DivisorTooSmall(float(m), float(x[i]))
+              if m < DIVISION_FLOOR else None for m, i in zip(low, j)]
+    small = (low < DIVISION_FLOOR).reshape(vals.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):   # v = 0 in a row
+        u_vals = np.divide(1.0, vals, out=vals)    # in place: v is not kept
+    u_vals[small] = 0.0
+    return u_vals, analyze(u_vals, fld.n_modes), failed
 
 
 def flatness(fld: FourierField) -> float:
     """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k."""
     v0, vpi = series_at(fld, [0.0, np.pi])
     f_point = (1.0 / v0 - 1.0 / vpi).real
-    _, u_field = u_from_v(fld)
+    _, u_field, (failed,) = u_from_v(fld)
+    if failed:
+        raise failed
     a = u_field.coeffs
     n = fld.n_modes
     f_coeff = 4.0 * float(np.sum(a[n + 1::2]).real)

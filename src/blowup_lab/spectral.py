@@ -53,14 +53,15 @@ def grid_points(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierField:
-    """Complex coefficients c_k indexed k = -N..N (array position N + k)."""
+    """Complex coefficients c_k indexed k = -N..N (array position N + k)
+    of one state, or of a block of states along the last axis."""
 
     n_modes: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.n_modes + 1,):
+        if c.shape[-1:] != (2 * self.n_modes + 1,):
             raise SizeMismatch(
                 f"expected {2 * self.n_modes + 1} coefficients, got {c.shape}"
             )
@@ -110,17 +111,20 @@ def grid_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def analyze(values: np.ndarray, n_modes: int) -> FourierField:
-    """Forward transform: values on grid_points(M) -> coefficients."""
+    """Forward transform: values on grid_points(M) -> coefficients, row
+    by row for a (..., M) block."""
     return FourierField(n_modes, grid_to_coeffs(values, n_modes))
 
 
 def synthesize(f: FourierField, grid_size: int) -> np.ndarray:
-    """The series' values on grid_points(grid_size)."""
+    """The series' values on grid_points(grid_size), row by row for a
+    block."""
     return coeffs_to_grid(f.coeffs, grid_size)
 
 
 def series_at(f: FourierField, x) -> np.ndarray:
-    """sum_k c_k e^{ikx} summed directly at arbitrary real points x."""
+    """sum_k c_k e^{ikx} of one state summed directly at arbitrary real
+    points x."""
     return np.exp(1j * np.outer(x, f.wavenumbers)) @ f.coeffs
 
 

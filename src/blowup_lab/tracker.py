@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .integrator import Trajectory, brentq
-from .spectral import DivisorTooSmall, FourierField
+from .spectral import FourierField
 from .pde import u_from_v
 
 _EXP_LIMIT = 700.0
@@ -25,6 +26,10 @@ _ON_AXIS = 100.0 * _ROUNDOFF
 # the axis scan: samples on (0, y_max], and the root tolerance in y
 _SCAN_POINTS = 400
 _ROOT_TOL = 1e-10
+# the largest temporary of an axis evaluation, in bytes
+_CHUNK_BYTES = 1 << 19
+# states build_track reads and analyses together
+_TRACK_BLOCK = 64
 
 
 class TrackingError(Exception):
@@ -154,82 +159,149 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
     return np.where(np.abs(out) > _roundoff_floor(out), out, 0.0)
 
 
-def _axis_real(coeffs: np.ndarray, n: int):
-    """Evaluators of Re v(iy) = Re c_0 + sum_k Re c_k e^{-ky}
-    + sum_k Re c_{-k} e^{ky} and of its slope d/dy Re v(iy)
-    = sum_k k Re c_{-k} e^{ky} - sum_k k Re c_k e^{-ky}, over the nonzero
-    modes only, exact because e^{+-ky} is real, plus the largest y before
-    the growing part overflows.
+class _AxisSeries:
+    """Re v(iy) = Re c_0 + sum_k Re c_k e^{-ky} + sum_k Re c_{-k} e^{ky}
+    and its slope d/dy Re v(iy) = sum_k k Re c_{-k} e^{ky}
+    - sum_k k Re c_k e^{-ky} on the rows of an (m, 2N+1) block of
+    coefficients, exact because e^{+-ky} is real, and per row the largest
+    y before the growing part overflows (y_cap).
 
-    The growing part is summed in log scale; rows whose largest
-    log-exponent exceeds _EXP_LIMIT are NaN in both.
+    The growing part is summed in log scale; a value whose largest
+    log-exponent exceeds _EXP_LIMIT is NaN.  A row sums over k = 1..K,
+    K its highest nonzero mode (its width), the zero modes below K
+    included, so its values depend on nothing but the row.
     """
-    k = np.arange(1, n + 1, dtype=float)
-    c_pos, c_neg = coeffs[n + 1:], coeffs[n - 1::-1]     # k = 1..N, -1..-N
-    dec, gro = np.nonzero(c_pos)[0], np.nonzero(c_neg)[0]
-    k_dec, re_dec = k[dec], c_pos[dec].real
-    k_gro, mag = k[gro], np.abs(c_neg[gro])
-    log_mag, cos_phase = np.log(mag), c_neg[gro].real / mag
-    c0 = coeffs[n].real
-    y_cap = float(np.min((_EXP_LIMIT - log_mag) / k_gro)) if gro.size else np.inf
 
-    def evaluator(c, w_dec, w_gro):
-        def f(y):
-            yk = np.asarray(y, dtype=float)[..., None]
-            expo = yk * k_gro + log_mag
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = c + np.exp(-yk * k_dec) @ w_dec + np.exp(expo) @ w_gro
-            return np.where(
-                np.max(expo, axis=-1, initial=-np.inf) > _EXP_LIMIT,
-                np.nan, val)
-        return f
+    def __init__(self, coeffs: np.ndarray):
+        n = coeffs.shape[-1] // 2
+        # k = 1..N and -1..-N, contiguous: numpy takes another route to
+        # |c| for a reversed single row, which can differ in the last bit
+        c_pos = coeffs[:, n + 1:]
+        c_neg = np.ascontiguousarray(coeffs[:, n - 1::-1])
+        self.k = np.arange(1, n + 1, dtype=float)
+        mag = np.abs(c_neg)
+        grows = mag > 0.0
+        with np.errstate(divide="ignore"):
+            self.log_mag = np.log(mag)                # -inf where c_-k = 0
+        cos_phase = np.divide(c_neg.real, mag, out=np.zeros(mag.shape),
+                              where=grows)
+        # (c_0, the decaying and the growing weights) of Re v and of its
+        # slope
+        self.weights = ((coeffs[:, n].real, c_pos.real, cos_phase),
+                        (np.zeros(len(coeffs)), -self.k * c_pos.real,
+                         self.k * cos_phase))
+        self.y_cap = np.min((_EXP_LIMIT - self.log_mag) / self.k, axis=1,
+                            initial=np.inf)
+        nonzero = (c_pos != 0) | grows
+        self.width = np.where(nonzero.any(axis=1),
+                              n - np.argmax(nonzero[:, ::-1], axis=1), 1)
 
-    return (evaluator(c0, re_dec, cos_phase),
-            evaluator(0.0, -k_dec * re_dec, k_gro * cos_phase), y_cap)
+    def __call__(self, rows: np.ndarray, y: np.ndarray,
+                 slope: bool) -> np.ndarray:
+        """Re v(iy), or its slope, at y[i, j] of row rows[i] of the
+        block: an (r, s) array.  Rows of one width are summed together,
+        in two (r, s, width) temporaries of at most _CHUNK_BYTES each."""
+        out = np.empty(y.shape)
+        width = self.width[rows]
+        for w in np.unique(width):
+            at = np.flatnonzero(width == w)
+            step = max(1, _CHUNK_BYTES // (8 * w * y.shape[1]))
+            for i in (at[j:j + step] for j in range(0, at.size, step)):
+                r = rows[i]
+                c, w_dec, w_gro = (a[r, :w] if a.ndim > 1 else a[r]
+                                   for a in self.weights[slope])
+                dec = y[i, :, None] * self.k[:w]              # ky
+                gro = dec + self.log_mag[r, None, :w]   # ky + log|c_-k|
+                over = np.max(gro, axis=-1) > _EXP_LIMIT
+                np.exp(np.negative(dec, out=dec), out=dec)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.exp(gro, out=gro)
+                    dec *= w_dec[:, None]
+                    gro *= w_gro[:, None]
+                    out[i] = np.where(over, np.nan, c[:, None]
+                                      + np.sum(dec, axis=-1)
+                                      + np.sum(gro, axis=-1))
+        return out
 
 
-def root_on_axis(v_field: FourierField) -> float:
-    """Smallest y >= 0 with Re v(iy) = 0, polished by Brent's root
-    finder (integrator.brentq) inside the first sign change of a scan up
-    to the largest y the coefficient amplification allows.  Re v(0) at or
-    below the roundoff of the coefficient sum means the singularity has
-    already reached the real axis: the root is 0 (a root inside that
-    roundoff would only mark the noise).
+def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
+    """For each row of an (m, 2N+1) block of denoised coefficients, the
+    smallest y >= 0 with Re v(iy) = 0, polished by Brent's root finder
+    (integrator.brentq) inside the first sign change of a scan up to the
+    largest y the coefficient amplification allows.  Re v(0) at or below
+    the roundoff of the coefficient sum means the singularity has already
+    reached the real axis: the root is 0 (a root inside that roundoff
+    would only mark the noise).
 
     A dip below zero narrower than the scan spacing shows only as a local
     minimum of the scan before its first sign change.  Where the slope
     goes from < 0 to >= 0 next to it, brentq finds the dip's bottom as the
     slope's root and, if that is at or below zero, the root before it; a
     minimum without such a change is finer than the scan, and unsearched.
+    The first dip that reaches zero gives the root.
+
+    Every dip of the block is searched in one brentq call, and every root
+    polished in one more.  Returns the roots, NaN for a row without one,
+    and for each row None or the reason it has none.
     """
-    coeffs = _denoised(v_field.coeffs)
-    g, slope, y_cap = _axis_real(coeffs, v_field.n_modes)
-    y_max = min(y_cap, 50.0) * 0.999
-    if not np.isfinite(y_max) or y_max <= 0:
-        raise TrackingError("no feasible y range")
-    ys = np.concatenate(
-        ([0.0], np.linspace(y_max / _SCAN_POINTS, y_max, _SCAN_POINTS)))
-    vals = g(ys)
-    if vals[0] <= _ON_AXIS * np.sum(np.abs(coeffs)):
-        return 0.0
-    bad = np.flatnonzero(~np.isfinite(vals))
-    positive = vals[:bad[0] if bad.size else vals.size] > 0.0
-    flips = np.flatnonzero(positive[1:] != positive[:-1])
-    v = vals[:flips[0] + 1 if flips.size else positive.size]
-    # (strictly below its left neighbour, so a plateau gets one search)
-    for i in 1 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])):
-        s = slope(ys[i - 1:i + 2])
-        up = np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0))
-        if not up.size:
-            continue
-        lo = ys[i - 1 + up[0]]
-        y_dip = brentq(slope, lo, ys[i + up[0]], 0.01 * _ROOT_TOL)[0]
-        if g(y_dip) <= 0.0:
-            return float(brentq(g, lo, y_dip, 0.01 * _ROOT_TOL)[0])
-    if not flips.size:
-        raise TrackingError("no sign change of Re v(iy) on the axis")
-    return float(brentq(g, ys[flips[0]], ys[flips[0] + 1],
-                        0.01 * _ROOT_TOL)[0])
+    axis = _AxisSeries(coeffs)
+    roots, why = np.full(len(coeffs), np.nan), [None] * len(coeffs)
+
+    def at(rows, y, slope):
+        """Re v(iy), or its slope, of each of the rows at its own y."""
+        return axis(rows, y[:, None], slope)[:, 0]
+
+    y_max = np.minimum(axis.y_cap, 50.0) * 0.999
+    for r in np.flatnonzero(~(y_max > 0)):
+        why[r] = "no feasible y range"
+    rows = np.flatnonzero(y_max > 0)
+    ys = np.zeros((rows.size, _SCAN_POINTS + 1))
+    ys[:, 1:] = np.linspace(y_max[rows] / _SCAN_POINTS, y_max[rows],
+                            _SCAN_POINTS, axis=-1)
+    vals = axis(rows, ys, slope=False)
+    on_axis = vals[:, 0] <= _ON_AXIS * np.sum(np.abs(coeffs[rows]), axis=-1)
+    roots[rows[on_axis]] = 0.0
+    rows, ys, vals = rows[~on_axis], ys[~on_axis], vals[~on_axis]
+    # each row's scan up to its first non-finite sample, its first sign
+    # change there, between samples flip and flip + 1, and the strict
+    # local minima i before it, i + 1 < end (strictly below the left
+    # neighbour, so a plateau gets one search)
+    finite = np.isfinite(vals)
+    cut = np.where(finite.all(axis=1), ys.shape[1], np.argmin(finite, axis=1))
+    j = np.arange(1, ys.shape[1])
+    changes = (vals[:, 1:] > 0.0) != (vals[:, :-1] > 0.0)
+    changes &= j < cut[:, None]
+    flipped, flip = changes.any(axis=1), np.argmax(changes, axis=1)
+    end = np.where(flipped, flip + 1, cut)
+    dip_row, i = np.nonzero((vals[:, 1:-1] < vals[:, :-2])
+                            & (vals[:, 1:-1] <= vals[:, 2:])
+                            & (j[1:] < end[:, None]))
+    # a dip: the slope goes from < 0 to >= 0 between two of the samples
+    # i - 1, i and i + 1
+    near = ys[dip_row[:, None], i[:, None] + [0, 1, 2]]
+    s = axis(rows[dip_row], near, slope=True)
+    up = (s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0)
+    dip = up.any(axis=1)
+    dip_row, near, u = dip_row[dip], near[dip], np.argmax(up[dip], axis=1)
+    lanes = np.arange(dip_row.size)
+    lo = near[lanes, u]
+    y_dip, _ = brentq(lambda y, k: at(rows[dip_row[k]], y, True), lo,
+                      near[lanes, u + 1], 0.01 * _ROOT_TOL)
+    deep = at(rows[dip_row], y_dip, False) <= 0.0
+    # the root lies in a row's first dip that reaches zero, else in its
+    # first sign change
+    first_deep, k = np.unique(dip_row[deep], return_index=True)
+    each = np.arange(rows.size)
+    lo_root, hi_root = ys[each, flip], ys[each, flip + 1]
+    lo_root[first_deep], hi_root[first_deep] = lo[deep][k], y_dip[deep][k]
+    found = flipped
+    found[first_deep] = True
+    for r in rows[~found]:
+        why[r] = "no sign change of Re v(iy) on the axis"
+    rows = rows[found]
+    roots[rows], _ = brentq(lambda y, k: at(rows[k], y, False),
+                            lo_root[found], hi_root[found], 0.01 * _ROOT_TOL)
+    return roots, why
 
 
 # report the fit only while the full spectrum at this strip width is
@@ -260,37 +332,37 @@ def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
 def build_track(trajectory: Trajectory, n_modes: int,
                 times: Sequence[float]) -> SingularityTrack:
     """Apply both estimators to the dense-output state at each of the
-    given times.
+    given times, _TRACK_BLOCK states at a time: each state is denoised
+    once, and the block goes through u_from_v and root_on_axis together.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
     u-reconstruction failures) are marked NaN rather than extrapolated;
     snapshots without a root or a fit are counted per reason.
     """
-    yf, yr, res = [], [], []
+    times = np.array(times, dtype=float)
+    y_fit, y_root, res = (np.full(times.shape, np.nan) for _ in range(3))
     no_root, no_fit = Counter(), Counter()
-    for state in trajectory.states_at(times):
-        fld = FourierField(n_modes, state)
-        y_root = np.nan
-        try:
-            clean = FourierField(n_modes, _denoised(fld.coeffs))
-            _, u_field = u_from_v(clean)
-            y_fit, residual = strip_width_estimate(u_field)
-            drop = _fit_drop_reason(y_fit, residual, n_modes)
-        except TrackingError as exc:
-            drop = str(exc)
-        except DivisorTooSmall:
-            drop = "DivisorTooSmall in u_from_v"
-        if drop is not None:
-            y_fit, residual = np.nan, np.nan
-            no_fit[drop] += 1
-        try:
-            y_root = root_on_axis(fld)
-        except TrackingError as exc:
-            no_root[str(exc)] += 1
-        yf.append(y_fit)
-        yr.append(y_root)
-        res.append(residual)
-    return SingularityTrack(np.array(times, dtype=float), np.array(yf),
-                            np.array(yr), np.array(res), dict(no_root),
+    states = trajectory.states_at(times)
+    for lo in range(0, times.size, _TRACK_BLOCK):
+        clean = FourierField(n_modes, [
+            _denoised(FourierField(n_modes, state).coeffs)
+            for state in islice(states, _TRACK_BLOCK)])
+        u_field, failed = u_from_v(clean)[1:]
+        for i, (u, error) in enumerate(zip(u_field.coeffs, failed), lo):
+            if error is not None:
+                drop = "DivisorTooSmall in u_from_v"
+            else:
+                try:
+                    y, residual = strip_width_estimate(
+                        FourierField(n_modes, u))
+                    drop = _fit_drop_reason(y, residual, n_modes)
+                except TrackingError as exc:
+                    drop = str(exc)
+            if drop is None:
+                y_fit[i], res[i] = y, residual
+            else:
+                no_fit[drop] += 1
+        y_root[lo:lo + len(failed)], why = root_on_axis(clean.coeffs)
+        no_root.update(reason for reason in why if reason is not None)
+    return SingularityTrack(times, y_fit, y_root, res, dict(no_root),
                             dict(no_fit))
-

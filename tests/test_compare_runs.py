@@ -42,8 +42,24 @@ def test_compare_runs_measures_numeric_differences(tmp_path, capsys):
                    "rows.csv": "k\n1\n2\n", "name.csv": "k,w\n"})
     assert compare_runs.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
-    # |-4.0 - -4.5| = 0.5, relative to the larger magnitude 4.5
-    assert "body differs: v.csv (max abs diff 0.5, max rel diff 0.111)" in out
+    # |-4.0 - -4.5| = 0.5, relative to the larger magnitude 4.5, in
+    # column v only
+    assert ("body differs: v.csv (max abs diff 0.5, max rel diff 0.111) "
+            "in columns v\n") in out
     # another shape, or a differing cell that is no number: no gap
     assert "body differs: rows.csv\n" in out
     assert "body differs: name.csv\n" in out
+
+
+def test_compare_runs_names_every_column_that_differs(tmp_path, capsys):
+    # the columns are named in header order, each once, however many of
+    # its cells differ; a cell spelt apart with the same value counts
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_tree(a, {"track.csv": "t,y_fit,y_root,flag\n0,1.5,2.0,1\n"
+                                "1,1.5,3.0,1\n2,1.5,4.0,1\n"})
+    write_tree(b, {"track.csv": "t,y_fit,y_root,flag\n0,1.5,2.25,1\n"
+                                "1,1.5,3.0,1.0\n2,1.5,4.5,1\n"})
+    assert compare_runs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("body differs: track.csv (max abs diff 0.5, max rel diff 0.111) "
+            "in columns y_root, flag\n") in out

@@ -1,5 +1,7 @@
 """Dataset builders behind the CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,30 @@ def test_run_continuation_complex_path():
     assert sorted(data.snapshot_times) == data.snapshot_times
     with pytest.raises(ValueError):
         experiments.run_continuation(p, 0.5, 0, (), "teleport")
+
+
+def test_complex_path_to_a_t_end_inside_the_detour_narrows_it():
+    # t_end = 1.05 t_c lies inside the 0.1 t_c detour: the detour shrinks
+    # to end on t_end, and t_c itself has no real-axis state
+    p = small_params()
+    _, rep = solve_to_blowup(p)
+    t_end = 1.05 * rep.t_c
+    data = experiments.run_continuation(p, t_end, 0, (), "complex_path")
+    assert data.result.radius == t_end - rep.t_c
+    assert data.result.trajectory.times == [t_end]
+    assert list(data.skipped_times) == [round(rep.t_c, 12)]
+    assert data.snapshot_times == [0.0, round(0.5 * rep.t_c, 12)]
+    assert np.isfinite(data.asymptote_deviation)
+
+
+@pytest.mark.parametrize("method", experiments.CONTINUATION_METHODS)
+def test_continuation_to_t_c_or_before_is_refused_by_name(method):
+    p = small_params()
+    _, rep = solve_to_blowup(p)
+    for t_end in (0.1, rep.t_c):
+        with pytest.raises(ValueError, match=re.escape(
+                f"continue: --t-end {t_end} is not past t_c = {rep.t_c}")):
+            experiments.run_continuation(p, t_end, 0, (), method)
 
 
 def test_complex_path_snapshots_hold_their_labelled_time():

@@ -69,13 +69,26 @@ def test_event_located_to_root_tolerance():
     assert traj.times[-1] == pytest.approx(hit.t)
 
 
-# functions with one sign change, at r, and a steepness c > 0
+# functions with one sign change, at r, and a steepness c > 0; each
+# takes an array x of one point per lane
 BRACKETED = (
     lambda r, c: lambda x: (x - r) * (1.0 + c * x * x),
-    lambda r, c: lambda x: math.atan(c * (x - r)),
-    lambda r, c: lambda x: math.expm1(c * (x - r)),
-    lambda r, c: lambda x: math.tanh(c * (x - r)) ** 3,
+    lambda r, c: lambda x: np.arctan(c * (x - r)),
+    lambda r, c: lambda x: np.expm1(c * (x - r)),
+    lambda r, c: lambda x: np.tanh(c * (x - r)) ** 3,
 )
+
+
+def one_lane(f, a, b, xtol):
+    """brentq on the one bracket [a, b] of a function of a number:
+    (root, calls)."""
+    root, calls = brentq(lambda x, _: [f(float(x[0]))], [a], [b], xtol)
+    return root[0], calls[0]
+
+
+def scalar(g):
+    """g, a function of an array, as a function of a number."""
+    return lambda x: float(g(np.array([x]))[0])
 
 
 @settings(max_examples=400, deadline=None)
@@ -86,17 +99,53 @@ def test_brentq_matches_scipy_step_for_step(family, r, left, right, c,
                                             log_xtol):
     # the same root bits after the same number of calls, or the same
     # failure to converge
-    f = BRACKETED[family](r, c)
+    f = scalar(BRACKETED[family](r, c))
     a, b, xtol = r - left, r + right, 10.0 ** log_xtol
     try:
         expected, info = scipy_brentq(f, a, b, xtol=xtol, full_output=True)
     except RuntimeError:
         with pytest.raises(RuntimeError):
-            brentq(f, a, b, xtol)
+            one_lane(f, a, b, xtol)
         return
-    root, calls = brentq(f, a, b, xtol)
+    root, calls = one_lane(f, a, b, xtol)
     assert root == expected
     assert calls == info.function_calls
+
+
+lane = st.tuples(st.floats(-2.0, 2.0), st.floats(1e-3, 3.0),
+                 st.floats(1e-3, 3.0), st.floats(0.1, 30.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(BRACKETED))),
+       st.lists(lane, min_size=1, max_size=12), st.floats(-15.0, -1.0))
+def test_brentq_lanes_match_scipy_step_for_step(family, lanes, log_xtol):
+    # each lane of one call reaches the root bits of scipy's brentq on its
+    # own bracket after the same number of calls, however many lanes
+    # share the call and whenever they finish; a lane that fails to
+    # converge fails the call
+    r, left, right, c = (np.array(v) for v in zip(*lanes))
+    xtol = 10.0 ** log_xtol
+    evaluated = []
+
+    def f(x, i):
+        evaluated.append(i)
+        return BRACKETED[family](r[i], c[i])(x)
+
+    try:
+        expected = [scipy_brentq(scalar(BRACKETED[family](r[i], c[i])),
+                                 r[i] - left[i], r[i] + right[i], xtol=xtol,
+                                 full_output=True)
+                    for i in range(len(lanes))]
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            brentq(f, r - left, r + right, xtol)
+        return
+    roots, calls = brentq(f, r - left, r + right, xtol)
+    assert list(roots) == [root for root, _ in expected]
+    assert list(calls) == [info.function_calls for _, info in expected]
+    # f sees each lane only while it iterates
+    assert sum(len(i) for i in evaluated) == calls.sum()
 
 
 @pytest.mark.parametrize("f, a, b, error", [
@@ -108,12 +157,12 @@ def test_brentq_raises_as_scipy_does(f, a, b, error):
     with pytest.raises(error):
         scipy_brentq(f, a, b, xtol=1e-12)
     with pytest.raises(error):
-        brentq(f, a, b, 1e-12)
+        one_lane(f, a, b, 1e-12)
 
 
 def test_brentq_returns_an_endpoint_root():
-    assert brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == (1.0, 2)
-    assert brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == (2.0, 2)
+    assert one_lane(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == (1.0, 2)
+    assert one_lane(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == (2.0, 2)
 
 
 def test_event_direction_filter():
@@ -209,6 +258,23 @@ def test_path_integration_matches_real_axis_for_entire_function():
                             semicircle(1.0, 0.5), cfg, None)
     assert detour.times[-1] == 1.0
     assert abs(detour.states[-1][0] - math.exp(1.5)) < 1e-9
+
+
+def test_path_steps_are_recorded_in_time():
+    # each step along the half circle is recorded as the distance it
+    # covers in t, a chord no longer than the half circle itself (pi r),
+    # and the chords add up to nearly pi r; in s the first step alone
+    # was 1e-4 and the steps spanned the whole of [0, 1]
+    radius = 0.01
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
+    detour = integrate_path(lambda y, t: y, np.array([1.0 + 0j]),
+                            semicircle(1.0, radius), cfg, None)
+    h = detour.stats.h_accepted
+    assert len(h) == len(detour.dense_segments) > 3
+    assert all(0.0 < step <= math.pi * radius for step in h)
+    assert sum(h) == pytest.approx(math.pi * radius, rel=1e-2)
+    record = detour.stats.record()
+    assert record["h_max"] <= math.pi * radius
 
 
 def test_path_semicircle_parameterization():

@@ -13,8 +13,8 @@ from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             continue_past_blowup, diffusion, flatness,
                             initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup, u_from_v)
-from blowup_lab.spectral import (FourierField, analyze, grid_points,
-                                 padded_size, synthesize)
+from blowup_lab.spectral import (DivisorTooSmall, FourierField, analyze,
+                                 grid_points, padded_size, synthesize)
 from paper_oracle import u_initial_coeff
 from spectral_oracle import v_rhs
 
@@ -254,13 +254,36 @@ def test_blowup_report_estimates_and_deltas():
 
 def test_u_from_v_is_pointwise_reciprocal():
     f = initial_field(small_params())
-    u_vals, u_field = u_from_v(f)
+    u_vals, u_field, failed = u_from_v(f)
+    assert failed == [None]
     v_vals = synthesize(f, padded_size(f.n_modes))
     assert np.max(np.abs(u_vals * v_vals - 1.0)) < 1e-13
     # reconstruction matches the closed-form reciprocal coefficients
     for k in (0, 1, 5):
         assert u_field.coeffs[u_field.n_modes + k].real == pytest.approx(
             u_initial_coeff(k, 0.25, 0.1), rel=1e-10)
+
+
+def test_u_from_v_takes_a_block_row_by_row():
+    # each row of a block gets the bits its own call gives; a row whose v
+    # comes below the division floor on the grid is reported by itself,
+    # its u zero
+    f = initial_field(small_params())
+    n = f.n_modes
+    touching = f.coeffs.copy()
+    touching[n] = 0.1 + 1e-15    # v = 0.1 + 1e-15 - 0.1 cos x at x = 0
+    block = FourierField(n, [f.coeffs, touching, 2.0 * f.coeffs])
+    u_vals, u_field, failed = u_from_v(block)
+    assert failed[0] is None and failed[2] is None
+    assert isinstance(failed[1], DivisorTooSmall)
+    assert failed[1].location == 0.0
+    assert not np.any(u_vals[1]) and not np.any(u_field.coeffs[1])
+    for row in (0, 2):
+        one_vals, one_field, _ = u_from_v(FourierField(n, block.coeffs[row]))
+        assert u_vals[row].tobytes() == one_vals.tobytes()
+        assert u_field.coeffs[row].tobytes() == one_field.coeffs.tobytes()
+    with pytest.raises(DivisorTooSmall):
+        flatness(FourierField(n, touching))
 
 
 def test_flatness_dual_route_and_positive():

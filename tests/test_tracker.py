@@ -11,13 +11,37 @@ from hypothesis import strategies as st
 from blowup_lab import tracker
 from blowup_lab.pde import initial_field, solve_to_blowup, u_from_v
 from blowup_lab.spectral import FourierField
-from blowup_lab.tracker import (TrackingError, _axis_real, _decaying_range,
+from blowup_lab.tracker import (TrackingError, _AxisSeries, _decaying_range,
                                 _denoised, _fit_drop_reason, build_track,
                                 fit_strip_width, root_on_axis,
                                 strip_width_estimate, SingularityTrack)
 from paper_oracle import (impingement_regression, impingement_slope,
                           u_initial_coeff)
 from run_defaults import model_params
+
+
+def axis_of(coeffs):
+    """Re v(iy) and its slope, at a number or an array of y, and y_cap of
+    one state's coefficients (a block of one row)."""
+    axis, row = _AxisSeries(np.asarray(coeffs)[None]), np.zeros(1, int)
+
+    def evaluator(slope):
+        def f(y):
+            out = axis(row, np.atleast_1d(np.asarray(y, float))[None],
+                       slope)[0]
+            return out if np.ndim(y) else float(out[0])
+        return f
+
+    return evaluator(False), evaluator(True), float(axis.y_cap[0])
+
+
+def root_of(fld):
+    """The axis root of one field as build_track takes it: denoised, and
+    a block of one row; TrackingError where the row has none."""
+    y, why = root_on_axis(_denoised(fld.coeffs)[None])
+    if why[0] is not None:
+        raise TrackingError(why[0])
+    return float(y[0])
 
 
 def pole_model_field(n, y, c0=1.0, p=1.0):
@@ -116,10 +140,10 @@ def test_axis_value_and_root_on_exact_initial_data():
     p = model_params(0.25, 0.1, n_modes=32)
     f = initial_field(p)
     y_ref = math.acosh(0.25 / 0.1)
-    re_v, slope, _ = _axis_real(f.coeffs, f.n_modes)
+    re_v, slope, _ = axis_of(f.coeffs)
     assert re_v(1.0) == pytest.approx(0.25 - 0.1 * math.cosh(1.0))
     assert slope(1.0) == pytest.approx(-0.1 * math.sinh(1.0))
-    assert root_on_axis(f) == pytest.approx(y_ref, abs=1e-9)
+    assert root_of(f) == pytest.approx(y_ref, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,7 +153,7 @@ def test_root_on_exact_initial_data_property(ratio, alpha):
     # v(iy) = alpha - eps cosh(y) has its only root at arccosh(alpha/eps)
     eps = alpha / ratio
     f = initial_field(model_params(alpha, eps, n_modes=16))
-    assert abs(root_on_axis(f) - math.acosh(alpha / eps)) <= 1e-12
+    assert abs(root_of(f) - math.acosh(alpha / eps)) <= 1e-12
 
 
 def symmetric_field(n, coeffs):
@@ -148,7 +172,7 @@ def test_root_on_axis_returns_the_smaller_of_two_roots():
     y_small = math.acosh((1.2 - d) / 0.84)
     assert y_small == pytest.approx(0.2392, abs=1e-4)
     assert math.acosh((1.2 + d) / 0.84) == pytest.approx(1.2117, abs=1e-4)
-    assert root_on_axis(f) == pytest.approx(y_small, abs=1e-12)
+    assert root_of(f) == pytest.approx(y_small, abs=1e-12)
 
 
 # (bottom y0 of the dip, its half-width relative to y0): ys[14] = 1.74825
@@ -169,7 +193,7 @@ def test_root_on_axis_finds_a_dip_narrower_than_the_scan(y0, rel_width):
     # 2 d sinh y at the root, which a thin dip makes small; at most 1e-10
     tol = min(1e-10, 1e-12 + 8.0 * np.finfo(float).eps * big_c ** 2
               / (d * math.sinh(y_root)))
-    assert abs(root_on_axis(f) - y_root) <= tol
+    assert abs(root_of(f) - y_root) <= tol
 
 
 def test_root_on_axis_overflow_before_sign_change_raises():
@@ -177,10 +201,10 @@ def test_root_on_axis_overflow_before_sign_change_raises():
     # y ~ 700/40 before Re v(iy) could change sign
     f = symmetric_field(64, {0: 1.0, 40: 0.5})
     with pytest.raises(TrackingError, match="no sign change"):
-        root_on_axis(f)
+        root_of(f)
     # past _EXP_LIMIT = 700 the value is NaN even where e^{40 y} would
     # still be finite in double precision (40 * 17.6 = 704 < 709)
-    re_v, slope, y_cap = _axis_real(f.coeffs, f.n_modes)
+    re_v, slope, y_cap = axis_of(f.coeffs)
     assert y_cap == pytest.approx(17.5 - math.log(0.5) / 40.0)
     assert np.all(np.isnan(re_v(np.array([17.6, 30.0]))))
     assert np.all(np.isnan(slope(np.array([17.6, 30.0]))))
@@ -193,7 +217,7 @@ def test_root_on_axis_no_root():
     c = np.zeros(2 * n + 1, dtype=complex)
     c[n] = 1.0
     with pytest.raises(TrackingError):
-        root_on_axis(FourierField(n, c))
+        root_of(FourierField(n, c))
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1.0}, {0: 1.0, 40: 1.0}],
@@ -205,17 +229,18 @@ def test_root_on_axis_searches_a_flat_scan_at_most_once(monkeypatch, coeffs):
     c = np.zeros(2 * n + 1, dtype=complex)
     for k, a in coeffs.items():
         c[n + k] = a
-    # with no sign change on the axis, every brentq call is a dip search
+    # with no sign change on the axis, every lane brentq searches is a
+    # dip: count the lanes of each call
     searches, search = [], tracker.brentq
 
-    def counted(*args):
-        searches.append(args)
-        return search(*args)
+    def counted(f, a, b, xtol):
+        searches.append(len(a))
+        return search(f, a, b, xtol)
 
     monkeypatch.setattr(tracker, "brentq", counted)
     with pytest.raises(TrackingError, match="no sign change"):
-        root_on_axis(FourierField(n, c))
-    assert len(searches) <= 1
+        root_of(FourierField(n, c))
+    assert sum(searches) <= 1
 
 
 def test_impingement_regression_recovers_synthetic_slope():
@@ -246,6 +271,34 @@ def small_solve():
     p = model_params(0.25, 0.1, n_modes=32, rtol=1e-10, atol=1e-10)
     traj, _ = solve_to_blowup(p)
     return p, traj
+
+
+def test_a_state_keeps_its_bits_in_any_block(small_solve, monkeypatch):
+    # a state's root, the reason it has none and its fit come out the same
+    # to the bit whether the grid is read in blocks of 1, 7 or 64 states:
+    # neither its neighbours nor the padding of their modes reach it
+    p, traj = small_solve
+    times = np.union1d(traj.times,
+                       np.linspace(0.0, traj.times[-1], 150, endpoint=False))
+    clean = np.array([_denoised(s) for s in traj.states_at(times)])
+    roots, why = root_on_axis(clean)
+    # rows of many widths, with a root, without one and on the axis
+    assert len(set(_AxisSeries(clean).width)) >= 10
+    assert set(why) == {None, "no sign change of Re v(iy) on the axis"}
+    assert np.count_nonzero(roots == 0.0) == 1
+    fits = build_track(traj, p.n_modes, times)
+    for size in (1, 7, 64):
+        parts = [root_on_axis(clean[i:i + size])
+                 for i in range(0, len(clean), size)]
+        assert np.concatenate([y for y, _ in parts]).tobytes() \
+            == roots.tobytes()
+        assert [w for _, ws in parts for w in ws] == why
+        monkeypatch.setattr(tracker, "_TRACK_BLOCK", size)
+        track = build_track(traj, p.n_modes, times)
+        assert track.y_root.tobytes() == roots.tobytes()
+        assert track.y_fit.tobytes() == fits.y_fit.tobytes()
+        assert track.fit_residual.tobytes() == fits.fit_residual.tobytes()
+        assert (track.no_root, track.no_fit) == (fits.no_root, fits.no_fit)
 
 
 def test_fit_drop_reasons():
@@ -288,8 +341,8 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
     # every earlier row starts positive at y = 0, so its root is still the
     # first sign change of the scan
     for state in traj.states[:-1]:
-        g, _, _ = _axis_real(_denoised(state), p.n_modes)
-        assert g(np.array([0.0]))[0] > 0.0
+        g, _, _ = axis_of(_denoised(state))
+        assert g(0.0) > 0.0
 
 
 def test_build_track_counts_every_dropped_fit(small_solve):
@@ -331,7 +384,7 @@ def test_track_roots_against_direct_complex_sum(small_solve):
 
         # a root that no sign change of the axis scan brackets, the scan
         # sample after it still positive, comes from the dip search
-        y_max = min(_axis_real(c, n)[2], 50.0) * 0.999
+        y_max = min(axis_of(c)[2], 50.0) * 0.999
         scan = np.linspace(y_max / tracker._SCAN_POINTS, y_max,
                            tracker._SCAN_POINTS)
         after = scan[scan > y]
@@ -356,7 +409,8 @@ def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
     # axis-root position of v
     p = model_params(0.25, 0.1, n_modes=64)
     f = initial_field(p)
-    _, u_field = u_from_v(f)
+    _, u_field, failed = u_from_v(f)
+    assert failed == [None]
     # exact reciprocal coefficients decay as rho^{-k} with no k-prefactor:
     # times |k| they take the fit's k^1 one
     k = np.abs(u_field.wavenumbers)
@@ -364,7 +418,7 @@ def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
     # the reconstructed coefficients fall below the FFT noise floor past
     # k ~ 21, so the fit window stays inside the clean band
     y_fit, _, _ = fit_strip_width(u_k, k_range=(8, 18))
-    y_root = root_on_axis(f)
+    y_root = root_of(f)
     assert y_fit == pytest.approx(y_root, rel=1e-6)
 
 
