@@ -263,6 +263,7 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         "usable_fit": int(np.sum(tr.usable_fit())),
         "no_root": tr.no_root,
         "no_fit": tr.no_fit,
+        "seconds": tr.seconds,
     }
     manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"track with {tr.times.size} samples ({n_ok} usable roots), "

@@ -241,17 +241,17 @@ def _combine(w, k):
     return np.add.reduce(w * k, axis=0, initial=0.0)
 
 
-def _stage_weights(lin, clock, t, h):
+def _stage_weights(lin, clock, t, h, dense):
     """Weights of one step from t to t + h: (decay, a, e), a packed.
 
     Plain DOPRI5 (lin None): decay is None, a the tableau and e the error
     weights.  Lawson form: with E_ij = exp(lin (T_i - T_j)), T_i the time
     at node t + c_i h (clock(t + c_i h) on a path, else the node itself),
-    stage i starts from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij,
-    and the error weights are e_j E_6j.  The nodes never decrease, so
-    |E| <= 1 whenever Re lin <= 0 and the real part of T increases.
-    h is a number, or an (m, 1) column of step lengths from the same t,
-    which gives each weight a row per step.
+    stage i starts from E_i0 y (decay[i], a view) and weighs stage j by
+    a_ij E_ij; the error weights are e_j E_6j, or None for a dense
+    sub-step.  The nodes never decrease, so |E| <= 1 whenever Re lin <= 0
+    and the real part of T increases.  h is a number, or an (m, 1) column
+    of step lengths from the same t, which gives each weight a row per step.
     """
     block = isinstance(h, np.ndarray)
     gaps_c, a_c, e_c = _COLUMNS[block]
@@ -269,10 +269,12 @@ def _stage_weights(lin, clock, t, h):
         ex, pair = np.exp(gaps * lin), _PAIRS
     a = np.take(ex, pair, axis=0)
     a *= a_c
-    e = np.empty((7,) + ex.shape[1:], dtype=ex.dtype)
-    e[:6] = e_c[:6] * ex[pair[_ROW[6]:]]
-    e[6] = _E[6]                                   # E_66 = 1
-    return ex[pair[_ROW[:7]]], a, e
+    e = None
+    if not dense:
+        e = np.empty((7,) + ex.shape[1:], dtype=ex.dtype)
+        e[:6] = e_c[:6] * ex[pair[_ROW[6]:]]
+        e[6] = _E[6]                               # E_66 = 1
+    return [ex[p] for p in pair[_ROW[:7]]], a, e
 
 
 def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
@@ -284,7 +286,7 @@ def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
     An (m, n) block y with an (m, 1) column h takes m steps from t at
     once, each row as its own step would, with rhs called on the block.
     """
-    decay, a, e = _stage_weights(lin, clock, t, h)
+    decay, a, e = _stage_weights(lin, clock, t, h, dense)
     k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = k1
     for i in range(1, 7):

@@ -212,12 +212,13 @@ def u_from_v(fld: FourierField) -> tuple[np.ndarray, FourierField, list]:
 
 
 def flatness(fld: FourierField) -> float:
-    """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k."""
-    v0, vpi = series_at(fld, [0.0, np.pi])
-    f_point = (1.0 / v0 - 1.0 / vpi).real
+    """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k;
+    u_from_v's DivisorTooSmall is raised before v(0) or v(pi) divides."""
     _, u_field, (failed,) = u_from_v(fld)
     if failed:
         raise failed
+    v0, vpi = series_at(fld, [0.0, np.pi])
+    f_point = (1.0 / v0 - 1.0 / vpi).real
     a = u_field.coeffs
     n = fld.n_modes
     f_coeff = 4.0 * float(np.sum(a[n + 1::2]).real)

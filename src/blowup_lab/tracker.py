@@ -8,6 +8,7 @@ finding of v(iy) = 0 on the positive imaginary axis.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -26,8 +27,6 @@ _ON_AXIS = 100.0 * _ROUNDOFF
 # the axis scan: samples on (0, y_max], and the root tolerance in y
 _SCAN_POINTS = 400
 _ROOT_TOL = 1e-10
-# the largest temporary of an axis evaluation, in bytes
-_CHUNK_BYTES = 1 << 19
 # states build_track reads and analyses together
 _TRACK_BLOCK = 64
 
@@ -44,6 +43,7 @@ class SingularityTrack:
     fit_residual: np.ndarray
     no_root: dict = field(default_factory=dict)   # TrackingError reason -> count
     no_fit: dict = field(default_factory=dict)    # dropped-fit reason -> count
+    seconds: dict = field(default_factory=dict)   # phase -> seconds
 
     def usable_fit(self) -> np.ndarray:
         return np.isfinite(self.y_fit)
@@ -52,9 +52,10 @@ class SingularityTrack:
         return np.isfinite(self.y_root)
 
 
-def _roundoff_floor(coeffs: np.ndarray) -> float:
-    """Magnitude below which a coefficient is roundoff of the largest."""
-    return 100.0 * _ROUNDOFF * max(1.0, float(np.max(np.abs(coeffs))))
+def _roundoff_floor(coeffs: np.ndarray) -> np.ndarray:
+    """|c| below which a coefficient is roundoff of the largest in its row."""
+    return 100.0 * _ROUNDOFF * np.maximum(
+        1.0, np.max(np.abs(coeffs), axis=-1, keepdims=True))
 
 
 def fit_strip_width(u_field: FourierField,
@@ -68,7 +69,6 @@ def fit_strip_width(u_field: FourierField,
     n = u_field.n_modes
     a = np.abs(u_field.coeffs[n + 1:])          # k = 1..N
     k_lo, k_hi = k_range
-    k_hi = min(k_hi, n)
     if k_hi - k_lo + 1 < 8:
         raise TrackingError(
             f"k-range [{k_lo}, {k_hi}] too short (< 8 usable modes)")
@@ -84,60 +84,71 @@ def fit_strip_width(u_field: FourierField,
     return float(y), float(np.exp(log_c)), residual
 
 
-def _decaying_range(log_mag: np.ndarray, n: int) -> tuple[int, int]:
-    """Largest k still on the genuinely decaying part of the spectrum.
+def _decaying_range(log_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (m, N) block of log|a_k|, k = 1..N, the window
+    (k_lo, k_hi) on the genuinely decaying part of the spectrum.
 
     A decaying spectrum keeps setting new running minima (modulo even/odd
     oscillation); the flat noise plateau of the time stepper does not.
-    The scan stops after 8 modes without a new minimum.
+    The window ends one mode before the first new minimum that no other
+    follows within 8 modes, and starts at half that, at least 8.
     """
-    current = log_mag[0]
-    k_hi, gap = 1, 0
-    for k in range(2, n + 1):
-        if log_mag[k - 1] < current:
-            current, k_hi, gap = log_mag[k - 1], k, 0
-        else:
-            gap += 1
-            if gap >= 8:
-                break
-    k_hi -= 1               # the last minimum may already touch the plateau
-    return max(8, k_hi // 2), k_hi
+    n = log_mag.shape[-1]
+    new_min = np.ones(log_mag.shape, dtype=bool)
+    new_min[:, 1:] = (log_mag[:, 1:]
+                      < np.minimum.accumulate(log_mag, axis=1)[:, :-1])
+    # the count of new minima among the 8 modes after each mode
+    count = np.cumsum(new_min, axis=1)
+    ahead = count[:, np.minimum(np.arange(n) + 8, n - 1)] - count
+    # k_hi is one below that minimum, which may already touch the plateau
+    k_hi = np.argmax(new_min & (ahead == 0), axis=1)
+    return np.maximum(8, k_hi // 2), k_hi
 
 
-def strip_width_estimate(u_field: FourierField) -> tuple[float, float]:
-    """Strip width from coefficient decay with an adaptive k-window.
+def strip_width_estimate(coeffs: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, list]:
+    """Strip width from coefficient decay with an adaptive k-window, for
+    each row of an (m, 2N+1) block of u's coefficients.
 
     The window ends where the decaying spectrum meets the integrator noise
     plateau or the roundoff floor of its largest coefficient, whichever
     comes first, and starts at half that, avoiding low-k profile
-    contamination.
+    contamination.  Only a window of at least 8 modes is fitted.
     The fixed-p fit carries an O(1/k) bias from logarithmic corrections to
     the pole model; when the spectrum is resolved all the way to
     truncation, two half-window fits are extrapolated in 1/k to remove it.
-    Returns (y, rms residual of the full-window fit).
+    Returns y and the rms residual of the full-window fit, NaN in a row
+    without a fit, and for each row None or the reason it has none.
     """
-    n = u_field.n_modes
-    a = np.abs(u_field.coeffs[n + 1:])
-    log_mag = np.log(np.where(a > 0.0, a, 1e-300))
-    k_lo, k_hi = _decaying_range(log_mag, n)
+    n = coeffs.shape[-1] // 2
+    a = np.abs(coeffs[:, n + 1:])
+    k_lo, k_hi = _decaying_range(np.log(np.where(a > 0.0, a, 1e-300)))
     # coefficients at roundoff bend the fitted decay and bias y low
-    above = np.flatnonzero(a[:k_hi] > _roundoff_floor(u_field.coeffs))
-    k_hi = int(above[-1]) + 1 if above.size else 0
-    if k_hi - k_lo + 1 < 8:
-        # one fixed message, so build_track counts these drops as one reason
-        raise TrackingError("decaying k-range too short (< 8 usable modes)")
-    y, _, residual = fit_strip_width(u_field, k_range=(k_lo, k_hi))
-    if k_hi >= n - 2 and k_hi - k_lo + 1 >= 16:
-        mid = k_lo + (k_hi - k_lo) // 2
-        y1, _, _ = fit_strip_width(u_field, k_range=(k_lo, mid))
-        y2, _, _ = fit_strip_width(u_field, k_range=(mid, k_hi))
-        m1, m2 = 0.5 * (k_lo + mid), 0.5 * (mid + k_hi)
-        y = (m2 * y2 - m1 * y1) / (m2 - m1)
-    return float(y), float(residual)
+    above = (a > _roundoff_floor(coeffs)) & (np.arange(n) < k_hi[:, None])
+    k_hi = np.max(above * np.arange(1, n + 1), axis=1, initial=0)
+    y, residual = np.full((2, len(coeffs)), np.nan)
+    # one fixed message, so build_track counts these drops as one reason
+    why = [None if hi - lo + 1 >= 8 else
+           "decaying k-range too short (< 8 usable modes)"
+           for lo, hi in zip(k_lo, k_hi)]
+    for r in np.flatnonzero(k_hi - k_lo + 1 >= 8):
+        u_field, lo, hi = FourierField(n, coeffs[r]), k_lo[r], k_hi[r]
+        try:
+            y[r], _, residual[r] = fit_strip_width(u_field, k_range=(lo, hi))
+            if hi >= n - 2 and hi - lo + 1 >= 16:
+                mid = lo + (hi - lo) // 2
+                y1, _, _ = fit_strip_width(u_field, k_range=(lo, mid))
+                y2, _, _ = fit_strip_width(u_field, k_range=(mid, hi))
+                m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+                y[r] = (m2 * y2 - m1 * y1) / (m2 - m1)
+        except TrackingError as exc:     # raised before y[r] is set
+            why[r] = str(exc)
+    return y, residual, why
 
 
 def _denoised(coeffs: np.ndarray) -> np.ndarray:
-    """Suppress integrator noise in the coefficient tail.
+    """Suppress integrator noise in the coefficient tail of one state or
+    of each row of a block.
 
     Two artifacts would otherwise dominate the analytic continuation
     e^{+ky}: (i) roundoff-level coefficients anywhere in the tail, and
@@ -145,31 +156,34 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
     strongly towards the truncation boundary, which a genuine
     (decaying-tail) spectrum cannot do.  The stepper treats the
     diffusion term exactly, so it no longer leaves tolerance-level error
-    there; the ramp test still fires on roundoff-level tails.
+    there; the ramp test still fires on roundoff-level tails.  The ramp:
+    the modes k > N/2 at and above which |c| keeps more than doubling.
     """
     c = np.asarray(coeffs)
-    n = (len(c) - 1) // 2
-    mag = np.maximum(np.abs(c[n:]), np.abs(c[n::-1]))   # k = 0..n, both signs
+    n, half = c.shape[-1] // 2, c.shape[-1] // 4      # N and N // 2
+    mag = np.maximum(np.abs(c[..., n:]), np.abs(c[..., n::-1]))  # k = 0..n
+    ramp = mag[..., half + 1:] > 2.0 * mag[..., half:-1]   # k = half+1..n
+    ramp = np.logical_and.accumulate(ramp[..., ::-1], axis=-1)[..., ::-1]
     out = c.copy()
-    k = n
-    while k > n // 2 and mag[k] > 2.0 * mag[k - 1]:
-        out[n + k] = 0.0
-        out[n - k] = 0.0
-        k -= 1
+    out[..., n + half + 1:][ramp] = 0.0
+    out[..., n - half - 1::-1][ramp] = 0.0
     return np.where(np.abs(out) > _roundoff_floor(out), out, 0.0)
 
 
 class _AxisSeries:
-    """Re v(iy) = Re c_0 + sum_k Re c_k e^{-ky} + sum_k Re c_{-k} e^{ky}
-    and its slope d/dy Re v(iy) = sum_k k Re c_{-k} e^{ky}
-    - sum_k k Re c_k e^{-ky} on the rows of an (m, 2N+1) block of
-    coefficients, exact because e^{+-ky} is real, and per row the largest
-    y before the growing part overflows (y_cap).
+    """Re v(iy) = Re c_0 + sum_k Re c_k q^k + sum_k Re c_{-k} q^{-k},
+    q = e^{-y}, and its slope d/dy Re v(iy) = sum_k k Re c_{-k} q^{-k}
+    - sum_k k Re c_k q^k on the rows of an (m, 2N+1) block of
+    coefficients, exact because q is real, and per row the largest y
+    before the growing part overflows (y_cap): where a term c_{-k} q^{-k}
+    would pass e^{_EXP_LIMIT}, and at most _EXP_LIMIT, so that 1/q is
+    finite up to it.
 
-    The growing part is summed in log scale; a value whose largest
-    log-exponent exceeds _EXP_LIMIT is NaN.  A row sums over k = 1..K,
-    K its highest nonzero mode (its width), the zero modes below K
-    included, so its values depend on nothing but the row.
+    Both sums go by Horner's rule, in q and in 1/q; a value at y > y_cap
+    is NaN.  Rows evaluated together are summed over k = 1..K, K the
+    highest nonzero mode (width) of the widest of them: the sums of a
+    narrower row stay exactly 0 through its zero modes above its own
+    width, so its values depend on nothing but the row.
     """
 
     def __init__(self, coeffs: np.ndarray):
@@ -178,50 +192,35 @@ class _AxisSeries:
         # |c| for a reversed single row, which can differ in the last bit
         c_pos = coeffs[:, n + 1:]
         c_neg = np.ascontiguousarray(coeffs[:, n - 1::-1])
-        self.k = np.arange(1, n + 1, dtype=float)
-        mag = np.abs(c_neg)
-        grows = mag > 0.0
-        with np.errstate(divide="ignore"):
-            self.log_mag = np.log(mag)                # -inf where c_-k = 0
-        cos_phase = np.divide(c_neg.real, mag, out=np.zeros(mag.shape),
-                              where=grows)
-        # (c_0, the decaying and the growing weights) of Re v and of its
-        # slope
-        self.weights = ((coeffs[:, n].real, c_pos.real, cos_phase),
-                        (np.zeros(len(coeffs)), -self.k * c_pos.real,
-                         self.k * cos_phase))
-        self.y_cap = np.min((_EXP_LIMIT - self.log_mag) / self.k, axis=1,
-                            initial=np.inf)
-        nonzero = (c_pos != 0) | grows
+        k = np.arange(1, n + 1, dtype=float)
+        with np.errstate(divide="ignore"):        # -inf where c_-k = 0
+            log_mag = np.log(np.abs(c_neg))
+        self.y_cap = np.min((_EXP_LIMIT - log_mag) / k, axis=1,
+                            initial=_EXP_LIMIT)
+        # c_0 and the (decaying, growing) weights of Re v and of its slope
+        self.weights = ((coeffs[:, n].real,
+                         np.stack([c_pos.real, c_neg.real])),
+                        (np.zeros(len(coeffs)),
+                         np.stack([-k * c_pos.real, k * c_neg.real])))
+        nonzero = (c_pos != 0) | (c_neg != 0)
         self.width = np.where(nonzero.any(axis=1),
                               n - np.argmax(nonzero[:, ::-1], axis=1), 1)
 
     def __call__(self, rows: np.ndarray, y: np.ndarray,
                  slope: bool) -> np.ndarray:
         """Re v(iy), or its slope, at y[i, j] of row rows[i] of the
-        block: an (r, s) array.  Rows of one width are summed together,
-        in two (r, s, width) temporaries of at most _CHUNK_BYTES each."""
-        out = np.empty(y.shape)
-        width = self.width[rows]
-        for w in np.unique(width):
-            at = np.flatnonzero(width == w)
-            step = max(1, _CHUNK_BYTES // (8 * w * y.shape[1]))
-            for i in (at[j:j + step] for j in range(0, at.size, step)):
-                r = rows[i]
-                c, w_dec, w_gro = (a[r, :w] if a.ndim > 1 else a[r]
-                                   for a in self.weights[slope])
-                dec = y[i, :, None] * self.k[:w]              # ky
-                gro = dec + self.log_mag[r, None, :w]   # ky + log|c_-k|
-                over = np.max(gro, axis=-1) > _EXP_LIMIT
-                np.exp(np.negative(dec, out=dec), out=dec)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.exp(gro, out=gro)
-                    dec *= w_dec[:, None]
-                    gro *= w_gro[:, None]
-                    out[i] = np.where(over, np.nan, c[:, None]
-                                      + np.sum(dec, axis=-1)
-                                      + np.sum(gro, axis=-1))
-        return out
+        block: an (r, s) array."""
+        c0, weights = self.weights[slope]
+        cap = self.y_cap[rows, None]
+        # q and 1/q, the latter at y clamped to y_cap so that it is finite
+        base = np.exp([-y, np.minimum(y, cap)])
+        # every row padded with zero modes to the widest row's width
+        w = weights[:, rows, :np.max(self.width[rows], initial=0), None]
+        acc = np.zeros(base.shape)
+        for k in reversed(range(w.shape[2])):
+            acc += w[:, :, k]
+            acc *= base
+        return np.where(y > cap, np.nan, c0[rows, None] + acc[0] + acc[1])
 
 
 def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -245,15 +244,14 @@ def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     and for each row None or the reason it has none.
     """
     axis = _AxisSeries(coeffs)
-    roots, why = np.full(len(coeffs), np.nan), [None] * len(coeffs)
+    roots = np.full(len(coeffs), np.nan)
 
     def at(rows, y, slope):
         """Re v(iy), or its slope, of each of the rows at its own y."""
         return axis(rows, y[:, None], slope)[:, 0]
 
     y_max = np.minimum(axis.y_cap, 50.0) * 0.999
-    for r in np.flatnonzero(~(y_max > 0)):
-        why[r] = "no feasible y range"
+    why = [None if m > 0 else "no feasible y range" for m in y_max]
     rows = np.flatnonzero(y_max > 0)
     ys = np.zeros((rows.size, _SCAN_POINTS + 1))
     ys[:, 1:] = np.linspace(y_max[rows] / _SCAN_POINTS, y_max[rows],
@@ -262,17 +260,14 @@ def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     on_axis = vals[:, 0] <= _ON_AXIS * np.sum(np.abs(coeffs[rows]), axis=-1)
     roots[rows[on_axis]] = 0.0
     rows, ys, vals = rows[~on_axis], ys[~on_axis], vals[~on_axis]
-    # each row's scan up to its first non-finite sample, its first sign
-    # change there, between samples flip and flip + 1, and the strict
-    # local minima i before it, i + 1 < end (strictly below the left
-    # neighbour, so a plateau gets one search)
-    finite = np.isfinite(vals)
-    cut = np.where(finite.all(axis=1), ys.shape[1], np.argmin(finite, axis=1))
+    # each row's first sign change, between samples flip and flip + 1, and
+    # the strict local minima i before it, i + 1 < end (strictly below the
+    # left neighbour, so a plateau gets one search); the scan stays below
+    # y_cap, so every sample is finite
     j = np.arange(1, ys.shape[1])
     changes = (vals[:, 1:] > 0.0) != (vals[:, :-1] > 0.0)
-    changes &= j < cut[:, None]
     flipped, flip = changes.any(axis=1), np.argmax(changes, axis=1)
-    end = np.where(flipped, flip + 1, cut)
+    end = np.where(flipped, flip + 1, ys.shape[1])
     dip_row, i = np.nonzero((vals[:, 1:-1] < vals[:, :-2])
                             & (vals[:, 1:-1] <= vals[:, 2:])
                             & (j[1:] < end[:, None]))
@@ -283,10 +278,9 @@ def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     up = (s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0)
     dip = up.any(axis=1)
     dip_row, near, u = dip_row[dip], near[dip], np.argmax(up[dip], axis=1)
-    lanes = np.arange(dip_row.size)
-    lo = near[lanes, u]
-    y_dip, _ = brentq(lambda y, k: at(rows[dip_row[k]], y, True), lo,
-                      near[lanes, u + 1], 0.01 * _ROOT_TOL)
+    lo, hi = np.take_along_axis(near, np.stack([u, u + 1], axis=1), 1).T
+    y_dip, _ = brentq(lambda y, k: at(rows[dip_row[k]], y, True), lo, hi,
+                      0.01 * _ROOT_TOL)
     deep = at(rows[dip_row], y_dip, False) <= 0.0
     # the root lies in a row's first dip that reaches zero, else in its
     # first sign change
@@ -332,37 +326,39 @@ def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
 def build_track(trajectory: Trajectory, n_modes: int,
                 times: Sequence[float]) -> SingularityTrack:
     """Apply both estimators to the dense-output state at each of the
-    given times, _TRACK_BLOCK states at a time: each state is denoised
-    once, and the block goes through u_from_v and root_on_axis together.
+    given times, _TRACK_BLOCK states at a time: the block is denoised in
+    one pass, and goes through u_from_v, strip_width_estimate and
+    root_on_axis together.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
     u-reconstruction failures) are marked NaN rather than extrapolated;
-    snapshots without a root or a fit are counted per reason.
+    snapshots without a root or a fit are counted per reason, and the
+    seconds spent on the states, the fits and the roots are summed.
     """
     times = np.array(times, dtype=float)
     y_fit, y_root, res = (np.full(times.shape, np.nan) for _ in range(3))
     no_root, no_fit = Counter(), Counter()
+    seconds = np.zeros(3)
     states = trajectory.states_at(times)
     for lo in range(0, times.size, _TRACK_BLOCK):
-        clean = FourierField(n_modes, [
-            _denoised(FourierField(n_modes, state).coeffs)
-            for state in islice(states, _TRACK_BLOCK)])
-        u_field, failed = u_from_v(clean)[1:]
-        for i, (u, error) in enumerate(zip(u_field.coeffs, failed), lo):
-            if error is not None:
-                drop = "DivisorTooSmall in u_from_v"
-            else:
-                try:
-                    y, residual = strip_width_estimate(
-                        FourierField(n_modes, u))
-                    drop = _fit_drop_reason(y, residual, n_modes)
-                except TrackingError as exc:
-                    drop = str(exc)
+        laps = [time.perf_counter()]
+        clean = _denoised(np.array(list(islice(states, _TRACK_BLOCK))))
+        laps.append(time.perf_counter())
+        u_field, failed = u_from_v(FourierField(n_modes, clean))[1:]
+        # a failed state's u is zero, and has no fit window
+        fits = zip(failed, *strip_width_estimate(u_field.coeffs))
+        for i, (error, y, residual, drop) in enumerate(fits, lo):
+            drop = ("DivisorTooSmall in u_from_v" if error is not None
+                    else drop or _fit_drop_reason(y, residual, n_modes))
             if drop is None:
                 y_fit[i], res[i] = y, residual
             else:
                 no_fit[drop] += 1
-        y_root[lo:lo + len(failed)], why = root_on_axis(clean.coeffs)
+        laps.append(time.perf_counter())
+        y_root[lo:lo + len(failed)], why = root_on_axis(clean)
+        seconds += np.diff(laps + [time.perf_counter()])
         no_root.update(reason for reason in why if reason is not None)
     return SingularityTrack(times, y_fit, y_root, res, dict(no_root),
-                            dict(no_fit))
+                            dict(no_fit),
+                            dict(zip(("states", "fit", "root"),
+                                     seconds.tolist())))

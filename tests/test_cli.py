@@ -223,6 +223,11 @@ def test_singularity_command(tmp_path, no_two_mode):
     assert counts["usable_root"] == sum(usable)
     assert counts["usable_root"] + sum(counts["no_root"].values()) \
         == counts["snapshots"]
+    # the tracker's cost: reading and denoising the states, fits and roots
+    seconds = counts["seconds"]
+    assert set(seconds) == {"states", "fit", "root"}
+    assert 0.0 < sum(seconds.values()) \
+        <= manifest["timings_sec"]["postprocess"]
     # every grid time has each overlay's value or a reason for none
     for rec in manifest["overlays"].values():
         assert rec["kept"] + sum(rec["dropped"].values()) == len(usable)

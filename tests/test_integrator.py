@@ -602,10 +602,12 @@ def test_lawson_weights_bounded_on_complex_path_legs():
     scale = (1 + 1e-14)
     for seg in (upper, lower):
         for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
-            decay, a, e = integrator._stage_weights(lin, seg.t_of_s, s0, h)
+            decay, a, e = integrator._stage_weights(lin, seg.t_of_s, s0, h,
+                                                    False)
             assert np.all(np.abs(decay) <= scale)
             assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
             assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)
     # on the real axis without a clock the factors are real
-    decay, a, _ = integrator._stage_weights(lin, None, 0.0, 0.1)
+    decay, a, _ = integrator._stage_weights(lin, None, 0.0, 0.1, False)
+    decay = np.array(decay)
     assert decay.dtype == float and np.all((0 <= decay) & (decay <= 1))

@@ -272,18 +272,23 @@ def test_u_from_v_takes_a_block_row_by_row():
     n = f.n_modes
     touching = f.coeffs.copy()
     touching[n] = 0.1 + 1e-15    # v = 0.1 + 1e-15 - 0.1 cos x at x = 0
-    block = FourierField(n, [f.coeffs, touching, 2.0 * f.coeffs])
+    zero = f.coeffs.copy()
+    zero[n] = 0.1                # v = 0.1 - 0.1 cos x, 0 at x = 0
+    block = FourierField(n, [f.coeffs, touching, 2.0 * f.coeffs, zero])
     u_vals, u_field, failed = u_from_v(block)
     assert failed[0] is None and failed[2] is None
-    assert isinstance(failed[1], DivisorTooSmall)
-    assert failed[1].location == 0.0
-    assert not np.any(u_vals[1]) and not np.any(u_field.coeffs[1])
+    for row in (1, 3):
+        assert isinstance(failed[row], DivisorTooSmall)
+        assert failed[row].location == 0.0
+        assert not np.any(u_vals[row]) and not np.any(u_field.coeffs[row])
     for row in (0, 2):
         one_vals, one_field, _ = u_from_v(FourierField(n, block.coeffs[row]))
         assert u_vals[row].tobytes() == one_vals.tobytes()
         assert u_field.coeffs[row].tobytes() == one_field.coeffs.tobytes()
-    with pytest.raises(DivisorTooSmall):
-        flatness(FourierField(n, touching))
+    # flatness reports the division floor before it divides by v(0)
+    for state in (touching, zero):
+        with pytest.raises(DivisorTooSmall):
+            flatness(FourierField(n, state))
 
 
 def test_flatness_dual_route_and_positive():

@@ -18,6 +18,7 @@ from blowup_lab.tracker import (TrackingError, _AxisSeries, _decaying_range,
 from paper_oracle import (impingement_regression, impingement_slope,
                           u_initial_coeff)
 from run_defaults import model_params
+import tracker_oracle
 
 
 def axis_of(coeffs):
@@ -97,7 +98,7 @@ def test_decaying_range_stops_at_noise_plateau():
     k = np.arange(1, n + 1)
     a = np.exp(-0.5 * k)
     a = np.maximum(a, 1e-12)        # noise plateau from k ~ 55
-    k_lo, k_hi = _decaying_range(np.log(a), n)
+    (k_lo,), (k_hi,) = _decaying_range(np.log(a)[None])
     assert 45 <= k_hi <= 56
     assert k_lo == max(8, k_hi // 2)
 
@@ -110,7 +111,8 @@ def test_strip_width_estimate_ignores_noise_plateau():
     c[n + 1:] = np.maximum(a, 1e-13)
     c[:n] = c[n + 1:][::-1]
     c[n] = 1.0
-    y, res = strip_width_estimate(FourierField(n, c))
+    (y,), (res,), why = strip_width_estimate(c[None])
+    assert why == [None]
     assert y == pytest.approx(0.9, rel=0.01)
     assert res < 0.05
 
@@ -132,6 +134,91 @@ def test_denoised_trims_boundary_ramp_and_floor():
     # genuine mid-band coefficients survive
     assert out[n + 10] == c[n + 10]
     assert out[n + n - 2] == c[n + n - 2]
+
+
+def synthetic_rows(n):
+    """Coefficient rows the block passes must treat as the row oracle
+    does: a decay onto a noise plateau, a decay ending in a growing ramp,
+    a ramp over the whole upper half, a decay onto an all-zero tail and a
+    row of width 1."""
+    k = np.arange(1, n + 1)
+    noise = 1.0 + 0.5 * np.random.default_rng(5).standard_normal(n)
+    ramp = np.exp(-0.5 * k)
+    ramp[-3:] = [1e-3, 1e-2, 1e-1]
+    tails = [np.maximum(np.exp(-0.7 * k), 1e-9 * noise), ramp,
+             1e-20 * 2.5 ** k, np.where(k <= 12, np.exp(-0.3 * k), 0.0),
+             np.where(k == 1, 0.4, 0.0)]
+    rows = np.zeros((len(tails), 2 * n + 1), dtype=complex)
+    rows[:, n] = 1.0
+    for row, tail in zip(rows, tails):
+        row[n + 1:] = tail * (-1.0) ** k
+        row[:n] = row[n + 1:][::-1]
+    return rows
+
+
+def test_block_denoise_and_window_match_the_row_oracle(small_solve):
+    # the block passes give each row the bits of the row-by-row loops, on
+    # the solve's states and on the synthetic rows, and on u's spectra
+    p, traj = small_solve
+    n = p.n_modes
+    times = np.union1d(traj.times,
+                       np.linspace(0.0, traj.times[-1], 150, endpoint=False))
+    block = np.concatenate([np.array(list(traj.states_at(times))),
+                            synthetic_rows(n)])
+    clean = _denoised(block)
+    assert clean.tobytes() == np.array(
+        [tracker_oracle.denoised(row) for row in block]).tobytes()
+    # the ramps are cut: three modes, and the upper half down to N/2 + 1
+    assert not np.any(clean[-4, -3:]) and np.all(clean[-4, -4:-3])
+    assert not np.any(clean[-3, n + n // 2 + 1:])
+    assert np.all(block[-3, n + n // 2 + 1:])
+    windows = set()
+    for rows in (block, u_from_v(FourierField(n, clean))[1].coeffs):
+        a = np.abs(rows[:, n + 1:])
+        log_mag = np.log(np.where(a > 0.0, a, 1e-300))
+        k_lo, k_hi = _decaying_range(log_mag)
+        expected = [tracker_oracle.decaying_range(row, n) for row in log_mag]
+        assert list(zip(k_lo.tolist(), k_hi.tolist())) == expected
+        windows.update(expected)
+    assert len(windows) >= 10
+
+
+N_AXIS = 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, N_AXIS), max_size=6),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 4.0))
+def test_axis_series_against_direct_complex_sum(widths, seed, y_top):
+    # Horner's rule in e^{-y} and e^{y} against v(iy) = sum_k c_k e^{-ky}
+    # summed directly in complex arithmetic, on rows of mixed widths,
+    # always with one of width 1 and one of width N
+    n, rng = N_AXIS, np.random.default_rng(seed)
+    widths = [1, n] + widths
+    block = np.zeros((len(widths), 2 * n + 1), dtype=complex)
+    for row, w in zip(block, widths):
+        c = rng.standard_normal(2 * w + 1) \
+            + 1j * rng.standard_normal(2 * w + 1)
+        c *= 10.0 ** rng.uniform(-3.0, 1.0, c.size)
+        c[1:-1] *= rng.uniform(size=c.size - 2) > 0.2   # zeros inside
+        row[n - w:n + w + 1] = c
+    ys = np.sort(rng.uniform(0.0, y_top, (len(block), 9)), axis=1)
+    axis, rows = _AxisSeries(block), np.arange(len(block))
+    assert axis.width.tolist() == widths
+    k = np.arange(-n, n + 1)
+    terms = np.exp(-ys[..., None] * k)                       # (r, s, 2N+1)
+    weight = np.abs(block)[:, None] * np.exp(ys[..., None] * np.abs(k))
+    eps = np.finfo(float).eps
+    for slope, factor in ((False, 1.0), (True, -k)):
+        padded = axis(rows, ys, slope)
+        direct = np.einsum("rsk,rk->rs", terms * factor, block).real
+        bound = 100.0 * eps * np.sum(weight * np.abs(factor), axis=-1)
+        assert np.all(np.abs(padded - direct) <= bound)
+        # a row gets the same bits alone as padded to width N in the block
+        for r in rows:
+            alone = _AxisSeries(block[r:r + 1])(np.zeros(1, int),
+                                                ys[r:r + 1], slope)
+            assert alone.tobytes() == padded[r:r + 1].tobytes()
 
 
 def test_axis_value_and_root_on_exact_initial_data():
