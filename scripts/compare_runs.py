@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Compare the CSV bodies of two result trees.
+"""Compare the CSV bodies and the manifests of two result trees.
 
     python3 scripts/compare_runs.py DIR_A DIR_B
 
 Every CSV under either directory (as written by scripts/run_all.sh) is
 compared byte for byte below its `#` header lines, which carry the run's
-hash and so differ between runs of different code. Exits 0 when every
-body is identical, else 1 with the files that differ or exist on one
-side only. A body that differs only in numbers, with the same rows and
-columns on both sides, is listed with the largest absolute and relative
-difference over its cells and the names of the columns whose cells
-differ.
+hash and so differ between runs of different code. A body that differs
+only in numbers, with the same rows and columns on both sides, is listed
+with the largest absolute and relative difference over its cells and the
+names of the columns whose cells differ. Every manifest.json is compared
+as JSON without its wall times (`timings_sec` and `tracker.seconds`), so
+the step statistics of each integration must agree as well; a manifest
+that differs is listed with the dotted names of the entries that differ.
+Exits 0 when everything agrees, else 1 with what differs or exists on
+one side only.
 """
 
+import json
 import math
 import pathlib
 import sys
@@ -26,6 +30,26 @@ def csv_bodies(root: pathlib.Path) -> dict:
             lines.pop(0)
         bodies[path.relative_to(root).as_posix()] = b"".join(lines)
     return bodies
+
+
+def manifests(root: pathlib.Path) -> dict:
+    """Every manifest.json under root, parsed, without its wall times."""
+    found = {}
+    for path in sorted(root.rglob("manifest.json")):
+        manifest = json.loads(path.read_text())
+        manifest.pop("timings_sec", None)
+        manifest.get("tracker", {}).pop("seconds", None)
+        found[path.relative_to(root).as_posix()] = manifest
+    return found
+
+
+def entries_that_differ(a, b, name=""):
+    """The dotted names of the entries in which two JSON values differ."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [name or "(the whole file)"]
+    return [entry for key in sorted(a.keys() | b.keys())
+            for entry in entries_that_differ(a.get(key), b.get(key),
+                                             f"{name}.{key}" if name else key)]
 
 
 def numeric_gap(body_a: bytes, body_b: bytes):
@@ -68,6 +92,11 @@ def describe(name: str, body_a: bytes, body_b: bytes) -> str:
             f"max rel diff {gap[1]:.3g}) in columns {', '.join(gap[2])}")
 
 
+def only_in(argv, a: dict, b: dict) -> list:
+    return [f"only in {argv[0] if name in a else argv[1]}: {name}"
+            for name in sorted(a.keys() ^ b.keys())]
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: compare_runs.py DIR_A DIR_B", file=sys.stderr)
@@ -76,14 +105,22 @@ def main(argv) -> int:
     if not a and not b:
         print("no CSV files found", file=sys.stderr)
         return 1
-    differ = [f"only in {argv[0] if name in a else argv[1]}: {name}"
-              for name in sorted(a.keys() ^ b.keys())]
+    differ = only_in(argv, a, b)
     differ += [describe(name, a[name], b[name])
                for name in sorted(a.keys() & b.keys()) if a[name] != b[name]]
-    for line in differ:
+    ma, mb = (manifests(pathlib.Path(d)) for d in argv)
+    manifests_differ = only_in(argv, ma, mb)
+    manifests_differ += [
+        f"manifest differs: {name} in "
+        f"{', '.join(entries_that_differ(ma[name], mb[name]))}"
+        for name in sorted(ma.keys() & mb.keys()) if ma[name] != mb[name]]
+    for line in differ + manifests_differ:
         print(line)
     print(f"{len(differ)} of {len(a.keys() | b.keys())} CSV files differ")
-    return 1 if differ else 0
+    if ma or mb:
+        print(f"{len(manifests_differ)} of {len(ma.keys() | mb.keys())} "
+              "manifests differ")
+    return 1 if differ or manifests_differ else 0
 
 
 if __name__ == "__main__":

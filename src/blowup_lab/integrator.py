@@ -37,20 +37,25 @@ _E = _A[6] - _B4   # weights of the embedded error estimate
 # _ROW[i] .. _ROW[i] + i - 1 of a packed (21, n) array
 _LOWER = np.tril_indices(7, -1)
 _ROW = [i * (i - 1) // 2 for i in range(8)]
-# the 15 distinct values of the gaps c_i - c_j, and the index of each
-# gap among them (found in Python: np.unique would page numpy's sort code
-# in at import, about 0.6 MB of resident memory)
+# the 15 distinct values of the gaps c_i - c_j (found in Python: np.unique
+# would page numpy's sort code in at import, about 0.6 MB of resident memory)
 _GAPS = (_C[_LOWER[0]] - _C[_LOWER[1]]).tolist()
 _DISTINCT_GAPS = sorted(set(_GAPS))
 _GAP_VALUES = np.array(_DISTINCT_GAPS)
-_GAP_INDEX = np.array([_DISTINCT_GAPS.index(g) for g in _GAPS])
-_PAIRS = np.arange(len(_GAPS))
 _A_PACKED = _A[_LOWER][:, None]
-# the distinct gaps, the packed tableau and the error weights as columns
-# against the state axis: [False] for a step length h that is a number,
-# [True] with one more axis for an (m, 1) column of step lengths
+_WEIGHTS = np.concatenate([_A_PACKED, _E[:, None]])
+# the packed pairs whose exponentials a step gathers: E_i0 (the decays),
+# the tableau's 21, the error weights' (6, 0) .. (6, 6) (pair 20, gap
+# c_6 - c_5 = 0, gives E_00 = E_66 = 1); a dense sub-step takes 28 rows.
+# [0] indexes the 15 distinct gaps (no clock), [1] the 21 pairs (a clock).
+_GATHER = [20] + _ROW[1:7] + list(range(21)) + list(range(15, 21)) + [20]
+_TAKE = [np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in _GATHER]),
+         np.array(_GATHER)]
+# the distinct gaps and the weights as columns against the state axis:
+# [False] for a step length h that is a number, [True] with one more axis
+# for an (m, 1) column of step lengths
 _COLUMNS = [tuple(w.reshape((-1,) + (1,) * axes)
-                  for w in (_GAP_VALUES, _A_PACKED, _E)) for axes in (1, 2)]
+                  for w in (_GAP_VALUES, _WEIGHTS)) for axes in (1, 2)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
 # the step controller's first step, the step below which a solve stops
@@ -231,7 +236,9 @@ class Trajectory:
 
 def _error_norm(err, y0, y1, atol, rtol):
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    r = np.abs(err / scale)
+    r *= r
+    return math.sqrt(np.add.reduce(r) / r.size)     # np.mean's bits
 
 
 def _combine(w, k):
@@ -247,34 +254,26 @@ def _stage_weights(lin, clock, t, h, dense):
     Plain DOPRI5 (lin None): decay is None, a the tableau and e the error
     weights.  Lawson form: with E_ij = exp(lin (T_i - T_j)), T_i the time
     at node t + c_i h (clock(t + c_i h) on a path, else the node itself),
-    stage i starts from E_i0 y (decay[i], a view) and weighs stage j by
-    a_ij E_ij; the error weights are e_j E_6j, or None for a dense
-    sub-step.  The nodes never decrease, so |E| <= 1 whenever Re lin <= 0
-    and the real part of T increases.  h is a number, or an (m, 1) column
-    of step lengths from the same t, which gives each weight a row per step.
+    stage i starts from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij;
+    the error weights are e_j E_6j, or None for a dense sub-step.  The
+    nodes never decrease, so |E| <= 1 whenever Re lin <= 0 and the real
+    part of T increases.  h is a number, or an (m, 1) column of step
+    lengths from the same t, which gives each weight a row per step.
     """
     block = isinstance(h, np.ndarray)
-    gaps_c, a_c, e_c = _COLUMNS[block]
+    gaps_c, w_c = _COLUMNS[block]
     if lin is None:
-        return None, a_c, e_c
+        return None, w_c[:21], w_c[21:]
     if clock is None:
-        # the exponential of each distinct gap once; pair[p] is the row
-        # of ex that holds E_ij of the packed pair p
-        ex, pair = np.exp(gaps_c * h * lin), _GAP_INDEX
+        gaps, take = gaps_c * h, _TAKE[0]
     else:
         nodes = np.array([clock(t + c * h) for c in _C])
-        gaps = nodes[_LOWER[0]] - nodes[_LOWER[1]]
-        if not block:
-            gaps = gaps[:, None]
-        ex, pair = np.exp(gaps * lin), _PAIRS
-    a = np.take(ex, pair, axis=0)
-    a *= a_c
-    e = None
-    if not dense:
-        e = np.empty((7,) + ex.shape[1:], dtype=ex.dtype)
-        e[:6] = e_c[:6] * ex[pair[_ROW[6]:]]
-        e[6] = _E[6]                               # E_66 = 1
-    return [ex[p] for p in pair[_ROW[:7]]], a, e
+        gaps, take = nodes[_LOWER[0]] - nodes[_LOWER[1]], _TAKE[1]
+        gaps = gaps if block else gaps[:, None]
+    rows = 28 if dense else 35
+    g = np.take(np.exp(gaps * lin), take[:rows], axis=0)
+    g[7:] *= w_c[:rows - 7]
+    return g[:7], g[7:28], None if dense else g[28:]
 
 
 def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
@@ -290,16 +289,19 @@ def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
     k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = k1
     for i in range(1, 7):
-        yi = h * _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
-        yi = y + yi if decay is None else decay[i] * y + yi
+        yi = _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
+        yi *= h
+        yi += y if decay is None else decay[i] * y
         if dense and i == 6:
             return yi, None, None, True
         ki = rhs(yi, t + _C[i] * h)
-        if not np.isfinite(ki).all():
+        if np.count_nonzero(np.isfinite(ki)) < ki.size:
             return None, None, None, False
         k[i] = ki
     # the last stage was taken at the fifth-order solution yi
-    return yi, h * _combine(e, k), k, True
+    err = _combine(e, k)
+    err *= h
+    return yi, err, k, True
 
 
 def brentq(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,

@@ -35,14 +35,15 @@ def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence],
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _fmt(v) -> str:
+    # float's formatter: np.float64's own is slower, with the same bytes
     if isinstance(v, float):
-        return f"{v:.16e}"
+        return float.__format__(v, ".16e")
     if isinstance(v, complex):
-        return f"{v.real:.16e}+{v.imag:.16e}j"
+        return f"{_fmt(v.real)}+{_fmt(v.imag)}j"
     return str(v)
 
 

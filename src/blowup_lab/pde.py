@@ -106,6 +106,9 @@ def make_rhs(params: ModelParams):
 
     The right-hand side takes one state or a (..., 2N+1) block of states
     along the last axis; each row comes out as its own call would give it.
+    The grid values are the unscaled inverse sums; the 2, the 1/p, the
+    node sign and the minus sign are one factor -2 (-1)^k / p, exact with
+    p = padded_size(N) a power of two (barring under- and overflow).
     """
     n = params.n_modes
     p = padded_size(n)
@@ -113,13 +116,13 @@ def make_rhs(params: ModelParams):
     sign = node_shift(n)        # the grid starts at x = -pi
     # rows: spectra of v and of v_x on the padded grid
     shift = np.stack([sign, 1j * k * sign])
-    out_scale = sign / p
+    out_scale = -2.0 * sign / p
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
 
     def work(lead):
         """Padded spectra (and their 0..n, -n..-1 parts), grid values v
-        and w = v_x (then 2 v_x^2 / v in place) and the spectrum of w."""
+        and w = v_x (then v_x^2 / v in place) and the spectrum of w."""
         spec = np.zeros(lead + (2, p), dtype=complex)
         grid = np.empty_like(spec)
         return (spec[..., hi], spec[..., lo], spec, grid, grid[..., 0, :],
@@ -132,10 +135,8 @@ def make_rhs(params: ModelParams):
         spec_hi, spec_lo, spec, grid, v, w, wf = work(lead) if lead else one
         np.multiply(c[..., None, n:], shift[:, n:], out=spec_hi)
         np.multiply(c[..., None, :n], shift[:, :n], out=spec_lo)
-        np.fft.ifft(spec, axis=-1, out=grid)
-        np.multiply(v, p, out=v)
+        np.fft.ifft(spec, axis=-1, norm="forward", out=grid)
         np.multiply(w, w, out=w)
-        np.multiply(w, 2.0 * p * p, out=w)
         # 0/0 (v = v_x = 0: at x = 0 in the step onto t_c, everywhere
         # when eps = 0) counts as 0, the quotient's value on nearby states
         # with v_x = 0
@@ -146,7 +147,6 @@ def make_rhs(params: ModelParams):
         out = np.empty(lead + (2 * n + 1,), dtype=complex)
         np.multiply(wf[..., hi], out_scale[n:], out=out[..., n:])
         np.multiply(wf[..., lo], out_scale[:n], out=out[..., :n])
-        np.negative(out, out)
         out.T[n] -= 1.0             # k = 0 of each state (a number for one)
         return out
 

@@ -39,7 +39,8 @@ class DivisorTooSmall(SpectralError):
 
 
 def padded_size(n_modes: int) -> int:
-    """Smallest power of two >= 3*N + 1 (dealiasing grid)."""
+    """Smallest power of two >= 3*N + 1 (dealiasing grid): scaling by a
+    power of two is exact, so make_rhs folds its scalings into one."""
     p = 1
     while p < 3 * n_modes + 1:
         p *= 2

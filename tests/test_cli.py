@@ -581,3 +581,27 @@ def test_write_csv_formats_numbers_fully(tmp_path):
     assert float(a) == 1.0 / 3.0            # full precision round trip
     assert b == "1.0000000000000000e+00+-2.0000000000000000e+00j"
     assert c == "text"
+
+
+def test_write_csv_writes_numpy_and_python_scalars_alike(tmp_path):
+    from blowup_lab.io_utils import write_csv
+    rng = np.random.default_rng(17)
+    floats = np.concatenate([[np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                              1.0 / 3.0, 5e-324, -1.7976931348623157e308],
+                             rng.standard_normal(40) * 10.0 ** rng.integers(
+                                 -300, 300, 40)])
+    cplx = np.empty(floats.size, dtype=complex)
+    cplx.real, cplx.imag = floats, floats[::-1]
+    cplx[:3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.nan, -0.0)]
+    ints = np.arange(-3, floats.size - 3)
+    names = np.array(["a", "b"] * (floats.size // 2) + ["c"] * (floats.size % 2))
+    columns = (ints, floats, cplx, names)
+    rows = {"numpy": zip(*columns),
+            "python": zip(*(c.tolist() for c in columns))}
+    for kind, body in rows.items():
+        write_csv(str(tmp_path / f"{kind}.csv"), ["k", "x", "z", "s"], body,
+                  {"h": 1})
+    numpy_bytes = (tmp_path / "numpy.csv").read_bytes()
+    assert numpy_bytes == (tmp_path / "python.csv").read_bytes()
+    assert b"-0.0000000000000000e+00+0.0000000000000000e+00j" in numpy_bytes
+    assert b"\n-3,nan," in numpy_bytes

@@ -1,6 +1,8 @@
-"""scripts/compare_runs.py: CSV bodies compared below their headers."""
+"""scripts/compare_runs.py: CSV bodies compared below their headers, and
+manifests compared without their wall times."""
 
 import importlib.util
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -63,3 +65,30 @@ def test_compare_runs_names_every_column_that_differs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert ("body differs: track.csv (max abs diff 0.5, max rel diff 0.111) "
             "in columns y_root, flag\n") in out
+
+
+def test_compare_runs_compares_manifests_without_their_wall_times(
+        tmp_path, capsys):
+    def manifest(accepted, total, track_s):
+        return json.dumps({
+            "config": {"alpha": 1.0}, "timings_sec": {"total": total},
+            "integrator": {"solve": {"accepted": accepted, "h_min": 1e-3}},
+            "tracker": {"no_root": {}, "seconds": {"fit": track_s}}})
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_tree(a, {"run/x.csv": "t\n1\n", "run/manifest.json":
+                   manifest(10, 1.0, 0.5)})
+    write_tree(b, {"run/x.csv": "t\n1\n", "run/manifest.json":
+                   manifest(10, 2.0, 0.7)})
+    assert compare_runs.main([str(a), str(b)]) == 0
+    assert "0 of 1 manifests differ" in capsys.readouterr().out
+    # a step count that differs is named by its dotted key
+    write_tree(b, {"run/manifest.json": manifest(11, 2.0, 0.7),
+                   "other/manifest.json": manifest(10, 1.0, 0.5)})
+    assert compare_runs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert ("manifest differs: run/manifest.json in "
+            "integrator.solve.accepted\n") in out
+    assert f"only in {b}: other/manifest.json" in out
+    assert "0 of 1 CSV files differ" in out
+    assert "2 of 2 manifests differ" in out

@@ -375,6 +375,82 @@ def test_combine_adds_in_the_order_of_builtin_sum():
                                               np.array([[-0.0 + 0j]])).real)
 
 
+# ---- the stepper in Lawson form against its first form -----------------
+
+def lawson_reference(rhs, t, y, h, k1, lin, clock):
+    """DOPRI5 step in Lawson form as first written: each factor
+    E_ij = exp(lin (T_i - T_j)) formed by itself, T_i - T_j being
+    (c_i - c_j) h without a clock and clock(t + c_i h) - clock(t + c_j h)
+    with one (E_66 = 1 included), and the stages summed with builtin sum.
+    Returns y5, err and the seven stages; h is a number or an (m, 1)
+    column of step lengths for an (m, n) block y."""
+    c = integrator._C
+
+    def factor(i, j):
+        if clock is None:
+            return np.exp((c[i] - c[j]) * h * lin)
+        return np.exp((clock(t + c[i] * h) - clock(t + c[j] * h)) * lin)
+
+    k = [k1]
+    for i in range(1, 7):
+        yi = (h * sum(integrator._A[i, j] * factor(i, j) * k[j]
+                      for j in range(i))
+              + factor(i, 0) * y)
+        k.append(rhs(yi, t + c[i] * h))
+    err = h * sum((b5 - b4) * factor(6, j) * k[j] for j, (b5, b4) in
+                  enumerate(zip(B5, integrator._B4)))
+    return yi, err, k
+
+
+@pytest.mark.parametrize("path", [False, True])
+@pytest.mark.parametrize("column", [False, True])
+def test_lawson_step_matches_reference_bit_for_bit(column, path):
+    k = np.arange(-4, 5)
+    lin = -(k * k).astype(float)
+    clock = semicircle(0.16, 0.016).t_of_s if path else None
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        m = 5 if column else 1
+        y = rng.standard_normal((m, 9)) + 1j * rng.standard_normal((m, 9))
+        y[:, trial % 9] = -0.0       # signed zeros must survive as well
+        t = rng.uniform(0, 0.5)
+        h = 10.0 ** rng.uniform(-4, -0.5, (m, 1))
+        if not column:
+            y, h = y[0], float(h[0, 0])
+        k1 = block_rhs(y, t)
+        y5, err, stages, ok = integrator._attempt_step(block_rhs, t, y, h, k1,
+                                                       lin, clock)
+        ref = lawson_reference(block_rhs, t, y, h, k1, lin, clock)
+        assert ok
+        assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
+        assert all(same_bits(a, b) for a, b in zip(stages, ref[2]))
+        y_dense, no_err, no_stages, ok = integrator._attempt_step(
+            block_rhs, t, y, h, k1, lin, clock, dense=True)
+        assert ok and no_err is None and no_stages is None
+        assert same_bits(y_dense, ref[0])
+
+
+def test_error_norm_is_the_rms_that_np_mean_gives():
+    rng = np.random.default_rng(13)
+    zeros = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+             complex(-0.0, -0.0)]
+    for trial in range(60):
+        n = int(rng.integers(1, 400))
+        err, y0, y1 = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 2, n)
+                       + 1j * rng.standard_normal(n) for _ in range(3))
+        for v in (err, y0, y1):
+            at = rng.integers(0, n, n // 4 + 1)
+            v[at] = [zeros[i % len(zeros)] for i in range(at.size)]
+        if trial % 10 == 0:
+            err[:] = zeros[trial // 10 % len(zeros)]
+        atol, rtol = 10.0 ** rng.uniform(-14, -3, 2)
+        scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+        expected = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        got = integrator._error_norm(err, y0, y1, atol, rtol)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 # ---- stored states, statistics and paths ------------------------------
 
 def test_states_are_stored_once_and_read_only():
