@@ -286,6 +286,7 @@ def _cmd_continue(args, cfg, manifest) -> int:
         "t_c": data.result.t_c,
         "branch_sign": data.result.branch_sign,
         "method": data.result.method,
+        "radius": data.result.radius,
         "u_edge_moduli": {label(t): v for t, v in data.u_edge_moduli.items()},
         "asymptote_deviation_at_t_end": data.asymptote_deviation,
         "skipped_times": {label(t): why

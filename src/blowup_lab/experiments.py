@@ -244,8 +244,8 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
                      method: str) -> ContinuationData:
     """Continue past t_c to t_end (3 t_c when None) and sample snapshots
     at the Figure-6 multiples of t_c and at extra_times, which must lie
-    in [0, t_end].  The complex path's detour about t_c has radius
-    0.1 t_c, or t_end - t_c where that is less."""
+    in [0, t_end].  Both methods leave the blow-up solve at t_c - r,
+    r = 0.1 t_c or t_end - t_c where that is less."""
     if method not in CONTINUATION_METHODS:
         raise ValueError(f"unknown method {method!r}; one of "
                          + ", ".join(CONTINUATION_METHODS))
@@ -263,12 +263,13 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     times = sorted({round(f * t_c, 12) for f in FIG6_FACTORS
                     if f * t_c <= t_end} | set(extra_times))
     _refuse_times("continue", times)     # clashes with the Figure-6 times
+    # the complex path's detour ends at or before t_end (t_end - t_c is exact)
+    radius = min(DETOUR_RADIUS * t_c, t_end - t_c)
     if method == "noise_seeded":
-        result = continue_past_blowup(params, t_end, t_c, rng_seed)
+        result = continue_past_blowup(params, solve, t_end, t_c, radius,
+                                      rng_seed)
     else:
-        # a detour that ends at or before t_end (t_end - t_c is exact)
-        result = continue_complex_path(
-            params, solve, t_end, t_c, min(DETOUR_RADIUS * t_c, t_end - t_c))
+        result = continue_complex_path(params, solve, t_end, t_c, radius)
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
         state = result.state_at(t)

@@ -21,8 +21,8 @@ from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
 _EVENT_ROOT_TOL = 1e-13
 # relative tolerance of the cross-check between the two flatness routes
 _FLATNESS_CHECK_TOL = 1e-10
-# amplitude of the imaginary seed that lets a continuation pass t_c
-_NOISE_AMPLITUDE = 1e-16
+# amplitude of the imaginary seed; 1e-16 let roundoff pick the branch
+_NOISE_AMPLITUDE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,29 @@ class BlowupReport:
 
 @dataclass
 class ContinuationResult:
-    # in real time: from 0 (noise_seeded) or from t_c + radius
+    # in real time, from t_c - radius (noise_seeded) or t_c + radius
     # (complex_path) to the end time
     trajectory: Trajectory
-    branch_sign: int
     method: str                      # noise_seeded | complex_path
     t_c: float
-    radius: Optional[float] = None   # of the complex-path detour about t_c
-    solve: Optional[Trajectory] = None  # the blow-up solve the detour leaves
+    radius: float                    # the run leaves the solve at t_c - radius
+    solve: Trajectory                # the blow-up solve
+    branch_sign: int = field(init=False)
+
+    def __post_init__(self):
+        # the sign of Im v(0) at t_c + radius: -1 on the branch of the
+        # detour through the upper half-plane
+        im = float(np.sum(self.state_at(self.t_c + self.radius)).imag)
+        self.branch_sign = 1 if im >= 0.0 else -1
 
     def state_at(self, t: float) -> Optional[np.ndarray]:
-        """The state at real time t.  On the complex path it comes from
-        the blow-up solve up to t_c - radius and from the real-time leg
-        from t_c + radius; in between the path leaves the real axis and
-        the state is None."""
-        if self.method == "complex_path":
-            if t <= self.t_c - self.radius:
-                return self.solve.state_at(t)
-            if t < self.t_c + self.radius:
-                return None
+        """The state at real time t: the blow-up solve's up to
+        t_c - radius, then the trajectory's; None before the trajectory
+        starts, inside the complex path's detour off the real axis."""
+        if t <= self.t_c - self.radius:
+            return self.solve.state_at(t)
+        if t < self.trajectory.times[0]:
+            return None
         return self.trajectory.state_at(t)
 
 
@@ -244,29 +248,24 @@ def seed_imaginary_noise(fld: FourierField, rng_seed: int) -> FourierField:
     return FourierField(n, fld.coeffs + 1j * pert)
 
 
-def _branch_sign(traj: Trajectory, t_probe: float) -> int:
-    state = traj.state_at(t_probe)
-    im = float(np.sum(state).imag)
-    return 1 if im >= 0.0 else -1
-
-
-def continue_past_blowup(params: ModelParams, t_end: float, t_c: float,
+def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,
+                         t_c: float, radius: float,
                          rng_seed: int) -> ContinuationResult:
-    """Noise-seeded integration from t = 0 through t_c to t_end.
+    """Noise-seeded integration in real time through t_c.
 
-    The event is disarmed; the roundoff imaginary seed lets the solution
-    pass through v = 0 and turn complex.
+    From the blow-up solve's state at t_c - radius with the imaginary
+    seed added, real time to t_end; the event is disarmed, and the seed
+    lets the solution pass through v = 0 and turn complex.
     """
-    if t_end <= t_c:
-        raise ValueError("t_end must exceed t_c")
-    y0 = seed_imaginary_noise(initial_field(params), rng_seed).coeffs
-    rhs = make_rhs(params)
-    traj, _ = integrate(rhs, y0, 0.0, t_end, params.integrator,
+    if t_end < t_c + radius:
+        raise ValueError("t_end must be at least t_c + radius")
+    start = FourierField(params.n_modes, solve.state_at(t_c - radius))
+    traj, _ = integrate(make_rhs(params),
+                        seed_imaginary_noise(start, rng_seed).coeffs,
+                        t_c - radius, t_end, params.integrator,
                         lin=diffusion(params.n_modes))
-    t_probe = min(1.25 * t_c, 0.5 * (t_c + t_end))
-    return ContinuationResult(trajectory=traj,
-                              branch_sign=_branch_sign(traj, t_probe),
-                              method="noise_seeded", t_c=t_c)
+    return ContinuationResult(trajectory=traj, method="noise_seeded",
+                              t_c=t_c, radius=radius, solve=solve)
 
 
 def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
@@ -284,7 +283,5 @@ def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
                          semicircle(t_c, radius), params.integrator, lin)
     leg, _ = integrate(rhs, arc.states[-1], t_c + radius, t_end,
                        params.integrator, lin=lin, stats=arc.stats)
-    return ContinuationResult(trajectory=leg,
-                              branch_sign=_branch_sign(leg, leg.times[0]),
-                              method="complex_path", t_c=t_c, radius=radius,
-                              solve=solve)
+    return ContinuationResult(trajectory=leg, method="complex_path",
+                              t_c=t_c, radius=radius, solve=solve)

@@ -11,9 +11,9 @@ import pytest
 
 from blowup_lab import asymptotics, experiments, tracker
 from blowup_lab.integrator import IntegratorConfig, integrate
-from blowup_lab.pde import (continue_complex_path,
-                            continue_past_blowup, diffusion, initial_field,
-                            make_rhs, seed_imaginary_noise, solve_to_blowup)
+from blowup_lab.pde import (continue_complex_path, continue_past_blowup,
+                            diffusion, make_rhs, seed_imaginary_noise,
+                            solve_to_blowup)
 from blowup_lab.spectral import FourierField, padded_size, synthesize
 from fixed_step import order_check
 from paper_oracle import (fourier_ansatz_blowup, impingement_regression,
@@ -251,13 +251,17 @@ def test_criterion_7_postblowup_continuation(solve_small):
     t_c = rep.t_c
     n = params.n_modes
     checks = []
-    r1 = continue_past_blowup(params, 3.1 * t_c, t_c, 0)
+    # the seeded run leaves the blow-up solve at t_s = t_c - r
+    t_s = t_c - 0.1 * t_c
+    r1 = continue_past_blowup(params, solve, 3.1 * t_c, t_c, 0.1 * t_c, 0)
+    # real before t_c (the solve's states up to t_s, then the run's),
+    # complex after
     traj = r1.trajectory
-    # real before t_c, complex after
-    im_before = max(np.max(np.abs(np.imag(s)))
-                    for tt, s in zip(traj.times, traj.states)
-                    if tt < t_c - 1e-6)
-    im_after = float(np.max(np.abs(np.imag(traj.state_at(1.25 * t_c)))))
+    before = [s for tt, s in zip(solve.times, solve.states) if tt <= t_s]
+    before += [s for tt, s in zip(traj.times, traj.states)
+               if tt < t_c - 1e-6]
+    im_before = max(np.max(np.abs(np.imag(s))) for s in before)
+    im_after = float(np.max(np.abs(np.imag(r1.state_at(1.25 * t_c)))))
     checks.append((im_before <= 1e-10, f"imag before t_c: {im_before:.2e}"))
     checks.append((im_after > 1e-8, f"imag after t_c: {im_after:.2e}"))
 
@@ -267,9 +271,9 @@ def test_criterion_7_postblowup_continuation(solve_small):
     def u_pi(state):
         return abs(1.0 / np.sum(state * (-1.0) ** k))
 
-    u15 = u_pi(traj.state_at(1.5 * t_c))
+    u15 = u_pi(r1.state_at(1.5 * t_c))
     ts = np.linspace(1.5 * t_c, 3.0 * t_c, 400)
-    us = np.array([u_pi(traj.state_at(tt)) for tt in ts])
+    us = np.array([u_pi(r1.state_at(tt)) for tt in ts])
     i_pk = int(np.argmax(us))
     checks.append((us[i_pk] / u15 >= 10.0,
                    f"|u(pi)| growth {us[i_pk] / u15:.1f}x"))
@@ -277,18 +281,19 @@ def test_criterion_7_postblowup_continuation(solve_small):
                    f"peak at {ts[i_pk] / t_c:.2f} t_c"))
 
     # the conjugated seed gives the complex-conjugate state at 2 t_c
-    y0 = np.conj(seed_imaginary_noise(initial_field(params), 0).coeffs)
-    conj, _ = integrate(make_rhs(params), y0, 0.0,
+    y0 = np.conj(seed_imaginary_noise(FourierField(n, solve.state_at(t_s)),
+                                      0).coeffs)
+    conj, _ = integrate(make_rhs(params), y0, t_s,
                         2.2 * t_c, params.integrator,
                         lin=diffusion(params.n_modes))
-    dconj = float(np.max(np.abs(r1.trajectory.state_at(2.0 * t_c)
+    dconj = float(np.max(np.abs(r1.state_at(2.0 * t_c)
                                 - np.conj(conj.state_at(2.0 * t_c)))))
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
     r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c, 0.1 * t_c)
     s_path = r3.state_at(3.0 * t_c)
-    s_noise = r1.trajectory.state_at(3.0 * t_c)
+    s_noise = r1.state_at(3.0 * t_c)
     d_same = float(np.max(np.abs(s_path - s_noise)))
     d_conj = float(np.max(np.abs(s_path - np.conj(s_noise))))
     checks.append((min(d_same, d_conj) <= 1e-6,
@@ -297,9 +302,10 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # u -> -1/t for large t (lower resolution suffices: the state is
     # nearly constant in x and the explicit step is stability-limited)
     p48 = model_params(params.alpha, params.epsilon, n_modes=48)
-    _, rep48 = solve_to_blowup(p48)
-    r4 = continue_past_blowup(p48, 20.0, rep48.t_c, 0)
-    fld = FourierField(48, r4.trajectory.state_at(20.0))
+    solve48, rep48 = solve_to_blowup(p48)
+    r4 = continue_past_blowup(p48, solve48, 20.0, rep48.t_c,
+                              0.1 * rep48.t_c, 0)
+    fld = FourierField(48, r4.state_at(20.0))
     u_vals = 1.0 / synthesize(fld, padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
     checks.append((dev <= 0.05, f"asymptote deviation {dev:.3f}"))

@@ -241,6 +241,8 @@ def test_continue_command_with_snapshots(tmp_path):
     cont = manifest["continuation"]
     assert cont["method"] == "noise_seeded"
     assert cont["branch_sign"] in (-1, 1)
+    # where the run leaves the blow-up solve: t_c - radius
+    assert cont["radius"] == 0.1 * cont["t_c"]
     assert cont["skipped_times"] == {}
     snaps = [k for k in manifest["outputs"] if k.startswith("snapshot_t")]
     assert len(snaps) >= 3
@@ -510,15 +512,26 @@ def csv_columns(path):
     return json.loads(lines[0][2:]), dict(zip(lines[1].split(","), zip(*rows)))
 
 
-def test_snapshots_leave_from_their_one_solve(tmp_path, monkeypatch):
-    calls = count_solves(monkeypatch)
+@pytest.mark.parametrize("argv", [
+    ["continue", "--t-end", "0.5", "--method", "noise_seeded"],
+    ["snapshots"],
+], ids=["continue", "snapshots"])
+def test_continuations_leave_from_their_one_solve(tmp_path, monkeypatch,
+                                                  argv):
+    # the blow-up solve, the one integration with the blow-up event, is
+    # the only one that starts at t = 0: the continuation leaves it at
+    # t_c - r and integrates no interval twice
+    calls, starts, integrate = count_solves(monkeypatch), [], pde.integrate
 
-    def no_second_run(*args, **kwargs):
-        raise AssertionError("integrated again from t = 0")
+    def recorded(rhs, y0, t0, *args, **kwargs):
+        starts.append((t0, "events" in kwargs))
+        return integrate(rhs, y0, t0, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "continue_past_blowup", no_second_run)
-    assert run_cli("snapshots", *FAST, "--out", str(tmp_path / "run")) == 0
+    monkeypatch.setattr(pde, "integrate", recorded)
+    assert run_cli(*argv, *FAST, "--out", str(tmp_path / "run")) == 0
     assert len(calls) == 1
+    assert len(starts) == 2
+    assert [start for start in starts if start[0] == 0.0] == [(0.0, True)]
 
 
 def test_snapshots_t_c_column_is_the_solve_event_state(tmp_path):

@@ -114,25 +114,29 @@ def test_complex_path_snapshots_hold_their_labelled_time():
     assert round(t_c, 12) not in path.snapshot_times
     assert round(t_c, 12) not in path.u_edge_moduli
     assert seeded.skipped_times == {}
-    # before t_c both methods integrate the same real solution
+    # before t_c - r both methods read the same blow-up solve
     t = round(0.5 * t_c, 12)
     got = path.snapshots[path.snapshot_times.index(t)].coeffs
-    want = seeded.result.trajectory.state_at(t)
-    assert np.max(np.abs(got - want)) < 1e-8
+    want = seeded.snapshots[seeded.snapshot_times.index(t)].coeffs
+    assert got.tobytes() == want.tobytes()
     # and every snapshot time outside the detour is read on the real axis
     assert set(path.snapshot_times) | set(path.skipped_times) \
         == set(seeded.snapshot_times)
 
 
-def test_complex_path_starts_from_the_blowup_solve():
-    # before the detour the snapshots are the blow-up solve's own states,
-    # to the bit: no interval is integrated twice
+@pytest.mark.parametrize("method", experiments.CONTINUATION_METHODS)
+def test_continuation_starts_from_the_blowup_solve(method):
+    # up to t_c - r the snapshots are the blow-up solve's own states, to
+    # the bit: no interval is integrated twice
     p = small_params()
-    path = experiments.run_continuation(p, 0.5, 0, (), "complex_path")
+    data = experiments.run_continuation(p, 0.5, 0, (), method)
     solve, _ = solve_to_blowup(p)
-    t = round(0.5 * path.result.t_c, 12)
-    got = path.snapshots[path.snapshot_times.index(t)].coeffs
-    assert got.tobytes() == solve.state_at(t).tobytes()
+    t_s = data.result.t_c - data.result.radius
+    before = [t for t in data.snapshot_times if t <= t_s]
+    assert len(before) == 2
+    for t in before:
+        got = data.snapshots[data.snapshot_times.index(t)].coeffs
+        assert got.tobytes() == solve.state_at(t).tobytes()
 
 
 def test_run_continuation_extra_times_and_edges():
@@ -158,14 +162,15 @@ def test_run_fourier_snapshots_default_times():
 
 def test_snapshot_closer_to_t_c_than_the_detour_matches_the_noise_run():
     # a time past t_c but before t_c + 0.1 t_c narrows the detour to end
-    # on it; the column agrees with the noise-seeded run from t = 0
+    # on it; the column agrees with the noise-seeded run through t_c
     p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32,
                     integrator=IntegratorConfig(rtol=1e-12, atol=1e-12))
-    _, rep = solve_to_blowup(p)
+    solve, rep = solve_to_blowup(p)
     t = 1.05 * rep.t_c
     data = experiments.run_fourier_snapshots(p, [t])
-    noise = continue_past_blowup(p, 1.2 * rep.t_c, rep.t_c, 0)
-    want = np.abs(noise.trajectory.state_at(t)[p.n_modes + 1:])
+    noise = continue_past_blowup(p, solve, 1.2 * rep.t_c, rep.t_c,
+                                 0.1 * rep.t_c, 0)
+    want = np.abs(noise.state_at(t)[p.n_modes + 1:])
     assert np.max(np.abs(data.moduli[0] - want)) <= 1e-9
 
 

@@ -10,7 +10,8 @@ from blowup_lab.experiments import (TABLE1_ALPHAS, TABLE1_EPSILONS,
                                     sample_times)
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
-                            continue_past_blowup, diffusion, flatness,
+                            continue_complex_path, continue_past_blowup,
+                            diffusion, flatness,
                             initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup, u_from_v)
 from blowup_lab.spectral import (DivisorTooSmall, FourierField, analyze,
@@ -306,22 +307,44 @@ def test_seed_imaginary_noise_properties():
     pert = g1.coeffs - f.coeffs
     assert np.max(np.abs(pert.real)) == 0.0              # purely imaginary
     assert np.array_equal(pert, pert[::-1])              # even pairing
-    assert 0.0 < np.max(np.abs(pert)) <= 1e-16           # roundoff level
+    assert 0.0 < np.max(np.abs(pert)) <= 1e-14           # the amplitude
 
 
 def test_continue_past_blowup_requires_t_end_beyond_tc():
     p = small_params()
+    solve, rep = solve_to_blowup(p)
     with pytest.raises(ValueError):
-        continue_past_blowup(p, 0.05, 0.16, 0)
+        continue_past_blowup(p, solve, 0.05, rep.t_c, 0.01, 0)
 
 
 def test_continuation_turns_complex_and_is_seed_deterministic():
     p = small_params()
-    _, rep = solve_to_blowup(p)
-    r1 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, 3)
-    r2 = continue_past_blowup(p, 1.5 * rep.t_c, rep.t_c, 3)
-    s1 = r1.trajectory.state_at(1.4 * rep.t_c)
-    s2 = r2.trajectory.state_at(1.4 * rep.t_c)
+    solve, rep = solve_to_blowup(p)
+    r1 = continue_past_blowup(p, solve, 1.5 * rep.t_c, rep.t_c,
+                              0.1 * rep.t_c, 3)
+    r2 = continue_past_blowup(p, solve, 1.5 * rep.t_c, rep.t_c,
+                              0.1 * rep.t_c, 3)
+    assert r1.trajectory.times[0] == rep.t_c - 0.1 * rep.t_c
+    s1 = r1.state_at(1.4 * rep.t_c)
+    s2 = r2.state_at(1.4 * rep.t_c)
     assert np.max(np.abs(s1 - s2)) == 0.0
     assert np.max(np.abs(np.imag(s1))) > 1e-10
     assert r1.branch_sign in (-1, 1)
+
+
+@pytest.mark.parametrize("rng_seed", [104, 157])
+def test_the_seed_not_roundoff_picks_the_branch(solve_small, rng_seed):
+    # with a seed at roundoff level these seeds left both complex-path
+    # branches and reached another solution (1e-2 away at 1.5 t_c)
+    params, solve, rep = solve_small
+    t_c, t_end = rep.t_c, 1.5 * rep.t_c
+    path = continue_complex_path(params, solve, t_end, t_c, 0.1 * t_c)
+    seeded = continue_past_blowup(params, solve, t_end, t_c, 0.1 * t_c,
+                                  rng_seed)
+    got, want = seeded.state_at(t_end), path.state_at(t_end)
+    d_same = float(np.max(np.abs(got - want)))
+    d_conj = float(np.max(np.abs(got - np.conj(want))))
+    assert min(d_same, d_conj) <= 1e-8
+    # the branch sign names the branch: the path's, or its conjugate's
+    assert seeded.branch_sign == (path.branch_sign if d_same < d_conj
+                                  else -path.branch_sign)
