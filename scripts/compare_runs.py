@@ -9,8 +9,9 @@ hash and so differ between runs of different code. A body that differs
 only in numbers, with the same rows and columns on both sides, is listed
 with the largest absolute and relative difference over its cells and the
 names of the columns whose cells differ. Every manifest.json is compared
-as JSON without its wall times (`timings_sec` and `tracker.seconds`), so
-the step statistics of each integration must agree as well; a manifest
+as JSON without its wall times (`timings_sec` and `tracker.seconds`) and
+its peak memory (`peak_rss_mb`), which vary from run to run, so the step
+statistics of each integration must agree as well; a manifest
 that differs is listed with the dotted names of the entries that differ.
 Exits 0 when everything agrees, else 1 with what differs or exists on
 one side only.
@@ -33,11 +34,13 @@ def csv_bodies(root: pathlib.Path) -> dict:
 
 
 def manifests(root: pathlib.Path) -> dict:
-    """Every manifest.json under root, parsed, without its wall times."""
+    """Every manifest.json under root, parsed, without its wall times and
+    its peak memory."""
     found = {}
     for path in sorted(root.rglob("manifest.json")):
         manifest = json.loads(path.read_text())
         manifest.pop("timings_sec", None)
+        manifest.pop("peak_rss_mb", None)
         manifest.get("tracker", {}).pop("seconds", None)
         found[path.relative_to(root).as_posix()] = manifest
     return found

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -128,6 +129,9 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         code = _DISPATCH[args.command](args, cfg, manifest)
         manifest.timings["total"] = time.perf_counter() - t0
+        # the process's high-water mark so far (Linux counts it in KiB)
+        manifest.extra["peak_rss_mb"] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024
         manifest.write()
         return code
     except Exception as exc:

@@ -267,9 +267,10 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     radius = min(DETOUR_RADIUS * t_c, t_end - t_c)
     if method == "noise_seeded":
         result = continue_past_blowup(params, solve, t_end, t_c, radius,
-                                      rng_seed)
+                                      rng_seed, times)
     else:
-        result = continue_complex_path(params, solve, t_end, t_c, radius)
+        result = continue_complex_path(params, solve, t_end, t_c, radius,
+                                       times)
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
         state = result.state_at(t)
@@ -363,7 +364,8 @@ def run_fourier_snapshots(params: ModelParams, times: Optional[Sequence[float]]
     later = [t for t in times if t > t_c]
     if later:
         radius = min(DETOUR_RADIUS * t_c, min(later) - t_c)
-        path = continue_complex_path(params, solve, max(later), t_c, radius)
+        path = continue_complex_path(params, solve, max(later), t_c, radius,
+                                     later)
         integrations["complex_path"] = path.trajectory.stats
     n = params.n_modes
     k = np.arange(1, n + 1)

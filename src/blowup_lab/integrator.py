@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -132,12 +132,14 @@ class EventHit:
 class DenseSegment:
     """One accepted step [t0, t0 + h] with what its dense output needs:
     the start state r1, the right-hand side k1 there, and the sub-step
-    substep(t0, r1, tau, k1) of the method that took the step."""
+    substep(t0, r1, tau, k1) of the method that took the step.  A step
+    that an integration with kept times does not read holds None for
+    both (the first step keeps its r1, the first state)."""
 
     t0: float
     h: float
-    r1: np.ndarray
-    k1: np.ndarray
+    r1: Optional[np.ndarray]
+    k1: Optional[np.ndarray]
     substep: Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
 
     def eval(self, t: float) -> np.ndarray:
@@ -165,7 +167,8 @@ class IntegratorStats:
     accepted: int = 0
     rejected_error: int = 0          # error norm above 1
     rejected_nonfinite: int = 0      # a stage's rhs was NaN or infinite
-    rhs_calls: int = 0               # steps, dense output and event location
+    rhs_calls: int = 0               # steps and event location
+    lookup_rhs_calls: int = 0        # dense output read after the solve
     event_evals: int = 0             # observable calls while locating a root
     h_accepted: list = field(default_factory=list, repr=False)
 
@@ -185,10 +188,14 @@ class IntegratorStats:
 @dataclass
 class Trajectory:
     times: list = field(default_factory=list)
+    # None where an integration with kept times let a state go
     states: list = field(default_factory=list)
     # dense_segments[i] covers [times[i], times[i + 1]]
     dense_segments: list = field(default_factory=list)
     stats: IntegratorStats = field(default_factory=IntegratorStats)
+    # the times that dense output answers at besides the two ends; None
+    # for every time in the span
+    kept: Optional[frozenset] = None
 
     def append(self, t, y, segment=None):
         """Store y itself, read-only: dense segments share it as r1."""
@@ -198,10 +205,36 @@ class Trajectory:
         if segment is not None:
             self.dense_segments.append(segment)
 
+    def _let_go(self, seg: DenseSegment, t_end: float, ahead: list) -> None:
+        """Before seg, the step [seg.t0, t_end], is appended: unless a
+        kept time lies inside it (seg.t0 < tau < t_end), it holds no
+        arrays, and the state at its start goes too, but for the first
+        state and a state at a kept time (state_at reads a stored time
+        from its state, not from a sub-step).  ahead holds the kept times
+        not yet passed, latest first."""
+        while ahead and ahead[-1] <= seg.t0:
+            ahead.pop()
+        if ahead and ahead[-1] < t_end:
+            return
+        seg.k1 = None
+        if self.dense_segments:
+            seg.r1 = None
+            if seg.t0 not in self.kept:
+                self.states[-1] = None
+
+    def _refuse_unkept(self, t: float) -> None:
+        if (self.kept is not None and t not in self.kept
+                and t != self.times[0] and t != self.times[-1]):
+            raise IntegrationError(f"t = {t} was not kept: the integration "
+                                   "held dense output only at its kept "
+                                   "times and its two ends")
+
     def state_at(self, t: float) -> np.ndarray:
-        """Dense-output evaluation at any time inside the covered span:
+        """Dense-output evaluation at any time inside the covered span
+        (at a kept time or either end when the integration kept times):
         the stored state at a stored time (a trajectory of one state has
         no segment), else the sub-step of the segment that covers t."""
+        self._refuse_unkept(t)
         times = self.times
         i = bisect_left(times, t)       # first stored time >= t
         if i < len(times) and times[i] == t:
@@ -221,6 +254,9 @@ class Trajectory:
         time through one batched sub-step, so the times should be sorted
         for the batching to pay; stored times, the clamps at either end
         and times outside the span go through state_at."""
+        if self.kept is not None:
+            for t in times:
+                self._refuse_unkept(t)
         stored, j = self.times, 0
         while j < len(times):
             i, end = bisect_left(stored, times[j]), j + 1
@@ -378,6 +414,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
               events: Sequence[EventSpec] = (), *,
               lin: Optional[np.ndarray] = None,
               clock: Optional[Callable[[float], complex]] = None,
+              keep: Optional[Iterable[float]] = None,
               stats: Optional[IntegratorStats] = None
               ) -> tuple[Trajectory, Optional[EventHit]]:
     """Integrate y' = lin * y + rhs(y, t) from t0 to a finite t1 >= t0
@@ -392,19 +429,28 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
 
     Stops at the first event root, where an observable goes from > 0 to
     <= 0 over an accepted step, reached by a step of its own that
-    must pass the error test; every accepted step is stored in the
-    trajectory together with its dense-output segment, and every rhs
-    call, later dense-output calls included, is counted in stats (a
-    fresh IntegratorStats unless one is passed to share).
+    must pass the error test.  Every accepted step is recorded in the
+    trajectory, its time and its dense-output segment.  keep holds the
+    times the caller will read the dense output at: with keep, only a
+    step with one of them inside holds its start state and k1, besides
+    the states at kept times and the first and the last state, and
+    Trajectory.state_at refuses every other time; None holds every state
+    and answers anywhere in the span.
+    Every rhs call is counted in stats (a fresh IntegratorStats unless
+    one is passed to share): the solve's own in rhs_calls, the dense
+    output read after it in lookup_rhs_calls.
     """
     if not math.isfinite(t1):
         raise ValueError(f"t1 = {t1} is not finite")
     y = np.array(y0, dtype=complex, ndmin=1)
     if lin is not None:
         lin = np.asarray(lin)
-    traj = Trajectory(stats=IntegratorStats() if stats is None else stats)
+    traj = Trajectory(stats=IntegratorStats() if stats is None else stats,
+                      kept=None if keep is None else frozenset(keep))
     traj.append(t0, y)
     stats = traj.stats
+    # the kept times not yet passed, latest first
+    ahead = None if keep is None else sorted(traj.kept, reverse=True)
 
     # degenerate: observable already at a root at t0
     for ev in events:
@@ -415,13 +461,23 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
         stats.rhs_calls += 1
         return rhs(yy, tt)
 
-    def substep(ts, ys, tau, k1s):
-        out, _, _, ok = _attempt_step(step_rhs, ts, ys, tau, k1s, lin, clock,
-                                      dense=True)
-        if not ok:
-            raise IntegrationError(f"rhs non-finite in dense output at "
-                                   f"t = {ts + tau}")
-        return out
+    def lookup_rhs(yy, tt):
+        stats.lookup_rhs_calls += 1
+        return rhs(yy, tt)
+
+    def dense(count_rhs):
+        def substep(ts, ys, tau, k1s):
+            out, _, _, ok = _attempt_step(count_rhs, ts, ys, tau, k1s, lin,
+                                          clock, dense=True)
+            if not ok:
+                raise IntegrationError(f"rhs non-finite in dense output at "
+                                       f"t = {ts + tau}")
+            return out
+        return substep
+
+    # event location is part of the solve; the stored segments are read
+    # after it
+    locate, lookup = dense(step_rhs), dense(lookup_rhs)
 
     g_prev = [ev.observable(y) for ev in events]
     k1 = step_rhs(y, t0)
@@ -448,7 +504,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
                      if g_prev[i] > 0.0 >= g_new[i]]
             if fired:
                 ev = events[fired[0]]
-                seg = DenseSegment(t, h, y, k1, substep)
+                seg = DenseSegment(t, h, y, k1, locate)
                 root, calls = brentq(
                     lambda tt, _: [ev.observable(seg.eval(float(tt[0])))],
                     [t], [t + h], ev.root_tol)
@@ -473,15 +529,17 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             # a step along a path is recorded as the time it spans
             stats.h_accepted.append(
                 h if clock is None else abs(clock(t + h) - clock(t)))
-            seg = DenseSegment(t, h, y, k1, substep)
+            t_next, y_next = ((t + h, y_new) if hit is None
+                              else (hit.t, hit.state))
+            seg = DenseSegment(t, h, y, k1, lookup)
+            if ahead is not None:
+                traj._let_go(seg, t_next, ahead)
+            traj.append(t_next, y_next, seg)
             if hit is not None:
-                traj.append(hit.t, hit.state, seg)
                 return traj, hit
             g_prev = g_new
-            t = t + h
-            y = y_new
+            t, y = t_next, y_next
             k1 = k[6].copy()  # FSAL; a copy, so a segment keeps no stages
-            traj.append(t, y, seg)
             # PI controller
             fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else max_fac
             h *= min(max_fac, max(min_fac, fac))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +73,10 @@ class ContinuationResult:
     def state_at(self, t: float) -> Optional[np.ndarray]:
         """The state at real time t: the blow-up solve's up to
         t_c - radius, then the trajectory's; None before the trajectory
-        starts, inside the complex path's detour off the real axis."""
+        starts, inside the complex path's detour off the real axis.
+        Past t_c - radius it answers only at the times the continuation
+        kept (its times, t_c + radius and its end) and raises
+        IntegrationError, naming the time, at any other."""
         if t <= self.t_c - self.radius:
             return self.solve.state_at(t)
         if t < self.trajectory.times[0]:
@@ -249,13 +252,14 @@ def seed_imaginary_noise(fld: FourierField, rng_seed: int) -> FourierField:
 
 
 def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,
-                         t_c: float, radius: float,
-                         rng_seed: int) -> ContinuationResult:
+                         t_c: float, radius: float, rng_seed: int,
+                         times: Sequence[float]) -> ContinuationResult:
     """Noise-seeded integration in real time through t_c.
 
     From the blow-up solve's state at t_c - radius with the imaginary
     seed added, real time to t_end; the event is disarmed, and the seed
-    lets the solution pass through v = 0 and turn complex.
+    lets the solution pass through v = 0 and turn complex.  The run keeps
+    its dense output at the times, t_c + radius and t_end alone.
     """
     if t_end < t_c + radius:
         raise ValueError("t_end must be at least t_c + radius")
@@ -263,18 +267,22 @@ def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,
     traj, _ = integrate(make_rhs(params),
                         seed_imaginary_noise(start, rng_seed).coeffs,
                         t_c - radius, t_end, params.integrator,
-                        lin=diffusion(params.n_modes))
+                        lin=diffusion(params.n_modes),
+                        keep=[*times, t_c + radius, t_end])
     return ContinuationResult(trajectory=traj, method="noise_seeded",
                               t_c=t_c, radius=radius, solve=solve)
 
 
 def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
-                          t_c: float, radius: float) -> ContinuationResult:
+                          t_c: float, radius: float,
+                          times: Sequence[float]) -> ContinuationResult:
     """Step around t_c through the complex t-plane.
 
     From the blow-up solve's state at t_c - radius, a half circle about
     t_c through the upper half-plane, then real time from t_c + radius to
     t_end (no step when equal); both integrations count into one stats.
+    The real-time leg keeps its dense output at the times, t_c + radius
+    and t_end alone.
     """
     if t_end < t_c + radius:
         raise ValueError("t_end must be at least t_c + radius")
@@ -282,6 +290,7 @@ def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
     arc = integrate_path(rhs, solve.state_at(t_c - radius),
                          semicircle(t_c, radius), params.integrator, lin)
     leg, _ = integrate(rhs, arc.states[-1], t_c + radius, t_end,
-                       params.integrator, lin=lin, stats=arc.stats)
+                       params.integrator, lin=lin,
+                       keep=[*times, t_c + radius, t_end], stats=arc.stats)
     return ContinuationResult(trajectory=leg, method="complex_path",
                               t_c=t_c, radius=radius, solve=solve)

@@ -253,13 +253,17 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks = []
     # the seeded run leaves the blow-up solve at t_s = t_c - r
     t_s = t_c - 0.1 * t_c
-    r1 = continue_past_blowup(params, solve, 3.1 * t_c, t_c, 0.1 * t_c, 0)
+    # the run keeps its dense output at the times the checks read: 64
+    # times in [t_s, t_c - 1e-6] (denser than the steps it takes there)
+    # and 400 in [1.5 t_c, 3 t_c]
+    approach = np.linspace(t_s, t_c - 1e-6, 64)
+    ts = np.linspace(1.5 * t_c, 3.0 * t_c, 400)
+    r1 = continue_past_blowup(params, solve, 3.1 * t_c, t_c, 0.1 * t_c, 0,
+                              [*approach, *ts, 1.25 * t_c, 2.0 * t_c])
     # real before t_c (the solve's states up to t_s, then the run's),
     # complex after
-    traj = r1.trajectory
     before = [s for tt, s in zip(solve.times, solve.states) if tt <= t_s]
-    before += [s for tt, s in zip(traj.times, traj.states)
-               if tt < t_c - 1e-6]
+    before += list(r1.trajectory.states_at(approach))
     im_before = max(np.max(np.abs(np.imag(s))) for s in before)
     im_after = float(np.max(np.abs(np.imag(r1.state_at(1.25 * t_c)))))
     checks.append((im_before <= 1e-10, f"imag before t_c: {im_before:.2e}"))
@@ -272,7 +276,6 @@ def test_criterion_7_postblowup_continuation(solve_small):
         return abs(1.0 / np.sum(state * (-1.0) ** k))
 
     u15 = u_pi(r1.state_at(1.5 * t_c))
-    ts = np.linspace(1.5 * t_c, 3.0 * t_c, 400)
     us = np.array([u_pi(r1.state_at(tt)) for tt in ts])
     i_pk = int(np.argmax(us))
     checks.append((us[i_pk] / u15 >= 10.0,
@@ -291,7 +294,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
-    r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c, 0.1 * t_c)
+    r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c, 0.1 * t_c,
+                               [3.0 * t_c])
     s_path = r3.state_at(3.0 * t_c)
     s_noise = r1.state_at(3.0 * t_c)
     d_same = float(np.max(np.abs(s_path - s_noise)))
@@ -304,7 +308,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     p48 = model_params(params.alpha, params.epsilon, n_modes=48)
     solve48, rep48 = solve_to_blowup(p48)
     r4 = continue_past_blowup(p48, solve48, 20.0, rep48.t_c,
-                              0.1 * rep48.t_c, 0)
+                              0.1 * rep48.t_c, 0, [])
     fld = FourierField(48, r4.state_at(20.0))
     u_vals = 1.0 / synthesize(fld, padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -303,11 +304,14 @@ def test_manifest_records_every_integration(tmp_path, monkeypatch, argv,
     assert set(block) == records
     for rec in block.values():
         assert set(rec) == {"accepted", "rejected_error",
-                            "rejected_nonfinite", "rhs_calls", "event_evals",
+                            "rejected_nonfinite", "rhs_calls",
+                            "lookup_rhs_calls", "event_evals",
                             "h_min", "h_median", "h_max"}
         assert rec["accepted"] > 0
+    # a solve's own calls and the dense output read after it, apart
     pde_records = [rec for name, rec in block.items() if name != "two_mode"]
-    assert sum(rec["rhs_calls"] for rec in pde_records) == seen["rhs_calls"]
+    assert sum(rec["rhs_calls"] + rec["lookup_rhs_calls"]
+               for rec in pde_records) == seen["rhs_calls"]
     assert sum(rec["accepted"] for rec in block.values()) == seen["accepted"]
     # the blow-up solve ends on its located event
     assert block["solve"]["event_evals"] > 0
@@ -342,6 +346,20 @@ def test_manifest_times_each_phase(tmp_path, argv, phases):
     timings = json.loads((out / "manifest.json").read_text())["timings_sec"]
     assert set(timings) == phases | {"total"}
     assert sum(timings[name] for name in phases) <= timings["total"]
+
+
+def test_manifest_records_the_peak_memory_so_far(tmp_path):
+    # the process's high-water mark: a later command in the same process
+    # never records less, and none records more than the process has
+    # reached
+    peaks = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert run_cli("solve", *FAST, "--out", str(out)) == 0
+        peaks.append(json.loads((out / "manifest.json").read_text())
+                     ["peak_rss_mb"])
+    assert 0 < peaks[0] <= peaks[1]
+    assert peaks[1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 EPS0 = ["--alpha", "1", "--epsilon", "0", "--n-modes", "16", "--rtol", "1e-8",

@@ -69,22 +69,30 @@ def test_compare_runs_names_every_column_that_differs(tmp_path, capsys):
 
 def test_compare_runs_compares_manifests_without_their_wall_times(
         tmp_path, capsys):
-    def manifest(accepted, total, track_s):
+    def manifest(accepted, total, track_s, peak_mb):
         return json.dumps({
             "config": {"alpha": 1.0}, "timings_sec": {"total": total},
+            "peak_rss_mb": peak_mb,
             "integrator": {"solve": {"accepted": accepted, "h_min": 1e-3}},
             "tracker": {"no_root": {}, "seconds": {"fit": track_s}}})
 
     a, b = tmp_path / "a", tmp_path / "b"
     write_tree(a, {"run/x.csv": "t\n1\n", "run/manifest.json":
-                   manifest(10, 1.0, 0.5)})
+                   manifest(10, 1.0, 0.5, 40.0)})
+    # wall times and peak memory differ: the manifests agree
     write_tree(b, {"run/x.csv": "t\n1\n", "run/manifest.json":
-                   manifest(10, 2.0, 0.7)})
+                   manifest(10, 2.0, 0.7, 44.5)})
+    assert compare_runs.main([str(a), str(b)]) == 0
+    assert "0 of 1 manifests differ" in capsys.readouterr().out
+    # and so does a manifest without a peak memory, as older runs wrote
+    write_tree(b, {"run/manifest.json": json.dumps(
+        {k: v for k, v in json.loads(manifest(10, 2.0, 0.7, 0.0)).items()
+         if k != "peak_rss_mb"})})
     assert compare_runs.main([str(a), str(b)]) == 0
     assert "0 of 1 manifests differ" in capsys.readouterr().out
     # a step count that differs is named by its dotted key
-    write_tree(b, {"run/manifest.json": manifest(11, 2.0, 0.7),
-                   "other/manifest.json": manifest(10, 1.0, 0.5)})
+    write_tree(b, {"run/manifest.json": manifest(11, 2.0, 0.7, 44.5),
+                   "other/manifest.json": manifest(10, 1.0, 0.5, 40.0)})
     assert compare_runs.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert ("manifest differs: run/manifest.json in "

@@ -169,7 +169,7 @@ def test_snapshot_closer_to_t_c_than_the_detour_matches_the_noise_run():
     t = 1.05 * rep.t_c
     data = experiments.run_fourier_snapshots(p, [t])
     noise = continue_past_blowup(p, solve, 1.2 * rep.t_c, rep.t_c,
-                                 0.1 * rep.t_c, 0)
+                                 0.1 * rep.t_c, 0, [t])
     want = np.abs(noise.state_at(t)[p.n_modes + 1:])
     assert np.max(np.abs(data.moduli[0] - want)) <= 1e-9
 

@@ -1,6 +1,7 @@
 """Adaptive RK5(4): accuracy, dense output, events, complex-time paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -582,16 +583,16 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     spread = rng.uniform(times[0], times[-1], 200)
     clamps = [times[0] - 1e-13, times[-1] + 1e-13]
     ts = np.sort(np.concatenate([inside, spread, times, clamps]))
-    calls = traj.stats.rhs_calls
     got = list(traj.states_at(ts))
+    calls = traj.stats.lookup_rhs_calls
     assert len(got) == ts.size
     for t, state in zip(ts, got):
         assert state.tobytes() == traj.state_at(t).tobytes()
     # a block sub-step is five rhs calls whatever its size, and a segment
     # takes one per _BLOCK times it covers
-    assert (traj.stats.rhs_calls - calls) % 5 == 0
-    assert traj.stats.rhs_calls - calls \
-        < 5 * (len(traj.dense_segments) + ts.size // integrator._BLOCK + 1)
+    assert calls % 5 == 0
+    assert calls < 5 * (len(traj.dense_segments)
+                        + ts.size // integrator._BLOCK + 1)
     # outside the span it raises, after yielding what lies before
     lookups = traj.states_at([times[1], times[-1] + 1e-3])
     assert next(lookups) is traj.states[1]
@@ -605,10 +606,41 @@ def test_dense_lookups_are_counted():
     traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
                         TOLERANCES, lin=np.array([-2.0]))
     calls = traj.stats.rhs_calls
+    assert traj.stats.lookup_rhs_calls == 0
     traj.state_at(traj.times[3])                 # stored: no evaluation
-    assert traj.stats.rhs_calls == calls
+    assert traj.stats.lookup_rhs_calls == 0
     traj.state_at(0.5 * (traj.times[3] + traj.times[4]))
-    assert traj.stats.rhs_calls == calls + 5     # one sub-step, 5 stages
+    # one sub-step, 5 stages, apart from the solve's own calls
+    assert traj.stats.lookup_rhs_calls == 5
+    assert traj.stats.rhs_calls == calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_kept_times_read_the_bits_of_the_full_run(data):
+    # y' = -2 y - y, y = exp(-3 t): kept times drawn among the stored
+    # times and anywhere in the span, in any order
+    lin, y0 = np.array([-2.0]), np.array([1.0 + 0j])
+    full, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin)
+    times = full.times
+    keep = (data.draw(st.lists(st.sampled_from(times), max_size=4))
+            + data.draw(st.lists(st.floats(0.0, 1.0), max_size=8)))
+    part, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin, keep=keep)
+    # the same steps: only what they hold differs
+    assert part.stats.record() == full.stats.record()
+    assert [(s.t0, s.h) for s in part.dense_segments] \
+        == [(s.t0, s.h) for s in full.dense_segments]
+    for t in keep:
+        assert part.state_at(t).tobytes() == full.state_at(t).tobytes()
+    assert [s.tobytes() for s in part.states_at(sorted(keep))] \
+        == [s.tobytes() for s in full.states_at(sorted(keep))]
+    other = data.draw(st.floats(times[0], times[-1], exclude_min=True,
+                                exclude_max=True).filter(
+                                    lambda t: t not in keep))
+    for lookup in (part.state_at, lambda t: list(part.states_at([t]))):
+        with pytest.raises(IntegrationError,
+                           match=re.escape(f"t = {other} was not kept")):
+            lookup(other)
 
 
 # ---- Lawson form: the linear part is stepped exactly ---------------------

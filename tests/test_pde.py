@@ -2,13 +2,14 @@
 reconstruction, continuation plumbing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from blowup_lab.experiments import (TABLE1_ALPHAS, TABLE1_EPSILONS,
                                     sample_times)
-from blowup_lab.integrator import IntegratorConfig
+from blowup_lab.integrator import IntegrationError, IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             continue_complex_path, continue_past_blowup,
                             diffusion, flatness,
@@ -314,16 +315,17 @@ def test_continue_past_blowup_requires_t_end_beyond_tc():
     p = small_params()
     solve, rep = solve_to_blowup(p)
     with pytest.raises(ValueError):
-        continue_past_blowup(p, solve, 0.05, rep.t_c, 0.01, 0)
+        continue_past_blowup(p, solve, 0.05, rep.t_c, 0.01, 0, [])
 
 
 def test_continuation_turns_complex_and_is_seed_deterministic():
     p = small_params()
     solve, rep = solve_to_blowup(p)
+    times = [1.4 * rep.t_c]
     r1 = continue_past_blowup(p, solve, 1.5 * rep.t_c, rep.t_c,
-                              0.1 * rep.t_c, 3)
+                              0.1 * rep.t_c, 3, times)
     r2 = continue_past_blowup(p, solve, 1.5 * rep.t_c, rep.t_c,
-                              0.1 * rep.t_c, 3)
+                              0.1 * rep.t_c, 3, times)
     assert r1.trajectory.times[0] == rep.t_c - 0.1 * rep.t_c
     s1 = r1.state_at(1.4 * rep.t_c)
     s2 = r2.state_at(1.4 * rep.t_c)
@@ -332,15 +334,43 @@ def test_continuation_turns_complex_and_is_seed_deterministic():
     assert r1.branch_sign in (-1, 1)
 
 
+def test_continuation_holds_arrays_only_for_the_steps_it_reads():
+    # the run keeps its dense output at the times, t_c + r and t_end: the
+    # steps that cover them, and the first step, hold arrays, however
+    # many steps a later t_end takes
+    p = small_params()
+    solve, rep = solve_to_blowup(p)
+    t_c = rep.t_c
+    times = [1.25 * t_c, 1.5 * t_c, 2.0 * t_c]
+    held, accepted = [], []
+    for t_end in (3.0 * t_c, 6.0 * t_c):
+        run = continue_past_blowup(p, solve, t_end, t_c, 0.1 * t_c, 0, times)
+        traj = run.trajectory
+        assert len(traj.dense_segments) == traj.stats.accepted
+        held.append(sum(seg.r1 is not None for seg in traj.dense_segments))
+        accepted.append(traj.stats.accepted)
+        # the states held are those the held steps start from, and the last
+        assert sum(s is not None for s in traj.states) == held[-1] + 1
+        assert sum(seg.k1 is not None for seg in traj.dense_segments) \
+            <= len(times) + 2
+        for t in times + [t_end]:
+            assert run.state_at(t) is not None
+        with pytest.raises(IntegrationError,
+                           match=re.escape(f"t = {1.75 * t_c} was not kept")):
+            run.state_at(1.75 * t_c)
+    assert held[0] <= len(times) + 3
+    assert held[1] <= held[0] and accepted[1] > accepted[0]
+
+
 @pytest.mark.parametrize("rng_seed", [104, 157])
 def test_the_seed_not_roundoff_picks_the_branch(solve_small, rng_seed):
     # with a seed at roundoff level these seeds left both complex-path
     # branches and reached another solution (1e-2 away at 1.5 t_c)
     params, solve, rep = solve_small
     t_c, t_end = rep.t_c, 1.5 * rep.t_c
-    path = continue_complex_path(params, solve, t_end, t_c, 0.1 * t_c)
+    path = continue_complex_path(params, solve, t_end, t_c, 0.1 * t_c, [])
     seeded = continue_past_blowup(params, solve, t_end, t_c, 0.1 * t_c,
-                                  rng_seed)
+                                  rng_seed, [])
     got, want = seeded.state_at(t_end), path.state_at(t_end)
     d_same = float(np.max(np.abs(got - want)))
     d_conj = float(np.max(np.abs(got - np.conj(want))))
