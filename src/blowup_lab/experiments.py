@@ -19,8 +19,8 @@ from .integrator import IntegratorConfig, Trajectory
 from .pde import (ContinuationResult, ModelParams, blowup_estimates,
                   continue_complex_path, continue_past_blowup, flatness,
                   solve_to_blowup, u_from_v)
-from .spectral import (DivisorTooSmall, FourierField, grid_points,
-                       padded_size, series_at, synthesize)
+from .spectral import (DivisorTooSmall, FourierField, grid_points, horner,
+                       node_shift, padded_size, synthesize)
 
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
@@ -143,21 +143,23 @@ def profile_from_state(fld: FourierField, t_c: float,
     consts = asymptotics.constants(params.alpha)
     x = np.linspace(-np.pi, np.pi, PROFILE_POINTS + 1)
     x = x[x != 0.0]
-    v_solver = series_at(fld, x).real
+    # small-x panel on a logarithmic lattice (roundoff caveat: v is
+    # evaluated from ~1e-16-level coefficient sums near x = 0)
+    x_small = np.logspace(-7, -1, 61)
+    # v at both, by Horner's rule in w = e^{ix} and 1/w = conj(w)
+    n, c, w = params.n_modes, fld.coeffs, np.exp(1j * np.r_[x, x_small])
+    v = horner(c[n:n + 1], np.stack([c[n + 1:], c[n - 1::-1]])[:, None],
+               np.stack([w, w.conj()])[:, None])[0].real
+    v_solver, v_small = v[:x.size], v[x.size:]
     eq20 = asymptotics.blowup_profile_global(x, params.alpha, params.epsilon, consts)
     eq22 = np.full_like(x, np.nan)
     inner = np.abs(x) < 1.0
     eq22[inner] = asymptotics.blowup_profile_local(x[inner], params.alpha,
                                                    params.epsilon)
-    n = params.n_modes
     k = np.arange(3, n + 1)
-    coeff = np.abs(fld.coeffs[n + 3:])
+    coeff = np.abs(c[n + 3:])
     law_g = asymptotics.coeff_decay_global(k, params.alpha, params.epsilon)
     law_l = asymptotics.coeff_decay_local(k)
-    # small-x panel on a logarithmic lattice (roundoff caveat: v is
-    # evaluated from ~1e-16-level coefficient sums near x = 0)
-    x_small = np.logspace(-7, -1, 61)
-    v_small = series_at(fld, x_small).real
     eq20_s = asymptotics.blowup_profile_global(x_small, params.alpha,
                                                params.epsilon, consts)
     eq22_s = asymptotics.blowup_profile_local(x_small, params.alpha,
@@ -281,7 +283,7 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
         fld = FourierField(params.n_modes, state)
         kept.append(t)
         snaps.append(fld)
-        edges[t] = abs(1.0 / series_at(fld, [np.pi])[0])
+        edges[t] = abs(1.0 / np.sum(state * node_shift(params.n_modes)))
     fld_end = FourierField(params.n_modes, result.state_at(t_end))
     u_vals, _, (failed,) = u_from_v(fld_end)
     if failed:

@@ -16,7 +16,7 @@ from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
                          Trajectory, integrate, integrate_path, semicircle)
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
                        analyze, grid_points, node_shift, padded_size,
-                       series_at, synthesize)
+                       synthesize)
 
 _EVENT_ROOT_TOL = 1e-13
 # relative tolerance of the cross-check between the two flatness routes
@@ -224,10 +224,11 @@ def flatness(fld: FourierField) -> float:
     _, u_field, (failed,) = u_from_v(fld)
     if failed:
         raise failed
-    v0, vpi = series_at(fld, [0.0, np.pi])
+    c, n = fld.coeffs, fld.n_modes
+    # v(0) = sum_k c_k and v(pi) = sum_k (-1)^k c_k
+    v0, vpi = np.sum(c), np.sum(c * node_shift(n))
     f_point = (1.0 / v0 - 1.0 / vpi).real
     a = u_field.coeffs
-    n = fld.n_modes
     f_coeff = 4.0 * float(np.sum(a[n + 1::2]).real)
     if abs(f_point - f_coeff) > _FLATNESS_CHECK_TOL * max(1.0, abs(f_point)):
         raise ValueError(

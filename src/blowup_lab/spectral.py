@@ -3,8 +3,8 @@
 A field is the coefficient vector c_k, k = -N..N, of
 v(x) = sum_k c_k exp(ikx).  This module holds the transform pair between
 coefficients and equispaced grid samples, the zero-padded grid size that
-dealiases quadratic products (3/2-rule), and direct evaluation of the
-series at arbitrary real points.
+dealiases quadratic products (3/2-rule), and the one evaluator of a
+series at points off the grid, by Horner's rule.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class FourierField:
             raise SpectralError("non-finite coefficients")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        return np.arange(-self.n_modes, self.n_modes + 1)
-
 
 # ---------------------------------------------------------------------------
 # the transform pair, along the last axis (nodes start at -pi)
@@ -123,10 +119,26 @@ def synthesize(f: FourierField, grid_size: int) -> np.ndarray:
     return coeffs_to_grid(f.coeffs, grid_size)
 
 
-def series_at(f: FourierField, x) -> np.ndarray:
-    """sum_k c_k e^{ikx} of one state summed directly at arbitrary real
-    points x."""
-    return np.exp(1j * np.outer(x, f.wavenumbers)) @ f.coeffs
+def horner(c0: np.ndarray, weights: np.ndarray,
+           bases: np.ndarray) -> np.ndarray:
+    """(c0 + sum_k a_k w^k) + sum_k b_k w'^k, k = 1..N, at s points of
+    each of r rows: c0 (r,), the weights (a_k, b_k) a (2, r, N) array and
+    the bases (w, w') a (2, r, s) array; an (r, s) array in the dtype of
+    the inputs.  With (c_0, c_k, c_-k) and (e^{iz}, e^{-iz}) it is
+    sum_k c_k e^{ikz}, real or complex z.
+
+    Both sums go by Horner's rule up to the last nonzero weight of the
+    block: a row's sums stay exactly 0 through its own zero modes above
+    that while the bases are finite, so its values depend on nothing but
+    the row.
+    """
+    nonzero = np.flatnonzero(np.any(weights, axis=(0, 1)))
+    w = weights[..., :nonzero[-1] + 1 if nonzero.size else 0, None]
+    acc = np.zeros(bases.shape, np.result_type(weights, bases))
+    for k in reversed(range(w.shape[2])):
+        acc += w[:, :, k]
+        acc *= bases
+    return c0[:, None] + acc[0] + acc[1]
 
 
 DIVISION_FLOOR = 1e-13

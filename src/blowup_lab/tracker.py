@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrator import Trajectory, brentq
-from .spectral import FourierField
+from .spectral import FourierField, horner
 from .pde import u_from_v
 
 _EXP_LIMIT = 700.0
@@ -170,57 +170,39 @@ def _denoised(coeffs: np.ndarray) -> np.ndarray:
     return np.where(np.abs(out) > _roundoff_floor(out), out, 0.0)
 
 
-class _AxisSeries:
+def _axis_series(coeffs: np.ndarray):
     """Re v(iy) = Re c_0 + sum_k Re c_k q^k + sum_k Re c_{-k} q^{-k},
     q = e^{-y}, and its slope d/dy Re v(iy) = sum_k k Re c_{-k} q^{-k}
     - sum_k k Re c_k q^k on the rows of an (m, 2N+1) block of
-    coefficients, exact because q is real, and per row the largest y
-    before the growing part overflows (y_cap): where a term c_{-k} q^{-k}
+    coefficients, exact because q is real: returns per row the largest y
+    before the growing part overflows (y_cap), where a term c_{-k} q^{-k}
     would pass e^{_EXP_LIMIT}, and at most _EXP_LIMIT, so that 1/q is
-    finite up to it.
-
-    Both sums go by Horner's rule, in q and in 1/q; a value at y > y_cap
-    is NaN.  Rows evaluated together are summed over k = 1..K, K the
-    highest nonzero mode (width) of the widest of them: the sums of a
-    narrower row stay exactly 0 through its zero modes above its own
-    width, so its values depend on nothing but the row.
+    finite up to it; and at(rows, y, slope), Re v(iy) or its slope at
+    y[i, j] of row rows[i]: an (r, s) array by spectral.horner in q and
+    1/q, in real arithmetic, NaN at y > y_cap.
     """
+    n = coeffs.shape[-1] // 2
+    # k = 1..N and -1..-N, contiguous: numpy takes another route to
+    # |c| for a reversed single row, which can differ in the last bit
+    c_pos = coeffs[:, n + 1:]
+    c_neg = np.ascontiguousarray(coeffs[:, n - 1::-1])
+    k = np.arange(1, n + 1, dtype=float)
+    with np.errstate(divide="ignore"):        # -inf where c_-k = 0
+        log_mag = np.log(np.abs(c_neg))
+    y_cap = np.min((_EXP_LIMIT - log_mag) / k, axis=1, initial=_EXP_LIMIT)
+    # c_0 and the (decaying, growing) weights of Re v and of its slope
+    weights = ((coeffs[:, n].real, np.stack([c_pos.real, c_neg.real])),
+               (np.zeros(len(coeffs)),
+                np.stack([-k * c_pos.real, k * c_neg.real])))
 
-    def __init__(self, coeffs: np.ndarray):
-        n = coeffs.shape[-1] // 2
-        # k = 1..N and -1..-N, contiguous: numpy takes another route to
-        # |c| for a reversed single row, which can differ in the last bit
-        c_pos = coeffs[:, n + 1:]
-        c_neg = np.ascontiguousarray(coeffs[:, n - 1::-1])
-        k = np.arange(1, n + 1, dtype=float)
-        with np.errstate(divide="ignore"):        # -inf where c_-k = 0
-            log_mag = np.log(np.abs(c_neg))
-        self.y_cap = np.min((_EXP_LIMIT - log_mag) / k, axis=1,
-                            initial=_EXP_LIMIT)
-        # c_0 and the (decaying, growing) weights of Re v and of its slope
-        self.weights = ((coeffs[:, n].real,
-                         np.stack([c_pos.real, c_neg.real])),
-                        (np.zeros(len(coeffs)),
-                         np.stack([-k * c_pos.real, k * c_neg.real])))
-        nonzero = (c_pos != 0) | (c_neg != 0)
-        self.width = np.where(nonzero.any(axis=1),
-                              n - np.argmax(nonzero[:, ::-1], axis=1), 1)
-
-    def __call__(self, rows: np.ndarray, y: np.ndarray,
-                 slope: bool) -> np.ndarray:
-        """Re v(iy), or its slope, at y[i, j] of row rows[i] of the
-        block: an (r, s) array."""
-        c0, weights = self.weights[slope]
-        cap = self.y_cap[rows, None]
+    def at(rows: np.ndarray, y: np.ndarray, slope: bool) -> np.ndarray:
+        c0, w = weights[slope]
+        cap = y_cap[rows, None]
         # q and 1/q, the latter at y clamped to y_cap so that it is finite
         base = np.exp([-y, np.minimum(y, cap)])
-        # every row padded with zero modes to the widest row's width
-        w = weights[:, rows, :np.max(self.width[rows], initial=0), None]
-        acc = np.zeros(base.shape)
-        for k in reversed(range(w.shape[2])):
-            acc += w[:, :, k]
-            acc *= base
-        return np.where(y > cap, np.nan, c0[rows, None] + acc[0] + acc[1])
+        return np.where(y > cap, np.nan, horner(c0[rows], w[:, rows], base))
+
+    return y_cap, at
 
 
 def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -243,14 +225,14 @@ def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     polished in one more.  Returns the roots, NaN for a row without one,
     and for each row None or the reason it has none.
     """
-    axis = _AxisSeries(coeffs)
+    y_cap, axis = _axis_series(coeffs)
     roots = np.full(len(coeffs), np.nan)
 
     def at(rows, y, slope):
         """Re v(iy), or its slope, of each of the rows at its own y."""
         return axis(rows, y[:, None], slope)[:, 0]
 
-    y_max = np.minimum(axis.y_cap, 50.0) * 0.999
+    y_max = np.minimum(y_cap, 50.0) * 0.999
     why = [None if m > 0 else "no feasible y range" for m in y_max]
     rows = np.flatnonzero(y_max > 0)
     ys = np.zeros((rows.size, _SCAN_POINTS + 1))

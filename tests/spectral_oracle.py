@@ -21,7 +21,8 @@ def differentiate(f: FourierField, order: int) -> FourierField:
     """Spectral derivative: c_k -> (ik)^order c_k, order in {1, 2}."""
     if order not in (1, 2):
         raise SpectralError(f"unsupported derivative order {order}")
-    return FourierField(f.n_modes, (1j * f.wavenumbers) ** order * f.coeffs)
+    k = np.arange(-f.n_modes, f.n_modes + 1)
+    return FourierField(f.n_modes, (1j * k) ** order * f.coeffs)
 
 
 def convolve(f: FourierField, g: FourierField) -> FourierField:

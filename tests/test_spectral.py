@@ -1,5 +1,5 @@
-"""Truncated Fourier series: transforms, point evaluation, and the
-reference products and quotients of the test oracle."""
+"""Truncated Fourier series: transforms, Horner evaluation off the grid,
+and the reference products and quotients of the test oracle."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from blowup_lab.spectral import (DivisorTooSmall, FourierField, SizeMismatch,
                                  SpectralError, analyze, coeffs_to_grid,
-                                 grid_points, grid_to_coeffs, padded_size,
-                                 series_at, synthesize)
+                                 grid_points, grid_to_coeffs, horner,
+                                 node_shift, padded_size, synthesize)
 from spectral_oracle import convolve, differentiate, divide
 
 
@@ -22,6 +22,18 @@ def _field(n, **modes):
 
 def cos_field(n, amp=1.0):
     return _field(n, **{"1": amp / 2.0, "-1": amp / 2.0})
+
+
+def horner_at(block, z, order=0):
+    """sum_k (ik)^order c_k e^{ikz} of each row of an (r, 2N+1) block at
+    the points z[i, j], by horner in e^{iz} and e^{-iz}."""
+    n = block.shape[-1] // 2
+    z = np.asarray(z, dtype=complex)
+    k = np.arange(1, n + 1)
+    weights = np.stack([(1j * k) ** order * block[:, n + 1:],
+                        (-1j * k) ** order * block[:, n - 1::-1]])
+    return horner(block[:, n] * (order == 0), weights,
+                  np.exp([1j * z, -1j * z]))
 
 
 @st.composite
@@ -117,18 +129,57 @@ def test_divide_raises_near_zero_divisor():
         divide(_field(n, **{"0": 1.0}), g)
 
 
-def test_series_at_matches_synthesize_and_alternating_sum():
-    n = 8
+def test_horner_matches_synthesize_and_node_sums():
+    n, m = 8, 32
     rng = np.random.default_rng(1)
-    f = FourierField(n, rng.normal(size=17) + 1j * rng.normal(size=17))
-    m = 32
-    vals = synthesize(f, m)
-    assert np.max(np.abs(series_at(f, grid_points(m)) - vals)) < 1e-12
-    # x = 0 gives sum_k c_k and x = pi gives sum_k c_k (-1)^k
-    v0, vpi = series_at(f, [0.0, np.pi])
-    assert v0 == pytest.approx(np.sum(f.coeffs), abs=1e-13)
-    assert vpi == pytest.approx(np.sum(f.coeffs * (-1.0) ** f.wavenumbers),
-                                abs=1e-13)
+    c = rng.normal(size=(1, 17)) + 1j * rng.normal(size=(1, 17))
+    vals = coeffs_to_grid(c, m)
+    assert np.max(np.abs(horner_at(c, grid_points(m)[None]) - vals)) < 1e-12
+    # x = 0 gives sum_k c_k and x = pi gives sum_k (-1)^k c_k, the exact
+    # sums that flatness and the continuation's |u(pi)| read
+    v0, vpi = horner_at(c, [[0.0, np.pi]])[0]
+    assert v0 == pytest.approx(np.sum(c), abs=1e-13)
+    assert vpi == pytest.approx(np.sum(c * node_shift(n)), abs=1e-13)
+
+
+N_SERIES = 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, N_SERIES), max_size=6),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 4.0))
+def test_horner_against_direct_complex_sum(widths, seed, y_top):
+    # v(z) = sum_k c_k e^{ikz} and v'(z) by Horner's rule in e^{iz} and
+    # e^{-iz} against the direct complex sum, at z in both half-planes
+    # with |Im z| <= 4, well inside the tracker's cap, where no term
+    # overflows; on rows of mixed widths, always with one of width 1 and
+    # one of width N
+    n, rng = N_SERIES, np.random.default_rng(seed)
+    widths = [1, n] + widths
+    block = np.zeros((len(widths), 2 * n + 1), dtype=complex)
+    for row, w in zip(block, widths):
+        c = rng.standard_normal(2 * w + 1) \
+            + 1j * rng.standard_normal(2 * w + 1)
+        c *= 10.0 ** rng.uniform(-3.0, 1.0, c.size)
+        c[1:-1] *= rng.uniform(size=c.size - 2) > 0.2   # zeros inside
+        row[n - w:n + w + 1] = c
+    z = rng.uniform(-np.pi, np.pi, (len(block), 9)) \
+        + 1j * rng.uniform(-y_top, y_top, (len(block), 9))
+    k = np.arange(-n, n + 1)
+    terms = np.exp(1j * z[..., None] * k)                    # (r, s, 2N+1)
+    weight = np.abs(block)[:, None] * np.exp(np.abs(z.imag[..., None] * k))
+    eps = np.finfo(float).eps
+    for order in (0, 1):
+        factor = (1j * k) ** order
+        padded = horner_at(block, z, order)
+        direct = np.einsum("rsk,rk->rs", terms * factor, block)
+        bound = 100.0 * eps * np.sum(weight * np.abs(factor), axis=-1)
+        assert np.all(np.abs(padded - direct) <= bound)
+        # a row gets the same bits alone as inside the block, whose
+        # widest row sets how many modes the sums run over
+        for r in range(len(block)):
+            alone = horner_at(block[r:r + 1], z[r:r + 1], order)
+            assert alone.tobytes() == padded[r:r + 1].tobytes()
 
 
 def test_raw_transforms_invert_each_other():
@@ -149,16 +200,16 @@ def test_single_mode_is_exactly_alternating_at_minus_pi(n):
             assert coeffs_to_grid(c, m)[0] == (-1.0) ** k, (m, k)
 
 
-def test_transform_pair_on_a_block_matches_rows_and_series_at():
+def test_transform_pair_on_a_block_matches_rows_and_horner():
     n, m = 16, padded_size(16)
     rng = np.random.default_rng(4)
     block = rng.normal(size=(3, 2 * n + 1)) + 1j * rng.normal(size=(3, 2 * n + 1))
     vals = coeffs_to_grid(block, m)
     assert vals.shape == (3, m)
+    assert np.max(np.abs(vals - horner_at(block, np.tile(grid_points(m),
+                                                          (3, 1))))) < 1e-13
     for c, row in zip(block, vals):
         assert np.max(np.abs(row - coeffs_to_grid(c, m))) < 1e-13
-        assert np.max(np.abs(row - series_at(FourierField(n, c),
-                                             grid_points(m)))) < 1e-13
     back = grid_to_coeffs(vals, n)
     assert back.shape == block.shape
     for c, row, vrow in zip(block, back, vals):
