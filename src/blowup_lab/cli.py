@@ -89,10 +89,10 @@ def _table(args, manifest, name, columns, rows, **header) -> None:
     manifest.register(name, path)
 
 
-def _coefficient_rows(fld):
+def _coefficient_rows(c):
     """(k, Re c_k, Im c_k) for k = -N..N."""
-    n = fld.n_modes
-    return zip(range(-n, n + 1), fld.coeffs.real, fld.coeffs.imag)
+    n = c.shape[-1] // 2
+    return zip(range(-n, n + 1), c.real, c.imag)
 
 
 class _Phases:
@@ -236,6 +236,9 @@ def _cmd_profile(args, cfg, manifest) -> int:
                data.coeff_local_law),
            t_c=data.t_c)
     phases.lap("write")
+    roundoff = int(np.sum(np.abs(data.v_small) <= data.v_roundoff))
+    manifest.extra["profile"] = {"v_roundoff": data.v_roundoff,
+                                 "smallx_roundoff_rows": roundoff}
     manifest.extra["integrator"] = _integrator_block(rep.integrations)
     print(f"profile written, t_c = {data.t_c:.6f}")
     return 0
@@ -282,9 +285,9 @@ def _cmd_continue(args, cfg, manifest) -> int:
         method=cfg["method"])
     phases.lap("compute")
     label = experiments.time_label
-    for t, fld in zip(data.snapshot_times, data.snapshots):
+    for t, c in zip(data.snapshot_times, data.snapshots):
         _table(args, manifest, f"snapshot_t{label(t)}",
-               ["k", "re_c_k", "im_c_k"], _coefficient_rows(fld), t=t)
+               ["k", "re_c_k", "im_c_k"], _coefficient_rows(c), t=t)
     phases.lap("write")
     manifest.extra["continuation"] = {
         "t_c": data.result.t_c,

@@ -19,8 +19,8 @@ from .integrator import IntegratorConfig, Trajectory
 from .pde import (ContinuationResult, ModelParams, blowup_estimates,
                   continue_complex_path, continue_past_blowup, flatness,
                   solve_to_blowup, u_from_v)
-from .spectral import (DivisorTooSmall, FourierField, grid_points, horner,
-                       node_shift, padded_size, synthesize)
+from .spectral import (HORNER_ROUNDOFF, DivisorTooSmall, grid_points,
+                       horner, node_shift, padded_size, synthesize)
 
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
@@ -102,8 +102,7 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
     dropped = Counter()
     times = sample_times(t_c)
     for t, state in zip(times, traj.states_at(times)):
-        fld = FourierField(params.n_modes, state)
-        v_ref = synthesize(fld, m).real
+        v_ref = synthesize(state, m).real
         denom = np.abs(v_ref)
         if np.min(denom) <= 0.0:
             dropped["v = 0 on the grid"] += 1
@@ -135,19 +134,20 @@ class BlowupProfileData:
     v_small: np.ndarray
     eq_global_small: np.ndarray
     eq_local_small: np.ndarray
+    v_roundoff: float               # |v| at or below it is roundoff
 
 
-def profile_from_state(fld: FourierField, t_c: float,
+def profile_from_state(c: np.ndarray, t_c: float,
                        params: ModelParams) -> BlowupProfileData:
-    """Profile data from an already-computed state at t_c."""
+    """Profile data from an already-computed state c_k at t_c."""
     consts = asymptotics.constants(params.alpha)
     x = np.linspace(-np.pi, np.pi, PROFILE_POINTS + 1)
     x = x[x != 0.0]
-    # small-x panel on a logarithmic lattice (roundoff caveat: v is
-    # evaluated from ~1e-16-level coefficient sums near x = 0)
+    # small-x panel on a logarithmic lattice: near x = 0, v is a sum of
+    # terms far larger than itself, and v_roundoff bounds its roundoff
     x_small = np.logspace(-7, -1, 61)
     # v at both, by Horner's rule in w = e^{ix} and 1/w = conj(w)
-    n, c, w = params.n_modes, fld.coeffs, np.exp(1j * np.r_[x, x_small])
+    n, w = params.n_modes, np.exp(1j * np.r_[x, x_small])
     v = horner(c[n:n + 1], np.stack([c[n + 1:], c[n - 1::-1]])[:, None],
                np.stack([w, w.conj()])[:, None])[0].real
     v_solver, v_small = v[:x.size], v[x.size:]
@@ -165,7 +165,8 @@ def profile_from_state(fld: FourierField, t_c: float,
     eq22_s = asymptotics.blowup_profile_local(x_small, params.alpha,
                                               params.epsilon)
     return BlowupProfileData(x, v_solver, eq20, eq22, k, coeff, law_g, law_l,
-                             t_c, x_small, v_small, eq20_s, eq22_s)
+                             t_c, x_small, v_small, eq20_s, eq22_s,
+                             HORNER_ROUNDOFF * float(np.sum(np.abs(c))))
 
 
 @dataclass
@@ -180,7 +181,7 @@ def singularity_from_solution(traj: Trajectory, t_c: float,
                               params: ModelParams) -> SingularityData:
     """Singularity track and overlays from an already-computed solve, on
     the sample grid."""
-    track = tracker.build_track(traj, params.n_modes, sample_times(t_c))
+    track = tracker.build_track(traj, sample_times(t_c))
     t = track.times
     a, e = params.alpha, params.epsilon
     with np.errstate(divide="ignore"):   # eps = 0, which the regimes refuse
@@ -234,7 +235,7 @@ def _refuse_times(command: str, times: Sequence[float],
 class ContinuationData:
     result: ContinuationResult
     snapshot_times: list
-    snapshots: list                  # FourierField per time
+    snapshots: list                  # the coefficient array at each time
     u_edge_moduli: dict              # time -> |u(pi, t)|
     asymptote_deviation: float       # max_x |u + 1/t| * t at t_end
     skipped_times: dict              # time -> why it has no snapshot
@@ -280,12 +281,10 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
             skipped[t] = ("inside the complex-time detour (t_c - r, t_c + r), "
                           "where the path leaves the real axis")
             continue
-        fld = FourierField(params.n_modes, state)
         kept.append(t)
-        snaps.append(fld)
+        snaps.append(state)
         edges[t] = abs(1.0 / np.sum(state * node_shift(params.n_modes)))
-    fld_end = FourierField(params.n_modes, result.state_at(t_end))
-    u_vals, _, (failed,) = u_from_v(fld_end)
+    u_vals, _, (failed,) = u_from_v(result.state_at(t_end))
     if failed:
         raise failed
     dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
@@ -314,9 +313,8 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
     grid = sample_times(t_c)
     times = grid[grid < params.alpha]
     for t, state in zip(times, traj.states_at(times)):
-        fld = FourierField(params.n_modes, state)
         try:
-            f = flatness(fld)
+            f = flatness(state)
         except DivisorTooSmall:
             dropped["DivisorTooSmall in u_from_v"] += 1
             continue

@@ -14,9 +14,8 @@ import numpy as np
 from . import asymptotics, reduced
 from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
                          Trajectory, integrate, integrate_path, semicircle)
-from .spectral import (DIVISION_FLOOR, DivisorTooSmall, FourierField,
-                       analyze, grid_points, node_shift, padded_size,
-                       synthesize)
+from .spectral import (DIVISION_FLOOR, DivisorTooSmall, analyze,
+                       grid_points, node_shift, padded_size, synthesize)
 
 _EVENT_ROOT_TOL = 1e-13
 # relative tolerance of the cross-check between the two flatness routes
@@ -48,7 +47,7 @@ class ModelParams:
 @dataclass
 class BlowupReport:
     t_c: float
-    state_at_tc: FourierField
+    state_at_tc: np.ndarray          # the coefficients c_k, k = -N..N
     # what each integration behind the report did, by name
     integrations: dict = field(default_factory=dict)
 
@@ -84,14 +83,14 @@ class ContinuationResult:
         return self.trajectory.state_at(t)
 
 
-def initial_field(params: ModelParams) -> FourierField:
-    """v(x,0) = alpha - epsilon*cos(x)."""
+def initial_field(params: ModelParams) -> np.ndarray:
+    """The coefficients of v(x,0) = alpha - epsilon*cos(x)."""
     n = params.n_modes
     c = np.zeros(2 * n + 1, dtype=complex)
     c[n] = params.alpha
     c[n + 1] = -params.epsilon / 2.0
     c[n - 1] = -params.epsilon / 2.0
-    return FourierField(n, c)
+    return c
 
 
 def diffusion(n_modes: int) -> np.ndarray:
@@ -169,7 +168,7 @@ def blowup_event() -> EventSpec:
 def solve_to_blowup(params: ModelParams) -> tuple[Trajectory, BlowupReport]:
     """Integrate until v(0,t) = 0 and assemble the blow-up report."""
     rhs = make_rhs(params)
-    y0 = initial_field(params).coeffs
+    y0 = initial_field(params)
     # v(0,.) decreases by ~alpha over [0, t_c]; generous horizon
     t_hi = 2.0 * params.alpha + 1.0
     traj, hit = integrate(rhs, y0, 0.0, t_hi, params.integrator,
@@ -178,8 +177,7 @@ def solve_to_blowup(params: ModelParams) -> tuple[Trajectory, BlowupReport]:
     if hit is None:
         raise StiffnessOrSingularity(traj.times[-1], traj,
                                      "no blow-up event located")
-    state = FourierField(params.n_modes, hit.state)
-    return traj, BlowupReport(t_c=hit.t, state_at_tc=state,
+    return traj, BlowupReport(t_c=hit.t, state_at_tc=hit.state,
                               integrations={"solve": traj.stats})
 
 
@@ -197,14 +195,15 @@ def blowup_estimates(params: ModelParams) -> tuple[dict, dict]:
             "t_tilde": asymptotics.t_tilde(alpha, eps)}, integrations
 
 
-def u_from_v(fld: FourierField) -> tuple[np.ndarray, FourierField, list]:
+def u_from_v(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """u = 1/v of one state or of an (m, 2N+1) block of them: its values
     on the padded grid (grid_points(M)), its coefficients, and for each
     state (one for a single state) None or the DivisorTooSmall that its
     |v| on the grid comes below DIVISION_FLOOR with; such a state's u is
     zero."""
-    p = padded_size(fld.n_modes)
-    vals = synthesize(fld, p)
+    n = c.shape[-1] // 2
+    p = padded_size(n)
+    vals = synthesize(c, p)
     mags = np.abs(vals).reshape(-1, p)
     j = np.argmin(mags, axis=-1)
     low = mags[np.arange(j.size), j]
@@ -215,20 +214,19 @@ def u_from_v(fld: FourierField) -> tuple[np.ndarray, FourierField, list]:
     with np.errstate(divide="ignore", invalid="ignore"):   # v = 0 in a row
         u_vals = np.divide(1.0, vals, out=vals)    # in place: v is not kept
     u_vals[small] = 0.0
-    return u_vals, analyze(u_vals, fld.n_modes), failed
+    return u_vals, analyze(u_vals, n), failed
 
 
-def flatness(fld: FourierField) -> float:
+def flatness(c: np.ndarray) -> float:
     """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k;
     u_from_v's DivisorTooSmall is raised before v(0) or v(pi) divides."""
-    _, u_field, (failed,) = u_from_v(fld)
+    _, a, (failed,) = u_from_v(c)
     if failed:
         raise failed
-    c, n = fld.coeffs, fld.n_modes
+    n = c.shape[-1] // 2
     # v(0) = sum_k c_k and v(pi) = sum_k (-1)^k c_k
     v0, vpi = np.sum(c), np.sum(c * node_shift(n))
     f_point = (1.0 / v0 - 1.0 / vpi).real
-    a = u_field.coeffs
     f_coeff = 4.0 * float(np.sum(a[n + 1::2]).real)
     if abs(f_point - f_coeff) > _FLATNESS_CHECK_TOL * max(1.0, abs(f_point)):
         raise ValueError(
@@ -237,7 +235,7 @@ def flatness(fld: FourierField) -> float:
     return f_point
 
 
-def seed_imaginary_noise(fld: FourierField, rng_seed: int) -> FourierField:
+def seed_imaginary_noise(c: np.ndarray, rng_seed: int) -> np.ndarray:
     """Add a real-x-valued imaginary perturbation i*eta(x), eta even.
 
     Coefficients of the perturbation are i*u_k with u_k ~ U(-amp, amp),
@@ -245,11 +243,11 @@ def seed_imaginary_noise(fld: FourierField, rng_seed: int) -> FourierField:
     preserves the Hermitian pairing of a purely imaginary-valued
     function.  Deterministic for a fixed rng_seed.
     """
-    n = fld.n_modes
+    n = c.shape[-1] // 2
     rng = np.random.default_rng(rng_seed)
     u = rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE, size=n + 1)
     pert = np.concatenate([u[:0:-1], u])  # u_N..u_1, u_0, u_1..u_N
-    return FourierField(n, fld.coeffs + 1j * pert)
+    return c + 1j * pert
 
 
 def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,
@@ -264,11 +262,9 @@ def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,
     """
     if t_end < t_c + radius:
         raise ValueError("t_end must be at least t_c + radius")
-    start = FourierField(params.n_modes, solve.state_at(t_c - radius))
-    traj, _ = integrate(make_rhs(params),
-                        seed_imaginary_noise(start, rng_seed).coeffs,
-                        t_c - radius, t_end, params.integrator,
-                        lin=diffusion(params.n_modes),
+    start = seed_imaginary_noise(solve.state_at(t_c - radius), rng_seed)
+    traj, _ = integrate(make_rhs(params), start, t_c - radius, t_end,
+                        params.integrator, lin=diffusion(params.n_modes),
                         keep=[*times, t_c + radius, t_end])
     return ContinuationResult(trajectory=traj, method="noise_seeded",
                               t_c=t_c, radius=radius, solve=solve)

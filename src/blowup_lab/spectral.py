@@ -1,15 +1,15 @@
 """Truncated Fourier series on [-pi, pi).
 
-A field is the coefficient vector c_k, k = -N..N, of
-v(x) = sum_k c_k exp(ikx).  This module holds the transform pair between
-coefficients and equispaced grid samples, the zero-padded grid size that
-dealiases quadratic products (3/2-rule), and the one evaluator of a
-series at points off the grid, by Horner's rule.
+A state is its complex coefficient array c_k, k = -N..N (position N + k),
+of v(x) = sum_k c_k exp(ikx), and a block of states stacks such arrays
+along the leading axes; every function reads N from the last axis.  This
+module holds the transform pair between coefficients and equispaced grid
+samples, the zero-padded grid size that dealiases quadratic products
+(3/2-rule), and the one evaluator of a series at points off the grid, by
+Horner's rule.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,25 +52,6 @@ def grid_points(m: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(m) / m
 
 
-@dataclass(frozen=True)
-class FourierField:
-    """Complex coefficients c_k indexed k = -N..N (array position N + k)
-    of one state, or of a block of states along the last axis."""
-
-    n_modes: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape[-1:] != (2 * self.n_modes + 1,):
-            raise SizeMismatch(
-                f"expected {2 * self.n_modes + 1} coefficients, got {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise SpectralError("non-finite coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-
 # ---------------------------------------------------------------------------
 # the transform pair, along the last axis (nodes start at -pi)
 
@@ -82,7 +63,7 @@ def node_shift(n_modes: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
-def coeffs_to_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
+def synthesize(coeffs: np.ndarray, m: int) -> np.ndarray:
     """sum_k c_k e^{ikx_j} on the M nodes x_j = -pi + 2*pi*j/M: a
     (..., 2N+1) array of coefficients to (..., M) grid values."""
     n = coeffs.shape[-1] // 2
@@ -95,7 +76,7 @@ def coeffs_to_grid(coeffs: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(spec, norm="forward")
 
 
-def grid_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
+def analyze(values: np.ndarray, n_modes: int) -> np.ndarray:
     """DFT coefficients c_k = (1/M) sum_j values_j e^{-ikx_j}, k = -N..N:
     (..., M) grid values to a (..., 2N+1) array.  Exact for inputs
     band-limited to |k| <= N."""
@@ -107,16 +88,9 @@ def grid_to_coeffs(values: np.ndarray, n_modes: int) -> np.ndarray:
                           axis=-1) * node_shift(n)
 
 
-def analyze(values: np.ndarray, n_modes: int) -> FourierField:
-    """Forward transform: values on grid_points(M) -> coefficients, row
-    by row for a (..., M) block."""
-    return FourierField(n_modes, grid_to_coeffs(values, n_modes))
-
-
-def synthesize(f: FourierField, grid_size: int) -> np.ndarray:
-    """The series' values on grid_points(grid_size), row by row for a
-    block."""
-    return coeffs_to_grid(f.coeffs, grid_size)
+# horner's sums keep within HORNER_ROUNDOFF * sum_k |c_k| |w|^k of the
+# exact ones: a value at or below that bound is roundoff
+HORNER_ROUNDOFF = 100.0 * np.finfo(float).eps
 
 
 def horner(c0: np.ndarray, weights: np.ndarray,
@@ -127,16 +101,14 @@ def horner(c0: np.ndarray, weights: np.ndarray,
     the inputs.  With (c_0, c_k, c_-k) and (e^{iz}, e^{-iz}) it is
     sum_k c_k e^{ikz}, real or complex z.
 
-    Both sums go by Horner's rule up to the last nonzero weight of the
-    block: a row's sums stay exactly 0 through its own zero modes above
-    that while the bases are finite, so its values depend on nothing but
-    the row.
+    Both sums go by Horner's rule over every weight given.  A zero tail
+    keeps each sum exactly 0 while the bases are finite, so a caller may
+    cut a block's weights after its last nonzero mode, and each row's
+    values still depend on nothing but the row.
     """
-    nonzero = np.flatnonzero(np.any(weights, axis=(0, 1)))
-    w = weights[..., :nonzero[-1] + 1 if nonzero.size else 0, None]
     acc = np.zeros(bases.shape, np.result_type(weights, bases))
-    for k in reversed(range(w.shape[2])):
-        acc += w[:, :, k]
+    for k in reversed(range(weights.shape[2])):
+        acc += weights[:, :, k, None]
         acc *= bases
     return c0[:, None] + acc[0] + acc[1]
 

@@ -17,13 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .integrator import Trajectory, brentq
-from .spectral import FourierField, horner
+from .spectral import HORNER_ROUNDOFF, horner
 from .pde import u_from_v
 
 _EXP_LIMIT = 700.0
 _ROUNDOFF = np.finfo(float).eps
-# Re v(0) at or below _ON_AXIS * sum |c_k| is zero to roundoff
-_ON_AXIS = 100.0 * _ROUNDOFF
 # the axis scan: samples on (0, y_max], and the root tolerance in y
 _SCAN_POINTS = 400
 _ROOT_TOL = 1e-10
@@ -58,16 +56,16 @@ def _roundoff_floor(coeffs: np.ndarray) -> np.ndarray:
         1.0, np.max(np.abs(coeffs), axis=-1, keepdims=True))
 
 
-def fit_strip_width(u_field: FourierField,
+def fit_strip_width(coeffs: np.ndarray,
                     k_range: tuple[int, int]) -> tuple[float, float, float]:
-    """Least-squares fit log|a_k| = log C + log k - k y over k_range.
+    """Least-squares fit log|a_k| = log C + log k - k y over k_range, on
+    one state's coefficients a_k of u.
 
     The prefactor k^p is fixed at p = 1, the second-order pole's; the
     range is honoured as given, the caller having stopped it above the
     roundoff floor.  Returns (y, C, rms residual).
     """
-    n = u_field.n_modes
-    a = np.abs(u_field.coeffs[n + 1:])          # k = 1..N
+    a = np.abs(coeffs[coeffs.shape[-1] // 2 + 1:])      # k = 1..N
     k_lo, k_hi = k_range
     if k_hi - k_lo + 1 < 8:
         raise TrackingError(
@@ -132,13 +130,13 @@ def strip_width_estimate(coeffs: np.ndarray
            "decaying k-range too short (< 8 usable modes)"
            for lo, hi in zip(k_lo, k_hi)]
     for r in np.flatnonzero(k_hi - k_lo + 1 >= 8):
-        u_field, lo, hi = FourierField(n, coeffs[r]), k_lo[r], k_hi[r]
+        lo, hi = k_lo[r], k_hi[r]
         try:
-            y[r], _, residual[r] = fit_strip_width(u_field, k_range=(lo, hi))
+            y[r], _, residual[r] = fit_strip_width(coeffs[r], k_range=(lo, hi))
             if hi >= n - 2 and hi - lo + 1 >= 16:
                 mid = lo + (hi - lo) // 2
-                y1, _, _ = fit_strip_width(u_field, k_range=(lo, mid))
-                y2, _, _ = fit_strip_width(u_field, k_range=(mid, hi))
+                y1, _, _ = fit_strip_width(coeffs[r], k_range=(lo, mid))
+                y2, _, _ = fit_strip_width(coeffs[r], k_range=(mid, hi))
                 m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
                 y[r] = (m2 * y2 - m1 * y1) / (m2 - m1)
         except TrackingError as exc:     # raised before y[r] is set
@@ -190,10 +188,13 @@ def _axis_series(coeffs: np.ndarray):
     with np.errstate(divide="ignore"):        # -inf where c_-k = 0
         log_mag = np.log(np.abs(c_neg))
     y_cap = np.min((_EXP_LIMIT - log_mag) / k, axis=1, initial=_EXP_LIMIT)
-    # c_0 and the (decaying, growing) weights of Re v and of its slope
-    weights = ((coeffs[:, n].real, np.stack([c_pos.real, c_neg.real])),
-               (np.zeros(len(coeffs)),
-                np.stack([-k * c_pos.real, k * c_neg.real])))
+    # c_0 and the (decaying, growing) weights of Re v and of its slope,
+    # cut once for the block after its last nonzero mode, over k and -k
+    real = np.stack([c_pos.real, c_neg.real])
+    top = np.max(np.flatnonzero(np.any(real, axis=(0, 1))) + 1, initial=0)
+    real, k = real[..., :top], k[:top]
+    weights = ((coeffs[:, n].real, real),
+               (np.zeros(len(coeffs)), real * np.stack([-k, k])[:, None]))
 
     def at(rows: np.ndarray, y: np.ndarray, slope: bool) -> np.ndarray:
         c0, w = weights[slope]
@@ -239,7 +240,8 @@ def root_on_axis(coeffs: np.ndarray) -> tuple[np.ndarray, list]:
     ys[:, 1:] = np.linspace(y_max[rows] / _SCAN_POINTS, y_max[rows],
                             _SCAN_POINTS, axis=-1)
     vals = axis(rows, ys, slope=False)
-    on_axis = vals[:, 0] <= _ON_AXIS * np.sum(np.abs(coeffs[rows]), axis=-1)
+    on_axis = (vals[:, 0]
+               <= HORNER_ROUNDOFF * np.sum(np.abs(coeffs[rows]), axis=-1))
     roots[rows[on_axis]] = 0.0
     rows, ys, vals = rows[~on_axis], ys[~on_axis], vals[~on_axis]
     # each row's first sign change, between samples flip and flip + 1, and
@@ -305,7 +307,7 @@ def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
     return None
 
 
-def build_track(trajectory: Trajectory, n_modes: int,
+def build_track(trajectory: Trajectory,
                 times: Sequence[float]) -> SingularityTrack:
     """Apply both estimators to the dense-output state at each of the
     given times, _TRACK_BLOCK states at a time: the block is denoised in
@@ -325,13 +327,14 @@ def build_track(trajectory: Trajectory, n_modes: int,
     for lo in range(0, times.size, _TRACK_BLOCK):
         laps = [time.perf_counter()]
         clean = _denoised(np.array(list(islice(states, _TRACK_BLOCK))))
+        n = clean.shape[-1] // 2
         laps.append(time.perf_counter())
-        u_field, failed = u_from_v(FourierField(n_modes, clean))[1:]
+        u_coeffs, failed = u_from_v(clean)[1:]
         # a failed state's u is zero, and has no fit window
-        fits = zip(failed, *strip_width_estimate(u_field.coeffs))
+        fits = zip(failed, *strip_width_estimate(u_coeffs))
         for i, (error, y, residual, drop) in enumerate(fits, lo):
             drop = ("DivisorTooSmall in u_from_v" if error is not None
-                    else drop or _fit_drop_reason(y, residual, n_modes))
+                    else drop or _fit_drop_reason(y, residual, n))
             if drop is None:
                 y_fit[i], res[i] = y, residual
             else:

@@ -1,60 +1,58 @@
 """Reference field operations for the tests: the v-equation right-hand side
 assembled from a spectral derivative, a dealiased product and a dealiased
-quotient.  `pde.make_rhs` fuses the same steps into one coefficient-space
-function; these slower, separate operations serve as its oracle.
+quotient, on coefficient arrays c_k, k = -N..N.  `pde.make_rhs` fuses the
+same steps into one coefficient-space function; these slower, separate
+operations serve as its oracle.
 """
 
 import numpy as np
 
 from blowup_lab.spectral import (DIVISION_FLOOR, DivisorTooSmall,
-                                 FourierField, SizeMismatch, SpectralError,
-                                 coeffs_to_grid, grid_points, grid_to_coeffs,
-                                 padded_size)
+                                 SizeMismatch, SpectralError, analyze,
+                                 grid_points, padded_size, synthesize)
 
 
-def _check_same_size(f: FourierField, g: FourierField) -> None:
-    if f.n_modes != g.n_modes:
-        raise SizeMismatch(f"n_modes mismatch: {f.n_modes} vs {g.n_modes}")
+def _check_same_size(f: np.ndarray, g: np.ndarray) -> None:
+    if f.shape != g.shape:
+        raise SizeMismatch(f"size mismatch: {f.shape} vs {g.shape}")
 
 
-def differentiate(f: FourierField, order: int) -> FourierField:
+def differentiate(f: np.ndarray, order: int) -> np.ndarray:
     """Spectral derivative: c_k -> (ik)^order c_k, order in {1, 2}."""
     if order not in (1, 2):
         raise SpectralError(f"unsupported derivative order {order}")
-    k = np.arange(-f.n_modes, f.n_modes + 1)
-    return FourierField(f.n_modes, (1j * k) ** order * f.coeffs)
+    n = f.shape[-1] // 2
+    return (1j * np.arange(-n, n + 1)) ** order * f
 
 
-def convolve(f: FourierField, g: FourierField) -> FourierField:
+def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Coefficients of the pointwise product fg, dealiased by zero padding."""
     _check_same_size(f, g)
-    p = padded_size(f.n_modes)
-    fv = coeffs_to_grid(f.coeffs, p)
-    gv = coeffs_to_grid(g.coeffs, p)
-    return FourierField(f.n_modes, grid_to_coeffs(fv * gv, f.n_modes))
+    n = f.shape[-1] // 2
+    p = padded_size(n)
+    return analyze(synthesize(f, p) * synthesize(g, p), n)
 
 
-def divide(f: FourierField, g: FourierField,
-           floor: float = DIVISION_FLOOR) -> FourierField:
+def divide(f: np.ndarray, g: np.ndarray,
+           floor: float = DIVISION_FLOOR) -> np.ndarray:
     """Coefficients of f/g via pointwise division on the padded grid.
 
     Raises DivisorTooSmall if min |g| on the padded grid drops below floor.
     """
     _check_same_size(f, g)
-    p = padded_size(f.n_modes)
-    fv = coeffs_to_grid(f.coeffs, p)
-    gv = coeffs_to_grid(g.coeffs, p)
+    n = f.shape[-1] // 2
+    p = padded_size(n)
+    fv, gv = synthesize(f, p), synthesize(g, p)
     mags = np.abs(gv)
     j = int(np.argmin(mags))
     if mags[j] < floor:
         raise DivisorTooSmall(float(mags[j]), float(grid_points(p)[j]))
-    return FourierField(f.n_modes, grid_to_coeffs(fv / gv, f.n_modes))
+    return analyze(fv / gv, n)
 
 
-def v_rhs(fld: FourierField, floor: float = DIVISION_FLOOR) -> FourierField:
-    """v_xx - 1 - 2*(v_x)^2/v as a field operation."""
-    vx = differentiate(fld, 1)
-    nl = divide(convolve(vx, vx), fld, floor=floor)
-    out = differentiate(fld, 2).coeffs - 2.0 * nl.coeffs
-    out[fld.n_modes] -= 1.0
-    return FourierField(fld.n_modes, out)
+def v_rhs(c: np.ndarray, floor: float = DIVISION_FLOOR) -> np.ndarray:
+    """v_xx - 1 - 2*(v_x)^2/v of one state's coefficients."""
+    vx = differentiate(c, 1)
+    out = differentiate(c, 2) - 2.0 * divide(convolve(vx, vx), c, floor=floor)
+    out[c.shape[-1] // 2] -= 1.0
+    return out

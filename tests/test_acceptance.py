@@ -14,7 +14,7 @@ from blowup_lab.integrator import IntegratorConfig, integrate
 from blowup_lab.pde import (continue_complex_path, continue_past_blowup,
                             diffusion, make_rhs, seed_imaginary_noise,
                             solve_to_blowup)
-from blowup_lab.spectral import FourierField, padded_size, synthesize
+from blowup_lab.spectral import padded_size, synthesize
 from fixed_step import order_check
 from paper_oracle import (fourier_ansatz_blowup, impingement_regression,
                           minimal_flatness, near_blowup_forms,
@@ -75,18 +75,15 @@ def test_criterion_2_exact_identities():
     c = np.zeros(2 * n + 1, dtype=complex)
     c[n] = alpha - t0
     c[n + 1] = c[n - 1] = -eps * math.exp(-t0) / 2.0
-    v = FourierField(n, c)
-    ct = np.zeros(2 * n + 1, dtype=complex)
-    ct[n] = -1.0
-    ct[n + 1] = ct[n - 1] = eps * math.exp(-t0) / 2.0
-    v_t = FourierField(n, ct)
-    residual = FourierField(n, v_t.coeffs - v_rhs(v).coeffs)
-    prod = convolve(v, residual)
+    v_t = np.zeros(2 * n + 1, dtype=complex)
+    v_t[n] = -1.0
+    v_t[n + 1] = v_t[n - 1] = eps * math.exp(-t0) / 2.0
+    prod = convolve(c, v_t - v_rhs(c))
     tgt = np.zeros(2 * n + 1, dtype=complex)
     a2 = eps ** 2 * math.exp(-2.0 * t0)
     tgt[n] = a2
     tgt[n + 2] = tgt[n - 2] = -a2 / 2.0
-    err14 = float(np.max(np.abs(prod.coeffs - tgt)))
+    err14 = float(np.max(np.abs(prod - tgt)))
     checks.append((err14 <= 1e-11, f"periodic identity residual {err14:.2e}"))
 
     # Taylor analogue: v = alpha - (1-2e)t + e x^2 gives remainder 8 e^2 x^2
@@ -114,7 +111,7 @@ def test_criterion_2_exact_identities():
 def test_criterion_3_coefficient_decay(solve_mid):
     params, _, rep = solve_mid
     n = params.n_modes
-    c = np.abs(rep.state_at_tc.coeffs[n + 1:])
+    c = np.abs(rep.state_at_tc[n + 1:])
     k = np.arange(1, n + 1)
     sel = (k >= 10) & (k <= 60)
     slope = np.polyfit(np.log(k[sel]), np.log(c[sel]), 1)[0]
@@ -192,8 +189,7 @@ def test_criterion_6_singularity_track(solve_fine):
     alpha, eps, t_c = params.alpha, params.epsilon, rep.t_c
     # every other point of the sample grid: 1,250 samples, uniform in t
     # plus log-spaced towards t_c
-    track = tracker.build_track(traj, params.n_modes,
-                                experiments.sample_times(t_c)[::2])
+    track = tracker.build_track(traj, experiments.sample_times(t_c)[::2])
     checks = []
     # y at t = 0 equals arccosh(alpha/eps)
     y0_ref = math.acosh(alpha / eps)
@@ -284,8 +280,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
                    f"peak at {ts[i_pk] / t_c:.2f} t_c"))
 
     # the conjugated seed gives the complex-conjugate state at 2 t_c
-    y0 = np.conj(seed_imaginary_noise(FourierField(n, solve.state_at(t_s)),
-                                      0).coeffs)
+    y0 = np.conj(seed_imaginary_noise(solve.state_at(t_s), 0))
     conj, _ = integrate(make_rhs(params), y0, t_s,
                         2.2 * t_c, params.integrator,
                         lin=diffusion(params.n_modes))
@@ -309,8 +304,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     solve48, rep48 = solve_to_blowup(p48)
     r4 = continue_past_blowup(p48, solve48, 20.0, rep48.t_c,
                               0.1 * rep48.t_c, 0, [])
-    fld = FourierField(48, r4.state_at(20.0))
-    u_vals = 1.0 / synthesize(fld, padded_size(48))
+    u_vals = 1.0 / synthesize(r4.state_at(20.0), padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
     checks.append((dev <= 0.05, f"asymptote deviation {dev:.3f}"))
     _report(7, "post-blow-up continuation", checks)

@@ -212,6 +212,22 @@ def test_profile_command(tmp_path, no_two_mode):
     figure_manifest(out)
 
 
+def test_profile_counts_the_smallx_rows_at_roundoff(tmp_path):
+    # a small-x row holds only roundoff where |v_solver| is at or below
+    # 100 eps sum_k |c_k| of the state at t_c, the bound horner keeps to
+    profile, solve = tmp_path / "profile", tmp_path / "solve"
+    assert run_cli("profile", *FAST, "--out", str(profile)) == 0
+    assert run_cli("solve", *FAST, "--out", str(solve)) == 0
+    _, state = csv_columns(solve / "state_at_tc.csv")
+    _, small = csv_columns(profile / "blowup_profile_smallx.csv")
+    bound = 100.0 * np.finfo(float).eps * float(np.sum(np.abs(
+        np.array(state["re_c_k"]) + 1j * np.array(state["im_c_k"]))))
+    count = int(np.sum(np.abs(small["v_solver"]) <= bound))
+    assert 0 < count < len(small["v_solver"])
+    record = json.loads((profile / "manifest.json").read_text())["profile"]
+    assert record == {"v_roundoff": bound, "smallx_roundoff_rows": count}
+
+
 def test_singularity_command(tmp_path, no_two_mode):
     out = tmp_path / "run"
     assert run_cli("singularity", *FAST, "--out", str(out)) == 0

@@ -15,8 +15,8 @@ from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             diffusion, flatness,
                             initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup, u_from_v)
-from blowup_lab.spectral import (DivisorTooSmall, FourierField, analyze,
-                                 grid_points, padded_size, synthesize)
+from blowup_lab.spectral import (DivisorTooSmall, analyze, grid_points,
+                                 padded_size, synthesize)
 from paper_oracle import u_initial_coeff
 from spectral_oracle import v_rhs
 
@@ -43,15 +43,16 @@ def test_model_params_validation():
 
 
 def test_initial_field_coefficients():
-    f = initial_field(small_params())
-    n = f.n_modes
-    assert f.coeffs[n] == pytest.approx(0.25)
-    assert f.coeffs[n + 1] == pytest.approx(-0.05)
-    assert f.coeffs[n - 1] == pytest.approx(-0.05)
-    assert abs(f.coeffs[n + 2]) == 0.0
+    c = initial_field(small_params())
+    n = 32
+    assert c.shape == (2 * n + 1,) and c.dtype == complex
+    assert c[n] == pytest.approx(0.25)
+    assert c[n + 1] == pytest.approx(-0.05)
+    assert c[n - 1] == pytest.approx(-0.05)
+    assert abs(c[n + 2]) == 0.0
     # real and even: v(x, 0) is a real cosine series
-    assert np.all(f.coeffs.imag == 0.0)
-    assert np.array_equal(f.coeffs, f.coeffs[::-1])
+    assert np.all(c.imag == 0.0)
+    assert np.array_equal(c, c[::-1])
 
 
 def test_v_rhs_matches_pointwise_oracle():
@@ -63,15 +64,14 @@ def test_v_rhs_matches_pointwise_oracle():
     c[n] = 2.0
     c[n + 1] = c[n - 1] = 0.15
     c[n + 2] = c[n - 2] = 0.025
-    fld = FourierField(n, c)
     m = 4096
     x = grid_points(m)
     v = 2.0 + 0.3 * np.cos(x) + 0.05 * np.cos(2 * x)
     v_x = -0.3 * np.sin(x) - 0.1 * np.sin(2 * x)
     v_xx = -0.3 * np.cos(x) - 0.2 * np.cos(2 * x)
     oracle_vals = v_xx - 1.0 - 2.0 * v_x ** 2 / v
-    oracle = analyze(oracle_vals, n).coeffs
-    got = v_rhs(fld).coeffs
+    oracle = analyze(oracle_vals, n)
+    got = v_rhs(c)
     assert np.max(np.abs(got - oracle)) < 1e-11
 
 
@@ -79,9 +79,9 @@ def test_fast_rhs_matches_field_rhs_on_smooth_state():
     # make_rhs is the nonlinear part; with the diffusion term the
     # integrator adds, it is the whole v-equation right-hand side
     p = small_params()
-    fld = initial_field(p)
-    fast = make_rhs(p)(fld.coeffs, 0.0) + diffusion(p.n_modes) * fld.coeffs
-    ref = v_rhs(fld).coeffs
+    c = initial_field(p)
+    fast = make_rhs(p)(c, 0.0) + diffusion(p.n_modes) * c
+    ref = v_rhs(c)
     assert np.max(np.abs(fast - ref)) < 1e-13
     k = np.arange(-p.n_modes, p.n_modes + 1)
     assert np.array_equal(diffusion(p.n_modes), -(k * k).astype(float))
@@ -134,7 +134,7 @@ def test_rhs_matches_reference_bit_for_bit(n_modes):
     p = small_params(n_modes=n_modes, alpha=1.0, epsilon=0.5)
     fast, ref = make_rhs(p), reference_rhs(p)
     rng = np.random.default_rng(n_modes)
-    base = initial_field(p).coeffs
+    base = initial_field(p)
     for scale in (0.0, 1e-16, 1e-8, 1e-3, 0.2):
         noise = rng.standard_normal((2, 2 * n_modes + 1))
         c = base + scale * (noise[0] + 1j * noise[1])
@@ -144,7 +144,7 @@ def test_rhs_matches_reference_bit_for_bit(n_modes):
 
 def test_rhs_matches_reference_where_v_reaches_zero():
     p = small_params(alpha=0.25, epsilon=0.2499999)
-    c = initial_field(p).coeffs.copy()
+    c = initial_field(p)
     c[p.n_modes] = p.epsilon      # v(0) ~ 0 on the grid
     assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
     # the quotient is formed also where v = 0 exactly; there v_x = 0 as
@@ -158,7 +158,7 @@ def test_rhs_matches_reference_where_v_reaches_zero():
 def test_rhs_on_a_block_matches_row_by_row_calls():
     p = small_params(alpha=0.25, epsilon=0.2499999)
     rng = np.random.default_rng(3)
-    base = initial_field(p).coeffs
+    base = initial_field(p)
     noise = rng.standard_normal((2, 6, base.size))
     block = base + 1e-3 * (noise[0] + 1j * noise[1])
     block[2] = base
@@ -190,7 +190,7 @@ def test_block_lookups_match_single_lookups_on_a_solve():
 def test_rhs_returns_a_new_array_per_call():
     p = small_params()
     rhs = make_rhs(p)
-    c = initial_field(p).coeffs
+    c = initial_field(p)
     first = rhs(c, 0.0)
     kept = first.copy()
     second = rhs(c + 1e-3, 0.0)
@@ -199,9 +199,9 @@ def test_rhs_returns_a_new_array_per_call():
 
 
 def test_blowup_event_observable_is_v_at_origin():
-    f = initial_field(small_params())
+    c = initial_field(small_params())
     ev = blowup_event()
-    assert ev.observable(f.coeffs) == pytest.approx(0.25 - 0.1)
+    assert ev.observable(c) == pytest.approx(0.25 - 0.1)
 
 
 def test_solve_to_blowup_lands_on_v0_zero():
@@ -255,14 +255,15 @@ def test_blowup_report_estimates_and_deltas():
 
 
 def test_u_from_v_is_pointwise_reciprocal():
-    f = initial_field(small_params())
-    u_vals, u_field, failed = u_from_v(f)
+    c = initial_field(small_params())
+    n = c.shape[-1] // 2
+    u_vals, u_coeffs, failed = u_from_v(c)
     assert failed == [None]
-    v_vals = synthesize(f, padded_size(f.n_modes))
+    v_vals = synthesize(c, padded_size(n))
     assert np.max(np.abs(u_vals * v_vals - 1.0)) < 1e-13
     # reconstruction matches the closed-form reciprocal coefficients
     for k in (0, 1, 5):
-        assert u_field.coeffs[u_field.n_modes + k].real == pytest.approx(
+        assert u_coeffs[n + k].real == pytest.approx(
             u_initial_coeff(k, 0.25, 0.1), rel=1e-10)
 
 
@@ -270,27 +271,27 @@ def test_u_from_v_takes_a_block_row_by_row():
     # each row of a block gets the bits its own call gives; a row whose v
     # comes below the division floor on the grid is reported by itself,
     # its u zero
-    f = initial_field(small_params())
-    n = f.n_modes
-    touching = f.coeffs.copy()
+    c = initial_field(small_params())
+    n = c.shape[-1] // 2
+    touching = c.copy()
     touching[n] = 0.1 + 1e-15    # v = 0.1 + 1e-15 - 0.1 cos x at x = 0
-    zero = f.coeffs.copy()
+    zero = c.copy()
     zero[n] = 0.1                # v = 0.1 - 0.1 cos x, 0 at x = 0
-    block = FourierField(n, [f.coeffs, touching, 2.0 * f.coeffs, zero])
-    u_vals, u_field, failed = u_from_v(block)
+    block = np.array([c, touching, 2.0 * c, zero])
+    u_vals, u_coeffs, failed = u_from_v(block)
     assert failed[0] is None and failed[2] is None
     for row in (1, 3):
         assert isinstance(failed[row], DivisorTooSmall)
         assert failed[row].location == 0.0
-        assert not np.any(u_vals[row]) and not np.any(u_field.coeffs[row])
+        assert not np.any(u_vals[row]) and not np.any(u_coeffs[row])
     for row in (0, 2):
-        one_vals, one_field, _ = u_from_v(FourierField(n, block.coeffs[row]))
+        one_vals, one_coeffs, _ = u_from_v(block[row])
         assert u_vals[row].tobytes() == one_vals.tobytes()
-        assert u_field.coeffs[row].tobytes() == one_field.coeffs.tobytes()
+        assert u_coeffs[row].tobytes() == one_coeffs.tobytes()
     # flatness reports the division floor before it divides by v(0)
     for state in (touching, zero):
         with pytest.raises(DivisorTooSmall):
-            flatness(FourierField(n, state))
+            flatness(state)
 
 
 def test_flatness_dual_route_and_positive():
@@ -301,11 +302,11 @@ def test_flatness_dual_route_and_positive():
 
 
 def test_seed_imaginary_noise_properties():
-    f = initial_field(small_params())
-    g1 = seed_imaginary_noise(f, rng_seed=7)
-    g2 = seed_imaginary_noise(f, rng_seed=7)
-    assert np.array_equal(g1.coeffs, g2.coeffs)          # deterministic
-    pert = g1.coeffs - f.coeffs
+    c = initial_field(small_params())
+    g1 = seed_imaginary_noise(c, rng_seed=7)
+    g2 = seed_imaginary_noise(c, rng_seed=7)
+    assert np.array_equal(g1, g2)                        # deterministic
+    pert = g1 - c
     assert np.max(np.abs(pert.real)) == 0.0              # purely imaginary
     assert np.array_equal(pert, pert[::-1])              # even pairing
     assert 0.0 < np.max(np.abs(pert)) <= 1e-14           # the amplitude

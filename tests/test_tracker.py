@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from blowup_lab import tracker
 from blowup_lab.pde import initial_field, solve_to_blowup, u_from_v
-from blowup_lab.spectral import FourierField
 from blowup_lab.tracker import (TrackingError, _axis_series, _decaying_range,
                                 _denoised, _fit_drop_reason, build_track,
                                 fit_strip_width, root_on_axis,
@@ -37,10 +36,10 @@ def axis_of(coeffs):
     return evaluator(False), evaluator(True), float(y_cap)
 
 
-def root_of(fld):
-    """The axis root of one field as build_track takes it: denoised, and
+def root_of(c):
+    """The axis root of one state as build_track takes it: denoised, and
     a block of one row; TrackingError where the row has none."""
-    y, why = root_on_axis(_denoised(fld.coeffs)[None])
+    y, why = root_on_axis(_denoised(c)[None])
     if why[0] is not None:
         raise TrackingError(why[0])
     return float(y[0])
@@ -54,7 +53,7 @@ def pole_model_field(n, y, c0=1.0, p=1.0):
     c[n + 1:] = a
     c[:n] = a[::-1]
     c[n] = 1.0
-    return FourierField(n, c)
+    return c
 
 
 def test_fit_recovers_synthetic_pole_decay():
@@ -82,8 +81,7 @@ def test_fit_explicit_range_honoured_below_roundoff_floor():
     c = np.zeros(2 * n + 1, dtype=complex)
     for k in range(-n, n + 1):
         c[n + k] = abs(k) * u_initial_coeff(k, alpha, eps)
-    f = FourierField(n, c)
-    y, _, res = fit_strip_width(f, k_range=(10, 40))
+    y, _, res = fit_strip_width(c, k_range=(10, 40))
     assert y == pytest.approx(math.acosh(alpha / eps), rel=1e-12)
     assert res < 1e-10
 
@@ -120,8 +118,7 @@ def test_strip_width_estimate_ignores_noise_plateau():
 
 def test_denoised_trims_boundary_ramp_and_floor():
     n = 64
-    f = pole_model_field(n, 0.3)
-    c = f.coeffs.copy()
+    c = pole_model_field(n, 0.3)
     # growing noise ramp in the last two modes (each > 2x its inward
     # neighbour, genuine a_62 ~ 5e-7 is left alone)
     c[n + n - 1:] = [1e-5, 1e-3]
@@ -174,7 +171,7 @@ def test_block_denoise_and_window_match_the_row_oracle(small_solve):
     assert not np.any(clean[-3, n + n // 2 + 1:])
     assert np.all(block[-3, n + n // 2 + 1:])
     windows = set()
-    for rows in (block, u_from_v(FourierField(n, clean))[1].coeffs):
+    for rows in (block, u_from_v(clean)[1]):
         a = np.abs(rows[:, n + 1:])
         log_mag = np.log(np.where(a > 0.0, a, 1e-300))
         k_lo, k_hi = _decaying_range(log_mag)
@@ -214,7 +211,7 @@ def test_axis_value_and_root_on_exact_initial_data():
     p = model_params(0.25, 0.1, n_modes=32)
     f = initial_field(p)
     y_ref = math.acosh(0.25 / 0.1)
-    re_v, slope, _ = axis_of(f.coeffs)
+    re_v, slope, _ = axis_of(f)
     assert re_v(1.0) == pytest.approx(0.25 - 0.1 * math.cosh(1.0))
     assert slope(1.0) == pytest.approx(-0.1 * math.sinh(1.0))
     assert root_of(f) == pytest.approx(y_ref, abs=1e-9)
@@ -235,7 +232,7 @@ def symmetric_field(n, coeffs):
     c = np.zeros(2 * n + 1, dtype=complex)
     for k, a in coeffs.items():
         c[n + k] = c[n - k] = a
-    return FourierField(n, c)
+    return c
 
 
 def test_root_on_axis_returns_the_smaller_of_two_roots():
@@ -278,7 +275,7 @@ def test_root_on_axis_overflow_before_sign_change_raises():
         root_of(f)
     # past _EXP_LIMIT = 700 the value is NaN even where e^{40 y} would
     # still be finite in double precision (40 * 17.6 = 704 < 709)
-    re_v, slope, y_cap = axis_of(f.coeffs)
+    re_v, slope, y_cap = axis_of(f)
     assert y_cap == pytest.approx(17.5 - math.log(0.5) / 40.0)
     assert np.all(np.isnan(re_v(np.array([17.6, 30.0]))))
     assert np.all(np.isnan(slope(np.array([17.6, 30.0]))))
@@ -291,7 +288,7 @@ def test_root_on_axis_no_root():
     c = np.zeros(2 * n + 1, dtype=complex)
     c[n] = 1.0
     with pytest.raises(TrackingError):
-        root_of(FourierField(n, c))
+        root_of(c)
 
 
 @pytest.mark.parametrize("coeffs", [{0: 1.0}, {0: 1.0, 40: 1.0}],
@@ -313,7 +310,7 @@ def test_root_on_axis_searches_a_flat_scan_at_most_once(monkeypatch, coeffs):
 
     monkeypatch.setattr(tracker, "brentq", counted)
     with pytest.raises(TrackingError, match="no sign change"):
-        root_of(FourierField(n, c))
+        root_of(c)
     assert sum(searches) <= 1
 
 
@@ -361,7 +358,7 @@ def test_a_state_keeps_its_bits_in_any_block(small_solve, monkeypatch):
     assert len(set(np.max(k * (clean != 0), axis=1))) >= 10
     assert set(why) == {None, "no sign change of Re v(iy) on the axis"}
     assert np.count_nonzero(roots == 0.0) == 1
-    fits = build_track(traj, p.n_modes, times)
+    fits = build_track(traj, times)
     for size in (1, 7, 64):
         parts = [root_on_axis(clean[i:i + size])
                  for i in range(0, len(clean), size)]
@@ -369,7 +366,7 @@ def test_a_state_keeps_its_bits_in_any_block(small_solve, monkeypatch):
             == roots.tobytes()
         assert [w for _, ws in parts for w in ws] == why
         monkeypatch.setattr(tracker, "_TRACK_BLOCK", size)
-        track = build_track(traj, p.n_modes, times)
+        track = build_track(traj, times)
         assert track.y_root.tobytes() == roots.tobytes()
         assert track.y_fit.tobytes() == fits.y_fit.tobytes()
         assert track.fit_residual.tobytes() == fits.fit_residual.tobytes()
@@ -389,8 +386,8 @@ def test_fit_drop_reasons():
 
 
 def test_build_track_on_small_solve(small_solve):
-    p, traj = small_solve
-    track = build_track(traj, p.n_modes, traj.times[::4])
+    _, traj = small_solve
+    track = build_track(traj, traj.times[::4])
     assert track.times[0] == 0.0
     y0 = track.y_root[0]
     assert y0 == pytest.approx(math.acosh(2.5), rel=1e-3)
@@ -407,11 +404,11 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
     # here): the singularity is on the real axis, so the root is exactly
     # 0, not the root the roundoff puts at y ~ 1e-7 nor the next sign
     # change further up the axis (y ~ 0.2067)
-    p, traj = small_solve
-    track = build_track(traj, p.n_modes, traj.times)
+    _, traj = small_solve
+    track = build_track(traj, traj.times)
     assert track.y_root[-1] == 0.0
     # 4.3e-5 before t_c the root is still the first sign change up the axis
-    near = build_track(traj, p.n_modes, [0.161917625418158])
+    near = build_track(traj, [0.161917625418158])
     assert near.y_root[0] == pytest.approx(0.0578, abs=1e-4)
     # every earlier row starts positive at y = 0, so its root is still the
     # first sign change of the scan
@@ -421,8 +418,8 @@ def test_root_is_zero_once_v_reaches_the_axis(small_solve):
 
 
 def test_build_track_counts_every_dropped_fit(small_solve):
-    p, traj = small_solve
-    track = build_track(traj, p.n_modes, traj.times[::2])
+    _, traj = small_solve
+    track = build_track(traj, traj.times[::2])
     usable = int(np.count_nonzero(track.usable_fit()))
     assert 0 < usable < track.times.size
     assert sum(track.no_fit.values()) == track.times.size - usable
@@ -446,7 +443,7 @@ def test_track_roots_against_direct_complex_sum(small_solve):
     # every stored state, t_c included, plus a uniform grid before t_c
     times = np.union1d(traj.times,
                        np.linspace(0.0, traj.times[-1], 55, endpoint=False))
-    track = build_track(traj, n, times)
+    track = build_track(traj, times)
     usable = np.flatnonzero(track.usable_root())
     assert usable.size > 30
     dips = 0
@@ -484,12 +481,12 @@ def test_u_reconstruction_then_fit_matches_root(tmp_path=None):
     # axis-root position of v
     p = model_params(0.25, 0.1, n_modes=64)
     f = initial_field(p)
-    _, u_field, failed = u_from_v(f)
+    _, u_coeffs, failed = u_from_v(f)
     assert failed == [None]
     # exact reciprocal coefficients decay as rho^{-k} with no k-prefactor:
     # times |k| they take the fit's k^1 one
-    k = np.abs(np.arange(-u_field.n_modes, u_field.n_modes + 1))
-    u_k = FourierField(u_field.n_modes, k * u_field.coeffs)
+    k = np.abs(np.arange(-p.n_modes, p.n_modes + 1))
+    u_k = k * u_coeffs
     # the reconstructed coefficients fall below the FFT noise floor past
     # k ~ 21, so the fit window stays inside the clean band
     y_fit, _, _ = fit_strip_width(u_k, k_range=(8, 18))
@@ -505,7 +502,7 @@ def test_early_roots_sit_at_the_initial_singularity(solve_fine):
     y_ref = math.acosh(params.alpha / params.epsilon)
     times = sorted([t for t in traj.times if t <= 0.01]
                    + list(np.linspace(0.0, 0.01, 41)))
-    track = build_track(traj, params.n_modes, times)
+    track = build_track(traj, times)
     usable = track.usable_root()
     assert np.count_nonzero(usable) >= 40
     assert np.all(np.abs(track.y_root[usable] - y_ref) <= 0.01 * y_ref)
