@@ -7,22 +7,31 @@ self-describing and byte-deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 
+# CPython's built-in SHA-256, as random.py takes its sha512: hashlib maps
+# OpenSSL's libcrypto into the process (about 3 MB) for one hash
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def config_hash(config: Mapping) -> str:
     """Content hash of a config mapping (canonical JSON, sha256)."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def file_sha256(path: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)

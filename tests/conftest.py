@@ -1,7 +1,6 @@
 """Shared fixtures: the expensive reference solves are session-scoped so
 unit tests and acceptance criteria reuse them instead of re-integrating."""
 
-import numpy as np
 import pytest
 
 from blowup_lab.pde import solve_to_blowup

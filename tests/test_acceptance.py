@@ -7,7 +7,6 @@ with -s or in captured output on failure) and asserts every sub-check.
 import math
 
 import numpy as np
-import pytest
 
 from blowup_lab import asymptotics, experiments, tracker
 from blowup_lab.integrator import IntegratorConfig, integrate

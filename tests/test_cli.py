@@ -1,6 +1,7 @@
 """Command-line harness: outputs, manifest integrity, determinism,
 config hashes, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -39,6 +40,36 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_commands_load_neither_openssl_nor_numpy_random(tmp_path):
+    # the manifests hash with CPython's own SHA-256 (hashlib maps OpenSSL's
+    # libcrypto, about 3 MB) and the noise is numpy's PCG64 without
+    # numpy.random (about 2 MB); in a subprocess, as pytest may load both
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, path) if p))
+    runs = {"seeded": ["continue", "--seed", "3"],
+            "complex": ["continue", "--method", "complex_path"],
+            "snapshots": ["snapshots", "--seed", "3"],
+            "singularity": ["singularity"]}
+    argvs = [[*argv, *FAST, "--out", str(tmp_path / name)]
+             for name, argv in runs.items()]
+    code = ("import json, sys; from blowup_lab import cli; "
+            f"codes = [cli.main(a) for a in {argvs!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m in ('_hashlib', 'hashlib') or m.startswith('numpy.random'))]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0] * len(runs) and loaded == []
+    for name in runs:
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["outputs"]
+        for entry in manifest["outputs"].values():
+            blob = (tmp_path / name / entry["path"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_solve_writes_outputs_and_manifest(tmp_path):

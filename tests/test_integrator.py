@@ -172,8 +172,8 @@ def test_event_direction_filter():
     rhs = lambda y, t: np.array([math.cos(t) + 0j])
     ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
                    root_tol=1e-13)
-    traj, hit = integrate(rhs, np.array([-0.5 + 0j]), 0.0, 4.0,
-                          TOLERANCES, events=[ev])
+    _, hit = integrate(rhs, np.array([-0.5 + 0j]), 0.0, 4.0,
+                       TOLERANCES, events=[ev])
     assert hit is not None
     assert abs(hit.t - 5.0 * math.pi / 6.0) < 1e-9
     # a direction the integrator would not honour is refused
@@ -256,7 +256,7 @@ def test_path_integration_matches_real_axis_for_entire_function():
     # carry e^0.5 to e^1.5, as the real axis does
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([math.exp(0.5) + 0j]),
-                            semicircle(1.0, 0.5), cfg, None)
+                            semicircle(1.0, 0.5), cfg, None, keep=())
     assert detour.times[-1] == 1.0
     assert abs(detour.states[-1][0] - math.exp(1.5)) < 1e-9
 
@@ -269,7 +269,7 @@ def test_path_steps_are_recorded_in_time():
     radius = 0.01
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([1.0 + 0j]),
-                            semicircle(1.0, radius), cfg, None)
+                            semicircle(1.0, radius), cfg, None, keep=())
     h = detour.stats.h_accepted
     assert len(h) == len(detour.dense_segments) > 3
     assert all(0.0 < step <= math.pi * radius for step in h)
@@ -501,9 +501,9 @@ def test_stats_count_nonfinite_rejections_and_event_evaluations():
         return float(y[0].real)
 
     ev = EventSpec(observable, direction="decreasing", root_tol=1e-13)
-    traj, hit = integrate(lambda y, t: np.array([-1.0 + 0j]),
-                          np.array([1.0 + 0j]), 0.0, 2.0,
-                          TOLERANCES, events=[ev])
+    traj, _ = integrate(lambda y, t: np.array([-1.0 + 0j]),
+                        np.array([1.0 + 0j]), 0.0, 2.0,
+                        TOLERANCES, events=[ev])
     # one call at t0 for the degenerate check, one to initialise, one
     # per accepted step; the rest locate the root
     assert traj.stats.event_evals == len(seen) - 2 - traj.stats.accepted > 0
@@ -533,7 +533,8 @@ def test_bisect_lookup_matches_linear_scan(kind):
     if kind == "real":
         traj, _ = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = integrate_path(rhs, y0, semicircle(1.0, 1.0), cfg, lin=lin)
+        traj = integrate_path(rhs, y0, semicircle(1.0, 1.0), cfg, lin=lin,
+                              keep=None)
         assert traj.times[-1] == 1.0
         assert len(traj.dense_segments) > 5
     times = traj.times
@@ -574,7 +575,7 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
         traj, _ = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
         traj = integrate_path(block_rhs, y0, semicircle(1.0, 1.0), cfg,
-                              lin=lin)
+                              lin=lin, keep=None)
     times, seg = traj.times, traj.dense_segments[3]
     rng = np.random.default_rng(7)
     # 40 times inside one segment (three blocks), random times over the

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from blowup_lab import pde
 from blowup_lab.experiments import (TABLE1_ALPHAS, TABLE1_EPSILONS,
                                     sample_times)
 from blowup_lab.integrator import IntegrationError, IntegratorConfig
@@ -241,7 +242,7 @@ def test_table1_cells_solve_without_nonfinite_stages():
 def test_blowup_report_estimates_and_deltas():
     p = small_params(n_modes=32, alpha=0.25, epsilon=0.1)
     _, rep = solve_to_blowup(p)
-    est, integrations = blowup_estimates(p)
+    est, _ = blowup_estimates(p)
     # leading-order estimate alpha - eps e^{-alpha}
     assert est["t_hat"] == pytest.approx(0.25 - 0.1 * math.exp(-0.25))
     # second-order refinement: t_tilde = t_hat - (2 C1 + C2 + C3) eps^2
@@ -312,6 +313,26 @@ def test_seed_imaginary_noise_properties():
     assert 0.0 < np.max(np.abs(pert)) <= 1e-14           # the amplitude
 
 
+@pytest.mark.parametrize("seeds", [range(300),
+                                   [2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11]])
+def test_seed_draws_are_numpys_bit_for_bit(seeds):
+    # numpy's PCG64 draws, without numpy.random in the library; the last
+    # three seeds have 2, 3 and 5 words of 32 bits, the last more than
+    # the SeedSequence pool of 4
+    c = np.zeros(2 * 128 + 1, dtype=complex)
+    for seed in seeds:
+        want = np.random.default_rng(seed).uniform(-1e-14, 1e-14, 129)
+        got = seed_imaginary_noise(c, seed).imag[128:]
+        assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40])
+def test_negative_seed_is_refused_as_numpy_refuses_it(seed):
+    c = initial_field(small_params())
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        seed_imaginary_noise(c, seed)
+
+
 def test_continue_past_blowup_requires_t_end_beyond_tc():
     p = small_params()
     solve, rep = solve_to_blowup(p)
@@ -361,6 +382,30 @@ def test_continuation_holds_arrays_only_for_the_steps_it_reads():
             run.state_at(1.75 * t_c)
     assert held[0] <= len(times) + 3
     assert held[1] <= held[0] and accepted[1] > accepted[0]
+
+
+def test_complex_path_arc_holds_only_its_two_ends(monkeypatch):
+    # the leg reads the arc's last state and its stats alone: the arc's
+    # first step keeps its start state as r1, no step keeps k1, and no
+    # state but the first and the last is held
+    p = small_params()
+    solve, rep = solve_to_blowup(p)
+    arcs, original = [], pde.integrate_path
+
+    def integrate_path(*args, **kwargs):
+        arcs.append(original(*args, **kwargs))
+        return arcs[-1]
+
+    monkeypatch.setattr("blowup_lab.pde.integrate_path", integrate_path)
+    continue_complex_path(p, solve, 1.5 * rep.t_c, rep.t_c, 0.1 * rep.t_c, [])
+    (arc,) = arcs
+    segs = arc.dense_segments
+    assert len(segs) > 3
+    assert segs[0].r1 is arc.states[0]
+    assert all(seg.r1 is None for seg in segs[1:])
+    assert all(seg.k1 is None for seg in segs)
+    assert all(s is None for s in arc.states[1:-1])
+    assert arc.states[-1] is not None
 
 
 @pytest.mark.parametrize("rng_seed", [104, 157])
