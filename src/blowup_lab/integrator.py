@@ -575,16 +575,15 @@ def semicircle(center: complex, radius: float) -> PathSegment:
 
 
 def integrate_path(rhs: RHS, y0, path: PathSegment, cfg: IntegratorConfig,
-                   lin: Optional[np.ndarray],
-                   keep: Optional[Iterable[float]]) -> Trajectory:
+                   lin: Optional[np.ndarray]) -> Trajectory:
     """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds over s in [0, 1]
     along the path; lin is stepped exactly over t(s) as in integrate, and
-    the trajectory's times are the path parameter s, as are the kept
-    times in keep (() for the two ends alone, None for every state)."""
+    the trajectory's times are the path parameter s.  It keeps no dense
+    output: its states are the two ends alone."""
 
     def rhs_s(ys, s):
         return rhs(ys, path.t_of_s(s)) * path.dt_ds(s)
 
     traj, _ = integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=path.t_of_s,
-                        keep=keep)
+                        keep=())
     return traj

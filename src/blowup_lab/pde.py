@@ -341,8 +341,7 @@ def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
         raise ValueError("t_end must be at least t_c + radius")
     rhs, lin = make_rhs(params), diffusion(params.n_modes)
     arc = integrate_path(rhs, solve.state_at(t_c - radius),
-                         semicircle(t_c, radius), params.integrator, lin,
-                         keep=())
+                         semicircle(t_c, radius), params.integrator, lin)
     leg, _ = integrate(rhs, arc.states[-1], t_c + radius, t_end,
                        params.integrator, lin=lin,
                        keep=[*times, t_c + radius, t_end], stats=arc.stats)

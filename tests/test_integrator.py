@@ -256,7 +256,7 @@ def test_path_integration_matches_real_axis_for_entire_function():
     # carry e^0.5 to e^1.5, as the real axis does
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([math.exp(0.5) + 0j]),
-                            semicircle(1.0, 0.5), cfg, None, keep=())
+                            semicircle(1.0, 0.5), cfg, None)
     assert detour.times[-1] == 1.0
     assert abs(detour.states[-1][0] - math.exp(1.5)) < 1e-9
 
@@ -269,7 +269,7 @@ def test_path_steps_are_recorded_in_time():
     radius = 0.01
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([1.0 + 0j]),
-                            semicircle(1.0, radius), cfg, None, keep=())
+                            semicircle(1.0, radius), cfg, None)
     h = detour.stats.h_accepted
     assert len(h) == len(detour.dense_segments) > 3
     assert all(0.0 < step <= math.pi * radius for step in h)
@@ -524,6 +524,16 @@ def linear_scan(traj, t):
     raise IntegrationError(f"t = {t} outside integrated span")
 
 
+def along_path(rhs, y0, path, cfg, lin):
+    """integrate_path's integration with every state's dense output kept,
+    which integrate_path itself does not keep: the lookups must find
+    their segments by the path parameter s, not by the complex t."""
+    traj, _ = integrate(
+        lambda ys, s: rhs(ys, path.t_of_s(s)) * path.dt_ds(s), y0, 0.0, 1.0,
+        cfg, lin=lin, clock=path.t_of_s)
+    return traj
+
+
 @pytest.mark.parametrize("kind", ["real", "path"])
 def test_bisect_lookup_matches_linear_scan(kind):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
@@ -533,8 +543,7 @@ def test_bisect_lookup_matches_linear_scan(kind):
     if kind == "real":
         traj, _ = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = integrate_path(rhs, y0, semicircle(1.0, 1.0), cfg, lin=lin,
-                              keep=None)
+        traj = along_path(rhs, y0, semicircle(1.0, 1.0), cfg, lin)
         assert traj.times[-1] == 1.0
         assert len(traj.dense_segments) > 5
     times = traj.times
@@ -574,8 +583,7 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     if kind == "real":
         traj, _ = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = integrate_path(block_rhs, y0, semicircle(1.0, 1.0), cfg,
-                              lin=lin, keep=None)
+        traj = along_path(block_rhs, y0, semicircle(1.0, 1.0), cfg, lin)
     times, seg = traj.times, traj.dense_segments[3]
     rng = np.random.default_rng(7)
     # 40 times inside one segment (three blocks), random times over the
