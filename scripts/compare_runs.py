@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the CSV bodies and the manifests of two result trees.
 
-    python3 scripts/compare_runs.py DIR_A DIR_B
+    python3 scripts/compare_runs.py [--expected LIST] DIR_A DIR_B
 
 Every CSV under either directory (as written by scripts/run_all.sh) is
 compared byte for byte below its `#` header lines, which carry the run's
@@ -15,8 +15,20 @@ statistics of each integration must agree as well; a manifest
 that differs is listed with the dotted names of the entries that differ.
 Exits 0 when everything agrees, else 1 with what differs or exists on
 one side only.
+
+LIST (scripts/expected_changes.txt in CI, against the base commit) names
+the outputs a change means to move, one a line; blank lines and lines
+starting with # are skipped. A line is a CSV's path below the tree's
+root (`table1/table1.csv`) or a manifest entry: the manifest's path, a
+colon and the entry's dotted name
+(`errors/manifest.json:integrator.solve.accepted`). Shell-style
+wildcards match as in fnmatch (`*/manifest.json:integrator.*`). A
+difference that the list names is marked "(expected)" and leaves the
+exit status 0; every other still makes it 1.
 """
 
+import argparse
+import fnmatch
 import json
 import math
 import pathlib
@@ -95,35 +107,57 @@ def describe(name: str, body_a: bytes, body_b: bytes) -> str:
             f"max rel diff {gap[1]:.3g}) in columns {', '.join(gap[2])}")
 
 
-def only_in(argv, a: dict, b: dict) -> list:
-    return [f"only in {argv[0] if name in a else argv[1]}: {name}"
+def only_in(dirs, a: dict, b: dict) -> list:
+    """(line, [name]) for each name on one side only."""
+    return [(f"only in {dirs[0] if name in a else dirs[1]}: {name}", [name])
             for name in sorted(a.keys() ^ b.keys())]
 
 
+def read_expected(path: pathlib.Path) -> list:
+    """The patterns of an expected-changes list."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: compare_runs.py DIR_A DIR_B", file=sys.stderr)
-        return 2
-    a, b = (csv_bodies(pathlib.Path(d)) for d in argv)
+    parser = argparse.ArgumentParser(prog="compare_runs.py")
+    parser.add_argument("--expected", type=pathlib.Path, metavar="LIST")
+    parser.add_argument("dirs", nargs=2, metavar="DIR")
+    args = parser.parse_args(argv)
+    dirs = args.dirs
+    expected = [] if args.expected is None else read_expected(args.expected)
+    a, b = (csv_bodies(pathlib.Path(d)) for d in dirs)
     if not a and not b:
         print("no CSV files found", file=sys.stderr)
         return 1
-    differ = only_in(argv, a, b)
-    differ += [describe(name, a[name], b[name])
+    # (line, the names it reports): a CSV path, a manifest's path or its
+    # path and one dotted entry
+    differ = only_in(dirs, a, b)
+    differ += [(describe(name, a[name], b[name]), [name])
                for name in sorted(a.keys() & b.keys()) if a[name] != b[name]]
-    ma, mb = (manifests(pathlib.Path(d)) for d in argv)
-    manifests_differ = only_in(argv, ma, mb)
-    manifests_differ += [
-        f"manifest differs: {name} in "
-        f"{', '.join(entries_that_differ(ma[name], mb[name]))}"
-        for name in sorted(ma.keys() & mb.keys()) if ma[name] != mb[name]]
-    for line in differ + manifests_differ:
+    ma, mb = (manifests(pathlib.Path(d)) for d in dirs)
+    manifests_differ = only_in(dirs, ma, mb)
+    for name in sorted(ma.keys() & mb.keys()):
+        if ma[name] != mb[name]:
+            entries = entries_that_differ(ma[name], mb[name])
+            manifests_differ.append((f"manifest differs: {name} in "
+                                     f"{', '.join(entries)}",
+                                     [f"{name}:{e}" for e in entries]))
+    unexpected = 0
+    for line, names in differ + manifests_differ:
+        if all(any(fnmatch.fnmatchcase(name, pattern) for pattern in expected)
+               for name in names):
+            line += " (expected)"
+        else:
+            unexpected += 1
         print(line)
     print(f"{len(differ)} of {len(a.keys() | b.keys())} CSV files differ")
     if ma or mb:
         print(f"{len(manifests_differ)} of {len(ma.keys() | mb.keys())} "
               "manifests differ")
-    return 1 if differ or manifests_differ else 0
+    if args.expected is not None:
+        print(f"{unexpected} of them not in {args.expected}")
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":

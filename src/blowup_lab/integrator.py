@@ -41,7 +41,6 @@ _ROW = [i * (i - 1) // 2 for i in range(8)]
 # would page numpy's sort code in at import, about 0.6 MB of resident memory)
 _GAPS = (_C[_LOWER[0]] - _C[_LOWER[1]]).tolist()
 _DISTINCT_GAPS = sorted(set(_GAPS))
-_GAP_VALUES = np.array(_DISTINCT_GAPS)
 _A_PACKED = _A[_LOWER][:, None]
 _WEIGHTS = np.concatenate([_A_PACKED, _E[:, None]])
 # the packed pairs whose exponentials a step gathers: E_i0 (the decays),
@@ -51,11 +50,13 @@ _WEIGHTS = np.concatenate([_A_PACKED, _E[:, None]])
 _GATHER = [20] + _ROW[1:7] + list(range(21)) + list(range(15, 21)) + [20]
 _TAKE = [np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in _GATHER]),
          np.array(_GATHER)]
-# the distinct gaps and the weights as columns against the state axis:
-# [False] for a step length h that is a number, [True] with one more axis
-# for an (m, 1) column of step lengths
-_COLUMNS = [tuple(w.reshape((-1,) + (1,) * axes)
-                  for w in (_GAP_VALUES, _WEIGHTS)) for axes in (1, 2)]
+# the distinct gaps as a column against the state axis; a block step's
+# gaps and weights with one more axis, for an (m, 1) column of step lengths
+_GAP_COLUMN = np.array(_DISTINCT_GAPS)[:, None]
+_BLOCK_GAPS, _BLOCK_WEIGHTS = _GAP_COLUMN[:, :, None], _WEIGHTS[:, :, None]
+# plain DOPRI5's weights (lin None) as (a, e): [False] for one state,
+# complex as the stages are, [True] for a block, float (see _stage_weights)
+_PLAIN = [(w[:21], w[21:]) for w in (_WEIGHTS.astype(complex), _BLOCK_WEIGHTS)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
 # the step controller's first step, the step below which a solve stops
@@ -132,7 +133,8 @@ class EventHit:
 class DenseSegment:
     """One accepted step [t0, t0 + h] with what its dense output needs:
     the start state r1, the right-hand side k1 there, and the sub-step
-    substep(t0, r1, tau, k1) of the method that took the step.  A step
+    substep(t0, ys, tau, k1) of the method that took the step, on an
+    (m, n) block ys with an (m, 1) column tau of step lengths.  A step
     that an integration with kept times does not read holds None for
     both (the first step keeps its r1, the first state)."""
 
@@ -140,22 +142,18 @@ class DenseSegment:
     h: float
     r1: Optional[np.ndarray]
     k1: Optional[np.ndarray]
-    substep: Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
+    substep: Callable[[float, np.ndarray, np.ndarray, np.ndarray],
+                      np.ndarray]
 
-    def eval(self, t: float) -> np.ndarray:
-        """The state at t: one step of length t - t0 from (t0, r1).  It is
-        as accurate as an accepted step, returns r1 itself at t0 and the
-        step's own end state at t0 + h."""
-        tau = t - self.t0
-        if tau == 0.0:
-            return self.r1
-        return self.substep(self.t0, self.r1, tau, self.k1)
-
-    def eval_block(self, ts: Sequence[float]) -> np.ndarray:
-        """The states at the times ts in (t0, t0 + h], one row each: the
-        sub-steps of eval taken together, as one step of the method on an
-        (m, n) block with an (m, 1) column of step lengths."""
+    def eval_block(self, ts: Sequence[float]) -> Sequence[np.ndarray]:
+        """The states at the times ts in [t0, t0 + h], one row each: for
+        each time one step of length t - t0 from (t0, r1), as accurate as
+        an accepted step, taken together as one step of the method on an
+        (m, n) block with an (m, 1) column of step lengths.  The one time
+        t0 gives r1 itself; t0 + h gives the step's own end state."""
         tau = np.reshape(ts, (-1, 1)) - self.t0
+        if tau.shape == (1, 1) and tau[0, 0] == 0.0:
+            return [self.r1]
         block = np.broadcast_to(self.r1, (tau.shape[0], self.r1.size))
         return self.substep(self.t0, block, tau, self.k1)
 
@@ -240,7 +238,7 @@ class Trajectory:
         if i < len(times) and times[i] == t:
             return self.states[i]
         if 0 < i < len(times):
-            return self.dense_segments[i - 1].eval(t)
+            return self.dense_segments[i - 1].eval_block([t])[0]
         # clamp to endpoints
         if abs(t - times[0]) <= 1e-12 * max(1.0, abs(t)):
             return self.states[0]
@@ -284,36 +282,65 @@ def _combine(w, k):
     return np.add.reduce(w * k, axis=0, initial=0.0)
 
 
-def _stage_weights(lin, clock, t, h, dense):
+def _lawson_tables(lin, clock):
+    """What a single-state step in Lawson form reads in place of lin,
+    built once per integration so that no step broadcasts a column
+    across the state: (lin in one row per distinct gap, 15 rows, or with
+    a clock per stage pair, 21 rows and complex as the gaps are; the
+    packed weights in one column per state component).  None for plain
+    DOPRI5 (lin None)."""
+    if lin is None:
+        return None
+    lin = np.asarray(lin) if clock is None else np.asarray(lin, complex)
+    return (np.repeat(lin[None], 15 if clock is None else 21, axis=0),
+            np.repeat(_WEIGHTS, lin.size, axis=1))
+
+
+def _stage_weights(tables, clock, t, h, dense):
     """Weights of one step from t to t + h: (decay, a, e), a packed.
 
-    Plain DOPRI5 (lin None): decay is None, a the tableau and e the error
-    weights.  Lawson form: with E_ij = exp(lin (T_i - T_j)), T_i the time
-    at node t + c_i h (clock(t + c_i h) on a path, else the node itself),
-    stage i starts from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij;
-    the error weights are e_j E_6j, or None for a dense sub-step.  The
-    nodes never decrease, so |E| <= 1 whenever Re lin <= 0 and the real
-    part of T increases.  h is a number, or an (m, 1) column of step
-    lengths from the same t, which gives each weight a row per step.
+    Plain DOPRI5 (tables None): decay is None, a the tableau and e the
+    error weights.  Lawson form (tables from _lawson_tables): with
+    E_ij = exp(lin (T_i - T_j)), T_i the time at node t + c_i h
+    (clock(t + c_i h) on a path, else the node itself), stage i starts
+    from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij; the error
+    weights are e_j E_6j, or None for a dense sub-step.  The nodes never
+    decrease, so |E| <= 1 whenever Re lin <= 0 and the real part of T
+    increases.  h is a number, or an (m, 1) column of step lengths from
+    the same t, which gives each weight a row per step; dense sub-steps
+    (Trajectory's lookups and event location) are blocks.
+
+    The stages are complex.  A single state's weights are complex too,
+    so that no product with a stage casts: (w + 0i)(c + di) is what the
+    cast computes, bit for bit.  A block's stay float (lin's dtype), as
+    complex block weights cost more than the casts they save.
     """
     block = isinstance(h, np.ndarray)
-    gaps_c, w_c = _COLUMNS[block]
-    if lin is None:
-        return None, w_c[:21], w_c[21:]
+    if tables is None:
+        return (None,) + _PLAIN[block]
+    lin_rows, weights = tables
     if clock is None:
-        gaps, take = gaps_c * h, _TAKE[0]
+        gaps, take = (_BLOCK_GAPS if block else _GAP_COLUMN) * h, _TAKE[0]
     else:
         nodes = np.array([clock(t + c * h) for c in _C])
         gaps, take = nodes[_LOWER[0]] - nodes[_LOWER[1]], _TAKE[1]
         gaps = gaps if block else gaps[:, None]
-    rows = 28 if dense else 35
-    g = np.take(np.exp(gaps * lin), take[:rows], axis=0)
-    g[7:] *= w_c[:rows - 7]
+    if block:
+        rows = 28 if dense else 35
+        g = np.take(np.exp(gaps * lin_rows[0]), take[:rows], axis=0)
+        g[7:] *= _BLOCK_WEIGHTS[:rows - 7]
+    else:
+        g = np.multiply(gaps, lin_rows)
+        np.exp(g, out=g)
+        g = g[take]
+        g[7:] *= weights
+        g = g.astype(complex, copy=False)
     return g[:7], g[7:28], None if dense else g[28:]
 
 
-def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
-    """One DOPRI5 step, in Lawson form unless lin is None.
+def _attempt_step(rhs, t, y, h, k1, tables, clock, dense=False):
+    """One DOPRI5 step, in Lawson form unless tables is None (see
+    _lawson_tables).
 
     Returns (y5, err, k, ok), k the (7, n) stages; ok=False on non-finite
     rhs.  With dense=True the step stops at y5, skipping the last stage,
@@ -321,7 +348,7 @@ def _attempt_step(rhs, t, y, h, k1, lin, clock, dense=False):
     An (m, n) block y with an (m, 1) column h takes m steps from t at
     once, each row as its own step would, with rhs called on the block.
     """
-    decay, a, e = _stage_weights(lin, clock, t, h, dense)
+    decay, a, e = _stage_weights(tables, clock, t, h, dense)
     k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = k1
     for i in range(1, 7):
@@ -424,8 +451,9 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     (Lawson form); None integrates y' = rhs(y, t) with plain DOPRI5.
     clock(s) is the time that lin acts over when the variable s is a path
     parameter (y' = (lin y + N) dt/ds); the default is s itself.
-    Dense output calls rhs as well, Trajectory.states_at on (m, n) blocks
-    of states with an (m, 1) column of times.
+    Dense output and event location call rhs as well, on (m, n) blocks
+    of states with an (m, 1) column of times (one row for
+    Trajectory.state_at and for each of the event's trial times).
 
     Stops at the first event root, where an observable goes from > 0 to
     <= 0 over an accepted step, reached by a step of its own that
@@ -443,8 +471,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     if not math.isfinite(t1):
         raise ValueError(f"t1 = {t1} is not finite")
     y = np.array(y0, dtype=complex, ndmin=1)
-    if lin is not None:
-        lin = np.asarray(lin)
+    tables = _lawson_tables(lin, clock)
     traj = Trajectory(stats=IntegratorStats() if stats is None else stats,
                       kept=None if keep is None else frozenset(keep))
     traj.append(t0, y)
@@ -467,8 +494,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
 
     def dense(count_rhs):
         def substep(ts, ys, tau, k1s):
-            out, _, _, ok = _attempt_step(count_rhs, ts, ys, tau, k1s, lin,
-                                          clock, dense=True)
+            out, _, _, ok = _attempt_step(count_rhs, ts, ys, tau, k1s,
+                                          tables, clock, dense=True)
             if not ok:
                 raise IntegrationError(f"rhs non-finite in dense output at "
                                        f"t = {ts + tau}")
@@ -493,8 +520,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
         if t >= t1:
             return traj, None
         h = min(h, t1 - t)
-        y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h, k1, lin,
-                                              clock)
+        y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h, k1,
+                                              tables, clock)
         hit = None
         if ok:
             err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
@@ -506,14 +533,15 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
                 ev = events[fired[0]]
                 seg = DenseSegment(t, h, y, k1, locate)
                 root, calls = brentq(
-                    lambda tt, _: [ev.observable(seg.eval(float(tt[0])))],
+                    lambda tt, _: [ev.observable(row)
+                                   for row in seg.eval_block(tt)],
                     [t], [t + h], ev.root_tol)
                 t_star = float(root[0])
                 stats.event_evals += int(calls[0])
                 # the step onto the root must pass the error test itself
                 h = t_star - t
                 y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h,
-                                                      k1, lin, clock)
+                                                      k1, tables, clock)
                 if ok:
                     err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
                     hit = EventHit(t_star, y_new)

@@ -123,7 +123,9 @@ def make_rhs(params: ModelParams):
     sign = node_shift(n)        # the grid starts at x = -pi
     # rows: spectra of v and of v_x on the padded grid
     shift = np.stack([sign, 1j * k * sign])
-    out_scale = -2.0 * sign / p
+    # complex, as the spectrum it scales is: a float factor would be cast
+    # to (s + 0i) on every call, which gives the same bits
+    out_scale = (-2.0 * sign / p).astype(complex)
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
 

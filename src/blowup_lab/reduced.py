@@ -17,7 +17,11 @@ from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate
 
 def _field(y, tau):
     """d(log a, r, t)/dtau = (-(2ar^2 + 2 - r^2),
-    -r(2a - 5ar^2 - 2 + r^2), a(2 - r^2))."""
+    -r(2a - 5ar^2 - 2 + r^2), a(2 - r^2)), of one state or, row by row,
+    of a block (the breakdown's location reads one-row blocks); a row at
+    a time keeps math.exp, whose bits np.exp does not always give."""
+    if y.ndim > 1:
+        return np.array([_field(row, tau) for row in y])
     a, r = math.exp(y[0].real), y[1].real
     r2 = r * r
     return np.array([-(2.0 * a * r2 + 2.0 - r2),

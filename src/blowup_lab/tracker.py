@@ -76,7 +76,7 @@ def fit_strip_width(coeffs: np.ndarray,
         raise TrackingError("zero coefficient inside k-range")
     rhs = np.log(ak) - np.log(k)
     design = np.column_stack([np.ones_like(k), -k])
-    (log_c, y), res, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    (log_c, y), *_ = np.linalg.lstsq(design, rhs, rcond=None)
     fitted = design @ np.array([log_c, y])
     residual = float(np.sqrt(np.mean((fitted - rhs) ** 2)))
     return float(y), float(np.exp(log_c)), residual

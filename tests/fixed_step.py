@@ -6,7 +6,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from blowup_lab.integrator import IntegrationError, _attempt_step
+from blowup_lab.integrator import (IntegrationError, _attempt_step,
+                                   _lawson_tables)
 
 
 def integrate_fixed(rhs, y0, t0: float, t1: float, h: float,
@@ -14,10 +15,10 @@ def integrate_fixed(rhs, y0, t0: float, t1: float, h: float,
     """Propagate y' = lin * y + rhs(y, t) from t0 to t1 in steps of h."""
     y = np.atleast_1d(np.asarray(y0, dtype=complex))
     n = int(round((t1 - t0) / h))
-    t = t0
+    t, tables = t0, _lawson_tables(lin, None)
     for _ in range(n):
         k1 = rhs(y, t)
-        y, _, _, ok = _attempt_step(rhs, t, y, h, k1, lin, None)
+        y, _, _, ok = _attempt_step(rhs, t, y, h, k1, tables, None)
         if not ok:
             raise IntegrationError(f"rhs non-finite at t = {t}")
         t += h

@@ -1,8 +1,10 @@
-"""scripts/compare_runs.py: CSV bodies compared below their headers, and
-manifests compared without their wall times."""
+"""scripts/compare_runs.py: CSV bodies compared below their headers,
+manifests compared without their wall times, and the differences a list
+of expected changes names set apart from the rest."""
 
 import importlib.util
 import json
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -100,3 +102,40 @@ def test_compare_runs_compares_manifests_without_their_wall_times(
     assert f"only in {b}: other/manifest.json" in out
     assert "0 of 1 CSV files differ" in out
     assert "2 of 2 manifests differ" in out
+
+
+def test_compare_runs_fails_on_what_the_expected_list_leaves_out(
+        tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_tree(a, {"run/v.csv": "# h\nk,v\n1,0.1\n", "run/w.csv": "k\n1\n",
+                   "run/manifest.json": json.dumps(
+                       {"integrator": {"solve": {"accepted": 10}}})})
+    write_tree(b, {"run/v.csv": f"# g\nk,v\n1,{math.nextafter(0.1, 1.0)!r}\n",
+                   "run/w.csv": "k\n1\n", "run/manifest.json": json.dumps(
+                       {"integrator": {"solve": {"accepted": 11}}})})
+    listed = tmp_path / "expected.txt"
+
+    def compare(*lines):
+        listed.write_text("# a comment\n\n" + "".join(f"{x}\n" for x in lines))
+        code = compare_runs.main(["--expected", str(listed), str(a), str(b)])
+        return code, capsys.readouterr().out
+
+    # one cell one ulp apart: the body is named, and nothing expects it
+    code, out = compare()
+    assert code == 1
+    assert ("body differs: run/v.csv (max abs diff 1.39e-17, max rel diff "
+            "1.39e-16) in columns v\n") in out
+    assert "2 of them not in" in out
+    # listed, by name or by a wildcard, the same differences pass
+    code, out = compare("run/v.csv",
+                        "run/manifest.json:integrator.solve.accepted")
+    assert code == 0 and "0 of them not in" in out
+    assert "run/v.csv (max abs diff 1.39e-17, max rel diff 1.39e-16) in " \
+        "columns v (expected)\n" in out
+    assert ("manifest differs: run/manifest.json in integrator.solve.accepted"
+            " (expected)\n") in out
+    code, out = compare("*/v.csv", "*:integrator.*")
+    assert code == 0
+    # what the list leaves out still fails: another manifest entry
+    code, out = compare("run/v.csv", "run/manifest.json:config.*")
+    assert code == 1 and "1 of them not in" in out

@@ -169,7 +169,8 @@ def test_brentq_returns_an_endpoint_root():
 def test_event_direction_filter():
     # y = sin t - 1/2 crosses zero upward at pi/6 and downward at 5 pi/6:
     # the upward crossing does not fire
-    rhs = lambda y, t: np.array([math.cos(t) + 0j])
+    # (event location takes one-row blocks with a column of times)
+    rhs = lambda y, t: np.cos(t) + 0j * y
     ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
                    root_tol=1e-13)
     _, hit = integrate(rhs, np.array([-0.5 + 0j]), 0.0, 4.0,
@@ -419,16 +420,52 @@ def test_lawson_step_matches_reference_bit_for_bit(column, path):
         if not column:
             y, h = y[0], float(h[0, 0])
         k1 = block_rhs(y, t)
+        tables = integrator._lawson_tables(lin, clock)
         y5, err, stages, ok = integrator._attempt_step(block_rhs, t, y, h, k1,
-                                                       lin, clock)
+                                                       tables, clock)
         ref = lawson_reference(block_rhs, t, y, h, k1, lin, clock)
         assert ok
         assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
         assert all(same_bits(a, b) for a, b in zip(stages, ref[2]))
         y_dense, no_err, no_stages, ok = integrator._attempt_step(
-            block_rhs, t, y, h, k1, lin, clock, dense=True)
+            block_rhs, t, y, h, k1, tables, clock, dense=True)
         assert ok and no_err is None and no_stages is None
         assert same_bits(y_dense, ref[0])
+
+
+def imaginary_rhs(y, t):
+    """A right-hand side of imaginary values only, for a state or a block
+    with a column of times: a component with a zero real part keeps it
+    through a step whose weights are real."""
+    return 1j * ((y * np.conj(np.roll(y, 1, axis=-1))).real + t)
+
+
+@pytest.mark.parametrize("form", ["real", "path", "plain"])
+def test_single_state_step_matches_one_row_block_bit_for_bit(form):
+    # a single state's step weighs its stages with complex weights, a
+    # block's with float ones (real weights; complex on a path): the same
+    # bits, in the same order of sums.  A weight with an imaginary part
+    # would give the components with a zero real part one.
+    k = np.arange(-4, 5)
+    lin = None if form == "plain" else -(k * k).astype(float)
+    clock = semicircle(0.16, 0.016).t_of_s if form == "path" else None
+    tables = integrator._lawson_tables(lin, clock)
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        y[trial % 3::3] = 1j * y[trial % 3::3].imag
+        t, h = rng.uniform(0, 0.5), 10.0 ** rng.uniform(-4, -0.5)
+        k1 = imaginary_rhs(y, t)
+        y5, err, stages, ok = integrator._attempt_step(
+            imaginary_rhs, t, y, h, k1, tables, clock)
+        row = integrator._attempt_step(imaginary_rhs, t, y[None],
+                                       np.array([[h]]), k1[None], tables,
+                                       clock)
+        assert ok and row[3]
+        assert same_bits(y5, row[0][0]) and same_bits(err, row[1][0])
+        assert same_bits(stages, row[2][:, 0])
+        if form != "path":
+            assert not np.any(y5[trial % 3::3].real)
 
 
 def test_error_norm_is_the_rms_that_np_mean_gives():
@@ -516,7 +553,7 @@ def linear_scan(traj, t):
     covers t, else the endpoint clamps."""
     for seg in traj.dense_segments:
         if seg.t0 <= t <= seg.t0 + seg.h:
-            return seg.eval(t)
+            return seg.eval_block([t])[0]
     if abs(t - traj.times[0]) <= 1e-12 * max(1.0, abs(t)):
         return traj.states[0]
     if abs(t - traj.times[-1]) <= 1e-12 * max(1.0, abs(t)):
@@ -538,7 +575,12 @@ def along_path(rhs, y0, path, cfg, lin):
 def test_bisect_lookup_matches_linear_scan(kind):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
     lin = np.array([-3.0, -40.0])
-    rhs = lambda y, t: np.array([np.cos(t), 0.5 * y[0] * y[1]])
+
+    def rhs(y, t):      # a state, or a block of them with a column of times
+        first, second = y[..., :1], y[..., 1:]
+        return np.concatenate([np.cos(t) + 0j * first, 0.5 * first * second],
+                              axis=-1)
+
     y0 = np.array([1.0 + 0j, 0.5 + 0j])
     if kind == "real":
         traj, _ = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
@@ -661,8 +703,9 @@ def test_linear_part_alone_is_exact_without_overflow():
     y = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
     zero = lambda yy, t: np.zeros_like(yy)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        y5, err, _, ok = integrator._attempt_step(zero, 0.0, y, 0.1,
-                                                  np.zeros_like(y), lin, None)
+        y5, err, _, ok = integrator._attempt_step(
+            zero, 0.0, y, 0.1, np.zeros_like(y),
+            integrator._lawson_tables(lin, None), None)
     assert ok and np.all(np.isfinite(y5)) and not np.any(err)
     exact = np.exp(lin * 0.1) * y
     assert np.all(np.abs(y5 - exact) <= 4 * np.finfo(float).eps * np.abs(y))
@@ -718,13 +761,18 @@ def test_lawson_weights_bounded_on_complex_path_legs():
                         lambda s: np.conj(upper.dt_ds(s)))
     scale = (1 + 1e-14)
     for seg in (upper, lower):
+        tables = integrator._lawson_tables(lin, seg.t_of_s)
         for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
-            decay, a, e = integrator._stage_weights(lin, seg.t_of_s, s0, h,
-                                                    False)
+            decay, a, e = integrator._stage_weights(tables, seg.t_of_s, s0,
+                                                    h, False)
             assert np.all(np.abs(decay) <= scale)
             assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
             assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)
-    # on the real axis without a clock the factors are real
-    decay, a, _ = integrator._stage_weights(lin, None, 0.0, 0.1, False)
-    decay = np.array(decay)
-    assert decay.dtype == float and np.all((0 <= decay) & (decay <= 1))
+    # on the real axis without a clock the factors are real: imaginary
+    # parts exactly 0 (complex for a single state, float for a block) and
+    # the decays within [0, 1]
+    tables = integrator._lawson_tables(lin, None)
+    for h in (0.1, np.array([[0.1], [1e-3]])):
+        decay, a, e = integrator._stage_weights(tables, None, 0.0, h, False)
+        assert not any(np.any(np.imag(w)) for w in (decay, a, e))
+        assert np.all((0 <= decay.real) & (decay.real <= 1))

@@ -5,13 +5,17 @@ default, of a parameter of its functions and methods or of a field of
 its frozen dataclasses, is passed by some call in src/ or perfbench/
 and left out by another.  A default that no call passes is a setting
 nothing uses; one that every call overrides is one only tests rely on.
-Calls are matched to what they call by name."""
+Calls are matched to what they call by name.  Nor does any module in
+src/blowup_lab or tests/ import a name it never reads, or bind a local
+name (one not starting with _) that its function never reads."""
 
 import ast
 import math
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "blowup_lab"
+TESTS = SRC.parent.parent / "tests"
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def public_definitions(tree):
@@ -115,3 +119,84 @@ def test_every_default_is_left_out_by_a_caller():
                   if all(passes)]
     assert not overridden, ("defaults that every call in src/ and "
                             "perfbench/ overrides: " + ", ".join(overridden))
+
+
+def reads(node):
+    """The names read anywhere inside node."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno)
+                            for a in node.names)
+    used = reads(tree)
+    return [f"line {line}: import {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def own_nodes(fn):
+    """A function and the nodes of its own scope, without the functions
+    and classes defined in it (their names are its)."""
+    stack = [fn]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, SCOPES + (ast.ClassDef,)))
+
+
+def unused_locals(tree):
+    """The names each function binds and nothing in it (nested functions
+    included) reads, but for names starting with _ and names declared
+    global or nonlocal."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, SCOPES):
+            continue
+        bound, free = {}, set()
+        for node in own_nodes(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                free.update(node.names)
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    bound.setdefault(child.name, child.lineno)
+        used = reads(fn) | free
+        yield from (f"line {line}: local {name}" for name, line in
+                    bound.items() if name not in used
+                    and not name.startswith("_"))
+
+
+def test_the_unused_name_checks_find_what_they_look_for():
+    tree = ast.parse("import os, sys as system\n"
+                     "from . import spectral\n"
+                     "def f(x):\n"
+                     "    a, _b = x\n"
+                     "    y = a\n"
+                     "    for i in x:\n"
+                     "        pass\n"
+                     "    def g():\n"
+                     "        return system\n"
+                     "    return lambda z: [w for w in z]\n")
+    assert unused_imports(tree) == ["line 1: import os",
+                                    "line 2: import spectral"]
+    assert sorted(unused_locals(tree)) == [
+        "line 5: local y", "line 6: local i", "line 8: local g"]
+
+
+def test_no_unused_import_or_local_in_src_or_tests():
+    found = [f"{path.parent.name}/{path.name}, {item}"
+             for root in (SRC, TESTS) for path in sorted(root.glob("*.py"))
+             for tree in [ast.parse(path.read_text())]
+             for item in (*unused_imports(tree), *unused_locals(tree))]
+    assert not found, "names bound and never read: " + "; ".join(found)
