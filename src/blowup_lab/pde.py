@@ -6,7 +6,7 @@ flatness, and post-blow-up continuation (noise-seeded or complex-time path).
 from __future__ import annotations
 
 import math
-import operator
+import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -141,6 +141,8 @@ def make_rhs(params: ModelParams):
 
     def rhs(c: np.ndarray, t) -> np.ndarray:
         lead = c.shape[:-1]
+        if lead == (1,):        # state_at and every event sub-step: one row
+            return rhs(c[0], t)[None]
         spec_hi, spec_lo, spec, grid, v, w, wf = work(lead) if lead else one
         np.multiply(c[..., None, n:], shift[:, n:], out=spec_hi)
         np.multiply(c[..., None, :n], shift[:, :n], out=spec_lo)
@@ -244,68 +246,17 @@ def seed_imaginary_noise(c: np.ndarray, rng_seed: int) -> np.ndarray:
     Coefficients of the perturbation are i*u_k with u_k ~ U(-amp, amp),
     amp = _NOISE_AMPLITUDE, iid for k = 0..N and u_{-k} = u_k, which
     preserves the Hermitian pairing of a purely imaginary-valued
-    function.  Deterministic for a fixed rng_seed.
+    function.  The draws are random.Random(rng_seed)'s (Mersenne
+    Twister), deterministic for a fixed non-negative rng_seed.
     """
+    if rng_seed < 0:        # random.Random would quietly take |rng_seed|
+        raise ValueError("expected non-negative integer")
     n = c.shape[-1] // 2
-    u = np.array(_uniform(rng_seed, -_NOISE_AMPLITUDE, _NOISE_AMPLITUDE,
-                          n + 1))
+    rng = random.Random(rng_seed)
+    u = np.array([rng.uniform(-_NOISE_AMPLITUDE, _NOISE_AMPLITUDE)
+                  for _ in range(n + 1)])
     pert = np.concatenate([u[:0:-1], u])  # u_N..u_1, u_0, u_1..u_N
     return c + 1j * pert
-
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(mult: int, factor: int):
-    """numpy's SeedSequence hash of 32-bit words: XOR with a running
-    constant, which takes one more factor before it multiplies."""
-    def hashmix(value):
-        nonlocal mult
-        value, mult = value ^ mult, mult * factor & _M32
-        value = value * mult & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _uniform(seed: int, low: float, high: float, size: int) -> list:
-    """np.random.default_rng(seed).uniform(low, high, size), bit for bit,
-    without loading numpy.random: numpy's SeedSequence mixes the seed's
-    32-bit words into a pool of 4 and draws 4 64-bit words from it, which
-    seed PCG64 (O'Neill 2014: 128-bit LCG, XSL-RR output); each draw is
-    low + (high - low) * (x >> 11) 2^-53."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed & _M32]
-    while seed := seed >> 32:
-        entropy.append(seed & _M32)
-
-    def mix(x, y):
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
-
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    state = [hashmix(pool[i % 4]) for i in range(8)]
-    w = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
-    s = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
-    draws = []
-    for _ in range(size):
-        s = (s * _PCG_MULT + inc) & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        x = (x >> rot | x << 64 - rot) & _M64
-        draws.append(low + (high - low) * ((x >> 11) * 2.0 ** -53))
-    return draws
 
 
 def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,

@@ -44,7 +44,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_commands_load_neither_openssl_nor_numpy_random(tmp_path):
     # the manifests hash with CPython's own SHA-256 (hashlib maps OpenSSL's
-    # libcrypto, about 3 MB) and the noise is numpy's PCG64 without
+    # libcrypto, about 3 MB) and the noise is Python's random.Random, not
     # numpy.random (about 2 MB); in a subprocess, as pytest may load both
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
