@@ -24,7 +24,9 @@ colon and the entry's dotted name
 (`errors/manifest.json:integrator.solve.accepted`). Shell-style
 wildcards match as in fnmatch (`*/manifest.json:integrator.*`). A
 difference that the list names is marked "(expected)" and leaves the
-exit status 0; every other still makes it 1.
+exit status 0; every other still makes it 1, and so does a line of the
+list that matches no difference (an old list would hide a later move),
+which is named as "listed but unchanged".
 """
 
 import argparse
@@ -143,21 +145,28 @@ def main(argv) -> int:
             manifests_differ.append((f"manifest differs: {name} in "
                                      f"{', '.join(entries)}",
                                      [f"{name}:{e}" for e in entries]))
-    unexpected = 0
+    unexpected, matched = 0, set()
     for line, names in differ + manifests_differ:
-        if all(any(fnmatch.fnmatchcase(name, pattern) for pattern in expected)
-               for name in names):
+        hits = [{pattern for pattern in expected
+                 if fnmatch.fnmatchcase(name, pattern)} for name in names]
+        matched.update(*hits)
+        if all(hits):
             line += " (expected)"
         else:
             unexpected += 1
         print(line)
+    stale = [pattern for pattern in expected if pattern not in matched]
+    for pattern in stale:
+        print(f"listed but unchanged: {pattern}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} CSV files differ")
     if ma or mb:
         print(f"{len(manifests_differ)} of {len(ma.keys() | mb.keys())} "
               "manifests differ")
     if args.expected is not None:
         print(f"{unexpected} of them not in {args.expected}")
-    return 1 if unexpected else 0
+        print(f"{len(stale)} of its {len(expected)} lines match no "
+              "difference")
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":

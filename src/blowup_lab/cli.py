@@ -290,18 +290,18 @@ def _cmd_continue(args, cfg, manifest) -> int:
                ["k", "re_c_k", "im_c_k"], _coefficient_rows(c), t=t)
     phases.lap("write")
     manifest.extra["continuation"] = {
-        "t_c": data.result.t_c,
-        "branch_sign": data.result.branch_sign,
-        "method": data.result.method,
-        "radius": data.result.radius,
+        "t_c": data.t_c,
+        "branch_sign": data.branch_sign,
+        "method": data.method,
+        "radius": data.radius,
         "u_edge_moduli": {label(t): v for t, v in data.u_edge_moduli.items()},
         "asymptote_deviation_at_t_end": data.asymptote_deviation,
         "skipped_times": {label(t): why
                           for t, why in data.skipped_times.items()},
     }
     manifest.extra["integrator"] = _integrator_block(data.integrations)
-    print(f"continued past t_c = {data.result.t_c:.6f}, branch "
-          f"{data.result.branch_sign:+d}, |u+1/t|*t at end = "
+    print(f"continued past t_c = {data.t_c:.6f}, branch "
+          f"{data.branch_sign:+d}, |u+1/t|*t at end = "
           f"{data.asymptote_deviation}")
     return 0
 

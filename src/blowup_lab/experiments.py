@@ -16,7 +16,7 @@ import numpy as np
 
 from . import asymptotics, tracker
 from .integrator import IntegratorConfig, Trajectory
-from .pde import (ContinuationResult, ModelParams, blowup_estimates,
+from .pde import (ModelParams, blowup_estimates, branch_sign,
                   continue_complex_path, continue_past_blowup, flatness,
                   solve_to_blowup, u_from_v)
 from .spectral import (HORNER_ROUNDOFF, DivisorTooSmall, grid_points,
@@ -233,7 +233,10 @@ def _refuse_times(command: str, times: Sequence[float],
 
 @dataclass
 class ContinuationData:
-    result: ContinuationResult
+    method: str                      # noise_seeded | complex_path
+    t_c: float
+    radius: float                    # the run leaves the solve at t_c - radius
+    branch_sign: int                 # pde.branch_sign at t_c + radius
     snapshot_times: list
     snapshots: list                  # the coefficient array at each time
     u_edge_moduli: dict              # time -> |u(pi, t)|
@@ -268,29 +271,33 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     _refuse_times("continue", times)     # clashes with the Figure-6 times
     # the complex path's detour ends at or before t_end (t_end - t_c is exact)
     radius = min(DETOUR_RADIUS * t_c, t_end - t_c)
+    start = solve.state_at(t_c - radius)
     if method == "noise_seeded":
-        result = continue_past_blowup(params, solve, t_end, t_c, radius,
-                                      rng_seed, times)
+        run = continue_past_blowup(params, start, t_end, t_c, radius,
+                                   rng_seed, times)
     else:
-        result = continue_complex_path(params, solve, t_end, t_c, radius,
-                                       times)
+        run = continue_complex_path(params, start, t_end, t_c, radius, times)
+    sign = branch_sign(run.state_at(t_c + radius))
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
-        state = result.state_at(t)
-        if state is None:
+        if t <= t_c - radius:
+            state = solve.state_at(t)
+        elif t < run.times[0]:
             skipped[t] = ("inside the complex-time detour (t_c - r, t_c + r), "
                           "where the path leaves the real axis")
             continue
+        else:
+            state = run.state_at(t)
         kept.append(t)
         snaps.append(state)
         edges[t] = abs(1.0 / np.sum(state * node_shift(params.n_modes)))
-    u_vals, _, (failed,) = u_from_v(result.state_at(t_end))
+    u_vals, _, (failed,) = u_from_v(run.state_at(t_end))
     if failed:
         raise failed
     dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
-    return ContinuationData(result, kept, snaps, edges, dev, skipped,
-                            {**rep.integrations,
-                             method: result.trajectory.stats})
+    return ContinuationData(method, t_c, radius, sign, kept, snaps, edges,
+                            dev, skipped,
+                            {**rep.integrations, method: run.stats})
 
 
 @dataclass
@@ -364,9 +371,9 @@ def run_fourier_snapshots(params: ModelParams, times: Optional[Sequence[float]]
     later = [t for t in times if t > t_c]
     if later:
         radius = min(DETOUR_RADIUS * t_c, min(later) - t_c)
-        path = continue_complex_path(params, solve, max(later), t_c, radius,
-                                     later)
-        integrations["complex_path"] = path.trajectory.stats
+        path = continue_complex_path(params, solve.state_at(t_c - radius),
+                                     max(later), t_c, radius, later)
+        integrations["complex_path"] = path.stats
     n = params.n_modes
     k = np.arange(1, n + 1)
     moduli = [np.abs((solve if t <= t_c else path).state_at(t)[n + 1:])

@@ -4,7 +4,7 @@ Dormand-Prince coefficients with a PI step-size controller, in
 integrating-factor (Lawson) form for y' = L y + N(y, t) with a diagonal
 linear part L that is stepped exactly; dense output by one sub-step of
 the same method from the start of the covering step; sign-change event
-location on the dense output; and integration along a smooth path in
+location on the dense output; and integration along a half circle in
 the complex time plane.
 """
 
@@ -581,37 +581,23 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     raise MaxStepsExceeded(t, traj)
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """A smooth path in the complex t-plane, parameterized by s in [0, 1]."""
-
-    t_of_s: Callable[[float], complex]
-    dt_ds: Callable[[float], complex]
-
-
-def semicircle(center: complex, radius: float) -> PathSegment:
-    """Half circle from center - radius to center + radius through
-    Im t > 0."""
+def integrate_path(rhs: RHS, y0, center: float, radius: float,
+                   cfg: IntegratorConfig,
+                   lin: Optional[np.ndarray]) -> Trajectory:
+    """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds over s in [0, 1]
+    along the half circle t(s) = center + radius e^{i pi (1 - s)} from
+    center - radius to center + radius through Im t > 0; lin is stepped
+    exactly over t(s) as in integrate, and the trajectory's times are
+    the path parameter s.  It keeps no dense output: its states are the
+    two ends alone."""
 
     def t_of_s(s):
         return center + radius * np.exp(1j * (np.pi * (1.0 - s)))
 
-    def dt_ds(s):
-        return -1j * np.pi * radius * np.exp(1j * (np.pi * (1.0 - s)))
-
-    return PathSegment(t_of_s, dt_ds)
-
-
-def integrate_path(rhs: RHS, y0, path: PathSegment, cfg: IntegratorConfig,
-                   lin: Optional[np.ndarray]) -> Trajectory:
-    """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds over s in [0, 1]
-    along the path; lin is stepped exactly over t(s) as in integrate, and
-    the trajectory's times are the path parameter s.  It keeps no dense
-    output: its states are the two ends alone."""
-
     def rhs_s(ys, s):
-        return rhs(ys, path.t_of_s(s)) * path.dt_ds(s)
+        dt_ds = -1j * np.pi * radius * np.exp(1j * (np.pi * (1.0 - s)))
+        return rhs(ys, t_of_s(s)) * dt_ds
 
-    traj, _ = integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=path.t_of_s,
+    traj, _ = integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=t_of_s,
                         keep=())
     return traj

@@ -8,13 +8,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import asymptotics, reduced
 from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
-                         Trajectory, integrate, integrate_path, semicircle)
+                         Trajectory, integrate, integrate_path)
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, analyze,
                        grid_points, node_shift, padded_size, synthesize)
 
@@ -51,37 +51,6 @@ class BlowupReport:
     state_at_tc: np.ndarray          # the coefficients c_k, k = -N..N
     # what each integration behind the report did, by name
     integrations: dict = field(default_factory=dict)
-
-
-@dataclass
-class ContinuationResult:
-    # in real time, from t_c - radius (noise_seeded) or t_c + radius
-    # (complex_path) to the end time
-    trajectory: Trajectory
-    method: str                      # noise_seeded | complex_path
-    t_c: float
-    radius: float                    # the run leaves the solve at t_c - radius
-    solve: Trajectory                # the blow-up solve
-    branch_sign: int = field(init=False)
-
-    def __post_init__(self):
-        # the sign of Im v(0) at t_c + radius: -1 on the branch of the
-        # detour through the upper half-plane
-        im = float(np.sum(self.state_at(self.t_c + self.radius)).imag)
-        self.branch_sign = 1 if im >= 0.0 else -1
-
-    def state_at(self, t: float) -> Optional[np.ndarray]:
-        """The state at real time t: the blow-up solve's up to
-        t_c - radius, then the trajectory's; None before the trajectory
-        starts, inside the complex path's detour off the real axis.
-        Past t_c - radius it answers only at the times the continuation
-        kept (its times, t_c + radius and its end) and raises
-        IntegrationError, naming the time, at any other."""
-        if t <= self.t_c - self.radius:
-            return self.solve.state_at(t)
-        if t < self.trajectory.times[0]:
-            return None
-        return self.trajectory.state_at(t)
 
 
 def initial_field(params: ModelParams) -> np.ndarray:
@@ -259,44 +228,45 @@ def seed_imaginary_noise(c: np.ndarray, rng_seed: int) -> np.ndarray:
     return c + 1j * pert
 
 
-def continue_past_blowup(params: ModelParams, solve: Trajectory, t_end: float,
-                         t_c: float, radius: float, rng_seed: int,
-                         times: Sequence[float]) -> ContinuationResult:
+def branch_sign(c: np.ndarray) -> int:
+    """The sign of Im v(0) in the state c past t_c: -1 on the branch of
+    the detour through the upper half-plane."""
+    return 1 if float(np.sum(c).imag) >= 0.0 else -1
+
+
+def continue_past_blowup(params: ModelParams, start: np.ndarray,
+                         t_end: float, t_c: float, radius: float,
+                         rng_seed: int, times: Sequence[float]) -> Trajectory:
     """Noise-seeded integration in real time through t_c.
 
-    From the blow-up solve's state at t_c - radius with the imaginary
-    seed added, real time to t_end; the event is disarmed, and the seed
-    lets the solution pass through v = 0 and turn complex.  The run keeps
-    its dense output at the times, t_c + radius and t_end alone.
+    From start, the blow-up solve's state at t_c - radius, with the
+    imaginary seed added, real time to t_end >= t_c + radius; the event
+    is disarmed, and the seed lets the solution pass through v = 0 and
+    turn complex.  The run keeps its dense output at the times,
+    t_c + radius and t_end alone.
     """
-    if t_end < t_c + radius:
-        raise ValueError("t_end must be at least t_c + radius")
-    start = seed_imaginary_noise(solve.state_at(t_c - radius), rng_seed)
-    traj, _ = integrate(make_rhs(params), start, t_c - radius, t_end,
+    seeded = seed_imaginary_noise(start, rng_seed)
+    traj, _ = integrate(make_rhs(params), seeded, t_c - radius, t_end,
                         params.integrator, lin=diffusion(params.n_modes),
                         keep=[*times, t_c + radius, t_end])
-    return ContinuationResult(trajectory=traj, method="noise_seeded",
-                              t_c=t_c, radius=radius, solve=solve)
+    return traj
 
 
-def continue_complex_path(params: ModelParams, solve: Trajectory, t_end: float,
-                          t_c: float, radius: float,
-                          times: Sequence[float]) -> ContinuationResult:
+def continue_complex_path(params: ModelParams, start: np.ndarray,
+                          t_end: float, t_c: float, radius: float,
+                          times: Sequence[float]) -> Trajectory:
     """Step around t_c through the complex t-plane.
 
-    From the blow-up solve's state at t_c - radius, a half circle about
-    t_c through the upper half-plane, then real time from t_c + radius to
-    t_end (no step when equal); both integrations count into one stats.
-    The real-time leg keeps its dense output at the times, t_c + radius
-    and t_end alone.
+    From start, the blow-up solve's state at t_c - radius, a half circle
+    about t_c through the upper half-plane, then real time from
+    t_c + radius to t_end >= t_c + radius (no step when equal); both
+    integrations count into the stats of the real-time leg it returns,
+    which keeps its dense output at the times, t_c + radius and t_end
+    alone.
     """
-    if t_end < t_c + radius:
-        raise ValueError("t_end must be at least t_c + radius")
     rhs, lin = make_rhs(params), diffusion(params.n_modes)
-    arc = integrate_path(rhs, solve.state_at(t_c - radius),
-                         semicircle(t_c, radius), params.integrator, lin)
+    arc = integrate_path(rhs, start, t_c, radius, params.integrator, lin)
     leg, _ = integrate(rhs, arc.states[-1], t_c + radius, t_end,
                        params.integrator, lin=lin,
                        keep=[*times, t_c + radius, t_end], stats=arc.stats)
-    return ContinuationResult(trajectory=leg, method="complex_path",
-                              t_c=t_c, radius=radius, solve=solve)
+    return leg

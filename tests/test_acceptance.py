@@ -253,12 +253,13 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # and 400 in [1.5 t_c, 3 t_c]
     approach = np.linspace(t_s, t_c - 1e-6, 64)
     ts = np.linspace(1.5 * t_c, 3.0 * t_c, 400)
-    r1 = continue_past_blowup(params, solve, 3.1 * t_c, t_c, 0.1 * t_c, 0,
+    r1 = continue_past_blowup(params, solve.state_at(t_s), 3.1 * t_c, t_c,
+                              0.1 * t_c, 0,
                               [*approach, *ts, 1.25 * t_c, 2.0 * t_c])
     # real before t_c (the solve's states up to t_s, then the run's),
     # complex after
     before = [s for tt, s in zip(solve.times, solve.states) if tt <= t_s]
-    before += list(r1.trajectory.states_at(approach))
+    before += list(r1.states_at(approach))
     im_before = max(np.max(np.abs(np.imag(s))) for s in before)
     im_after = float(np.max(np.abs(np.imag(r1.state_at(1.25 * t_c)))))
     checks.append((im_before <= 1e-10, f"imag before t_c: {im_before:.2e}"))
@@ -288,8 +289,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # complex-time semicircle matches one noise-seeded branch at 3 t_c
-    r3 = continue_complex_path(params, solve, 3.05 * t_c, t_c, 0.1 * t_c,
-                               [3.0 * t_c])
+    r3 = continue_complex_path(params, solve.state_at(t_s), 3.05 * t_c, t_c,
+                               0.1 * t_c, [3.0 * t_c])
     s_path = r3.state_at(3.0 * t_c)
     s_noise = r1.state_at(3.0 * t_c)
     d_same = float(np.max(np.abs(s_path - s_noise)))
@@ -301,8 +302,9 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # nearly constant in x and the explicit step is stability-limited)
     p48 = model_params(params.alpha, params.epsilon, n_modes=48)
     solve48, rep48 = solve_to_blowup(p48)
-    r4 = continue_past_blowup(p48, solve48, 20.0, rep48.t_c,
-                              0.1 * rep48.t_c, 0, [])
+    r48 = 0.1 * rep48.t_c
+    r4 = continue_past_blowup(p48, solve48.state_at(rep48.t_c - r48), 20.0,
+                              rep48.t_c, r48, 0, [])
     u_vals = 1.0 / synthesize(r4.state_at(20.0), padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
     checks.append((dev <= 0.05, f"asymptote deviation {dev:.3f}"))

@@ -139,3 +139,36 @@ def test_compare_runs_fails_on_what_the_expected_list_leaves_out(
     # what the list leaves out still fails: another manifest entry
     code, out = compare("run/v.csv", "run/manifest.json:config.*")
     assert code == 1 and "1 of them not in" in out
+    assert "listed but unchanged: run/manifest.json:config.*\n" in out
+
+
+def test_compare_runs_fails_on_a_listed_line_that_matches_no_difference(
+        tmp_path, capsys):
+    # an old list would hide a later move of what it names: a line that
+    # matches no difference fails the comparison and is named
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_tree(a, {"run/v.csv": "k\n1\n", "run/w.csv": "k\n1\n"})
+    write_tree(b, {"run/v.csv": "k\n2\n", "run/w.csv": "k\n1\n"})
+    listed = tmp_path / "expected.txt"
+
+    def compare(*lines):
+        listed.write_text("# header\n" + "".join(f"{x}\n" for x in lines))
+        code = compare_runs.main(["--expected", str(listed), str(a), str(b)])
+        return code, capsys.readouterr().out
+
+    code, out = compare("run/v.csv", "run/w.csv", "*:integrator.*")
+    assert code == 1
+    assert "in columns k (expected)\n" in out
+    assert "0 of them not in" in out
+    assert "listed but unchanged: run/w.csv\n" in out
+    assert "listed but unchanged: *:integrator.*\n" in out
+    assert "listed but unchanged: run/v.csv" not in out
+    assert "2 of its 3 lines match no difference\n" in out
+    # every line matching a difference, and an empty list on equal trees,
+    # pass
+    code, out = compare("run/*.csv")
+    assert code == 0 and "0 of its 1 lines match no difference\n" in out
+    write_tree(b, {"run/v.csv": "k\n1\n"})
+    assert compare()[0] == 0
+    code, out = compare("run/v.csv")
+    assert code == 1 and "listed but unchanged: run/v.csv\n" in out

@@ -7,8 +7,8 @@ import pytest
 
 from blowup_lab import experiments
 from blowup_lab.integrator import IntegratorConfig
-from blowup_lab.pde import (ModelParams, continue_past_blowup,
-                            solve_to_blowup)
+from blowup_lab.pde import (ModelParams, continue_complex_path,
+                            continue_past_blowup, solve_to_blowup)
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10)
 
@@ -73,7 +73,7 @@ def test_singularity_overlays_shapes(small_solve):
 def test_run_continuation_complex_path():
     p = small_params()
     data = experiments.run_continuation(p, 0.5, 0, (), "complex_path")
-    assert data.result.method == "complex_path"
+    assert data.method == "complex_path"
     assert np.isfinite(data.asymptote_deviation)
     assert sorted(data.snapshot_times) == data.snapshot_times
     with pytest.raises(ValueError):
@@ -84,11 +84,14 @@ def test_complex_path_to_a_t_end_inside_the_detour_narrows_it():
     # t_end = 1.05 t_c lies inside the 0.1 t_c detour: the detour shrinks
     # to end on t_end, and t_c itself has no real-axis state
     p = small_params()
-    _, rep = solve_to_blowup(p)
+    solve, rep = solve_to_blowup(p)
     t_end = 1.05 * rep.t_c
     data = experiments.run_continuation(p, t_end, 0, (), "complex_path")
-    assert data.result.radius == t_end - rep.t_c
-    assert data.result.trajectory.times == [t_end]
+    assert data.radius == t_end - rep.t_c
+    # the real-time leg from t_c + r = t_end takes no step
+    leg = continue_complex_path(p, solve.state_at(rep.t_c - data.radius),
+                                t_end, rep.t_c, data.radius, [])
+    assert leg.times == [t_end]
     assert list(data.skipped_times) == [round(rep.t_c, 12)]
     assert data.snapshot_times == [0.0, round(0.5 * rep.t_c, 12)]
     assert np.isfinite(data.asymptote_deviation)
@@ -108,7 +111,7 @@ def test_complex_path_snapshots_hold_their_labelled_time():
     p = small_params()
     path = experiments.run_continuation(p, 0.5, 0, (), "complex_path")
     seeded = experiments.run_continuation(p, 0.5, 0, (), "noise_seeded")
-    t_c = path.result.t_c
+    t_c = path.t_c
     # t_c lies inside the detour (t_c - r, t_c + r): no real-axis state
     assert list(path.skipped_times) == [round(t_c, 12)]
     assert round(t_c, 12) not in path.snapshot_times
@@ -131,7 +134,7 @@ def test_continuation_starts_from_the_blowup_solve(method):
     p = small_params()
     data = experiments.run_continuation(p, 0.5, 0, (), method)
     solve, _ = solve_to_blowup(p)
-    t_s = data.result.t_c - data.result.radius
+    t_s = data.t_c - data.radius
     before = [t for t in data.snapshot_times if t <= t_s]
     assert len(before) == 2
     for t in before:
@@ -143,7 +146,7 @@ def test_run_continuation_extra_times_and_edges():
     p = small_params()
     data = experiments.run_continuation(p, 0.5, 0, [0.123], "noise_seeded")
     assert any(abs(t - 0.123) < 1e-12 for t in data.snapshot_times)
-    t_c = data.result.t_c
+    t_c = data.t_c
     # |u(pi)| near 2 t_c exceeds its pre-blow-up value
     t2 = min(data.snapshot_times, key=lambda t: abs(t - 2.0 * t_c))
     t0 = min(data.snapshot_times, key=lambda t: abs(t - 0.0))
@@ -168,8 +171,9 @@ def test_snapshot_closer_to_t_c_than_the_detour_matches_the_noise_run():
     solve, rep = solve_to_blowup(p)
     t = 1.05 * rep.t_c
     data = experiments.run_fourier_snapshots(p, [t])
-    noise = continue_past_blowup(p, solve, 1.2 * rep.t_c, rep.t_c,
-                                 0.1 * rep.t_c, 0, [t])
+    r = 0.1 * rep.t_c
+    noise = continue_past_blowup(p, solve.state_at(rep.t_c - r),
+                                 1.2 * rep.t_c, rep.t_c, r, 0, [t])
     want = np.abs(noise.state_at(t)[p.n_modes + 1:])
     assert np.max(np.abs(data.moduli[0] - want)) <= 1e-9
 

@@ -12,10 +12,10 @@ from scipy.optimize import brentq as scipy_brentq
 from blowup_lab import integrator
 from blowup_lab.integrator import (EventSpec, IntegrationError,
                                    IntegratorConfig, MaxStepsExceeded,
-                                   PathSegment, StiffnessOrSingularity,
-                                   brentq, integrate, integrate_path,
-                                   semicircle)
+                                   StiffnessOrSingularity, brentq,
+                                   integrate, integrate_path)
 from fixed_step import integrate_fixed, order_check
+from half_circle import half_circle
 from run_defaults import TOLERANCES
 
 
@@ -257,7 +257,7 @@ def test_path_integration_matches_real_axis_for_entire_function():
     # carry e^0.5 to e^1.5, as the real axis does
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([math.exp(0.5) + 0j]),
-                            semicircle(1.0, 0.5), cfg, None)
+                            1.0, 0.5, cfg, None)
     assert detour.times[-1] == 1.0
     assert abs(detour.states[-1][0] - math.exp(1.5)) < 1e-9
 
@@ -270,7 +270,7 @@ def test_path_steps_are_recorded_in_time():
     radius = 0.01
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([1.0 + 0j]),
-                            semicircle(1.0, radius), cfg, None)
+                            1.0, radius, cfg, None)
     h = detour.stats.h_accepted
     assert len(h) == len(detour.dense_segments) > 3
     assert all(0.0 < step <= math.pi * radius for step in h)
@@ -279,15 +279,26 @@ def test_path_steps_are_recorded_in_time():
     assert record["h_max"] <= math.pi * radius
 
 
-def test_path_semicircle_parameterization():
-    seg = semicircle(1.0, 0.5)
-    assert seg.t_of_s(0.0) == pytest.approx(0.5)
-    assert seg.t_of_s(1.0) == pytest.approx(1.5)
-    assert seg.t_of_s(0.5).imag == pytest.approx(0.5)
-    # derivative consistent with finite differences
-    h = 1e-7
-    fd = (seg.t_of_s(0.3 + h) - seg.t_of_s(0.3 - h)) / (2 * h)
-    assert seg.dt_ds(0.3) == pytest.approx(fd, rel=1e-6)
+def test_path_takes_the_upper_half_plane_branch():
+    # y = sqrt(t - c) solves y' = y / (2 (t - c)), branched at c: from
+    # y = i sqrt(r) at c - r the half circle through Im t > 0 reaches
+    # +sqrt(r) at c + r, its mirror image through Im t < 0 -sqrt(r)
+    center, radius = 1.0, 0.5
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
+    y0 = np.array([1j * math.sqrt(radius)])
+
+    def branch(y, t):
+        return y / (2.0 * (t - center))
+
+    upper = integrate_path(branch, y0, center, radius, cfg, None)
+    assert upper.times[-1] == 1.0
+    assert abs(upper.states[-1][0] - math.sqrt(radius)) < 1e-10
+    t_of_s, dt_ds = half_circle(center, radius)
+    lower, _ = integrate(
+        lambda y, s: branch(y, np.conj(t_of_s(s))) * np.conj(dt_ds(s)), y0,
+        0.0, 1.0, cfg)
+    assert abs(lower.states[-1][0] + math.sqrt(radius)) < 1e-10
+
 
 
 # ---- the stepper without a linear part against its first form ----------
@@ -409,7 +420,7 @@ def lawson_reference(rhs, t, y, h, k1, lin, clock):
 def test_lawson_step_matches_reference_bit_for_bit(column, path):
     k = np.arange(-4, 5)
     lin = -(k * k).astype(float)
-    clock = semicircle(0.16, 0.016).t_of_s if path else None
+    clock = half_circle(0.16, 0.016)[0] if path else None
     rng = np.random.default_rng(11)
     for trial in range(20):
         m = 5 if column else 1
@@ -448,7 +459,7 @@ def test_single_state_step_matches_one_row_block_bit_for_bit(form):
     # would give the components with a zero real part one.
     k = np.arange(-4, 5)
     lin = None if form == "plain" else -(k * k).astype(float)
-    clock = semicircle(0.16, 0.016).t_of_s if form == "path" else None
+    clock = half_circle(0.16, 0.016)[0] if form == "path" else None
     tables = integrator._lawson_tables(lin, clock)
     rng = np.random.default_rng(17)
     for trial in range(20):
@@ -561,13 +572,13 @@ def linear_scan(traj, t):
     raise IntegrationError(f"t = {t} outside integrated span")
 
 
-def along_path(rhs, y0, path, cfg, lin):
+def along_path(rhs, y0, center, radius, cfg, lin):
     """integrate_path's integration with every state's dense output kept,
     which integrate_path itself does not keep: the lookups must find
     their segments by the path parameter s, not by the complex t."""
-    traj, _ = integrate(
-        lambda ys, s: rhs(ys, path.t_of_s(s)) * path.dt_ds(s), y0, 0.0, 1.0,
-        cfg, lin=lin, clock=path.t_of_s)
+    t_of_s, dt_ds = half_circle(center, radius)
+    traj, _ = integrate(lambda ys, s: rhs(ys, t_of_s(s)) * dt_ds(s), y0,
+                        0.0, 1.0, cfg, lin=lin, clock=t_of_s)
     return traj
 
 
@@ -585,7 +596,7 @@ def test_bisect_lookup_matches_linear_scan(kind):
     if kind == "real":
         traj, _ = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = along_path(rhs, y0, semicircle(1.0, 1.0), cfg, lin)
+        traj = along_path(rhs, y0, 1.0, 1.0, cfg, lin)
         assert traj.times[-1] == 1.0
         assert len(traj.dense_segments) > 5
     times = traj.times
@@ -617,6 +628,19 @@ def block_rhs(y, t):
     return 0.5j * y * y[..., ::-1] + np.cos(t)
 
 
+def test_the_half_circle_of_the_tests_is_integrate_paths_bit_for_bit():
+    # along_path keeps every state's dense output on the tests' own half
+    # circle: its end state and step counts must be integrate_path's, so
+    # that the path lookups test the library's path
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
+    lin = np.array([-3.0, -40.0])
+    y0 = np.array([1.0 + 0j, 0.5 + 0j])
+    arc = integrate_path(block_rhs, y0, 0.16, 0.016, cfg, lin)
+    full = along_path(block_rhs, y0, 0.16, 0.016, cfg, lin)
+    assert full.states[-1].tobytes() == arc.states[-1].tobytes()
+    assert full.stats.record() == arc.stats.record()
+
+
 @pytest.mark.parametrize("kind", ["real", "path"])
 def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
@@ -625,7 +649,7 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     if kind == "real":
         traj, _ = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = along_path(block_rhs, y0, semicircle(1.0, 1.0), cfg, lin)
+        traj = along_path(block_rhs, y0, 1.0, 1.0, cfg, lin)
     times, seg = traj.times, traj.dense_segments[3]
     rng = np.random.default_rng(7)
     # 40 times inside one segment (three blocks), random times over the
@@ -755,16 +779,13 @@ def test_lawson_weights_bounded_on_complex_path_legs():
     # r = 0.016, and its mirror image below the real axis
     k = np.arange(-128, 129)
     lin = -(k * k).astype(float)
-    t_c, r = 0.16, 0.016
-    upper = semicircle(t_c, r)
-    lower = PathSegment(lambda s: np.conj(upper.t_of_s(s)),
-                        lambda s: np.conj(upper.dt_ds(s)))
+    upper = half_circle(0.16, 0.016)[0]
     scale = (1 + 1e-14)
-    for seg in (upper, lower):
-        tables = integrator._lawson_tables(lin, seg.t_of_s)
+    for clock in (upper, lambda s: np.conj(upper(s))):
+        tables = integrator._lawson_tables(lin, clock)
         for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
-            decay, a, e = integrator._stage_weights(tables, seg.t_of_s, s0,
-                                                    h, False)
+            decay, a, e = integrator._stage_weights(tables, clock, s0, h,
+                                                    False)
             assert np.all(np.abs(decay) <= scale)
             assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
             assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)

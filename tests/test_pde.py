@@ -12,8 +12,8 @@ from blowup_lab.experiments import (TABLE1_ALPHAS, TABLE1_EPSILONS,
                                     sample_times)
 from blowup_lab.integrator import IntegrationError, IntegratorConfig
 from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
-                            continue_complex_path, continue_past_blowup,
-                            diffusion, flatness,
+                            branch_sign, continue_complex_path,
+                            continue_past_blowup, diffusion, flatness,
                             initial_field, make_rhs, seed_imaginary_noise,
                             solve_to_blowup, u_from_v)
 from blowup_lab.spectral import (DivisorTooSmall, analyze, grid_points,
@@ -328,27 +328,20 @@ def test_negative_seed_is_refused_as_numpy_refuses_it(seed):
         seed_imaginary_noise(c, seed)
 
 
-def test_continue_past_blowup_requires_t_end_beyond_tc():
-    p = small_params()
-    solve, rep = solve_to_blowup(p)
-    with pytest.raises(ValueError):
-        continue_past_blowup(p, solve, 0.05, rep.t_c, 0.01, 0, [])
-
-
 def test_continuation_turns_complex_and_is_seed_deterministic():
     p = small_params()
     solve, rep = solve_to_blowup(p)
     times = [1.4 * rep.t_c]
-    r1 = continue_past_blowup(p, solve, 1.5 * rep.t_c, rep.t_c,
+    start = solve.state_at(rep.t_c - 0.1 * rep.t_c)
+    r1 = continue_past_blowup(p, start, 1.5 * rep.t_c, rep.t_c,
                               0.1 * rep.t_c, 3, times)
-    r2 = continue_past_blowup(p, solve, 1.5 * rep.t_c, rep.t_c,
+    r2 = continue_past_blowup(p, start, 1.5 * rep.t_c, rep.t_c,
                               0.1 * rep.t_c, 3, times)
-    assert r1.trajectory.times[0] == rep.t_c - 0.1 * rep.t_c
+    assert r1.times[0] == rep.t_c - 0.1 * rep.t_c
     s1 = r1.state_at(1.4 * rep.t_c)
     s2 = r2.state_at(1.4 * rep.t_c)
     assert np.max(np.abs(s1 - s2)) == 0.0
     assert np.max(np.abs(np.imag(s1))) > 1e-10
-    assert r1.branch_sign in (-1, 1)
 
 
 def test_continuation_holds_arrays_only_for_the_steps_it_reads():
@@ -360,9 +353,10 @@ def test_continuation_holds_arrays_only_for_the_steps_it_reads():
     t_c = rep.t_c
     times = [1.25 * t_c, 1.5 * t_c, 2.0 * t_c]
     held, accepted = [], []
+    start = solve.state_at(t_c - 0.1 * t_c)
     for t_end in (3.0 * t_c, 6.0 * t_c):
-        run = continue_past_blowup(p, solve, t_end, t_c, 0.1 * t_c, 0, times)
-        traj = run.trajectory
+        traj = continue_past_blowup(p, start, t_end, t_c, 0.1 * t_c, 0,
+                                    times)
         assert len(traj.dense_segments) == traj.stats.accepted
         held.append(sum(seg.r1 is not None for seg in traj.dense_segments))
         accepted.append(traj.stats.accepted)
@@ -371,10 +365,10 @@ def test_continuation_holds_arrays_only_for_the_steps_it_reads():
         assert sum(seg.k1 is not None for seg in traj.dense_segments) \
             <= len(times) + 2
         for t in times + [t_end]:
-            assert run.state_at(t) is not None
+            assert traj.state_at(t) is not None
         with pytest.raises(IntegrationError,
                            match=re.escape(f"t = {1.75 * t_c} was not kept")):
-            run.state_at(1.75 * t_c)
+            traj.state_at(1.75 * t_c)
     assert held[0] <= len(times) + 3
     assert held[1] <= held[0] and accepted[1] > accepted[0]
 
@@ -392,7 +386,8 @@ def test_complex_path_arc_holds_only_its_two_ends(monkeypatch):
         return arcs[-1]
 
     monkeypatch.setattr("blowup_lab.pde.integrate_path", integrate_path)
-    continue_complex_path(p, solve, 1.5 * rep.t_c, rep.t_c, 0.1 * rep.t_c, [])
+    continue_complex_path(p, solve.state_at(rep.t_c - 0.1 * rep.t_c),
+                          1.5 * rep.t_c, rep.t_c, 0.1 * rep.t_c, [])
     (arc,) = arcs
     segs = arc.dense_segments
     assert len(segs) > 3
@@ -409,14 +404,15 @@ def test_the_seed_not_roundoff_picks_the_branch(solve_small, rng_seed):
     # complex-path branches and reached another solution (1e-2 away at
     # 1.5 t_c); seed 0, run_all.sh's, takes the conjugate branch
     params, solve, rep = solve_small
-    t_c, t_end = rep.t_c, 1.5 * rep.t_c
-    path = continue_complex_path(params, solve, t_end, t_c, 0.1 * t_c, [])
-    seeded = continue_past_blowup(params, solve, t_end, t_c, 0.1 * t_c,
-                                  rng_seed, [])
+    t_c, t_end, r = rep.t_c, 1.5 * rep.t_c, 0.1 * rep.t_c
+    start = solve.state_at(t_c - r)
+    path = continue_complex_path(params, start, t_end, t_c, r, [])
+    seeded = continue_past_blowup(params, start, t_end, t_c, r, rng_seed, [])
     got, want = seeded.state_at(t_end), path.state_at(t_end)
     d_same = float(np.max(np.abs(got - want)))
     d_conj = float(np.max(np.abs(got - np.conj(want))))
     assert min(d_same, d_conj) <= 1e-8
-    # the branch sign names the branch: the path's, or its conjugate's
-    assert seeded.branch_sign == (path.branch_sign if d_same < d_conj
-                                  else -path.branch_sign)
+    # the branch sign at t_c + r names the branch: the upper half-plane's
+    # -1 for the path, and the path's or its conjugate's for the run
+    signs = [branch_sign(run.state_at(t_c + r)) for run in (path, seeded)]
+    assert signs == [-1, -1 if d_same < d_conj else 1]

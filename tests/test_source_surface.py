@@ -5,7 +5,10 @@ default, of a parameter of its functions and methods or of a field of
 its frozen dataclasses, is passed by some call in src/ or perfbench/
 and left out by another.  A default that no call passes is a setting
 nothing uses; one that every call overrides is one only tests rely on.
-Calls are matched to what they call by name.  Nor does any module in
+Nor does every call pass a parameter, defaulted or not, the same
+constant (a literal, or a name bound at the top level of a module):
+that is a constant of the callee that only tests vary.  Calls are
+matched to what they call by name.  Nor does any module in
 src/blowup_lab or tests/ import a name it never reads, or bind a local
 name (one not starting with _) that its function never reads."""
 
@@ -61,48 +64,109 @@ def is_frozen_dataclass(node):
         for d in node.decorator_list)
 
 
-def defaults(tree):
-    """(callee, name, position) of each defaulted parameter of a
-    top-level function or method and of each defaulted field of a frozen
+def parameters(tree):
+    """(callee, name, position, defaulted) of each parameter of a
+    top-level function or method and of each field of a frozen
     dataclass; a call reaches __init__ and the fields by the class name,
-    and position counts positional arguments after self."""
+    and position counts positional arguments after self (keyword-only
+    ones have none)."""
     for node in tree.body:
         if is_frozen_dataclass(node):
             fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
                       and isinstance(s.target, ast.Name)]
-            yield from ((node.name, s.target.id, i)
-                        for i, s in enumerate(fields) if s.value is not None)
+            yield from ((node.name, s.target.id, i, s.value is not None)
+                        for i, s in enumerate(fields))
         defs = [(node, node.name, 0)] if isinstance(node, ast.FunctionDef) \
             else [(fn, node.name if fn.name == "__init__" else fn.name, 1)
                   for fn in getattr(node, "body", [])
                   if isinstance(fn, ast.FunctionDef)]
         for fn, callee, skip in defs:
             first = len(fn.args.args) - len(fn.args.defaults)
-            yield from ((callee, a.arg, i - skip)
-                        for i, a in enumerate(fn.args.args) if i >= first)
-            yield from ((callee, a.arg, math.inf) for a, d in
-                        zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d)
+            yield from ((callee, a.arg, i - skip, i >= first)
+                        for i, a in enumerate(fn.args.args) if i >= skip)
+            yield from ((callee, a.arg, math.inf, d is not None) for a, d in
+                        zip(fn.args.kwonlyargs, fn.args.kw_defaults))
+
+
+def module_constants(tree):
+    """The names an assignment binds at the top level of a module."""
+    return {t.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(t, ast.Name)}
+
+
+def argument(call, name, pos):
+    """What a call passes for a parameter: its expression, None when it
+    leaves it out, or ... when *args or **kwargs may pass it."""
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return ...
+    return call.args[pos] if pos < len(call.args) else None
+
+
+def constant(expr, constants):
+    """expr as source text when it is a literal or reads a name in
+    constants (by itself or as a module's attribute), else None."""
+    try:
+        ast.literal_eval(expr)
+        return ast.unparse(expr)
+    except (ValueError, TypeError):
+        pass
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        expr = ast.Name(expr.attr)
+    if isinstance(expr, ast.Name) and expr.id in constants:
+        return expr.id
+    return None
+
+
+def parameter_uses(defined, calling):
+    """(module, callee, name, defaulted, [what each call by that name
+    passes: an expression, None or ...]) of each parameter of the
+    modules in defined (name -> tree), over the calls in calling, and
+    the names bound at the top level of each of those modules."""
+    calls = [(getattr(c.func, "id", None) or getattr(c.func, "attr", None),
+              c) for tree in calling.values() for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+    constants = set().union(*map(module_constants, calling.values()))
+    uses = [(module, callee, name, defaulted,
+             [argument(c, name, pos) for called, c in calls
+              if called == callee])
+            for module, tree in defined.items()
+            for callee, name, pos, defaulted in parameters(tree)]
+    return uses, constants
+
+
+def library_uses():
+    """parameter_uses of src/ over the calls in src/ and perfbench/."""
+    trees = {path: ast.parse(path.read_text())
+             for root in (SRC, SRC.parent.parent / "perfbench")
+             for path in sorted(root.glob("*.py"))}
+    return parameter_uses({path.name: tree for path, tree in trees.items()
+                           if path.parent == SRC}, trees)
 
 
 def library_defaults():
     """(module, callee, name, [whether each call by that name passes
     it]) of each default in src/, over the calls in src/ and perfbench/;
     a call with *args or **kwargs passes everything."""
-    trees = {path: ast.parse(path.read_text())
-             for root in (SRC, SRC.parent.parent / "perfbench")
-             for path in sorted(root.glob("*.py"))}
-    calls = [(getattr(c.func, "id", None) or getattr(c.func, "attr", None),
-              len(c.args), {k.arg for k in c.keywords},
-              any(isinstance(a, ast.Starred) for a in c.args)
-              or None in {k.arg for k in c.keywords})
-             for tree in trees.values() for c in ast.walk(tree)
-             if isinstance(c, ast.Call)]
-    for path, tree in trees.items():
-        if path.parent == SRC:
-            for callee, name, pos in defaults(tree):
-                yield path.name, callee, name, [
-                    star or name in kws or n > pos
-                    for called, n, kws, star in calls if called == callee]
+    uses, _ = library_uses()
+    for module, callee, name, defaulted, args in uses:
+        if defaulted:
+            yield module, callee, name, [a is not None for a in args]
+
+
+def constant_parameters(uses, constants):
+    """The parameters that calls pass, every one of them the same
+    constant."""
+    return [f"{module}: {callee}({name}) = {values.pop()}"
+            for module, callee, name, _, args in uses
+            for values in [{constant(a, constants) if isinstance(a, ast.AST)
+                            else None for a in args}]
+            if len(values) == 1 and None not in values]
 
 
 def test_every_defaulted_parameter_is_passed_by_a_caller():
@@ -119,6 +183,54 @@ def test_every_default_is_left_out_by_a_caller():
                   if all(passes)]
     assert not overridden, ("defaults that every call in src/ and "
                             "perfbench/ overrides: " + ", ".join(overridden))
+
+
+def test_the_constant_parameter_check_finds_what_it_looks_for():
+    # every call gives b and d, by position or keyword, one constant;
+    # amplitude and negate come from a single call, as a seed amplitude
+    # once did; by reads LIMIT plainly and as a module's attribute; a
+    # method's n counts from after self.  Not flagged: a, which varies,
+    # c and e, left out by a call, b of pad, which *rest may pass, and
+    # what g and k are passed, variables
+    tree = ast.parse("LIMIT = 3\n"
+                     "_AMP: float = 1e-14\n"
+                     "def f(a, b, c=1, *, d=2, e=None):\n"
+                     "    return a\n"
+                     "def noise(c, amplitude, rng_seed, negate=True):\n"
+                     "    return c\n"
+                     "def pad(a, b=0):\n"
+                     "    return a\n"
+                     "def scale(v, by):\n"
+                     "    return v\n"
+                     "class Box:\n"
+                     "    def fill(self, n, f=None):\n"
+                     "        return n\n"
+                     "def g(x, box, *rest):\n"
+                     "    f(x, LIMIT, d=-1.0)\n"
+                     "    f(x + 1, LIMIT, 2, d=-1.0, e=rest)\n"
+                     "    pad(1, 2)\n"
+                     "    pad(*rest)\n"
+                     "    scale(x, mod.LIMIT)\n"
+                     "    scale(1, LIMIT)\n"
+                     "    box.fill(3)\n"
+                     "    box.fill(3, f=x)\n"
+                     "    return noise(x, _AMP, rest, negate=False)\n"
+                     "def k(y):\n"
+                     "    return g(y, y)\n")
+    uses, constants = parameter_uses({"planted.py": tree},
+                                     {"planted.py": tree})
+    assert constants == {"LIMIT", "_AMP"}
+    assert constant_parameters(uses, constants) == [
+        "planted.py: f(b) = LIMIT", "planted.py: f(d) = -1.0",
+        "planted.py: noise(amplitude) = _AMP",
+        "planted.py: noise(negate) = False", "planted.py: scale(by) = LIMIT",
+        "planted.py: fill(n) = 3"]
+
+
+def test_no_parameter_is_passed_one_constant_by_every_call():
+    found = constant_parameters(*library_uses())
+    assert not found, ("parameters that every call in src/ and perfbench/ "
+                       "passes the same constant: " + ", ".join(found))
 
 
 def reads(node):
