@@ -79,61 +79,51 @@ def t_tilde(alpha: float, epsilon: float) -> float:
 def v_timescale2(x, t, alpha: float, epsilon: float, t_c: float,
                  consts: AsymptoticConstants):
     """Second-timescale approximation of v for x = O(1), t <= t_c."""
-    x = np.asarray(x, dtype=float)
     ea = math.exp(-alpha)
     s_half = np.sin(0.5 * x) ** 2
     s_full = np.sin(x) ** 2
     log_arg = (t_c - t) / epsilon + 2.0 * ea * s_half
     if np.any(log_arg <= 0.0):
         raise ValueError("log argument non-positive (past t_c at x = 0)")
-    out = ((t_c - t)
-           + 2.0 * epsilon * ea * s_half
-           + 2.0 * epsilon ** 2 * math.log(epsilon) * ea ** 2 * s_full
-           + epsilon * (t - t_c) * ea * np.cos(x)
-           + 2.0 * epsilon ** 2 * s_full
-           * (ea ** 2 * np.log(log_arg) + consts.C1 + consts.C3))
-    return out if out.shape else float(out)
+    return ((t_c - t)
+            + 2.0 * epsilon * ea * s_half
+            + 2.0 * epsilon ** 2 * math.log(epsilon) * ea ** 2 * s_full
+            + epsilon * (t - t_c) * ea * np.cos(x)
+            + 2.0 * epsilon ** 2 * s_full
+            * (ea ** 2 * np.log(log_arg) + consts.C1 + consts.C3))
 
 
 def blowup_profile_global(x, alpha: float, epsilon: float,
                           consts: AsymptoticConstants):
     """Blow-up profile for x = O(1) (the second-timescale form at t = t_c)."""
-    x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         raise ValueError("x = 0 hits the log singularity")
     ea = math.exp(-alpha)
     s_half = np.sin(0.5 * x) ** 2
     s_full = np.sin(x) ** 2
-    out = (2.0 * epsilon * ea * s_half
-           + 2.0 * epsilon ** 2 * s_full
-           * (ea ** 2 * np.log(2.0 * epsilon * ea * s_half)
-              + consts.C1 + consts.C3))
-    return out if out.shape else float(out)
+    return (2.0 * epsilon * ea * s_half
+            + 2.0 * epsilon ** 2 * s_full
+            * (ea ** 2 * np.log(2.0 * epsilon * ea * s_half)
+               + consts.C1 + consts.C3))
 
 
 def blowup_profile_local(x, alpha: float, epsilon: float):
     """Blow-up profile for exponentially small x:
     eps*e^{-a}*x^2 / (2 - 8*eps*e^{-a}*log(x^2))."""
-    x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= 1.0) or np.any(x == 0.0):
         raise ValueError("requires 0 < |x| < 1")
     ea = math.exp(-alpha)
-    out = epsilon * ea * x ** 2 / (2.0 - 8.0 * epsilon * ea * np.log(x ** 2))
-    return out if out.shape else float(out)
+    return epsilon * ea * x ** 2 / (2.0 - 8.0 * epsilon * ea * np.log(x ** 2))
 
 
 def coeff_decay_global(k, alpha: float, epsilon: float):
     """c_k(t_c) ~ 4*eps^2*e^{-2a}/k^3."""
-    k = np.asarray(k, dtype=float)
-    out = 4.0 * epsilon ** 2 * math.exp(-2.0 * alpha) / k ** 3
-    return out if out.shape else float(out)
+    return 4.0 * epsilon ** 2 * math.exp(-2.0 * alpha) / k ** 3
 
 
 def coeff_decay_local(k):
     """c_k(t_c) ~ 1/(16 k^3 log^2 k), independent of eps and alpha."""
-    k = np.asarray(k, dtype=float)
-    out = 1.0 / (16.0 * k ** 3 * np.log(k) ** 2)
-    return out if out.shape else float(out)
+    return 1.0 / (16.0 * k ** 3 * np.log(k) ** 2)
 
 
 SINGULARITY_REGIMES = ("naive", "early", "late_first_scale",
@@ -200,14 +190,12 @@ def singularity_y(regime: str, value, alpha: float, epsilon: float,
     else:
         d = t_c - v
         out = np.sqrt(8.0 * d * np.log(1.0 / d))
-    return out if out.shape else float(out)
+    return out
 
 
 def flatness_approx(t, alpha: float, epsilon: float):
     """f(t) ~ 4*a_1(t) = 2*eps*e^{-t}/(alpha - t)^2, away from blow-up."""
-    t = np.asarray(t, dtype=float)
     if np.any(t >= alpha):
         raise ValueError("requires t < alpha")
-    out = 2.0 * epsilon * np.exp(-t) / (alpha - t) ** 2
-    return out if out.shape else float(out)
+    return 2.0 * epsilon * np.exp(-t) / (alpha - t) ** 2
 

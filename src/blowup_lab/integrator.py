@@ -55,8 +55,10 @@ _TAKE = [np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in _GATHER]),
 _GAP_COLUMN = np.array(_DISTINCT_GAPS)[:, None]
 _BLOCK_GAPS, _BLOCK_WEIGHTS = _GAP_COLUMN[:, :, None], _WEIGHTS[:, :, None]
 # plain DOPRI5's weights (lin None) as (a, e): [False] for one state,
-# complex as the stages are, [True] for a block, float (see _stage_weights)
-_PLAIN = [(w[:21], w[21:]) for w in (_WEIGHTS.astype(complex), _BLOCK_WEIGHTS)]
+# complex as the stages are, [True] for a block, float and without error
+# weights (see _stage_weights)
+_PLAIN = [(_WEIGHTS[:21].astype(complex), _WEIGHTS[21:].astype(complex)),
+          (_BLOCK_WEIGHTS[:21], None)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
 # the step controller's first step, the step below which a solve stops
@@ -207,7 +209,7 @@ class Trajectory:
         """Before seg, the step [seg.t0, t_end], is appended: unless a
         kept time lies inside it (seg.t0 < tau < t_end), it holds no
         arrays, and the state at its start goes too, but for the first
-        state and a state at a kept time (state_at reads a stored time
+        state and a state at a kept time (states_at reads a stored time
         from its state, not from a sub-step).  ahead holds the kept times
         not yet passed, latest first."""
         while ahead and ahead[-1] <= seg.t0:
@@ -220,51 +222,42 @@ class Trajectory:
             if seg.t0 not in self.kept:
                 self.states[-1] = None
 
-    def _refuse_unkept(self, t: float) -> None:
-        if (self.kept is not None and t not in self.kept
-                and t != self.times[0] and t != self.times[-1]):
-            raise IntegrationError(f"t = {t} was not kept: the integration "
-                                   "held dense output only at its kept "
-                                   "times and its two ends")
-
     def state_at(self, t: float) -> np.ndarray:
-        """Dense-output evaluation at any time inside the covered span
-        (at a kept time or either end when the integration kept times):
-        the stored state at a stored time (a trajectory of one state has
-        no segment), else the sub-step of the segment that covers t."""
-        self._refuse_unkept(t)
-        times = self.times
-        i = bisect_left(times, t)       # first stored time >= t
-        if i < len(times) and times[i] == t:
-            return self.states[i]
-        if 0 < i < len(times):
-            return self.dense_segments[i - 1].eval_block([t])[0]
-        # clamp to endpoints
-        if abs(t - times[0]) <= 1e-12 * max(1.0, abs(t)):
-            return self.states[0]
-        if abs(t - times[-1]) <= 1e-12 * max(1.0, abs(t)):
-            return self.states[-1]
-        raise IntegrationError(f"t = {t} outside integrated span")
+        """The state at t, as states_at gives it."""
+        return next(self.states_at([t]))
 
     def states_at(self, times: Sequence[float]) -> Iterator[np.ndarray]:
-        """The states state_at returns at each of the times, in order.
-        Consecutive times inside one dense segment are read _BLOCK at a
-        time through one batched sub-step, so the times should be sorted
-        for the batching to pay; stored times, the clamps at either end
-        and times outside the span go through state_at."""
+        """Dense-output evaluation at each of the times, in order, inside
+        the covered span (at a kept time or either end when the
+        integration kept times): the stored state at a stored time (a
+        trajectory of one state has no segment), else the sub-step of the
+        segment that covers it, or the state at an end that it lies
+        within 1e-12 of.  Consecutive times inside one dense segment are
+        read _BLOCK at a time through one batched sub-step, so the times
+        should be sorted for the batching to pay."""
+        stored, j = self.times, 0
         if self.kept is not None:
             for t in times:
-                self._refuse_unkept(t)
-        stored, j = self.times, 0
+                if t not in self.kept and t != stored[0] and t != stored[-1]:
+                    raise IntegrationError(
+                        f"t = {t} was not kept: the integration held dense "
+                        "output only at its kept times and its two ends")
         while j < len(times):
-            i, end = bisect_left(stored, times[j]), j + 1
-            if 0 < i < len(stored) and stored[i] != times[j]:
+            t = times[j]
+            i, end = bisect_left(stored, t), j + 1     # first stored >= t
+            if i < len(stored) and stored[i] == t:
+                yield self.states[i]
+            elif 0 < i < len(stored):
                 while (end < len(times) and end - j < _BLOCK
                        and stored[i - 1] < times[end] < stored[i]):
                     end += 1
                 yield from self.dense_segments[i - 1].eval_block(times[j:end])
+            elif abs(t - stored[0]) <= 1e-12 * max(1.0, abs(t)):
+                yield self.states[0]
+            elif abs(t - stored[-1]) <= 1e-12 * max(1.0, abs(t)):
+                yield self.states[-1]
             else:
-                yield self.state_at(times[j])
+                raise IntegrationError(f"t = {t} outside integrated span")
             j = end
 
 
@@ -296,19 +289,20 @@ def _lawson_tables(lin, clock):
             np.repeat(_WEIGHTS, lin.size, axis=1))
 
 
-def _stage_weights(tables, clock, t, h, dense):
+def _stage_weights(tables, clock, t, h):
     """Weights of one step from t to t + h: (decay, a, e), a packed.
 
-    Plain DOPRI5 (tables None): decay is None, a the tableau and e the
-    error weights.  Lawson form (tables from _lawson_tables): with
-    E_ij = exp(lin (T_i - T_j)), T_i the time at node t + c_i h
-    (clock(t + c_i h) on a path, else the node itself), stage i starts
-    from E_i0 y (decay[i]) and weighs stage j by a_ij E_ij; the error
-    weights are e_j E_6j, or None for a dense sub-step.  The nodes never
+    h is a number for a full step, or an (m, 1) column of step lengths
+    from the same t for a dense sub-step (Trajectory's lookups and event
+    location), which gives each weight a row per step and has no error
+    weights (e None).  Plain DOPRI5 (tables None): decay is None, a the
+    tableau and e the error weights.  Lawson form (tables from
+    _lawson_tables): with E_ij = exp(lin (T_i - T_j)), T_i the time at
+    node t + c_i h (clock(t + c_i h) on a path, else the node itself),
+    stage i starts from E_i0 y (decay[i]) and weighs stage j by
+    a_ij E_ij; the error weights are e_j E_6j.  The nodes never
     decrease, so |E| <= 1 whenever Re lin <= 0 and the real part of T
-    increases.  h is a number, or an (m, 1) column of step lengths from
-    the same t, which gives each weight a row per step; dense sub-steps
-    (Trajectory's lookups and event location) are blocks.
+    increases.
 
     The stages are complex.  A single state's weights are complex too,
     so that no product with a stage casts: (w + 0i)(c + di) is what the
@@ -326,36 +320,36 @@ def _stage_weights(tables, clock, t, h, dense):
         gaps, take = nodes[_LOWER[0]] - nodes[_LOWER[1]], _TAKE[1]
         gaps = gaps if block else gaps[:, None]
     if block:
-        rows = 28 if dense else 35
-        g = np.take(np.exp(gaps * lin_rows[0]), take[:rows], axis=0)
-        g[7:] *= _BLOCK_WEIGHTS[:rows - 7]
-    else:
-        g = np.multiply(gaps, lin_rows)
-        np.exp(g, out=g)
-        g = g[take]
-        g[7:] *= weights
-        g = g.astype(complex, copy=False)
-    return g[:7], g[7:28], None if dense else g[28:]
+        g = np.take(np.exp(gaps * lin_rows[0]), take[:28], axis=0)
+        g[7:] *= _BLOCK_WEIGHTS[:21]
+        return g[:7], g[7:], None
+    g = np.multiply(gaps, lin_rows)
+    np.exp(g, out=g)
+    g = g[take]
+    g[7:] *= weights
+    g = g.astype(complex, copy=False)
+    return g[:7], g[7:28], g[28:]
 
 
-def _attempt_step(rhs, t, y, h, k1, tables, clock, dense=False):
+def _attempt_step(rhs, t, y, h, k1, tables, clock):
     """One DOPRI5 step, in Lawson form unless tables is None (see
     _lawson_tables).
 
-    Returns (y5, err, k, ok), k the (7, n) stages; ok=False on non-finite
-    rhs.  With dense=True the step stops at y5, skipping the last stage,
-    which only the error estimate and FSAL need: (y5, None, None, ok).
-    An (m, n) block y with an (m, 1) column h takes m steps from t at
-    once, each row as its own step would, with rhs called on the block.
+    A single state y with a number h takes a full step: (y5, err, k, ok),
+    k the (7, n) stages; ok=False on non-finite rhs.  An (m, n) block y
+    with an (m, 1) column h takes m dense sub-steps from t at once, each
+    row as its own step would, with rhs called on the block: it stops at
+    y5, skipping the last stage, which only the error estimate and FSAL
+    need: (y5, None, None, ok).
     """
-    decay, a, e = _stage_weights(tables, clock, t, h, dense)
+    decay, a, e = _stage_weights(tables, clock, t, h)
     k = np.empty((7,) + y.shape, dtype=complex)
     k[0] = k1
     for i in range(1, 7):
         yi = _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
         yi *= h
         yi += y if decay is None else decay[i] * y
-        if dense and i == 6:
+        if e is None and i == 6:
             return yi, None, None, True
         ki = rhs(yi, t + _C[i] * h)
         if np.count_nonzero(np.isfinite(ki)) < ki.size:
@@ -462,7 +456,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     times the caller will read the dense output at: with keep, only a
     step with one of them inside holds its start state and k1, besides
     the states at kept times and the first and the last state, and
-    Trajectory.state_at refuses every other time; None holds every state
+    Trajectory.states_at refuses every other time; None holds every state
     and answers anywhere in the span.
     Every rhs call is counted in stats (a fresh IntegratorStats unless
     one is passed to share): the solve's own in rhs_calls, the dense
@@ -495,7 +489,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     def dense(count_rhs):
         def substep(ts, ys, tau, k1s):
             out, _, _, ok = _attempt_step(count_rhs, ts, ys, tau, k1s,
-                                          tables, clock, dense=True)
+                                          tables, clock)
             if not ok:
                 raise IntegrationError(f"rhs non-finite in dense output at "
                                        f"t = {ts + tau}")

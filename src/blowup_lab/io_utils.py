@@ -51,8 +51,6 @@ def _fmt(v) -> str:
     # float's formatter: np.float64's own is slower, with the same bytes
     if isinstance(v, float):
         return float.__format__(v, ".16e")
-    if isinstance(v, complex):
-        return f"{_fmt(v.real)}+{_fmt(v.imag)}j"
     return str(v)
 
 

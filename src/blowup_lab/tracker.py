@@ -29,17 +29,13 @@ _ROOT_TOL = 1e-10
 _TRACK_BLOCK = 64
 
 
-class TrackingError(Exception):
-    pass
-
-
 @dataclass
 class SingularityTrack:
     times: np.ndarray
     y_fit: np.ndarray          # NaN where unusable
     y_root: np.ndarray         # NaN where unusable
     fit_residual: np.ndarray
-    no_root: dict = field(default_factory=dict)   # TrackingError reason -> count
+    no_root: dict = field(default_factory=dict)   # no-root reason -> count
     no_fit: dict = field(default_factory=dict)    # dropped-fit reason -> count
     seconds: dict = field(default_factory=dict)   # phase -> seconds
 
@@ -57,29 +53,23 @@ def _roundoff_floor(coeffs: np.ndarray) -> np.ndarray:
 
 
 def fit_strip_width(coeffs: np.ndarray,
-                    k_range: tuple[int, int]) -> tuple[float, float, float]:
+                    k_range: tuple[int, int]) -> tuple[float, float]:
     """Least-squares fit log|a_k| = log C + log k - k y over k_range, on
-    one state's coefficients a_k of u.
+    one state's coefficients a_k of u, none of them zero there.
 
     The prefactor k^p is fixed at p = 1, the second-order pole's; the
     range is honoured as given, the caller having stopped it above the
-    roundoff floor.  Returns (y, C, rms residual).
+    roundoff floor.  Returns (y, rms residual).
     """
     a = np.abs(coeffs[coeffs.shape[-1] // 2 + 1:])      # k = 1..N
     k_lo, k_hi = k_range
-    if k_hi - k_lo + 1 < 8:
-        raise TrackingError(
-            f"k-range [{k_lo}, {k_hi}] too short (< 8 usable modes)")
     k = np.arange(k_lo, k_hi + 1, dtype=float)
-    ak = a[k_lo - 1:k_hi]
-    if np.any(ak <= 0.0):
-        raise TrackingError("zero coefficient inside k-range")
-    rhs = np.log(ak) - np.log(k)
+    rhs = np.log(a[k_lo - 1:k_hi]) - np.log(k)
     design = np.column_stack([np.ones_like(k), -k])
     (log_c, y), *_ = np.linalg.lstsq(design, rhs, rcond=None)
     fitted = design @ np.array([log_c, y])
     residual = float(np.sqrt(np.mean((fitted - rhs) ** 2)))
-    return float(y), float(np.exp(log_c)), residual
+    return float(y), residual
 
 
 def _decaying_range(log_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +101,8 @@ def strip_width_estimate(coeffs: np.ndarray
     The window ends where the decaying spectrum meets the integrator noise
     plateau or the roundoff floor of its largest coefficient, whichever
     comes first, and starts at half that, avoiding low-k profile
-    contamination.  Only a window of at least 8 modes is fitted.
+    contamination.  Only a window of at least 8 modes, none of them
+    zero, is fitted.
     The fixed-p fit carries an O(1/k) bias from logarithmic corrections to
     the pole model; when the spectrum is resolved all the way to
     truncation, two half-window fits are extrapolated in 1/k to remove it.
@@ -125,22 +116,20 @@ def strip_width_estimate(coeffs: np.ndarray
     above = (a > _roundoff_floor(coeffs)) & (np.arange(n) < k_hi[:, None])
     k_hi = np.max(above * np.arange(1, n + 1), axis=1, initial=0)
     y, residual = np.full((2, len(coeffs)), np.nan)
-    # one fixed message, so build_track counts these drops as one reason
-    why = [None if hi - lo + 1 >= 8 else
-           "decaying k-range too short (< 8 usable modes)"
-           for lo, hi in zip(k_lo, k_hi)]
-    for r in np.flatnonzero(k_hi - k_lo + 1 >= 8):
+    # fixed messages, so build_track counts these drops as one reason each
+    why = ["decaying k-range too short (< 8 usable modes)" if hi - lo + 1 < 8
+           else "zero coefficient inside k-range"
+           if np.any(row[lo - 1:hi] <= 0.0) else None
+           for row, lo, hi in zip(a, k_lo, k_hi)]
+    for r in np.flatnonzero([reason is None for reason in why]):
         lo, hi = k_lo[r], k_hi[r]
-        try:
-            y[r], _, residual[r] = fit_strip_width(coeffs[r], k_range=(lo, hi))
-            if hi >= n - 2 and hi - lo + 1 >= 16:
-                mid = lo + (hi - lo) // 2
-                y1, _, _ = fit_strip_width(coeffs[r], k_range=(lo, mid))
-                y2, _, _ = fit_strip_width(coeffs[r], k_range=(mid, hi))
-                m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-                y[r] = (m2 * y2 - m1 * y1) / (m2 - m1)
-        except TrackingError as exc:     # raised before y[r] is set
-            why[r] = str(exc)
+        y[r], residual[r] = fit_strip_width(coeffs[r], k_range=(lo, hi))
+        if hi >= n - 2 and hi - lo + 1 >= 16:
+            mid = lo + (hi - lo) // 2
+            y1, _ = fit_strip_width(coeffs[r], k_range=(lo, mid))
+            y2, _ = fit_strip_width(coeffs[r], k_range=(mid, hi))
+            m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            y[r] = (m2 * y2 - m1 * y1) / (m2 - m1)
     return y, residual, why
 
 

@@ -12,7 +12,10 @@ import numpy as np
 from blowup_lab import reduced
 from blowup_lab.integrator import (EventSpec, StiffnessOrSingularity,
                                    Trajectory, integrate)
-from blowup_lab.tracker import TrackingError
+
+
+class TooFewSamples(Exception):
+    """An impingement regression without the samples it needs."""
 
 
 def turning_time(alpha):
@@ -49,7 +52,7 @@ def impingement_regression(d, y):
     d = np.asarray(d, dtype=float)
     y = np.asarray(y, dtype=float)
     if d.size < 4:
-        raise TrackingError("too few samples for the impingement regression")
+        raise TooFewSamples("too few samples for the impingement regression")
     return float(np.polyfit(d * np.log(1.0 / d), y ** 2, 1)[0])
 
 
@@ -60,7 +63,7 @@ def impingement_slope(track, t_c, epsilon):
     mask = ((t >= t_c - 10.0 * epsilon) & (t <= t_c - 0.1 * epsilon)
             & np.isfinite(y))
     if np.count_nonzero(mask) < 4:
-        raise TrackingError("too few usable samples in the impingement window")
+        raise TooFewSamples("too few usable samples in the impingement window")
     return impingement_regression(t_c - t[mask], y[mask])
 
 

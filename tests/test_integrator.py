@@ -348,10 +348,12 @@ def test_stacked_step_matches_reference_bit_for_bit():
         assert ok and ref is not None
         assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
         assert all(same_bits(a, b) for a, b in zip(k, ref[2]))
-        # the dense sub-step over the whole step is the step's own y5
-        y_dense = integrator._attempt_step(nonlinear, t, y, h, k1, None,
-                                           None, dense=True)[0]
-        assert same_bits(y_dense, y5)
+        # the dense sub-step over the whole step, on a block of one row,
+        # is the step's own y5
+        y_dense = integrator._attempt_step(nonlinear, t, y[None],
+                                           np.array([[h]]), k1[None], None,
+                                           None)[0]
+        assert same_bits(y_dense[0], y5)
 
 
 def test_stacked_step_rejects_where_reference_does():
@@ -435,13 +437,13 @@ def test_lawson_step_matches_reference_bit_for_bit(column, path):
         y5, err, stages, ok = integrator._attempt_step(block_rhs, t, y, h, k1,
                                                        tables, clock)
         ref = lawson_reference(block_rhs, t, y, h, k1, lin, clock)
-        assert ok
-        assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
-        assert all(same_bits(a, b) for a, b in zip(stages, ref[2]))
-        y_dense, no_err, no_stages, ok = integrator._attempt_step(
-            block_rhs, t, y, h, k1, tables, clock, dense=True)
-        assert ok and no_err is None and no_stages is None
-        assert same_bits(y_dense, ref[0])
+        assert ok and same_bits(y5, ref[0])
+        if column:
+            # a block takes dense sub-steps, which stop at y5
+            assert err is None and stages is None
+        else:
+            assert same_bits(err, ref[1])
+            assert all(same_bits(a, b) for a, b in zip(stages, ref[2]))
 
 
 def imaginary_rhs(y, t):
@@ -467,14 +469,14 @@ def test_single_state_step_matches_one_row_block_bit_for_bit(form):
         y[trial % 3::3] = 1j * y[trial % 3::3].imag
         t, h = rng.uniform(0, 0.5), 10.0 ** rng.uniform(-4, -0.5)
         k1 = imaginary_rhs(y, t)
-        y5, err, stages, ok = integrator._attempt_step(
+        y5, _, _, ok = integrator._attempt_step(
             imaginary_rhs, t, y, h, k1, tables, clock)
         row = integrator._attempt_step(imaginary_rhs, t, y[None],
                                        np.array([[h]]), k1[None], tables,
                                        clock)
         assert ok and row[3]
-        assert same_bits(y5, row[0][0]) and same_bits(err, row[1][0])
-        assert same_bits(stages, row[2][:, 0])
+        # a block is a dense sub-step: y5 alone, no error estimate
+        assert same_bits(y5, row[0][0]) and row[1] is None
         if form != "path":
             assert not np.any(y5[trial % 3::3].real)
 
@@ -600,26 +602,34 @@ def test_bisect_lookup_matches_linear_scan(kind):
         assert traj.times[-1] == 1.0
         assert len(traj.dense_segments) > 5
     times = traj.times
+
+    def lookups(t):
+        """The state at t through state_at and through states_at."""
+        return (traj.state_at(t), *traj.states_at([t]))
+
     for i, seg in enumerate(traj.dense_segments):
         # inside a segment: the same segment, the same bits
         mid = seg.t0 + 0.37 * seg.h
-        assert traj.state_at(mid).tobytes() == linear_scan(traj, mid).tobytes()
+        one, many = lookups(mid)
+        assert one.tobytes() == many.tobytes() \
+            == linear_scan(traj, mid).tobytes()
         # at its end: the stored state, which the scan's sub-step over the
         # whole segment reproduces to roundoff
         end = times[i + 1]
-        assert traj.state_at(end) is traj.states[i + 1]
+        assert all(s is traj.states[i + 1] for s in lookups(end))
         assert np.max(np.abs(linear_scan(traj, end) - traj.states[i + 1])) \
             <= 1e-14
     # the endpoint clamps
     for t, state in ((times[0] - 1e-13, traj.states[0]),
                      (times[-1] + 1e-13, traj.states[-1])):
-        assert traj.state_at(t) is state and linear_scan(traj, t) is state
-    # outside the span both raise
+        assert all(s is state for s in (*lookups(t), linear_scan(traj, t)))
+    # outside the span all three raise the same error
     for t in (times[0] - 1e-3, times[-1] + 1e-3):
-        with pytest.raises(IntegrationError):
-            traj.state_at(t)
-        with pytest.raises(IntegrationError):
-            linear_scan(traj, t)
+        for lookup in (traj.state_at, lambda t: list(traj.states_at([t])),
+                       lambda t: linear_scan(traj, t)):
+            with pytest.raises(IntegrationError, match=re.escape(
+                    f"t = {t} outside integrated span")):
+                lookup(t)
 
 
 def block_rhs(y, t):
@@ -700,13 +710,22 @@ def test_kept_times_read_the_bits_of_the_full_run(data):
     times = full.times
     keep = (data.draw(st.lists(st.sampled_from(times), max_size=4))
             + data.draw(st.lists(st.floats(0.0, 1.0), max_size=8)))
-    part, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin, keep=keep)
+    # kept as well: a time within 1e-12 of each end, which reads the state
+    # there, and one outside the span
+    clamps = [-5e-13, 1.0 + 5e-13]
+    part, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin,
+                        keep=keep + clamps + [1.5])
     # the same steps: only what they hold differs
     assert part.stats.record() == full.stats.record()
     assert [(s.t0, s.h) for s in part.dense_segments] \
         == [(s.t0, s.h) for s in full.dense_segments]
-    for t in keep:
-        assert part.state_at(t).tobytes() == full.state_at(t).tobytes()
+    for t in keep + clamps:
+        one, (many,) = part.state_at(t), list(part.states_at([t]))
+        assert one.tobytes() == many.tobytes() == full.state_at(t).tobytes()
+        # a stored time and a clamp read the stored state itself
+        assert (one is many) == (t in times or t in clamps)
+    assert part.state_at(clamps[0]) is part.states[0]
+    assert part.state_at(clamps[1]) is part.states[-1]
     assert [s.tobytes() for s in part.states_at(sorted(keep))] \
         == [s.tobytes() for s in full.states_at(sorted(keep))]
     other = data.draw(st.floats(times[0], times[-1], exclude_min=True,
@@ -716,6 +735,9 @@ def test_kept_times_read_the_bits_of_the_full_run(data):
         with pytest.raises(IntegrationError,
                            match=re.escape(f"t = {other} was not kept")):
             lookup(other)
+        with pytest.raises(IntegrationError,
+                           match="t = 1.5 outside integrated span"):
+            lookup(1.5)
 
 
 # ---- Lawson form: the linear part is stepped exactly ---------------------
@@ -784,16 +806,17 @@ def test_lawson_weights_bounded_on_complex_path_legs():
     for clock in (upper, lambda s: np.conj(upper(s))):
         tables = integrator._lawson_tables(lin, clock)
         for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
-            decay, a, e = integrator._stage_weights(tables, clock, s0, h,
-                                                    False)
+            decay, a, e = integrator._stage_weights(tables, clock, s0, h)
             assert np.all(np.abs(decay) <= scale)
             assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
             assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)
     # on the real axis without a clock the factors are real: imaginary
-    # parts exactly 0 (complex for a single state, float for a block) and
-    # the decays within [0, 1]
+    # parts exactly 0 (complex for a single state, float for a block,
+    # which has no error weights) and the decays within [0, 1]
     tables = integrator._lawson_tables(lin, None)
     for h in (0.1, np.array([[0.1], [1e-3]])):
-        decay, a, e = integrator._stage_weights(tables, None, 0.0, h, False)
-        assert not any(np.any(np.imag(w)) for w in (decay, a, e))
+        decay, a, e = integrator._stage_weights(tables, None, 0.0, h)
+        assert (e is None) == isinstance(h, np.ndarray)
+        assert not any(np.any(np.imag(w)) for w in (decay, a, e)
+                       if w is not None)
         assert np.all((0 <= decay.real) & (decay.real <= 1))

@@ -233,6 +233,86 @@ def test_no_parameter_is_passed_one_constant_by_every_call():
                        "passes the same constant: " + ", ".join(found))
 
 
+def functions(tree):
+    """The names of a module's top-level functions and of its classes'
+    methods."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (fn.name for fn in body if isinstance(fn, ast.FunctionDef))
+
+
+def discarded_results(defined, calling):
+    """The positions of the results of the functions of the modules in
+    defined (name -> tree) that every call in calling, matched by name,
+    unpacks into a tuple with _ at that position; a call that keeps its
+    result whole, or unpacks it with a starred name, reads every
+    position."""
+    unpacked = {node.value: [isinstance(e, ast.Name) and e.id == "_"
+                             for e in node.targets[0].elts]
+                for tree in calling.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Tuple)
+                and not any(isinstance(e, ast.Starred)
+                            for e in node.targets[0].elts)}
+    calls = [(getattr(c.func, "id", None) or getattr(c.func, "attr", None),
+              c) for tree in calling.values() for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+    for module, tree in defined.items():
+        for callee in functions(tree):
+            shapes = [unpacked.get(c) for called, c in calls
+                      if called == callee]
+            if shapes and None not in shapes:
+                yield from (f"{module}: {callee}[{pos}]"
+                            for pos, dropped in enumerate(zip(*shapes))
+                            if all(dropped))
+
+
+def test_the_discarded_result_check_finds_what_it_looks_for():
+    # pair's second value and triple's first are dropped by every call,
+    # as is split's first, a method's; not flagged: triple's last, which
+    # one call reads, once, whose result one call keeps whole, and rest,
+    # which one call unpacks with a starred name
+    tree = ast.parse("def pair(x):\n"
+                     "    return x, 1\n"
+                     "def triple(x):\n"
+                     "    return x, 2, 3\n"
+                     "def once(x):\n"
+                     "    return x, x\n"
+                     "def rest(x):\n"
+                     "    return x, x, x\n"
+                     "class Box:\n"
+                     "    def split(self):\n"
+                     "        return 1, 2\n"
+                     "def use(x, box):\n"
+                     "    a, _ = pair(x)\n"
+                     "    b, _ = pair(a)\n"
+                     "    _, c, _ = triple(b)\n"
+                     "    _, d, e = triple(c)\n"
+                     "    f, _ = once(x)\n"
+                     "    g = once(f)\n"
+                     "    h, _, _ = rest(x)\n"
+                     "    i, *_ = rest(h)\n"
+                     "    _, j = box.split()\n"
+                     "    return a, b, c, d, e, g, i, j\n")
+    assert list(discarded_results({"planted.py": tree},
+                                  {"planted.py": tree})) == [
+        "planted.py: pair[1]", "planted.py: triple[0]",
+        "planted.py: split[0]"]
+
+
+def test_no_result_is_discarded_by_every_call():
+    trees = {path: ast.parse(path.read_text())
+             for root in (SRC, SRC.parent.parent / "perfbench")
+             for path in sorted(root.glob("*.py"))}
+    found = list(discarded_results(
+        {path.name: tree for path, tree in trees.items()
+         if path.parent == SRC}, trees))
+    assert not found, ("results that every call in src/ and perfbench/ "
+                       "discards: " + ", ".join(found))
+
+
 def reads(node):
     """The names read anywhere inside node."""
     return {n.id for n in ast.walk(node)
