@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Kutta 5(4) over complex state vectors.
+"""Adaptive embedded Runge-Kutta 5(4) over real or complex state vectors.
 
 Dormand-Prince coefficients with a PI step-size controller, in
 integrating-factor (Lawson) form for y' = L y + N(y, t) with a diagonal
@@ -54,10 +54,11 @@ _TAKE = [np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in _GATHER]),
 # gaps and weights with one more axis, for an (m, 1) column of step lengths
 _GAP_COLUMN = np.array(_DISTINCT_GAPS)[:, None]
 _BLOCK_GAPS, _BLOCK_WEIGHTS = _GAP_COLUMN[:, :, None], _WEIGHTS[:, :, None]
-# plain DOPRI5's weights (lin None) as (a, e): [False] for one state,
-# complex as the stages are, [True] for a block, float and without error
+# plain DOPRI5's weights (lin None) as (a, e): [False] for one state, by
+# the dtype of its stages, [True] for a block, float and without error
 # weights (see _stage_weights)
-_PLAIN = [(_WEIGHTS[:21].astype(complex), _WEIGHTS[21:].astype(complex)),
+_PLAIN = [{dtype: (_WEIGHTS[:21].astype(dtype), _WEIGHTS[21:].astype(dtype))
+           for dtype in (np.dtype(float), np.dtype(complex))},
           (_BLOCK_WEIGHTS[:21], None)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
@@ -162,8 +163,10 @@ class DenseSegment:
 
 @dataclass
 class IntegratorStats:
-    """What one integration did: steps, rejections and evaluations."""
+    """What one integration did: the arithmetic of its states ("real" or
+    "complex"), steps, rejections and evaluations."""
 
+    arithmetic: str = ""             # integrate sets it
     accepted: int = 0
     rejected_error: int = 0          # error norm above 1
     rejected_nonfinite: int = 0      # a stage's rhs was NaN or infinite
@@ -289,7 +292,7 @@ def _lawson_tables(lin, clock):
             np.repeat(_WEIGHTS, lin.size, axis=1))
 
 
-def _stage_weights(tables, clock, t, h):
+def _stage_weights(tables, clock, t, h, dtype):
     """Weights of one step from t to t + h: (decay, a, e), a packed.
 
     h is a number for a full step, or an (m, 1) column of step lengths
@@ -304,14 +307,14 @@ def _stage_weights(tables, clock, t, h):
     decrease, so |E| <= 1 whenever Re lin <= 0 and the real part of T
     increases.
 
-    The stages are complex.  A single state's weights are complex too,
-    so that no product with a stage casts: (w + 0i)(c + di) is what the
-    cast computes, bit for bit.  A block's stay float (lin's dtype), as
-    complex block weights cost more than the casts they save.
+    A single state's weights take the dtype of its stages, so that no
+    product with a stage casts: on complex stages, (w + 0i)(c + di) is
+    what the cast computes, bit for bit.  A block's stay float (lin's
+    dtype), as complex block weights cost more than the casts they save.
     """
     block = isinstance(h, np.ndarray)
     if tables is None:
-        return (None,) + _PLAIN[block]
+        return (None,) + (_PLAIN[True] if block else _PLAIN[False][dtype])
     lin_rows, weights = tables
     if clock is None:
         gaps, take = (_BLOCK_GAPS if block else _GAP_COLUMN) * h, _TAKE[0]
@@ -327,7 +330,7 @@ def _stage_weights(tables, clock, t, h):
     np.exp(g, out=g)
     g = g[take]
     g[7:] *= weights
-    g = g.astype(complex, copy=False)
+    g = g.astype(dtype, copy=False)
     return g[:7], g[7:28], g[28:]
 
 
@@ -342,8 +345,8 @@ def _attempt_step(rhs, t, y, h, k1, tables, clock):
     y5, skipping the last stage, which only the error estimate and FSAL
     need: (y5, None, None, ok).
     """
-    decay, a, e = _stage_weights(tables, clock, t, h)
-    k = np.empty((7,) + y.shape, dtype=complex)
+    decay, a, e = _stage_weights(tables, clock, t, h, y.dtype)
+    k = np.empty((7,) + y.shape, dtype=y.dtype)
     k[0] = k1
     for i in range(1, 7):
         yi = _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
@@ -460,16 +463,20 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     and answers anywhere in the span.
     Every rhs call is counted in stats (a fresh IntegratorStats unless
     one is passed to share): the solve's own in rhs_calls, the dense
-    output read after it in lookup_rhs_calls.
+    output read after it in lookup_rhs_calls.  The states are real when
+    y0 and rhs(y0, t0) are and no clock is given, else complex, and
+    stats.arithmetic names which.
     """
     if not math.isfinite(t1):
         raise ValueError(f"t1 = {t1} is not finite")
-    y = np.array(y0, dtype=complex, ndmin=1)
+    y = np.array(y0, ndmin=1, dtype=complex if clock is not None
+                 or np.iscomplexobj(y0) else float)
     tables = _lawson_tables(lin, clock)
     traj = Trajectory(stats=IntegratorStats() if stats is None else stats,
                       kept=None if keep is None else frozenset(keep))
     traj.append(t0, y)
     stats = traj.stats
+    stats.arithmetic = "complex" if np.iscomplexobj(y) else "real"
     # the kept times not yet passed, latest first
     ahead = None if keep is None else sorted(traj.kept, reverse=True)
 
@@ -504,6 +511,10 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     k1 = step_rhs(y, t0)
     if not np.all(np.isfinite(k1)):
         raise IntegrationError(f"rhs non-finite at t0 = {t0}")
+    if np.iscomplexobj(k1) and not np.iscomplexobj(y):
+        traj.states[0] = y = y.astype(complex)
+        y.flags.writeable = False
+        stats.arithmetic = "complex"
 
     t = t0
     h = min(_H_INIT, t1 - t0)

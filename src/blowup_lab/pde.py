@@ -54,9 +54,10 @@ class BlowupReport:
 
 
 def initial_field(params: ModelParams) -> np.ndarray:
-    """The coefficients of v(x,0) = alpha - epsilon*cos(x)."""
+    """The coefficients of v(x,0) = alpha - epsilon*cos(x): real and
+    even (c_-k = c_k), so a solve from them steps in real arithmetic."""
     n = params.n_modes
-    c = np.zeros(2 * n + 1, dtype=complex)
+    c = np.zeros(2 * n + 1)
     c[n] = params.alpha
     c[n + 1] = -params.epsilon / 2.0
     c[n - 1] = -params.epsilon / 2.0
@@ -81,10 +82,18 @@ def make_rhs(params: ModelParams):
     stepper counts as a rejection.
 
     The right-hand side takes one state or a (..., 2N+1) block of states
-    along the last axis; each row comes out as its own call would give it.
-    The grid values are the unscaled inverse sums; the 2, the 1/p, the
-    node sign and the minus sign are one factor -2 (-1)^k / p, exact with
-    p = padded_size(N) a power of two (barring under- and overflow).
+    along the last axis; each row comes out as its own call would give it
+    (a real block with a row that is not even takes the complex route as
+    a whole).  The grid values are the unscaled inverse sums; the 2, the
+    1/p, the node sign and the minus sign are one factor -2 (-1)^k / p,
+    exact with p = padded_size(N) a power of two (barring under- and
+    overflow).
+
+    A real array whose halves mirror bit for bit holds the cosine
+    coefficients of a real, even v, and so do its right-hand side and
+    every stage the stepper forms from them: it goes through the real
+    transforms on k = 0..N, and its result is real and mirrored exactly
+    into -N..-1.  Every other array takes the complex route.
     """
     n = params.n_modes
     p = padded_size(n)
@@ -97,36 +106,55 @@ def make_rhs(params: ModelParams):
     out_scale = (-2.0 * sign / p).astype(complex)
     hi = slice(0, n + 1)        # wavenumbers 0..n
     lo = slice(p - n, p)        # wavenumbers -n..-1
+    half = p // 2 + 1           # the real transforms' wavenumbers 0..p/2
 
-    def work(lead):
+    def work(lead, real):
         """Padded spectra (and their 0..n, -n..-1 parts), grid values v
-        and w = v_x (then v_x^2 / v in place) and the spectrum of w."""
-        spec = np.zeros(lead + (2, p), dtype=complex)
-        grid = np.empty_like(spec)
+        and w = v_x (then v_x^2 / v in place) and the spectrum of w; the
+        real route's spectra hold wavenumbers 0..p/2 alone, and its grid
+        values are real."""
+        size = half if real else p
+        spec = np.zeros(lead + (2, size), dtype=complex)
+        grid = np.empty(lead + (2, p), dtype=float if real else complex)
         return (spec[..., hi], spec[..., lo], spec, grid, grid[..., 0, :],
-                grid[..., 1, :], np.empty(lead + (p,), dtype=complex))
+                grid[..., 1, :], np.empty(lead + (size,), dtype=complex))
 
-    one = work(())              # a single state's, reused from call to call
+    # a single state's, reused from call to call: [real]
+    one = [work((), False), work((), True)]
 
     def rhs(c: np.ndarray, t) -> np.ndarray:
         lead = c.shape[:-1]
         if lead == (1,):        # state_at and every event sub-step: one row
             return rhs(c[0], t)[None]
-        spec_hi, spec_lo, spec, grid, v, w, wf = work(lead) if lead else one
+        # c_-k = c_k bit for bit, so also -0.0 and 0.0 tell apart
+        real = c.dtype == float and np.array_equal(
+            c[..., :n].view(np.int64), c[..., :n:-1].view(np.int64))
+        spec_hi, spec_lo, spec, grid, v, w, wf = (work(lead, real) if lead
+                                                  else one[real])
         np.multiply(c[..., None, n:], shift[:, n:], out=spec_hi)
-        np.multiply(c[..., None, :n], shift[:, :n], out=spec_lo)
-        np.fft.ifft(spec, axis=-1, norm="forward", out=grid)
+        if real:
+            np.fft.irfft(spec, p, norm="forward", out=grid)
+        else:
+            np.multiply(c[..., None, :n], shift[:, :n], out=spec_lo)
+            np.fft.ifft(spec, axis=-1, norm="forward", out=grid)
         np.multiply(w, w, out=w)
         # 0/0 (v = v_x = 0: at x = 0 in the step onto t_c, everywhere
         # when eps = 0) counts as 0, the quotient's value on nearby states
         # with v_x = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(w, v, out=w, where=w != 0)
-        np.fft.fft(w, out=wf)
         # a new array per call: the stepper keeps every stage
-        out = np.empty(lead + (2 * n + 1,), dtype=complex)
-        np.multiply(wf[..., hi], out_scale[n:], out=out[..., n:])
-        np.multiply(wf[..., lo], out_scale[:n], out=out[..., :n])
+        if real:
+            np.fft.rfft(w, out=wf)
+            out = np.empty(lead + (2 * n + 1,))
+            np.multiply(wf.real[..., hi], out_scale.real[n:],
+                        out=out[..., n:])
+            out[..., :n] = out[..., :n:-1]
+        else:
+            np.fft.fft(w, out=wf)
+            out = np.empty(lead + (2 * n + 1,), dtype=complex)
+            np.multiply(wf[..., hi], out_scale[n:], out=out[..., n:])
+            np.multiply(wf[..., lo], out_scale[:n], out=out[..., :n])
         out.T[n] -= 1.0             # k = 0 of each state (a number for one)
         return out
 

@@ -22,24 +22,24 @@ def _field(y, tau):
     a time keeps math.exp, whose bits np.exp does not always give."""
     if y.ndim > 1:
         return np.array([_field(row, tau) for row in y])
-    a, r = math.exp(y[0].real), y[1].real
+    a, r = math.exp(y[0]), y[1]
     r2 = r * r
     return np.array([-(2.0 * a * r2 + 2.0 - r2),
                      -r * (2.0 * a - 5.0 * a * r2 - 2.0 + r2),
-                     a * (2.0 - r2)], dtype=complex)
+                     a * (2.0 - r2)])
 
 
 def solve_two_mode(alpha: float, epsilon: float,
                    cfg: IntegratorConfig) -> tuple[Trajectory, float]:
     """Integrate from (a, b)(0) = (alpha, epsilon) to the breakdown: the
     trajectory in tau, with states (log a, r, t), and t_c'."""
-    y0 = np.array([math.log(alpha), epsilon / alpha, 0.0], dtype=complex)
+    y0 = np.array([math.log(alpha), epsilon / alpha, 0.0])
     # tau at the breakdown is 0.97-8.79 over the Table-1 grid
     tau_hi = math.log(alpha / epsilon) + 2.0 * alpha + 4.0
-    breakdown = EventSpec(lambda y: float(2.0 - y[1].real ** 2),
+    breakdown = EventSpec(lambda y: float(2.0 - y[1] ** 2),
                           direction="decreasing", root_tol=1e-13)
     traj, hit = integrate(_field, y0, 0.0, tau_hi, cfg, events=[breakdown])
     if hit is None:
         raise RuntimeError(f"two-mode system did not break down by "
                            f"tau = {tau_hi}")
-    return traj, float(hit.state[2].real)
+    return traj, float(hit.state[2])

@@ -1,12 +1,12 @@
 """Truncated Fourier series on [-pi, pi).
 
-A state is its complex coefficient array c_k, k = -N..N (position N + k),
-of v(x) = sum_k c_k exp(ikx), and a block of states stacks such arrays
-along the leading axes; every function reads N from the last axis.  This
-module holds the transform pair between coefficients and equispaced grid
-samples, the zero-padded grid size that dealiases quadratic products
-(3/2-rule), and the one evaluator of a series at points off the grid, by
-Horner's rule.
+A state is its coefficient array c_k, k = -N..N (position N + k), of
+v(x) = sum_k c_k exp(ikx), complex, or real where v is real and even
+(c_-k = c_k), and a block of states stacks such arrays along the leading
+axes; every function reads N from the last axis.  This module holds the
+transform pair between coefficients and equispaced grid samples, the
+zero-padded grid size that dealiases quadratic products (3/2-rule), and
+the one evaluator of a series at points off the grid, by Horner's rule.
 """
 
 from __future__ import annotations

@@ -52,24 +52,26 @@ def _roundoff_floor(coeffs: np.ndarray) -> np.ndarray:
         1.0, np.max(np.abs(coeffs), axis=-1, keepdims=True))
 
 
-def fit_strip_width(coeffs: np.ndarray,
-                    k_range: tuple[int, int]) -> tuple[float, float]:
-    """Least-squares fit log|a_k| = log C + log k - k y over k_range, on
-    one state's coefficients a_k of u, none of them zero there.
+def _fit_windows(z: np.ndarray, k_lo: np.ndarray,
+                 k_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit z_k = log C - k y on each row of an (m, N) block
+    of z_k = log|a_k| - log k, k = 1..N, over the row's window
+    k_lo..k_hi, centred on the window's mean k, for the whole block at
+    once: y and the rms residual per row.
 
     The prefactor k^p is fixed at p = 1, the second-order pole's; the
-    range is honoured as given, the caller having stopped it above the
-    roundoff floor.  Returns (y, rms residual).
+    window is honoured as given, the caller having stopped it above the
+    roundoff floor.
     """
-    a = np.abs(coeffs[coeffs.shape[-1] // 2 + 1:])      # k = 1..N
-    k_lo, k_hi = k_range
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    rhs = np.log(a[k_lo - 1:k_hi]) - np.log(k)
-    design = np.column_stack([np.ones_like(k), -k])
-    (log_c, y), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    fitted = design @ np.array([log_c, y])
-    residual = float(np.sqrt(np.mean((fitted - rhs) ** 2)))
-    return float(y), residual
+    k = np.arange(1, z.shape[-1] + 1)
+    inside = (k >= k_lo[:, None]) & (k <= k_hi[:, None])
+    count = k_hi - k_lo + 1
+    dk = np.where(inside, k - (k_lo + k_hi)[:, None] / 2, 0.0)
+    z_mean = np.sum(np.where(inside, z, 0.0), axis=1) / count
+    dz = np.where(inside, z - z_mean[:, None], 0.0)
+    y = -np.sum(dk * dz, axis=1) / np.sum(dk * dk, axis=1)
+    residual = np.sqrt(np.sum((dz + y[:, None] * dk) ** 2, axis=1) / count)
+    return y, residual
 
 
 def _decaying_range(log_mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +104,7 @@ def strip_width_estimate(coeffs: np.ndarray
     plateau or the roundoff floor of its largest coefficient, whichever
     comes first, and starts at half that, avoiding low-k profile
     contamination.  Only a window of at least 8 modes, none of them
-    zero, is fitted.
+    zero, is fitted, every row of the block in one pass (_fit_windows).
     The fixed-p fit carries an O(1/k) bias from logarithmic corrections to
     the pole model; when the spectrum is resolved all the way to
     truncation, two half-window fits are extrapolated in 1/k to remove it.
@@ -111,7 +113,8 @@ def strip_width_estimate(coeffs: np.ndarray
     """
     n = coeffs.shape[-1] // 2
     a = np.abs(coeffs[:, n + 1:])
-    k_lo, k_hi = _decaying_range(np.log(np.where(a > 0.0, a, 1e-300)))
+    log_mag = np.log(np.where(a > 0.0, a, 1e-300))
+    k_lo, k_hi = _decaying_range(log_mag)
     # coefficients at roundoff bend the fitted decay and bias y low
     above = (a > _roundoff_floor(coeffs)) & (np.arange(n) < k_hi[:, None])
     k_hi = np.max(above * np.arange(1, n + 1), axis=1, initial=0)
@@ -121,15 +124,16 @@ def strip_width_estimate(coeffs: np.ndarray
            else "zero coefficient inside k-range"
            if np.any(row[lo - 1:hi] <= 0.0) else None
            for row, lo, hi in zip(a, k_lo, k_hi)]
-    for r in np.flatnonzero([reason is None for reason in why]):
-        lo, hi = k_lo[r], k_hi[r]
-        y[r], residual[r] = fit_strip_width(coeffs[r], k_range=(lo, hi))
-        if hi >= n - 2 and hi - lo + 1 >= 16:
-            mid = lo + (hi - lo) // 2
-            y1, _ = fit_strip_width(coeffs[r], k_range=(lo, mid))
-            y2, _ = fit_strip_width(coeffs[r], k_range=(mid, hi))
-            m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            y[r] = (m2 * y2 - m1 * y1) / (m2 - m1)
+    rows = np.flatnonzero([reason is None for reason in why])
+    z = log_mag[rows] - np.log(np.arange(1, n + 1))
+    lo, hi = k_lo[rows], k_hi[rows]
+    y[rows], residual[rows] = _fit_windows(z, lo, hi)
+    halve = (hi >= n - 2) & (hi - lo + 1 >= 16)
+    z, lo, hi = z[halve], lo[halve], hi[halve]
+    mid = lo + (hi - lo) // 2
+    (y1, _), (y2, _) = _fit_windows(z, lo, mid), _fit_windows(z, mid, hi)
+    m1, m2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    y[rows[halve]] = (m2 * y2 - m1 * y1) / (m2 - m1)
     return y, residual, why
 
 

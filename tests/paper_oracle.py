@@ -94,14 +94,14 @@ def solve_taylor_two_mode(alpha, epsilon, cfg):
 def fourier_ansatz_blowup(alpha, epsilon, cfg):
     """The Fourier two-mode run to the ansatz blow-up b = a (r = 1), read
     in t with states (a, b), and the crossing time."""
-    y0 = np.array([math.log(alpha), epsilon / alpha, 0.0], dtype=complex)
-    event = EventSpec(lambda y: float(1.0 - y[1].real),
+    y0 = np.array([math.log(alpha), epsilon / alpha, 0.0])
+    event = EventSpec(lambda y: float(1.0 - y[1]),
                       direction="decreasing", root_tol=1e-13)
     traj, hit = integrate(reduced._field, y0, 0.0, 100.0, cfg,
                           events=[event])
-    return Trajectory(times=[y[2].real for y in traj.states],
-                      states=[math.exp(y[0].real) * np.array([1.0, y[1].real])
-                              for y in traj.states]), hit.state[2].real
+    return Trajectory(times=[y[2] for y in traj.states],
+                      states=[math.exp(y[0]) * np.array([1.0, y[1]])
+                              for y in traj.states]), hit.state[2]
 
 
 def taylor_conserved_quantity(a, b):

@@ -516,6 +516,41 @@ def test_states_are_stored_once_and_read_only():
         traj.states[-1][0] = 0.0
 
 
+def test_state_dtype_follows_y0_its_rhs_and_the_clock():
+    # real y0 and a real right-hand side step real states, the complex
+    # run's to roundoff (a complex division by the float error scale
+    # multiplies by its reciprocal, so the steps can differ in the last
+    # bits); a complex first right-hand side or a clock makes the states
+    # complex, without another rhs call
+    lin = np.array([-1.0, -4.0])
+
+    def rhs(y, t):      # a state, or a block of them with a column of times
+        return 0.5 * y * y[..., ::-1] + np.cos(t)
+
+    def runs(y0, f, **kwargs):
+        """The arithmetic and the states at a few times, stored and dense."""
+        traj, _ = integrate(f, y0, 0.0, 1.0, TOLERANCES, lin=lin, **kwargs)
+        states = list(traj.states_at([0.0, 0.3, 0.31, 0.7, 0.95, 1.0]))
+        dtype = {"real": np.float64, "complex": complex}
+        assert {y.dtype for y in traj.states + states} \
+            == {np.dtype(dtype[traj.stats.arithmetic])}
+        assert traj.stats.rhs_calls == 1 + 6 * (traj.stats.accepted
+                                                + traj.stats.rejected_error)
+        return traj.stats.arithmetic, states
+
+    y0 = np.array([1.0, 0.5])
+    kind, real = runs(y0, rhs)
+    assert kind == "real"
+    kind, cast = runs(y0.astype(complex), rhs)
+    assert kind == "complex"
+    assert all(np.max(np.abs(a - b)) <= 1e-13 for a, b in zip(real, cast))
+    kind, promoted = runs(y0, lambda y, t: rhs(y, t) + 0j)
+    assert kind == "complex"
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(promoted, cast))
+    kind, _ = runs(y0, rhs, clock=half_circle(0.5, 0.5)[0])
+    assert kind == "complex"
+
+
 def test_stats_count_steps_rejections_and_evaluations(monkeypatch):
     monkeypatch.setattr(integrator, "_H_INIT", 0.5)    # rejected at first
     calls = []
@@ -806,17 +841,23 @@ def test_lawson_weights_bounded_on_complex_path_legs():
     for clock in (upper, lambda s: np.conj(upper(s))):
         tables = integrator._lawson_tables(lin, clock)
         for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
-            decay, a, e = integrator._stage_weights(tables, clock, s0, h)
+            decay, a, e = integrator._stage_weights(tables, clock, s0, h,
+                                                    np.dtype(complex))
             assert np.all(np.abs(decay) <= scale)
             assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
             assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)
     # on the real axis without a clock the factors are real: imaginary
-    # parts exactly 0 (complex for a single state, float for a block,
-    # which has no error weights) and the decays within [0, 1]
+    # parts exactly 0 (in the dtype of a single state's stages, float for
+    # a block, which has no error weights) and the decays within [0, 1]
     tables = integrator._lawson_tables(lin, None)
-    for h in (0.1, np.array([[0.1], [1e-3]])):
-        decay, a, e = integrator._stage_weights(tables, None, 0.0, h)
-        assert (e is None) == isinstance(h, np.ndarray)
-        assert not any(np.any(np.imag(w)) for w in (decay, a, e)
-                       if w is not None)
-        assert np.all((0 <= decay.real) & (decay.real <= 1))
+    for dtype in (np.dtype(float), np.dtype(complex)):
+        for h in (0.1, np.array([[0.1], [1e-3]])):
+            decay, a, e = integrator._stage_weights(tables, None, 0.0, h,
+                                                    dtype)
+            block = isinstance(h, np.ndarray)
+            assert (e is None) == block
+            assert {w.dtype for w in (decay, a, e) if w is not None} \
+                == {np.dtype(float) if block else dtype}
+            assert not any(np.any(np.imag(w)) for w in (decay, a, e)
+                           if w is not None)
+            assert np.all((0 <= decay.real) & (decay.real <= 1))

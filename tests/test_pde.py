@@ -46,7 +46,7 @@ def test_model_params_validation():
 def test_initial_field_coefficients():
     c = initial_field(small_params())
     n = 32
-    assert c.shape == (2 * n + 1,) and c.dtype == complex
+    assert c.shape == (2 * n + 1,) and c.dtype == np.float64
     assert c[n] == pytest.approx(0.25)
     assert c[n + 1] == pytest.approx(-0.05)
     assert c[n - 1] == pytest.approx(-0.05)
@@ -145,15 +145,103 @@ def test_rhs_matches_reference_bit_for_bit(n_modes):
 
 def test_rhs_matches_reference_where_v_reaches_zero():
     p = small_params(alpha=0.25, epsilon=0.2499999)
-    c = initial_field(p)
-    c[p.n_modes] = p.epsilon      # v(0) ~ 0 on the grid
-    assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
+    rhs, reference = make_rhs(p), reference_rhs(p)
+    near, zero = initial_field(p), initial_field(p)
+    near[p.n_modes] = p.epsilon   # v(0) ~ 0 on the grid
     # the quotient is formed also where v = 0 exactly; there v_x = 0 as
     # well, and 0/0 counts as 0
-    c[p.n_modes] = 0.25
-    c[p.n_modes - 1] = c[p.n_modes + 1] = -0.125
-    assert same_bits(make_rhs(p)(c, 0.0), reference_rhs(p)(c, 0.0))
-    assert np.all(np.isfinite(make_rhs(p)(c, 0.0)))
+    zero[p.n_modes] = 0.25
+    zero[p.n_modes - 1] = zero[p.n_modes + 1] = -0.125
+    for c in (near, zero):
+        # the complex route keeps the reference's bits
+        cast = c.astype(complex)
+        assert same_bits(rhs(cast, 0.0), reference(cast, 0.0))
+        # the real route: real, exactly even and finite
+        real = rhs(c, 0.0)
+        assert real.dtype == np.float64 and same_bits(real, real[::-1])
+        assert np.all(np.isfinite(real))
+    # at v = 0 the real route's 0/0 is 0 as well: it agrees with the
+    # complex route to roundoff
+    want = rhs(zero.astype(complex), 0.0)
+    assert np.max(np.abs(rhs(zero, 0.0) - want)) <= 1e-13 * np.max(
+        np.abs(want))
+
+
+def even_state(rng, n, alpha):
+    """alpha plus a random cosine series whose coefficients decay like
+    e^{-k/2}, at most 0.8 alpha in all, so v > 0: the coefficient array,
+    real and even."""
+    k = np.arange(1, n + 1)
+    cos = rng.uniform(-1.0, 1.0, n) * np.exp(-0.5 * k)
+    cos *= 0.4 * alpha * rng.uniform() / np.sum(np.abs(cos))
+    return np.concatenate([cos[::-1], [alpha], cos])
+
+
+@pytest.mark.parametrize("n_modes", [8, 32, 128])
+def test_real_route_matches_complex_route_on_even_states(n_modes):
+    # a real, even state goes through the real transforms; the same
+    # values cast to complex take the complex route, which the real route
+    # must match to roundoff, its result real and exactly even
+    rhs = make_rhs(small_params(n_modes=n_modes))
+    rng = np.random.default_rng(100 + n_modes)
+    for _ in range(50):
+        c = even_state(rng, n_modes, rng.uniform(0.1, 4.0))
+        real, cast = rhs(c, 0.0), rhs(c.astype(complex), 0.0)
+        assert real.dtype == np.float64 and same_bits(real, real[::-1])
+        assert np.max(np.abs(real - cast)) <= 1e-13 * np.max(np.abs(cast))
+
+
+def test_real_route_matches_pointwise_oracle():
+    # test_v_rhs_matches_pointwise_oracle's state, as real coefficients
+    n = 32
+    c = np.zeros(2 * n + 1)
+    c[n] = 2.0
+    c[n + 1] = c[n - 1] = 0.15
+    c[n + 2] = c[n - 2] = 0.025
+    x = grid_points(4096)
+    v = 2.0 + 0.3 * np.cos(x) + 0.05 * np.cos(2 * x)
+    v_x = -0.3 * np.sin(x) - 0.1 * np.sin(2 * x)
+    v_xx = -0.3 * np.cos(x) - 0.2 * np.cos(2 * x)
+    oracle = analyze(v_xx - 1.0 - 2.0 * v_x ** 2 / v, n)
+    got = make_rhs(small_params(n_modes=n))(c, 0.0) + diffusion(n) * c
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - oracle)) < 1e-11
+
+
+def test_real_array_that_is_not_even_takes_the_complex_route():
+    p = small_params(alpha=1.0, epsilon=0.5)
+    rhs, reference = make_rhs(p), reference_rhs(p)
+    rng = np.random.default_rng(5)
+    odd = initial_field(p) + 1e-3 * rng.standard_normal(2 * p.n_modes + 1)
+    # halves equal in value but not in bits: 0.0 against -0.0
+    signed = initial_field(p)
+    signed[p.n_modes + 3] = -0.0
+    for c in (odd, signed, np.array([odd, initial_field(p)])):
+        got = rhs(c, 0.0)
+        assert got.dtype == complex
+        assert same_bits(got, rhs(c.astype(complex), 0.0))
+    assert same_bits(rhs(odd, 0.0), reference(odd.astype(complex), 0.0))
+
+
+def test_real_block_matches_row_by_row_calls():
+    p = small_params(alpha=0.25, epsilon=0.2499999)
+    rng = np.random.default_rng(4)
+    block = np.array([even_state(rng, p.n_modes, 0.25) for _ in range(6)])
+    block[2] = initial_field(p)
+    block[2, p.n_modes] = p.epsilon     # v(0) ~ 0 on the grid
+    block[4, :] = -0.0                  # v = v_x = 0 everywhere: 0/0 is 0
+    rhs = make_rhs(p)
+    rows = np.array([rhs(c, 0.0) for c in block])
+    assert rows.dtype == np.float64
+    assert same_bits(rhs(block, 0.0), rows)
+    assert same_bits(rhs(block.reshape(2, 3, -1), 0.0), rows.reshape(2, 3, -1))
+    # one-row blocks, one after another, each as its own row
+    ones = [rhs(block[i:i + 1], 0.0) for i in range(len(block))]
+    assert same_bits(np.concatenate(ones), rows)
+    assert np.isfinite(rows).all()
+    # 0/0 counts as 0: all that is left of the all -0.0 row is the -1
+    assert np.array_equal(rows[4], -1.0 * (np.arange(rows.shape[1])
+                                           == p.n_modes))
 
 
 def test_rhs_on_a_block_matches_row_by_row_calls():
@@ -207,6 +295,25 @@ def test_blowup_event_observable_is_v_at_origin():
     c = initial_field(small_params())
     ev = blowup_event()
     assert ev.observable(c) == pytest.approx(0.25 - 0.1)
+
+
+def test_blowup_solve_is_real_and_the_continuations_complex():
+    # the even, real initial data keeps the blow-up solve real and exactly
+    # even, dense output included; both continuations turn complex
+    p = small_params()
+    solve, rep = solve_to_blowup(p)
+    assert solve.stats.arithmetic == "real"
+    t_c, r = rep.t_c, 0.1 * rep.t_c
+    states = [*solve.states, rep.state_at_tc,
+              *solve.states_at(sample_times(t_c)[::97])]
+    for c in states:
+        assert c.dtype == np.float64 and same_bits(c, c[::-1])
+    start = solve.state_at(t_c - r)
+    for run in (continue_past_blowup(p, start, 1.5 * t_c, t_c, r, 0, []),
+                continue_complex_path(p, start, 1.5 * t_c, t_c, r, [])):
+        assert run.stats.arithmetic == "complex"
+        assert all(c.dtype == complex for c in run.states if c is not None)
+        assert run.state_at(1.5 * t_c).dtype == complex
 
 
 def test_solve_to_blowup_lands_on_v0_zero():
