@@ -19,8 +19,8 @@ from .integrator import IntegratorConfig, Trajectory
 from .pde import (ModelParams, blowup_estimates, branch_sign,
                   continue_complex_path, continue_past_blowup, flatness,
                   solve_to_blowup, u_from_v)
-from .spectral import (HORNER_ROUNDOFF, DivisorTooSmall, grid_points,
-                       horner, node_shift, padded_size, synthesize)
+from .spectral import (HORNER_ROUNDOFF, grid_points, horner, node_shift,
+                       padded_size, synthesize)
 
 TABLE1_ALPHAS = (0.25, 1.0, 4.0)
 TABLE1_EPSILONS = (0.1, 0.01, 0.001)
@@ -94,29 +94,29 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
                                params: ModelParams) -> ErrorCurves:
     """At each time of the sample grid, the max relative error over the
     collocation grid of the two analytic approximations against the
-    solver of an already-computed blow-up solve."""
-    consts = asymptotics.constants(params.alpha)
+    solver of an already-computed blow-up solve, in blocks of times."""
+    a, e = params.alpha, params.epsilon
+    consts = asymptotics.constants(a)
     m = padded_size(params.n_modes)
     x = grid_points(m)
-    kept, e13, e19 = [], [], []
-    dropped = Counter()
     times = sample_times(t_c)
-    for t, state in zip(times, traj.states_at(times)):
-        v_ref = synthesize(state, m).real
+
+    def block_errors(t, states):
+        """Both errors of each row, NaN where v = 0 on the grid: its own
+        function, so that its arrays go before the next block is read."""
+        v_ref = synthesize(states, m).real
         denom = np.abs(v_ref)
-        if np.min(denom) <= 0.0:
-            dropped["v = 0 on the grid"] += 1
-            continue
-        v13 = asymptotics.perturbation_v(x, t, params.alpha, params.epsilon)
-        err13 = float(np.max(np.abs(v13 - v_ref) / denom))
-        v19 = asymptotics.v_timescale2(x, t, params.alpha, params.epsilon,
-                                       t_c, consts)
-        err19 = float(np.max(np.abs(v19 - v_ref) / denom))
-        kept.append(t)
-        e13.append(err13)
-        e19.append(err19)
-    return ErrorCurves(np.array(kept), np.array(e13), np.array(e19), t_c,
-                       dict(dropped))
+        denom[np.min(denom, axis=1) <= 0.0] = np.nan
+        return [np.max(np.abs(v - v_ref) / denom, axis=1) for v in (
+            asymptotics.perturbation_v(x, t, a, e),
+            asymptotics.v_timescale2(x, t, a, e, t_c, consts))]
+    errs = np.empty((2, times.size))
+    for rows, states in traj.state_blocks(times):
+        errs[:, rows] = block_errors(times[rows, None], states)
+    kept = ~np.isnan(errs[0])
+    zero = times.size - np.count_nonzero(kept)
+    return ErrorCurves(times[kept], *errs[:, kept], t_c,
+                       {"v = 0 on the grid": zero} if zero else {})
 
 
 @dataclass
@@ -314,34 +314,26 @@ class FlatnessData:
 def flatness_from_solution(traj: Trajectory, t_c: float,
                            params: ModelParams) -> FlatnessData:
     """Flatness curve from an already-computed solve, on the sample
-    grid."""
-    kept, fs, fa, re = [], [], [], []
-    dropped, nan_rel_err = Counter(), Counter()
+    grid, a block of times at a time."""
+    a, e = params.alpha, params.epsilon
     grid = sample_times(t_c)
-    times = grid[grid < params.alpha]
-    for t, state in zip(times, traj.states_at(times)):
-        try:
-            f = flatness(state)
-        except DivisorTooSmall:
-            dropped["DivisorTooSmall in u_from_v"] += 1
-            continue
-        except ValueError as exc:
-            # the message's numbers vary; its lead names the reason
-            dropped[str(exc).split(":")[0]] += 1
-            continue
-        approx = asymptotics.flatness_approx(t, params.alpha, params.epsilon)
-        kept.append(t)
-        fs.append(f)
-        fa.append(approx)
-        if f != 0.0:
-            re.append(abs(approx - f) / abs(f))
-        else:
-            re.append(math.nan)
-            nan_rel_err["f_solver = 0"] += 1
+    times = grid[grid < a]
+    f, why = np.empty(times.size), []
+    for rows, states in traj.state_blocks(times):
+        f[rows], reasons = flatness(states)
+        why += reasons
+    dropped = Counter(reason for reason in why if reason is not None)
     if times.size < grid.size:
         dropped["t >= alpha"] = grid.size - times.size
-    return FlatnessData(np.array(kept), np.array(fs), np.array(fa),
-                        np.array(re), t_c, dict(dropped), dict(nan_rel_err))
+    kept = ~np.isnan(f)
+    times, f = times[kept], f[kept]
+    # one time at a time: a scalar's (alpha - t) ** 2 goes through pow(),
+    # an array's is a product, which can differ in the last bit
+    approx = np.array([asymptotics.flatness_approx(t, a, e) for t in times])
+    rel_err = np.abs(approx - f) / np.where(f == 0.0, np.nan, np.abs(f))
+    zero = int(np.count_nonzero(f == 0.0))
+    return FlatnessData(times, f, approx, rel_err, t_c, dict(dropped),
+                        {"f_solver = 0": zero} if zero else {})
 
 
 @dataclass

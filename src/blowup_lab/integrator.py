@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,8 @@ _PLAIN = [{dtype: (_WEIGHTS[:21].astype(dtype), _WEIGHTS[21:].astype(dtype))
           (_BLOCK_WEIGHTS[:21], None)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
+# states per block of Trajectory.state_blocks, the sample-grid datasets' read
+_SAMPLE_BLOCK = 64
 # the step controller's first step, the step below which a solve stops
 # (StiffnessOrSingularity) and the step count at which it stops
 # (MaxStepsExceeded)
@@ -262,6 +265,14 @@ class Trajectory:
             else:
                 raise IntegrationError(f"t = {t} outside integrated span")
             j = end
+
+    def state_blocks(self, times: Sequence[float]) -> Iterator[tuple]:
+        """states_at's states, _SAMPLE_BLOCK at a time: the rows of the
+        times that each block covers, and its (m, n) array of states."""
+        states = self.states_at(times)
+        for lo in range(0, len(times), _SAMPLE_BLOCK):
+            block = np.array(list(islice(states, _SAMPLE_BLOCK)))
+            yield slice(lo, lo + len(block)), block
 
 
 def _error_norm(err, y0, y1, atol, rtol):

@@ -219,22 +219,23 @@ def u_from_v(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     return u_vals, analyze(u_vals, n), failed
 
 
-def flatness(c: np.ndarray) -> float:
-    """Peak height f = u(0) - u(pi), cross-checked against 4*sum of odd a_k;
-    u_from_v's DivisorTooSmall is raised before v(0) or v(pi) divides."""
-    _, a, (failed,) = u_from_v(c)
-    if failed:
-        raise failed
+def flatness(c: np.ndarray) -> tuple[np.ndarray, list]:
+    """Peak height f = u(0) - u(pi) of each row of an (m, 2N+1) block,
+    cross-checked against 4*sum of odd a_k: f, NaN in a row without one,
+    and per row None or why it has none (u_from_v's failure first)."""
+    _, a, failed = u_from_v(c)
     n = c.shape[-1] // 2
-    # v(0) = sum_k c_k and v(pi) = sum_k (-1)^k c_k
-    v0, vpi = np.sum(c), np.sum(c * node_shift(n))
-    f_point = (1.0 / v0 - 1.0 / vpi).real
-    f_coeff = 4.0 * float(np.sum(a[n + 1::2]).real)
-    if abs(f_point - f_coeff) > _FLATNESS_CHECK_TOL * max(1.0, abs(f_point)):
-        raise ValueError(
-            f"flatness routes disagree: pointwise {f_point:.3e} vs "
-            f"coefficient sum {f_coeff:.3e}")
-    return f_point
+    # v(0) = sum_k c_k and v(pi) = sum_k (-1)^k c_k; a failed row's may be 0
+    v0, vpi = np.sum(c, axis=-1), np.sum(c * node_shift(n), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_point = (1.0 / v0 - 1.0 / vpi).real
+    f_coeff = 4.0 * np.sum(a[:, n + 1::2], axis=-1).real
+    apart = (np.abs(f_point - f_coeff)
+             > _FLATNESS_CHECK_TOL * np.maximum(1.0, np.abs(f_point)))
+    why = ["DivisorTooSmall in u_from_v" if error is not None
+           else "flatness routes disagree" if off else None
+           for error, off in zip(failed, apart)]
+    return np.where([reason is None for reason in why], f_point, np.nan), why
 
 
 def seed_imaginary_noise(c: np.ndarray, rng_seed: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,8 +24,6 @@ _ROUNDOFF = np.finfo(float).eps
 # the axis scan: samples on (0, y_max], and the root tolerance in y
 _SCAN_POINTS = 400
 _ROOT_TOL = 1e-10
-# states build_track reads and analyses together
-_TRACK_BLOCK = 64
 
 
 @dataclass
@@ -303,9 +300,9 @@ def _fit_drop_reason(y: float, residual: float, n_modes: int) -> Optional[str]:
 def build_track(trajectory: Trajectory,
                 times: Sequence[float]) -> SingularityTrack:
     """Apply both estimators to the dense-output state at each of the
-    given times, _TRACK_BLOCK states at a time: the block is denoised in
-    one pass, and goes through u_from_v, strip_width_estimate and
-    root_on_axis together.
+    given times, a block of states at a time (Trajectory.state_blocks):
+    the block is denoised in one pass, and goes through u_from_v,
+    strip_width_estimate and root_on_axis together.
 
     Unusable snapshots (roundoff-floored fits, unreachable roots,
     u-reconstruction failures) are marked NaN rather than extrapolated;
@@ -315,17 +312,15 @@ def build_track(trajectory: Trajectory,
     times = np.array(times, dtype=float)
     y_fit, y_root, res = (np.full(times.shape, np.nan) for _ in range(3))
     no_root, no_fit = Counter(), Counter()
-    seconds = np.zeros(3)
-    states = trajectory.states_at(times)
-    for lo in range(0, times.size, _TRACK_BLOCK):
-        laps = [time.perf_counter()]
-        clean = _denoised(np.array(list(islice(states, _TRACK_BLOCK))))
+    laps = [time.perf_counter()]
+    for rows, states in trajectory.state_blocks(times):
+        clean = _denoised(states)
         n = clean.shape[-1] // 2
         laps.append(time.perf_counter())
         u_coeffs, failed = u_from_v(clean)[1:]
         # a failed state's u is zero, and has no fit window
         fits = zip(failed, *strip_width_estimate(u_coeffs))
-        for i, (error, y, residual, drop) in enumerate(fits, lo):
+        for i, (error, y, residual, drop) in enumerate(fits, rows.start):
             drop = ("DivisorTooSmall in u_from_v" if error is not None
                     else drop or _fit_drop_reason(y, residual, n))
             if drop is None:
@@ -333,9 +328,10 @@ def build_track(trajectory: Trajectory,
             else:
                 no_fit[drop] += 1
         laps.append(time.perf_counter())
-        y_root[lo:lo + len(failed)], why = root_on_axis(clean)
-        seconds += np.diff(laps + [time.perf_counter()])
+        y_root[rows], why = root_on_axis(clean)
+        laps.append(time.perf_counter())
         no_root.update(reason for reason in why if reason is not None)
+    seconds = np.sum(np.diff(laps).reshape(-1, 3), axis=0)
     return SingularityTrack(times, y_fit, y_root, res, dict(no_root),
                             dict(no_fit),
                             dict(zip(("states", "fit", "root"),

@@ -252,7 +252,7 @@ def test_profile_counts_the_smallx_rows_at_roundoff(tmp_path):
     _, state = csv_columns(solve / "state_at_tc.csv")
     _, small = csv_columns(profile / "blowup_profile_smallx.csv")
     bound = 100.0 * np.finfo(float).eps * float(np.sum(np.abs(
-        np.array(state["re_c_k"]) + 1j * np.array(state["im_c_k"]))))
+        np.array(state["re_c_k"]))))
     count = int(np.sum(np.abs(small["v_solver"]) <= bound))
     assert 0 < count < len(small["v_solver"])
     record = json.loads((profile / "manifest.json").read_text())["profile"]
@@ -611,8 +611,7 @@ def test_snapshots_t_c_column_is_the_solve_event_state(tmp_path):
     snap_header, moduli = csv_columns(snap / "coefficient_snapshots.csv")
     assert snap_header["t_c"] == header["t"]
     column = moduli[f"abs_c_k_t{experiments.time_label(header['t'])}"]
-    c = np.array([complex(re, im) for k, re, im
-                  in zip(state["k"], state["re_c_k"], state["im_c_k"])
+    c = np.array([re for k, re in zip(state["k"], state["re_c_k"])
                   if k >= 1])
     assert list(column) == list(np.abs(c))
 

@@ -1,14 +1,17 @@
 """Dataset builders behind the CLI."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from blowup_lab import experiments
+from blowup_lab import asymptotics, experiments, pde
 from blowup_lab.integrator import IntegratorConfig
 from blowup_lab.pde import (ModelParams, continue_complex_path,
-                            continue_past_blowup, solve_to_blowup)
+                            continue_past_blowup, solve_to_blowup, u_from_v)
+from blowup_lab.spectral import (grid_points, node_shift, padded_size,
+                                 synthesize)
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10)
 
@@ -50,6 +53,66 @@ def test_error_curves_behaviour(small_solve):
     # every grid time has a row or is counted under a reason
     assert data.times.size + sum(data.dropped.values()) \
         == experiments.sample_times(rep.t_c).size
+
+
+def test_error_curves_match_a_per_state_evaluation(small_solve):
+    # the builder reads the grid in blocks; each row is what one state
+    # at a time gives, to the bit
+    params, traj, rep = small_solve
+    a, e, t_c = params.alpha, params.epsilon, rep.t_c
+    m = padded_size(params.n_modes)
+    x = grid_points(m)
+    consts = asymptotics.constants(a)
+    times = experiments.sample_times(t_c)
+    rows, dropped = [], Counter()
+    for t, c in zip(times, traj.states_at(times)):
+        v = synthesize(c, m).real
+        if np.min(np.abs(v)) <= 0.0:
+            dropped["v = 0 on the grid"] += 1
+            continue
+        errs = [np.max(np.abs(approx - v) / np.abs(v)) for approx in (
+            asymptotics.perturbation_v(x, t, a, e),
+            asymptotics.v_timescale2(x, t, a, e, t_c, consts))]
+        rows.append([t, *errs])
+    data = experiments.error_curves_from_solution(traj, t_c, params)
+    got = np.stack([data.times, data.err_perturbation, data.err_timescale2])
+    assert got.tobytes() == np.array(rows).T.tobytes()
+    assert data.dropped == dict(dropped)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.0])
+def test_flatness_matches_a_per_state_evaluation(epsilon):
+    # the builder reads the grid in blocks; each row, and each drop and
+    # NaN by its reason, is what one state at a time gives, to the bit
+    params = small_params()
+    params = ModelParams(params.alpha, epsilon, params.n_modes, FAST)
+    traj, rep = solve_to_blowup(params)
+    a, n = params.alpha, params.n_modes
+    rows, dropped, nan_rel_err = [], Counter(), Counter()
+    grid = experiments.sample_times(rep.t_c)
+    for t, c in zip(grid, traj.states_at(grid)):
+        if t >= a:
+            dropped["t >= alpha"] += 1
+            continue
+        _, coeffs, (failed,) = u_from_v(c)
+        if failed:
+            dropped["DivisorTooSmall in u_from_v"] += 1
+            continue
+        f = (1.0 / np.sum(c) - 1.0 / np.sum(c * node_shift(n))).real
+        f_coeff = 4.0 * float(np.sum(coeffs[n + 1::2]).real)
+        if abs(f - f_coeff) > pde._FLATNESS_CHECK_TOL * max(1.0, abs(f)):
+            dropped["flatness routes disagree"] += 1
+            continue
+        approx = asymptotics.flatness_approx(t, a, epsilon)
+        if f == 0.0:
+            nan_rel_err["f_solver = 0"] += 1
+        rows.append([t, f, approx, abs(approx - f) / abs(f) if f else np.nan])
+    data = experiments.flatness_from_solution(traj, rep.t_c, params)
+    got = np.stack([data.times, data.f_solver, data.f_approx, data.rel_err])
+    assert got.tobytes() == np.array(rows).T.tobytes()
+    assert data.dropped == dict(dropped)
+    assert data.nan_rel_err == dict(nan_rel_err)
+    assert dropped or nan_rel_err
 
 
 def test_singularity_overlays_shapes(small_solve):

@@ -400,17 +400,38 @@ def test_u_from_v_takes_a_block_row_by_row():
         one_vals, one_coeffs, _ = u_from_v(block[row])
         assert u_vals[row].tobytes() == one_vals.tobytes()
         assert u_coeffs[row].tobytes() == one_coeffs.tobytes()
-    # flatness reports the division floor before it divides by v(0)
-    for state in (touching, zero):
-        with pytest.raises(DivisorTooSmall):
-            flatness(state)
+    # flatness gives those rows the division floor as their reason, and
+    # NaN, with no RuntimeWarning from dividing by v(0) = 0
+    f, why = flatness(block)
+    assert why == [None, "DivisorTooSmall in u_from_v", None,
+                   "DivisorTooSmall in u_from_v"]
+    assert np.all(np.isfinite(f[[0, 2]])) and np.all(np.isnan(f[[1, 3]]))
 
 
 def test_flatness_dual_route_and_positive():
-    f = initial_field(small_params())
-    val = flatness(f)
+    f, why = flatness(initial_field(small_params())[None])
+    assert why == [None]
     # exact: 1/(alpha - eps) - 1/(alpha + eps)
-    assert val == pytest.approx(1.0 / 0.15 - 1.0 / 0.35, rel=1e-12)
+    assert f[0] == pytest.approx(1.0 / 0.15 - 1.0 / 0.35, rel=1e-12)
+
+
+def test_flatness_takes_a_block_row_by_row():
+    # each row of a block gets the height and the reason its own one-row
+    # block gives, to the bit: a resolved row, a row whose u is too sharp
+    # for N = 32 (the routes disagree) and a row at the division floor
+    c = initial_field(small_params())
+    n = c.shape[-1] // 2
+    sharp, touching = c.copy(), c.copy()
+    sharp[n] = 0.11              # v = 0.11 - 0.1 cos x
+    touching[n] = 0.1 + 1e-15
+    block = np.array([c, sharp, 3.0 * c, touching, 0.5 * c])
+    f, why = flatness(block)
+    assert why == [None, "flatness routes disagree", None,
+                   "DivisorTooSmall in u_from_v", None]
+    for row in range(len(block)):
+        one, (reason,) = flatness(block[row:row + 1])
+        assert one.tobytes() == f[row:row + 1].tobytes()
+        assert reason == why[row]
 
 
 def test_seed_imaginary_noise_properties():

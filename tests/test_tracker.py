@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blowup_lab import tracker
+from blowup_lab import integrator, tracker
 from blowup_lab.pde import initial_field, solve_to_blowup, u_from_v
 from blowup_lab.tracker import (_axis_series, _decaying_range, _denoised,
                                 _fit_drop_reason, build_track,
@@ -415,7 +415,7 @@ def test_a_state_keeps_its_bits_in_any_block(small_solve, monkeypatch):
         assert np.concatenate([y for y, _ in parts]).tobytes() \
             == roots.tobytes()
         assert [w for _, ws in parts for w in ws] == why
-        monkeypatch.setattr(tracker, "_TRACK_BLOCK", size)
+        monkeypatch.setattr(integrator, "_SAMPLE_BLOCK", size)
         track = build_track(traj, times)
         assert track.y_root.tobytes() == roots.tobytes()
         assert track.y_fit.tobytes() == fits.y_fit.tobytes()
