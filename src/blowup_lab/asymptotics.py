@@ -197,5 +197,7 @@ def flatness_approx(t, alpha: float, epsilon: float):
     """f(t) ~ 4*a_1(t) = 2*eps*e^{-t}/(alpha - t)^2, away from blow-up."""
     if np.any(t >= alpha):
         raise ValueError("requires t < alpha")
-    return 2.0 * epsilon * np.exp(-t) / (alpha - t) ** 2
+    # a product: a scalar's ** 2 goes through pow(), which can differ from
+    # an array's in the last bit
+    return 2.0 * epsilon * np.exp(-t) / ((alpha - t) * (alpha - t))
 

@@ -163,22 +163,23 @@ def _cmd_table1(args, cfg, manifest) -> int:
 
 def _cmd_solve(args, cfg, manifest) -> int:
     params, phases = _params(cfg), _Phases(manifest)
-    traj, rep = solve_to_blowup(params)
+    solve = solve_to_blowup(params)
+    t_c = solve.times[-1]
     phases.lap("solve")
     est, two_mode = blowup_estimates(params)
     phases.lap("estimates")
     # the blow-up solve's states are real: no imaginary parts to write
     _table(args, manifest, "solution_summary", ["t", "v_at_0"],
            [(t, float(np.sum(state)))
-            for t, state in zip(traj.times, traj.states)])
+            for t, state in zip(solve.times, solve.states)])
     _table(args, manifest, "state_at_tc", ["k", "re_c_k"],
-           enumerate(rep.state_at_tc, -params.n_modes), t=rep.t_c)
+           enumerate(solve.states[-1], -params.n_modes), t=t_c)
     phases.lap("write")
-    deltas = {f"{name} - t_c": t - rep.t_c for name, t in est.items()}
-    manifest.extra["blowup_report"] = {"t_c": rep.t_c, **est, "deltas": deltas}
+    deltas = {f"{name} - t_c": t - t_c for name, t in est.items()}
+    manifest.extra["blowup_report"] = {"t_c": t_c, **est, "deltas": deltas}
     manifest.extra["integrator"] = _integrator_block(
-        {**rep.integrations, **two_mode})
-    print(f"t_c = {rep.t_c:.6f}  (t_hat - t_c = {deltas['t_hat - t_c']:.2e}, "
+        {"solve": solve.stats, **two_mode})
+    print(f"t_c = {t_c:.6f}  (t_hat - t_c = {deltas['t_hat - t_c']:.2e}, "
           f"t_tilde - t_c = {deltas['t_tilde - t_c']:.2e}, "
           f"t_c' - t_c = {deltas['t_c_prime - t_c']:.2e})")
     return 0
@@ -196,9 +197,9 @@ def _cmd_errors(args, cfg, manifest) -> int:
     if params.epsilon == 0.0:
         raise ValueError("errors needs epsilon > 0: the second-timescale "
                          "approximation takes log(epsilon)")
-    traj, rep = solve_to_blowup(params)
+    solve = solve_to_blowup(params)
     phases.lap("solve")
-    data = experiments.error_curves_from_solution(traj, rep.t_c, params)
+    data = experiments.error_curves_from_solution(solve, params)
     phases.lap("postprocess")
     _table(args, manifest, "error_curves",
            ["t", "err_perturbation", "err_timescale2"],
@@ -206,7 +207,7 @@ def _cmd_errors(args, cfg, manifest) -> int:
            t_c=data.t_c)
     phases.lap("write")
     manifest.extra["samples"] = _sample_counts(data)
-    manifest.extra["integrator"] = _integrator_block(rep.integrations)
+    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"{len(data.times)} samples, t_c = {data.t_c:.6f}")
     return 0
 
@@ -216,9 +217,10 @@ def _cmd_profile(args, cfg, manifest) -> int:
     if params.epsilon == 0.0:
         raise ValueError("profile needs epsilon > 0: the global blow-up "
                          "profile takes log(epsilon)")
-    _, rep = solve_to_blowup(params)
+    solve = solve_to_blowup(params)
     phases.lap("solve")
-    data = experiments.profile_from_state(rep.state_at_tc, rep.t_c, params)
+    data = experiments.profile_from_state(solve.states[-1], solve.times[-1],
+                                          params)
     phases.lap("postprocess")
     columns = ["x", "v_solver", "profile_global", "profile_local"]
     _table(args, manifest, "blowup_profile", columns,
@@ -238,16 +240,16 @@ def _cmd_profile(args, cfg, manifest) -> int:
     roundoff = int(np.sum(np.abs(data.v_small) <= data.v_roundoff))
     manifest.extra["profile"] = {"v_roundoff": data.v_roundoff,
                                  "smallx_roundoff_rows": roundoff}
-    manifest.extra["integrator"] = _integrator_block(rep.integrations)
+    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"profile written, t_c = {data.t_c:.6f}")
     return 0
 
 
 def _cmd_singularity(args, cfg, manifest) -> int:
     params, phases = _params(cfg), _Phases(manifest)
-    traj, rep = solve_to_blowup(params)
+    solve = solve_to_blowup(params)
     phases.lap("solve")
-    data = experiments.singularity_from_solution(traj, rep.t_c, params)
+    data = experiments.singularity_from_solution(solve, params)
     phases.lap("postprocess")
     tr = data.track
     _table(args, manifest, "singularity_track",
@@ -271,7 +273,7 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         "no_fit": tr.no_fit,
         "seconds": tr.seconds,
     }
-    manifest.extra["integrator"] = _integrator_block(rep.integrations)
+    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"track with {tr.times.size} samples ({n_ok} usable roots), "
           f"t_c = {data.t_c:.6f}")
     return 0
@@ -321,9 +323,9 @@ def _cmd_snapshots(args, cfg, manifest) -> int:
 
 def _cmd_flatness(args, cfg, manifest) -> int:
     params, phases = _params(cfg), _Phases(manifest)
-    traj, rep = solve_to_blowup(params)
+    solve = solve_to_blowup(params)
     phases.lap("solve")
-    data = experiments.flatness_from_solution(traj, rep.t_c, params)
+    data = experiments.flatness_from_solution(solve, params)
     phases.lap("postprocess")
     _table(args, manifest, "flatness",
            ["t", "f_solver", "f_approx", "rel_err"],
@@ -332,7 +334,7 @@ def _cmd_flatness(args, cfg, manifest) -> int:
     phases.lap("write")
     manifest.extra["samples"] = {**_sample_counts(data),
                                  "nan_rel_err": data.nan_rel_err}
-    manifest.extra["integrator"] = _integrator_block(rep.integrations)
+    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"{data.times.size} samples, t_c = {data.t_c:.6f}")
     return 0
 

@@ -64,13 +64,12 @@ def _table1_cell(alpha: float, epsilon: float, n_modes: int, rtol: float,
     try:
         params = ModelParams(alpha=alpha, epsilon=epsilon, n_modes=n_modes,
                              integrator=IntegratorConfig(rtol=rtol, atol=atol))
-        _, rep = solve_to_blowup(params)
+        solve = solve_to_blowup(params)
+        t_c = solve.times[-1]
         est, two_mode = blowup_estimates(params)
-        return Table1Row(alpha, epsilon, rep.t_c,
-                         est["t_c_prime"] - rep.t_c,
-                         est["t_hat"] - rep.t_c,
-                         est["t_tilde"] - rep.t_c,
-                         integrations={**rep.integrations, **two_mode})
+        return Table1Row(alpha, epsilon, t_c, est["t_c_prime"] - t_c,
+                         est["t_hat"] - t_c, est["t_tilde"] - t_c,
+                         integrations={"solve": solve.stats, **two_mode})
     except Exception as exc:  # per-cell failures reported per-row
         return Table1Row(alpha, epsilon, math.nan, math.nan, math.nan,
                          math.nan, error=str(exc))
@@ -90,12 +89,12 @@ class ErrorCurves:
     dropped: dict                   # reason -> grid times without a row
 
 
-def error_curves_from_solution(traj: Trajectory, t_c: float,
+def error_curves_from_solution(solve: Trajectory,
                                params: ModelParams) -> ErrorCurves:
     """At each time of the sample grid, the max relative error over the
     collocation grid of the two analytic approximations against the
     solver of an already-computed blow-up solve, in blocks of times."""
-    a, e = params.alpha, params.epsilon
+    a, e, t_c = params.alpha, params.epsilon, solve.times[-1]
     consts = asymptotics.constants(a)
     m = padded_size(params.n_modes)
     x = grid_points(m)
@@ -111,7 +110,7 @@ def error_curves_from_solution(traj: Trajectory, t_c: float,
             asymptotics.perturbation_v(x, t, a, e),
             asymptotics.v_timescale2(x, t, a, e, t_c, consts))]
     errs = np.empty((2, times.size))
-    for rows, states in traj.state_blocks(times):
+    for rows, states in solve.state_blocks(times):
         errs[:, rows] = block_errors(times[rows, None], states)
     kept = ~np.isnan(errs[0])
     zero = times.size - np.count_nonzero(kept)
@@ -177,13 +176,13 @@ class SingularityData:
     dropped: dict                   # regime -> reason -> times without a value
 
 
-def singularity_from_solution(traj: Trajectory, t_c: float,
+def singularity_from_solution(solve: Trajectory,
                               params: ModelParams) -> SingularityData:
     """Singularity track and overlays from an already-computed solve, on
     the sample grid."""
-    track = tracker.build_track(traj, sample_times(t_c))
+    a, e, t_c = params.alpha, params.epsilon, solve.times[-1]
+    track = tracker.build_track(solve, sample_times(t_c))
     t = track.times
-    a, e = params.alpha, params.epsilon
     with np.errstate(divide="ignore"):   # eps = 0, which the regimes refuse
         big_t = (t - t_c) / e
     overlays, dropped = {}, {}
@@ -258,8 +257,8 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"continue: --t-end {t_end} is not finite")
     _refuse_times("continue", extra_times, t_end)
-    solve, rep = solve_to_blowup(params)
-    t_c = rep.t_c
+    solve = solve_to_blowup(params)
+    t_c = solve.times[-1]
     if t_end is None:
         t_end = 3.0 * t_c
         _refuse_times("continue", extra_times, t_end)
@@ -297,7 +296,7 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     dev = float(np.max(np.abs(u_vals + 1.0 / t_end)) * t_end)
     return ContinuationData(method, t_c, radius, sign, kept, snaps, edges,
                             dev, skipped,
-                            {**rep.integrations, method: run.stats})
+                            {"solve": solve.stats, method: run.stats})
 
 
 @dataclass
@@ -311,15 +310,15 @@ class FlatnessData:
     nan_rel_err: dict               # reason -> rows whose rel_err is NaN
 
 
-def flatness_from_solution(traj: Trajectory, t_c: float,
+def flatness_from_solution(solve: Trajectory,
                            params: ModelParams) -> FlatnessData:
     """Flatness curve from an already-computed solve, on the sample
     grid, a block of times at a time."""
-    a, e = params.alpha, params.epsilon
+    a, e, t_c = params.alpha, params.epsilon, solve.times[-1]
     grid = sample_times(t_c)
     times = grid[grid < a]
     f, why = np.empty(times.size), []
-    for rows, states in traj.state_blocks(times):
+    for rows, states in solve.state_blocks(times):
         f[rows], reasons = flatness(states)
         why += reasons
     dropped = Counter(reason for reason in why if reason is not None)
@@ -327,9 +326,7 @@ def flatness_from_solution(traj: Trajectory, t_c: float,
         dropped["t >= alpha"] = grid.size - times.size
     kept = ~np.isnan(f)
     times, f = times[kept], f[kept]
-    # one time at a time: a scalar's (alpha - t) ** 2 goes through pow(),
-    # an array's is a product, which can differ in the last bit
-    approx = np.array([asymptotics.flatness_approx(t, a, e) for t in times])
+    approx = asymptotics.flatness_approx(times, a, e)
     rel_err = np.abs(approx - f) / np.where(f == 0.0, np.nan, np.abs(f))
     zero = int(np.count_nonzero(f == 0.0))
     return FlatnessData(times, f, approx, rel_err, t_c, dict(dropped),
@@ -356,8 +353,8 @@ def run_fourier_snapshots(params: ModelParams, times: Optional[Sequence[float]]
         raise ValueError("snapshots: times is empty; give at least one "
                          "time or omit it for the defaults")
     _refuse_times("snapshots", times or ())
-    solve, rep = solve_to_blowup(params)
-    t_c, integrations = rep.t_c, dict(rep.integrations)
+    solve = solve_to_blowup(params)
+    t_c, integrations = solve.times[-1], {"solve": solve.stats}
     if times is None:
         times = [0.9 * t_c, t_c, 1.1 * t_c]
     later = [t for t in times if t > t_c]

@@ -129,12 +129,6 @@ class EventSpec:
                              "events fire on a decreasing crossing only")
 
 
-@dataclass(frozen=True)
-class EventHit:
-    t: float
-    state: np.ndarray
-
-
 @dataclass
 class DenseSegment:
     """One accepted step [t0, t0 + h] with what its dense output needs:
@@ -450,8 +444,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
               lin: Optional[np.ndarray] = None,
               clock: Optional[Callable[[float], complex]] = None,
               keep: Optional[Iterable[float]] = None,
-              stats: Optional[IntegratorStats] = None
-              ) -> tuple[Trajectory, Optional[EventHit]]:
+              stats: Optional[IntegratorStats] = None) -> Trajectory:
     """Integrate y' = lin * y + rhs(y, t) from t0 to a finite t1 >= t0
     (t1 = t0 stores y0 alone).
 
@@ -463,15 +456,17 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     of states with an (m, 1) column of times (one row for
     Trajectory.state_at and for each of the event's trial times).
 
-    Stops at the first event root, where an observable goes from > 0 to
-    <= 0 over an accepted step, reached by a step of its own that
-    must pass the error test.  Every accepted step is recorded in the
-    trajectory, its time and its dense-output segment.  keep holds the
-    times the caller will read the dense output at: with keep, only a
-    step with one of them inside holds its start state and k1, besides
-    the states at kept times and the first and the last state, and
-    Trajectory.states_at refuses every other time; None holds every state
-    and answers anywhere in the span.
+    With events, stops at the first root, where an observable goes from
+    > 0 to <= 0 over an accepted step (at t0 itself when one is already
+    within its root_tol of 0 there): the trajectory ends at the root, its
+    last state that of a step onto it that must pass the error test; a
+    run that reaches t1 first raises IntegrationError.  Every accepted
+    step is recorded in the trajectory, its time and its dense-output
+    segment.  keep holds the times the caller will read the dense output
+    at: with keep, only a step with one of them inside holds its start
+    state and k1, besides the states at kept times and the first and the
+    last state, and Trajectory.states_at refuses every other time; None
+    holds every state and answers anywhere in the span.
     Every rhs call is counted in stats (a fresh IntegratorStats unless
     one is passed to share): the solve's own in rhs_calls, the dense
     output read after it in lookup_rhs_calls.  The states are real when
@@ -492,9 +487,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     ahead = None if keep is None else sorted(traj.kept, reverse=True)
 
     # degenerate: observable already at a root at t0
-    for ev in events:
-        if abs(ev.observable(y)) <= ev.root_tol:
-            return traj, EventHit(t0, y)
+    if any(abs(ev.observable(y)) <= ev.root_tol for ev in events):
+        return traj
 
     def step_rhs(yy, tt):
         stats.rhs_calls += 1
@@ -534,11 +528,13 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
 
     for _ in range(_MAX_STEPS):
         if t >= t1:
-            return traj, None
+            if events:
+                raise IntegrationError(f"no event root in [{t0}, {t1}]")
+            return traj
         h = min(h, t1 - t)
         y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h, k1,
                                               tables, clock)
-        hit = None
+        t_root = None
         if ok:
             err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
         if ok and err <= 1.0:
@@ -548,11 +544,11 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             if fired:
                 ev = events[fired[0]]
                 seg = DenseSegment(t, h, y, k1, locate)
-                root, calls = brentq(
+                roots, calls = brentq(
                     lambda tt, _: [ev.observable(row)
                                    for row in seg.eval_block(tt)],
                     [t], [t + h], ev.root_tol)
-                t_star = float(root[0])
+                t_star = float(roots[0])
                 stats.event_evals += int(calls[0])
                 # the step onto the root must pass the error test itself
                 h = t_star - t
@@ -560,7 +556,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
                                                       k1, tables, clock)
                 if ok:
                     err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
-                    hit = EventHit(t_star, y_new)
+                    t_root = t_star
         if not ok:
             stats.rejected_nonfinite += 1
             h *= 0.5
@@ -573,16 +569,15 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             # a step along a path is recorded as the time it spans
             stats.h_accepted.append(
                 h if clock is None else abs(clock(t + h) - clock(t)))
-            t_next, y_next = ((t + h, y_new) if hit is None
-                              else (hit.t, hit.state))
+            t_next = t + h if t_root is None else t_root
             seg = DenseSegment(t, h, y, k1, lookup)
             if ahead is not None:
                 traj._let_go(seg, t_next, ahead)
-            traj.append(t_next, y_next, seg)
-            if hit is not None:
-                return traj, hit
+            traj.append(t_next, y_new, seg)
+            if t_root is not None:
+                return traj
             g_prev = g_new
-            t, y = t_next, y_next
+            t, y = t_next, y_new
             k1 = k[6].copy()  # FSAL; a copy, so a segment keeps no stages
             # PI controller
             fac = safety * err ** -0.14 * err_prev ** 0.08 if err > 0 else max_fac
@@ -614,6 +609,5 @@ def integrate_path(rhs: RHS, y0, center: float, radius: float,
         dt_ds = -1j * np.pi * radius * np.exp(1j * (np.pi * (1.0 - s)))
         return rhs(ys, t_of_s(s)) * dt_ds
 
-    traj, _ = integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=t_of_s,
-                        keep=())
-    return traj
+    return integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=t_of_s,
+                     keep=())

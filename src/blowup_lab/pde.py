@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import asymptotics, reduced
-from .integrator import (EventSpec, IntegratorConfig, StiffnessOrSingularity,
-                         Trajectory, integrate, integrate_path)
+from .integrator import (EventSpec, IntegratorConfig, Trajectory, integrate,
+                         integrate_path)
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, analyze,
                        grid_points, node_shift, padded_size, synthesize)
 
@@ -43,14 +43,6 @@ class ModelParams:
             raise ValueError("require 0 <= epsilon < alpha")
         if self.n_modes < 8:
             raise ValueError("n_modes must be >= 8")
-
-
-@dataclass
-class BlowupReport:
-    t_c: float
-    state_at_tc: np.ndarray          # the coefficients c_k, k = -N..N
-    # what each integration behind the report did, by name
-    integrations: dict = field(default_factory=dict)
 
 
 def initial_field(params: ModelParams) -> np.ndarray:
@@ -167,20 +159,13 @@ def blowup_event() -> EventSpec:
                      direction="decreasing", root_tol=_EVENT_ROOT_TOL)
 
 
-def solve_to_blowup(params: ModelParams) -> tuple[Trajectory, BlowupReport]:
-    """Integrate until v(0,t) = 0 and assemble the blow-up report."""
-    rhs = make_rhs(params)
-    y0 = initial_field(params)
+def solve_to_blowup(params: ModelParams) -> Trajectory:
+    """Integrate until v(0,t) = 0: the trajectory ends at t_c, its last
+    time, with the coefficients c_k, k = -N..N, there as its last state."""
     # v(0,.) decreases by ~alpha over [0, t_c]; generous horizon
-    t_hi = 2.0 * params.alpha + 1.0
-    traj, hit = integrate(rhs, y0, 0.0, t_hi, params.integrator,
-                          events=[blowup_event()],
-                          lin=diffusion(params.n_modes))
-    if hit is None:
-        raise StiffnessOrSingularity(traj.times[-1], traj,
-                                     "no blow-up event located")
-    return traj, BlowupReport(t_c=hit.t, state_at_tc=hit.state,
-                              integrations={"solve": traj.stats})
+    return integrate(make_rhs(params), initial_field(params), 0.0,
+                     2.0 * params.alpha + 1.0, params.integrator,
+                     events=[blowup_event()], lin=diffusion(params.n_modes))
 
 
 def blowup_estimates(params: ModelParams) -> tuple[dict, dict]:
@@ -275,10 +260,9 @@ def continue_past_blowup(params: ModelParams, start: np.ndarray,
     t_c + radius and t_end alone.
     """
     seeded = seed_imaginary_noise(start, rng_seed)
-    traj, _ = integrate(make_rhs(params), seeded, t_c - radius, t_end,
-                        params.integrator, lin=diffusion(params.n_modes),
-                        keep=[*times, t_c + radius, t_end])
-    return traj
+    return integrate(make_rhs(params), seeded, t_c - radius, t_end,
+                     params.integrator, lin=diffusion(params.n_modes),
+                     keep=[*times, t_c + radius, t_end])
 
 
 def continue_complex_path(params: ModelParams, start: np.ndarray,
@@ -295,7 +279,6 @@ def continue_complex_path(params: ModelParams, start: np.ndarray,
     """
     rhs, lin = make_rhs(params), diffusion(params.n_modes)
     arc = integrate_path(rhs, start, t_c, radius, params.integrator, lin)
-    leg, _ = integrate(rhs, arc.states[-1], t_c + radius, t_end,
-                       params.integrator, lin=lin,
-                       keep=[*times, t_c + radius, t_end], stats=arc.stats)
-    return leg
+    return integrate(rhs, arc.states[-1], t_c + radius, t_end,
+                     params.integrator, lin=lin,
+                     keep=[*times, t_c + radius, t_end], stats=arc.stats)

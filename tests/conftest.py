@@ -12,8 +12,7 @@ def solve_fine():
     """Reference solve at alpha=1, epsilon=0.001 (the singularity-track and
     profile parameter point)."""
     params = model_params(1.0, 0.001)
-    traj, rep = solve_to_blowup(params)
-    return params, traj, rep
+    return params, solve_to_blowup(params)
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +20,7 @@ def solve_mid():
     """Reference solve at alpha=1, epsilon=0.01 (the coefficient-decay
     parameter point)."""
     params = model_params(1.0, 0.01)
-    traj, rep = solve_to_blowup(params)
-    return params, traj, rep
+    return params, solve_to_blowup(params)
 
 
 @pytest.fixture(scope="session")
@@ -30,5 +28,4 @@ def solve_small():
     """Reference solve at alpha=0.25, epsilon=0.1 (the continuation
     parameter point)."""
     params = model_params(0.25, 0.1)
-    traj, rep = solve_to_blowup(params)
-    return params, traj, rep
+    return params, solve_to_blowup(params)

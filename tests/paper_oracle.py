@@ -84,11 +84,11 @@ def solve_taylor_two_mode(alpha, epsilon, cfg):
     event = EventSpec(lambda y: float(y[0].real), direction="decreasing",
                       root_tol=1e-13)
     try:
-        traj, hit = integrate(taylor_two_mode_rhs, y0, 0.0, 3.0 * alpha + 1.0,
-                              cfg, events=[event])
+        traj = integrate(taylor_two_mode_rhs, y0, 0.0, 3.0 * alpha + 1.0,
+                         cfg, events=[event])
     except StiffnessOrSingularity as exc:
         return exc.trajectory, float(exc.t)
-    return traj, hit.t
+    return traj, traj.times[-1]
 
 
 def fourier_ansatz_blowup(alpha, epsilon, cfg):
@@ -97,11 +97,10 @@ def fourier_ansatz_blowup(alpha, epsilon, cfg):
     y0 = np.array([math.log(alpha), epsilon / alpha, 0.0])
     event = EventSpec(lambda y: float(1.0 - y[1]),
                       direction="decreasing", root_tol=1e-13)
-    traj, hit = integrate(reduced._field, y0, 0.0, 100.0, cfg,
-                          events=[event])
+    traj = integrate(reduced._field, y0, 0.0, 100.0, cfg, events=[event])
     return Trajectory(times=[y[2] for y in traj.states],
                       states=[math.exp(y[0]) * np.array([1.0, y[1]])
-                              for y in traj.states]), hit.state[2]
+                              for y in traj.states]), traj.states[-1][2]
 
 
 def taylor_conserved_quantity(a, b):

@@ -101,16 +101,15 @@ def test_criterion_2_exact_identities():
     checks.append((err_taylor <= 1e-11, f"Taylor remainder {err_taylor:.2e}"))
 
     # eps = 0: v = alpha - t exactly, so t_c = alpha
-    _, rep = solve_to_blowup(model_params(0.25, 0.0))
-    err_tc = abs(rep.t_c - 0.25)
+    err_tc = abs(solve_to_blowup(model_params(0.25, 0.0)).times[-1] - 0.25)
     checks.append((err_tc <= 1e-12, f"eps=0 t_c error {err_tc:.2e}"))
     _report(2, "exact identities", checks)
 
 
 def test_criterion_3_coefficient_decay(solve_mid):
-    params, _, rep = solve_mid
+    params, solve = solve_mid
     n = params.n_modes
-    c = np.abs(rep.state_at_tc[n + 1:])
+    c = np.abs(solve.states[-1][n + 1:])
     k = np.arange(1, n + 1)
     sel = (k >= 10) & (k <= 60)
     slope = np.polyfit(np.log(k[sel]), np.log(c[sel]), 1)[0]
@@ -129,8 +128,9 @@ def test_criterion_3_coefficient_decay(solve_mid):
 
 
 def test_criterion_4_blowup_profile(solve_fine):
-    params, _, rep = solve_fine
-    data = experiments.profile_from_state(rep.state_at_tc, rep.t_c, params)
+    params, solve = solve_fine
+    data = experiments.profile_from_state(solve.states[-1], solve.times[-1],
+                                          params)
     mask = np.abs(data.x) >= 0.1
     rel = np.abs(data.eq_global[mask] - data.v_solver[mask]) \
         / np.abs(data.v_solver[mask])
@@ -148,10 +148,10 @@ def test_criterion_4_blowup_profile(solve_fine):
 
 
 def test_criterion_5_error_curve_crossing(solve_fine, solve_mid):
-    p1, traj1, rep1 = solve_fine
-    p2, traj2, rep2 = solve_mid
-    d1 = experiments.error_curves_from_solution(traj1, rep1.t_c, p1)
-    d2 = experiments.error_curves_from_solution(traj2, rep2.t_c, p2)
+    p1, traj1 = solve_fine
+    p2, traj2 = solve_mid
+    d1 = experiments.error_curves_from_solution(traj1, p1)
+    d2 = experiments.error_curves_from_solution(traj2, p2)
     eps = p1.epsilon
     dt = d1.t_c - d1.times
     valid = (d1.times > 0) & np.isfinite(d1.err_timescale2) & (dt > 0)
@@ -184,8 +184,8 @@ def test_criterion_5_error_curve_crossing(solve_fine, solve_mid):
 
 
 def test_criterion_6_singularity_track(solve_fine):
-    params, traj, rep = solve_fine
-    alpha, eps, t_c = params.alpha, params.epsilon, rep.t_c
+    params, traj = solve_fine
+    alpha, eps, t_c = params.alpha, params.epsilon, traj.times[-1]
     # every other point of the sample grid: 1,250 samples, uniform in t
     # plus log-spaced towards t_c
     track = tracker.build_track(traj, experiments.sample_times(t_c)[::2])
@@ -242,8 +242,8 @@ def test_criterion_6_singularity_track(solve_fine):
 
 
 def test_criterion_7_postblowup_continuation(solve_small):
-    params, solve, rep = solve_small
-    t_c = rep.t_c
+    params, solve = solve_small
+    t_c = solve.times[-1]
     n = params.n_modes
     checks = []
     # the seeded run leaves the blow-up solve at t_s = t_c - r
@@ -281,9 +281,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
 
     # the conjugated seed gives the complex-conjugate state at 2 t_c
     y0 = np.conj(seed_imaginary_noise(solve.state_at(t_s), 0))
-    conj, _ = integrate(make_rhs(params), y0, t_s,
-                        2.2 * t_c, params.integrator,
-                        lin=diffusion(params.n_modes))
+    conj = integrate(make_rhs(params), y0, t_s, 2.2 * t_c, params.integrator,
+                     lin=diffusion(params.n_modes))
     dconj = float(np.max(np.abs(r1.state_at(2.0 * t_c)
                                 - np.conj(conj.state_at(2.0 * t_c)))))
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
@@ -301,10 +300,11 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # u -> -1/t for large t (lower resolution suffices: the state is
     # nearly constant in x and the explicit step is stability-limited)
     p48 = model_params(params.alpha, params.epsilon, n_modes=48)
-    solve48, rep48 = solve_to_blowup(p48)
-    r48 = 0.1 * rep48.t_c
-    r4 = continue_past_blowup(p48, solve48.state_at(rep48.t_c - r48), 20.0,
-                              rep48.t_c, r48, 0, [])
+    solve48 = solve_to_blowup(p48)
+    t_c48 = solve48.times[-1]
+    r48 = 0.1 * t_c48
+    r4 = continue_past_blowup(p48, solve48.state_at(t_c48 - r48), 20.0,
+                              t_c48, r48, 0, [])
     u_vals = 1.0 / synthesize(r4.state_at(20.0), padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
     checks.append((dev <= 0.05, f"asymptote deviation {dev:.3f}"))
@@ -352,15 +352,14 @@ def test_criterion_8_conservation_and_order():
 
 
 def test_criterion_9_flatness(solve_fine):
-    params, traj, rep = solve_fine
-    data = experiments.flatness_from_solution(traj, rep.t_c, params)
+    params, traj = solve_fine
+    data = experiments.flatness_from_solution(traj, params)
     m = data.times <= 0.9 * data.t_c
     max_rel = float(np.max(data.rel_err[m]))
     checks = [(max_rel <= 0.01, f"alpha=1 max rel err {max_rel:.4f}")]
 
     p4 = model_params(4.0, 0.01)
-    traj4, rep4 = solve_to_blowup(p4)
-    d4 = experiments.flatness_from_solution(traj4, rep4.t_c, p4)
+    d4 = experiments.flatness_from_solution(solve_to_blowup(p4), p4)
     i = int(np.argmin(d4.f_solver))
     t_min = d4.times[i]
     f_min = d4.f_solver[i]

@@ -139,6 +139,23 @@ def test_flatness_laws():
         asy.flatness_approx(alpha, alpha, eps)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+def test_flatness_approx_of_a_scalar_is_the_arrays_to_the_bit(alpha):
+    # the flatness dataset takes the array of its times in one call; a
+    # time on its own, a float or a numpy scalar, gives the same bits
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([rng.uniform(0.0, alpha, 2000),
+                         # rows where (alpha - t) ** 2 through pow() and
+                         # the array's product differed in the last bit
+                         [0.6620018397635933, 1.6499183393594237,
+                          3.873808270714186]])
+    ts = ts[ts < alpha]
+    array = asy.flatness_approx(ts, alpha, 0.01)
+    for one in ([asy.flatness_approx(float(t), alpha, 0.01) for t in ts],
+                [asy.flatness_approx(t, alpha, 0.01) for t in ts]):
+        assert np.array(one).tobytes() == array.tobytes()
+
+
 def test_u_initial_coeff_against_fft():
     alpha, eps = 0.25, 0.1
     m = 4096

@@ -324,9 +324,9 @@ def counted_layers(monkeypatch):
         return counted
 
     def counted_integrate(*args, **kwargs):
-        traj, hit = integrate(*args, **kwargs)
+        traj = integrate(*args, **kwargs)
         seen["accepted"] += len(traj.dense_segments)
-        return traj, hit
+        return traj
 
     monkeypatch.setattr(pde, "make_rhs", counted_make_rhs)
     for module in (pde, reduced, integrator):

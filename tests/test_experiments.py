@@ -36,13 +36,12 @@ def test_run_table1_reports_per_cell_failures():
 @pytest.fixture(scope="module")
 def small_solve():
     params = small_params()
-    traj, rep = solve_to_blowup(params)
-    return params, traj, rep
+    return params, solve_to_blowup(params)
 
 
 def test_error_curves_behaviour(small_solve):
-    params, traj, rep = small_solve
-    data = experiments.error_curves_from_solution(traj, rep.t_c, params)
+    params, traj = small_solve
+    data = experiments.error_curves_from_solution(traj, params)
     assert data.times.size > 10
     # v(0, t_c) = 0, so the relative errors stop before t_c
     assert np.all(data.times < data.t_c)
@@ -52,14 +51,14 @@ def test_error_curves_behaviour(small_solve):
     assert np.max(data.err_perturbation[early & (data.times > 0)]) < 5e-2
     # every grid time has a row or is counted under a reason
     assert data.times.size + sum(data.dropped.values()) \
-        == experiments.sample_times(rep.t_c).size
+        == experiments.sample_times(traj.times[-1]).size
 
 
 def test_error_curves_match_a_per_state_evaluation(small_solve):
     # the builder reads the grid in blocks; each row is what one state
     # at a time gives, to the bit
-    params, traj, rep = small_solve
-    a, e, t_c = params.alpha, params.epsilon, rep.t_c
+    params, traj = small_solve
+    a, e, t_c = params.alpha, params.epsilon, traj.times[-1]
     m = padded_size(params.n_modes)
     x = grid_points(m)
     consts = asymptotics.constants(a)
@@ -74,7 +73,7 @@ def test_error_curves_match_a_per_state_evaluation(small_solve):
             asymptotics.perturbation_v(x, t, a, e),
             asymptotics.v_timescale2(x, t, a, e, t_c, consts))]
         rows.append([t, *errs])
-    data = experiments.error_curves_from_solution(traj, t_c, params)
+    data = experiments.error_curves_from_solution(traj, params)
     got = np.stack([data.times, data.err_perturbation, data.err_timescale2])
     assert got.tobytes() == np.array(rows).T.tobytes()
     assert data.dropped == dict(dropped)
@@ -86,10 +85,10 @@ def test_flatness_matches_a_per_state_evaluation(epsilon):
     # NaN by its reason, is what one state at a time gives, to the bit
     params = small_params()
     params = ModelParams(params.alpha, epsilon, params.n_modes, FAST)
-    traj, rep = solve_to_blowup(params)
+    traj = solve_to_blowup(params)
     a, n = params.alpha, params.n_modes
     rows, dropped, nan_rel_err = [], Counter(), Counter()
-    grid = experiments.sample_times(rep.t_c)
+    grid = experiments.sample_times(traj.times[-1])
     for t, c in zip(grid, traj.states_at(grid)):
         if t >= a:
             dropped["t >= alpha"] += 1
@@ -107,7 +106,7 @@ def test_flatness_matches_a_per_state_evaluation(epsilon):
         if f == 0.0:
             nan_rel_err["f_solver = 0"] += 1
         rows.append([t, f, approx, abs(approx - f) / abs(f) if f else np.nan])
-    data = experiments.flatness_from_solution(traj, rep.t_c, params)
+    data = experiments.flatness_from_solution(traj, params)
     got = np.stack([data.times, data.f_solver, data.f_approx, data.rel_err])
     assert got.tobytes() == np.array(rows).T.tobytes()
     assert data.dropped == dict(dropped)
@@ -116,8 +115,8 @@ def test_flatness_matches_a_per_state_evaluation(epsilon):
 
 
 def test_singularity_overlays_shapes(small_solve):
-    params, traj, rep = small_solve
-    data = experiments.singularity_from_solution(traj, rep.t_c, params)
+    params, traj = small_solve
+    data = experiments.singularity_from_solution(traj, params)
     tr = data.track
     assert set(data.overlays) == set(
         ("naive", "early", "late_first_scale", "second_scale",
@@ -147,26 +146,27 @@ def test_complex_path_to_a_t_end_inside_the_detour_narrows_it():
     # t_end = 1.05 t_c lies inside the 0.1 t_c detour: the detour shrinks
     # to end on t_end, and t_c itself has no real-axis state
     p = small_params()
-    solve, rep = solve_to_blowup(p)
-    t_end = 1.05 * rep.t_c
+    solve = solve_to_blowup(p)
+    t_c = solve.times[-1]
+    t_end = 1.05 * t_c
     data = experiments.run_continuation(p, t_end, 0, (), "complex_path")
-    assert data.radius == t_end - rep.t_c
+    assert data.radius == t_end - t_c
     # the real-time leg from t_c + r = t_end takes no step
-    leg = continue_complex_path(p, solve.state_at(rep.t_c - data.radius),
-                                t_end, rep.t_c, data.radius, [])
+    leg = continue_complex_path(p, solve.state_at(t_c - data.radius),
+                                t_end, t_c, data.radius, [])
     assert leg.times == [t_end]
-    assert list(data.skipped_times) == [round(rep.t_c, 12)]
-    assert data.snapshot_times == [0.0, round(0.5 * rep.t_c, 12)]
+    assert list(data.skipped_times) == [round(t_c, 12)]
+    assert data.snapshot_times == [0.0, round(0.5 * t_c, 12)]
     assert np.isfinite(data.asymptote_deviation)
 
 
 @pytest.mark.parametrize("method", experiments.CONTINUATION_METHODS)
 def test_continuation_to_t_c_or_before_is_refused_by_name(method):
     p = small_params()
-    _, rep = solve_to_blowup(p)
-    for t_end in (0.1, rep.t_c):
+    t_c = solve_to_blowup(p).times[-1]
+    for t_end in (0.1, t_c):
         with pytest.raises(ValueError, match=re.escape(
-                f"continue: --t-end {t_end} is not past t_c = {rep.t_c}")):
+                f"continue: --t-end {t_end} is not past t_c = {t_c}")):
             experiments.run_continuation(p, t_end, 0, (), method)
 
 
@@ -196,7 +196,7 @@ def test_continuation_starts_from_the_blowup_solve(method):
     # the bit: no interval is integrated twice
     p = small_params()
     data = experiments.run_continuation(p, 0.5, 0, (), method)
-    solve, _ = solve_to_blowup(p)
+    solve = solve_to_blowup(p)
     t_s = data.t_c - data.radius
     before = [t for t in data.snapshot_times if t <= t_s]
     assert len(before) == 2
@@ -231,12 +231,13 @@ def test_snapshot_closer_to_t_c_than_the_detour_matches_the_noise_run():
     # on it; the column agrees with the noise-seeded run through t_c
     p = ModelParams(alpha=0.25, epsilon=0.1, n_modes=32,
                     integrator=IntegratorConfig(rtol=1e-12, atol=1e-12))
-    solve, rep = solve_to_blowup(p)
-    t = 1.05 * rep.t_c
+    solve = solve_to_blowup(p)
+    t_c = solve.times[-1]
+    t = 1.05 * t_c
     data = experiments.run_fourier_snapshots(p, [t])
-    r = 0.1 * rep.t_c
-    noise = continue_past_blowup(p, solve.state_at(rep.t_c - r),
-                                 1.2 * rep.t_c, rep.t_c, r, 0, [t])
+    r = 0.1 * t_c
+    noise = continue_past_blowup(p, solve.state_at(t_c - r), 1.2 * t_c,
+                                 t_c, r, 0, [t])
     want = np.abs(noise.state_at(t)[p.n_modes + 1:])
     assert np.max(np.abs(data.moduli[0] - want)) <= 1e-9
 

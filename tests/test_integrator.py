@@ -25,8 +25,7 @@ def decay(y, t):
 
 def test_linear_problem_accuracy():
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
-    traj, hit = integrate(decay, np.array([1.0 + 0j]), 0.0, 2.0, cfg)
-    assert hit is None
+    traj = integrate(decay, np.array([1.0 + 0j]), 0.0, 2.0, cfg)
     assert traj.times[-1] == pytest.approx(2.0)
     assert abs(traj.states[-1][0] - math.exp(-2.0)) < 1e-11
 
@@ -42,10 +41,10 @@ def test_observed_order_is_five():
 @given(st.floats(1e-10, 1e-6))
 def test_tighter_tolerance_never_much_worse(rtol):
     y_loose = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
-                        IntegratorConfig(rtol=rtol, atol=rtol))[0].states[-1]
+                        IntegratorConfig(rtol=rtol, atol=rtol)).states[-1]
     y_tight = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
                         IntegratorConfig(rtol=rtol / 100, atol=rtol / 100)
-                        )[0].states[-1]
+                        ).states[-1]
     exact = math.exp(-1.0)
     assert abs(y_tight[0] - exact) <= 10.0 * max(abs(y_loose[0] - exact), rtol)
 
@@ -53,7 +52,7 @@ def test_tighter_tolerance_never_much_worse(rtol):
 def test_dense_output_matches_exact_solution_between_steps(monkeypatch):
     monkeypatch.setattr(integrator, "_H_INIT", 0.05)
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
-    traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0, cfg)
+    traj = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0, cfg)
     for t in np.linspace(0.03, 0.97, 17):
         assert abs(traj.state_at(t)[0] - math.exp(-t)) < 1e-9
 
@@ -62,12 +61,38 @@ def test_event_located_to_root_tolerance():
     # y' = -1, y(0) = 1 crosses zero at exactly t = 1
     ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
                    root_tol=1e-13)
-    traj, hit = integrate(lambda y, t: np.array([-1.0 + 0j]),
-                          np.array([1.0 + 0j]), 0.0, 2.0,
-                          TOLERANCES, events=[ev])
-    assert hit is not None
-    assert abs(hit.t - 1.0) < 1e-12
-    assert traj.times[-1] == pytest.approx(hit.t)
+    traj = integrate(lambda y, t: np.array([-1.0 + 0j]),
+                     np.array([1.0 + 0j]), 0.0, 2.0, TOLERANCES, events=[ev])
+    # the run ends at the root: its last time, with the state there
+    assert abs(traj.times[-1] - 1.0) < 1e-12
+    assert abs(traj.states[-1][0]) < 1e-12
+
+
+def test_event_already_at_its_root_at_t0_gives_the_first_state_alone():
+    calls = []
+
+    def rhs(y, t):
+        calls.append(t)
+        return -y
+
+    ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
+                   root_tol=1e-13)
+    traj = integrate(rhs, np.array([1e-14]), 0.5, 2.0, TOLERANCES,
+                     events=[ev])
+    assert traj.times == [0.5] and traj.dense_segments == []
+    assert traj.states[0][0] == 1e-14
+    assert calls == [] and traj.stats.rhs_calls == 0
+
+
+def test_event_that_never_fires_raises_naming_the_span():
+    # y' = -y stays above zero on [0, 2]: reaching t1 with the event
+    # armed is an error of its own, not a step-size underflow
+    ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
+                   root_tol=1e-13)
+    with pytest.raises(IntegrationError,
+                       match=re.escape("no event root in [0.0, 2.0]")) as exc:
+        integrate(decay, np.array([1.0]), 0.0, 2.0, TOLERANCES, events=[ev])
+    assert not isinstance(exc.value, StiffnessOrSingularity)
 
 
 # functions with one sign change, at r, and a steepness c > 0; each
@@ -173,10 +198,9 @@ def test_event_direction_filter():
     rhs = lambda y, t: np.cos(t) + 0j * y
     ev = EventSpec(lambda y: float(y[0].real), direction="decreasing",
                    root_tol=1e-13)
-    _, hit = integrate(rhs, np.array([-0.5 + 0j]), 0.0, 4.0,
-                       TOLERANCES, events=[ev])
-    assert hit is not None
-    assert abs(hit.t - 5.0 * math.pi / 6.0) < 1e-9
+    traj = integrate(rhs, np.array([-0.5 + 0j]), 0.0, 4.0,
+                     TOLERANCES, events=[ev])
+    assert abs(traj.times[-1] - 5.0 * math.pi / 6.0) < 1e-9
     # a direction the integrator would not honour is refused
     for direction in ("increasing", "any"):
         with pytest.raises(ValueError):
@@ -217,8 +241,8 @@ def test_nan_rhs_is_treated_as_step_rejection():
 def test_no_underflow_is_raised_once_t1_is_reached():
     # the one step onto t1 is accepted; the controller's next proposal
     # lies below _H_MIN, but no step is left to take
-    traj, _ = integrate(decay, [1.0], 0.5, 0.5 + 1e-15,
-                        IntegratorConfig(1e-10, 1e-10))
+    traj = integrate(decay, [1.0], 0.5, 0.5 + 1e-15,
+                     IntegratorConfig(1e-10, 1e-10))
     assert traj.times == [0.5, 0.5 + 1e-15]
     assert traj.stats.accepted == 1
 
@@ -232,7 +256,7 @@ def test_non_finite_end_time_is_refused(t1):
 def test_zero_length_integration_reads_its_one_state():
     # t1 = t0 stores y0 alone, with no dense segment; its time (and the
     # clamp about it) still reads that state
-    traj, _ = integrate(decay, [1.0], 0.5, 0.5, TOLERANCES)
+    traj = integrate(decay, [1.0], 0.5, 0.5, TOLERANCES)
     assert traj.times == [0.5] and traj.dense_segments == []
     assert traj.state_at(0.5) is traj.states[0]
     assert traj.state_at(0.5 + 1e-13) is traj.states[0]
@@ -294,7 +318,7 @@ def test_path_takes_the_upper_half_plane_branch():
     assert upper.times[-1] == 1.0
     assert abs(upper.states[-1][0] - math.sqrt(radius)) < 1e-10
     t_of_s, dt_ds = half_circle(center, radius)
-    lower, _ = integrate(
+    lower = integrate(
         lambda y, s: branch(y, np.conj(t_of_s(s))) * np.conj(dt_ds(s)), y0,
         0.0, 1.0, cfg)
     assert abs(lower.states[-1][0] + math.sqrt(radius)) < 1e-10
@@ -506,7 +530,7 @@ def test_error_norm_is_the_rms_that_np_mean_gives():
 
 def test_states_are_stored_once_and_read_only():
     y0 = np.array([1.0 + 0j, 2.0 + 0j])
-    traj, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES)
+    traj = integrate(decay, y0, 0.0, 1.0, TOLERANCES)
     y0[0] = 99.0                   # the caller's array is not the stored one
     assert traj.states[0][0] == 1.0
     for state, seg in zip(traj.states, traj.dense_segments):
@@ -529,7 +553,7 @@ def test_state_dtype_follows_y0_its_rhs_and_the_clock():
 
     def runs(y0, f, **kwargs):
         """The arithmetic and the states at a few times, stored and dense."""
-        traj, _ = integrate(f, y0, 0.0, 1.0, TOLERANCES, lin=lin, **kwargs)
+        traj = integrate(f, y0, 0.0, 1.0, TOLERANCES, lin=lin, **kwargs)
         states = list(traj.states_at([0.0, 0.3, 0.31, 0.7, 0.95, 1.0]))
         dtype = {"real": np.float64, "complex": complex}
         assert {y.dtype for y in traj.states + states} \
@@ -559,8 +583,8 @@ def test_stats_count_steps_rejections_and_evaluations(monkeypatch):
         calls.append(t)
         return -50.0 * y + np.sin(40.0 * t)
 
-    traj, _ = integrate(rhs, np.array([1.0 + 0j]), 0.0, 2.0,
-                        IntegratorConfig(rtol=1e-8, atol=1e-8))
+    traj = integrate(rhs, np.array([1.0 + 0j]), 0.0, 2.0,
+                     IntegratorConfig(rtol=1e-8, atol=1e-8))
     st = traj.stats
     assert st.accepted == len(traj.dense_segments) == len(traj.times) - 1
     assert st.rhs_calls == len(calls)
@@ -586,9 +610,9 @@ def test_stats_count_nonfinite_rejections_and_event_evaluations():
         return float(y[0].real)
 
     ev = EventSpec(observable, direction="decreasing", root_tol=1e-13)
-    traj, _ = integrate(lambda y, t: np.array([-1.0 + 0j]),
-                        np.array([1.0 + 0j]), 0.0, 2.0,
-                        TOLERANCES, events=[ev])
+    traj = integrate(lambda y, t: np.array([-1.0 + 0j]),
+                     np.array([1.0 + 0j]), 0.0, 2.0,
+                     TOLERANCES, events=[ev])
     # one call at t0 for the degenerate check, one to initialise, one
     # per accepted step; the rest locate the root
     assert traj.stats.event_evals == len(seen) - 2 - traj.stats.accepted > 0
@@ -614,8 +638,8 @@ def along_path(rhs, y0, center, radius, cfg, lin):
     which integrate_path itself does not keep: the lookups must find
     their segments by the path parameter s, not by the complex t."""
     t_of_s, dt_ds = half_circle(center, radius)
-    traj, _ = integrate(lambda ys, s: rhs(ys, t_of_s(s)) * dt_ds(s), y0,
-                        0.0, 1.0, cfg, lin=lin, clock=t_of_s)
+    traj = integrate(lambda ys, s: rhs(ys, t_of_s(s)) * dt_ds(s), y0,
+                     0.0, 1.0, cfg, lin=lin, clock=t_of_s)
     return traj
 
 
@@ -631,7 +655,7 @@ def test_bisect_lookup_matches_linear_scan(kind):
 
     y0 = np.array([1.0 + 0j, 0.5 + 0j])
     if kind == "real":
-        traj, _ = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
+        traj = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
         traj = along_path(rhs, y0, 1.0, 1.0, cfg, lin)
         assert traj.times[-1] == 1.0
@@ -692,7 +716,7 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     lin = np.array([-3.0, -40.0])
     y0 = np.array([1.0 + 0j, 0.5 + 0j])
     if kind == "real":
-        traj, _ = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
+        traj = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
         traj = along_path(block_rhs, y0, 1.0, 1.0, cfg, lin)
     times, seg = traj.times, traj.dense_segments[3]
@@ -723,8 +747,8 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
 
 
 def test_dense_lookups_are_counted():
-    traj, _ = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
-                        TOLERANCES, lin=np.array([-2.0]))
+    traj = integrate(decay, np.array([1.0 + 0j]), 0.0, 1.0,
+                     TOLERANCES, lin=np.array([-2.0]))
     calls = traj.stats.rhs_calls
     assert traj.stats.lookup_rhs_calls == 0
     traj.state_at(traj.times[3])                 # stored: no evaluation
@@ -741,15 +765,15 @@ def test_kept_times_read_the_bits_of_the_full_run(data):
     # y' = -2 y - y, y = exp(-3 t): kept times drawn among the stored
     # times and anywhere in the span, in any order
     lin, y0 = np.array([-2.0]), np.array([1.0 + 0j])
-    full, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin)
+    full = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin)
     times = full.times
     keep = (data.draw(st.lists(st.sampled_from(times), max_size=4))
             + data.draw(st.lists(st.floats(0.0, 1.0), max_size=8)))
     # kept as well: a time within 1e-12 of each end, which reads the state
     # there, and one outside the span
     clamps = [-5e-13, 1.0 + 5e-13]
-    part, _ = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin,
-                        keep=keep + clamps + [1.5])
+    part = integrate(decay, y0, 0.0, 1.0, TOLERANCES, lin=lin,
+                     keep=keep + clamps + [1.5])
     # the same steps: only what they hold differs
     assert part.stats.record() == full.stats.record()
     assert [(s.t0, s.h) for s in part.dense_segments] \
@@ -823,8 +847,8 @@ def test_stiff_forced_problem_order():
 
 def test_stiff_forced_problem_adaptive_and_dense():
     lin = np.array([-STIFF])
-    traj, _ = integrate(forcing, stiff_exact(0.0), 0.0, 1.0,
-                        IntegratorConfig(rtol=1e-10, atol=1e-10), lin=lin)
+    traj = integrate(forcing, stiff_exact(0.0), 0.0, 1.0,
+                     IntegratorConfig(rtol=1e-10, atol=1e-10), lin=lin)
     assert abs(traj.states[-1][0] - stiff_exact(1.0)[0]) < 1e-11
     # between steps the dense sub-step is as accurate as a step
     for t in np.linspace(0.013, 0.987, 41):

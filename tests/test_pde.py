@@ -268,8 +268,8 @@ def test_rhs_on_a_block_matches_row_by_row_calls():
 
 def test_block_lookups_match_single_lookups_on_a_solve():
     p = small_params()
-    traj, rep = solve_to_blowup(p)
-    times = sample_times(rep.t_c)
+    traj = solve_to_blowup(p)
+    times = sample_times(traj.times[-1])
     calls = traj.stats.rhs_calls
     got = list(traj.states_at(times))
     blocks = (traj.stats.rhs_calls - calls) // 5
@@ -301,11 +301,11 @@ def test_blowup_solve_is_real_and_the_continuations_complex():
     # the even, real initial data keeps the blow-up solve real and exactly
     # even, dense output included; both continuations turn complex
     p = small_params()
-    solve, rep = solve_to_blowup(p)
+    solve = solve_to_blowup(p)
     assert solve.stats.arithmetic == "real"
-    t_c, r = rep.t_c, 0.1 * rep.t_c
-    states = [*solve.states, rep.state_at_tc,
-              *solve.states_at(sample_times(t_c)[::97])]
+    t_c = solve.times[-1]
+    r = 0.1 * t_c
+    states = [*solve.states, *solve.states_at(sample_times(t_c)[::97])]
     for c in states:
         assert c.dtype == np.float64 and same_bits(c, c[::-1])
     start = solve.state_at(t_c - r)
@@ -318,10 +318,10 @@ def test_blowup_solve_is_real_and_the_continuations_complex():
 
 def test_solve_to_blowup_lands_on_v0_zero():
     p = small_params()
-    traj, rep = solve_to_blowup(p)
+    traj = solve_to_blowup(p)
     v0 = float(np.sum(traj.states[-1]).real)
     assert abs(v0) < 1e-10
-    assert 0.1 < rep.t_c < 0.25
+    assert 0.1 < traj.times[-1] < 0.25
 
 
 def test_blowup_time_converges_in_n_modes():
@@ -330,8 +330,7 @@ def test_blowup_time_converges_in_n_modes():
     # refinements must contract
     t_cs = []
     for n in (32, 64, 96):
-        _, rep = solve_to_blowup(small_params(n_modes=n))
-        t_cs.append(rep.t_c)
+        t_cs.append(solve_to_blowup(small_params(n_modes=n)).times[-1])
     d1 = abs(t_cs[1] - t_cs[0])
     d2 = abs(t_cs[2] - t_cs[1])
     assert d2 < d1 / 2
@@ -346,13 +345,13 @@ def test_table1_cells_solve_without_nonfinite_stages():
         for epsilon in TABLE1_EPSILONS:
             p = ModelParams(alpha=alpha, epsilon=epsilon, n_modes=32,
                             integrator=cfg)
-            stats = solve_to_blowup(p)[1].integrations["solve"]
+            stats = solve_to_blowup(p).stats
             assert stats.accepted > 0 and stats.rejected_nonfinite == 0
 
 
 def test_blowup_report_estimates_and_deltas():
     p = small_params(n_modes=32, alpha=0.25, epsilon=0.1)
-    _, rep = solve_to_blowup(p)
+    t_c = solve_to_blowup(p).times[-1]
     est, _ = blowup_estimates(p)
     # leading-order estimate alpha - eps e^{-alpha}
     assert est["t_hat"] == pytest.approx(0.25 - 0.1 * math.exp(-0.25))
@@ -361,7 +360,7 @@ def test_blowup_report_estimates_and_deltas():
     c = constants(0.25)
     shift = (2.0 * c.C1 + c.C2 + c.C3) * 0.1 ** 2
     assert est["t_tilde"] == pytest.approx(est["t_hat"] - shift, rel=1e-12)
-    assert est["t_c_prime"] - rep.t_c == pytest.approx(-3.6e-4, rel=0.3)
+    assert est["t_c_prime"] - t_c == pytest.approx(-3.6e-4, rel=0.3)
     # v = alpha - t exactly at eps = 0: no two-mode run
     assert blowup_estimates(small_params(epsilon=0.0))[0]["t_c_prime"] == 0.25
 
@@ -458,16 +457,15 @@ def test_negative_seed_is_refused_as_numpy_refuses_it(seed):
 
 def test_continuation_turns_complex_and_is_seed_deterministic():
     p = small_params()
-    solve, rep = solve_to_blowup(p)
-    times = [1.4 * rep.t_c]
-    start = solve.state_at(rep.t_c - 0.1 * rep.t_c)
-    r1 = continue_past_blowup(p, start, 1.5 * rep.t_c, rep.t_c,
-                              0.1 * rep.t_c, 3, times)
-    r2 = continue_past_blowup(p, start, 1.5 * rep.t_c, rep.t_c,
-                              0.1 * rep.t_c, 3, times)
-    assert r1.times[0] == rep.t_c - 0.1 * rep.t_c
-    s1 = r1.state_at(1.4 * rep.t_c)
-    s2 = r2.state_at(1.4 * rep.t_c)
+    solve = solve_to_blowup(p)
+    t_c = solve.times[-1]
+    times = [1.4 * t_c]
+    start = solve.state_at(t_c - 0.1 * t_c)
+    r1 = continue_past_blowup(p, start, 1.5 * t_c, t_c, 0.1 * t_c, 3, times)
+    r2 = continue_past_blowup(p, start, 1.5 * t_c, t_c, 0.1 * t_c, 3, times)
+    assert r1.times[0] == t_c - 0.1 * t_c
+    s1 = r1.state_at(1.4 * t_c)
+    s2 = r2.state_at(1.4 * t_c)
     assert np.max(np.abs(s1 - s2)) == 0.0
     assert np.max(np.abs(np.imag(s1))) > 1e-10
 
@@ -477,8 +475,8 @@ def test_continuation_holds_arrays_only_for_the_steps_it_reads():
     # steps that cover them, and the first step, hold arrays, however
     # many steps a later t_end takes
     p = small_params()
-    solve, rep = solve_to_blowup(p)
-    t_c = rep.t_c
+    solve = solve_to_blowup(p)
+    t_c = solve.times[-1]
     times = [1.25 * t_c, 1.5 * t_c, 2.0 * t_c]
     held, accepted = [], []
     start = solve.state_at(t_c - 0.1 * t_c)
@@ -506,7 +504,8 @@ def test_complex_path_arc_holds_only_its_two_ends(monkeypatch):
     # first step keeps its start state as r1, no step keeps k1, and no
     # state but the first and the last is held
     p = small_params()
-    solve, rep = solve_to_blowup(p)
+    solve = solve_to_blowup(p)
+    t_c = solve.times[-1]
     arcs, original = [], pde.integrate_path
 
     def integrate_path(*args, **kwargs):
@@ -514,8 +513,8 @@ def test_complex_path_arc_holds_only_its_two_ends(monkeypatch):
         return arcs[-1]
 
     monkeypatch.setattr("blowup_lab.pde.integrate_path", integrate_path)
-    continue_complex_path(p, solve.state_at(rep.t_c - 0.1 * rep.t_c),
-                          1.5 * rep.t_c, rep.t_c, 0.1 * rep.t_c, [])
+    continue_complex_path(p, solve.state_at(t_c - 0.1 * t_c), 1.5 * t_c, t_c,
+                          0.1 * t_c, [])
     (arc,) = arcs
     segs = arc.dense_segments
     assert len(segs) > 3
@@ -531,8 +530,9 @@ def test_the_seed_not_roundoff_picks_the_branch(solve_small, rng_seed):
     # with a seed at roundoff level seeds 104 and 157 left both
     # complex-path branches and reached another solution (1e-2 away at
     # 1.5 t_c); seed 0, run_all.sh's, takes the conjugate branch
-    params, solve, rep = solve_small
-    t_c, t_end, r = rep.t_c, 1.5 * rep.t_c, 0.1 * rep.t_c
+    params, solve = solve_small
+    t_c = solve.times[-1]
+    t_end, r = 1.5 * t_c, 0.1 * t_c
     start = solve.state_at(t_c - r)
     path = continue_complex_path(params, start, t_end, t_c, r, [])
     seeded = continue_past_blowup(params, start, t_end, t_c, r, rng_seed, [])

@@ -390,8 +390,7 @@ def test_impingement_slope_window_selection():
 @pytest.fixture(scope="module")
 def small_solve():
     p = model_params(0.25, 0.1, n_modes=32, rtol=1e-10, atol=1e-10)
-    traj, _ = solve_to_blowup(p)
-    return p, traj
+    return p, solve_to_blowup(p)
 
 
 def test_a_state_keeps_its_bits_in_any_block(small_solve, monkeypatch):
@@ -551,7 +550,7 @@ def test_early_roots_sit_at_the_initial_singularity(solve_fine):
     # until t = 0.01 the nearest singularity stays within 1 % of its start,
     # arccosh(alpha / eps) = 7.60; an explicit stepper's 2.2e-12 noise in
     # the k = 128 mode once put usable roots at y ~ 0.22 for t ~ 0.005
-    params, traj, _ = solve_fine
+    params, traj = solve_fine
     y_ref = math.acosh(params.alpha / params.epsilon)
     times = sorted([t for t in traj.times if t <= 0.01]
                    + list(np.linspace(0.0, 0.01, 41)))
