@@ -4,8 +4,8 @@ Dormand-Prince coefficients with a PI step-size controller, in
 integrating-factor (Lawson) form for y' = L y + N(y, t) with a diagonal
 linear part L that is stepped exactly; dense output by one sub-step of
 the same method from the start of the covering step; sign-change event
-location on the dense output; and integration along a half circle in
-the complex time plane.
+location on the dense output; and integration around a point of the
+real axis through the complex time plane, on two straight legs.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ _GAPS = (_C[_LOWER[0]] - _C[_LOWER[1]]).tolist()
 _DISTINCT_GAPS = sorted(set(_GAPS))
 _A_PACKED = _A[_LOWER][:, None]
 _WEIGHTS = np.concatenate([_A_PACKED, _E[:, None]])
-# the packed pairs whose exponentials a step gathers: E_i0 (the decays),
-# the tableau's 21, the error weights' (6, 0) .. (6, 6) (pair 20, gap
-# c_6 - c_5 = 0, gives E_00 = E_66 = 1); a dense sub-step takes 28 rows.
-# [0] indexes the 15 distinct gaps (no clock), [1] the 21 pairs (a clock).
-_GATHER = [20] + _ROW[1:7] + list(range(21)) + list(range(15, 21)) + [20]
-_TAKE = [np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in _GATHER]),
-         np.array(_GATHER)]
+# the distinct gaps of the packed pairs whose exponentials a step
+# gathers: E_i0 (the decays), the tableau's 21, the error weights' (6, 0)
+# .. (6, 6) (pair 20, gap c_6 - c_5 = 0, gives E_00 = E_66 = 1); a dense
+# sub-step takes 28 rows
+_TAKE = np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in
+                  [20] + _ROW[1:7] + list(range(21)) + list(range(15, 21))
+                  + [20]])
 # the distinct gaps as a column against the state axis; a block step's
 # gaps and weights with one more axis, for an (m, 1) column of step lengths
 _GAP_COLUMN = np.array(_DISTINCT_GAPS)[:, None]
@@ -283,63 +283,53 @@ def _combine(w, k):
     return np.add.reduce(w * k, axis=0, initial=0.0)
 
 
-def _lawson_tables(lin, clock):
+def _lawson_tables(lin):
     """What a single-state step in Lawson form reads in place of lin,
     built once per integration so that no step broadcasts a column
-    across the state: (lin in one row per distinct gap, 15 rows, or with
-    a clock per stage pair, 21 rows and complex as the gaps are; the
+    across the state: (lin in one row per distinct gap, 15 rows; the
     packed weights in one column per state component).  None for plain
     DOPRI5 (lin None)."""
     if lin is None:
         return None
-    lin = np.asarray(lin) if clock is None else np.asarray(lin, complex)
-    return (np.repeat(lin[None], 15 if clock is None else 21, axis=0),
+    lin = np.asarray(lin)
+    return (np.repeat(lin[None], 15, axis=0),
             np.repeat(_WEIGHTS, lin.size, axis=1))
 
 
-def _stage_weights(tables, clock, t, h, dtype):
-    """Weights of one step from t to t + h: (decay, a, e), a packed.
+def _stage_weights(tables, h, dtype):
+    """Weights of one step of length h: (decay, a, e), a packed.
 
     h is a number for a full step, or an (m, 1) column of step lengths
-    from the same t for a dense sub-step (Trajectory's lookups and event
-    location), which gives each weight a row per step and has no error
-    weights (e None).  Plain DOPRI5 (tables None): decay is None, a the
-    tableau and e the error weights.  Lawson form (tables from
-    _lawson_tables): with E_ij = exp(lin (T_i - T_j)), T_i the time at
-    node t + c_i h (clock(t + c_i h) on a path, else the node itself),
-    stage i starts from E_i0 y (decay[i]) and weighs stage j by
-    a_ij E_ij; the error weights are e_j E_6j.  The nodes never
-    decrease, so |E| <= 1 whenever Re lin <= 0 and the real part of T
-    increases.
+    for a dense sub-step (Trajectory's lookups and event location), which
+    gives each weight a row per step and has no error weights (e None).
+    Plain DOPRI5 (tables None): decay is None, a the tableau and e the
+    error weights.  Lawson form (tables from _lawson_tables): with
+    E_ij = exp(lin (c_i - c_j) h), stage i starts from E_i0 y (decay[i])
+    and weighs stage j by a_ij E_ij; the error weights are e_j E_6j.  The
+    gaps c_i - c_j are never negative, so |E| <= 1 whenever Re lin <= 0.
 
     A single state's weights take the dtype of its stages, so that no
     product with a stage casts: on complex stages, (w + 0i)(c + di) is
-    what the cast computes, bit for bit.  A block's stay float (lin's
-    dtype), as complex block weights cost more than the casts they save.
+    what the cast computes, bit for bit.  A block's keep lin's dtype, as
+    complex block weights cost more than the casts they save.
     """
     block = isinstance(h, np.ndarray)
     if tables is None:
         return (None,) + (_PLAIN[True] if block else _PLAIN[False][dtype])
     lin_rows, weights = tables
-    if clock is None:
-        gaps, take = (_BLOCK_GAPS if block else _GAP_COLUMN) * h, _TAKE[0]
-    else:
-        nodes = np.array([clock(t + c * h) for c in _C])
-        gaps, take = nodes[_LOWER[0]] - nodes[_LOWER[1]], _TAKE[1]
-        gaps = gaps if block else gaps[:, None]
     if block:
-        g = np.take(np.exp(gaps * lin_rows[0]), take[:28], axis=0)
+        g = np.take(np.exp(_BLOCK_GAPS * h * lin_rows[0]), _TAKE[:28], axis=0)
         g[7:] *= _BLOCK_WEIGHTS[:21]
         return g[:7], g[7:], None
-    g = np.multiply(gaps, lin_rows)
+    g = np.multiply(_GAP_COLUMN * h, lin_rows)
     np.exp(g, out=g)
-    g = g[take]
+    g = g[_TAKE]
     g[7:] *= weights
     g = g.astype(dtype, copy=False)
     return g[:7], g[7:28], g[28:]
 
 
-def _attempt_step(rhs, t, y, h, k1, tables, clock):
+def _attempt_step(rhs, t, y, h, k1, tables):
     """One DOPRI5 step, in Lawson form unless tables is None (see
     _lawson_tables).
 
@@ -350,7 +340,7 @@ def _attempt_step(rhs, t, y, h, k1, tables, clock):
     y5, skipping the last stage, which only the error estimate and FSAL
     need: (y5, None, None, ok).
     """
-    decay, a, e = _stage_weights(tables, clock, t, h, y.dtype)
+    decay, a, e = _stage_weights(tables, h, y.dtype)
     k = np.empty((7,) + y.shape, dtype=y.dtype)
     k[0] = k1
     for i in range(1, 7):
@@ -442,7 +432,6 @@ def brentq(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
 def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
               events: Sequence[EventSpec] = (), *,
               lin: Optional[np.ndarray] = None,
-              clock: Optional[Callable[[float], complex]] = None,
               keep: Optional[Iterable[float]] = None,
               stats: Optional[IntegratorStats] = None) -> Trajectory:
     """Integrate y' = lin * y + rhs(y, t) from t0 to a finite t1 >= t0
@@ -450,8 +439,6 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
 
     lin is the diagonal of a linear part that the stepper treats exactly
     (Lawson form); None integrates y' = rhs(y, t) with plain DOPRI5.
-    clock(s) is the time that lin acts over when the variable s is a path
-    parameter (y' = (lin y + N) dt/ds); the default is s itself.
     Dense output and event location call rhs as well, on (m, n) blocks
     of states with an (m, 1) column of times (one row for
     Trajectory.state_at and for each of the event's trial times).
@@ -470,14 +457,14 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     Every rhs call is counted in stats (a fresh IntegratorStats unless
     one is passed to share): the solve's own in rhs_calls, the dense
     output read after it in lookup_rhs_calls.  The states are real when
-    y0 and rhs(y0, t0) are and no clock is given, else complex, and
-    stats.arithmetic names which.
+    y0, lin and rhs(y0, t0) are, else complex, and stats.arithmetic names
+    which.
     """
     if not math.isfinite(t1):
         raise ValueError(f"t1 = {t1} is not finite")
-    y = np.array(y0, ndmin=1, dtype=complex if clock is not None
-                 or np.iscomplexobj(y0) else float)
-    tables = _lawson_tables(lin, clock)
+    y = np.array(y0, ndmin=1, dtype=complex if np.iscomplexobj(y0)
+                 or np.iscomplexobj(lin) else float)
+    tables = _lawson_tables(lin)
     traj = Trajectory(stats=IntegratorStats() if stats is None else stats,
                       kept=None if keep is None else frozenset(keep))
     traj.append(t0, y)
@@ -501,7 +488,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     def dense(count_rhs):
         def substep(ts, ys, tau, k1s):
             out, _, _, ok = _attempt_step(count_rhs, ts, ys, tau, k1s,
-                                          tables, clock)
+                                          tables)
             if not ok:
                 raise IntegrationError(f"rhs non-finite in dense output at "
                                        f"t = {ts + tau}")
@@ -533,7 +520,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             return traj
         h = min(h, t1 - t)
         y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h, k1,
-                                              tables, clock)
+                                              tables)
         t_root = None
         if ok:
             err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
@@ -553,7 +540,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
                 # the step onto the root must pass the error test itself
                 h = t_star - t
                 y_new, err_vec, k, ok = _attempt_step(step_rhs, t, y, h,
-                                                      k1, tables, clock)
+                                                      k1, tables)
                 if ok:
                     err = _error_norm(err_vec, y, y_new, cfg.atol, cfg.rtol)
                     t_root = t_star
@@ -566,9 +553,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             continue
         if err <= 1.0:
             stats.accepted += 1
-            # a step along a path is recorded as the time it spans
-            stats.h_accepted.append(
-                h if clock is None else abs(clock(t + h) - clock(t)))
+            stats.h_accepted.append(h)
             t_next = t + h if t_root is None else t_root
             seg = DenseSegment(t, h, y, k1, lookup)
             if ahead is not None:
@@ -593,21 +578,22 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
 
 
 def integrate_path(rhs: RHS, y0, center: float, radius: float,
-                   cfg: IntegratorConfig,
-                   lin: Optional[np.ndarray]) -> Trajectory:
-    """Integrate dy/ds = (lin * y + rhs(y, t(s))) dt/ds over s in [0, 1]
-    along the half circle t(s) = center + radius e^{i pi (1 - s)} from
-    center - radius to center + radius through Im t > 0; lin is stepped
-    exactly over t(s) as in integrate, and the trajectory's times are
-    the path parameter s.  It keeps no dense output: its states are the
-    two ends alone."""
+                   cfg: IntegratorConfig, lin: np.ndarray) -> Trajectory:
+    """Integrate y' = lin * y + rhs(y, t) from center - radius to
+    center + radius around center through Im t > 0, on two straight legs
+    by way of center + i radius.  On a leg t = a + s u, |u| = 1, with s
+    its arc length, dy/ds = u lin y + u rhs(y, a + s u): a Lawson run in
+    s whose linear part u lin is stepped exactly, and whose steps are the
+    distances they span in t.  Returns the second leg, its times the
+    arc length along it, with the stats of both legs; neither keeps
+    dense output, so its states are its two ends alone; they are complex,
+    as u lin is."""
+    top = center + 1j * radius
 
-    def t_of_s(s):
-        return center + radius * np.exp(1j * (np.pi * (1.0 - s)))
+    def leg(a, b, y, stats):
+        u = (b - a) / abs(b - a)
+        return integrate(lambda ys, s: u * rhs(ys, a + u * s), y, 0.0,
+                         abs(b - a), cfg, lin=u * lin, keep=(), stats=stats)
 
-    def rhs_s(ys, s):
-        dt_ds = -1j * np.pi * radius * np.exp(1j * (np.pi * (1.0 - s)))
-        return rhs(ys, t_of_s(s)) * dt_ds
-
-    return integrate(rhs_s, y0, 0.0, 1.0, cfg, lin=lin, clock=t_of_s,
-                     keep=())
+    first = leg(center - radius, top, y0, None)
+    return leg(top, center + radius, first.states[-1], first.stats)

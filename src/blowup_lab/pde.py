@@ -270,10 +270,10 @@ def continue_complex_path(params: ModelParams, start: np.ndarray,
                           times: Sequence[float]) -> Trajectory:
     """Step around t_c through the complex t-plane.
 
-    From start, the blow-up solve's state at t_c - radius, a half circle
-    about t_c through the upper half-plane, then real time from
-    t_c + radius to t_end >= t_c + radius (no step when equal); both
-    integrations count into the stats of the real-time leg it returns,
+    From start, the blow-up solve's state at t_c - radius, two straight
+    legs by way of t_c + i radius (integrate_path), then real time from
+    t_c + radius to t_end >= t_c + radius (no step when equal); every
+    integration counts into the stats of the real-time run it returns,
     which keeps its dense output at the times, t_c + radius and t_end
     alone.
     """

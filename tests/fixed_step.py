@@ -15,10 +15,10 @@ def integrate_fixed(rhs, y0, t0: float, t1: float, h: float,
     """Propagate y' = lin * y + rhs(y, t) from t0 to t1 in steps of h."""
     y = np.atleast_1d(np.asarray(y0, dtype=complex))
     n = int(round((t1 - t0) / h))
-    t, tables = t0, _lawson_tables(lin, None)
+    t, tables = t0, _lawson_tables(lin)
     for _ in range(n):
         k1 = rhs(y, t)
-        y, _, _, ok = _attempt_step(rhs, t, y, h, k1, tables, None)
+        y, _, _, ok = _attempt_step(rhs, t, y, h, k1, tables)
         if not ok:
             raise IntegrationError(f"rhs non-finite at t = {t}")
         t += h

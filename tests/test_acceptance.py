@@ -287,7 +287,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
                                 - np.conj(conj.state_at(2.0 * t_c)))))
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
-    # complex-time semicircle matches one noise-seeded branch at 3 t_c
+    # the complex-time path matches one noise-seeded branch at 3 t_c
     r3 = continue_complex_path(params, solve.state_at(t_s), 3.05 * t_c, t_c,
                                0.1 * t_c, [3.0 * t_c])
     s_path = r3.state_at(3.0 * t_c)

@@ -15,7 +15,6 @@ from blowup_lab.integrator import (EventSpec, IntegrationError,
                                    StiffnessOrSingularity, brentq,
                                    integrate, integrate_path)
 from fixed_step import integrate_fixed, order_check
-from half_circle import half_circle
 from run_defaults import TOLERANCES
 
 
@@ -276,37 +275,46 @@ def test_fixed_step_propagation():
     assert abs(y[0] - math.exp(-1.0)) < 1e-10
 
 
+def straight_leg(rhs, y0, a, b, cfg, lin=None):
+    """integrate along the segment t = a + s u, |u| = 1, from a to b, with
+    s its arc length, as integrate_path steps each of its legs, but with
+    every state's dense output kept: dy/ds = u lin y + u rhs(y, t(s))."""
+    u = (b - a) / abs(b - a)
+    return integrate(lambda ys, s: u * rhs(ys, a + u * s), y0, 0.0,
+                     abs(b - a), cfg, lin=None if lin is None else u * lin)
+
+
 def test_path_integration_matches_real_axis_for_entire_function():
-    # y' = y is analytic everywhere: the semicircle from 0.5 to 1.5 must
-    # carry e^0.5 to e^1.5, as the real axis does
+    # y' = y is analytic everywhere: the legs from 0.5 to 1.5 must carry
+    # e^0.5 to e^1.5, as the real axis does; the trajectory is the second
+    # leg's, its times the arc length along it
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
-    detour = integrate_path(lambda y, t: y, np.array([math.exp(0.5) + 0j]),
-                            1.0, 0.5, cfg, None)
-    assert detour.times[-1] == 1.0
+    detour = integrate_path(lambda y, t: y, np.array([math.exp(0.5)]),
+                            1.0, 0.5, cfg, np.zeros(1))
+    assert detour.times[-1] == abs(0.5 - 0.5j)
+    assert detour.stats.arithmetic == "complex"
     assert abs(detour.states[-1][0] - math.exp(1.5)) < 1e-9
 
 
 def test_path_steps_are_recorded_in_time():
-    # each step along the half circle is recorded as the distance it
-    # covers in t, a chord no longer than the half circle itself (pi r),
-    # and the chords add up to nearly pi r; in s the first step alone
-    # was 1e-4 and the steps spanned the whole of [0, 1]
+    # a step along a leg is the distance it spans in t, no longer than the
+    # leg (sqrt(2) r); the steps of both legs are counted, and they add up
+    # to both legs, 2 sqrt(2) r, to roundoff
     radius = 0.01
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     detour = integrate_path(lambda y, t: y, np.array([1.0 + 0j]),
-                            1.0, radius, cfg, None)
-    h = detour.stats.h_accepted
-    assert len(h) == len(detour.dense_segments) > 3
-    assert all(0.0 < step <= math.pi * radius for step in h)
-    assert sum(h) == pytest.approx(math.pi * radius, rel=1e-2)
-    record = detour.stats.record()
-    assert record["h_max"] <= math.pi * radius
+                            1.0, radius, cfg, np.zeros(1))
+    h, leg = detour.stats.h_accepted, math.sqrt(2.0) * radius
+    assert len(h) == detour.stats.accepted > len(detour.dense_segments) > 3
+    assert all(0.0 < step <= leg * (1 + 1e-15) for step in h)
+    assert sum(h) == pytest.approx(2.0 * leg, rel=1e-14)
+    assert detour.stats.record()["h_max"] <= leg * (1 + 1e-15)
 
 
 def test_path_takes_the_upper_half_plane_branch():
     # y = sqrt(t - c) solves y' = y / (2 (t - c)), branched at c: from
-    # y = i sqrt(r) at c - r the half circle through Im t > 0 reaches
-    # +sqrt(r) at c + r, its mirror image through Im t < 0 -sqrt(r)
+    # y = i sqrt(r) at c - r the legs through c + i r reach +sqrt(r) at
+    # c + r, their mirror images through c - i r -sqrt(r)
     center, radius = 1.0, 0.5
     cfg = IntegratorConfig(rtol=1e-12, atol=1e-12)
     y0 = np.array([1j * math.sqrt(radius)])
@@ -314,13 +322,13 @@ def test_path_takes_the_upper_half_plane_branch():
     def branch(y, t):
         return y / (2.0 * (t - center))
 
-    upper = integrate_path(branch, y0, center, radius, cfg, None)
-    assert upper.times[-1] == 1.0
+    upper = integrate_path(branch, y0, center, radius, cfg, np.zeros(1))
+    assert upper.times[-1] == abs(radius - 1j * radius)
     assert abs(upper.states[-1][0] - math.sqrt(radius)) < 1e-10
-    t_of_s, dt_ds = half_circle(center, radius)
-    lower = integrate(
-        lambda y, s: branch(y, np.conj(t_of_s(s))) * np.conj(dt_ds(s)), y0,
-        0.0, 1.0, cfg)
+    bottom = center - 1j * radius
+    lower = straight_leg(branch, y0, center - radius, bottom, cfg)
+    lower = straight_leg(branch, lower.states[-1], bottom, center + radius,
+                         cfg)
     assert abs(lower.states[-1][0] + math.sqrt(radius)) < 1e-10
 
 
@@ -367,7 +375,7 @@ def test_stacked_step_matches_reference_bit_for_bit():
         t, h = rng.uniform(0, 1), 10.0 ** rng.uniform(-6, -1)
         k1 = nonlinear(y, t)
         y5, err, k, ok = integrator._attempt_step(nonlinear, t, y, h, k1,
-                                                  None, None)
+                                                  None)
         ref = reference_step(nonlinear, t, y, h, k1)
         assert ok and ref is not None
         assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
@@ -375,7 +383,7 @@ def test_stacked_step_matches_reference_bit_for_bit():
         # the dense sub-step over the whole step, on a block of one row,
         # is the step's own y5
         y_dense = integrator._attempt_step(nonlinear, t, y[None],
-                                           np.array([[h]]), k1[None], None,
+                                           np.array([[h]]), k1[None],
                                            None)[0]
         assert same_bits(y_dense[0], y5)
 
@@ -387,10 +395,9 @@ def test_stacked_step_rejects_where_reference_does():
 
     y = np.array([1.5 + 0j, 0.1 + 0j])
     k1 = rhs(y, 0.0)
-    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1, None,
-                                    None)[3] is False
+    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1, None)[3] is False
     assert reference_step(rhs, 0.0, y, 0.5, k1) is None
-    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1, None, None)
+    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1, None)
     assert same_bits(ok_step[0], reference_step(rhs, 0.0, y, 1e-3, k1)[0])
 
 
@@ -416,19 +423,21 @@ def test_combine_adds_in_the_order_of_builtin_sum():
 
 # ---- the stepper in Lawson form against its first form -----------------
 
-def lawson_reference(rhs, t, y, h, k1, lin, clock):
+# the direction of the first leg of a detour through Im t > 0: the
+# linear part u lin of a leg is complex
+UP = (1 + 1j) / abs(1 + 1j)
+
+
+def lawson_reference(rhs, t, y, h, k1, lin):
     """DOPRI5 step in Lawson form as first written: each factor
-    E_ij = exp(lin (T_i - T_j)) formed by itself, T_i - T_j being
-    (c_i - c_j) h without a clock and clock(t + c_i h) - clock(t + c_j h)
-    with one (E_66 = 1 included), and the stages summed with builtin sum.
-    Returns y5, err and the seven stages; h is a number or an (m, 1)
-    column of step lengths for an (m, n) block y."""
+    E_ij = exp(lin (c_i - c_j) h) formed by itself (E_66 = 1 included),
+    and the stages summed with builtin sum.  Returns y5, err and the
+    seven stages; h is a number or an (m, 1) column of step lengths for
+    an (m, n) block y."""
     c = integrator._C
 
     def factor(i, j):
-        if clock is None:
-            return np.exp((c[i] - c[j]) * h * lin)
-        return np.exp((clock(t + c[i] * h) - clock(t + c[j] * h)) * lin)
+        return np.exp((c[i] - c[j]) * h * lin)
 
     k = [k1]
     for i in range(1, 7):
@@ -445,8 +454,7 @@ def lawson_reference(rhs, t, y, h, k1, lin, clock):
 @pytest.mark.parametrize("column", [False, True])
 def test_lawson_step_matches_reference_bit_for_bit(column, path):
     k = np.arange(-4, 5)
-    lin = -(k * k).astype(float)
-    clock = half_circle(0.16, 0.016)[0] if path else None
+    lin = -(k * k) * (UP if path else 1.0)
     rng = np.random.default_rng(11)
     for trial in range(20):
         m = 5 if column else 1
@@ -457,10 +465,10 @@ def test_lawson_step_matches_reference_bit_for_bit(column, path):
         if not column:
             y, h = y[0], float(h[0, 0])
         k1 = block_rhs(y, t)
-        tables = integrator._lawson_tables(lin, clock)
+        tables = integrator._lawson_tables(lin)
         y5, err, stages, ok = integrator._attempt_step(block_rhs, t, y, h, k1,
-                                                       tables, clock)
-        ref = lawson_reference(block_rhs, t, y, h, k1, lin, clock)
+                                                       tables)
+        ref = lawson_reference(block_rhs, t, y, h, k1, lin)
         assert ok and same_bits(y5, ref[0])
         if column:
             # a block takes dense sub-steps, which stop at y5
@@ -480,13 +488,13 @@ def imaginary_rhs(y, t):
 @pytest.mark.parametrize("form", ["real", "path", "plain"])
 def test_single_state_step_matches_one_row_block_bit_for_bit(form):
     # a single state's step weighs its stages with complex weights, a
-    # block's with float ones (real weights; complex on a path): the same
-    # bits, in the same order of sums.  A weight with an imaginary part
-    # would give the components with a zero real part one.
+    # block's with lin's (float for a real lin; complex for a leg's u lin):
+    # the same bits, in the same order of sums.  A weight with an
+    # imaginary part would give the components with a zero real part one.
     k = np.arange(-4, 5)
-    lin = None if form == "plain" else -(k * k).astype(float)
-    clock = half_circle(0.16, 0.016)[0] if form == "path" else None
-    tables = integrator._lawson_tables(lin, clock)
+    lin = None if form == "plain" else -(k * k) * (UP if form == "path"
+                                                   else 1.0)
+    tables = integrator._lawson_tables(lin)
     rng = np.random.default_rng(17)
     for trial in range(20):
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -494,10 +502,9 @@ def test_single_state_step_matches_one_row_block_bit_for_bit(form):
         t, h = rng.uniform(0, 0.5), 10.0 ** rng.uniform(-4, -0.5)
         k1 = imaginary_rhs(y, t)
         y5, _, _, ok = integrator._attempt_step(
-            imaginary_rhs, t, y, h, k1, tables, clock)
+            imaginary_rhs, t, y, h, k1, tables)
         row = integrator._attempt_step(imaginary_rhs, t, y[None],
-                                       np.array([[h]]), k1[None], tables,
-                                       clock)
+                                       np.array([[h]]), k1[None], tables)
         assert ok and row[3]
         # a block is a dense sub-step: y5 alone, no error estimate
         assert same_bits(y5, row[0][0]) and row[1] is None
@@ -540,20 +547,22 @@ def test_states_are_stored_once_and_read_only():
         traj.states[-1][0] = 0.0
 
 
-def test_state_dtype_follows_y0_its_rhs_and_the_clock():
-    # real y0 and a real right-hand side step real states, the complex
+def test_state_dtype_follows_y0_lin_and_the_rhs():
+    # real y0, lin and right-hand side step real states, the complex
     # run's to roundoff (a complex division by the float error scale
     # multiplies by its reciprocal, so the steps can differ in the last
-    # bits); a complex first right-hand side or a clock makes the states
-    # complex, without another rhs call
+    # bits); a complex first right-hand side makes the states complex,
+    # without another rhs call, and so does a complex lin, as on the legs
+    # of integrate_path: a real state would drop the imaginary part of
+    # its step weights
     lin = np.array([-1.0, -4.0])
 
     def rhs(y, t):      # a state, or a block of them with a column of times
         return 0.5 * y * y[..., ::-1] + np.cos(t)
 
-    def runs(y0, f, **kwargs):
+    def runs(y0, f, lin=lin):
         """The arithmetic and the states at a few times, stored and dense."""
-        traj = integrate(f, y0, 0.0, 1.0, TOLERANCES, lin=lin, **kwargs)
+        traj = integrate(f, y0, 0.0, 1.0, TOLERANCES, lin=lin)
         states = list(traj.states_at([0.0, 0.3, 0.31, 0.7, 0.95, 1.0]))
         dtype = {"real": np.float64, "complex": complex}
         assert {y.dtype for y in traj.states + states} \
@@ -571,8 +580,13 @@ def test_state_dtype_follows_y0_its_rhs_and_the_clock():
     kind, promoted = runs(y0, lambda y, t: rhs(y, t) + 0j)
     assert kind == "complex"
     assert all(a.tobytes() == b.tobytes() for a, b in zip(promoted, cast))
-    kind, _ = runs(y0, rhs, clock=half_circle(0.5, 0.5)[0])
+    kind, rotated = runs(y0, rhs, lin * (1 + 1j))
     assert kind == "complex"
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(rotated, runs(y0.astype(complex), rhs, lin * (1 + 1j))[1]))
+    detour = integrate_path(rhs, y0, 0.5, 0.5, TOLERANCES, lin)
+    assert detour.stats.arithmetic == "complex"
+    assert detour.states[0].dtype == detour.states[-1].dtype == complex
 
 
 def test_stats_count_steps_rejections_and_evaluations(monkeypatch):
@@ -633,16 +647,6 @@ def linear_scan(traj, t):
     raise IntegrationError(f"t = {t} outside integrated span")
 
 
-def along_path(rhs, y0, center, radius, cfg, lin):
-    """integrate_path's integration with every state's dense output kept,
-    which integrate_path itself does not keep: the lookups must find
-    their segments by the path parameter s, not by the complex t."""
-    t_of_s, dt_ds = half_circle(center, radius)
-    traj = integrate(lambda ys, s: rhs(ys, t_of_s(s)) * dt_ds(s), y0,
-                     0.0, 1.0, cfg, lin=lin, clock=t_of_s)
-    return traj
-
-
 @pytest.mark.parametrize("kind", ["real", "path"])
 def test_bisect_lookup_matches_linear_scan(kind):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
@@ -657,8 +661,10 @@ def test_bisect_lookup_matches_linear_scan(kind):
     if kind == "real":
         traj = integrate(rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = along_path(rhs, y0, 1.0, 1.0, cfg, lin)
-        assert traj.times[-1] == 1.0
+        # a leg with complex u lin: the lookups must find their segments
+        # by the arc length s, not by the complex t
+        traj = straight_leg(rhs, y0, 0.0, 1.0 + 1.0j, cfg, lin)
+        assert traj.times[-1] == abs(1.0 + 1.0j)
         assert len(traj.dense_segments) > 5
     times = traj.times
 
@@ -697,19 +703,6 @@ def block_rhs(y, t):
     return 0.5j * y * y[..., ::-1] + np.cos(t)
 
 
-def test_the_half_circle_of_the_tests_is_integrate_paths_bit_for_bit():
-    # along_path keeps every state's dense output on the tests' own half
-    # circle: its end state and step counts must be integrate_path's, so
-    # that the path lookups test the library's path
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
-    lin = np.array([-3.0, -40.0])
-    y0 = np.array([1.0 + 0j, 0.5 + 0j])
-    arc = integrate_path(block_rhs, y0, 0.16, 0.016, cfg, lin)
-    full = along_path(block_rhs, y0, 0.16, 0.016, cfg, lin)
-    assert full.states[-1].tobytes() == arc.states[-1].tobytes()
-    assert full.stats.record() == arc.stats.record()
-
-
 @pytest.mark.parametrize("kind", ["real", "path"])
 def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-10)
@@ -718,7 +711,7 @@ def test_block_lookups_match_single_lookups_bit_for_bit(kind):
     if kind == "real":
         traj = integrate(block_rhs, y0, 0.0, 2.0, cfg, lin=lin)
     else:
-        traj = along_path(block_rhs, y0, 1.0, 1.0, cfg, lin)
+        traj = straight_leg(block_rhs, y0, 0.0, 1.0 + 1.0j, cfg, lin)
     times, seg = traj.times, traj.dense_segments[3]
     rng = np.random.default_rng(7)
     # 40 times inside one segment (three blocks), random times over the
@@ -810,7 +803,7 @@ def test_linear_part_alone_is_exact_without_overflow():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         y5, err, _, ok = integrator._attempt_step(
             zero, 0.0, y, 0.1, np.zeros_like(y),
-            integrator._lawson_tables(lin, None), None)
+            integrator._lawson_tables(lin))
     assert ok and np.all(np.isfinite(y5)) and not np.any(err)
     exact = np.exp(lin * 0.1) * y
     assert np.all(np.abs(y5 - exact) <= 4 * np.finfo(float).eps * np.abs(y))
@@ -856,28 +849,36 @@ def test_stiff_forced_problem_adaptive_and_dense():
 
 
 def test_lawson_weights_bounded_on_complex_path_legs():
-    # the half circle of a continuation detour about t_c = 0.16,
-    # r = 0.016, and its mirror image below the real axis
+    # u lin on the legs of a continuation detour about t_c = 0.16,
+    # r = 0.016, through t_c + i r and through its mirror image t_c - i r:
+    # Re u lin <= 0, so every factor |E| <= 1 over steps of every length
+    # up to the leg's, single or as a block's column
     k = np.arange(-128, 129)
     lin = -(k * k).astype(float)
-    upper = half_circle(0.16, 0.016)[0]
+    center, radius = 0.16, 0.016
     scale = (1 + 1e-14)
-    for clock in (upper, lambda s: np.conj(upper(s))):
-        tables = integrator._lawson_tables(lin, clock)
-        for s0, h in ((0.0, 1.0), (0.2, 0.3), (0.5, 1e-3), (0.9, 0.1)):
-            decay, a, e = integrator._stage_weights(tables, clock, s0, h,
-                                                    np.dtype(complex))
-            assert np.all(np.abs(decay) <= scale)
-            assert np.all(np.abs(a) <= np.abs(integrator._A_PACKED) * scale)
-            assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None] * scale)
-    # on the real axis without a clock the factors are real: imaginary
+    for top in (center + 1j * radius, center - 1j * radius):
+        for a, b in ((center - radius, top), (top, center + radius)):
+            u = (b - a) / abs(b - a)
+            tables = integrator._lawson_tables(u * lin)
+            for h in (abs(b - a), 0.3 * abs(b - a), 1e-5,
+                      np.array([[abs(b - a)], [1e-3], [1e-6]])):
+                decay, a_, e = integrator._stage_weights(tables, h,
+                                                         np.dtype(complex))
+                assert np.all(np.abs(decay) <= scale)
+                bound = np.abs(integrator._A_PACKED).reshape(
+                    (21,) + (1,) * (a_.ndim - 1))
+                assert np.all(np.abs(a_) <= bound * scale)
+                if e is not None:
+                    assert np.all(np.abs(e) <= np.abs(integrator._E)[:, None]
+                                  * scale)
+    # on the real axis the factors are real: imaginary
     # parts exactly 0 (in the dtype of a single state's stages, float for
     # a block, which has no error weights) and the decays within [0, 1]
-    tables = integrator._lawson_tables(lin, None)
+    tables = integrator._lawson_tables(lin)
     for dtype in (np.dtype(float), np.dtype(complex)):
         for h in (0.1, np.array([[0.1], [1e-3]])):
-            decay, a, e = integrator._stage_weights(tables, None, 0.0, h,
-                                                    dtype)
+            decay, a, e = integrator._stage_weights(tables, h, dtype)
             block = isinstance(h, np.ndarray)
             assert (e is None) == block
             assert {w.dtype for w in (decay, a, e) if w is not None} \

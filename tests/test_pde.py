@@ -10,7 +10,8 @@ import pytest
 from blowup_lab import pde
 from blowup_lab.experiments import (TABLE1_ALPHAS, TABLE1_EPSILONS,
                                     sample_times)
-from blowup_lab.integrator import IntegrationError, IntegratorConfig
+from blowup_lab.integrator import (IntegrationError, IntegratorConfig,
+                                   integrate, integrate_path)
 from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
                             branch_sign, continue_complex_path,
                             continue_past_blowup, diffusion, flatness,
@@ -19,6 +20,7 @@ from blowup_lab.pde import (ModelParams, blowup_estimates, blowup_event,
 from blowup_lab.spectral import (DivisorTooSmall, analyze, grid_points,
                                  padded_size, synthesize)
 from paper_oracle import u_initial_coeff
+from run_defaults import TOLERANCES, model_params
 from spectral_oracle import v_rhs
 
 FAST = IntegratorConfig(rtol=1e-10, atol=1e-10)
@@ -544,3 +546,70 @@ def test_the_seed_not_roundoff_picks_the_branch(solve_small, rng_seed):
     # -1 for the path, and the path's or its conjugate's for the run
     signs = [branch_sign(run.state_at(t_c + r)) for run in (path, seeded)]
     assert signs == [-1, -1 if d_same < d_conj else 1]
+
+
+def test_the_legs_around_t_c_reach_the_semicircles_state():
+    # v is analytic between the legs through t_c + i r and the semicircle
+    # t(s) = t_c + r e^{i pi (1 - s)} over it, so both paths carry the
+    # state at t_c - r to the same state at t_c + r.  The semicircle is
+    # integrated with plain DOPRI5, the linear term inside its right-hand
+    # side (dy/ds = (lin y + N(y)) dt/ds).  Measured at N = 32,
+    # rtol = atol = 1e-12: 3.0e-13 apart, max |c| 0.059.
+    p = model_params(0.25, 0.1, n_modes=32)
+    solve = solve_to_blowup(p)
+    t_c = solve.times[-1]
+    r = 0.1 * t_c
+    start = solve.state_at(t_c - r)
+    rhs, lin = make_rhs(p), diffusion(p.n_modes)
+
+    def along_semicircle(y, s):
+        arc = r * np.exp(1j * math.pi * (1.0 - s))      # t(s) - t_c
+        return (lin * y + rhs(y, t_c + arc)) * (-1j * math.pi * arc)
+
+    circle = integrate(along_semicircle, start.astype(complex), 0.0, 1.0,
+                       TOLERANCES, keep=())
+    legs = integrate_path(rhs, start, t_c, r, TOLERANCES, lin)
+    assert np.max(np.abs(legs.states[-1] - circle.states[-1])) <= 2e-12
+
+
+def test_complex_path_converges_in_n_modes(solve_small):
+    # the complex path at N = 64 and N = 128, each around its own t_c, at
+    # the same absolute times from 1.25 t_c on.  Measured: the modes
+    # -64..64 differ by at most 6.9e-13 (max |c| 0.24), and N = 128's
+    # modes past 64 are at most 2.7e-12
+    params, solve = solve_small
+    coarse = model_params(params.alpha, params.epsilon, n_modes=64)
+    times = [f * solve.times[-1] for f in (1.25, 1.5, 2.0, 3.0)]
+    runs = []
+    for p, s in ((coarse, solve_to_blowup(coarse)), (params, solve)):
+        t_c = s.times[-1]
+        r = 0.1 * t_c
+        runs.append(continue_complex_path(p, s.state_at(t_c - r), times[-1],
+                                          t_c, r, times))
+    for t in times:
+        low, high = runs[0].state_at(t), runs[1].state_at(t)
+        assert np.max(np.abs(high[64:-64] - low)) <= 5e-12
+        assert max(np.max(np.abs(high[:64])),
+                   np.max(np.abs(high[-64:]))) <= 1e-11
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1])
+def test_noise_seeded_run_matches_the_complex_path(solve_small, rng_seed):
+    # at N = 128 the seeded run follows the complex path or its conjugate,
+    # far tighter than criterion 7's 1e-6: v on 257 points in x, relative
+    # to max |v|.  Measured: at most 4.1e-10 (seed 0) and 3.7e-9 (seed 1),
+    # both at 1.15 t_c
+    params, solve = solve_small
+    t_c = solve.times[-1]
+    r = 0.1 * t_c
+    times = [f * t_c for f in (1.15, 1.25, 1.5, 2.0, 3.0)]
+    start = solve.state_at(t_c - r)
+    path = continue_complex_path(params, start, times[-1], t_c, r, times)
+    seeded = continue_past_blowup(params, start, times[-1], t_c, r,
+                                  rng_seed, times)
+    for t in times:
+        v_path = synthesize(path.state_at(t), 257)
+        v_seeded = synthesize(seeded.state_at(t), 257)
+        d = min(np.max(np.abs(v_seeded - v_path)),
+                np.max(np.abs(v_seeded - np.conj(v_path))))
+        assert d <= 1e-8 * np.max(np.abs(v_path))
