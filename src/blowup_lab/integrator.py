@@ -55,12 +55,6 @@ _TAKE = np.array([_DISTINCT_GAPS.index(_GAPS[p]) for p in
 # gaps and weights with one more axis, for an (m, 1) column of step lengths
 _GAP_COLUMN = np.array(_DISTINCT_GAPS)[:, None]
 _BLOCK_GAPS, _BLOCK_WEIGHTS = _GAP_COLUMN[:, :, None], _WEIGHTS[:, :, None]
-# plain DOPRI5's weights (lin None) as (a, e): [False] for one state, by
-# the dtype of its stages, [True] for a block, float and without error
-# weights (see _stage_weights)
-_PLAIN = [{dtype: (_WEIGHTS[:21].astype(dtype), _WEIGHTS[21:].astype(dtype))
-           for dtype in (np.dtype(float), np.dtype(complex))},
-          (_BLOCK_WEIGHTS[:21], None)]
 # most times one batched dense sub-step reads (Trajectory.states_at)
 _BLOCK = 16
 # states per block of Trajectory.state_blocks, the sample-grid datasets' read
@@ -287,10 +281,8 @@ def _lawson_tables(lin):
     """What a single-state step in Lawson form reads in place of lin,
     built once per integration so that no step broadcasts a column
     across the state: (lin in one row per distinct gap, 15 rows; the
-    packed weights in one column per state component).  None for plain
-    DOPRI5 (lin None)."""
-    if lin is None:
-        return None
+    packed weights in one column per state component).  lin = 0 gives
+    factors of exactly 1, so plain DOPRI5's weights, bit for bit."""
     lin = np.asarray(lin)
     return (np.repeat(lin[None], 15, axis=0),
             np.repeat(_WEIGHTS, lin.size, axis=1))
@@ -302,9 +294,7 @@ def _stage_weights(tables, h, dtype):
     h is a number for a full step, or an (m, 1) column of step lengths
     for a dense sub-step (Trajectory's lookups and event location), which
     gives each weight a row per step and has no error weights (e None).
-    Plain DOPRI5 (tables None): decay is None, a the tableau and e the
-    error weights.  Lawson form (tables from _lawson_tables): with
-    E_ij = exp(lin (c_i - c_j) h), stage i starts from E_i0 y (decay[i])
+    With E_ij = exp(lin (c_i - c_j) h), stage i starts from E_i0 y (decay[i])
     and weighs stage j by a_ij E_ij; the error weights are e_j E_6j.  The
     gaps c_i - c_j are never negative, so |E| <= 1 whenever Re lin <= 0.
 
@@ -313,11 +303,8 @@ def _stage_weights(tables, h, dtype):
     what the cast computes, bit for bit.  A block's keep lin's dtype, as
     complex block weights cost more than the casts they save.
     """
-    block = isinstance(h, np.ndarray)
-    if tables is None:
-        return (None,) + (_PLAIN[True] if block else _PLAIN[False][dtype])
     lin_rows, weights = tables
-    if block:
+    if isinstance(h, np.ndarray):
         g = np.take(np.exp(_BLOCK_GAPS * h * lin_rows[0]), _TAKE[:28], axis=0)
         g[7:] *= _BLOCK_WEIGHTS[:21]
         return g[:7], g[7:], None
@@ -330,8 +317,7 @@ def _stage_weights(tables, h, dtype):
 
 
 def _attempt_step(rhs, t, y, h, k1, tables):
-    """One DOPRI5 step, in Lawson form unless tables is None (see
-    _lawson_tables).
+    """One DOPRI5 step in Lawson form, with tables from _lawson_tables.
 
     A single state y with a number h takes a full step: (y5, err, k, ok),
     k the (7, n) stages; ok=False on non-finite rhs.  An (m, n) block y
@@ -346,7 +332,7 @@ def _attempt_step(rhs, t, y, h, k1, tables):
     for i in range(1, 7):
         yi = _combine(a[_ROW[i]:_ROW[i + 1]], k[:i])
         yi *= h
-        yi += y if decay is None else decay[i] * y
+        yi += decay[i] * y
         if e is None and i == 6:
             return yi, None, None, True
         ki = rhs(yi, t + _C[i] * h)
@@ -438,7 +424,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     (t1 = t0 stores y0 alone).
 
     lin is the diagonal of a linear part that the stepper treats exactly
-    (Lawson form); None integrates y' = rhs(y, t) with plain DOPRI5.
+    (Lawson form); None is lin = 0, y' = rhs(y, t), which the same step
+    takes as plain DOPRI5, bit for bit.
     Dense output and event location call rhs as well, on (m, n) blocks
     of states with an (m, 1) column of times (one row for
     Trajectory.state_at and for each of the event's trial times).
@@ -464,7 +451,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
         raise ValueError(f"t1 = {t1} is not finite")
     y = np.array(y0, ndmin=1, dtype=complex if np.iscomplexobj(y0)
                  or np.iscomplexobj(lin) else float)
-    tables = _lawson_tables(lin)
+    tables = _lawson_tables(np.zeros(y.size) if lin is None else lin)
     traj = Trajectory(stats=IntegratorStats() if stats is None else stats,
                       kept=None if keep is None else frozenset(keep))
     traj.append(t0, y)

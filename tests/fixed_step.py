@@ -1,6 +1,7 @@
-"""Fixed-step propagation with the library's DOPRI5 step, plain or in
-Lawson form, and the observed convergence order it yields: the
-validation harness of the integrator tests."""
+"""Fixed-step propagation with the library's DOPRI5 step in Lawson form
+(lin None steps with lin = 0, which is plain DOPRI5), and the observed
+convergence order it yields: the validation harness of the integrator
+tests."""
 
 from typing import Callable, Optional, Sequence
 
@@ -15,7 +16,7 @@ def integrate_fixed(rhs, y0, t0: float, t1: float, h: float,
     """Propagate y' = lin * y + rhs(y, t) from t0 to t1 in steps of h."""
     y = np.atleast_1d(np.asarray(y0, dtype=complex))
     n = int(round((t1 - t0) / h))
-    t, tables = t0, _lawson_tables(lin)
+    t, tables = t0, _lawson_tables(np.zeros(y.size) if lin is None else lin)
     for _ in range(n):
         k1 = rhs(y, t)
         y, _, _, ok = _attempt_step(rhs, t, y, h, k1, tables)

@@ -343,8 +343,8 @@ B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84,
 
 def reference_step(rhs, t, y, h, k1):
     """DOPRI5 step with builtin-sum stage combinations, as first written:
-    the stepper without a linear part (lin=None) must match it bit for
-    bit."""
+    the stepper without a linear part (Lawson weights with lin = 0) must
+    match it bit for bit."""
     k = [k1]
     for i in range(1, 7):
         yi = y + h * sum(a * kj for a, kj in zip(integrator._A[i, :i], k))
@@ -367,24 +367,35 @@ def nonlinear(y, t):
     return 1j * y * y - (1.0 + t) * y + np.roll(y, 1) * 0.3
 
 
+def real_nonlinear(y, t):
+    """A real right-hand side, for the real states that the two-mode
+    solve steps."""
+    return y * y - (1.0 + t) * y + np.roll(y, 1) * 0.3
+
+
 def test_stacked_step_matches_reference_bit_for_bit():
     rng = np.random.default_rng(5)
-    for trial in range(20):
-        y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    plain = integrator._lawson_tables(np.zeros(9))   # no linear part
+    for trial in range(40):
+        # complex states, then real ones (the float-weight route)
+        y = rng.standard_normal(9)
+        rhs = real_nonlinear
+        if trial < 20:
+            y, rhs = y + 1j * rng.standard_normal(9), nonlinear
         y[trial % 9] = -0.0          # signed zeros must survive as well
         t, h = rng.uniform(0, 1), 10.0 ** rng.uniform(-6, -1)
-        k1 = nonlinear(y, t)
-        y5, err, k, ok = integrator._attempt_step(nonlinear, t, y, h, k1,
-                                                  None)
-        ref = reference_step(nonlinear, t, y, h, k1)
+        k1 = rhs(y, t)
+        y5, err, k, ok = integrator._attempt_step(rhs, t, y, h, k1, plain)
+        ref = reference_step(rhs, t, y, h, k1)
         assert ok and ref is not None
+        assert y5.dtype == y.dtype
         assert same_bits(y5, ref[0]) and same_bits(err, ref[1])
         assert all(same_bits(a, b) for a, b in zip(k, ref[2]))
         # the dense sub-step over the whole step, on a block of one row,
         # is the step's own y5
-        y_dense = integrator._attempt_step(nonlinear, t, y[None],
+        y_dense = integrator._attempt_step(rhs, t, y[None],
                                            np.array([[h]]), k1[None],
-                                           None)[0]
+                                           plain)[0]
         assert same_bits(y_dense[0], y5)
 
 
@@ -395,9 +406,10 @@ def test_stacked_step_rejects_where_reference_does():
 
     y = np.array([1.5 + 0j, 0.1 + 0j])
     k1 = rhs(y, 0.0)
-    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1, None)[3] is False
+    plain = integrator._lawson_tables(np.zeros(2))
+    assert integrator._attempt_step(rhs, 0.0, y, 0.5, k1, plain)[3] is False
     assert reference_step(rhs, 0.0, y, 0.5, k1) is None
-    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1, None)
+    ok_step = integrator._attempt_step(rhs, 0.0, y, 1e-3, k1, plain)
     assert same_bits(ok_step[0], reference_step(rhs, 0.0, y, 1e-3, k1)[0])
 
 
@@ -492,8 +504,8 @@ def test_single_state_step_matches_one_row_block_bit_for_bit(form):
     # the same bits, in the same order of sums.  A weight with an
     # imaginary part would give the components with a zero real part one.
     k = np.arange(-4, 5)
-    lin = None if form == "plain" else -(k * k) * (UP if form == "path"
-                                                   else 1.0)
+    lin = np.zeros(9) if form == "plain" else -(k * k) * (
+        UP if form == "path" else 1.0)
     tables = integrator._lawson_tables(lin)
     rng = np.random.default_rng(17)
     for trial in range(20):
