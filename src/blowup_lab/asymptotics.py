@@ -130,67 +130,53 @@ SINGULARITY_REGIMES = ("naive", "early", "late_first_scale",
                        "second_scale", "third_scale", "impingement")
 
 
-def singularity_domain(regime: str, value, alpha: float, epsilon: float,
-                       t_c: float):
-    """Where singularity_y takes the values: a mask of the values inside
-    the named regime's domain, and the reason, as singularity_y refuses
-    them, that the others are not.  Every regime but impingement scales
-    with epsilon and takes no value at epsilon = 0."""
-    v = np.asarray(value, dtype=float)
-    if epsilon <= 0.0 and regime != "impingement":
-        return np.zeros(v.shape, dtype=bool), "requires epsilon > 0"
-    if regime == "naive":
-        outside = (alpha - v) * np.exp(v) / epsilon < 1.0
-        reason = "arccosh argument < 1"
-    elif regime == "early":
-        outside, reason = (v <= 0.0) | (v >= 1.0), "requires 0 < t < 1"
-    elif regime == "late_first_scale":
-        outside, reason = v >= alpha, "requires t < alpha"
-    elif regime == "second_scale":
-        outside, reason = v > 0.0, "requires T <= 0"
-    elif regime == "third_scale":
-        outside, reason = v >= 0.0, "requires T < 0"
-    elif regime == "impingement":
-        d = t_c - v
-        outside, reason = (d <= 0.0) | (d >= 1.0), "requires 0 < t_c - t < 1"
-    else:
+def singularity_y(regime: str, t, alpha: float, epsilon: float, t_c: float):
+    """Imaginary-axis singularity position y at the times t in the named
+    regime, and the reason it is NaN at the times outside the regime's
+    domain.
+
+    The second and third scales are written in the inner time
+    T = (t - t_c)/epsilon, negative before blow-up.  Regime selection is
+    explicit; the formulas are overlays, not a composite.  Every regime
+    but impingement scales with epsilon and takes no time at
+    epsilon = 0.
+    """
+    if regime not in SINGULARITY_REGIMES:
         raise ValueError(f"unknown regime {regime!r}; one of "
                          f"{SINGULARITY_REGIMES}")
-    return ~outside, reason
-
-
-def singularity_y(regime: str, value, alpha: float, epsilon: float,
-                  t_c: float):
-    """Imaginary-axis singularity position y in the named regime.
-
-    `value` is t for regimes {naive, early, late_first_scale,
-    impingement} and T = (t - t_c)/epsilon (negative pre-blow-up) for
-    {second_scale, third_scale}.  Regime selection is explicit; the
-    formulas are overlays, not a composite.  A value outside the
-    regime's domain (singularity_domain) raises ValueError.
-    """
-    v = np.asarray(value, dtype=float)
-    inside, reason = singularity_domain(regime, v, alpha, epsilon, t_c)
-    if not np.all(inside):
-        raise ValueError(reason)
+    t = np.asarray(t, dtype=float)
+    y = np.full(t.shape, np.nan)
+    if epsilon <= 0.0 and regime != "impingement":
+        return y, "requires epsilon > 0"
     if regime == "naive":
-        out = np.arccosh((alpha - v) * np.exp(v) / epsilon)
+        arg = (alpha - t) * np.exp(t) / epsilon
+        inside, reason = arg >= 1.0, "arccosh argument < 1"
+        y[inside] = np.arccosh(arg[inside])
     elif regime == "early":
-        out = math.log(2.0 * alpha / epsilon) + np.sqrt(2.0 * v * np.log(1.0 / v))
+        inside, reason = (t > 0.0) & (t < 1.0), "requires 0 < t < 1"
+        s = t[inside]
+        y[inside] = math.log(2.0 * alpha / epsilon) \
+            + np.sqrt(2.0 * s * np.log(1.0 / s))
     elif regime == "late_first_scale":
-        out = math.log(2.0 / epsilon) + alpha + np.log(alpha - v)
+        inside, reason = t < alpha, "requires t < alpha"
+        y[inside] = math.log(2.0 / epsilon) + alpha + np.log(alpha - t[inside])
     elif regime == "second_scale":
-        mt = -v
-        ea = math.exp(alpha)
-        out = np.log(1.0 + ea * mt + np.sqrt(2.0 * ea * mt + ea ** 2 * mt ** 2))
+        big_t = (t - t_c) / epsilon
+        inside, reason = big_t <= 0.0, "requires T <= 0"
+        mt, ea = -big_t[inside], math.exp(alpha)
+        y[inside] = np.log(1.0 + ea * mt
+                           + np.sqrt(2.0 * ea * mt + ea ** 2 * mt ** 2))
     elif regime == "third_scale":
-        mt = -v
-        out = np.sqrt(2.0 * math.exp(alpha) * mt) \
+        big_t = (t - t_c) / epsilon
+        inside, reason = big_t < 0.0, "requires T < 0"
+        mt = -big_t[inside]
+        y[inside] = np.sqrt(2.0 * math.exp(alpha) * mt) \
             * np.sqrt(1.0 - 4.0 * epsilon * math.exp(-alpha) * np.log(mt))
     else:
-        d = t_c - v
-        out = np.sqrt(8.0 * d * np.log(1.0 / d))
-    return out
+        d = t_c - t
+        inside, reason = (d > 0.0) & (d < 1.0), "requires 0 < t_c - t < 1"
+        y[inside] = np.sqrt(8.0 * d[inside] * np.log(1.0 / d[inside]))
+    return y, reason
 
 
 def flatness_approx(t, alpha: float, epsilon: float):

@@ -182,20 +182,11 @@ def singularity_from_solution(solve: Trajectory,
     the sample grid."""
     a, e, t_c = params.alpha, params.epsilon, solve.times[-1]
     track = tracker.build_track(solve, sample_times(t_c))
-    t = track.times
-    with np.errstate(divide="ignore"):   # eps = 0, which the regimes refuse
-        big_t = (t - t_c) / e
     overlays, dropped = {}, {}
     for regime in asymptotics.SINGULARITY_REGIMES:
-        values = big_t if regime in ("second_scale", "third_scale") else t
-        inside, reason = asymptotics.singularity_domain(regime, values, a, e,
-                                                        t_c)
-        out = np.full(t.shape, np.nan)
-        if inside.any():
-            out[inside] = asymptotics.singularity_y(regime, values[inside],
-                                                    a, e, t_c)
-        outside = int(np.count_nonzero(~inside))
-        overlays[regime] = out
+        overlays[regime], reason = asymptotics.singularity_y(
+            regime, track.times, a, e, t_c)
+        outside = int(np.count_nonzero(np.isnan(overlays[regime])))
         dropped[regime] = {reason: outside} if outside else {}
     return SingularityData(track, t_c, overlays, dropped)
 
@@ -357,6 +348,7 @@ def run_fourier_snapshots(params: ModelParams, times: Optional[Sequence[float]]
     t_c, integrations = solve.times[-1], {"solve": solve.stats}
     if times is None:
         times = [0.9 * t_c, t_c, 1.1 * t_c]
+        _refuse_times("snapshots", times)
     later = [t for t in times if t > t_c]
     if later:
         radius = min(DETOUR_RADIUS * t_c, min(later) - t_c)

@@ -114,8 +114,8 @@ class EventSpec:
     """A root of observable where it crosses zero from above."""
 
     observable: Observable
-    direction: str                  # "decreasing", the one direction
-    root_tol: float
+    direction: str = "decreasing"   # the one direction
+    root_tol: float = 1e-13
 
     def __post_init__(self):
         if self.direction != "decreasing":
@@ -443,9 +443,9 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     holds every state and answers anywhere in the span.
     Every rhs call is counted in stats (a fresh IntegratorStats unless
     one is passed to share): the solve's own in rhs_calls, the dense
-    output read after it in lookup_rhs_calls.  The states are real when
-    y0, lin and rhs(y0, t0) are, else complex, and stats.arithmetic names
-    which.
+    output read after it in lookup_rhs_calls.  The states are real exactly
+    when y0 and lin are, and stats.arithmetic names which; a complex
+    rhs(y0, t0) on real states raises IntegrationError.
     """
     if not math.isfinite(t1):
         raise ValueError(f"t1 = {t1} is not finite")
@@ -491,9 +491,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     if not np.all(np.isfinite(k1)):
         raise IntegrationError(f"rhs non-finite at t0 = {t0}")
     if np.iscomplexobj(k1) and not np.iscomplexobj(y):
-        traj.states[0] = y = y.astype(complex)
-        y.flags.writeable = False
-        stats.arithmetic = "complex"
+        raise IntegrationError(f"rhs complex at t0 = {t0} on a real state; "
+                               "give y0 or lin complex")
 
     t = t0
     h = min(_H_INIT, t1 - t0)

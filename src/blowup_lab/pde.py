@@ -18,7 +18,6 @@ from .integrator import (EventSpec, IntegratorConfig, Trajectory, integrate,
 from .spectral import (DIVISION_FLOOR, DivisorTooSmall, analyze,
                        grid_points, node_shift, padded_size, synthesize)
 
-_EVENT_ROOT_TOL = 1e-13
 # relative tolerance of the cross-check between the two flatness routes
 _FLATNESS_CHECK_TOL = 1e-10
 # amplitude of the imaginary seed; 1e-16 let roundoff pick the branch
@@ -155,8 +154,7 @@ def make_rhs(params: ModelParams):
 
 def blowup_event() -> EventSpec:
     """v(0, t) = Re(sum_k c_k) crossing zero from above."""
-    return EventSpec(observable=lambda c: float(np.sum(c).real),
-                     direction="decreasing", root_tol=_EVENT_ROOT_TOL)
+    return EventSpec(lambda c: float(np.sum(c).real))
 
 
 def solve_to_blowup(params: ModelParams) -> Trajectory:

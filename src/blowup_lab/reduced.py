@@ -36,7 +36,6 @@ def solve_two_mode(alpha: float, epsilon: float,
     y0 = np.array([math.log(alpha), epsilon / alpha, 0.0])
     # tau at the breakdown is 0.97-8.79 over the Table-1 grid
     tau_hi = math.log(alpha / epsilon) + 2.0 * alpha + 4.0
-    breakdown = EventSpec(lambda y: float(2.0 - y[1] ** 2),
-                          direction="decreasing", root_tol=1e-13)
+    breakdown = EventSpec(lambda y: float(2.0 - y[1] ** 2))
     traj = integrate(_field, y0, 0.0, tau_hi, cfg, events=[breakdown])
     return traj, float(traj.states[-1][2])

@@ -220,8 +220,9 @@ def test_criterion_6_singularity_track(solve_fine):
     # formula is regressed inside that regime
     eps_s = 0.05
     d = np.logspace(-80, -50, 40)
-    y_syn = asymptotics.singularity_y("third_scale", -d / eps_s, 1.0, eps_s,
-                                      t_c)
+    # far below an ulp of t_c, so t - t_c = -d is taken with t_c = 0: the
+    # inner-scale formulas read t - t_c alone
+    y_syn, _ = asymptotics.singularity_y("third_scale", -d, 1.0, eps_s, 0.0)
     slope = impingement_regression(d, y_syn)
     checks.append((abs(slope - 8.0) <= 1.5, f"regression slope {slope:.2f}"))
     # and the solver's root track matches the second-timescale overlay on
@@ -232,9 +233,8 @@ def test_criterion_6_singularity_track(solve_fine):
     checks.append((np.count_nonzero(mask) >= 3,
                    "too few terminal-window samples"))
     if np.any(mask):
-        pred = asymptotics.singularity_y("second_scale",
-                                         (t[mask] - t_c) / eps, alpha, eps,
-                                         t_c)
+        pred, _ = asymptotics.singularity_y("second_scale", t[mask], alpha,
+                                            eps, t_c)
         relr = np.abs(track.y_root[mask] - pred) / pred
         checks.append((float(np.max(relr)) <= 0.05,
                        f"terminal overlay mismatch {np.max(relr):.3f}"))

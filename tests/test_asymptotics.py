@@ -87,39 +87,52 @@ def test_coeff_decay_laws():
 
 def test_singularity_y_regimes():
     alpha, eps, t_c = 1.0, 0.001, 1.0
+
+    def y(regime, t, epsilon=eps, tc=t_c):
+        return asy.singularity_y(regime, t, alpha, epsilon, tc)[0]
     # naive regime at t = 0: arccosh(alpha/eps)
-    assert asy.singularity_y("naive", 0.0, alpha, eps, t_c) == pytest.approx(
-        math.acosh(alpha / eps))
+    assert y("naive", 0.0) == pytest.approx(math.acosh(alpha / eps))
     # early regime matches its formula
-    assert asy.singularity_y("early", 0.25, alpha, eps, t_c) == pytest.approx(
+    assert y("early", 0.25) == pytest.approx(
         math.log(2 * alpha / eps) + math.sqrt(2 * 0.25 * math.log(4.0)))
-    # second scale at T -> 0^- goes to 0
-    assert asy.singularity_y("second_scale", -1e-12, alpha, eps, t_c) < 1e-5
+    # second scale at T = (t - t_c)/eps -> 0^- goes to 0
+    assert y("second_scale", t_c - 1e-15) < 1e-5
     # third scale reduces to sqrt(2 e^alpha (-T)) when the log correction
-    # is switched off by eps -> 0
-    t_small = -1e-4
-    y3 = asy.singularity_y("third_scale", t_small, alpha, 1e-12, t_c)
+    # is switched off by eps -> 0: t - t_c = -1e-16 is T = -1e-4
+    y3 = y("third_scale", -1e-16, epsilon=1e-12, tc=0.0)
     assert y3 == pytest.approx(math.sqrt(2 * math.e * 1e-4), rel=1e-6)
     # impingement law
     d = 1e-6
-    assert asy.singularity_y("impingement", t_c - d, alpha, eps, t_c) \
-        == pytest.approx(math.sqrt(8 * d * math.log(1 / d)))
-    with pytest.raises(ValueError):
-        asy.singularity_y("impingement", 0.5, alpha, eps, 0.4)  # t > t_c
-    with pytest.raises(ValueError):
-        asy.singularity_y("naive", 10.0, alpha, eps, t_c)       # arg < 1
-    with pytest.raises(ValueError):
+    assert y("impingement", t_c - d) == pytest.approx(
+        math.sqrt(8 * d * math.log(1 / d)))
+    # NaN, with the reason, on and past the edges of each domain; the
+    # first time of each is inside
+    edges = {"naive": ([0.0, alpha - 1e-4, alpha], "arccosh argument < 1"),
+             "early": ([0.5, 0.0, 1.0], "requires 0 < t < 1"),
+             "late_first_scale": ([0.9, alpha, alpha + 0.5],
+                                  "requires t < alpha"),
+             "second_scale": ([t_c, t_c + 1e-9, 2.0], "requires T <= 0"),
+             "third_scale": ([0.9, t_c, 2.0], "requires T < 0"),
+             "impingement": ([0.5, t_c, t_c - 1.0],
+                             "requires 0 < t_c - t < 1")}
+    for regime, (t, reason) in edges.items():
+        got, why = asy.singularity_y(regime, t, alpha, eps, t_c)
+        assert np.isfinite(got[0]) and np.all(np.isnan(got[1:])), regime
+        assert why == reason
+    # at t = t_c the second scale is inside, at y = 0
+    assert y("second_scale", t_c) == 0.0
+    with pytest.raises(ValueError, match="unknown regime"):
         asy.singularity_y("warp", 0.1, alpha, eps, t_c)
 
 
 def test_singularity_y_refuses_epsilon_zero_where_it_scales_with_it():
     for regime in asy.SINGULARITY_REGIMES:
+        y, reason = asy.singularity_y(regime, [0.5, 0.9], 1.0, 0.0, 1.0)
         if regime == "impingement":
-            assert asy.singularity_y(regime, 0.9, 1.0, 0.0, 1.0) \
-                == pytest.approx(math.sqrt(0.8 * math.log(10.0)))
+            assert y == pytest.approx([math.sqrt(4.0 * math.log(2.0)),
+                                       math.sqrt(0.8 * math.log(10.0))])
         else:
-            with pytest.raises(ValueError, match="requires epsilon > 0"):
-                asy.singularity_y(regime, -0.1, 1.0, 0.0, 1.0)
+            assert np.all(np.isnan(y)) and reason == "requires epsilon > 0"
 
 
 def test_flatness_laws():

@@ -566,6 +566,16 @@ def test_times_with_the_same_label_are_refused(tmp_path, monkeypatch, capsys,
     assert not list(out.rglob("*.csv"))
 
 
+def test_snapshots_refuses_default_times_with_the_same_label(tmp_path, capsys):
+    # at t_c = 2e-6, 0.9 t_c, t_c and 1.1 t_c all print as 0.000002: the
+    # three columns of coefficient_snapshots.csv would share one name
+    out = tmp_path / "run"
+    assert run_cli("snapshots", "--alpha", "2e-6", "--epsilon", "0",
+                   "--n-modes", "16", "--out", str(out)) == 1
+    assert "both print as 0.000002" in capsys.readouterr().err
+    assert not list(out.rglob("*.csv"))
+
+
 def test_snapshots_command(tmp_path):
     out = tmp_path / "run"
     assert run_cli("snapshots", *FAST, "--out", str(out)) == 0

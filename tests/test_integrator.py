@@ -563,10 +563,10 @@ def test_state_dtype_follows_y0_lin_and_the_rhs():
     # real y0, lin and right-hand side step real states, the complex
     # run's to roundoff (a complex division by the float error scale
     # multiplies by its reciprocal, so the steps can differ in the last
-    # bits); a complex first right-hand side makes the states complex,
-    # without another rhs call, and so does a complex lin, as on the legs
-    # of integrate_path: a real state would drop the imaginary part of
-    # its step weights
+    # bits); a complex lin makes the states complex, as on the legs of
+    # integrate_path: a real state would drop the imaginary part of its
+    # step weights; a complex first right-hand side on real states is
+    # refused
     lin = np.array([-1.0, -4.0])
 
     def rhs(y, t):      # a state, or a block of them with a column of times
@@ -589,9 +589,8 @@ def test_state_dtype_follows_y0_lin_and_the_rhs():
     kind, cast = runs(y0.astype(complex), rhs)
     assert kind == "complex"
     assert all(np.max(np.abs(a - b)) <= 1e-13 for a, b in zip(real, cast))
-    kind, promoted = runs(y0, lambda y, t: rhs(y, t) + 0j)
-    assert kind == "complex"
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(promoted, cast))
+    with pytest.raises(IntegrationError, match="rhs complex at t0 = 0.0"):
+        runs(y0, lambda y, t: rhs(y, t) + 0j)
     kind, rotated = runs(y0, rhs, lin * (1 + 1j))
     assert kind == "complex"
     assert all(a.tobytes() == b.tobytes() for a, b in
