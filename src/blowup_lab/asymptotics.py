@@ -76,10 +76,9 @@ def t_tilde(alpha: float, epsilon: float) -> float:
     return t_hat(alpha, epsilon) - (2.0 * c.C1 + c.C2 + c.C3) * epsilon ** 2
 
 
-def v_timescale2(x, t, alpha: float, epsilon: float, t_c: float,
-                 consts: AsymptoticConstants):
+def v_timescale2(x, t, alpha: float, epsilon: float, t_c: float):
     """Second-timescale approximation of v for x = O(1), t <= t_c."""
-    ea = math.exp(-alpha)
+    c, ea = constants(alpha), math.exp(-alpha)
     s_half = np.sin(0.5 * x) ** 2
     s_full = np.sin(x) ** 2
     log_arg = (t_c - t) / epsilon + 2.0 * ea * s_half
@@ -90,21 +89,20 @@ def v_timescale2(x, t, alpha: float, epsilon: float, t_c: float,
             + 2.0 * epsilon ** 2 * math.log(epsilon) * ea ** 2 * s_full
             + epsilon * (t - t_c) * ea * np.cos(x)
             + 2.0 * epsilon ** 2 * s_full
-            * (ea ** 2 * np.log(log_arg) + consts.C1 + consts.C3))
+            * (ea ** 2 * np.log(log_arg) + c.C1 + c.C3))
 
 
-def blowup_profile_global(x, alpha: float, epsilon: float,
-                          consts: AsymptoticConstants):
+def blowup_profile_global(x, alpha: float, epsilon: float):
     """Blow-up profile for x = O(1) (the second-timescale form at t = t_c)."""
     if np.any(x == 0.0):
         raise ValueError("x = 0 hits the log singularity")
-    ea = math.exp(-alpha)
+    c, ea = constants(alpha), math.exp(-alpha)
     s_half = np.sin(0.5 * x) ** 2
     s_full = np.sin(x) ** 2
     return (2.0 * epsilon * ea * s_half
             + 2.0 * epsilon ** 2 * s_full
             * (ea ** 2 * np.log(2.0 * epsilon * ea * s_half)
-               + consts.C1 + consts.C3))
+               + c.C1 + c.C3))
 
 
 def blowup_profile_local(x, alpha: float, epsilon: float):

@@ -81,33 +81,18 @@ def _integrator_block(integrations: dict) -> dict:
     return {name: stats.record() for name, stats in integrations.items()}
 
 
-def _table(args, manifest, name, columns, rows, **header) -> None:
+def _table(run, name, columns, rows, **header) -> None:
     """Write <out>/<name>.csv under the run's header, with the header
-    keys given, and register it in the manifest as name."""
-    path = os.path.join(args.out, f"{name}.csv")
-    write_csv(path, columns, rows, manifest.csv_header(**header))
-    manifest.register(name, path)
+    keys given, and register it in the run's manifest as name."""
+    path = os.path.join(run.out_dir, f"{name}.csv")
+    write_csv(path, columns, rows, run.csv_header(**header))
+    run.register(name, path)
 
 
 def _coefficient_rows(c):
     """(k, Re c_k, Im c_k) for k = -N..N."""
     n = c.shape[-1] // 2
     return zip(range(-n, n + 1), c.real, c.imag)
-
-
-class _Phases:
-    """Wall time of a command's consecutive phases: lap(name) records, in
-    the manifest's timings, the time since the previous lap (or since
-    the phases began)."""
-
-    def __init__(self, manifest):
-        self.timings = manifest.timings
-        self.last = time.perf_counter()
-
-    def lap(self, name: str) -> None:
-        now = time.perf_counter()
-        self.timings[name] = now - self.last
-        self.last = now
 
 
 def main(argv=None) -> int:
@@ -123,35 +108,35 @@ def main(argv=None) -> int:
         print("verify: OK" if not problems else "verify: FAILED")
         return 0 if not problems else 1
     try:
-        cfg = _config(args)
         os.makedirs(args.out, exist_ok=True)
-        manifest = RunManifest(args.out, cfg)
+        # before the run's first lap starts, so the laps sum to at most total
         t0 = time.perf_counter()
-        code = _DISPATCH[args.command](args, cfg, manifest)
-        manifest.timings["total"] = time.perf_counter() - t0
+        run = RunManifest(args.out, _config(args))
+        code = _DISPATCH[args.command](run)
+        run.timings["total"] = time.perf_counter() - t0
         # the process's high-water mark so far (Linux counts it in KiB)
-        manifest.extra["peak_rss_mb"] = resource.getrusage(
+        run.extra["peak_rss_mb"] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024
-        manifest.write()
+        run.write()
         return code
     except Exception as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 1
 
 
-def _cmd_table1(args, cfg, manifest) -> int:
-    phases = _Phases(manifest)
+def _cmd_table1(run) -> int:
+    cfg = run.config
     rows = experiments.run_table1(n_modes=cfg["n_modes"], rtol=cfg["rtol"],
                                   atol=cfg["atol"])
-    phases.lap("cells")
-    _table(args, manifest, "table1",
+    run.lap("cells")
+    _table(run, "table1",
            ["alpha", "epsilon", "t_c", "tc_prime_minus_tc", "t_hat_minus_tc",
             "t_tilde_minus_tc", "error"],
            [(r.alpha, r.epsilon, r.t_c, r.d_two_mode, r.d_t_hat, r.d_t_tilde,
              r.error or "") for r in rows])
-    phases.lap("write")
+    run.lap("write")
     # a failed cell's entry is empty: its integrations are lost with it
-    manifest.extra["integrator"] = {
+    run.extra["integrator"] = {
         f"alpha={r.alpha:g},epsilon={r.epsilon:g}":
             _integrator_block(r.integrations) for r in rows}
     failed = sum(1 for r in rows if r.error)
@@ -161,23 +146,23 @@ def _cmd_table1(args, cfg, manifest) -> int:
     return 2 if 0 < failed < len(rows) else (1 if failed == len(rows) else 0)
 
 
-def _cmd_solve(args, cfg, manifest) -> int:
-    params, phases = _params(cfg), _Phases(manifest)
+def _cmd_solve(run) -> int:
+    params = _params(run.config)
     solve = solve_to_blowup(params)
     t_c = solve.times[-1]
-    phases.lap("solve")
+    run.lap("solve")
     est, two_mode = blowup_estimates(params)
-    phases.lap("estimates")
+    run.lap("estimates")
     # the blow-up solve's states are real: no imaginary parts to write
-    _table(args, manifest, "solution_summary", ["t", "v_at_0"],
+    _table(run, "solution_summary", ["t", "v_at_0"],
            [(t, float(np.sum(state)))
             for t, state in zip(solve.times, solve.states)])
-    _table(args, manifest, "state_at_tc", ["k", "re_c_k"],
+    _table(run, "state_at_tc", ["k", "re_c_k"],
            enumerate(solve.states[-1], -params.n_modes), t=t_c)
-    phases.lap("write")
+    run.lap("write")
     deltas = {f"{name} - t_c": t - t_c for name, t in est.items()}
-    manifest.extra["blowup_report"] = {"t_c": t_c, **est, "deltas": deltas}
-    manifest.extra["integrator"] = _integrator_block(
+    run.extra["blowup_report"] = {"t_c": t_c, **est, "deltas": deltas}
+    run.extra["integrator"] = _integrator_block(
         {"solve": solve.stats, **two_mode})
     print(f"t_c = {t_c:.6f}  (t_hat - t_c = {deltas['t_hat - t_c']:.2e}, "
           f"t_tilde - t_c = {deltas['t_tilde - t_c']:.2e}, "
@@ -192,80 +177,78 @@ def _sample_counts(data) -> dict:
             "kept": int(data.times.size), "dropped": data.dropped}
 
 
-def _cmd_errors(args, cfg, manifest) -> int:
-    params, phases = _params(cfg), _Phases(manifest)
+def _cmd_errors(run) -> int:
+    params = _params(run.config)
     if params.epsilon == 0.0:
         raise ValueError("errors needs epsilon > 0: the second-timescale "
                          "approximation takes log(epsilon)")
     solve = solve_to_blowup(params)
-    phases.lap("solve")
+    run.lap("solve")
     data = experiments.error_curves_from_solution(solve, params)
-    phases.lap("postprocess")
-    _table(args, manifest, "error_curves",
-           ["t", "err_perturbation", "err_timescale2"],
+    run.lap("postprocess")
+    _table(run, "error_curves", ["t", "err_perturbation", "err_timescale2"],
            zip(data.times, data.err_perturbation, data.err_timescale2),
            t_c=data.t_c)
-    phases.lap("write")
-    manifest.extra["samples"] = _sample_counts(data)
-    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
+    run.lap("write")
+    run.extra["samples"] = _sample_counts(data)
+    run.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"{len(data.times)} samples, t_c = {data.t_c:.6f}")
     return 0
 
 
-def _cmd_profile(args, cfg, manifest) -> int:
-    params, phases = _params(cfg), _Phases(manifest)
+def _cmd_profile(run) -> int:
+    params = _params(run.config)
     if params.epsilon == 0.0:
         raise ValueError("profile needs epsilon > 0: the global blow-up "
                          "profile takes log(epsilon)")
     solve = solve_to_blowup(params)
-    phases.lap("solve")
-    data = experiments.profile_from_state(solve.states[-1], solve.times[-1],
-                                          params)
-    phases.lap("postprocess")
+    run.lap("solve")
+    data = experiments.profile_from_solution(solve, params)
+    run.lap("postprocess")
     columns = ["x", "v_solver", "profile_global", "profile_local"]
-    _table(args, manifest, "blowup_profile", columns,
+    _table(run, "blowup_profile", columns,
            zip(data.x, data.v_solver, data.eq_global, data.eq_local),
            t_c=data.t_c)
-    _table(args, manifest, "blowup_profile_smallx", columns,
+    _table(run, "blowup_profile_smallx", columns,
            zip(data.x_small, data.v_small, data.eq_global_small,
                data.eq_local_small),
            t_c=data.t_c, note="v from coefficient sums; roundoff limits "
                               "accuracy for small x")
-    _table(args, manifest, "coefficients_at_tc",
+    _table(run, "coefficients_at_tc",
            ["k", "abs_c_k", "global_law", "local_law"],
            zip(data.k, data.coeff_solver, data.coeff_global_law,
                data.coeff_local_law),
            t_c=data.t_c)
-    phases.lap("write")
+    run.lap("write")
     roundoff = int(np.sum(np.abs(data.v_small) <= data.v_roundoff))
-    manifest.extra["profile"] = {"v_roundoff": data.v_roundoff,
-                                 "smallx_roundoff_rows": roundoff}
-    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
+    run.extra["profile"] = {"v_roundoff": data.v_roundoff,
+                            "smallx_roundoff_rows": roundoff}
+    run.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"profile written, t_c = {data.t_c:.6f}")
     return 0
 
 
-def _cmd_singularity(args, cfg, manifest) -> int:
-    params, phases = _params(cfg), _Phases(manifest)
+def _cmd_singularity(run) -> int:
+    params = _params(run.config)
     solve = solve_to_blowup(params)
-    phases.lap("solve")
+    run.lap("solve")
     data = experiments.singularity_from_solution(solve, params)
-    phases.lap("postprocess")
+    run.lap("postprocess")
     tr = data.track
-    _table(args, manifest, "singularity_track",
+    _table(run, "singularity_track",
            ["t", "y_fit", "y_root", "fit_residual", "usable_fit",
             "usable_root"] + [f"overlay_{k}" for k in data.overlays],
            zip(tr.times, tr.y_fit, tr.y_root, tr.fit_residual,
                tr.usable_fit().astype(int), tr.usable_root().astype(int),
                *data.overlays.values()),
            t_c=data.t_c)
-    phases.lap("write")
+    run.lap("write")
     n_ok = int(np.sum(tr.usable_root()))
-    manifest.extra["overlays"] = {
+    run.extra["overlays"] = {
         regime: {"kept": int(np.sum(np.isfinite(data.overlays[regime]))),
                  "dropped": reasons}
         for regime, reasons in data.dropped.items()}
-    manifest.extra["tracker"] = {
+    run.extra["tracker"] = {
         "snapshots": int(tr.times.size),
         "usable_root": n_ok,
         "usable_fit": int(np.sum(tr.usable_fit())),
@@ -273,24 +256,24 @@ def _cmd_singularity(args, cfg, manifest) -> int:
         "no_fit": tr.no_fit,
         "seconds": tr.seconds,
     }
-    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
+    run.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"track with {tr.times.size} samples ({n_ok} usable roots), "
           f"t_c = {data.t_c:.6f}")
     return 0
 
 
-def _cmd_continue(args, cfg, manifest) -> int:
-    params, phases = _params(cfg), _Phases(manifest)
+def _cmd_continue(run) -> int:
+    cfg = run.config
     data = experiments.run_continuation(
-        params, cfg["t_end"], rng_seed=cfg["seed"], extra_times=cfg["times"],
-        method=cfg["method"])
-    phases.lap("compute")
+        _params(cfg), cfg["t_end"], rng_seed=cfg["seed"],
+        extra_times=cfg["times"], method=cfg["method"])
+    run.lap("compute")
     label = experiments.time_label
     for t, c in zip(data.snapshot_times, data.snapshots):
-        _table(args, manifest, f"snapshot_t{label(t)}",
+        _table(run, f"snapshot_t{label(t)}",
                ["k", "re_c_k", "im_c_k"], _coefficient_rows(c), t=t)
-    phases.lap("write")
-    manifest.extra["continuation"] = {
+    run.lap("write")
+    run.extra["continuation"] = {
         "t_c": data.t_c,
         "branch_sign": data.branch_sign,
         "method": data.method,
@@ -300,41 +283,40 @@ def _cmd_continue(args, cfg, manifest) -> int:
         "skipped_times": {label(t): why
                           for t, why in data.skipped_times.items()},
     }
-    manifest.extra["integrator"] = _integrator_block(data.integrations)
+    run.extra["integrator"] = _integrator_block(data.integrations)
     print(f"continued past t_c = {data.t_c:.6f}, branch "
           f"{data.branch_sign:+d}, |u+1/t|*t at end = "
           f"{data.asymptote_deviation}")
     return 0
 
 
-def _cmd_snapshots(args, cfg, manifest) -> int:
-    phases = _Phases(manifest)
-    data = experiments.run_fourier_snapshots(_params(cfg), times=cfg["times"])
-    phases.lap("compute")
-    _table(args, manifest, "coefficient_snapshots",
+def _cmd_snapshots(run) -> int:
+    data = experiments.run_fourier_snapshots(_params(run.config),
+                                             times=run.config["times"])
+    run.lap("compute")
+    _table(run, "coefficient_snapshots",
            ["k"] + [f"abs_c_k_t{experiments.time_label(t)}"
                     for t in data.times] + ["local_law"],
            zip(data.k, *data.moduli, data.local_law), t_c=data.t_c)
-    phases.lap("write")
-    manifest.extra["integrator"] = _integrator_block(data.integrations)
+    run.lap("write")
+    run.extra["integrator"] = _integrator_block(data.integrations)
     print(f"snapshots at {[round(t, 6) for t in data.times]}")
     return 0
 
 
-def _cmd_flatness(args, cfg, manifest) -> int:
-    params, phases = _params(cfg), _Phases(manifest)
+def _cmd_flatness(run) -> int:
+    params = _params(run.config)
     solve = solve_to_blowup(params)
-    phases.lap("solve")
+    run.lap("solve")
     data = experiments.flatness_from_solution(solve, params)
-    phases.lap("postprocess")
-    _table(args, manifest, "flatness",
-           ["t", "f_solver", "f_approx", "rel_err"],
+    run.lap("postprocess")
+    _table(run, "flatness", ["t", "f_solver", "f_approx", "rel_err"],
            zip(data.times, data.f_solver, data.f_approx, data.rel_err),
            t_c=data.t_c)
-    phases.lap("write")
-    manifest.extra["samples"] = {**_sample_counts(data),
-                                 "nan_rel_err": data.nan_rel_err}
-    manifest.extra["integrator"] = _integrator_block({"solve": solve.stats})
+    run.lap("write")
+    run.extra["samples"] = {**_sample_counts(data),
+                            "nan_rel_err": data.nan_rel_err}
+    run.extra["integrator"] = _integrator_block({"solve": solve.stats})
     print(f"{data.times.size} samples, t_c = {data.t_c:.6f}")
     return 0
 

@@ -95,7 +95,6 @@ def error_curves_from_solution(solve: Trajectory,
     collocation grid of the two analytic approximations against the
     solver of an already-computed blow-up solve, in blocks of times."""
     a, e, t_c = params.alpha, params.epsilon, solve.times[-1]
-    consts = asymptotics.constants(a)
     m = padded_size(params.n_modes)
     x = grid_points(m)
     times = sample_times(t_c)
@@ -108,7 +107,7 @@ def error_curves_from_solution(solve: Trajectory,
         denom[np.min(denom, axis=1) <= 0.0] = np.nan
         return [np.max(np.abs(v - v_ref) / denom, axis=1) for v in (
             asymptotics.perturbation_v(x, t, a, e),
-            asymptotics.v_timescale2(x, t, a, e, t_c, consts))]
+            asymptotics.v_timescale2(x, t, a, e, t_c))]
     errs = np.empty((2, times.size))
     for rows, states in solve.state_blocks(times):
         errs[:, rows] = block_errors(times[rows, None], states)
@@ -136,10 +135,10 @@ class BlowupProfileData:
     v_roundoff: float               # |v| at or below it is roundoff
 
 
-def profile_from_state(c: np.ndarray, t_c: float,
-                       params: ModelParams) -> BlowupProfileData:
-    """Profile data from an already-computed state c_k at t_c."""
-    consts = asymptotics.constants(params.alpha)
+def profile_from_solution(solve: Trajectory,
+                          params: ModelParams) -> BlowupProfileData:
+    """Profile data from an already-computed solve's state c_k at t_c."""
+    c, t_c = solve.states[-1], solve.times[-1]
     x = np.linspace(-np.pi, np.pi, PROFILE_POINTS + 1)
     x = x[x != 0.0]
     # small-x panel on a logarithmic lattice: near x = 0, v is a sum of
@@ -150,7 +149,7 @@ def profile_from_state(c: np.ndarray, t_c: float,
     v = horner(c[n:n + 1], np.stack([c[n + 1:], c[n - 1::-1]])[:, None],
                np.stack([w, w.conj()])[:, None])[0].real
     v_solver, v_small = v[:x.size], v[x.size:]
-    eq20 = asymptotics.blowup_profile_global(x, params.alpha, params.epsilon, consts)
+    eq20 = asymptotics.blowup_profile_global(x, params.alpha, params.epsilon)
     eq22 = np.full_like(x, np.nan)
     inner = np.abs(x) < 1.0
     eq22[inner] = asymptotics.blowup_profile_local(x[inner], params.alpha,
@@ -160,7 +159,7 @@ def profile_from_state(c: np.ndarray, t_c: float,
     law_g = asymptotics.coeff_decay_global(k, params.alpha, params.epsilon)
     law_l = asymptotics.coeff_decay_local(k)
     eq20_s = asymptotics.blowup_profile_global(x_small, params.alpha,
-                                               params.epsilon, consts)
+                                               params.epsilon)
     eq22_s = asymptotics.blowup_profile_local(x_small, params.alpha,
                                               params.epsilon)
     return BlowupProfileData(x, v_solver, eq20, eq22, k, coeff, law_g, law_l,
@@ -197,7 +196,7 @@ FIG6_FACTORS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0)
 def time_label(t: float) -> str:
     """A snapshot time as file names, CSV columns and manifest keys
     print it."""
-    return f"{t:.6f}"
+    return f"{t + 0.0:.6f}"     # -0.0 + 0.0 is 0.0: no sign for t = 0
 
 
 def _refuse_times(command: str, times: Sequence[float],
@@ -261,12 +260,11 @@ def run_continuation(params: ModelParams, t_end: Optional[float],
     _refuse_times("continue", times)     # clashes with the Figure-6 times
     # the complex path's detour ends at or before t_end (t_end - t_c is exact)
     radius = min(DETOUR_RADIUS * t_c, t_end - t_c)
-    start = solve.state_at(t_c - radius)
     if method == "noise_seeded":
-        run = continue_past_blowup(params, start, t_end, t_c, radius,
-                                   rng_seed, times)
+        run = continue_past_blowup(params, solve, t_end, radius, rng_seed,
+                                   times)
     else:
-        run = continue_complex_path(params, start, t_end, t_c, radius, times)
+        run = continue_complex_path(params, solve, t_end, radius, times)
     sign = branch_sign(run.state_at(t_c + radius))
     kept, snaps, edges, skipped = [], [], {}, {}
     for t in times:
@@ -352,8 +350,8 @@ def run_fourier_snapshots(params: ModelParams, times: Optional[Sequence[float]]
     later = [t for t in times if t > t_c]
     if later:
         radius = min(DETOUR_RADIUS * t_c, min(later) - t_c)
-        path = continue_complex_path(params, solve.state_at(t_c - radius),
-                                     max(later), t_c, radius, later)
+        path = continue_complex_path(params, solve, max(later), radius,
+                                     later)
         integrations["complex_path"] = path.stats
     n = params.n_modes
     k = np.arange(1, n + 1)

@@ -126,30 +126,14 @@ class EventSpec:
 @dataclass
 class DenseSegment:
     """One accepted step [t0, t0 + h] with what its dense output needs:
-    the start state r1, the right-hand side k1 there, and the sub-step
-    substep(t0, ys, tau, k1) of the method that took the step, on an
-    (m, n) block ys with an (m, 1) column tau of step lengths.  A step
-    that an integration with kept times does not read holds None for
-    both (the first step keeps its r1, the first state)."""
+    the start state r1 and the right-hand side k1 there.  A step that an
+    integration with kept times does not read holds None for both (the
+    first step keeps its r1, the first state)."""
 
     t0: float
     h: float
     r1: Optional[np.ndarray]
     k1: Optional[np.ndarray]
-    substep: Callable[[float, np.ndarray, np.ndarray, np.ndarray],
-                      np.ndarray]
-
-    def eval_block(self, ts: Sequence[float]) -> Sequence[np.ndarray]:
-        """The states at the times ts in [t0, t0 + h], one row each: for
-        each time one step of length t - t0 from (t0, r1), as accurate as
-        an accepted step, taken together as one step of the method on an
-        (m, n) block with an (m, 1) column of step lengths.  The one time
-        t0 gives r1 itself; t0 + h gives the step's own end state."""
-        tau = np.reshape(ts, (-1, 1)) - self.t0
-        if tau.shape == (1, 1) and tau[0, 0] == 0.0:
-            return [self.r1]
-        block = np.broadcast_to(self.r1, (tau.shape[0], self.r1.size))
-        return self.substep(self.t0, block, tau, self.k1)
 
 
 @dataclass
@@ -190,6 +174,9 @@ class Trajectory:
     # the times that dense output answers at besides the two ends; None
     # for every time in the span
     kept: Optional[frozenset] = None
+    # substep(seg, ts): the states at the times ts inside the segment seg,
+    # by the sub-step of the run that made the trajectory
+    substep: Optional[Callable] = None
 
     def append(self, t, y, segment=None):
         """Store y itself, read-only: dense segments share it as r1."""
@@ -245,7 +232,8 @@ class Trajectory:
                 while (end < len(times) and end - j < _BLOCK
                        and stored[i - 1] < times[end] < stored[i]):
                     end += 1
-                yield from self.dense_segments[i - 1].eval_block(times[j:end])
+                yield from self.substep(self.dense_segments[i - 1],
+                                        times[j:end])
             elif abs(t - stored[0]) <= 1e-12 * max(1.0, abs(t)):
                 yield self.states[0]
             elif abs(t - stored[-1]) <= 1e-12 * max(1.0, abs(t)):
@@ -452,17 +440,8 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
     y = np.array(y0, ndmin=1, dtype=complex if np.iscomplexobj(y0)
                  or np.iscomplexobj(lin) else float)
     tables = _lawson_tables(np.zeros(y.size) if lin is None else lin)
-    traj = Trajectory(stats=IntegratorStats() if stats is None else stats,
-                      kept=None if keep is None else frozenset(keep))
-    traj.append(t0, y)
-    stats = traj.stats
+    stats = IntegratorStats() if stats is None else stats
     stats.arithmetic = "complex" if np.iscomplexobj(y) else "real"
-    # the kept times not yet passed, latest first
-    ahead = None if keep is None else sorted(traj.kept, reverse=True)
-
-    # degenerate: observable already at a root at t0
-    if any(abs(ev.observable(y)) <= ev.root_tol for ev in events):
-        return traj
 
     def step_rhs(yy, tt):
         stats.rhs_calls += 1
@@ -472,19 +451,36 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
         stats.lookup_rhs_calls += 1
         return rhs(yy, tt)
 
-    def dense(count_rhs):
-        def substep(ts, ys, tau, k1s):
-            out, _, _, ok = _attempt_step(count_rhs, ts, ys, tau, k1s,
-                                          tables)
-            if not ok:
-                raise IntegrationError(f"rhs non-finite in dense output at "
-                                       f"t = {ts + tau}")
-            return out
-        return substep
+    def substep(seg, ts, count_rhs):
+        """The states at the times ts in [t0, t0 + h] of the segment seg,
+        one row each, with count_rhs as the rhs: for each time one step
+        of length t - t0 from (t0, r1), as accurate as an accepted step,
+        taken together as one step of the method on an (m, n) block with
+        an (m, 1) column of step lengths.  The one time t0 gives r1
+        itself; t0 + h gives the step's own end state."""
+        tau = np.reshape(ts, (-1, 1)) - seg.t0
+        if tau.shape == (1, 1) and tau[0, 0] == 0.0:
+            return [seg.r1]
+        block = np.broadcast_to(seg.r1, (tau.shape[0], seg.r1.size))
+        out, _, _, ok = _attempt_step(count_rhs, seg.t0, block, tau, seg.k1,
+                                      tables)
+        if not ok:
+            raise IntegrationError(f"rhs non-finite in dense output at "
+                                   f"t = {seg.t0 + tau}")
+        return out
 
-    # event location is part of the solve; the stored segments are read
-    # after it
-    locate, lookup = dense(step_rhs), dense(lookup_rhs)
+    # event location is part of the solve (step_rhs); the trajectory's
+    # lookups are read after it
+    traj = Trajectory(stats=stats,
+                      kept=None if keep is None else frozenset(keep),
+                      substep=lambda seg, ts: substep(seg, ts, lookup_rhs))
+    traj.append(t0, y)
+    # the kept times not yet passed, latest first
+    ahead = None if keep is None else sorted(traj.kept, reverse=True)
+
+    # degenerate: observable already at a root at t0
+    if any(abs(ev.observable(y)) <= ev.root_tol for ev in events):
+        return traj
 
     g_prev = [ev.observable(y) for ev in events]
     k1 = step_rhs(y, t0)
@@ -516,10 +512,10 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
                      if g_prev[i] > 0.0 >= g_new[i]]
             if fired:
                 ev = events[fired[0]]
-                seg = DenseSegment(t, h, y, k1, locate)
+                seg = DenseSegment(t, h, y, k1)
                 roots, calls = brentq(
                     lambda tt, _: [ev.observable(row)
-                                   for row in seg.eval_block(tt)],
+                                   for row in substep(seg, tt, step_rhs)],
                     [t], [t + h], ev.root_tol)
                 t_star = float(roots[0])
                 stats.event_evals += int(calls[0])
@@ -541,7 +537,7 @@ def integrate(rhs: RHS, y0, t0: float, t1: float, cfg: IntegratorConfig,
             stats.accepted += 1
             stats.h_accepted.append(h)
             t_next = t + h if t_root is None else t_root
-            seg = DenseSegment(t, h, y, k1, lookup)
+            seg = DenseSegment(t, h, y, k1)
             if ahead is not None:
                 traj._let_go(seg, t_next, ahead)
             traj.append(t_next, y_new, seg)

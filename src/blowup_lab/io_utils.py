@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
@@ -55,8 +56,9 @@ def _fmt(v) -> str:
 
 
 class RunManifest:
-    """Registry of the files one command run produced, with the run's
-    config (its "seed" included) and the package version."""
+    """One command run: where it writes, its config (its "seed"
+    included), the files it produced, the wall time of its phases and
+    the package version."""
 
     def __init__(self, out_dir: str, config: Mapping):
         self.out_dir = out_dir
@@ -65,6 +67,13 @@ class RunManifest:
         self.outputs: dict[str, dict] = {}
         self.timings: dict[str, float] = {}
         self.extra: dict = {}
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        """Record in timings the wall time since the previous lap (or
+        since the run was made) as phase name."""
+        now = time.perf_counter()
+        self.timings[name], self._last = now - self._last, now
 
     def csv_header(self, **kw) -> dict:
         return {"manifest_hash": self.hash, "params": self.config, **kw}

@@ -246,37 +246,38 @@ def branch_sign(c: np.ndarray) -> int:
     return 1 if float(np.sum(c).imag) >= 0.0 else -1
 
 
-def continue_past_blowup(params: ModelParams, start: np.ndarray,
-                         t_end: float, t_c: float, radius: float,
-                         rng_seed: int, times: Sequence[float]) -> Trajectory:
-    """Noise-seeded integration in real time through t_c.
+def continue_past_blowup(params: ModelParams, solve: Trajectory,
+                         t_end: float, radius: float, rng_seed: int,
+                         times: Sequence[float]) -> Trajectory:
+    """Noise-seeded integration in real time through t_c, the solve's end.
 
-    From start, the blow-up solve's state at t_c - radius, with the
-    imaginary seed added, real time to t_end >= t_c + radius; the event
-    is disarmed, and the seed lets the solution pass through v = 0 and
-    turn complex.  The run keeps its dense output at the times,
-    t_c + radius and t_end alone.
+    From the solve's state at t_c - radius, with the imaginary seed added,
+    real time to t_end >= t_c + radius; the event is disarmed, and the
+    seed lets the solution pass through v = 0 and turn complex.  The run
+    keeps its dense output at the times, t_c + radius and t_end alone.
     """
-    seeded = seed_imaginary_noise(start, rng_seed)
+    t_c = solve.times[-1]
+    seeded = seed_imaginary_noise(solve.state_at(t_c - radius), rng_seed)
     return integrate(make_rhs(params), seeded, t_c - radius, t_end,
                      params.integrator, lin=diffusion(params.n_modes),
                      keep=[*times, t_c + radius, t_end])
 
 
-def continue_complex_path(params: ModelParams, start: np.ndarray,
-                          t_end: float, t_c: float, radius: float,
+def continue_complex_path(params: ModelParams, solve: Trajectory,
+                          t_end: float, radius: float,
                           times: Sequence[float]) -> Trajectory:
-    """Step around t_c through the complex t-plane.
+    """Step around t_c, the solve's end, through the complex t-plane.
 
-    From start, the blow-up solve's state at t_c - radius, two straight
-    legs by way of t_c + i radius (integrate_path), then real time from
-    t_c + radius to t_end >= t_c + radius (no step when equal); every
-    integration counts into the stats of the real-time run it returns,
-    which keeps its dense output at the times, t_c + radius and t_end
-    alone.
+    From the solve's state at t_c - radius, two straight legs by way of
+    t_c + i radius (integrate_path), then real time from t_c + radius to
+    t_end >= t_c + radius (no step when equal); every integration counts
+    into the stats of the real-time run it returns, which keeps its
+    dense output at the times, t_c + radius and t_end alone.
     """
+    t_c = solve.times[-1]
     rhs, lin = make_rhs(params), diffusion(params.n_modes)
-    arc = integrate_path(rhs, start, t_c, radius, params.integrator, lin)
+    arc = integrate_path(rhs, solve.state_at(t_c - radius), t_c, radius,
+                         params.integrator, lin)
     return integrate(rhs, arc.states[-1], t_c + radius, t_end,
                      params.integrator, lin=lin,
                      keep=[*times, t_c + radius, t_end], stats=arc.stats)

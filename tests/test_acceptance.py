@@ -129,8 +129,7 @@ def test_criterion_3_coefficient_decay(solve_mid):
 
 def test_criterion_4_blowup_profile(solve_fine):
     params, solve = solve_fine
-    data = experiments.profile_from_state(solve.states[-1], solve.times[-1],
-                                          params)
+    data = experiments.profile_from_solution(solve, params)
     mask = np.abs(data.x) >= 0.1
     rel = np.abs(data.eq_global[mask] - data.v_solver[mask]) \
         / np.abs(data.v_solver[mask])
@@ -253,8 +252,7 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # and 400 in [1.5 t_c, 3 t_c]
     approach = np.linspace(t_s, t_c - 1e-6, 64)
     ts = np.linspace(1.5 * t_c, 3.0 * t_c, 400)
-    r1 = continue_past_blowup(params, solve.state_at(t_s), 3.1 * t_c, t_c,
-                              0.1 * t_c, 0,
+    r1 = continue_past_blowup(params, solve, 3.1 * t_c, 0.1 * t_c, 0,
                               [*approach, *ts, 1.25 * t_c, 2.0 * t_c])
     # real before t_c (the solve's states up to t_s, then the run's),
     # complex after
@@ -288,8 +286,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
     checks.append((dconj <= 1e-6, f"conjugate-seed mismatch {dconj:.2e}"))
 
     # the complex-time path matches one noise-seeded branch at 3 t_c
-    r3 = continue_complex_path(params, solve.state_at(t_s), 3.05 * t_c, t_c,
-                               0.1 * t_c, [3.0 * t_c])
+    r3 = continue_complex_path(params, solve, 3.05 * t_c, 0.1 * t_c,
+                               [3.0 * t_c])
     s_path = r3.state_at(3.0 * t_c)
     s_noise = r1.state_at(3.0 * t_c)
     d_same = float(np.max(np.abs(s_path - s_noise)))
@@ -301,10 +299,8 @@ def test_criterion_7_postblowup_continuation(solve_small):
     # nearly constant in x and the explicit step is stability-limited)
     p48 = model_params(params.alpha, params.epsilon, n_modes=48)
     solve48 = solve_to_blowup(p48)
-    t_c48 = solve48.times[-1]
-    r48 = 0.1 * t_c48
-    r4 = continue_past_blowup(p48, solve48.state_at(t_c48 - r48), 20.0,
-                              t_c48, r48, 0, [])
+    r4 = continue_past_blowup(p48, solve48, 20.0, 0.1 * solve48.times[-1],
+                              0, [])
     u_vals = 1.0 / synthesize(r4.state_at(20.0), padded_size(48))
     dev = float(np.max(np.abs(u_vals + 1.0 / 20.0)) * 20.0)
     checks.append((dev <= 0.05, f"asymptote deviation {dev:.3f}"))

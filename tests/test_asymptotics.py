@@ -50,24 +50,22 @@ def test_v_timescale2_continuity_and_domain():
     alpha, eps = 1.0, 0.01
     t_c = asy.t_tilde(alpha, eps)
     x = np.array([0.5, 1.0, 2.0])
-    c = asy.constants(alpha)
-    vals = asy.v_timescale2(x, t_c - 0.001, alpha, eps, t_c, c)
+    vals = asy.v_timescale2(x, t_c - 0.001, alpha, eps, t_c)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
     with pytest.raises(ValueError):
-        asy.v_timescale2(np.array([0.0]), t_c + 1e-6, alpha, eps, t_c, c)
+        asy.v_timescale2(np.array([0.0]), t_c + 1e-6, alpha, eps, t_c)
 
 
 def test_blowup_profile_limits():
     alpha, eps = 1.0, 0.001
     # at t = t_c the second-timescale form reduces to the global profile
     x = np.array([0.3, 1.0, 2.5])
-    c = asy.constants(alpha)
     t_c = 1.0   # the profile formula does not reference t_c
-    v2 = asy.v_timescale2(x, t_c, alpha, eps, t_c, c)
-    prof = asy.blowup_profile_global(x, alpha, eps, c)
+    v2 = asy.v_timescale2(x, t_c, alpha, eps, t_c)
+    prof = asy.blowup_profile_global(x, alpha, eps)
     assert np.max(np.abs(v2 - prof)) < 1e-14
     with pytest.raises(ValueError):
-        asy.blowup_profile_global(np.array([0.0]), alpha, eps, c)
+        asy.blowup_profile_global(np.array([0.0]), alpha, eps)
     # local profile leading order: eps e^{-a} x^2 / 2 for moderate log
     xs = 1e-3
     lead = eps * math.exp(-alpha) * xs ** 2

@@ -111,6 +111,15 @@ def test_verify_reports_an_unlisted_csv(tmp_path):
     assert run_cli("solve", "--out", str(out), "--verify") == 1
 
 
+def test_verify_reports_a_missing_output(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("solve", *FAST, "--out", str(out)) == 0
+    (out / "state_at_tc.csv").unlink()
+    assert verify_manifest(str(out / "manifest.json")) \
+        == ["state_at_tc: missing file state_at_tc.csv"]
+    assert run_cli("solve", "--out", str(out), "--verify") == 1
+
+
 def test_outputs_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("solve", *FAST, "--out", str(a)) == 0
@@ -574,6 +583,23 @@ def test_snapshots_refuses_default_times_with_the_same_label(tmp_path, capsys):
                    "--n-modes", "16", "--out", str(out)) == 1
     assert "both print as 0.000002" in capsys.readouterr().err
     assert not list(out.rglob("*.csv"))
+
+
+def test_minus_zero_is_labelled_as_zero(tmp_path, monkeypatch, capsys):
+    # -0.0 is t = 0: beside 0 its label clashes, refused before the solve,
+    # and alone it gives t = 0's column
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "pair"
+    assert run_cli("snapshots", *FAST, "--times", "0", "-0.0", "--out",
+                   str(out)) == 1
+    assert "both print as 0.000000" in capsys.readouterr().err
+    assert calls == []
+    assert not list(out.rglob("*.csv"))
+    out = tmp_path / "alone"
+    assert run_cli("snapshots", *FAST, "--times", "-0.0", "--out",
+                   str(out)) == 0
+    _, columns = csv_columns(out / "coefficient_snapshots.csv")
+    assert list(columns) == ["k", "abs_c_k_t0.000000", "local_law"]
 
 
 def test_snapshots_command(tmp_path):

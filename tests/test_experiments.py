@@ -61,7 +61,6 @@ def test_error_curves_match_a_per_state_evaluation(small_solve):
     a, e, t_c = params.alpha, params.epsilon, traj.times[-1]
     m = padded_size(params.n_modes)
     x = grid_points(m)
-    consts = asymptotics.constants(a)
     times = experiments.sample_times(t_c)
     rows, dropped = [], Counter()
     for t, c in zip(times, traj.states_at(times)):
@@ -71,7 +70,7 @@ def test_error_curves_match_a_per_state_evaluation(small_solve):
             continue
         errs = [np.max(np.abs(approx - v) / np.abs(v)) for approx in (
             asymptotics.perturbation_v(x, t, a, e),
-            asymptotics.v_timescale2(x, t, a, e, t_c, consts))]
+            asymptotics.v_timescale2(x, t, a, e, t_c))]
         rows.append([t, *errs])
     data = experiments.error_curves_from_solution(traj, params)
     got = np.stack([data.times, data.err_perturbation, data.err_timescale2])
@@ -152,8 +151,7 @@ def test_complex_path_to_a_t_end_inside_the_detour_narrows_it():
     data = experiments.run_continuation(p, t_end, 0, (), "complex_path")
     assert data.radius == t_end - t_c
     # the real-time leg from t_c + r = t_end takes no step
-    leg = continue_complex_path(p, solve.state_at(t_c - data.radius),
-                                t_end, t_c, data.radius, [])
+    leg = continue_complex_path(p, solve, t_end, data.radius, [])
     assert leg.times == [t_end]
     assert list(data.skipped_times) == [round(t_c, 12)]
     assert data.snapshot_times == [0.0, round(0.5 * t_c, 12)]
@@ -236,8 +234,7 @@ def test_snapshot_closer_to_t_c_than_the_detour_matches_the_noise_run():
     t = 1.05 * t_c
     data = experiments.run_fourier_snapshots(p, [t])
     r = 0.1 * t_c
-    noise = continue_past_blowup(p, solve.state_at(t_c - r), 1.2 * t_c,
-                                 t_c, r, 0, [t])
+    noise = continue_past_blowup(p, solve, 1.2 * t_c, r, 0, [t])
     want = np.abs(noise.state_at(t)[p.n_modes + 1:])
     assert np.max(np.abs(data.moduli[0] - want)) <= 1e-9
 

@@ -83,6 +83,23 @@ def test_event_already_at_its_root_at_t0_gives_the_first_state_alone():
     assert calls == [] and traj.stats.rhs_calls == 0
 
 
+def test_a_run_without_an_accepted_step_records_no_step_sizes():
+    ev = EventSpec(lambda y: float(y[0].real))
+    traj = integrate(decay, np.array([0.0]), 0.0, 1.0, TOLERANCES,
+                     events=[ev])
+    record = traj.stats.record()
+    assert record["accepted"] == 0 and record["arithmetic"] == "real"
+    assert (record["h_min"], record["h_median"], record["h_max"]) \
+        == (None, None, None)
+
+
+def test_a_non_finite_first_rhs_raises():
+    with pytest.raises(IntegrationError,
+                       match=re.escape("rhs non-finite at t0 = 0.5")):
+        integrate(lambda y, t: np.full_like(y, np.inf), np.array([1.0]),
+                  0.5, 1.0, TOLERANCES)
+
+
 def test_event_that_never_fires_raises_naming_the_span():
     # y' = -y stays above zero on [0, 2]: reaching t1 with the event
     # armed is an error of its own, not a step-size underflow
@@ -650,7 +667,7 @@ def linear_scan(traj, t):
     covers t, else the endpoint clamps."""
     for seg in traj.dense_segments:
         if seg.t0 <= t <= seg.t0 + seg.h:
-            return seg.eval_block([t])[0]
+            return traj.substep(seg, [t])[0]
     if abs(t - traj.times[0]) <= 1e-12 * max(1.0, abs(t)):
         return traj.states[0]
     if abs(t - traj.times[-1]) <= 1e-12 * max(1.0, abs(t)):
@@ -761,6 +778,20 @@ def test_dense_lookups_are_counted():
     # one sub-step, 5 stages, apart from the solve's own calls
     assert traj.stats.lookup_rhs_calls == 5
     assert traj.stats.rhs_calls == calls
+
+
+def test_a_non_finite_rhs_in_a_dense_lookup_raises():
+    # finite on the single states the solve steps, NaN on the blocks that
+    # dense output reads: the lookup raises at its first stage
+    def rhs(y, t):
+        return np.full_like(y, np.nan) if y.ndim > 1 else -y
+
+    traj = integrate(rhs, np.array([1.0]), 0.0, 1.0, TOLERANCES)
+    t = 0.5 * (traj.times[1] + traj.times[2])
+    with pytest.raises(IntegrationError,
+                       match="rhs non-finite in dense output at t = "):
+        traj.state_at(t)
+    assert traj.stats.lookup_rhs_calls == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -310,9 +310,8 @@ def test_blowup_solve_is_real_and_the_continuations_complex():
     states = [*solve.states, *solve.states_at(sample_times(t_c)[::97])]
     for c in states:
         assert c.dtype == np.float64 and same_bits(c, c[::-1])
-    start = solve.state_at(t_c - r)
-    for run in (continue_past_blowup(p, start, 1.5 * t_c, t_c, r, 0, []),
-                continue_complex_path(p, start, 1.5 * t_c, t_c, r, [])):
+    for run in (continue_past_blowup(p, solve, 1.5 * t_c, r, 0, []),
+                continue_complex_path(p, solve, 1.5 * t_c, r, [])):
         assert run.stats.arithmetic == "complex"
         assert all(c.dtype == complex for c in run.states if c is not None)
         assert run.state_at(1.5 * t_c).dtype == complex
@@ -462,9 +461,8 @@ def test_continuation_turns_complex_and_is_seed_deterministic():
     solve = solve_to_blowup(p)
     t_c = solve.times[-1]
     times = [1.4 * t_c]
-    start = solve.state_at(t_c - 0.1 * t_c)
-    r1 = continue_past_blowup(p, start, 1.5 * t_c, t_c, 0.1 * t_c, 3, times)
-    r2 = continue_past_blowup(p, start, 1.5 * t_c, t_c, 0.1 * t_c, 3, times)
+    r1 = continue_past_blowup(p, solve, 1.5 * t_c, 0.1 * t_c, 3, times)
+    r2 = continue_past_blowup(p, solve, 1.5 * t_c, 0.1 * t_c, 3, times)
     assert r1.times[0] == t_c - 0.1 * t_c
     s1 = r1.state_at(1.4 * t_c)
     s2 = r2.state_at(1.4 * t_c)
@@ -481,10 +479,8 @@ def test_continuation_holds_arrays_only_for_the_steps_it_reads():
     t_c = solve.times[-1]
     times = [1.25 * t_c, 1.5 * t_c, 2.0 * t_c]
     held, accepted = [], []
-    start = solve.state_at(t_c - 0.1 * t_c)
     for t_end in (3.0 * t_c, 6.0 * t_c):
-        traj = continue_past_blowup(p, start, t_end, t_c, 0.1 * t_c, 0,
-                                    times)
+        traj = continue_past_blowup(p, solve, t_end, 0.1 * t_c, 0, times)
         assert len(traj.dense_segments) == traj.stats.accepted
         held.append(sum(seg.r1 is not None for seg in traj.dense_segments))
         accepted.append(traj.stats.accepted)
@@ -515,8 +511,7 @@ def test_complex_path_arc_holds_only_its_two_ends(monkeypatch):
         return arcs[-1]
 
     monkeypatch.setattr("blowup_lab.pde.integrate_path", integrate_path)
-    continue_complex_path(p, solve.state_at(t_c - 0.1 * t_c), 1.5 * t_c, t_c,
-                          0.1 * t_c, [])
+    continue_complex_path(p, solve, 1.5 * t_c, 0.1 * t_c, [])
     (arc,) = arcs
     segs = arc.dense_segments
     assert len(segs) > 3
@@ -535,9 +530,8 @@ def test_the_seed_not_roundoff_picks_the_branch(solve_small, rng_seed):
     params, solve = solve_small
     t_c = solve.times[-1]
     t_end, r = 1.5 * t_c, 0.1 * t_c
-    start = solve.state_at(t_c - r)
-    path = continue_complex_path(params, start, t_end, t_c, r, [])
-    seeded = continue_past_blowup(params, start, t_end, t_c, r, rng_seed, [])
+    path = continue_complex_path(params, solve, t_end, r, [])
+    seeded = continue_past_blowup(params, solve, t_end, r, rng_seed, [])
     got, want = seeded.state_at(t_end), path.state_at(t_end)
     d_same = float(np.max(np.abs(got - want)))
     d_conj = float(np.max(np.abs(got - np.conj(want))))
@@ -584,8 +578,7 @@ def test_complex_path_converges_in_n_modes(solve_small):
     for p, s in ((coarse, solve_to_blowup(coarse)), (params, solve)):
         t_c = s.times[-1]
         r = 0.1 * t_c
-        runs.append(continue_complex_path(p, s.state_at(t_c - r), times[-1],
-                                          t_c, r, times))
+        runs.append(continue_complex_path(p, s, times[-1], r, times))
     for t in times:
         low, high = runs[0].state_at(t), runs[1].state_at(t)
         assert np.max(np.abs(high[64:-64] - low)) <= 5e-12
@@ -603,10 +596,9 @@ def test_noise_seeded_run_matches_the_complex_path(solve_small, rng_seed):
     t_c = solve.times[-1]
     r = 0.1 * t_c
     times = [f * t_c for f in (1.15, 1.25, 1.5, 2.0, 3.0)]
-    start = solve.state_at(t_c - r)
-    path = continue_complex_path(params, start, times[-1], t_c, r, times)
-    seeded = continue_past_blowup(params, start, times[-1], t_c, r,
-                                  rng_seed, times)
+    path = continue_complex_path(params, solve, times[-1], r, times)
+    seeded = continue_past_blowup(params, solve, times[-1], r, rng_seed,
+                                  times)
     for t in times:
         v_path = synthesize(path.state_at(t), 257)
         v_seeded = synthesize(seeded.state_at(t), 257)
